@@ -84,21 +84,6 @@ ComponentCharacterization ComponentCharacterizer::characterize(
       throw std::invalid_argument("characterize: negative scenario years");
     }
   }
-  if (options_.incremental_sta) {
-    if (base.technique != ApproxTechnique::lsb_truncation) {
-      throw std::invalid_argument(
-          "characterize: incremental_sta requires lsb_truncation (other "
-          "techniques restructure logic rather than starve operand bits)");
-    }
-    for (const AgingScenario& s : scenarios) {
-      if (!s.is_fresh() && s.mode == StressMode::measured) {
-        throw std::invalid_argument(
-            "characterize: incremental_sta cannot serve measured-mode "
-            "scenarios (their per-gate stress belongs to a re-synthesized "
-            "netlist)");
-      }
-    }
-  }
   obs::Span span("characterize");
 
   // Route through the Context's surface cache whenever the sweep is a pure
@@ -114,33 +99,10 @@ ComponentCharacterization ComponentCharacterizer::characterize(
     if (!s.is_fresh() && s.mode == StressMode::measured) cacheable = false;
   }
   ComponentCharacterization result;
-  if (cacheable && ctx_->surrogate_bound() > 0.0) {
-    // Armed surrogate: a sweep may answer some points from the learned model
-    // rather than exact STA, and such a surface must never be memoized as
-    // exact truth. Probe the cache first (warm behavior is unchanged); on a
-    // miss run the sweep and only insert it if the surrogate contributed
-    // nothing — detected by a hit-counter delta, so a fully-exact run stays
-    // byte-identical to an unarmed one in both the store file and the logs.
-    engine::DesignStore& store = ctx_->store();
-    if (const ComponentCharacterization* cached = store.surface_if_cached(
-            *lib_, model_, base, scenarios, options_.min_precision,
-            options_.precision_step, options_.sta,
-            options_.incremental_sta)) {
-      result = *cached;
-    } else {
-      const std::uint64_t hits_before = store.stats().surrogate_hits;
-      result = sweep(base, scenarios, stimulus);
-      if (store.stats().surrogate_hits == hits_before) {
-        result = store.surface(
-            *lib_, model_, base, scenarios, options_.min_precision,
-            options_.precision_step, options_.sta, options_.incremental_sta,
-            [&]() -> ComponentCharacterization { return std::move(result); });
-      }
-    }
-  } else if (cacheable) {
+  if (cacheable) {
     result = ctx_->store().surface(
         *lib_, model_, base, scenarios, options_.min_precision,
-        options_.precision_step, options_.sta, options_.incremental_sta,
+        options_.precision_step, options_.sta,
         [&] { return sweep(base, scenarios, stimulus); });
   } else {
     result = sweep(base, scenarios, stimulus);
@@ -171,7 +133,6 @@ ComponentCharacterization ComponentCharacterizer::characterize(
 ComponentCharacterization ComponentCharacterizer::sweep(
     const ComponentSpec& base, const std::vector<AgingScenario>& scenarios,
     const StimulusSet* stimulus) const {
-  if (options_.incremental_sta) return sweep_incremental(base, scenarios);
   ComponentCharacterization result;
   result.base = base;
   result.scenarios = scenarios;
@@ -233,97 +194,6 @@ ComponentCharacterization ComponentCharacterizer::sweep(
     }
     result.points[i] = std::move(point);
   });
-  return result;
-}
-
-ComponentCharacterization ComponentCharacterizer::sweep_incremental(
-    const ComponentSpec& base,
-    const std::vector<AgingScenario>& scenarios) const {
-  ComponentCharacterization result;
-  result.base = base;
-  result.scenarios = scenarios;
-
-  ctx_->check_cancelled("characterize.sweep");
-  for (const AgingScenario& s : scenarios) {
-    if (!s.is_fresh()) degradation_for(s.years);
-  }
-
-  std::vector<int> precisions;
-  for (int k = base.width; k >= options_.min_precision;
-       k -= options_.precision_step) {
-    precisions.push_back(k);
-  }
-
-  engine::DesignStore& store = ctx_->store();
-  const Netlist& nl = store.netlist(*lib_, base);
-  const NetlistStats stats = compute_stats(nl);
-  const auto gates = static_cast<std::uint64_t>(nl.num_gates());
-
-  // The buses that lsb_truncation starves, mirroring make_component: the
-  // operand buses for arithmetic components, the data bus for the clamp
-  // (a mac's accumulator bus is never truncated).
-  std::vector<const std::vector<NetId>*> buses;
-  if (base.kind == ComponentKind::clamp) {
-    buses = {&nl.input_bus("x")};
-  } else {
-    buses = {&nl.input_bus("a"), &nl.input_bus("b")};
-  }
-  const auto truncated_set = [&buses](int tb) {
-    std::vector<NetId> pis;
-    for (const std::vector<NetId>* bus : buses) {
-      for (int i = 0; i < tb && i < static_cast<int>(bus->size()); ++i) {
-        pis.push_back((*bus)[static_cast<std::size_t>(i)]);
-      }
-    }
-    return pis;
-  };
-
-  result.points.resize(precisions.size());
-  for (std::size_t i = 0; i < precisions.size(); ++i) {
-    result.points[i].precision = precisions[i];
-    result.points[i].area = stats.cell_area;
-    result.points[i].gates = stats.gates;
-    result.points[i].aged_delay.assign(scenarios.size(), 0.0);
-  }
-
-  // One engine for the whole sweep, walked column-major (fresh column, then
-  // each scenario column): within a column the gate delays are fixed and
-  // the truncated set only grows, so after the column's first query every
-  // point is a cone-limited re-propagation. Serial by design — the engine's
-  // arrival state is the thing being reused. Store hits skip the compute
-  // callback entirely; the queries that do reach the engine still form a
-  // monotone (superset) walk, so a partially warm store stays incremental.
-  IncrementalSta inc(nl, options_.sta, ctx_);
-  const auto fresh_point = [&](std::size_t i) {
-    const int tb = base.width - precisions[i];
-    return store.truncated_sta_delay(
-        *lib_, base, tb, model_, StressMode::worst, 0.0, options_.sta, gates,
-        [&] { return inc.max_delay(nullptr, nullptr, truncated_set(tb)); });
-  };
-  for (std::size_t i = 0; i < precisions.size(); ++i) {
-    ctx_->check_cancelled("characterize.point");
-    result.points[i].fresh_delay = fresh_point(i);
-  }
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    const AgingScenario& s = scenarios[si];
-    if (s.is_fresh()) {
-      // Same query as the fresh column — a guaranteed store hit.
-      for (std::size_t i = 0; i < precisions.size(); ++i) {
-        result.points[i].aged_delay[si] = fresh_point(i);
-      }
-      continue;
-    }
-    const DegradationAwareLibrary& aged = degradation_for(s.years);
-    const StressProfile stress =
-        StressProfile::uniform(s.mode, nl.num_gates());
-    for (std::size_t i = 0; i < precisions.size(); ++i) {
-      ctx_->check_cancelled("characterize.point");
-      const int tb = base.width - precisions[i];
-      result.points[i].aged_delay[si] = store.truncated_sta_delay(
-          *lib_, base, tb, model_, s.mode, s.years, options_.sta, gates,
-          [&] { return inc.max_delay(&aged, &stress, truncated_set(tb)); });
-    }
-  }
   return result;
 }
 

@@ -26,18 +26,6 @@ struct CharacterizerOptions {
   int min_precision = 16;  ///< sweep floor (K >= this)
   int precision_step = 1;
   StaOptions sta;
-  /// Opt-in: evaluate the sweep's delay points with the incremental
-  /// cone-limited STA (sta/sta.hpp IncrementalSta) on the single
-  /// full-precision netlist, modeling truncation as operand PIs that never
-  /// arrive, instead of re-synthesizing a truncated component per point.
-  /// Deliberately different delay semantics (re-synthesis restructures
-  /// logic and changes loads), cached under a separate DesignStore key
-  /// family so the two never alias. Requires lsb_truncation and rejects
-  /// measured-mode scenarios (their per-gate stress belongs to a
-  /// re-synthesized netlist). Area/gate fields then report the base
-  /// netlist at every point. AAPX_STA_FULL=1 forces the full-recompute
-  /// algorithm inside this mode without changing any result or log byte.
-  bool incremental_sta = false;
 };
 
 class ComponentCharacterizer {
@@ -77,14 +65,6 @@ class ComponentCharacterizer {
   ComponentCharacterization sweep(const ComponentSpec& base,
                                   const std::vector<AgingScenario>& scenarios,
                                   const StimulusSet* stimulus) const;
-
-  /// The incremental-STA variant of the sweep: one full-precision netlist,
-  /// truncation as a growing never-arrives PI set, delays served by
-  /// IncrementalSta through the store's truncated-delay cache. Serial by
-  /// design — each scenario column is one monotone truncation walk.
-  ComponentCharacterization sweep_incremental(
-      const ComponentSpec& base,
-      const std::vector<AgingScenario>& scenarios) const;
 
   /// aged_delay with the Sta supplied by the caller, so one Sta per netlist
   /// serves the fresh run and every scenario.

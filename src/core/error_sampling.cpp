@@ -21,15 +21,15 @@ SampledErrorProfile sample_error_profile(
       throw std::invalid_argument("sample_error_profile: ragged stimulus");
     }
   }
-  const auto sim = make_wide_sim(nl);
-  const std::size_t lanes = static_cast<std::size_t>(sim->lanes());
+  PackedFuncSim sim(nl);
+  constexpr std::size_t lanes = PackedFuncSim::kLanes;
   const std::size_t n = stim.vectors.size();
   std::size_t wrong = 0;
   RunningStats abs_err;
   double max_abs = 0.0;
   std::vector<std::uint64_t> lane_values;
   // Lane readout stays in stimulus order, so the RunningStats stream — and
-  // with it the reported mean — is independent of the backend's lane width.
+  // with it the reported mean — matches a scalar walk of the stimulus.
   for (std::size_t first = 0; first < n; first += lanes) {
     const std::size_t count = std::min(lanes, n - first);
     lane_values.resize(count);
@@ -37,12 +37,12 @@ SampledErrorProfile sample_error_profile(
       for (std::size_t i = 0; i < count; ++i) {
         lane_values[i] = stim.vectors[first + i][b];
       }
-      sim->set_bus(stim.buses[b], lane_values);
+      sim.set_bus(stim.buses[b], lane_values);
     }
-    sim->eval();
+    sim.eval();
     for (std::size_t i = 0; i < count; ++i) {
       const std::int64_t got =
-          decode(sim->bus_value(output_bus, static_cast<int>(i)));
+          decode(sim.bus_value(output_bus, static_cast<int>(i)));
       const std::int64_t want = expect(stim.vectors[first + i]);
       if (got != want) {
         ++wrong;

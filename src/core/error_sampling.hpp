@@ -1,5 +1,5 @@
 // Measured (sampled) error profiles for approximate components: drives a
-// stimulus set through a netlist on the widest available packed backend and
+// stimulus set through a netlist on the 64-lane packed simulator and
 // compares every vector against an exact reference. The sampling
 // counterpart of approx/error_bounds.hpp's analytic bounds — benches use it
 // to show where the measured profile sits inside the bound.
@@ -22,13 +22,12 @@ struct SampledErrorProfile {
   double max_abs = 0.0;
 };
 
-/// Runs `stim` through `nl` (wide packed simulation, one eval per lane word
-/// of vectors) and compares each vector's decoded output against the
-/// reference. `decode` maps the raw LSB-first `output_bus` word to the
-/// comparable value (sign wrap, carry-out masking); `expect` maps a
-/// stimulus row to the reference value. Statistics accumulate in stimulus
-/// order, so the result is bit-identical to a scalar per-vector loop on any
-/// backend.
+/// Runs `stim` through `nl` (packed simulation, one eval per 64 vectors)
+/// and compares each vector's decoded output against the reference.
+/// `decode` maps the raw LSB-first `output_bus` word to the comparable value
+/// (sign wrap, carry-out masking); `expect` maps a stimulus row to the
+/// reference value. Statistics accumulate in stimulus order, so the result
+/// is bit-identical to a scalar per-vector loop.
 SampledErrorProfile sample_error_profile(
     const Netlist& nl, const StimulusSet& stim, const std::string& output_bus,
     const std::function<std::int64_t(std::uint64_t raw)>& decode,

@@ -199,14 +199,11 @@ std::vector<double> measure_gate_duty(const Netlist& nl,
       throw std::invalid_argument("measure_gate_duty: ragged stimulus");
     }
   }
-  // One WideSim::eval simulates a whole lane word of vectors (64-512
-  // depending on the dispatched backend); batches are distributed over the
-  // pool. Per-batch integer popcounts summed in batch order keep the result
-  // bit-identical to the scalar loop regardless of thread count — and of
-  // lane width, since the total is an exact integer sum either way.
+  // One PackedFuncSim::eval simulates 64 vectors; batches are distributed
+  // over the pool. Per-batch integer popcounts summed in batch order keep
+  // the result bit-identical to the scalar loop regardless of thread count.
   const std::size_t n_vectors = stimulus.vectors.size();
-  const std::size_t lanes =
-      static_cast<std::size_t>(simd::backend_lanes(simd::simd_dispatch()));
+  constexpr std::size_t lanes = PackedFuncSim::kLanes;
   const std::size_t n_batches = (n_vectors + lanes - 1) / lanes;
   std::vector<NetId> gate_fanout(nl.num_gates());
   for (std::size_t g = 0; g < nl.num_gates(); ++g) {
@@ -214,7 +211,7 @@ std::vector<double> measure_gate_duty(const Netlist& nl,
   }
   std::vector<std::vector<std::uint64_t>> batch_high(n_batches);
   parallel_for(n_batches, [&](std::size_t batch) {
-    const auto sim = make_wide_sim(nl);
+    PackedFuncSim sim(nl);
     const std::size_t first = batch * lanes;
     const std::size_t count = std::min(lanes, n_vectors - first);
     std::vector<std::uint64_t> lane_values(count);
@@ -222,13 +219,12 @@ std::vector<double> measure_gate_duty(const Netlist& nl,
       for (std::size_t i = 0; i < count; ++i) {
         lane_values[i] = stimulus.vectors[first + i][b];
       }
-      sim->set_bus(stimulus.buses[b], lane_values);
+      sim.set_bus(stimulus.buses[b], lane_values);
     }
-    sim->eval();
+    sim.eval();
     std::vector<std::uint64_t>& high = batch_high[batch];
     high.assign(nl.num_gates(), 0);
-    sim->add_high_popcounts(gate_fanout, static_cast<int>(count),
-                            high.data());
+    sim.add_high_popcounts(gate_fanout, static_cast<int>(count), high.data());
   });
   std::vector<double> duty(nl.num_gates(), 0.0);
   for (std::size_t g = 0; g < nl.num_gates(); ++g) {

@@ -23,7 +23,6 @@ Context::Context(const Options& options) {
   threads_.store(options.threads, std::memory_order_relaxed);
   seed_.store(options.seed, std::memory_order_relaxed);
   cancel_.store(options.cancel, std::memory_order_relaxed);
-  surrogate_bound_.store(options.surrogate_bound, std::memory_order_relaxed);
   if (options.shared_store != nullptr) {
     // Multi-tenant mode: borrow another Context's store (the server's
     // per-connection Contexts all point at the root store). Its metrics

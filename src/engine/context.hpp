@@ -78,12 +78,6 @@ class Context {
     /// Cancellation token checked by this Context's long-running sweeps
     /// (see engine/cancel.hpp). Borrowed; nullptr = never cancelled.
     const CancelToken* cancel = nullptr;
-    /// Learned-surrogate error bound in ps (the CLI's `--surrogate`).
-    /// > 0 arms the DesignStore's bounded-error fast path: a trained
-    /// surrogate whose validated held-out p99 error fits the bound may
-    /// answer aged-delay queries that miss the exact cache; everything else
-    /// transparently falls back to exact. 0 (default) = exact only.
-    double surrogate_bound = 0.0;
   };
 
   /// Fully private Context: own DesignStore, own metrics registry, own
@@ -118,17 +112,6 @@ class Context {
   /// Per-Context worker-count override (0 = back to the process default).
   void set_num_threads(int threads) {
     threads_.store(threads, std::memory_order_relaxed);
-  }
-
-  /// The armed surrogate error bound in ps (0 = exact-only). Read by the
-  /// DesignStore on every exact-cache miss; swappable at runtime like the
-  /// cancel token (the server arms it from ServerOptions, benches toggle it
-  /// between the surrogate and the ground-truth pass).
-  double surrogate_bound() const noexcept {
-    return surrogate_bound_.load(std::memory_order_relaxed);
-  }
-  void set_surrogate_bound(double bound_ps) noexcept {
-    surrogate_bound_.store(bound_ps, std::memory_order_relaxed);
   }
 
   std::uint64_t seed() const noexcept {
@@ -178,7 +161,6 @@ class Context {
   std::atomic<int> threads_{0};
   std::atomic<std::uint64_t> seed_{0};
   std::atomic<const CancelToken*> cancel_{nullptr};
-  std::atomic<double> surrogate_bound_{0.0};
 };
 
 }  // namespace aapx

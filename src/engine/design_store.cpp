@@ -21,25 +21,6 @@ constexpr std::uint64_t kTagNetlist = 0x4e4c303031ULL;  // "NL001"
 constexpr std::uint64_t kTagLibrary = 0x414c303031ULL;  // "AL001"
 constexpr std::uint64_t kTagDelay = 0x4454303031ULL;    // "DT001"
 constexpr std::uint64_t kTagSurface = 0x5346303031ULL;  // "SF001"
-// Incremental boundary-condition STA delays (truncation modeled as
-// never-arriving PIs on the full-precision netlist). A separate tag keeps
-// them from ever aliasing kTagDelay's re-synthesized full-STA entries —
-// the two families answer different questions about the same spec.
-constexpr std::uint64_t kTagTruncDelay = 0x4454303032ULL;  // "DT002"
-// Trained surrogate models, one per (library, AgingParams, StaOptions)
-// family. Own tag: a surrogate record can never alias an exact artifact.
-constexpr std::uint64_t kTagSurrogate = 0x5352303031ULL;  // "SR001"
-
-std::uint64_t surrogate_record_key(std::uint64_t lib_fp,
-                                   std::uint64_t params_key,
-                                   std::uint64_t sta_key) {
-  return Hasher{}
-      .u64(kTagSurrogate)
-      .u64(lib_fp)
-      .u64(params_key)
-      .u64(sta_key)
-      .digest();
-}
 
 /// Scenario identity under the surface cache: fresh scenarios of any stress
 /// mode are the same query (aging-free timing ignores the mode).
@@ -61,7 +42,7 @@ std::uint64_t surface_key(std::uint64_t lib_fp, const AgingParams& params,
                           const ComponentSpec& base,
                           const std::vector<AgingScenario>& scenarios,
                           int min_precision, int precision_step,
-                          const StaOptions& sta, bool incremental) {
+                          const StaOptions& sta) {
   Hasher h;
   h.u64(kTagSurface)
       .u64(lib_fp)
@@ -72,8 +53,6 @@ std::uint64_t surface_key(std::uint64_t lib_fp, const AgingParams& params,
       .i32(precision_step)
       .u64(scenarios.size());
   for (const AgingScenario& s : scenarios) h.u64(key_of(s));
-  // Hashed only when set so every pre-existing store file keeps its keys.
-  if (incremental) h.str("inc-sta");
   return h.digest();
 }
 
@@ -312,27 +291,6 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
       return delay;
     }
   }
-  // Learned fast path — consulted only after the exact caches (in-memory
-  // and staged disk) miss, so an exact answer is always preferred. A
-  // surrogate answer returns WITHOUT entering the delay family: the store
-  // only ever holds exact values. Declining (no model, hull miss, bound
-  // tighter than the validated error) falls through to the exact compute
-  // below, which is why an all-fallback armed run stays byte-identical to
-  // an unarmed one in both its logs and its store.
-  if (const double bound = ctx_->surrogate_bound(); bound > 0.0) {
-    if (const surrogate::SurrogateModel* sm =
-            surrogate_model(lib, model, sta)) {
-      if (const std::optional<double> pred =
-              sm->try_predict(spec, mode, years, model, bound)) {
-        surrogate_hits_n_.fetch_add(1, std::memory_order_relaxed);
-        ctx_->metrics().counter("engine.surrogate.hits").add();
-        log_surrogate_query(years > 0.0, bound, *pred);
-        return *pred;
-      }
-    }
-    surrogate_fallbacks_n_.fetch_add(1, std::memory_order_relaxed);
-    ctx_->metrics().counter("engine.surrogate.fallbacks").add();
-  }
   delay_misses_->add();
   count_persist_miss();
   double delay;
@@ -369,106 +327,11 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
   return delay;
 }
 
-double DesignStore::truncated_sta_delay(
-    const CellLibrary& lib, const ComponentSpec& base, int truncated_bits,
-    const AgingModel& model, StressMode mode, double years,
-    const StaOptions& sta, std::uint64_t gates,
-    const std::function<double()>& compute) {
-  if (mode == StressMode::measured) {
-    throw std::invalid_argument(
-        "DesignStore::truncated_sta_delay: measured-mode delays are "
-        "stimulus-dependent and not cacheable by spec");
-  }
-  const std::uint64_t netlist_key =
-      Hasher{}.u64(fingerprint(lib)).u64(key_of(base)).digest();
-  // Same scenario derivation as aged_sta_delay plus the truncation depth;
-  // the family tag below is what keeps the two key spaces disjoint.
-  Hasher scenario;
-  if (years <= 0.0) {
-    scenario.str("fresh");
-  } else {
-    scenario.u64(key_of(model)).i32(static_cast<int>(mode)).f64(years);
-  }
-  const std::uint64_t scenario_key =
-      scenario.i32(truncated_bits).u64(key_of(sta)).digest();
-  const std::uint64_t key = Hasher{}
-                                .u64(kTagTruncDelay)
-                                .u64(netlist_key)
-                                .u64(scenario_key)
-                                .digest();
-
-  Shard<DelayEntry>& shard = delays_[shard_of(key)];
-  {
-    bool hit = false;
-    double delay = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        const DelayEntry& e = *it->second;
-        if (e.netlist_key != netlist_key || e.scenario_key != scenario_key) {
-          throw std::logic_error("DesignStore: delay key collision");
-        }
-        delay_hits_->add();
-        hit = true;
-        delay = e.delay;
-      } else if (auto blob = take_staged(
-                     static_cast<std::uint32_t>(RecordKind::sta_delay), key)) {
-        try {
-          const StaDelayPayload p = decode_sta_delay_payload(*blob);
-          if (p.netlist_key == netlist_key && p.scenario_key == scenario_key) {
-            delay_hits_->add();
-            persist_hits_->add();
-            auto entry = std::make_unique<DelayEntry>();
-            entry->netlist_key = netlist_key;
-            entry->scenario_key = scenario_key;
-            entry->delay = p.delay;
-            entry->gates = p.gates;
-            shard.entries.emplace(key, std::move(entry));
-            hit = true;
-            delay = p.delay;
-          } else {
-            warn_record_dropped("sta_delay", key, "stale key material");
-            persist_records_dropped_->add();
-          }
-        } catch (const std::exception& e) {
-          warn_record_dropped("sta_delay", key, e.what());
-          persist_records_dropped_->add();
-        }
-      }
-    }
-    if (hit) {
-      log_delay_query(years > 0.0, gates, delay);
-      return delay;
-    }
-  }
-  delay_misses_->add();
-  count_persist_miss();
-  double delay;
-  {
-    // Off the serial spine for the same reason as aged_sta_delay: whether
-    // the compute callback runs depends on cache history, so nothing inside
-    // it may emit run-log records; the log_delay_query below documents the
-    // query identically for hits and misses.
-    const OffSpineGuard off_spine;
-    delay = compute();
-    auto entry = std::make_unique<DelayEntry>();
-    entry->netlist_key = netlist_key;
-    entry->scenario_key = scenario_key;
-    entry->delay = delay;
-    entry->gates = gates;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.emplace(key, std::move(entry));
-  }
-  log_delay_query(years > 0.0, gates, delay);
-  return delay;
-}
-
 const ComponentCharacterization& DesignStore::surface(
     const CellLibrary& lib, const AgingModel& model,
     const ComponentSpec& base,
     const std::vector<AgingScenario>& scenarios, int min_precision,
-    int precision_step, const StaOptions& sta, bool incremental_sta,
+    int precision_step, const StaOptions& sta,
     const std::function<ComponentCharacterization()>& build) {
   for (const AgingScenario& s : scenarios) {
     if (!s.is_fresh() && s.mode == StressMode::measured) {
@@ -478,45 +341,23 @@ const ComponentCharacterization& DesignStore::surface(
     }
   }
   const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t key =
-      surface_key(fp, model.params(), base, scenarios, min_precision,
-                  precision_step, sta, incremental_sta);
+  const std::uint64_t key = surface_key(fp, model.params(), base, scenarios,
+                                        min_precision, precision_step, sta);
   Shard<SurfaceEntry>& shard = surfaces_[shard_of(key)];
   // Like netlists, the build runs under the shard lock: surfaces are the
   // most expensive artifact in the store and must never be computed twice.
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (const ComponentCharacterization* cached =
-          surface_lookup(shard, key, fp, model, base, scenarios,
-                         min_precision, precision_step, sta,
-                         incremental_sta)) {
-    return *cached;
-  }
-  surface_misses_->add();
-  count_persist_miss();
-  auto entry = std::make_unique<SurfaceEntry>(
-      SurfaceEntry{fp, model.params(), sta, min_precision, precision_step,
-                   incremental_sta, scenarios, build()});
-  const auto it = shard.entries.emplace(key, std::move(entry)).first;
-  return it->second->surface;
-}
-
-const ComponentCharacterization* DesignStore::surface_lookup(
-    Shard<SurfaceEntry>& shard, std::uint64_t key, std::uint64_t fp,
-    const AgingModel& model, const ComponentSpec& base,
-    const std::vector<AgingScenario>& scenarios, int min_precision,
-    int precision_step, const StaOptions& sta, bool incremental_sta) {
   auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
     const SurfaceEntry& e = *it->second;
     if (e.lib_fp != fp || key_of(e.params) != key_of(model.params()) ||
         key_of(e.sta) != key_of(sta) || e.min_precision != min_precision ||
-        e.precision_step != precision_step ||
-        e.incremental != incremental_sta || !(e.surface.base == base) ||
+        e.precision_step != precision_step || !(e.surface.base == base) ||
         !scenarios_equal(e.scenarios, scenarios)) {
       throw std::logic_error("DesignStore: surface key collision");
     }
     surface_hits_->add();
-    return &e.surface;
+    return e.surface;
   }
   if (auto blob = take_staged(
           static_cast<std::uint32_t>(RecordKind::surface), key)) {
@@ -530,10 +371,9 @@ const ComponentCharacterization* DesignStore::surface_lookup(
         persist_hits_->add();
         auto entry = std::make_unique<SurfaceEntry>(
             SurfaceEntry{fp, p.params, p.sta, min_precision, precision_step,
-                         incremental_sta, std::move(p.scenarios),
-                         std::move(p.surface)});
+                         std::move(p.scenarios), std::move(p.surface)});
         it = shard.entries.emplace(key, std::move(entry)).first;
-        return &it->second->surface;
+        return it->second->surface;
       }
       warn_record_dropped("surface", key, "stale key material");
     } catch (const std::exception& e) {
@@ -541,83 +381,13 @@ const ComponentCharacterization* DesignStore::surface_lookup(
     }
     persist_records_dropped_->add();
   }
-  return nullptr;
-}
-
-const ComponentCharacterization* DesignStore::surface_if_cached(
-    const CellLibrary& lib, const AgingModel& model,
-    const ComponentSpec& base, const std::vector<AgingScenario>& scenarios,
-    int min_precision, int precision_step, const StaOptions& sta,
-    bool incremental_sta) {
-  const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t key =
-      surface_key(fp, model.params(), base, scenarios, min_precision,
-                  precision_step, sta, incremental_sta);
-  Shard<SurfaceEntry>& shard = surfaces_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return surface_lookup(shard, key, fp, model, base, scenarios, min_precision,
-                        precision_step, sta, incremental_sta);
-}
-
-std::uint64_t DesignStore::put_surrogate(const CellLibrary& lib,
-                                         const AgingModel& model,
-                                         const StaOptions& sta,
-                                         surrogate::SurrogateModel model_fit) {
-  const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t params_key = key_of(model.params());
-  const std::uint64_t sta_key = key_of(sta);
-  const std::uint64_t key = surrogate_record_key(fp, params_key, sta_key);
-  std::lock_guard<std::mutex> lock(surrogate_mutex_);
-  // Supersede any staged disk record of the same key: save() writes each
-  // key once, and a retrained model must not sit next to its predecessor.
-  (void)take_staged(static_cast<std::uint32_t>(RecordKind::surrogate), key);
-  surrogates_[key] = std::make_unique<SurrogateEntry>(
-      SurrogateEntry{fp, params_key, sta_key, std::move(model_fit)});
-  ctx_->metrics().counter("engine.surrogate.models").add();
-  return key;
-}
-
-const surrogate::SurrogateModel* DesignStore::surrogate_model(
-    const CellLibrary& lib, const AgingModel& model, const StaOptions& sta) {
-  const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t params_key = key_of(model.params());
-  const std::uint64_t sta_key = key_of(sta);
-  const std::uint64_t key = surrogate_record_key(fp, params_key, sta_key);
-  std::lock_guard<std::mutex> lock(surrogate_mutex_);
-  auto it = surrogates_.find(key);
-  if (it != surrogates_.end()) {
-    const SurrogateEntry& e = *it->second;
-    if (e.lib_fp != fp || e.params_key != params_key ||
-        e.sta_key != sta_key) {
-      throw std::logic_error("DesignStore: surrogate key collision");
-    }
-    return &e.model;
-  }
-  if (auto blob = take_staged(
-          static_cast<std::uint32_t>(RecordKind::surrogate), key)) {
-    try {
-      SurrogatePayload p = decode_surrogate_payload(*blob);
-      if (p.lib_fp == fp && p.params_key == params_key &&
-          p.sta_key == sta_key) {
-        // The blob's inner checksum is verified here: a flipped weight byte
-        // behind a consistent outer record checksum still throws, and the
-        // record is dropped — exact fallback, never a wrong model.
-        surrogate::SurrogateModel m =
-            surrogate::SurrogateModel::decode(p.model_blob);
-        persist_hits_->add();
-        it = surrogates_
-                 .emplace(key, std::make_unique<SurrogateEntry>(SurrogateEntry{
-                                   fp, params_key, sta_key, std::move(m)}))
-                 .first;
-        return &it->second->model;
-      }
-      warn_record_dropped("surrogate", key, "stale key material");
-    } catch (const std::exception& e) {
-      warn_record_dropped("surrogate", key, e.what());
-    }
-    persist_records_dropped_->add();
-  }
-  return nullptr;
+  surface_misses_->add();
+  count_persist_miss();
+  auto entry = std::make_unique<SurfaceEntry>(
+      SurfaceEntry{fp, model.params(), sta, min_precision, precision_step,
+                   scenarios, build()});
+  it = shard.entries.emplace(key, std::move(entry)).first;
+  return it->second->surface;
 }
 
 bool DesignStore::open(const std::string& path) {
@@ -689,15 +459,6 @@ bool DesignStore::save(const std::string& path) const {
     }
   }
   {
-    std::lock_guard<std::mutex> lock(surrogate_mutex_);
-    for (const auto& [key, e] : surrogates_) {
-      records.push_back(
-          {RecordKind::surrogate, key,
-           encode_surrogate_payload({e->lib_fp, e->params_key, e->sta_key,
-                                     e->model.encode()})});
-    }
-  }
-  {
     // Records loaded but never queried this run ride along unchanged, so a
     // warm run never shrinks the store it was given.
     std::lock_guard<std::mutex> lock(staged_mutex_);
@@ -743,17 +504,6 @@ void DesignStore::log_delay_query(bool aged, std::uint64_t gates,
       .field("gates", gates)
       .field("max_delay_ps", delay);
   log.emit("sta_query", w);
-}
-
-void DesignStore::log_surrogate_query(bool aged, double bound_ps,
-                                      double delay) const {
-  obs::RunLog& log = ctx_->runlog();
-  if (!log.enabled() || in_parallel_region()) return;
-  obs::JsonWriter w;
-  w.field("kind", aged ? "aged" : "fresh")
-      .field("bound_ps", bound_ps)
-      .field("max_delay_ps", delay);
-  log.emit("surrogate_query", w);
 }
 
 std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
@@ -802,9 +552,6 @@ DesignStore::Stats DesignStore::stats() const {
   s.surface_hits = surface_hits_->value();
   s.surface_misses = surface_misses_->value();
   s.persist_hits = persist_hits_->value();
-  s.surrogate_hits = surrogate_hits_n_.load(std::memory_order_relaxed);
-  s.surrogate_fallbacks =
-      surrogate_fallbacks_n_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -820,10 +567,6 @@ std::size_t DesignStore::entries() const {
   count(libraries_);
   count(delays_);
   count(surfaces_);
-  {
-    std::lock_guard<std::mutex> lock(surrogate_mutex_);
-    n += surrogates_.size();
-  }
   return n;
 }
 

@@ -61,7 +61,6 @@
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 #include "sta/sta.hpp"
-#include "surrogate/surrogate.hpp"
 #include "synth/components.hpp"
 
 namespace aapx {
@@ -99,69 +98,17 @@ class DesignStore {
                         const AgingModel& model, StressMode mode, double years,
                         const StaOptions& sta);
 
-  /// Memoized max-delay of the *incremental boundary-condition family*:
-  /// `base` (full precision) analyzed with its `truncated_bits` lowest
-  /// operand bits held constant, instead of re-synthesized at reduced
-  /// precision. These values legitimately differ from aged_sta_delay's
-  /// (re-synthesis constant-propagates logic away and changes loads), so
-  /// they live under their own key tag and can never alias full-STA
-  /// entries. The caller supplies `compute` because the incremental
-  /// engine's state (arrival arrays, cone masks) must persist across the
-  /// sweep's queries; `gates` is the base netlist's gate count for the
-  /// query log record. Hits and misses emit the same sta_query record, so
-  /// run logs are byte-identical at any store warmth — and `compute` is
-  /// algorithm-agnostic, so AAPX_STA_FULL=1 changes nothing observable.
-  double truncated_sta_delay(const CellLibrary& lib, const ComponentSpec& base,
-                             int truncated_bits, const AgingModel& model,
-                             StressMode mode, double years,
-                             const StaOptions& sta, std::uint64_t gates,
-                             const std::function<double()>& compute);
-
   /// Memoized characterization surface of `base` (delay vs. precision vs.
   /// aging, paper Fig. 3/4/7) under the exact sweep parameters. On a miss,
   /// `build` runs under the key's shard lock (racing requesters wait; one
   /// miss per distinct key). Measured-mode scenarios are stimulus-dependent
-  /// and must not come through this cache. `incremental_sta` marks surfaces
-  /// built by the boundary-condition sweep (ComponentCharacterizer's
-  /// incremental mode) — keyed apart so they never alias re-synthesized
-  /// surfaces of the same component.
+  /// and must not come through this cache.
   const ComponentCharacterization& surface(
       const CellLibrary& lib, const AgingModel& model,
       const ComponentSpec& base,
       const std::vector<AgingScenario>& scenarios, int min_precision,
-      int precision_step, const StaOptions& sta, bool incremental_sta,
+      int precision_step, const StaOptions& sta,
       const std::function<ComponentCharacterization()>& build);
-
-  /// Hit-only probe of the surface family: the exact lookup surface() does
-  /// (in-memory, then staged disk record, with full key re-verification and
-  /// hit accounting) but *no build and no miss accounting* on a miss —
-  /// nullptr instead. The surrogate-armed characterizer uses it to keep
-  /// warm-store behavior identical while deciding outside the shard lock
-  /// whether a freshly swept surface is exact enough to cache (a surface
-  /// containing surrogate predictions must never enter the exact family).
-  /// The pointer is stable for the store's lifetime, like surface()'s.
-  const ComponentCharacterization* surface_if_cached(
-      const CellLibrary& lib, const AgingModel& model,
-      const ComponentSpec& base,
-      const std::vector<AgingScenario>& scenarios, int min_precision,
-      int precision_step, const StaOptions& sta, bool incremental_sta);
-
-  /// Installs (or replaces) the trained surrogate for the
-  /// (library, AgingParams, StaOptions) family, superseding any staged disk
-  /// record of the same key. Returns the record key. save() persists it as
-  /// a RecordKind::surrogate record under its own key tag, so surrogate
-  /// records can never alias exact artifacts.
-  std::uint64_t put_surrogate(const CellLibrary& lib, const AgingModel& model,
-                              const StaOptions& sta,
-                              surrogate::SurrogateModel model_fit);
-
-  /// The resident surrogate for the family, materializing a staged disk
-  /// record on first use (re-verified against the live query's key digests;
-  /// a corrupt or stale record is dropped — a cold miss, never a wrong
-  /// model). nullptr when none is available.
-  const surrogate::SurrogateModel* surrogate_model(const CellLibrary& lib,
-                                                   const AgingModel& model,
-                                                   const StaOptions& sta);
 
   /// Content fingerprint of `lib`, memoized per library object (libraries
   /// are immutable once built everywhere in this codebase).
@@ -191,11 +138,6 @@ class DesignStore {
     std::uint64_t delay_hits = 0, delay_misses = 0;
     std::uint64_t surface_hits = 0, surface_misses = 0;
     std::uint64_t persist_hits = 0;  ///< queries served from a store file
-    /// Learned fast path: delay queries answered by the surrogate within
-    /// its validated bound vs. declined (hull miss, bound too tight, no
-    /// model) and recomputed exactly. Fallbacks only count while a
-    /// surrogate bound is armed — an unarmed run counts nothing here.
-    std::uint64_t surrogate_hits = 0, surrogate_fallbacks = 0;
 
     std::uint64_t hits() const {
       return netlist_hits + library_hits + delay_hits + surface_hits;
@@ -229,21 +171,12 @@ class DesignStore {
     double delay = 0.0;
     std::uint64_t gates = 0;  ///< netlist size, kept for query log records
   };
-  struct SurrogateEntry {
-    std::uint64_t lib_fp = 0;
-    std::uint64_t params_key = 0;
-    std::uint64_t sta_key = 0;
-    surrogate::SurrogateModel model;
-  };
   struct SurfaceEntry {
     std::uint64_t lib_fp = 0;
     AgingParams params;
     StaOptions sta;
     int min_precision = 0;
     int precision_step = 0;
-    /// Boundary-condition (incremental-STA) family flag. Part of the key;
-    /// not in the persisted payload (the record's key carries it).
-    bool incremental = false;
     std::vector<AgingScenario> scenarios;
     ComponentCharacterization surface;
   };
@@ -265,21 +198,6 @@ class DesignStore {
   /// byte-identical no matter what warmed the cache). Serial spine only.
   void log_delay_query(bool aged, std::uint64_t gates, double delay) const;
 
-  /// Emits the surrogate_query run-log record for one surrogate-answered
-  /// query (hits only: a declined query takes the exact path, which logs
-  /// its usual sta_query record — so an all-fallback surrogate run stays
-  /// byte-identical to an exact run). Serial spine only, like sta_query.
-  void log_surrogate_query(bool aged, double bound_ps, double delay) const;
-
-  /// Shared hit/staged-materialization path of surface() and
-  /// surface_if_cached(). Call holding `shard.mutex`; counts surface/persist
-  /// hits on success, nullptr on a genuine miss (never counts misses).
-  const ComponentCharacterization* surface_lookup(
-      Shard<SurfaceEntry>& shard, std::uint64_t key, std::uint64_t fp,
-      const AgingModel& model, const ComponentSpec& base,
-      const std::vector<AgingScenario>& scenarios, int min_precision,
-      int precision_step, const StaOptions& sta, bool incremental_sta);
-
   /// Emits a warmth-invariant store_load / store_save run-log record.
   void log_persist(const char* type, const std::string& path) const;
 
@@ -296,17 +214,6 @@ class DesignStore {
   Family<LibraryEntry> libraries_;
   Family<DelayEntry> delays_;
   Family<SurfaceEntry> surfaces_;
-
-  /// Trained surrogates — a handful per process at most, so one mutex and
-  /// one map instead of a 16-way sharded family.
-  mutable std::mutex surrogate_mutex_;
-  std::map<std::uint64_t, std::unique_ptr<SurrogateEntry>> surrogates_;
-  /// Stats-only mirrors of the lazily registered engine.surrogate.*
-  /// counters: stats() must never register metrics as a side effect (an
-  /// unarmed run keeps its registry surrogate-free, like the BTI-only
-  /// aging counters).
-  std::atomic<std::uint64_t> surrogate_hits_n_{0};
-  std::atomic<std::uint64_t> surrogate_fallbacks_n_{0};
 
   std::mutex fp_mutex_;
   std::map<const CellLibrary*, std::uint64_t> fp_cache_;

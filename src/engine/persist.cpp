@@ -212,8 +212,6 @@ const char* to_string(RecordKind kind) {
       return "sta_delay";
     case RecordKind::surface:
       return "surface";
-    case RecordKind::surrogate:
-      return "surrogate";
   }
   return "unknown";
 }
@@ -276,7 +274,7 @@ StoreFileData load_store_file(const std::string& path) {
         if (fnv1a(rec.payload) != checksum) {
           throw std::runtime_error("checksum mismatch");
         }
-        if (kind < 1 || kind > 5) {
+        if (kind < 1 || kind > 4) {
           throw std::runtime_error("unknown record kind " +
                                    std::to_string(kind));
         }
@@ -560,30 +558,6 @@ StaDelayPayload decode_sta_delay_payload(const std::string& payload) {
   p.gates = r.u64();
   r.expect_end();
   return p;
-}
-
-// --- surrogate model --------------------------------------------------------
-
-std::string encode_surrogate_payload(const SurrogatePayload& p) {
-  BinWriter w;
-  w.u64(p.lib_fp);
-  w.u64(p.params_key);
-  w.u64(p.sta_key);
-  w.str(p.model_blob);
-  return w.take();
-}
-
-SurrogatePayload decode_surrogate_payload(const std::string& payload) {
-  return decode_guarded("store surrogate record", [&]() -> SurrogatePayload {
-    BinReader r(payload);
-    SurrogatePayload p;
-    p.lib_fp = r.u64();
-    p.params_key = r.u64();
-    p.sta_key = r.u64();
-    p.model_blob = r.str();
-    r.expect_end();
-    return p;
-  });
 }
 
 // --- characterization surface -----------------------------------------------

@@ -26,18 +26,10 @@
 // design_store.cpp), so a stale-but-well-formed record degrades to a cold
 // miss, never a wrong hit.
 //
-// Record payloads (kinds 1-5) carry the entry plus the key material needed
+// Record payloads (kinds 1-4) carry the entry plus the key material needed
 // for that re-verification; decode helpers below are the single source of
 // truth for their layout. Payload layout changes require bumping
 // kStoreFormatVersion.
-//
-// Surrogate records (kind 5, no version bump — old binaries drop the
-// unknown kind as corrupt, a cold miss) carry a trained surrogate model
-// blob (src/surrogate) plus the key digests of the (library, AgingParams,
-// StaOptions) family it serves. The blob carries its own inner content
-// checksum, so a bit-flipped weight behind a fixed-up record checksum
-// still fails decode: a damaged model can only ever degrade to exact
-// fallback, never answer wrongly within bound.
 //
 // Mechanism-set extension (no version bump): records built from a BTI-only
 // AgingParams encode the historic 11-double BtiParams block and nothing
@@ -84,7 +76,9 @@ enum class RecordKind : std::uint32_t {
   aged_library = 2,
   sta_delay = 3,
   surface = 4,
-  surrogate = 5,
+  // Value 5 is retired: it held learned-surrogate model records, which
+  // were removed. Never reuse it — files that still carry such records
+  // drop them on load as an unknown kind, a cold miss.
 };
 
 const char* to_string(RecordKind kind);
@@ -153,17 +147,6 @@ struct StaDelayPayload {
 };
 std::string encode_sta_delay_payload(const StaDelayPayload& p);
 StaDelayPayload decode_sta_delay_payload(const std::string& payload);
-
-struct SurrogatePayload {
-  std::uint64_t lib_fp = 0;
-  std::uint64_t params_key = 0;  ///< key_of(AgingParams)
-  std::uint64_t sta_key = 0;     ///< key_of(StaOptions)
-  /// surrogate::SurrogateModel::encode() bytes, decoded by the store layer
-  /// (the blob's inner checksum is what the decoder verifies there).
-  std::string model_blob;
-};
-std::string encode_surrogate_payload(const SurrogatePayload& p);
-SurrogatePayload decode_surrogate_payload(const std::string& payload);
 
 struct SurfacePayload {
   std::uint64_t lib_fp = 0;

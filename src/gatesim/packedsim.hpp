@@ -1,243 +1,55 @@
-// Bit-parallel (wide-lane) zero-delay functional simulation.
+// Bit-parallel (64-lane) zero-delay functional simulation.
 //
-// Packs W::kLanes independent stimulus vectors into one SimWord per net —
-// lane j of a net's word is the net's logic value in stimulus j — and
-// evaluates each gate once per word with the bitwise form of its logic
-// function (derived from the same fn_eval truth tables the scalar FuncSim
-// uses). One pass over the topo order therefore simulates kLanes vectors,
-// which turns the inner loops of measured-stress extraction
-// (measure_gate_duty), error-bounds sampling and the image-campaign duty
-// traces from per-vector walks into per-word ones.
-//
-// The simulator is a template over the lane word (gatesim/simd.hpp):
-// `PackedFuncSim` stays the 64-lane uint64_t instantiation with its PR 2
-// API; `WideSim` is the type-erased facade whose factory picks the widest
-// backend the CPU supports at runtime (AVX-512 / AVX2 / portable multi-u64),
-// overridable with AAPX_SIMD. PackedFuncSimTest + the wide-backend suite pin
-// every compiled backend lane-exact against FuncSim on every component
-// generator.
+// Packs 64 independent stimulus vectors into one uint64_t per net — bit j of
+// a net's word is the net's logic value in stimulus j — and evaluates each
+// gate once per word with the bitwise form of its logic function (derived
+// from the same fn_eval truth tables the scalar FuncSim uses). One pass over
+// the topo order therefore simulates 64 vectors, which turns the inner loops
+// of measured-stress extraction (measure_gate_duty) and error-bounds
+// sampling from per-vector walks into per-word ones. PackedFuncSimTest pins
+// it lane-exact against FuncSim on every component generator.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "gatesim/simd.hpp"
 #include "netlist/netlist.hpp"
-#include "obs/metrics.hpp"
 
 namespace aapx {
 
-namespace detail {
-
-/// Bitwise lane-parallel form of each logic function. Must match fn_eval
-/// bit for bit; PackedFuncSimTest.EveryFunctionMatchesFnEval holds it to
-/// that.
-template <simd::SimWord W>
-constexpr W eval_packed(LogicFn fn, W a, W b, W c) {
-  switch (fn) {
-    case LogicFn::kBuf:   return a;
-    case LogicFn::kInv:   return ~a;
-    case LogicFn::kAnd2:  return a & b;
-    case LogicFn::kNand2: return ~(a & b);
-    case LogicFn::kOr2:   return a | b;
-    case LogicFn::kNor2:  return ~(a | b);
-    case LogicFn::kXor2:  return a ^ b;
-    case LogicFn::kXnor2: return ~(a ^ b);
-    case LogicFn::kAnd3:  return a & b & c;
-    case LogicFn::kNand3: return ~(a & b & c);
-    case LogicFn::kOr3:   return a | b | c;
-    case LogicFn::kNor3:  return ~(a | b | c);
-    case LogicFn::kAoi21: return ~((a & b) | c);
-    case LogicFn::kOai21: return ~((a | b) & c);
-    case LogicFn::kMux2:  return (c & b) | (~c & a);
-    case LogicFn::kMaj3:  return (a & b) | (a & c) | (b & c);
-  }
-  throw std::logic_error("eval_packed: unknown logic function");
-}
-
-/// Truth table of `fn` as a vpternlog immediate: result bit =
-/// imm[(a << 2) | (b << 1) | c]. Derived from eval_packed itself so the
-/// single-instruction AVX-512 path cannot drift from the switch above.
-constexpr std::uint8_t ternlog_imm(LogicFn fn) {
-  std::uint8_t imm = 0;
-  for (int i = 0; i < 8; ++i) {
-    const auto bcast = [](bool bit) {
-      return simd::SimWord64{bit ? ~std::uint64_t{0} : 0};
-    };
-    const std::uint64_t r =
-        eval_packed(fn, bcast(i & 4), bcast(i & 2), bcast(i & 1)).v;
-    if (r & 1) imm |= static_cast<std::uint8_t>(1u << i);
-  }
-  return imm;
-}
-
-/// Single-instruction gate evaluation for ternlog-capable words: each case
-/// bakes the function's truth table into the vpternlog immediate at compile
-/// time (ternlog_imm is constexpr).
-template <simd::SimWord W>
-  requires simd::HasTernlog<W>
-W eval_ternlog(LogicFn fn, W a, W b, W c) {
-  switch (fn) {
-    case LogicFn::kBuf:
-      return W::template ternlog<ternlog_imm(LogicFn::kBuf)>(a, b, c);
-    case LogicFn::kInv:
-      return W::template ternlog<ternlog_imm(LogicFn::kInv)>(a, b, c);
-    case LogicFn::kAnd2:
-      return W::template ternlog<ternlog_imm(LogicFn::kAnd2)>(a, b, c);
-    case LogicFn::kNand2:
-      return W::template ternlog<ternlog_imm(LogicFn::kNand2)>(a, b, c);
-    case LogicFn::kOr2:
-      return W::template ternlog<ternlog_imm(LogicFn::kOr2)>(a, b, c);
-    case LogicFn::kNor2:
-      return W::template ternlog<ternlog_imm(LogicFn::kNor2)>(a, b, c);
-    case LogicFn::kXor2:
-      return W::template ternlog<ternlog_imm(LogicFn::kXor2)>(a, b, c);
-    case LogicFn::kXnor2:
-      return W::template ternlog<ternlog_imm(LogicFn::kXnor2)>(a, b, c);
-    case LogicFn::kAnd3:
-      return W::template ternlog<ternlog_imm(LogicFn::kAnd3)>(a, b, c);
-    case LogicFn::kNand3:
-      return W::template ternlog<ternlog_imm(LogicFn::kNand3)>(a, b, c);
-    case LogicFn::kOr3:
-      return W::template ternlog<ternlog_imm(LogicFn::kOr3)>(a, b, c);
-    case LogicFn::kNor3:
-      return W::template ternlog<ternlog_imm(LogicFn::kNor3)>(a, b, c);
-    case LogicFn::kAoi21:
-      return W::template ternlog<ternlog_imm(LogicFn::kAoi21)>(a, b, c);
-    case LogicFn::kOai21:
-      return W::template ternlog<ternlog_imm(LogicFn::kOai21)>(a, b, c);
-    case LogicFn::kMux2:
-      return W::template ternlog<ternlog_imm(LogicFn::kMux2)>(a, b, c);
-    case LogicFn::kMaj3:
-      return W::template ternlog<ternlog_imm(LogicFn::kMaj3)>(a, b, c);
-  }
-  throw std::logic_error("eval_ternlog: unknown logic function");
-}
-
-}  // namespace detail
-
-/// Packed functional simulator over lane word `W`. See file comment; the
-/// 64-lane `PackedFuncSim` alias below is the default instantiation.
-template <simd::SimWord W>
-class BasicPackedFuncSim {
+class PackedFuncSim {
  public:
   /// Stimulus vectors evaluated per eval() call.
-  static constexpr int kLanes = W::kLanes;
+  static constexpr int kLanes = 64;
 
-  explicit BasicPackedFuncSim(const Netlist& nl)
-      : nl_(&nl), values_(nl.num_nets(), W::zero()) {
-    values_[nl.const1()] = W::ones();
-    gates_.reserve(nl.num_gates());
-    for (const GateId gid : nl.topo_order()) {
-      const Gate& g = nl.gate(gid);
-      PackedGate pg;
-      // Unused fanin slots point at const0 so every gate can be evaluated as
-      // 3-input without branching on pin count.
-      for (std::size_t p = 0; p < pg.fanin.size(); ++p) {
-        pg.fanin[p] = g.fanin[p] == kInvalidNet ? nl.const0() : g.fanin[p];
-      }
-      pg.fanout = g.fanout;
-      pg.fn = nl.lib().cell(g.cell).fn;
-      gates_.push_back(pg);
-    }
-  }
+  explicit PackedFuncSim(const Netlist& nl);
 
   /// Flushes per-instance statistics (evals, lane utilization) into the
   /// process metrics registry — one registry touch per sim lifetime.
-  ~BasicPackedFuncSim() {
-    static obs::Counter& evals = obs::metrics().counter("packedsim.evals");
-    static obs::Counter& lanes = obs::metrics().counter("packedsim.lanes_used");
-    evals.add(evals_);
-    lanes.add(lanes_used_);
-  }
+  ~PackedFuncSim();
 
-  BasicPackedFuncSim(const BasicPackedFuncSim&) = delete;
-  BasicPackedFuncSim& operator=(const BasicPackedFuncSim&) = delete;
+  PackedFuncSim(const PackedFuncSim&) = delete;
+  PackedFuncSim& operator=(const PackedFuncSim&) = delete;
 
-  /// Sets a primary input net's value in the first 64 lanes at once
-  /// (bit j = value in lane j); any wider lanes are driven 0.
-  void set_input_lanes(NetId net, std::uint64_t lanes) {
-    if (nl_->driver(net) != kInvalidGate || nl_->is_constant(net)) {
-      throw std::invalid_argument(
-          "PackedFuncSim::set_input_lanes: net is not a primary input");
-    }
-    W w = W::zero();
-    w.set_chunk(0, lanes);
-    values_[net] = w;
-  }
+  /// Sets a primary input net's value in all 64 lanes at once
+  /// (bit j = value in lane j).
+  void set_input_lanes(NetId net, std::uint64_t lanes);
 
   /// Stages an input bus (LSB-first) from per-lane bus words: lane j takes
   /// the low bits of `lane_values[j]`. At most kLanes values; lanes beyond
   /// lane_values.size() are driven 0. Bus bits tied to constants (truncated
   /// LSBs) are left untouched, matching FuncSim::set_bus.
   void set_bus(const std::string& bus,
-               std::span<const std::uint64_t> lane_values) {
-    if (lane_values.size() > static_cast<std::size_t>(kLanes)) {
-      throw std::invalid_argument(
-          "PackedFuncSim::set_bus: more lanes than the backend word holds");
-    }
-    last_staged_lanes_ = static_cast<int>(lane_values.size());
-    const auto& nets = nl_->input_bus(bus);
-    // Stage chunk by chunk: transpose 64 per-lane bus words into 64 per-bit
-    // lane words (6*64 word ops instead of width*64 bit probes), then
-    // scatter row i into bit i's net. Lanes beyond lane_values.size() and
-    // bus bits >= 64 transpose to zero rows, preserving the scalar
-    // semantics.
-    std::uint64_t m[64];
-    for (int chunk = 0; chunk < W::kChunks; ++chunk) {
-      const std::size_t base = static_cast<std::size_t>(chunk) * 64;
-      for (std::size_t lane = 0; lane < 64; ++lane) {
-        m[lane] =
-            base + lane < lane_values.size() ? lane_values[base + lane] : 0;
-      }
-      simd::transpose64(m);
-      for (std::size_t i = 0; i < nets.size(); ++i) {
-        if (nl_->is_constant(nets[i])) continue;  // truncated LSBs stay const
-        values_[nets[i]].set_chunk(chunk, i < 64 ? m[i] : 0);
-      }
-    }
-  }
+               std::span<const std::uint64_t> lane_values);
 
-  /// Evaluates all gates in topological order, kLanes lanes per gate.
-  void eval() {
-    ++evals_;
-    lanes_used_ += static_cast<std::uint64_t>(last_staged_lanes_);
-    W* const v = values_.data();
-    for (const PackedGate& g : gates_) {
-      if constexpr (simd::HasTernlog<W>) {
-        // Any 3-input function is one vpternlog with the gate's truth table
-        // as the immediate.
-        v[g.fanout] = detail::eval_ternlog(g.fn, v[g.fanin[0]], v[g.fanin[1]],
-                                           v[g.fanin[2]]);
-      } else {
-        v[g.fanout] =
-            detail::eval_packed(g.fn, v[g.fanin[0]], v[g.fanin[1]],
-                                v[g.fanin[2]]);
-      }
-    }
-  }
+  /// Evaluates all gates in topological order, 64 lanes per gate.
+  void eval();
 
-  /// Lane word of one net (bit j = value in lane j), 64-lane words only.
-  std::uint64_t lanes(NetId net) const
-    requires(W::kChunks == 1)
-  {
-    return lanes_chunk(net, 0);
-  }
-
-  /// 64-lane chunk of one net's lane word: bit j = value in lane
-  /// 64 * chunk + j.
-  std::uint64_t lanes_chunk(NetId net, int chunk) const {
-    if (net >= values_.size()) throw std::out_of_range("PackedFuncSim::lanes");
-    if (chunk < 0 || chunk >= W::kChunks) {
-      throw std::out_of_range("PackedFuncSim::lanes_chunk: bad chunk");
-    }
-    return values_[net].chunk(chunk);
-  }
+  /// Lane word of one net (bit j = value in lane j).
+  std::uint64_t lanes(NetId net) const;
 
   /// Reads an output bus in one lane back into a uint64 (width <= 64).
   std::uint64_t bus_value(const std::string& output_bus, int lane) const {
@@ -245,27 +57,12 @@ class BasicPackedFuncSim {
   }
 
   /// Reads any net collection as an LSB-first word in one lane.
-  std::uint64_t word_value(const std::vector<NetId>& nets, int lane) const {
-    if (nets.size() > 64) {
-      throw std::invalid_argument("PackedFuncSim::word_value: bus too wide");
-    }
-    if (lane < 0 || lane >= kLanes) {
-      throw std::out_of_range("PackedFuncSim::word_value: bad lane");
-    }
-    const int chunk = lane / 64;
-    const int bit = lane % 64;
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      if ((values_[nets[i]].chunk(chunk) >> bit) & 1u) {
-        v |= std::uint64_t{1} << i;
-      }
-    }
-    return v;
-  }
+  std::uint64_t word_value(const std::vector<NetId>& nets, int lane) const;
 
-  const std::vector<W>& values() const noexcept { return values_; }
-
-  const Netlist& netlist() const noexcept { return *nl_; }
+  /// Duty-extraction readout: for each nets[i], adds the number of lanes
+  /// below `lane_limit` in which the net is high into sums[i].
+  void add_high_popcounts(std::span<const NetId> nets, int lane_limit,
+                          std::uint64_t* sums) const;
 
  private:
   /// Flattened gate record: logic function plus fanin/fanout nets, hoisted
@@ -277,8 +74,8 @@ class BasicPackedFuncSim {
   };
 
   const Netlist* nl_;
-  std::vector<PackedGate> gates_;  ///< in topological order
-  std::vector<W> values_;          ///< per net, one bit per lane
+  std::vector<PackedGate> gates_;     ///< in topological order
+  std::vector<std::uint64_t> values_;  ///< per net, one bit per lane
   /// Lane-utilization accounting (plain members, flushed at destruction):
   /// evals_ counts eval() calls; lanes_used_ sums the staged lane count of
   /// the most recent set_bus before each eval (kLanes when inputs were set
@@ -287,55 +84,5 @@ class BasicPackedFuncSim {
   std::uint64_t lanes_used_ = 0;
   int last_staged_lanes_ = kLanes;
 };
-
-/// The default 64-lane instantiation — the PR 2 class, API unchanged.
-using PackedFuncSim = BasicPackedFuncSim<simd::SimWord64>;
-
-/// Type-erased wide packed simulator. Concrete lane width is a runtime
-/// property (lanes()); staging and readout speak 64-bit chunks so callers
-/// stay width-agnostic. Instances come from make_wide_sim(), which picks
-/// the widest compiled backend the CPU supports (see gatesim/simd.hpp).
-class WideSim {
- public:
-  virtual ~WideSim() = default;
-
-  /// Stimulus vectors evaluated per eval() call for this backend.
-  virtual int lanes() const noexcept = 0;
-  virtual simd::SimdBackend backend() const noexcept = 0;
-  virtual const Netlist& netlist() const noexcept = 0;
-
-  /// As BasicPackedFuncSim::set_bus — at most lanes() values.
-  virtual void set_bus(const std::string& bus,
-                       std::span<const std::uint64_t> lane_values) = 0;
-  virtual void eval() = 0;
-
-  /// 64-lane chunk `chunk` of `net`'s lane word (lane = 64 * chunk + bit).
-  virtual std::uint64_t lanes_chunk(NetId net, int chunk) const = 0;
-
-  /// Reads any net collection as an LSB-first word in one lane.
-  virtual std::uint64_t word_value(const std::vector<NetId>& nets,
-                                   int lane) const = 0;
-
-  /// Duty-extraction readout: for each nets[i], adds the number of lanes
-  /// below `lane_limit` in which the net is high into sums[i]. One virtual
-  /// call per eval instead of one per net.
-  virtual void add_high_popcounts(std::span<const NetId> nets, int lane_limit,
-                                  std::uint64_t* sums) const = 0;
-
-  /// Reads an output bus in one lane back into a uint64 (width <= 64).
-  std::uint64_t bus_value(const std::string& output_bus, int lane) const {
-    return word_value(netlist().output_bus(output_bus), lane);
-  }
-};
-
-/// Wide simulator on the runtime-dispatched backend (simd_dispatch()).
-std::unique_ptr<WideSim> make_wide_sim(const Netlist& nl);
-
-/// Wide simulator on a specific backend. Throws std::invalid_argument if
-/// the backend is not compiled into this binary or not runnable on this
-/// CPU — test code iterates compiled_backends()/backend_runnable() instead
-/// of guessing.
-std::unique_ptr<WideSim> make_wide_sim(const Netlist& nl,
-                                       simd::SimdBackend backend);
 
 }  // namespace aapx

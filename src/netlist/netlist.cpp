@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace aapx {
 
@@ -14,7 +15,7 @@ NetId Netlist::add_net() {
   net_driver_.push_back(kInvalidGate);
   net_readers_.emplace_back();
   pi_index_.push_back(kInvalidNet);
-  topo_cache_.clear();
+  topo_.clear();
   return static_cast<NetId>(net_driver_.size() - 1);
 }
 
@@ -90,7 +91,7 @@ GateId Netlist::add_gate_driving(CellId cell, std::span<const NetId> ins,
   for (int p = 0; p < pins; ++p) {
     net_readers_[ins[static_cast<std::size_t>(p)]].push_back({gid, p});
   }
-  topo_cache_.clear();
+  topo_.clear();
   return gid;
 }
 
@@ -177,8 +178,22 @@ void Netlist::set_output_bus(const std::string& name, std::vector<NetId> nets) {
   output_buses_[name] = std::move(nets);
 }
 
+Netlist::TopoCache& Netlist::TopoCache::operator=(const TopoCache& other) {
+  if (this == &other) return *this;
+  std::lock_guard<std::mutex> lock(other.mutex);
+  order = other.order;
+  valid = other.valid;
+  return *this;
+}
+
+void Netlist::TopoCache::clear() noexcept {
+  valid = false;
+  order.clear();
+}
+
 const std::vector<GateId>& Netlist::topo_order() const {
-  if (!topo_cache_.empty() || gates_.empty()) return topo_cache_;
+  std::lock_guard<std::mutex> lock(topo_.mutex);
+  if (topo_.valid) return topo_.order;
   std::vector<int> pending(gates_.size(), 0);
   std::vector<GateId> ready;
   for (std::size_t g = 0; g < gates_.size(); ++g) {
@@ -191,19 +206,21 @@ const std::vector<GateId>& Netlist::topo_order() const {
     pending[g] = unresolved;
     if (unresolved == 0) ready.push_back(static_cast<GateId>(g));
   }
-  topo_cache_.reserve(gates_.size());
+  std::vector<GateId> order;
+  order.reserve(gates_.size());
   for (std::size_t head = 0; head < ready.size(); ++head) {
     const GateId g = ready[head];
-    topo_cache_.push_back(g);
+    order.push_back(g);
     for (const NetReader& r : net_readers_[gates_[g].fanout]) {
       if (--pending[r.gate] == 0) ready.push_back(r.gate);
     }
   }
-  if (topo_cache_.size() != gates_.size()) {
-    topo_cache_.clear();
+  if (order.size() != gates_.size()) {
     throw std::logic_error("Netlist::topo_order: combinational cycle detected");
   }
-  return topo_cache_;
+  topo_.order = std::move(order);
+  topo_.valid = true;
+  return topo_.order;
 }
 
 double Netlist::net_load(NetId net) const {

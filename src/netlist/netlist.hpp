@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -110,7 +111,8 @@ class Netlist {
   void set_output_bus(const std::string& name, std::vector<NetId> nets);
 
   /// Gates in topological order (drivers before readers). Cached; invalidated
-  /// by construction calls.
+  /// by construction calls. Safe to call from concurrent readers, including
+  /// the first call that fills the cache.
   const std::vector<GateId>& topo_order() const;
 
   /// Sum of pin capacitance of all readers of `net` [fF], plus a wire-cap
@@ -132,7 +134,22 @@ class Netlist {
   std::vector<std::string> output_names_;
   std::unordered_map<std::string, std::vector<NetId>> input_buses_;
   std::unordered_map<std::string, std::vector<NetId>> output_buses_;
-  mutable std::vector<GateId> topo_cache_;
+
+  /// Lazily filled topological order. Readers may race on the first fill
+  /// (per-batch simulators on one shared netlist), so the fill is guarded;
+  /// copies and moves carry the order, never the lock.
+  struct TopoCache {
+    TopoCache() = default;
+    TopoCache(const TopoCache& other) { *this = other; }
+    TopoCache& operator=(const TopoCache& other);
+    /// Construction calls only: a netlist being built has no readers.
+    void clear() noexcept;
+
+    mutable std::mutex mutex;  ///< guards valid and order
+    bool valid = false;
+    std::vector<GateId> order;
+  };
+  mutable TopoCache topo_;
 };
 
 }  // namespace aapx

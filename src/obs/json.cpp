@@ -264,8 +264,8 @@ class Parser {
             else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
             else return fail("bad \\u escape");
           }
-          // UTF-8 encode (no surrogate-pair handling; our own output never
-          // emits astral-plane escapes).
+          // UTF-8 encode (UTF-16 pairs are not combined; our own output
+          // never emits astral-plane escapes).
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {

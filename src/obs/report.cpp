@@ -197,8 +197,6 @@ const std::map<std::string, std::vector<FieldSpec>>& known_types() {
       {"sweep_point",
        {{"component", true}, {"precision", false}, {"fresh_ps", false}}},
       {"sta_query", {{"kind", true}, {"gates", false}, {"max_delay_ps", false}}},
-      {"surrogate_query",
-       {{"kind", true}, {"bound_ps", false}, {"max_delay_ps", false}}},
       // Service-layer records (aapx serve per-request logs).
       {"request", {{"msg", true}, {"request_id", false}}},
       {"response", {{"msg", true}, {"request_id", false}}},
@@ -290,40 +288,6 @@ std::vector<CacheRate> cache_rates_from_metrics(const JsonValue& doc) {
   }
   for (auto& [name, rate] : by_name) rates.push_back(std::move(rate));
   return rates;
-}
-
-IncrementalStaStats incremental_sta_from_metrics(const JsonValue& doc) {
-  IncrementalStaStats stats;
-  const JsonValue* counters =
-      doc.is_object() ? doc.find("counters") : nullptr;
-  if (counters == nullptr || !counters->is_object()) return stats;
-  const auto read = [&](const char* name, std::uint64_t& out) {
-    const JsonValue* v = counters->find(name);
-    if (v == nullptr || !v->is_number()) return;
-    out = static_cast<std::uint64_t>(v->number);
-    stats.present = true;
-  };
-  read("engine.sta.incremental.hits", stats.hits);
-  read("engine.sta.incremental.dirty_gates", stats.dirty_gates);
-  read("engine.sta.incremental.full_fallbacks", stats.full_fallbacks);
-  return stats;
-}
-
-SurrogateStats surrogate_from_metrics(const JsonValue& doc) {
-  SurrogateStats stats;
-  const JsonValue* counters =
-      doc.is_object() ? doc.find("counters") : nullptr;
-  if (counters == nullptr || !counters->is_object()) return stats;
-  const auto read = [&](const char* name, std::uint64_t& out) {
-    const JsonValue* v = counters->find(name);
-    if (v == nullptr || !v->is_number()) return;
-    out = static_cast<std::uint64_t>(v->number);
-    stats.present = true;
-  };
-  read("engine.surrogate.hits", stats.hits);
-  read("engine.surrogate.fallbacks", stats.fallbacks);
-  read("engine.surrogate.models", stats.models);
-  return stats;
 }
 
 std::vector<AgingCounterRow> aging_counters_from_metrics(

@@ -91,33 +91,6 @@ struct CacheRate {
 /// (as MetricsRegistry::to_json emits), sorted by name.
 std::vector<CacheRate> cache_rates_from_metrics(const JsonValue& doc);
 
-/// The incremental-STA engine's counters from a metrics JSON document.
-/// `present` is false when none of the engine.sta.incremental.* counters
-/// appear (the run never constructed an IncrementalSta).
-struct IncrementalStaStats {
-  std::uint64_t hits = 0;            ///< queries served from cached arrivals
-  std::uint64_t dirty_gates = 0;     ///< gates re-propagated across all hits
-  std::uint64_t full_fallbacks = 0;  ///< queries that needed a full pass
-  bool present = false;
-};
-IncrementalStaStats incremental_sta_from_metrics(const JsonValue& doc);
-
-/// The learned-surrogate fast path's counters from a metrics JSON document.
-/// `present` is false when no engine.surrogate.* counter appears (the run
-/// never armed --surrogate and never trained a model).
-struct SurrogateStats {
-  std::uint64_t hits = 0;       ///< queries answered within the bound
-  std::uint64_t fallbacks = 0;  ///< declined queries routed to exact STA
-  std::uint64_t models = 0;     ///< models trained/installed this run
-  bool present = false;
-  double hit_rate() const {
-    const std::uint64_t total = hits + fallbacks;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
-SurrogateStats surrogate_from_metrics(const JsonValue& doc);
-
 /// One aging-engine counter (the aging.* namespace: per-mechanism
 /// drift/hazard evaluation counts, lifetime Monte-Carlo dies, controller
 /// failover decisions).

@@ -1,11 +1,8 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 #include "engine/context.hpp"
 #include "obs/metrics.hpp"
@@ -109,30 +106,11 @@ Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
   return gd;
 }
 
-StaResult Sta::run_truncated(const DegradationAwareLibrary* aged,
-                             const StressProfile* stress,
-                             const std::vector<NetId>& truncated_pis) const {
-  if (aged != nullptr && stress != nullptr &&
-      stress->gate_count() != nl_->num_gates()) {
-    throw std::invalid_argument(
-        "Sta::run_truncated: stress profile size mismatch");
-  }
-  std::vector<char> blocked(nl_->num_nets(), 0);
-  for (const NetId pi : truncated_pis) {
-    if (nl_->pi_index(pi) == kInvalidNet) {
-      throw std::invalid_argument(
-          "Sta::run_truncated: net is not a primary input");
-    }
-    blocked[pi] = 1;
-  }
-  return run_impl(aged, stress, &blocked);
-}
-
 StaResult Sta::run(const DegradationAwareLibrary* aged,
                    const StressProfile* stress) const {
   obs::Span span("sta.run");
   (aged != nullptr ? aged_runs_ : fresh_runs_)->add();
-  StaResult res = run_impl(aged, stress, nullptr);
+  StaResult res = run_impl(aged, stress);
 
   // Serial-spine queries only: runs launched from parallel_for workers stay
   // out of the log so its byte content is independent of the thread count
@@ -149,8 +127,7 @@ StaResult Sta::run(const DegradationAwareLibrary* aged,
 }
 
 StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
-                        const StressProfile* stress,
-                        const std::vector<char>* blocked) const {
+                        const StressProfile* stress) const {
   const Netlist& nl = *nl_;
   const std::size_t nets = nl.num_nets();
 
@@ -167,7 +144,6 @@ StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
   std::vector<Origin> origin_fall(nets);
 
   for (const NetId pi : nl.inputs()) {
-    if (blocked != nullptr && (*blocked)[pi] != 0) continue;  // never arrives
     res.arrival_rise[pi] = 0.0;
     res.arrival_fall[pi] = 0.0;
   }
@@ -229,176 +205,6 @@ StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
     std::reverse(res.critical_path.begin(), res.critical_path.end());
   }
   return res;
-}
-
-IncrementalSta::IncrementalSta(const Netlist& nl, StaOptions options,
-                               const Context* ctx)
-    : nl_(&nl), sta_(nl, options, ctx) {
-  const char* env = std::getenv("AAPX_STA_FULL");
-  full_override_ =
-      env != nullptr && *env != '\0' && std::string_view(env) != "0";
-  obs::MetricsRegistry& registry =
-      ctx != nullptr ? ctx->metrics() : obs::metrics();
-  hits_ = &registry.counter("engine.sta.incremental.hits");
-  dirty_gates_ = &registry.counter("engine.sta.incremental.dirty_gates");
-  full_fallbacks_ = &registry.counter("engine.sta.incremental.full_fallbacks");
-  mask_words_ = (nl.inputs().size() + 63) / 64;
-  blocked_.assign(mask_words_, 0);
-}
-
-double IncrementalSta::max_delay(const DegradationAwareLibrary* aged,
-                                 const StressProfile* stress,
-                                 const std::vector<NetId>& truncated_pis) {
-  if (aged != nullptr && stress != nullptr &&
-      stress->gate_count() != nl_->num_gates()) {
-    throw std::invalid_argument(
-        "IncrementalSta: stress profile size mismatch");
-  }
-  std::vector<std::uint64_t> req(mask_words_, 0);
-  for (const NetId pi : truncated_pis) {
-    const NetId idx = nl_->pi_index(pi);
-    if (idx == kInvalidNet) {
-      throw std::invalid_argument(
-          "IncrementalSta: net is not a primary input");
-    }
-    req[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-  }
-
-  // Delay identity: equal (aged, stress) inputs yield bit-identical delay
-  // vectors, so an exact compare detects a scenario switch without the
-  // caller having to thread a scenario key through.
-  Sta::GateDelays gd = sta_.gate_delays(aged, stress);
-  const bool same_delays =
-      valid_ && gd.rise == gd_.rise && gd.fall == gd_.fall;
-  bool superset = same_delays;
-  bool unchanged = same_delays;
-  for (std::size_t w = 0; superset && w < mask_words_; ++w) {
-    if ((blocked_[w] & ~req[w]) != 0) superset = false;
-    if (req[w] != blocked_[w]) unchanged = false;
-  }
-
-  last_dirty_gates_ = 0;
-  if (full_override_ || !superset) {
-    full_fallbacks_->add();
-    gd_ = std::move(gd);
-    blocked_ = req;
-    full_propagate();
-    valid_ = true;
-  } else if (unchanged) {
-    hits_->add();  // served entirely from the cached arrivals
-  } else {
-    hits_->add();
-    std::vector<std::uint64_t> dirty(mask_words_);
-    for (std::size_t w = 0; w < mask_words_; ++w) {
-      dirty[w] = req[w] & ~blocked_[w];
-    }
-    blocked_ = req;
-    repropagate(dirty);
-    dirty_gates_->add(last_dirty_gates_);
-  }
-  return max_delay_;
-}
-
-void IncrementalSta::build_masks() {
-  const Netlist& nl = *nl_;
-  // Per-net PI-dependency masks flow forward over the topo order; only the
-  // per-gate masks are kept (the query loop tests gates, not nets).
-  std::vector<std::uint64_t> net_mask(nl.num_nets() * mask_words_, 0);
-  const std::vector<NetId>& pis = nl.inputs();
-  for (std::size_t p = 0; p < pis.size(); ++p) {
-    net_mask[pis[p] * mask_words_ + (p >> 6)] |= std::uint64_t{1} << (p & 63);
-  }
-  depends_.assign(nl.num_gates() * mask_words_, 0);
-  for (const GateId gid : nl.topo_order()) {
-    const Gate& g = nl.gate(gid);
-    std::uint64_t* dep = &depends_[gid * mask_words_];
-    const int pins = nl.gate_num_inputs(gid);
-    for (int p = 0; p < pins; ++p) {
-      const std::uint64_t* in =
-          &net_mask[g.fanin[static_cast<std::size_t>(p)] * mask_words_];
-      for (std::size_t w = 0; w < mask_words_; ++w) dep[w] |= in[w];
-    }
-    std::uint64_t* out = &net_mask[g.fanout * mask_words_];
-    for (std::size_t w = 0; w < mask_words_; ++w) out[w] = dep[w];
-  }
-  masks_built_ = true;
-}
-
-void IncrementalSta::recompute_gate(GateId gid) {
-  // Identical arithmetic and pin order to Sta::run_impl — a recomputed gate
-  // whose fanin arrivals are bit-identical produces bit-identical outputs.
-  const Netlist& nl = *nl_;
-  const Gate& g = nl.gate(gid);
-  double rise = kNeverArrives;
-  double fall = kNeverArrives;
-  const int pins = nl.gate_num_inputs(gid);
-  for (int p = 0; p < pins; ++p) {
-    const NetId in = g.fanin[static_cast<std::size_t>(p)];
-    for (const bool input_rising : {false, true}) {
-      const double in_arr =
-          input_rising ? arrival_rise_[in] : arrival_fall_[in];
-      if (in_arr == kNeverArrives) continue;
-      rise = std::max(rise, in_arr + gd_.rise[gid]);
-      fall = std::max(fall, in_arr + gd_.fall[gid]);
-    }
-  }
-  arrival_rise_[g.fanout] = rise;
-  arrival_fall_[g.fanout] = fall;
-}
-
-void IncrementalSta::full_propagate() {
-  const Netlist& nl = *nl_;
-  arrival_rise_.assign(nl.num_nets(), kNeverArrives);
-  arrival_fall_.assign(nl.num_nets(), kNeverArrives);
-  const std::vector<NetId>& pis = nl.inputs();
-  for (std::size_t p = 0; p < pis.size(); ++p) {
-    if ((blocked_[p >> 6] >> (p & 63)) & 1) continue;  // never arrives
-    arrival_rise_[pis[p]] = 0.0;
-    arrival_fall_[pis[p]] = 0.0;
-  }
-  for (const GateId gid : nl.topo_order()) recompute_gate(gid);
-  reduce_outputs();
-}
-
-void IncrementalSta::repropagate(const std::vector<std::uint64_t>& dirty) {
-  if (!masks_built_) build_masks();
-  const Netlist& nl = *nl_;
-  const std::vector<NetId>& pis = nl.inputs();
-  for (std::size_t w = 0; w < mask_words_; ++w) {
-    std::uint64_t bits = dirty[w];
-    while (bits != 0) {
-      const std::size_t p = (w << 6) + static_cast<std::size_t>(
-                                           std::countr_zero(bits));
-      bits &= bits - 1;
-      arrival_rise_[pis[p]] = kNeverArrives;
-      arrival_fall_[pis[p]] = kNeverArrives;
-    }
-  }
-  // Dirty-cone invariant: a gate outside the union of the newly-truncated
-  // PIs' cones has bit-identical fanin arrivals, so only cone members are
-  // recomputed — in topo order, so dirty fanins settle before their readers.
-  for (const GateId gid : nl.topo_order()) {
-    const std::uint64_t* dep = &depends_[gid * mask_words_];
-    bool in_cone = false;
-    for (std::size_t w = 0; w < mask_words_; ++w) {
-      if ((dep[w] & dirty[w]) != 0) {
-        in_cone = true;
-        break;
-      }
-    }
-    if (!in_cone) continue;
-    ++last_dirty_gates_;
-    recompute_gate(gid);
-  }
-  reduce_outputs();
-}
-
-void IncrementalSta::reduce_outputs() {
-  max_delay_ = 0.0;
-  for (const NetId po : nl_->outputs()) {
-    max_delay_ = std::max(
-        {max_delay_, arrival_rise_[po], arrival_fall_[po]});
-  }
 }
 
 }  // namespace aapx

@@ -70,19 +70,6 @@ class Sta {
   StaResult run_aged(const DegradationAwareLibrary& aged,
                      const StressProfile& stress) const;
 
-  /// Boundary-condition analysis: the given primary inputs are held constant
-  /// ("truncated away"), so they never arrive and their exclusive fanout
-  /// cones relax. This is the reference algorithm behind IncrementalSta and
-  /// deliberately differs from analyzing a re-synthesized truncated netlist
-  /// (which constant-propagates gates away and changes loads) — the
-  /// DesignStore keys the two families separately. Pass aged == nullptr for
-  /// fresh timing. Emits no run-log records and bumps no run counters: the
-  /// store's truncated-delay family reports these queries warmth- and
-  /// algorithm-invariantly.
-  StaResult run_truncated(const DegradationAwareLibrary* aged,
-                          const StressProfile* stress,
-                          const std::vector<NetId>& truncated_pis) const;
-
   /// Per-gate aged delays for the event-driven simulator: worst rise/fall arc
   /// delay of each gate at its actual load and a nominal input slew.
   struct GateDelays {
@@ -95,11 +82,9 @@ class Sta {
  private:
   StaResult run(const DegradationAwareLibrary* aged,
                 const StressProfile* stress) const;
-  /// Shared propagation core: `blocked` (per net, may be nullptr) marks
-  /// primary inputs that never arrive. Pure — no logging, no counters.
+  /// Propagation core. Pure — no logging, no counters.
   StaResult run_impl(const DegradationAwareLibrary* aged,
-                     const StressProfile* stress,
-                     const std::vector<char>* blocked) const;
+                     const StressProfile* stress) const;
 
   const Netlist* nl_;
   StaOptions options_;
@@ -112,69 +97,6 @@ class Sta {
   /// Kept for mechanism counters that must be registered lazily: BTI-only
   /// runs never look them up, so their metrics snapshots carry no new keys.
   obs::MetricsRegistry* metrics_;
-};
-
-/// Incremental cone-limited aged STA over ONE netlist (paper-flow use: the
-/// characterizer's precision sweep, where point K+1 -> K only *adds* to the
-/// set of truncated inputs).
-///
-/// Truncation is modeled as a boundary condition — truncated PIs never
-/// arrive — so consecutive queries whose truncated set grows are answered by
-/// re-propagating only the union of the newly-truncated PIs' fanout cones.
-/// Cone membership is precomputed once per instance as per-gate PI-dependency
-/// bitmasks over the topo order; a gate outside every dirty cone provably
-/// keeps its arrival (its fanin arrivals are untouched), and gates inside are
-/// recomputed in topo order from a mix of dirty and settled arrivals, which
-/// reproduces the full propagation bit-exactly.
-///
-/// Queries that cannot be served incrementally — the first one, a changed
-/// delay scenario (different aged library/stress), a shrinking or disjoint
-/// truncated set, or the AAPX_STA_FULL=1 escape hatch — fall back to a full
-/// propagation and are counted in engine.sta.incremental.full_fallbacks.
-/// Not thread-safe; callers sequence queries (the sweep is serial anyway).
-class IncrementalSta {
- public:
-  explicit IncrementalSta(const Netlist& nl, StaOptions options = {},
-                          const Context* ctx = nullptr);
-
-  /// Worst primary-output arrival (>= 0) with `truncated_pis` held constant.
-  /// Pass aged == nullptr for fresh timing. Bit-exact against
-  /// Sta::run_truncated with the same arguments, by either path.
-  double max_delay(const DegradationAwareLibrary* aged,
-                   const StressProfile* stress,
-                   const std::vector<NetId>& truncated_pis);
-
-  /// Gates re-propagated by the most recent incremental query (0 after a
-  /// full propagation or an unchanged-set repeat). Test/diagnostic hook.
-  std::size_t last_dirty_gates() const noexcept { return last_dirty_gates_; }
-
- private:
-  void build_masks();
-  void full_propagate();
-  void repropagate(const std::vector<std::uint64_t>& dirty);
-  void recompute_gate(GateId gid);
-  void reduce_outputs();
-
-  const Netlist* nl_;
-  Sta sta_;  ///< delay-model provider (gate_delays) and reference options
-  bool full_override_;  ///< AAPX_STA_FULL=1: always take the full path
-  /// Per-gate PI-dependency masks, gate-major [gid * mask_words_ + w]:
-  /// bit p set iff the gate lies in the fanout cone of primary input p.
-  /// Built lazily on the first incremental query.
-  std::vector<std::uint64_t> depends_;
-  std::size_t mask_words_ = 0;
-  bool masks_built_ = false;
-  /// Cached state of the last answered query.
-  bool valid_ = false;
-  Sta::GateDelays gd_;
-  std::vector<double> arrival_rise_;
-  std::vector<double> arrival_fall_;
-  std::vector<std::uint64_t> blocked_;  ///< truncated set, PI-index bitmask
-  double max_delay_ = 0.0;
-  std::size_t last_dirty_gates_ = 0;
-  obs::Counter* hits_;
-  obs::Counter* dirty_gates_;
-  obs::Counter* full_fallbacks_;
 };
 
 }  // namespace aapx

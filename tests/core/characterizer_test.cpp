@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/design_store.hpp"
-#include "netlist/stats.hpp"
-
 namespace aapx {
 namespace {
 
@@ -167,123 +164,6 @@ TEST_F(CharacterizerTest, PaperHeadlineNumbers) {
       {{StressMode::worst, 1.0}, {StressMode::worst, 10.0}});
   EXPECT_EQ(32 - mult.required_precision(0), 2);
   EXPECT_EQ(32 - mult.required_precision(1), 3);
-}
-
-// --- incremental cone-limited sweep (ISSUE 7) ------------------------------
-// The incremental path answers a *different* (boundary-condition) question
-// than the resynthesizing default, so its oracle is Sta::run_truncated on the
-// base netlist — never the normal sweep's values.
-
-class IncrementalCharacterizerTest : public ::testing::Test {
- protected:
-  CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
-  Context ctx_;  // private store: counter assertions see only this test
-
-  ComponentCharacterizer make(int min_precision, bool incremental) const {
-    CharacterizerOptions opt;
-    opt.min_precision = min_precision;
-    opt.incremental_sta = incremental;
-    return ComponentCharacterizer(ctx_, lib_, model_, opt);
-  }
-
-  /// The truncated-PI set the incremental sweep uses for an arithmetic
-  /// component: the low `tb` bits of both operand buses.
-  static std::vector<NetId> low_bits(const Netlist& nl, int tb) {
-    std::vector<NetId> pis;
-    for (const char* bus : {"a", "b"}) {
-      for (int i = 0; i < tb; ++i) {
-        pis.push_back(nl.input_bus(bus)[static_cast<std::size_t>(i)]);
-      }
-    }
-    return pis;
-  }
-};
-
-TEST_F(IncrementalCharacterizerTest, SweepMatchesRunTruncatedOracle) {
-  const ComponentSpec base{ComponentKind::adder, 12, 0, AdderArch::cla4,
-                           MultArch::array};
-  const std::vector<AgingScenario> scenarios = {
-      AgingScenario::fresh(), {StressMode::worst, 10.0},
-      {StressMode::balanced, 5.0}};
-  const auto c = make(6, true).characterize(base, scenarios);
-  ASSERT_EQ(c.points.size(), 7u);
-
-  const Netlist& nl = ctx_.store().netlist(lib_, base);
-  const Sta sta(nl);
-  const NetlistStats base_stats = compute_stats(nl);
-  for (const auto& p : c.points) {
-    const std::vector<NetId> trunc = low_bits(nl, base.width - p.precision);
-    // Bit-exact against the full-recompute reference, per point and per
-    // scenario column.
-    EXPECT_EQ(p.fresh_delay,
-              sta.run_truncated(nullptr, nullptr, trunc).max_delay);
-    ASSERT_EQ(p.aged_delay.size(), scenarios.size());
-    for (std::size_t si = 0; si < scenarios.size(); ++si) {
-      const AgingScenario& s = scenarios[si];
-      if (s.is_fresh()) {
-        EXPECT_EQ(p.aged_delay[si], p.fresh_delay);
-        continue;
-      }
-      const DegradationAwareLibrary aged(lib_, model_, s.years);
-      const StressProfile stress =
-          StressProfile::uniform(s.mode, nl.num_gates());
-      EXPECT_EQ(p.aged_delay[si],
-                sta.run_truncated(&aged, &stress, trunc).max_delay);
-    }
-    // Incremental mode reports the base netlist's stats at every point —
-    // nothing is resynthesized.
-    EXPECT_EQ(p.gates, base_stats.gates);
-    EXPECT_EQ(p.area, base_stats.cell_area);
-  }
-}
-
-TEST_F(IncrementalCharacterizerTest, SecondRunServedFromSurfaceCache) {
-  const ComponentSpec base{ComponentKind::adder, 10, 0, AdderArch::ripple,
-                           MultArch::array};
-  const auto ch = make(6, true);
-  const auto first = ch.characterize(base, {{StressMode::worst, 10.0}});
-  const auto second = ch.characterize(base, {{StressMode::worst, 10.0}});
-  EXPECT_EQ(ctx_.store().stats().surface_misses, 1u);
-  EXPECT_EQ(ctx_.store().stats().surface_hits, 1u);
-  ASSERT_EQ(second.points.size(), first.points.size());
-  for (std::size_t i = 0; i < first.points.size(); ++i) {
-    EXPECT_EQ(second.points[i].precision, first.points[i].precision);
-    EXPECT_EQ(second.points[i].fresh_delay, first.points[i].fresh_delay);
-    EXPECT_EQ(second.points[i].aged_delay, first.points[i].aged_delay);
-    EXPECT_EQ(second.points[i].area, first.points[i].area);
-    EXPECT_EQ(second.points[i].gates, first.points[i].gates);
-  }
-}
-
-TEST_F(IncrementalCharacterizerTest, SurfaceKeyDoesNotAliasNormalSweep) {
-  // Same component, same scenarios: the resynthesizing and the incremental
-  // sweep answer different questions, so they must never share a surface
-  // cache entry.
-  const ComponentSpec base{ComponentKind::adder, 10, 0, AdderArch::ripple,
-                           MultArch::array};
-  const std::vector<AgingScenario> scenarios = {{StressMode::worst, 10.0}};
-  make(6, false).characterize(base, scenarios);
-  make(6, true).characterize(base, scenarios);
-  EXPECT_EQ(ctx_.store().stats().surface_misses, 2u);
-  EXPECT_EQ(ctx_.store().stats().surface_hits, 0u);
-}
-
-TEST_F(IncrementalCharacterizerTest, RejectsMeasuredScenarios) {
-  EXPECT_THROW(make(6, true).characterize(
-                   {ComponentKind::adder, 8, 0, AdderArch::cla4,
-                    MultArch::array},
-                   {{StressMode::measured, 10.0}}),
-               std::invalid_argument);
-}
-
-TEST_F(IncrementalCharacterizerTest, RejectsNonTruncationTechniques) {
-  ComponentSpec base{ComponentKind::adder, 8, 0, AdderArch::cla4,
-                     MultArch::array};
-  base.technique = ApproxTechnique::carry_window;
-  EXPECT_THROW(
-      make(6, true).characterize(base, {{StressMode::worst, 10.0}}),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
 #include "engine/persist.hpp"
+#include "obs/metrics.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 
@@ -61,18 +63,25 @@ class PersistTest : public ::testing::Test {
     ComponentCharacterization surface;
   };
   Warmed warm_and_save() {
-    Warmed w;
     Context ctx;
+    const Warmed w = query(ctx);
+    EXPECT_TRUE(ctx.store().save(path_));
+    EXPECT_EQ(ctx.store().stats().persist_hits, 0u);
+    return w;
+  }
+
+  /// The queries every test replays: one netlist, fresh + aged delays and
+  /// one characterization surface, through `ctx`'s store.
+  Warmed query(const Context& ctx) {
+    Warmed w;
     engine::DesignStore& store = ctx.store();
     w.gates = store.netlist(lib_, adder8()).num_gates();
     w.fresh = store.aged_sta_delay(lib_, adder8(), model_, StressMode::worst,
                                    0.0, sta_);
     w.aged = store.aged_sta_delay(lib_, adder8(), model_, StressMode::worst,
                                   10.0, sta_);
-    w.surface = store.surface(lib_, model_, adder8(), scenarios_, 4, 1, sta_, false,
+    w.surface = store.surface(lib_, model_, adder8(), scenarios_, 4, 1, sta_,
                               [&] { return sweep_directly(ctx); });
-    EXPECT_TRUE(store.save(path_));
-    EXPECT_EQ(store.stats().persist_hits, 0u);
     return w;
   }
 
@@ -103,18 +112,10 @@ class PersistTest : public ::testing::Test {
   /// Re-runs the same queries on a fresh Context (optionally opening the
   /// store file first) and returns what it produced.
   Warmed replay(bool open_store, engine::DesignStore::Stats* stats = nullptr) {
-    Warmed w;
     Context ctx;
-    engine::DesignStore& store = ctx.store();
-    if (open_store) store.open(path_);
-    w.gates = store.netlist(lib_, adder8()).num_gates();
-    w.fresh = store.aged_sta_delay(lib_, adder8(), model_, StressMode::worst,
-                                   0.0, sta_);
-    w.aged = store.aged_sta_delay(lib_, adder8(), model_, StressMode::worst,
-                                  10.0, sta_);
-    w.surface = store.surface(lib_, model_, adder8(), scenarios_, 4, 1, sta_, false,
-                              [&] { return sweep_directly(ctx); });
-    if (stats != nullptr) *stats = store.stats();
+    if (open_store) ctx.store().open(path_);
+    const Warmed w = query(ctx);
+    if (stats != nullptr) *stats = ctx.store().stats();
     return w;
   }
 
@@ -273,6 +274,44 @@ TEST_F(PersistTest, DamagedOpenReportsFalseAndWarns) {
   EXPECT_FALSE(ctx.store().open(path_));
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("format version"), std::string::npos) << err;
+}
+
+// Record kind 5 is retired (see RecordKind in engine/persist.hpp). A store
+// file written before the retirement must still open: the kind-5
+// record is dropped and counted, and every other record is served from disk
+// exactly as before.
+TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
+  const Warmed cold = warm_and_save();
+  engine::StoreFileData data = engine::load_store_file(path_);
+  ASSERT_TRUE(data.header_ok);
+  std::vector<engine::RawRecord> records = std::move(data.records);
+  std::set<engine::RecordKind> kinds;
+  for (const engine::RawRecord& r : records) kinds.insert(r.kind);
+  EXPECT_EQ(kinds, (std::set<engine::RecordKind>{
+                       engine::RecordKind::netlist,
+                       engine::RecordKind::aged_library,
+                       engine::RecordKind::sta_delay,
+                       engine::RecordKind::surface}));
+  const std::size_t live = records.size();
+  records.push_back({static_cast<engine::RecordKind>(5), 0x5352303031ULL,
+                     std::string(96, '\x5a')});
+  ASSERT_GT(engine::write_store_file(path_, records), 0u);
+
+  Context ctx;
+  bool clean = true;
+  ASSERT_NO_THROW(clean = ctx.store().open(path_));
+  EXPECT_FALSE(clean);  // the dropped record is reported, not hidden
+  obs::MetricsRegistry& m = ctx.metrics();
+  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 1u);
+  EXPECT_EQ(m.counter("engine.store.persist.records_loaded").value(), live);
+
+  Warmed warm;
+  ASSERT_NO_THROW(warm = query(ctx));
+  expect_bit_identical(cold, warm);
+  const engine::DesignStore::Stats stats = ctx.store().stats();
+  EXPECT_GT(stats.persist_hits, 0u);
+  EXPECT_EQ(stats.misses(), 0u);
+  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 1u);
 }
 
 TEST_F(PersistTest, StaleRecordIsColdMissNotWrongHit) {

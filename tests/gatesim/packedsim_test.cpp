@@ -176,5 +176,67 @@ TEST_F(PackedFuncSimTest, RejectsTooManyLanes) {
   EXPECT_THROW(sim.set_bus("a", lanes), std::invalid_argument);
 }
 
+// Constant-tied bus bits (the realized form of truncated LSBs in hand-wired
+// netlists): set_bus must leave const0/const1 nets untouched, matching
+// FuncSim::set_bus, while still driving the live bits.
+TEST_F(PackedFuncSimTest, ConstantTiedBusBitsStayConstant) {
+  Netlist nl(lib_);
+  std::vector<NetId> bus = nl.add_input_bus("a", 4);
+  // Re-tie the two LSBs: bit 0 -> const0, bit 1 -> const1.
+  bus[0] = nl.const0();
+  bus[1] = nl.const1();
+  nl.set_input_bus("a", std::vector<NetId>(bus));
+  const NetId y = nl.mk(LogicFn::kOr2, bus[2], bus[3]);
+  nl.mark_output(y, "y");
+  const std::vector<NetId> y_nets{y};
+  PackedFuncSim sim(nl);
+  std::vector<std::uint64_t> vals(PackedFuncSim::kLanes);
+  for (int l = 0; l < PackedFuncSim::kLanes; ++l) {
+    // Try to overwrite the constants with the opposite value every lane.
+    vals[static_cast<std::size_t>(l)] =
+        0b0001u | (static_cast<std::uint64_t>(l & 3) << 2);
+  }
+  sim.set_bus("a", vals);
+  sim.eval();
+  EXPECT_EQ(sim.lanes(nl.const0()), 0u);
+  EXPECT_EQ(sim.lanes(nl.const1()), ~std::uint64_t{0});
+  for (int l = 0; l < PackedFuncSim::kLanes; ++l) {
+    // vals bit 2 = l&1, bit 3 = (l>>1)&1 — the live OR inputs.
+    const bool expect = (l & 1) || ((l >> 1) & 1);
+    ASSERT_EQ(sim.word_value(y_nets, l), expect ? 1u : 0u) << "lane " << l;
+  }
+}
+
+// The duty-extraction readout must equal a per-lane walk of the same lane
+// words, counting only lanes below the limit and accumulating into sums.
+TEST_F(PackedFuncSimTest, AddHighPopcountsMatchesPerLaneReadout) {
+  const ComponentSpec spec{ComponentKind::adder, 8, 0, AdderArch::cla4,
+                           MultArch::array};
+  const Netlist nl = make_component(lib_, spec);
+  std::vector<NetId> fanouts(nl.num_gates());
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    fanouts[g] = nl.gate(static_cast<GateId>(g)).fanout;
+  }
+  PackedFuncSim sim(nl);
+  Rng rng(43);
+  std::vector<std::uint64_t> a(PackedFuncSim::kLanes), b(PackedFuncSim::kLanes);
+  for (auto& v : a) v = rng.next_u64() & 0xFF;
+  for (auto& v : b) v = rng.next_u64() & 0xFF;
+  sim.set_bus("a", a);
+  sim.set_bus("b", b);
+  sim.eval();
+  for (const int limit : {PackedFuncSim::kLanes, PackedFuncSim::kLanes - 3}) {
+    std::vector<std::uint64_t> sums(fanouts.size(), 5);  // accumulates
+    sim.add_high_popcounts(fanouts, limit, sums.data());
+    for (std::size_t g = 0; g < fanouts.size(); ++g) {
+      std::uint64_t expect = 5;
+      for (int lane = 0; lane < limit; ++lane) {
+        expect += (sim.lanes(fanouts[g]) >> lane) & 1u;
+      }
+      ASSERT_EQ(sums[g], expect) << "limit " << limit << " gate " << g;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aapx

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "engine/persist.hpp"
+#include "synth/components.hpp"
+
 namespace aapx {
 namespace {
 
@@ -70,6 +77,35 @@ TEST_F(NetlistTest, TopoOrderRespectsDependencies) {
   for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
   EXPECT_LT(pos[0], pos[1]);
   EXPECT_LT(pos[1], pos[2]);
+}
+
+// A netlist decoded from a store record has no cached topological order, and
+// its first readers may be concurrent (measure_gate_duty's per-batch
+// simulators). Four threads racing on the first fill must all see the same,
+// complete order; the sanitizer build checks that the fill is race-free.
+TEST_F(NetlistTest, TopoOrderFirstFillIsThreadSafe) {
+  const ComponentSpec spec{ComponentKind::multiplier, 8, 0, AdderArch::cla4,
+                           MultArch::array};
+  const Netlist built = make_component(lib_, spec);
+  const std::vector<GateId> expect = built.topo_order();
+  const engine::NetlistPayload decoded = engine::decode_netlist_payload(
+      engine::encode_netlist_payload(0, spec, built), lib_);
+  const Netlist& nl = decoded.netlist;
+
+  constexpr int kThreads = 4;
+  std::atomic<int> arrived{0};
+  std::vector<std::vector<GateId>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) {
+      }
+      seen[static_cast<std::size_t>(t)] = nl.topo_order();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<GateId>& order : seen) EXPECT_EQ(order, expect);
 }
 
 TEST_F(NetlistTest, NetLoadSumsPinCaps) {

@@ -22,7 +22,6 @@
 #include "engine/key.hpp"
 #include "engine/persist.hpp"
 #include "service/protocol.hpp"
-#include "surrogate/surrogate.hpp"
 
 namespace aapx::service {
 namespace {
@@ -500,46 +499,6 @@ TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
   EXPECT_EQ(rt.params.hci.a_hci, multi.hci.a_hci);
   EXPECT_EQ(rt.params.em.eta_ref_years, multi.em.eta_ref_years);
   EXPECT_EQ(rt.params.tddb.voltage_exponent, multi.tddb.voltage_exponent);
-
-  // Surrogate records (ISSUE 10): both the model blob itself (every byte
-  // under its trailing content checksum) and the store-record framing
-  // around it must reject malformed bytes — a damaged persisted model is a
-  // cold miss, never a silently-wrong predictor.
-  std::vector<surrogate::TrainingSample> samples;
-  for (const int width : {4, 6, 8}) {
-    CharacterizerOptions sopt;
-    sopt.min_precision = width - 2;
-    const ComponentCharacterizer sch(ctx, lib, model, sopt);
-    const ComponentSpec base{ComponentKind::adder, width, 0, AdderArch::ripple,
-                             MultArch::array};
-    const ComponentCharacterization surf =
-        sch.characterize(base, sp.scenarios);
-    for (const PrecisionPoint& pt : surf.points) {
-      ComponentSpec s = base;
-      s.truncated_bits = width - pt.precision;
-      samples.push_back({s, StressMode::worst, 0.0, pt.fresh_delay});
-      samples.push_back(
-          {s, sp.scenarios[0].mode, sp.scenarios[0].years, pt.aged_delay[0]});
-    }
-  }
-  surrogate::TrainOptions topt;
-  topt.min_holdout = 1;
-  const surrogate::SurrogateModel surrogate_model =
-      surrogate::SurrogateModel::train(samples, model, topt);
-  const std::string model_blob = surrogate_model.encode();
-  fuzz_codec<std::runtime_error>(
-      model_blob,
-      [](const std::string& b) { return surrogate::SurrogateModel::decode(b); },
-      "surrogate model blob", fuzz_rounds(150));
-  const engine::SurrogatePayload srp{lib_fp, engine::key_of(model.params()),
-                                     engine::key_of(StaOptions{}), model_blob};
-  fuzz_codec<std::runtime_error>(
-      engine::encode_surrogate_payload(srp),
-      [](const std::string& b) {
-        const engine::SurrogatePayload p = engine::decode_surrogate_payload(b);
-        return surrogate::SurrogateModel::decode(p.model_blob);
-      },
-      "surrogate record", fuzz_rounds(150));
 }
 
 }  // namespace

@@ -52,7 +52,6 @@
 #include "engine/binio.hpp"
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
-#include "engine/key.hpp"
 #include "engine/persist.hpp"
 #include "core/microarch.hpp"
 #include "netlist/stats.hpp"
@@ -67,7 +66,6 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "sta/sdf.hpp"
-#include "surrogate/surrogate.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -170,8 +168,8 @@ Args parse_args(int argc, char** argv) {
   if (argc < 2) return args;
   args.command = argv[1];
   int i = 2;
-  // `library` and `surrogate` take one positional action before options.
-  if ((args.command == "library" || args.command == "surrogate") && i < argc &&
+  // `library` takes one positional action before options.
+  if (args.command == "library" && i < argc &&
       std::strncmp(argv[i], "--", 2) != 0) {
     args.action = argv[i++];
   }
@@ -230,14 +228,14 @@ void reject_unknown_options(const Args& args) {
       {"characterize",
        {"kind", "width", "trunc", "arch", "mult-arch", "min-precision", "mode",
         "years", "save", "mechanisms", "hci-a", "hci-exp", "em-eta", "em-beta",
-        "tddb-eta", "tddb-beta", "surrogate"}},
+        "tddb-eta", "tddb-beta"}},
       {"flow",
        {"width", "years", "mode", "min-precision", "mechanisms", "hci-a",
-        "hci-exp", "em-eta", "em-beta", "tddb-eta", "tddb-beta", "surrogate"}},
+        "hci-exp", "em-eta", "em-beta", "tddb-eta", "tddb-beta"}},
       {"schedule",
        {"kind", "width", "trunc", "arch", "mult-arch", "min-precision", "mode",
         "grid", "mechanisms", "hci-a", "hci-exp", "em-eta", "em-beta",
-        "tddb-eta", "tddb-beta", "surrogate"}},
+        "tddb-eta", "tddb-beta"}},
       {"export-liberty", {"out", "years", "stress"}},
       {"export-verilog", {"kind", "width", "trunc", "arch", "mult-arch",
                           "out"}},
@@ -249,13 +247,13 @@ void reject_unknown_options(const Args& args) {
         "sensor-gain", "sensor-offset", "sensor-noise", "seed", "years",
         "epochs", "vectors", "verify-vectors", "open-loop", "canary-margin",
         "canary-trip", "mechanisms", "hci-a", "hci-exp", "em-eta", "em-beta",
-        "tddb-eta", "tddb-beta", "hazard-failover", "surrogate"}},
+        "tddb-eta", "tddb-beta", "hazard-failover"}},
       {"report",
        {"trace", "log", "metrics", "check", "top", "diff", "log-dir"}},
       {"serve",
        {"listen", "workers", "sweep-threads", "queue", "retry-hint-ms",
         "snapshot-interval", "log-dir", "admin", "request-trace",
-        "request-trace-rotate-kb", "slow-ring", "surrogate"}},
+        "request-trace-rotate-kb", "slow-ring"}},
       {"client",
        {"connect", "op", "kind", "width", "trunc", "arch", "mult-arch",
         "min-precision", "step", "mode", "years", "deadline-ms", "attempts",
@@ -272,24 +270,11 @@ void reject_unknown_options(const Args& args) {
       {"info", {}},
       {"merge", {"out", "inputs"}},
   };
-  static const std::map<std::string, std::set<std::string>> kSurrogateActions =
-      {
-          {"train", {"lambda", "mechanisms", "hci-a", "hci-exp", "em-eta",
-                     "em-beta", "tddb-eta", "tddb-beta"}},
-          {"info", {"mechanisms", "hci-a", "hci-exp", "em-eta", "em-beta",
-                    "tddb-eta", "tddb-beta"}},
-      };
-
   const std::set<std::string>* allowed = nullptr;
   std::string label = args.command;
   if (args.command == "library") {
     const auto it = kLibraryActions.find(args.action);
     if (it == kLibraryActions.end()) return;  // cmd_library reports it
-    allowed = &it->second;
-    label += " " + args.action;
-  } else if (args.command == "surrogate") {
-    const auto it = kSurrogateActions.find(args.action);
-    if (it == kSurrogateActions.end()) return;  // cmd_surrogate reports it
     allowed = &it->second;
     label += " " + args.action;
   } else {
@@ -887,31 +872,6 @@ int cmd_report(const Args& args) {
                    TextTable::pct(r.rate())});
       }
       t.print(std::cout);
-      const obs::IncrementalStaStats inc =
-          obs::incremental_sta_from_metrics(*doc);
-      if (inc.present) {
-        std::printf("incremental STA:\n");
-        TextTable it({"incremental queries", "full fallbacks", "dirty gates",
-                      "avg dirty gates/query"});
-        const double avg =
-            inc.hits == 0 ? 0.0
-                          : static_cast<double>(inc.dirty_gates) /
-                                static_cast<double>(inc.hits);
-        it.add_row({std::to_string(inc.hits),
-                    std::to_string(inc.full_fallbacks),
-                    std::to_string(inc.dirty_gates), TextTable::num(avg, 1)});
-        it.print(std::cout);
-      }
-      const obs::SurrogateStats sg = obs::surrogate_from_metrics(*doc);
-      if (sg.present) {
-        std::printf("surrogate fast path:\n");
-        TextTable st({"surrogate hits", "exact fallbacks", "hit rate",
-                      "models trained"});
-        st.add_row({std::to_string(sg.hits), std::to_string(sg.fallbacks),
-                    TextTable::pct(sg.hit_rate()),
-                    std::to_string(sg.models)});
-        st.print(std::cout);
-      }
       const std::vector<obs::AgingCounterRow> aging =
           obs::aging_counters_from_metrics(*doc);
       if (!aging.empty()) {
@@ -1181,124 +1141,6 @@ int cmd_library(const Context& ctx, const Args& args) {
   if (args.action == "merge") return cmd_library_merge(args);
   throw std::runtime_error("library: unknown action '" + args.action +
                            "' (build|query|info|merge)");
-}
-
-/// `aapx surrogate train`: fit the learned aging surrogate from the
-/// characterization surfaces already in the attached --store, validate it on
-/// the held-out split and persist it into the same store (its own record
-/// family — a surrogate can never alias an exact artifact). The samples come
-/// from surfaces computed under THIS command's model configuration: pass the
-/// same --mechanisms/knobs the surfaces were characterized with.
-int cmd_surrogate_train(const Context& ctx, const Args& args) {
-  const CellLibrary lib = make_nangate45_like();
-  const AgingModel model = model_from(args);
-  const StaOptions sta;  // every CLI characterization runs under defaults
-  engine::DesignStore& store = ctx.store();
-  const std::uint64_t lib_fp = engine::fingerprint(lib);
-  const std::uint64_t params_key = engine::key_of(model.params());
-  const std::uint64_t sta_key = engine::key_of(sta);
-
-  std::vector<surrogate::TrainingSample> samples;
-  std::size_t surfaces_used = 0;
-  std::size_t surfaces_skipped = 0;
-  for (const engine::SurfacePayload& p : store.surface_snapshot()) {
-    if (p.lib_fp != lib_fp || engine::key_of(p.params) != params_key ||
-        engine::key_of(p.sta) != sta_key) {
-      ++surfaces_skipped;  // different model/STA family — not this model's
-      continue;            // labels
-    }
-    ++surfaces_used;
-    for (const PrecisionPoint& pt : p.surface.points) {
-      ComponentSpec spec = p.surface.base;
-      spec.truncated_bits = p.surface.base.width - pt.precision;
-      samples.push_back({spec, StressMode::worst, 0.0, pt.fresh_delay});
-      const std::size_t n =
-          std::min(p.scenarios.size(), pt.aged_delay.size());
-      for (std::size_t si = 0; si < n; ++si) {
-        const AgingScenario& s = p.scenarios[si];
-        // Measured-mode labels depend on a stimulus set the feature map
-        // cannot see; the surrogate never serves (or learns from) them.
-        if (!s.is_fresh() && s.mode == StressMode::measured) continue;
-        samples.push_back({spec, s.mode, s.is_fresh() ? 0.0 : s.years,
-                           pt.aged_delay[si]});
-      }
-    }
-  }
-  if (samples.empty()) {
-    throw std::runtime_error(
-        "surrogate train: no characterization surfaces for this model "
-        "configuration in the store — run `aapx characterize --store <file>` "
-        "first (and pass the same --mechanisms knobs here)");
-  }
-
-  surrogate::TrainOptions topt;
-  topt.ridge_lambda = args.get_double("lambda", topt.ridge_lambda);
-  if (!(topt.ridge_lambda > 0.0)) {
-    throw std::runtime_error("--lambda must be > 0");
-  }
-  surrogate::SurrogateModel fit =
-      surrogate::SurrogateModel::train(samples, model, topt);
-
-  std::printf(
-      "aapx surrogate: trained on %llu sample(s) from %zu surface(s)%s "
-      "(lambda %g)\n",
-      static_cast<unsigned long long>(fit.train_samples()), surfaces_used,
-      surfaces_skipped > 0
-          ? (" [" + std::to_string(surfaces_skipped) +
-             " foreign surface(s) skipped]")
-                .c_str()
-          : "",
-      fit.ridge_lambda());
-  std::printf(
-      "aapx surrogate: held-out validation over %llu sample(s): "
-      "p50 %.4f ps, p95 %.4f ps, p99 %.4f ps, max %.4f ps\n",
-      static_cast<unsigned long long>(fit.holdout_samples()),
-      fit.err_p50_ps(), fit.err_p95_ps(), fit.err_p99_ps(), fit.err_max_ps());
-  std::printf(
-      "aapx surrogate: serves `--surrogate <bound>` runs with bound >= "
-      "%.4f ps (validated p99); out-of-hull queries fall back to exact\n",
-      fit.err_p99_ps());
-  const std::uint64_t key = store.put_surrogate(lib, model, sta,
-                                                std::move(fit));
-  std::printf("aapx surrogate: model stored under key %016llx\n",
-              static_cast<unsigned long long>(key));
-  return 0;
-}
-
-/// `aapx surrogate info`: report the trained model (if any) for this model
-/// configuration's store family.
-int cmd_surrogate_info(const Context& ctx, const Args& args) {
-  const CellLibrary lib = make_nangate45_like();
-  const AgingModel model = model_from(args);
-  const StaOptions sta;
-  const surrogate::SurrogateModel* m =
-      ctx.store().surrogate_model(lib, model, sta);
-  if (m == nullptr) {
-    std::printf(
-        "aapx surrogate: no trained model for this configuration in the "
-        "store (run `aapx surrogate train --store <file>`)\n");
-    return 1;
-  }
-  std::printf("aapx surrogate: model for the default library/STA family\n");
-  std::printf("  features        %zu (layout v%u)\n", surrogate::kNumFeatures,
-              surrogate::kFeatureVersion);
-  std::printf("  trained on      %llu sample(s)\n",
-              static_cast<unsigned long long>(m->train_samples()));
-  std::printf("  held out        %llu sample(s)\n",
-              static_cast<unsigned long long>(m->holdout_samples()));
-  std::printf("  ridge lambda    %g\n", m->ridge_lambda());
-  std::printf("  err p50         %.4f ps\n", m->err_p50_ps());
-  std::printf("  err p95         %.4f ps\n", m->err_p95_ps());
-  std::printf("  err p99         %.4f ps\n", m->err_p99_ps());
-  std::printf("  err max         %.4f ps\n", m->err_max_ps());
-  return 0;
-}
-
-int cmd_surrogate(const Context& ctx, const Args& args) {
-  if (args.action == "train") return cmd_surrogate_train(ctx, args);
-  if (args.action == "info") return cmd_surrogate_info(ctx, args);
-  throw std::runtime_error("surrogate: unknown action '" + args.action +
-                           "' (train|info)");
 }
 
 /// `aapx serve`: long-running characterization service over the Context's
@@ -1596,10 +1438,6 @@ commands:
       --hci-a A --hci-exp M            HCI drift prefactor / activity exponent
       --em-eta Y --em-beta B           EM Weibull scale [years] / shape
       --tddb-eta Y --tddb-beta B       TDDB Weibull scale [years] / shape
-      --surrogate BOUND_PS             answer aged-delay queries from the
-                                       store's trained surrogate when its
-                                       validated p99 error fits the bound
-                                       (also: flow, schedule, faultsim, serve)
   flow            run the microarchitecture flow on an IDCT-shaped design
       --width N  --years Y  --mode worst|balanced  [--min-precision K]
   schedule        adaptive lifetime precision schedule
@@ -1626,11 +1464,6 @@ commands:
       query  --store lib.aapx  [--kind adder --width 8]
       info   --store lib.aapx
       merge  --out all.aapx  --inputs a.aapx,b.aapx
-  surrogate       train / inspect the learned aging surrogate of a store
-      train  --store lib.aapx  [--lambda L]  [--mechanisms ...]
-             fit a ridge model over the store's characterization surfaces,
-             validate it held-out, and persist it into the same store
-      info   --store lib.aapx  [--mechanisms ...]
   report          summarize instrumentation artifacts from a previous run
       --trace f.trace     top spans by inclusive time, thread/wall stats
       --log f.jsonl       record-type counts + controller decision timeline
@@ -1696,7 +1529,6 @@ int dispatch(const Context& ctx, const Args& args,
   if (args.command == "export-sdf") return cmd_export_sdf(ctx, args);
   if (args.command == "faultsim") return cmd_faultsim(ctx, args);
   if (args.command == "library") return cmd_library(ctx, args);
-  if (args.command == "surrogate") return cmd_surrogate(ctx, args);
   if (args.command == "report") return cmd_report(args);
   if (args.command == "serve") return cmd_serve(ctx, args, store_path);
   if (args.command == "client") return cmd_client(args);
@@ -1736,20 +1568,6 @@ int main(int argc, char** argv) {
       if (threads < 1) throw std::runtime_error("--threads must be >= 1");
       set_num_threads(threads);
     }
-    // `--surrogate <bound_ps>` arms the learned fast path on this process's
-    // store: aged-delay queries whose validated surrogate error fits the
-    // bound are answered by the model, everything else falls back to exact.
-    // For `aapx serve` the bound is armed on the root Context, so every
-    // served characterize/aged-delay request inherits it.
-    if (args.has("surrogate")) {
-      const double bound = args.get_double("surrogate", 0.0);
-      if (!(bound > 0.0)) {
-        throw std::runtime_error(
-            "--surrogate must be a positive delay-error bound in ps");
-      }
-      ctx.set_surrogate_bound(bound);
-    }
-
     const std::string trace_path = args.get("trace", "");
     const std::string metrics_path = args.get("metrics", "");
     const std::string log_path = args.get("log", "");
@@ -1784,7 +1602,7 @@ int main(int argc, char** argv) {
     }
     static const std::set<std::string> kStoreCommands = {
         "characterize", "flow",       "schedule", "export-liberty",
-        "export-verilog", "export-sdf", "faultsim", "serve", "surrogate"};
+        "export-verilog", "export-sdf", "faultsim", "serve"};
     const bool uses_store =
         !store_path.empty() && kStoreCommands.count(args.command) != 0;
     if (uses_store) ctx.store().open(store_path);

@@ -41,9 +41,9 @@ IGNORED_FIELDS = {
 
 # Field-name prefixes with the same timing-dependent character: the serve
 # bench reports queries-per-second as qps_<phase>_<clients> and its
-# mid-pass admin-scrape count as scrapes_<clients>, the surrogate bench
-# reports its exact-vs-fast-path ratio as speedup_<stat>, and the cost
-# breakdown benches report per-phase seconds as *_s.
+# mid-pass admin-scrape count as scrapes_<clients>, speedup_<stat> fields
+# are ratios of two timings, and the cost breakdown benches report
+# per-phase seconds as *_s.
 IGNORED_PREFIXES = ("qps_", "scrapes_", "speedup_")
 
 
