@@ -24,11 +24,11 @@ int run(int argc, char** argv) {
                    "adder aging", "mult aging"});
   for (const double n : {0.12, 0.16, 0.20}) {
     for (const double scale : {0.8, 1.0, 1.2}) {
-      BtiParams params;
-      params.time_exponent = n;
-      params.a_pmos *= scale;
-      params.a_nmos *= scale;
-      const BtiModel model(params);
+      AgingParams params;
+      params.bti.time_exponent = n;
+      params.bti.a_pmos *= scale;
+      params.bti.a_nmos *= scale;
+      const AgingModel model(params);
       CharacterizerOptions aopt;
       aopt.min_precision = 20;
       const ComponentCharacterizer acharacterizer(bench_context(), cfg.lib,

@@ -44,7 +44,7 @@ aapx::Netlist build_dot2(const aapx::CellLibrary& lib, int width, int trunc) {
 int main() {
   using namespace aapx;
   const CellLibrary lib = make_nangate45_like();
-  const BtiModel bti;
+  const AgingModel aging;
   const int width = 12;
 
   const Netlist full = build_dot2(lib, width, 0);
@@ -55,7 +55,7 @@ int main() {
               width, full.num_gates(), compute_stats(full).cell_area, constraint);
 
   // Aged STA for 10 years of worst-case stress.
-  const DegradationAwareLibrary aged(lib, bti, 10.0);
+  const DegradationAwareLibrary aged(lib, aging, 10.0);
   const StressProfile stress =
       StressProfile::uniform(StressMode::worst, full.num_gates());
   std::printf("10Y worst-case aged CP: %.1f ps (guardband %.1f ps)\n\n",

@@ -24,7 +24,7 @@ int main() {
   // component row are cache hits for the next.
   const Context ctx;
   const CellLibrary lib = make_nangate45_like();
-  const BtiModel bti;
+  const AgingModel aging;
 
   const struct {
     const char* label;
@@ -43,7 +43,7 @@ int main() {
   for (const auto& comp : components) {
     CharacterizerOptions options;
     options.min_precision = comp.min_precision;
-    const ComponentCharacterizer characterizer(ctx, lib, bti, options);
+    const ComponentCharacterizer characterizer(ctx, lib, aging, options);
     std::vector<AgingScenario> scenarios;
     for (const double y : lifetimes) {
       scenarios.push_back({StressMode::worst, y});

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   const Context ctx;
   const CellLibrary lib = make_nangate45_like();
-  const BtiModel bti;
+  const AgingModel aging;
   CodecConfig codec;
   codec.frac_bits = 7;
 
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   };
   CharacterizerOptions copt;
   copt.min_precision = 24;
-  MicroarchApproximator flow(ctx, lib, bti, copt);
+  MicroarchApproximator flow(ctx, lib, aging, copt);
   FlowOptions fopt;
   fopt.scenario = {StressMode::worst, years};
   const FlowResult plan = flow.run(idct_design, fopt);
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
         make_video_trace_frame(sequence, 24, 24), codec));
     t_clock = std::max(bin.max_mult_settle(), bin.max_add_settle());
   }
-  const DegradationAwareLibrary aged(lib, bti, years);
+  const DegradationAwareLibrary aged(lib, aging, years);
   const StressProfile mstress =
       StressProfile::uniform(StressMode::worst, mult.num_gates());
   const StressProfile astress =

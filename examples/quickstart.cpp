@@ -22,7 +22,7 @@ int main() {
   //    BTI aging model.
   const Context ctx;
   const CellLibrary lib = make_nangate45_like();
-  const BtiModel bti;  // calibrated defaults (see DESIGN.md Sec. 5)
+  const AgingModel aging;  // calibrated defaults (see DESIGN.md Sec. 5)
 
   // 2. The component under study: a 16-bit carry-lookahead adder.
   const ComponentSpec adder{ComponentKind::adder, 16, 0, AdderArch::cla4,
@@ -31,7 +31,7 @@ int main() {
   // 3. Characterize delay vs precision vs aging (paper Fig. 3).
   CharacterizerOptions options;
   options.min_precision = 8;
-  const ComponentCharacterizer characterizer(ctx, lib, bti, options);
+  const ComponentCharacterizer characterizer(ctx, lib, aging, options);
   const ComponentCharacterization c = characterizer.characterize(
       adder, {{StressMode::worst, 1.0}, {StressMode::worst, 10.0}});
 

@@ -1,33 +1,34 @@
 #include "aging/aging_model.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace aapx {
 
-AgingModel::AgingModel(const BtiModel& bti) : params_(), bti_(bti) {
-  params_.bti = bti.params();
+AgingModel::AgingModel(AgingParams params) : params_(std::move(params)) {
+  const BtiParams& bti = params_.bti;
+  if (bti.vdd <= bti.vth0) {
+    throw std::invalid_argument("AgingModel: vdd must exceed vth0");
+  }
+  if (bti.a_pmos < 0.0 || bti.a_nmos < 0.0) {
+    throw std::invalid_argument("AgingModel: negative dVth prefactor");
+  }
+  if (bti.t_ref_years <= 0.0) {
+    throw std::invalid_argument("AgingModel: t_ref_years must be positive");
+  }
+  if (bti.temp_kelvin <= 0.0 || bti.t_ref_kelvin <= 0.0) {
+    throw std::invalid_argument("AgingModel: temperatures must be positive");
+  }
   rebuild();
 }
 
-AgingModel::AgingModel(const BtiParams& bti) : params_(), bti_(bti) {
-  params_.bti = bti;
-  rebuild();
-}
-
-AgingModel::AgingModel(AgingParams params)
-    : params_(std::move(params)), bti_(params_.bti) {
-  rebuild();
-}
-
-AgingModel::AgingModel(const AgingModel& other)
-    : params_(other.params_), bti_(other.bti_) {
+AgingModel::AgingModel(const AgingModel& other) : params_(other.params_) {
   rebuild();
 }
 
 AgingModel& AgingModel::operator=(const AgingModel& other) {
   if (this != &other) {
     params_ = other.params_;
-    bti_ = other.bti_;
     rebuild();
   }
   return *this;
@@ -38,8 +39,8 @@ void AgingModel::rebuild() {
     throw std::invalid_argument("AgingModel: mechanism set must be non-empty");
   }
   mechanisms_.clear();
+  bti_ = nullptr;
   hci_ = nullptr;
-  has_bti_ = false;
   has_hard_failure_ = false;
   for (std::size_t i = 0; i < params_.mechanisms.size(); ++i) {
     for (std::size_t j = 0; j < i; ++j) {
@@ -51,7 +52,7 @@ void AgingModel::rebuild() {
     switch (params_.mechanisms[i]) {
       case MechanismKind::bti:
         mechanisms_.push_back(std::make_unique<BtiMechanism>(params_.bti));
-        has_bti_ = true;
+        bti_ = static_cast<const BtiMechanism*>(mechanisms_.back().get());
         break;
       case MechanismKind::hci:
         mechanisms_.push_back(std::make_unique<HciMechanism>(params_.hci));
@@ -72,9 +73,8 @@ void AgingModel::rebuild() {
 
 double AgingModel::delta_vth(TransistorType type, double stress,
                              double years) const {
-  // With BTI enabled this *is* the historic code path (bit-identity with
-  // BtiModel); without it the duty-based grids degenerate to identity.
-  return has_bti_ ? bti_.delta_vth(type, stress, years) : 0.0;
+  // Without BTI the duty-based grids degenerate to identity.
+  return bti_ != nullptr ? bti_->delta_vth(type, stress, years) : 0.0;
 }
 
 double AgingModel::delay_factor(TransistorType type, double stress,
@@ -83,7 +83,13 @@ double AgingModel::delay_factor(TransistorType type, double stress,
 }
 
 double AgingModel::delay_factor_from_dvth(double dvth) const {
-  return bti_.delay_factor_from_dvth(dvth);
+  const double overdrive0 = params_.bti.vdd - params_.bti.vth0;
+  const double overdrive = overdrive0 - dvth;
+  if (overdrive <= 0.0) {
+    throw std::domain_error(
+        "AgingModel: dVth consumed the full gate overdrive");
+  }
+  return std::pow(overdrive0 / overdrive, params_.bti.alpha);
 }
 
 double AgingModel::hci_delta_vth(double activity, double years) const {

@@ -1,20 +1,15 @@
 // Composite aging model: an ordered set of AgingMechanism instances plus the
-// superset parameter record, presenting the numeric surface the engine has
-// always consumed from BtiModel.
+// superset parameter record — the single aging type the cell library, STA,
+// sensor and fault injector consume.
 //
-// Back-compat contract (engine/key.hpp and persist.cpp depend on it):
+// The chain is the paper's Eq. 1: per-mechanism stress -> dVth, and one
+// alpha-power delay law (BSIM [3]) that converts the summed drift into a gate
+// delay factor relative to the fresh gate,
 //
-//   * The default AgingParams enables exactly {bti} with default BtiParams.
-//     In that configuration every public method delegates to the *same*
-//     BtiModel code path the pre-mechanism engine ran, so results — and the
-//     DesignStore key digests derived from them — are bit-identical to the
-//     historic BTI-only engine. Existing warm stores stay warm.
-//   * Any non-default mechanism set keys under a new digest family
-//     (key.cpp), so extended models can never alias a BTI-only store entry.
+//   k = ((Vdd - Vth0) / (Vdd - Vth0 - dVth))^alpha  >= 1.
 //
-// AgingModel is implicitly constructible from BtiModel / BtiParams so the
-// twenty-odd historic call sites that pass a BtiModel keep compiling (and
-// keep meaning exactly what they meant).
+// The default AgingParams enables exactly {bti} with the calibrated
+// BtiParams (DESIGN.md Sec. 5).
 #pragma once
 
 #include <memory>
@@ -36,12 +31,6 @@ struct AgingParams {
   /// duplicates (AgingModel validates).
   std::vector<MechanismKind> mechanisms = {MechanismKind::bti};
 
-  /// True for the historic default — exactly one mechanism, BTI. This is the
-  /// predicate key.cpp and persist.cpp use to stay on the legacy digest and
-  /// byte layouts.
-  bool bti_only() const noexcept {
-    return mechanisms.size() == 1 && mechanisms.front() == MechanismKind::bti;
-  }
   bool has(MechanismKind kind) const noexcept {
     for (const MechanismKind m : mechanisms) {
       if (m == kind) return true;
@@ -52,10 +41,9 @@ struct AgingParams {
 
 class AgingModel {
  public:
-  /// Implicit on purpose: every historic `f(ctx, lib, BtiModel{}, ...)` call
-  /// site converts to the BTI-only composite with identical numerics.
-  AgingModel(const BtiModel& bti);    // NOLINT(google-explicit-constructor)
-  AgingModel(const BtiParams& bti);   // NOLINT(google-explicit-constructor)
+  /// Validates the BTI block (it carries the electrical operating point for
+  /// every mechanism set) and the mechanism list; throws
+  /// std::invalid_argument on either.
   explicit AgingModel(AgingParams params = {});
 
   /// Copyable: mechanisms are rebuilt from the params (cheap, validation
@@ -66,9 +54,6 @@ class AgingModel {
   AgingModel& operator=(AgingModel&&) noexcept = default;
 
   const AgingParams& params() const noexcept { return params_; }
-  /// The BTI-block model (always constructed — it carries the electrical
-  /// operating point even when BTI drift itself is disabled).
-  const BtiModel& bti() const noexcept { return bti_; }
 
   bool has(MechanismKind kind) const noexcept { return params_.has(kind); }
   bool has_hci() const noexcept { return hci_ != nullptr; }
@@ -79,13 +64,19 @@ class AgingModel {
     return mechanisms_;
   }
 
-  // --- BtiModel-compatible drift surface ------------------------------------
-  // These are the calls the degradation grids, sensor and fault injector
-  // always made. With BTI enabled they are the BtiModel code path verbatim;
-  // with BTI disabled delta_vth is identically zero (identity grids).
+  // --- duty-based drift -----------------------------------------------------
+  // The calls the degradation grids, sensor and fault injector make. With BTI
+  // enabled delta_vth is BtiMechanism's power law; with BTI disabled it is
+  // identically zero (identity grids).
 
+  /// Threshold-voltage shift [V] after `years` at stress factor `stress` in
+  /// [0, 1]. stress == 0 means permanent recovery (no shift).
   double delta_vth(TransistorType type, double stress, double years) const;
+  /// Delay degradation factor k >= 1 for a transition driven by a transistor
+  /// of the given type (rising output -> pMOS pull-up, falling -> nMOS).
   double delay_factor(TransistorType type, double stress, double years) const;
+  /// Alpha-power delay factor from an explicit dVth; throws std::domain_error
+  /// once dVth consumes the full gate overdrive (vdd - vth0).
   double delay_factor_from_dvth(double dvth) const;
 
   // --- HCI drift ------------------------------------------------------------
@@ -107,11 +98,10 @@ class AgingModel {
   void rebuild();
 
   AgingParams params_;
-  BtiModel bti_;
   std::vector<std::unique_ptr<AgingMechanism>> mechanisms_;
   // Borrowed views into mechanisms_, refreshed by rebuild().
+  const BtiMechanism* bti_ = nullptr;
   const HciMechanism* hci_ = nullptr;
-  bool has_bti_ = false;
   bool has_hard_failure_ = false;
 };
 

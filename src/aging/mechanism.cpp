@@ -63,19 +63,36 @@ MechanismKind mechanism_from_string(const std::string& name) {
 
 // --- BTI --------------------------------------------------------------------
 
+double BtiMechanism::delta_vth(TransistorType type, double stress,
+                               double years) const {
+  if (stress < 0.0 || stress > 1.0) {
+    throw std::invalid_argument("BtiMechanism: stress must be in [0, 1]");
+  }
+  if (years < 0.0) {
+    throw std::invalid_argument("BtiMechanism: negative lifetime");
+  }
+  if (stress == 0.0 || years == 0.0) return 0.0;
+  const double a =
+      type == TransistorType::pMos ? params_.a_pmos : params_.a_nmos;
+  // Arrhenius temperature acceleration relative to the characterization
+  // corner (identity at T == T_ref).
+  const double thermal = arrhenius(params_.activation_ev, params_.t_ref_kelvin,
+                                   params_.temp_kelvin);
+  return a * thermal * std::pow(stress, params_.stress_exponent) *
+         std::pow(years / params_.t_ref_years, params_.time_exponent);
+}
+
 double BtiMechanism::delta_vth(TransistorType type, const GateEnv& env,
                                double years) const {
   const double stress =
       type == TransistorType::pMos ? env.stress_pmos : env.stress_nmos;
-  const double base = model_.delta_vth(type, stress, years);
-  // The wrapped model evaluates at its own params().temp_kelvin; retarget
-  // the Arrhenius term to the environment's temperature without rebuilding
-  // the model (identity when they agree).
-  const BtiParams& p = model_.params();
-  if (env.temp_kelvin == p.temp_kelvin) return base;
+  const double base = delta_vth(type, stress, years);
+  // The power law evaluates at params().temp_kelvin; retarget the Arrhenius
+  // term to the environment's temperature (identity when they agree).
+  if (env.temp_kelvin == params_.temp_kelvin) return base;
   require_positive(env.temp_kelvin, "temp_kelvin");
   return base *
-         arrhenius(p.activation_ev, p.temp_kelvin, env.temp_kelvin);
+         arrhenius(params_.activation_ev, params_.temp_kelvin, env.temp_kelvin);
 }
 
 // --- HCI --------------------------------------------------------------------

@@ -12,17 +12,15 @@
 // Every mechanism implements one narrow contract: a threshold-voltage drift
 // contribution (zero for hard-failure mechanisms) plus a hazard rate for
 // hard failure (zero for drift mechanisms). The composite AgingModel
-// (aging_model.hpp) owns an ordered set of mechanisms and presents the same
-// numeric surface BtiModel always had — the default BTI-only composite is
-// bit-identical to the historic model by construction, because the BTI math
-// still runs through the very same BtiModel code path.
+// (aging_model.hpp) owns an ordered set of mechanisms and turns their drift
+// into gate delay factors.
 #pragma once
 
 #include <string>
 
-#include "aging/bti_model.hpp"
-
 namespace aapx {
+
+enum class TransistorType { nMos, pMos };
 
 enum class MechanismKind { bti = 0, hci = 1, em = 2, tddb = 3 };
 
@@ -41,6 +39,41 @@ struct GateEnv {
   double activity = 0.0;     ///< output toggles per cycle (transition density)
   double load = 1.0;         ///< normalized output load (current-density proxy)
   double temp_kelvin = 358.15;
+};
+
+/// Bias Temperature Instability: the paper's first-order aging chain
+/// (Eq. 1). dVth follows the long-term reaction-diffusion / capture-emission
+/// power law  dVth = A * S^gamma * (t/t_ref)^n,  where the stress factor
+/// S in [0, 1] is the fraction of lifetime the transistor spends under stress
+/// (paper Sec. IV: ratio of stress to recovery time). pMOS devices suffer
+/// NBTI; nMOS devices suffer the weaker PBTI (smaller prefactor).
+///
+/// The block also carries the electrical operating point (vdd, vth0) and the
+/// alpha-power delay-law exponent every mechanism's drift is converted
+/// through (AgingModel::delay_factor_from_dvth).
+///
+/// Calibration (see DESIGN.md Sec. 5): with the defaults below a pMOS under
+/// 100% stress for 10 years yields k ~= 1.15 (about +15% gate delay), and
+/// ~+10% after 1 year, matching the guardband magnitudes in paper Figs. 4/7/8a.
+struct BtiParams {
+  double vdd = 1.1;    ///< Supply voltage [V] (NanGate 45nm operating point).
+  double vth0 = 0.45;  ///< Fresh threshold voltage [V].
+
+  double a_pmos = 0.0458;  ///< NBTI dVth prefactor [V] at S=1, t=t_ref.
+  double a_nmos = 0.0275;  ///< PBTI dVth prefactor [V] (weaker than NBTI).
+
+  double time_exponent = 0.16;   ///< n: long-term BTI time power law.
+  double stress_exponent = 0.5;  ///< gamma: dVth ~ S^gamma.
+  double alpha = 1.3;            ///< alpha-power delay-law exponent.
+  double t_ref_years = 1.0;      ///< Reference time for the prefactors.
+
+  /// Operating temperature [K]. BTI is thermally activated (Arrhenius):
+  /// dVth scales by exp(Ea/k * (1/T_ref - 1/T)). The prefactors are
+  /// characterized at t_ref_kelvin (85 C, the usual reliability corner), so
+  /// the default changes nothing.
+  double temp_kelvin = 358.15;
+  double t_ref_kelvin = 358.15;
+  double activation_ev = 0.08;   ///< effective BTI activation energy [eV]
 };
 
 /// Hot-carrier injection: drift driven by switching events, not by static
@@ -107,11 +140,11 @@ class AgingMechanism {
   virtual double cumulative_hazard(const GateEnv& env, double years) const = 0;
 };
 
-/// BTI as a mechanism: wraps the historic BtiModel so the numerics are the
-/// exact same code path the pre-mechanism engine ran (bit-identity).
+/// BTI as a mechanism. Parameter validation lives in AgingModel, which
+/// checks the BTI block for every mechanism set.
 class BtiMechanism final : public AgingMechanism {
  public:
-  explicit BtiMechanism(const BtiParams& params) : model_(params) {}
+  explicit BtiMechanism(const BtiParams& params) : params_(params) {}
 
   MechanismKind kind() const noexcept override { return MechanismKind::bti; }
   bool hard_failure() const noexcept override { return false; }
@@ -122,10 +155,13 @@ class BtiMechanism final : public AgingMechanism {
     return 0.0;
   }
 
-  const BtiModel& model() const noexcept { return model_; }
+  /// Threshold-voltage shift [V] after `years` at stress factor `stress` in
+  /// [0, 1], evaluated at the block's temp_kelvin. stress == 0 means permanent
+  /// recovery (no shift).
+  double delta_vth(TransistorType type, double stress, double years) const;
 
  private:
-  BtiModel model_;
+  BtiParams params_;
 };
 
 class HciMechanism final : public AgingMechanism {

@@ -28,7 +28,7 @@ class DegradationAwareLibrary {
   /// years == 0 produces the identity library (all factors 1). The grids
   /// hold the model's duty-driven (BTI) drift; activity-driven HCI drift is
   /// applied per gate by the STA on top (it needs the gate's activity, which
-  /// is not a grid axis). Historic BtiModel call sites convert implicitly.
+  /// is not a grid axis).
   DegradationAwareLibrary(const CellLibrary& lib, const AgingModel& model,
                           double years);
 

@@ -7,7 +7,7 @@
 // is the single home for all three families:
 //
 //   netlist   : (library fingerprint, ComponentSpec)            -> Netlist
-//   library   : (library fingerprint, BtiParams, years)         -> aged lib
+//   library   : (library fingerprint, AgingParams, years)       -> aged lib
 //   sta delay : (netlist key, model-or-fresh, stress, years,
 //                StaOptions)                                    -> ps
 //
@@ -84,8 +84,7 @@ class DesignStore {
   const Netlist& netlist(const CellLibrary& lib, const ComponentSpec& spec);
 
   /// The degradation-aware library of `lib` under `model` at `years`.
-  /// Historic BtiModel callers convert implicitly; a BTI-only model keys —
-  /// and therefore hits — exactly like the BtiModel it wraps.
+  /// Models with equal AgingParams key — and therefore hit — identically.
   const DegradationAwareLibrary& aged_library(const CellLibrary& lib,
                                               const AgingModel& model,
                                               double years);

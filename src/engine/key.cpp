@@ -9,7 +9,6 @@ namespace {
 // Domain-separation tags: two key families can never collide just because
 // their field streams coincide.
 constexpr std::uint64_t kTagSpec = 0x5350454331ULL;      // "SPEC1"
-constexpr std::uint64_t kTagBti = 0x4254493131ULL;       // "BTI11"
 constexpr std::uint64_t kTagSta = 0x5354413131ULL;       // "STA11"
 constexpr std::uint64_t kTagScenario = 0x5343454e31ULL;  // "SCEN1"
 constexpr std::uint64_t kTagLibrary = 0x4c49423131ULL;   // "LIB11"
@@ -40,37 +39,25 @@ std::uint64_t key_of(const ComponentSpec& spec) {
       .digest();
 }
 
-std::uint64_t key_of(const BtiParams& p) {
-  return Hasher{}
-      .u64(kTagBti)
-      .f64(p.vdd)
-      .f64(p.vth0)
-      .f64(p.a_pmos)
-      .f64(p.a_nmos)
-      .f64(p.time_exponent)
-      .f64(p.stress_exponent)
-      .f64(p.alpha)
-      .f64(p.t_ref_years)
-      .f64(p.temp_kelvin)
-      .f64(p.t_ref_kelvin)
-      .f64(p.activation_ev)
-      .digest();
-}
-
 std::uint64_t key_of(const AgingParams& params) {
-  // The historic digest for the historic configuration: a BTI-only set keys
-  // exactly like the BtiParams it wraps, so every pre-mechanism store entry
-  // stays addressable. Extended sets move to their own key family.
-  if (params.bti_only()) return key_of(params.bti);
   Hasher h;
   h.u64(kTagAgingModel);
   h.u64(params.mechanisms.size());
   for (const MechanismKind kind : params.mechanisms) {
     h.i32(static_cast<int>(kind));
   }
-  // The BTI block always participates (it carries the shared electrical
-  // operating point); the other blocks only when their mechanism is on.
-  h.u64(key_of(params.bti));
+  const BtiParams& b = params.bti;
+  h.f64(b.vdd)
+      .f64(b.vth0)
+      .f64(b.a_pmos)
+      .f64(b.a_nmos)
+      .f64(b.time_exponent)
+      .f64(b.stress_exponent)
+      .f64(b.alpha)
+      .f64(b.t_ref_years)
+      .f64(b.temp_kelvin)
+      .f64(b.t_ref_kelvin)
+      .f64(b.activation_ev);
   if (params.has(MechanismKind::hci)) {
     const HciParams& p = params.hci;
     h.f64(p.a_hci)

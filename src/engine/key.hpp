@@ -4,19 +4,18 @@
 // digest of the *inputs that determine it*, via util/hash.hpp:
 //
 //   netlist        <- tag, cell-library fingerprint, ComponentSpec fields
-//   aged library   <- tag, fingerprint, BtiParams fields, lifetime years
+//   aged library   <- tag, fingerprint, AgingParams key, lifetime years
 //   aged-STA delay <- tag, netlist key, model key or "fresh", stress mode,
 //                     years, StaOptions fields
 //
 // Keys are pure functions of content — never of addresses — so two
-// BtiModel objects with equal parameters share cache entries, and keys are
+// AgingModel objects with equal parameters share cache entries, and keys are
 // stable across runs (they could be persisted or shipped to a remote shard).
 #pragma once
 
 #include <cstdint>
 
 #include "aging/aging_model.hpp"
-#include "aging/bti_model.hpp"
 #include "aging/stress.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
@@ -31,19 +30,11 @@ namespace engine {
 /// multiplier architecture, approximation technique).
 std::uint64_t key_of(const ComponentSpec& spec);
 
-/// Digest of the full BtiParams record (voltages, prefactors, exponents,
-/// temperatures). Models with equal parameters key identically.
-std::uint64_t key_of(const BtiParams& params);
-inline std::uint64_t key_of(const BtiModel& model) {
-  return key_of(model.params());
-}
-
-/// Digest of the composite aging-parameter record. Back-compat rule: a
-/// BTI-only set digests exactly as key_of(BtiParams) — the historic key —
-/// so existing stores stay warm; any other mechanism set digests under a
-/// separate tag that additionally hashes the mechanism list and every
-/// enabled mechanism's parameter block, so extended models can never alias
-/// a BTI-only entry.
+/// Digest of the composite aging-parameter record: the ordered mechanism
+/// list, every BtiParams field (the block carries the shared electrical
+/// operating point, so it always participates) and the parameter block of
+/// each enabled HCI/EM/TDDB mechanism. A disabled mechanism's block does not
+/// affect the key. Models with equal parameters key identically.
 std::uint64_t key_of(const AgingParams& params);
 inline std::uint64_t key_of(const AgingModel& model) {
   return key_of(model.params());

@@ -41,51 +41,26 @@ ComponentSpec decode_spec(BinReader& r) {
   return spec;
 }
 
-void encode_params(BinWriter& w, const BtiParams& p) {
-  w.f64(p.vdd);
-  w.f64(p.vth0);
-  w.f64(p.a_pmos);
-  w.f64(p.a_nmos);
-  w.f64(p.time_exponent);
-  w.f64(p.stress_exponent);
-  w.f64(p.alpha);
-  w.f64(p.t_ref_years);
-  w.f64(p.temp_kelvin);
-  w.f64(p.t_ref_kelvin);
-  w.f64(p.activation_ev);
-}
-
-BtiParams decode_params(BinReader& r) {
-  BtiParams p;
-  p.vdd = r.f64();
-  p.vth0 = r.f64();
-  p.a_pmos = r.f64();
-  p.a_nmos = r.f64();
-  p.time_exponent = r.f64();
-  p.stress_exponent = r.f64();
-  p.alpha = r.f64();
-  p.t_ref_years = r.f64();
-  p.temp_kelvin = r.f64();
-  p.t_ref_kelvin = r.f64();
-  p.activation_ev = r.f64();
-  return p;
-}
-
-// Mechanism-set extension block, appended at the very END of a payload only
-// when the record's AgingParams is not BTI-only. Keeping the legacy fields a
-// byte-identical prefix is what lets pre-mechanism files decode unchanged
-// and default-configuration files round-trip to the historic bytes.
-constexpr std::uint32_t kAgingExtMagic = 0x584d4741;  // "AGMX" little-endian
-
-void encode_aging_ext(BinWriter& w, const AgingParams& p) {
-  if (p.bti_only()) return;
-  w.u32(kAgingExtMagic);
+// The aging block every aged-library and surface payload carries right
+// after lib_fp: the mechanism list, then every BTI, HCI, EM and TDDB field.
+// All four blocks are written whether or not their mechanism is enabled, so
+// the layout is fixed; the list says which ones are live.
+void encode_aging(BinWriter& w, const AgingParams& p) {
   w.u64(p.mechanisms.size());
   for (const MechanismKind kind : p.mechanisms) {
     w.i32(static_cast<int>(kind));
   }
-  // All three extension blocks are always written (fixed layout), enabled
-  // or not — the mechanism list above says which ones are live.
+  w.f64(p.bti.vdd);
+  w.f64(p.bti.vth0);
+  w.f64(p.bti.a_pmos);
+  w.f64(p.bti.a_nmos);
+  w.f64(p.bti.time_exponent);
+  w.f64(p.bti.stress_exponent);
+  w.f64(p.bti.alpha);
+  w.f64(p.bti.t_ref_years);
+  w.f64(p.bti.temp_kelvin);
+  w.f64(p.bti.t_ref_kelvin);
+  w.f64(p.bti.activation_ev);
   w.f64(p.hci.a_hci);
   w.f64(p.hci.activity_exponent);
   w.f64(p.hci.time_exponent);
@@ -106,34 +81,35 @@ void encode_aging_ext(BinWriter& w, const AgingParams& p) {
   w.f64(p.tddb.t_ref_kelvin);
 }
 
-/// Completes an AgingParams whose BTI block was already decoded from the
-/// legacy prefix. Call with the reader positioned where the legacy payload
-/// ended: zero remaining bytes means the historic BTI-only record. Anything
-/// else must be a well-formed extension block — a truncated or bit-flipped
-/// tail throws, so the record degrades to a cold miss, never a wrong hit.
-AgingParams decode_aging_ext(BinReader& r, const BtiParams& bti) {
+AgingParams decode_aging(BinReader& r) {
   AgingParams p;
-  p.bti = bti;
-  if (r.remaining() == 0) return p;  // legacy BTI-only record
-  if (r.u32() != kAgingExtMagic) {
-    throw std::runtime_error("store aging extension: bad magic");
-  }
   const std::uint64_t n = r.count(r.u64(), 4);
   if (n == 0) {
-    throw std::runtime_error("store aging extension: empty mechanism set");
+    throw std::runtime_error("store aging block: empty mechanism set");
   }
   p.mechanisms.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
     const int kind = r.i32();
     if (kind < 0 || kind > static_cast<int>(MechanismKind::tddb)) {
-      throw std::runtime_error("store aging extension: unknown mechanism");
+      throw std::runtime_error("store aging block: unknown mechanism");
     }
     const auto mk = static_cast<MechanismKind>(kind);
     if (p.has(mk)) {
-      throw std::runtime_error("store aging extension: duplicate mechanism");
+      throw std::runtime_error("store aging block: duplicate mechanism");
     }
     p.mechanisms.push_back(mk);
   }
+  p.bti.vdd = r.f64();
+  p.bti.vth0 = r.f64();
+  p.bti.a_pmos = r.f64();
+  p.bti.a_nmos = r.f64();
+  p.bti.time_exponent = r.f64();
+  p.bti.stress_exponent = r.f64();
+  p.bti.alpha = r.f64();
+  p.bti.t_ref_years = r.f64();
+  p.bti.temp_kelvin = r.f64();
+  p.bti.t_ref_kelvin = r.f64();
+  p.bti.activation_ev = r.f64();
   p.hci.a_hci = r.f64();
   p.hci.activity_exponent = r.f64();
   p.hci.time_exponent = r.f64();
@@ -495,7 +471,7 @@ std::string encode_aged_library_payload(std::uint64_t lib_fp,
                                         const DegradationAwareLibrary& aged) {
   BinWriter w;
   w.u64(lib_fp);
-  encode_params(w, params.bti);
+  encode_aging(w, params);
   w.f64(years);
   // Cell count from the grids, NOT aged.base(): save() may run after the
   // borrowed CellLibrary object is gone.
@@ -505,7 +481,6 @@ std::string encode_aged_library_payload(std::uint64_t lib_fp,
     encode_table(w, aged.rise_grid(c));
     encode_table(w, aged.fall_grid(c));
   }
-  encode_aging_ext(w, params);
   return w.take();
 }
 
@@ -515,7 +490,7 @@ AgedLibraryPayload decode_aged_library_payload(const std::string& payload,
                         [&]() -> AgedLibraryPayload {
     BinReader r(payload);
     const std::uint64_t lib_fp = r.u64();
-    const BtiParams bti = decode_params(r);
+    const AgingParams params = decode_aging(r);
     const double years = r.f64();
     const std::uint64_t num_cells = r.count(r.u64(), 32);
     if (num_cells != lib.size()) {
@@ -529,7 +504,6 @@ AgedLibraryPayload decode_aged_library_payload(const std::string& payload,
       rise.push_back(decode_table(r));
       fall.push_back(decode_table(r));
     }
-    const AgingParams params = decode_aging_ext(r, bti);
     r.expect_end();
     return AgedLibraryPayload{
         lib_fp, params, years,
@@ -565,7 +539,7 @@ StaDelayPayload decode_sta_delay_payload(const std::string& payload) {
 std::string encode_surface_payload(const SurfacePayload& p) {
   BinWriter w;
   w.u64(p.lib_fp);
-  encode_params(w, p.params.bti);
+  encode_aging(w, p.params);
   w.f64(p.sta.primary_input_slew);
   w.f64(p.sta.primary_output_load);
   w.i32(p.min_precision);
@@ -584,7 +558,6 @@ std::string encode_surface_payload(const SurfacePayload& p) {
     w.u64(pt.gates);
     w.f64_vec(pt.aged_delay);
   }
-  encode_aging_ext(w, p.params);
   return w.take();
 }
 
@@ -593,7 +566,7 @@ SurfacePayload decode_surface_payload(const std::string& payload) {
     BinReader r(payload);
     SurfacePayload p;
     p.lib_fp = r.u64();
-    const BtiParams bti = decode_params(r);
+    p.params = decode_aging(r);
     p.sta.primary_input_slew = r.f64();
     p.sta.primary_output_load = r.f64();
     p.min_precision = r.i32();
@@ -622,7 +595,6 @@ SurfacePayload decode_surface_payload(const std::string& payload) {
       }
       p.surface.points.push_back(std::move(pt));
     }
-    p.params = decode_aging_ext(r, bti);
     r.expect_end();
     return p;
   });

@@ -28,18 +28,10 @@
 //
 // Record payloads (kinds 1-4) carry the entry plus the key material needed
 // for that re-verification; decode helpers below are the single source of
-// truth for their layout. Payload layout changes require bumping
-// kStoreFormatVersion.
-//
-// Mechanism-set extension (no version bump): records built from a BTI-only
-// AgingParams encode the historic 11-double BtiParams block and nothing
-// else, byte-identical to pre-mechanism files — old files decode unchanged
-// and new default files warm-start old binaries' stores. A record built
-// from an *extended* mechanism set appends a tagged extension block at the
-// very end of the payload (see encode_aging_ext in persist.cpp); decoders
-// sniff for it after the legacy fields. An old binary reading an extended
-// record fails its expect_end and drops the record — a cold miss, exactly
-// the degradation the corruption policy promises.
+// truth for their layout. Aged-library and surface payloads carry one fixed
+// aging block right after lib_fp: the mechanism count and list, then every
+// BTI, HCI, EM and TDDB parameter, whichever mechanisms are enabled. Payload
+// layout changes require bumping kStoreFormatVersion.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +50,7 @@ namespace aapx::engine {
 
 inline constexpr char kStoreMagic[8] = {'A', 'A', 'P', 'X',
                                         'S', 'T', 'R', '\0'};
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Byte offsets of the header fields, exported so the corruption tests can
 /// patch specific fields without re-deriving the layout.

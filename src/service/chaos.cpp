@@ -62,7 +62,7 @@ ComponentCharacterization cold_surface(const CharacterizeRequest& req) {
   ch_opt.min_precision = req.min_precision;
   ch_opt.precision_step = req.precision_step;
   ch_opt.sta = req.sta;
-  const ComponentCharacterizer ch(ctx, lib, BtiModel{}, ch_opt);
+  const ComponentCharacterizer ch(ctx, lib, AgingModel{}, ch_opt);
   return ch.characterize(req.spec, req.scenarios);
 }
 

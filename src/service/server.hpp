@@ -49,7 +49,6 @@
 #include <memory>
 #include <string>
 
-#include "aging/bti_model.hpp"
 #include "cell/library.hpp"
 #include "engine/context.hpp"
 #include "service/protocol.hpp"

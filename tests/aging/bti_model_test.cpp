@@ -1,4 +1,6 @@
-#include "aging/bti_model.hpp"
+// BTI power law and alpha-power delay law, exercised through the composite
+// AgingModel under its default BTI-only mechanism set.
+#include "aging/aging_model.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,14 +10,14 @@ namespace aapx {
 namespace {
 
 TEST(BtiModelTest, NoStressNoShift) {
-  const BtiModel m;
+  const AgingModel m;
   EXPECT_EQ(m.delta_vth(TransistorType::pMos, 0.0, 10.0), 0.0);
   EXPECT_EQ(m.delta_vth(TransistorType::pMos, 1.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(m.delay_factor(TransistorType::pMos, 0.0, 10.0), 1.0);
 }
 
 TEST(BtiModelTest, MonotoneInTime) {
-  const BtiModel m;
+  const AgingModel m;
   double prev = 0.0;
   for (const double years : {0.5, 1.0, 2.0, 5.0, 10.0, 20.0}) {
     const double d = m.delta_vth(TransistorType::pMos, 1.0, years);
@@ -25,7 +27,7 @@ TEST(BtiModelTest, MonotoneInTime) {
 }
 
 TEST(BtiModelTest, MonotoneInStress) {
-  const BtiModel m;
+  const AgingModel m;
   double prev = -1.0;
   for (const double s : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     const double d = m.delta_vth(TransistorType::nMos, s, 10.0);
@@ -35,20 +37,20 @@ TEST(BtiModelTest, MonotoneInStress) {
 }
 
 TEST(BtiModelTest, PowerLawExponent) {
-  const BtiModel m;
+  const AgingModel m;
   const double d1 = m.delta_vth(TransistorType::pMos, 1.0, 1.0);
   const double d10 = m.delta_vth(TransistorType::pMos, 1.0, 10.0);
-  EXPECT_NEAR(d10 / d1, std::pow(10.0, m.params().time_exponent), 1e-9);
+  EXPECT_NEAR(d10 / d1, std::pow(10.0, m.params().bti.time_exponent), 1e-9);
 }
 
 TEST(BtiModelTest, NbtiStrongerThanPbti) {
-  const BtiModel m;
+  const AgingModel m;
   EXPECT_GT(m.delta_vth(TransistorType::pMos, 1.0, 10.0),
             m.delta_vth(TransistorType::nMos, 1.0, 10.0));
 }
 
 TEST(BtiModelTest, DelayFactorAboveOne) {
-  const BtiModel m;
+  const AgingModel m;
   for (const double years : {1.0, 5.0, 10.0}) {
     EXPECT_GT(m.delay_factor(TransistorType::pMos, 1.0, years), 1.0);
     EXPECT_GT(m.delay_factor(TransistorType::nMos, 0.5, years), 1.0);
@@ -58,7 +60,7 @@ TEST(BtiModelTest, DelayFactorAboveOne) {
 TEST(BtiModelTest, CalibrationBand) {
   // DESIGN.md Sec. 5: worst-case pMOS 10-year delay factor lands in the
   // 10-20% band that reproduces the paper's guardband magnitudes.
-  const BtiModel m;
+  const AgingModel m;
   const double k10 = m.delay_factor(TransistorType::pMos, 1.0, 10.0);
   EXPECT_GT(k10, 1.10);
   EXPECT_LT(k10, 1.20);
@@ -68,46 +70,46 @@ TEST(BtiModelTest, CalibrationBand) {
 }
 
 TEST(BtiModelTest, AlphaPowerFromDvth) {
-  const BtiModel m;
+  const AgingModel m;
   // Hand-computed: vdd=1.1, vth0=0.45, overdrive 0.65.
   const double f = m.delay_factor_from_dvth(0.065);
   EXPECT_NEAR(f, std::pow(0.65 / 0.585, 1.3), 1e-12);
 }
 
 TEST(BtiModelTest, RejectsInvalidArguments) {
-  const BtiModel m;
+  const AgingModel m;
   EXPECT_THROW(m.delta_vth(TransistorType::pMos, -0.1, 1.0), std::invalid_argument);
   EXPECT_THROW(m.delta_vth(TransistorType::pMos, 1.1, 1.0), std::invalid_argument);
   EXPECT_THROW(m.delta_vth(TransistorType::pMos, 0.5, -1.0), std::invalid_argument);
   EXPECT_THROW(m.delay_factor_from_dvth(0.70), std::domain_error);
-  BtiParams bad;
-  bad.vdd = 0.4;  // below vth0
-  EXPECT_THROW(BtiModel{bad}, std::invalid_argument);
+  AgingParams bad;
+  bad.bti.vdd = 0.4;  // below vth0
+  EXPECT_THROW(AgingModel{bad}, std::invalid_argument);
 }
 
 TEST(BtiModelTest, TemperatureAcceleration) {
-  BtiParams hot;
-  hot.temp_kelvin = 398.15;  // 125 C
-  BtiParams cold;
-  cold.temp_kelvin = 318.15;  // 45 C
-  const BtiModel reference;  // 85 C characterization corner
-  const BtiModel hot_model(hot);
-  const BtiModel cold_model(cold);
+  AgingParams hot;
+  hot.bti.temp_kelvin = 398.15;  // 125 C
+  AgingParams cold;
+  cold.bti.temp_kelvin = 318.15;  // 45 C
+  const AgingModel reference;  // 85 C characterization corner
+  const AgingModel hot_model(hot);
+  const AgingModel cold_model(cold);
   const double d_ref = reference.delta_vth(TransistorType::pMos, 1.0, 10.0);
   EXPECT_GT(hot_model.delta_vth(TransistorType::pMos, 1.0, 10.0), d_ref);
   EXPECT_LT(cold_model.delta_vth(TransistorType::pMos, 1.0, 10.0), d_ref);
   // Identity at the reference temperature (calibration unaffected).
   BtiParams same;
   same.temp_kelvin = same.t_ref_kelvin;
-  EXPECT_DOUBLE_EQ(BtiModel(same).delta_vth(TransistorType::pMos, 1.0, 10.0),
-                   d_ref);
+  EXPECT_DOUBLE_EQ(
+      BtiMechanism(same).delta_vth(TransistorType::pMos, 1.0, 10.0), d_ref);
 }
 
 TEST(BtiModelTest, TemperatureFollowsArrhenius) {
   BtiParams hot;
   hot.temp_kelvin = 398.15;
-  const BtiModel reference;
-  const BtiModel hot_model(hot);
+  const BtiMechanism reference{BtiParams{}};
+  const BtiMechanism hot_model(hot);
   const double ratio = hot_model.delta_vth(TransistorType::nMos, 0.5, 3.0) /
                        reference.delta_vth(TransistorType::nMos, 0.5, 3.0);
   const double expect = std::exp(hot.activation_ev / 8.617333262e-5 *
@@ -116,16 +118,16 @@ TEST(BtiModelTest, TemperatureFollowsArrhenius) {
 }
 
 TEST(BtiModelTest, InvalidTemperatureThrows) {
-  BtiParams bad;
-  bad.temp_kelvin = 0.0;
-  EXPECT_THROW(BtiModel{bad}, std::invalid_argument);
+  AgingParams bad;
+  bad.bti.temp_kelvin = 0.0;
+  EXPECT_THROW(AgingModel{bad}, std::invalid_argument);
 }
 
 TEST(BtiModelTest, StressExponentShape) {
-  const BtiModel m;
+  const AgingModel m;
   const double half = m.delta_vth(TransistorType::pMos, 0.5, 10.0);
   const double full = m.delta_vth(TransistorType::pMos, 1.0, 10.0);
-  EXPECT_NEAR(half / full, std::pow(0.5, m.params().stress_exponent), 1e-9);
+  EXPECT_NEAR(half / full, std::pow(0.5, m.params().bti.stress_exponent), 1e-9);
 }
 
 }  // namespace

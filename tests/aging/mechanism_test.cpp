@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "aging/aging_model.hpp"
-#include "aging/bti_model.hpp"
-#include "cell/degradation.hpp"
-#include "cell/library.hpp"
 #include "engine/key.hpp"
 
 namespace aapx {
@@ -35,7 +35,7 @@ TEST(MechanismKindTest, NamesRoundTrip) {
 
 TEST(BtiMechanismTest, MatchesWrappedModelAtItsOwnTemperature) {
   const BtiParams p;
-  const BtiModel model(p);
+  const AgingModel model;
   const BtiMechanism mech(p);
   GateEnv env;
   env.temp_kelvin = p.temp_kelvin;
@@ -47,6 +47,10 @@ TEST(BtiMechanismTest, MatchesWrappedModelAtItsOwnTemperature) {
                 model.delta_vth(TransistorType::pMos, s, y));
       EXPECT_EQ(mech.delta_vth(TransistorType::nMos, env, y),
                 model.delta_vth(TransistorType::nMos, s, y));
+      EXPECT_NEAR(mech.delta_vth(TransistorType::pMos, env, y),
+                  p.a_pmos * std::pow(s, p.stress_exponent) *
+                      std::pow(y / p.t_ref_years, p.time_exponent),
+                  1e-15);
     }
   }
   EXPECT_EQ(mech.hazard_rate(env, 10.0), 0.0);
@@ -58,7 +62,7 @@ TEST(BtiMechanismTest, RetargetsArrheniusToEnvironmentTemperature) {
   const BtiMechanism mech(p);
   GateEnv env;
   env.temp_kelvin = 398.15;
-  const double base = BtiModel(p).delta_vth(TransistorType::pMos, 1.0, 10.0);
+  const double base = mech.delta_vth(TransistorType::pMos, 1.0, 10.0);
   const double expected =
       base * arrhenius(p.activation_ev, p.temp_kelvin, env.temp_kelvin);
   EXPECT_NEAR(mech.delta_vth(TransistorType::pMos, env, 10.0), expected,
@@ -150,47 +154,6 @@ TEST(TddbMechanismTest, GoldenHazardCurve) {
 
 // --- composite model --------------------------------------------------------
 
-TEST(AgingModelTest, DefaultIsBtiOnlyAndBitIdenticalToBtiModel) {
-  const BtiModel bti;
-  const AgingModel composite;
-  ASSERT_TRUE(composite.params().bti_only());
-  for (const double s : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-    for (const double y : {0.0, 0.5, 1.0, 10.0, 20.0}) {
-      for (const TransistorType t :
-           {TransistorType::pMos, TransistorType::nMos}) {
-        // Exact bitwise equality, not NEAR: the composite must run the very
-        // same BtiModel code path so DesignStore artifacts stay warm.
-        EXPECT_EQ(composite.delta_vth(t, s, y), bti.delta_vth(t, s, y));
-        EXPECT_EQ(composite.delay_factor(t, s, y), bti.delay_factor(t, s, y));
-      }
-    }
-  }
-  EXPECT_EQ(composite.delay_factor_from_dvth(0.05),
-            bti.delay_factor_from_dvth(0.05));
-  EXPECT_EQ(composite.hci_delta_vth(1.0, 10.0), 0.0);
-  EXPECT_FALSE(composite.has_hci());
-  EXPECT_FALSE(composite.has_hard_failure());
-  EXPECT_EQ(composite.cumulative_hazard(GateEnv{}, 10.0), 0.0);
-}
-
-TEST(AgingModelTest, DegradationGridsAreBitIdenticalUnderDefaultModel) {
-  const CellLibrary lib = make_nangate45_like();
-  const DegradationAwareLibrary via_bti(lib, BtiModel{}, 10.0);
-  const DegradationAwareLibrary via_composite(lib, AgingModel{}, 10.0);
-  ASSERT_EQ(via_bti.num_cells(), via_composite.num_cells());
-  for (CellId c = 0; c < static_cast<CellId>(via_bti.num_cells()); ++c) {
-    const Table2D& a = via_bti.rise_grid(c);
-    const Table2D& b = via_composite.rise_grid(c);
-    for (std::size_t i = 0; i < a.axis1().size(); ++i) {
-      for (std::size_t j = 0; j < a.axis2().size(); ++j) {
-        EXPECT_EQ(a.at(i, j), b.at(i, j));
-        EXPECT_EQ(via_bti.fall_grid(c).at(i, j),
-                  via_composite.fall_grid(c).at(i, j));
-      }
-    }
-  }
-}
-
 TEST(AgingModelTest, ValidatesMechanismSet) {
   AgingParams empty;
   empty.mechanisms.clear();
@@ -214,22 +177,10 @@ TEST(AgingModelTest, HazardSumsCompetingRisks) {
   EXPECT_NEAR(model.cumulative_hazard(env, 10.0), em + tddb, 1e-18);
 }
 
-// --- store-key back-compat ---------------------------------------------------
-
-TEST(AgingModelKeyTest, BtiOnlyKeysExactlyLikeBtiParams) {
-  // Warm-store contract: the default composite addresses the same cache
-  // entries the historic BtiModel engine wrote.
-  const AgingModel composite;
-  EXPECT_EQ(engine::key_of(composite.params()), engine::key_of(BtiParams{}));
-  BtiParams tweaked;
-  tweaked.temp_kelvin += 10.0;
-  AgingParams wrapped;
-  wrapped.bti = tweaked;
-  EXPECT_EQ(engine::key_of(wrapped), engine::key_of(tweaked));
-}
+// --- store keys -------------------------------------------------------------
 
 TEST(AgingModelKeyTest, ExtendedSetsNeverAliasBtiOnlyKeys) {
-  const std::uint64_t legacy = engine::key_of(AgingParams{});
+  const std::uint64_t default_key = engine::key_of(AgingParams{});
   AgingParams hci;
   hci.mechanisms = {MechanismKind::bti, MechanismKind::hci};
   AgingParams hard;
@@ -237,13 +188,64 @@ TEST(AgingModelKeyTest, ExtendedSetsNeverAliasBtiOnlyKeys) {
                      MechanismKind::tddb};
   const std::uint64_t k_hci = engine::key_of(hci);
   const std::uint64_t k_hard = engine::key_of(hard);
-  EXPECT_NE(k_hci, legacy);
-  EXPECT_NE(k_hard, legacy);
+  EXPECT_NE(k_hci, default_key);
+  EXPECT_NE(k_hard, default_key);
   EXPECT_NE(k_hci, k_hard);
   // Parameter changes inside an enabled block change the extended key.
   AgingParams hci2 = hci;
   hci2.hci.a_hci *= 2.0;
   EXPECT_NE(engine::key_of(hci2), k_hci);
+}
+
+TEST(AgingModelKeyTest, EveryLiveFieldAndTheMechanismOrderChangeTheKey) {
+  using Field = double& (*)(AgingParams&);
+#define FIELD(f) {#f, [](AgingParams& p) -> double& { return p.f; }}
+  const std::vector<std::pair<const char*, Field>> bti = {
+      FIELD(bti.vdd),           FIELD(bti.vth0),
+      FIELD(bti.a_pmos),        FIELD(bti.a_nmos),
+      FIELD(bti.time_exponent), FIELD(bti.stress_exponent),
+      FIELD(bti.alpha),         FIELD(bti.t_ref_years),
+      FIELD(bti.temp_kelvin),   FIELD(bti.t_ref_kelvin),
+      FIELD(bti.activation_ev),
+  };
+  const std::vector<std::pair<const char*, Field>> others = {
+      FIELD(hci.a_hci),          FIELD(hci.activity_exponent),
+      FIELD(hci.time_exponent),  FIELD(hci.t_ref_years),
+      FIELD(hci.activation_ev),  FIELD(hci.t_ref_kelvin),
+      FIELD(em.beta),            FIELD(em.eta_ref_years),
+      FIELD(em.j_ref),           FIELD(em.current_exponent),
+      FIELD(em.activation_ev),   FIELD(em.t_ref_kelvin),
+      FIELD(tddb.beta),          FIELD(tddb.eta_ref_years),
+      FIELD(tddb.vdd_ref),       FIELD(tddb.voltage_exponent),
+      FIELD(tddb.activation_ev), FIELD(tddb.t_ref_kelvin),
+  };
+#undef FIELD
+  AgingParams all;
+  all.mechanisms = {MechanismKind::bti, MechanismKind::hci, MechanismKind::em,
+                    MechanismKind::tddb};
+  const AgingParams bti_alone;  // HCI, EM and TDDB blocks disabled
+  const std::uint64_t k_all = engine::key_of(all);
+  const std::uint64_t k_bti = engine::key_of(bti_alone);
+  for (const auto& [name, field] : bti) {
+    AgingParams p = all;
+    field(p) += 0.25;
+    EXPECT_NE(engine::key_of(p), k_all) << name;
+    AgingParams q = bti_alone;
+    field(q) += 0.25;
+    EXPECT_NE(engine::key_of(q), k_bti) << name;
+  }
+  for (const auto& [name, field] : others) {
+    AgingParams p = all;
+    field(p) += 0.25;
+    EXPECT_NE(engine::key_of(p), k_all) << name << " (enabled)";
+    AgingParams q = bti_alone;
+    field(q) += 0.25;
+    EXPECT_EQ(engine::key_of(q), k_bti) << name << " (disabled)";
+  }
+  AgingParams reordered = all;
+  reordered.mechanisms = {MechanismKind::hci, MechanismKind::bti,
+                          MechanismKind::em, MechanismKind::tddb};
+  EXPECT_NE(engine::key_of(reordered), k_all);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@ namespace {
 class DegradationTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 };
 
 TEST_F(DegradationTest, ZeroYearsIsIdentity) {

@@ -61,7 +61,7 @@ TEST_F(LibertyTest, RoundTripPreservesEverything) {
 }
 
 TEST_F(LibertyTest, AgedExportScalesDelays) {
-  const BtiModel model;
+  const AgingModel model;
   const DegradationAwareLibrary aged(lib_, model, 10.0);
   std::stringstream fresh_ss;
   std::stringstream aged_ss;

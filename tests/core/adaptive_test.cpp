@@ -8,7 +8,7 @@ namespace {
 class AdaptiveTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 
   ComponentCharacterizer make_characterizer(int min_precision = 8) const {
     CharacterizerOptions opt;

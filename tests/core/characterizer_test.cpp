@@ -8,7 +8,7 @@ namespace {
 class CharacterizerTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 
   ComponentCharacterizer make(int min_precision = 8) const {
     CharacterizerOptions opt;

@@ -9,7 +9,7 @@ namespace {
 class MicroarchStimuliTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 
   MicroarchSpec two_block() const {
     MicroarchSpec spec;

@@ -8,7 +8,7 @@ namespace {
 class MicroarchTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 
   MicroarchApproximator make_flow(int min_precision = 8) const {
     CharacterizerOptions opt;

@@ -44,8 +44,8 @@ class ContextIsolationTest : public ::testing::Test {
   CampaignResult run_campaign(const Context& ctx,
                               const std::string& log_path) const {
     EXPECT_TRUE(ctx.runlog().open(log_path));
-    const ClosedLoopRuntime runtime(ctx, lib_, BtiModel{}, options_);
-    const FaultInjector faults(ctx, lib_, BtiModel{}, scenario_);
+    const ClosedLoopRuntime runtime(ctx, lib_, AgingModel{}, options_);
+    const FaultInjector faults(ctx, lib_, AgingModel{}, scenario_);
     const CampaignResult result = runtime.run(faults, campaign_);
     ctx.runlog().close();
     return result;
@@ -152,7 +152,8 @@ TEST_F(ContextIsolationTest, SharedContextServesCrossLayerHitsUnchanged) {
     CharacterizerOptions copt;
     copt.min_precision = options_.min_precision;
     copt.sta = options_.sta;
-    const ComponentCharacterizer characterizer(shared, lib_, BtiModel{}, copt);
+    const ComponentCharacterizer characterizer(shared, lib_, AgingModel{},
+                                               copt);
     (void)characterizer.characterize(options_.component,
                                      {{options_.stress, 1.0},
                                       {options_.stress, 5.0},

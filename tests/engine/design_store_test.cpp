@@ -7,7 +7,7 @@
 
 #include <stdexcept>
 
-#include "aging/bti_model.hpp"
+#include "aging/aging_model.hpp"
 #include "cell/library.hpp"
 #include "engine/context.hpp"
 #include "engine/key.hpp"
@@ -59,10 +59,10 @@ TEST_F(DesignStoreTest, DistinctSpecsGetDistinctEntries) {
 
 TEST_F(DesignStoreTest, AgedLibraryIsContentAddressed) {
   engine::DesignStore& store = ctx_.store();
-  // Two distinct BtiModel objects with equal parameters must share one
+  // Two distinct AgingModel objects with equal parameters must share one
   // entry: the key is the parameter content, not the object identity.
-  const BtiModel a;
-  const BtiModel b;
+  const AgingModel a;
+  const AgingModel b;
   const DegradationAwareLibrary& first = store.aged_library(lib_, a, 10.0);
   const DegradationAwareLibrary& second = store.aged_library(lib_, b, 10.0);
   EXPECT_EQ(&first, &second);
@@ -74,17 +74,17 @@ TEST_F(DesignStoreTest, AgedLibraryIsContentAddressed) {
   EXPECT_NE(&first, &other);
 
   // A different parameter set is a different artifact.
-  BtiParams hot = a.params();
-  hot.a_pmos *= 2.0;
+  AgingParams hot = a.params();
+  hot.bti.a_pmos *= 2.0;
   const DegradationAwareLibrary& stressed =
-      store.aged_library(lib_, BtiModel(hot), 10.0);
+      store.aged_library(lib_, AgingModel(hot), 10.0);
   EXPECT_NE(&first, &stressed);
   EXPECT_EQ(store.stats().library_misses, 3u);
 }
 
 TEST_F(DesignStoreTest, DelayCacheMatchesDirectSta) {
   engine::DesignStore& store = ctx_.store();
-  const BtiModel model;
+  const AgingModel model;
   const StaOptions sta;
 
   const double fresh =
@@ -114,11 +114,11 @@ TEST_F(DesignStoreTest, FreshDelayIsSharedAcrossModels) {
   engine::DesignStore& store = ctx_.store();
   // years == 0 excludes the model from the key: a second model's fresh
   // query is a hit on the first model's entry.
-  BtiParams hot = BtiParams{};
-  hot.a_pmos *= 3.0;
-  const double d1 = store.aged_sta_delay(lib_, adder8(), BtiModel{},
+  AgingParams hot;
+  hot.bti.a_pmos *= 3.0;
+  const double d1 = store.aged_sta_delay(lib_, adder8(), AgingModel{},
                                          StressMode::worst, 0.0, StaOptions{});
-  const double d2 = store.aged_sta_delay(lib_, adder8(), BtiModel(hot),
+  const double d2 = store.aged_sta_delay(lib_, adder8(), AgingModel(hot),
                                          StressMode::balanced, 0.0,
                                          StaOptions{});
   EXPECT_DOUBLE_EQ(d1, d2);
@@ -127,7 +127,7 @@ TEST_F(DesignStoreTest, FreshDelayIsSharedAcrossModels) {
 }
 
 TEST_F(DesignStoreTest, MeasuredModeIsRejected) {
-  EXPECT_THROW(ctx_.store().aged_sta_delay(lib_, adder8(), BtiModel{},
+  EXPECT_THROW(ctx_.store().aged_sta_delay(lib_, adder8(), AgingModel{},
                                            StressMode::measured, 10.0,
                                            StaOptions{}),
                std::invalid_argument);
@@ -149,10 +149,10 @@ TEST_F(DesignStoreTest, FingerprintIsStablePerLibraryContent) {
 TEST_F(DesignStoreTest, KeyOfEqualValuesAgrees) {
   EXPECT_EQ(engine::key_of(adder8()), engine::key_of(adder8()));
   EXPECT_NE(engine::key_of(adder8()), engine::key_of(adder8_trunc2()));
-  EXPECT_EQ(engine::key_of(BtiModel{}), engine::key_of(BtiModel{}));
-  BtiParams hot = BtiParams{};
-  hot.a_nmos *= 2.0;
-  EXPECT_NE(engine::key_of(BtiModel{}), engine::key_of(BtiModel(hot)));
+  EXPECT_EQ(engine::key_of(AgingModel{}), engine::key_of(AgingModel{}));
+  AgingParams hot;
+  hot.bti.a_nmos *= 2.0;
+  EXPECT_NE(engine::key_of(AgingModel{}), engine::key_of(AgingModel(hot)));
 }
 
 TEST_F(DesignStoreTest, ContextsDoNotShareEntries) {

@@ -5,13 +5,14 @@
 // run that never had a store — never a wrong hit, never a crash.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "aging/bti_model.hpp"
+#include "aging/aging_model.hpp"
 #include "approx/characterization.hpp"
 #include "cell/library.hpp"
 #include "engine/context.hpp"
@@ -140,7 +141,7 @@ class PersistTest : public ::testing::Test {
   }
 
   CellLibrary lib_;
-  BtiModel model_;
+  AgingModel model_;
   StaOptions sta_;
   std::vector<AgingScenario> scenarios_ = {{StressMode::worst, 1.0},
                                            {StressMode::worst, 10.0}};
@@ -237,16 +238,28 @@ TEST_F(PersistTest, FlippedPayloadByteDropsOnlyThatRecord) {
 }
 
 TEST_F(PersistTest, WrongFormatVersionRejectsWholeFile) {
-  const Warmed cold = warm_and_save();
-  std::string bytes = read_bytes(path_);
-  bytes[engine::kHeaderVersionOffset] =
-      static_cast<char>(bytes[engine::kHeaderVersionOffset] + 1);
-  write_bytes(path_, bytes);
+  // A future format, and version 1 — the layout before the fixed aging block.
+  for (const std::uint32_t version : {engine::kStoreFormatVersion + 1, 1u}) {
+    const Warmed cold = warm_and_save();
+    std::string bytes = read_bytes(path_);
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[engine::kHeaderVersionOffset + i] =
+          static_cast<char>((version >> (8 * i)) & 0xff);
+    }
+    write_bytes(path_, bytes);
 
-  engine::DesignStore::Stats stats;
-  const Warmed recovered = replay(/*open_store=*/true, &stats);
-  expect_bit_identical(cold, recovered);
-  EXPECT_EQ(stats.persist_hits, 0u);  // no record was even staged
+    const engine::StoreFileData data = engine::load_store_file(path_);
+    EXPECT_FALSE(data.header_ok) << "version " << version;
+    EXPECT_TRUE(data.records.empty());
+    ASSERT_EQ(data.warnings.size(), 1u) << "version " << version;
+    EXPECT_NE(data.warnings[0].find("format version"), std::string::npos);
+
+    engine::DesignStore::Stats stats;
+    Warmed recovered;
+    ASSERT_NO_THROW(recovered = replay(/*open_store=*/true, &stats));
+    expect_bit_identical(cold, recovered);
+    EXPECT_EQ(stats.persist_hits, 0u);  // no record was even staged
+  }
 }
 
 TEST_F(PersistTest, ForeignBuildFingerprintRejectsWholeFile) {
@@ -320,9 +333,9 @@ TEST_F(PersistTest, StaleRecordIsColdMissNotWrongHit) {
   // A query the file does not answer — the same component under a hotter
   // BTI parameter set — must recompute honestly: none of the staged records
   // (keyed by the nominal model's content) may be served for it.
-  BtiParams hot = model_.params();
-  hot.a_pmos *= 2.0;
-  const BtiModel hot_model{hot};
+  AgingParams hot = model_.params();
+  hot.bti.a_pmos *= 2.0;
+  const AgingModel hot_model{hot};
 
   Context probe_ctx;
   const double honest = probe_ctx.store().aged_sta_delay(

@@ -14,7 +14,7 @@ namespace {
 class TimedSimTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 
   Netlist make_adder(int width) const {
     return make_component(

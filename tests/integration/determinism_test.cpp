@@ -21,7 +21,7 @@ class DeterminismTest : public ::testing::Test {
   }
 
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 };
 
 TEST_F(DeterminismTest, CharacterizeBitIdenticalAcrossThreadCounts) {

@@ -15,7 +15,7 @@ namespace {
 class FlowIntegrationTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 };
 
 TEST_F(FlowIntegrationTest, ApproximationBeatsSizingOnAreaAndLeakage) {

@@ -18,7 +18,7 @@ namespace {
 class QualityIntegrationTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 };
 
 TEST_F(QualityIntegrationTest, TruncatedComponentIsTimingCleanUnderAging) {

@@ -36,7 +36,7 @@ TEST(RoundTripIntegrationTest, AgedStaAgreesAfterLibertyRoundTrip) {
   std::stringstream ss;
   write_liberty(lib, ss);
   const CellLibrary reloaded = parse_liberty(ss);
-  const BtiModel model;
+  const AgingModel model;
   const ComponentSpec spec{ComponentKind::multiplier, 10, 0, AdderArch::cla4,
                            MultArch::array};
   const Netlist a = make_component(lib, spec);

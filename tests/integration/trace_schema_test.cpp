@@ -51,8 +51,8 @@ class TraceSchemaTest : public ::testing::Test {
   /// live, mirroring the CLI: the schedule characterization happens inside
   /// the instrumented window so sweep records land in the log too.
   CampaignResult run_instrumented() const {
-    ClosedLoopRuntime runtime(lib_, BtiModel{}, options_);
-    const FaultInjector faults(lib_, BtiModel{}, scenario_);
+    ClosedLoopRuntime runtime(lib_, AgingModel{}, options_);
+    const FaultInjector faults(lib_, AgingModel{}, scenario_);
     return runtime.run(faults, campaign_);
   }
 

@@ -30,7 +30,8 @@ class ClosedLoopCampaignTest : public ::testing::Test {
                           MultArch::array};
     options_.min_precision = 6;
     options_.schedule_grid = {0.5, 1.0, 2.0, 5.0, 10.0};
-    runtime_ = std::make_unique<ClosedLoopRuntime>(lib_, BtiModel{}, options_);
+    runtime_ =
+        std::make_unique<ClosedLoopRuntime>(lib_, AgingModel{}, options_);
 
     campaign_.lifetime_years = 10.0;
     campaign_.epochs = 16;
@@ -60,7 +61,7 @@ class ClosedLoopCampaignTest : public ::testing::Test {
 };
 
 TEST_F(ClosedLoopCampaignTest, NominalLifeIsCleanForBothLoops) {
-  const FaultInjector nominal(lib_, BtiModel{}, FaultScenario::nominal());
+  const FaultInjector nominal(lib_, AgingModel{}, FaultScenario::nominal());
 
   CampaignOptions open = campaign_;
   open.closed_loop = false;
@@ -79,7 +80,7 @@ TEST_F(ClosedLoopCampaignTest, NominalLifeIsCleanForBothLoops) {
 }
 
 TEST_F(ClosedLoopCampaignTest, OpenLoopCollapsesUnderAcceptanceScenario) {
-  const FaultInjector faults(lib_, BtiModel{}, acceptance_scenario());
+  const FaultInjector faults(lib_, AgingModel{}, acceptance_scenario());
   CampaignOptions open = campaign_;
   open.closed_loop = false;
   const CampaignResult r = runtime_->run(faults, open);
@@ -93,7 +94,7 @@ TEST_F(ClosedLoopCampaignTest, OpenLoopCollapsesUnderAcceptanceScenario) {
 }
 
 TEST_F(ClosedLoopCampaignTest, ClosedLoopConvergesUnderAcceptanceScenario) {
-  const FaultInjector faults(lib_, BtiModel{}, acceptance_scenario());
+  const FaultInjector faults(lib_, AgingModel{}, acceptance_scenario());
   const CampaignResult closed = runtime_->run(faults, campaign_);
 
   CampaignOptions open_opt = campaign_;
@@ -140,7 +141,7 @@ TEST_F(ClosedLoopCampaignTest, SensorScheduleAloneHandlesPureAcceleration) {
   f.aging_acceleration = 1.5;
   f.sensor_gain = 0.6;
   f.sensor_noise_sigma_years = 0.2;
-  const FaultInjector faults(lib_, BtiModel{}, f);
+  const FaultInjector faults(lib_, AgingModel{}, f);
 
   const CampaignResult closed = runtime_->run(faults, campaign_);
   EXPECT_TRUE(closed.converged_clean());
@@ -175,14 +176,14 @@ TEST_F(ClosedLoopCampaignTest, HazardCrossingFailsOverToTheSpare) {
   // BTI/HCI drift stays on the precision-fallback path.
   CampaignOptions armed = campaign_;
   armed.controller.hazard_failover_threshold = 0.5;
-  const FaultInjector drift_only(lib_, BtiModel{}, FaultScenario::nominal());
+  const FaultInjector drift_only(lib_, AgingModel{}, FaultScenario::nominal());
   const CampaignResult r2 = runtime_->run(drift_only, armed);
   EXPECT_FALSE(r2.failed_over);
   EXPECT_EQ(r2.epochs.size(), static_cast<std::size_t>(campaign_.epochs));
 }
 
 TEST_F(ClosedLoopCampaignTest, ValidatesCampaignOptions) {
-  const FaultInjector nominal(lib_, BtiModel{}, FaultScenario::nominal());
+  const FaultInjector nominal(lib_, AgingModel{}, FaultScenario::nominal());
   CampaignOptions bad = campaign_;
   bad.epochs = 0;
   EXPECT_THROW(runtime_->run(nominal, bad), std::invalid_argument);
@@ -197,15 +198,15 @@ TEST_F(ClosedLoopCampaignTest, ValidatesCampaignOptions) {
 TEST_F(ClosedLoopCampaignTest, ValidatesRuntimeOptions) {
   RuntimeOptions bad = options_;
   bad.component.truncated_bits = 2;
-  EXPECT_THROW(ClosedLoopRuntime(lib_, BtiModel{}, bad),
+  EXPECT_THROW(ClosedLoopRuntime(lib_, AgingModel{}, bad),
                std::invalid_argument);
   bad = options_;
   bad.min_precision = 0;
-  EXPECT_THROW(ClosedLoopRuntime(lib_, BtiModel{}, bad),
+  EXPECT_THROW(ClosedLoopRuntime(lib_, AgingModel{}, bad),
                std::invalid_argument);
   bad = options_;
   bad.stress = StressMode::measured;
-  EXPECT_THROW(ClosedLoopRuntime(lib_, BtiModel{}, bad),
+  EXPECT_THROW(ClosedLoopRuntime(lib_, AgingModel{}, bad),
                std::invalid_argument);
 }
 

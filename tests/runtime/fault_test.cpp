@@ -21,7 +21,7 @@ class FaultInjectorTest : public ::testing::Test {
 
   CellLibrary lib_;
   Netlist nl_;
-  BtiModel nominal_;
+  AgingModel nominal_;
 };
 
 TEST_F(FaultInjectorTest, ValidatesScenario) {
@@ -66,7 +66,7 @@ TEST_F(FaultInjectorTest, AccelerationInflatesDelaysAndEquivalentAge) {
 
   // ΔVth acceleration r maps to equivalent age t * r^(1/n) under the
   // power law — far more than r itself.
-  const double n = nominal_.params().time_exponent;
+  const double n = nominal_.params().bti.time_exponent;
   EXPECT_NEAR(inj.equivalent_nominal_years(4.0), 4.0 * std::pow(1.5, 1.0 / n),
               1e-6);
 
@@ -87,9 +87,9 @@ TEST_F(FaultInjectorTest, TemperatureStepActivatesAtItsOnset) {
   EXPECT_NEAR(inj.equivalent_nominal_years(4.0), 4.0, 1e-9);
   EXPECT_GT(inj.equivalent_nominal_years(6.0), 6.0);
   EXPECT_EQ(inj.faulted_model(4.0).params().bti.temp_kelvin,
-            nominal_.params().temp_kelvin);
+            nominal_.params().bti.temp_kelvin);
   EXPECT_EQ(inj.faulted_model(6.0).params().bti.temp_kelvin,
-            nominal_.params().temp_kelvin + 20.0);
+            nominal_.params().bti.temp_kelvin + 20.0);
 }
 
 TEST_F(FaultInjectorTest, OutliersAreDeterministicPerDie) {

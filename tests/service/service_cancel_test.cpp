@@ -42,7 +42,7 @@ ComponentCharacterization run_characterize(const Context& ctx,
                                            const ComponentSpec& spec) {
   CharacterizerOptions opt;
   opt.min_precision = spec.width - 2;
-  const ComponentCharacterizer ch(ctx, lib, BtiModel{}, opt);
+  const ComponentCharacterizer ch(ctx, lib, AgingModel{}, opt);
   return ch.characterize(spec, {{StressMode::worst, 10.0}});
 }
 
@@ -101,7 +101,7 @@ TEST(CancelToken, MidSweepCancelLeavesNoPartialSurface) {
                      MultArch::array};
   CharacterizerOptions copt;
   copt.min_precision = 1;
-  const ComponentCharacterizer ch(ctx, lib, BtiModel{}, copt);
+  const ComponentCharacterizer ch(ctx, lib, AgingModel{}, copt);
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     token.cancel();

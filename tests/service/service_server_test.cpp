@@ -47,7 +47,7 @@ ComponentCharacterization cold_surface(const CharacterizeRequest& req) {
   copt.min_precision = req.min_precision;
   copt.precision_step = req.precision_step;
   copt.sta = req.sta;
-  const ComponentCharacterizer ch(ctx, lib, BtiModel{}, copt);
+  const ComponentCharacterizer ch(ctx, lib, AgingModel{}, copt);
   return ch.characterize(req.spec, req.scenarios);
 }
 
@@ -134,7 +134,7 @@ TEST(ServeEndToEnd, PingCharacterizeAndQueriesOverTcp) {
   // A named library: the store may cache an aged view that borrows it.
   const CellLibrary lib = make_nangate45_like();
   const double local = root.store().aged_sta_delay(
-      lib, areq.spec, BtiModel{}, areq.mode, areq.years, areq.sta);
+      lib, areq.spec, AgingModel{}, areq.mode, areq.years, areq.sta);
   EXPECT_EQ(*delay, local);
 
   // The library query sees the surface the characterize call deposited.

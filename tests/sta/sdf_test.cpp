@@ -12,7 +12,7 @@ namespace {
 class SdfTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
   Netlist nl_ = make_component(
       lib_, {ComponentKind::adder, 4, 0, AdderArch::ripple, MultArch::array});
 };

@@ -10,7 +10,7 @@ namespace {
 class StaTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 
   Netlist make_adder(int width, AdderArch arch = AdderArch::ripple) const {
     return make_component(lib_,

@@ -10,7 +10,7 @@ namespace {
 class VariationTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
   Netlist nl_ = make_component(
       lib_, {ComponentKind::adder, 12, 0, AdderArch::cla4, MultArch::array});
 };

@@ -13,7 +13,7 @@ namespace {
 class SizingTest : public ::testing::Test {
  protected:
   CellLibrary lib_ = make_nangate45_like();
-  BtiModel model_;
+  AgingModel model_;
 };
 
 TEST_F(SizingTest, MeetsFreshTargetUnderAging) {

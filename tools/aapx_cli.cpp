@@ -334,9 +334,9 @@ StressMode parse_mode(const std::string& s) {
 }
 
 /// Builds the aging model a command runs under: `--mechanisms bti,hci,em,tddb`
-/// selects the mechanism set (default the historic BTI-only model — same
-/// numerics, same store keys, same bytes), and per-mechanism knobs override
-/// the calibrated defaults. Errors surface as one-line parse diagnostics.
+/// selects the mechanism set (default BTI only), and per-mechanism knobs
+/// override the calibrated defaults. Errors surface as one-line parse
+/// diagnostics.
 AgingModel model_from(const Args& args) {
   AgingParams params;
   if (args.has("mechanisms")) {
@@ -367,28 +367,51 @@ AgingModel model_from(const Args& args) {
   }
 }
 
-/// Parse-time guard for the BTI power law's validity horizon: past the age
+/// Parse-time guard for the drift power laws' validity horizon: past the age
 /// where dVth reaches the full gate overdrive (vdd - vth0) the delay model
 /// has no solution, and the failure used to surface as a std::domain_error
-/// from deep inside degradation-grid construction. Reject the horizon up
-/// front with the actionable limit instead.
-void validate_aging_horizon(const AgingModel& model, double years) {
-  const BtiParams& p = model.params().bti;
-  const double overdrive = p.vdd - p.vth0;
-  for (const TransistorType t : {TransistorType::pMos, TransistorType::nMos}) {
-    if (model.delta_vth(t, 1.0, years) < overdrive) continue;
-    const double dvth_ref = model.delta_vth(t, 1.0, p.t_ref_years);
+/// from deep inside degradation-grid construction or STA. Reject the horizon
+/// up front with the actionable limit instead. BTI is checked at full duty
+/// stress; HCI (when enabled) at activity 1, scaled by the library's most
+/// aging-sensitive cell, because STA applies it per gate with that scaling.
+void validate_aging_horizon(const CellLibrary& lib, const AgingModel& model,
+                            double years) {
+  const AgingParams& p = model.params();
+  const double overdrive = p.bti.vdd - p.bti.vth0;
+  double max_sensitivity = 0.0;
+  for (const Cell& cell : lib.cells()) {
+    max_sensitivity = std::max(max_sensitivity, cell.aging_sensitivity);
+  }
+  struct DriftLaw {
+    double at_years;  // dVth at the requested horizon
+    double at_ref;    // dVth at t_ref, for inverting the power law
+    double t_ref;
+    double exponent;  // time exponent n
+    const char* where;
+  };
+  const DriftLaw laws[] = {
+      {model.delta_vth(TransistorType::pMos, 1.0, years),
+       model.delta_vth(TransistorType::pMos, 1.0, p.bti.t_ref_years),
+       p.bti.t_ref_years, p.bti.time_exponent, "under worst-case stress"},
+      {model.delta_vth(TransistorType::nMos, 1.0, years),
+       model.delta_vth(TransistorType::nMos, 1.0, p.bti.t_ref_years),
+       p.bti.t_ref_years, p.bti.time_exponent, "under worst-case stress"},
+      {model.hci_delta_vth(1.0, years) * max_sensitivity,
+       model.hci_delta_vth(1.0, p.hci.t_ref_years) * max_sensitivity,
+       p.hci.t_ref_years, p.hci.time_exponent,
+       "under HCI drift at activity 1"},
+  };
+  for (const DriftLaw& law : laws) {
+    if (law.at_years < overdrive) continue;
     const double limit =
-        dvth_ref > 0.0
-            ? p.t_ref_years *
-                  std::pow(overdrive / dvth_ref, 1.0 / p.time_exponent)
+        law.at_ref > 0.0
+            ? law.t_ref * std::pow(overdrive / law.at_ref, 1.0 / law.exponent)
             : 0.0;
     std::ostringstream os;
     os << "--years " << years
        << " is beyond the aging model's validity: dVth consumes the full "
           "gate overdrive (vdd - vth0 = "
-       << overdrive << " V) at roughly " << limit
-       << " years under worst-case stress";
+       << overdrive << " V) at roughly " << limit << " years " << law.where;
     throw std::runtime_error(os.str());
   }
 }
@@ -427,7 +450,7 @@ int cmd_characterize(const Context& ctx, const Args& args) {
     if (y < 0.0) {
       throw std::runtime_error("--years entries must be non-negative");
     }
-    validate_aging_horizon(model, y);
+    validate_aging_horizon(lib, model, y);
     scenarios.push_back({mode, y});
   }
   const ComponentCharacterization c = ch.characterize(spec, scenarios);
@@ -479,7 +502,7 @@ int cmd_flow(const Context& ctx, const Args& args) {
   FlowOptions fopt;
   fopt.scenario = {parse_mode(args.get("mode", "worst")),
                    args.get_years("years", 10.0)};
-  validate_aging_horizon(model, fopt.scenario.years);
+  validate_aging_horizon(lib, model, fopt.scenario.years);
   const FlowResult plan = flow.run(design, fopt);
   std::printf("constraint t_CP(noAging) = %.1f ps, timing %s\n",
               plan.timing_constraint, plan.timing_met ? "met" : "NOT met");
@@ -506,7 +529,7 @@ int cmd_schedule(const Context& ctx, const Args& args) {
   const AdaptiveScheduler scheduler(ch);
   const std::vector<double> grid =
       parse_list(args.get("grid", "1,2,5,10"), "--grid");
-  for (const double y : grid) validate_aging_horizon(model, y);
+  for (const double y : grid) validate_aging_horizon(lib, model, y);
   const AdaptiveSchedule plan = scheduler.plan(
       spec, parse_mode(args.get("mode", "worst")), grid);
   std::printf("%s, constraint %.1f ps, schedule %s\n", spec.name().c_str(),
@@ -529,7 +552,7 @@ int cmd_export_liberty(const Args& args) {
   const double years = args.get_years("years", 0.0);
   if (years > 0.0) {
     const AgingModel model;
-    validate_aging_horizon(model, years);
+    validate_aging_horizon(lib, model, years);
     const DegradationAwareLibrary aged(lib, model, years);
     const StressMode mode = parse_mode(args.get("stress", "worst"));
     const StressPair stress =
@@ -566,7 +589,7 @@ int cmd_export_sdf(const Context& ctx, const Args& args) {
   const double years = args.get_years("years", 0.0);
   if (years > 0.0) {
     const AgingModel model;
-    validate_aging_horizon(model, years);
+    validate_aging_horizon(lib, model, years);
     const DegradationAwareLibrary aged(lib, model, years);
     const StressProfile stress = StressProfile::uniform(
         parse_mode(args.get("stress", "worst")), nl.num_gates());
@@ -626,7 +649,7 @@ int cmd_faultsim(const Context& ctx, const Args& args) {
   faulted.bti.a_pmos *= fault.aging_acceleration;
   faulted.bti.a_nmos *= fault.aging_acceleration;
   faulted.bti.temp_kelvin += fault.temp_step_kelvin;
-  validate_aging_horizon(AgingModel(faulted), copt.lifetime_years);
+  validate_aging_horizon(lib, AgingModel(faulted), copt.lifetime_years);
 
   const CampaignResult r = runtime.run(faults, copt);
 
@@ -959,7 +982,7 @@ int cmd_library_build(const Context& ctx, const Args& args) {
     if (y < 0.0) {
       throw std::runtime_error("--years entries must be non-negative");
     }
-    validate_aging_horizon(model, y);
+    validate_aging_horizon(lib, model, y);
     scenarios.push_back({mode, y});
   }
   std::vector<ComponentKind> kinds;
@@ -1433,8 +1456,7 @@ commands:
       --kind adder|multiplier|mac|clamp  --width N  --arch ripple|cla4|kogge-stone
       --mult-arch array|wallace  --min-precision K  --mode worst|balanced
       --years 1,10  [--save lib.txt]
-      --mechanisms bti,hci,em,tddb     aging mechanism set (default bti —
-                                       bit-identical to the historic model)
+      --mechanisms bti,hci,em,tddb     aging mechanism set (default bti)
       --hci-a A --hci-exp M            HCI drift prefactor / activity exponent
       --em-eta Y --em-beta B           EM Weibull scale [years] / shape
       --tddb-eta Y --tddb-beta B       TDDB Weibull scale [years] / shape
