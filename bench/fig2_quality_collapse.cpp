@@ -10,6 +10,7 @@
 // values: rare but catastrophic (nondeterministic) errors that wreck PSNR.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common.hpp"
 #include "image/synthetic.hpp"
@@ -50,7 +51,11 @@ int run(int argc, char** argv) {
     const Image out = idct.decode(dct.encode(img));
     t_clock = std::max(be.max_mult_settle(), be.max_add_settle());
     fresh_psnr = psnr(img, out);
+    bench_json.add_events(be.mult_sim().events_processed() +
+                          be.adder_sim().events_processed());
   }
+  bench_json.metric("t_clock_ps", t_clock);
+  bench_json.metric("psnr_fresh_db", fresh_psnr);
 
   TextTable table({"lifetime", "PSNR [dB]", "mult err [%]", "paper PSNR [dB]"});
   table.add_row({"0 Year (no aging)", TextTable::num(fresh_psnr, 1), "0.00",
@@ -58,9 +63,10 @@ int run(int argc, char** argv) {
   const struct {
     AgingScenario scenario;
     const char* paper;
+    const char* key;  ///< BENCH json field suffix
   } rows[] = {
-      {{StressMode::balanced, 1.0}, "18.5"},
-      {{StressMode::balanced, 10.0}, "8.4"},
+      {{StressMode::balanced, 1.0}, "18.5", "balanced_1y"},
+      {{StressMode::balanced, 10.0}, "8.4", "balanced_10y"},
   };
   for (const auto& row : rows) {
     TimedNetlistBackend be(mult, scenario_delays(cfg, mult, row.scenario),
@@ -69,7 +75,15 @@ int run(int argc, char** argv) {
     FixedPointDct dct(codec, be);
     FixedPointIdct idct(codec, be);
     const Image out = idct.decode(dct.encode(img));
-    table.add_row({row.scenario.label(), TextTable::num(psnr(img, out), 1),
+    const double row_psnr = psnr(img, out);
+    const std::string key = row.key;
+    bench_json.metric("psnr_" + key + "_db", row_psnr);
+    bench_json.metric("mult_errors_" + key,
+                      static_cast<double>(be.mult_errors()));
+    bench_json.metric("add_errors_" + key, static_cast<double>(be.add_errors()));
+    bench_json.add_events(be.mult_sim().events_processed() +
+                          be.adder_sim().events_processed());
+    table.add_row({row.scenario.label(), TextTable::num(row_psnr, 1),
                    TextTable::num(100.0 * static_cast<double>(be.mult_errors()) /
                                       static_cast<double>(be.mult_ops()),
                                   2),

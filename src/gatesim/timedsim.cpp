@@ -1,14 +1,31 @@
 #include "gatesim/timedsim.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "gatesim/funcsim.hpp"
 #include "obs/metrics.hpp"
 
 namespace aapx {
+namespace {
+
+/// Stable insertion sort by time: equal times keep push order. Buckets are
+/// small and mostly ordered, so this beats std::stable_sort's buffer.
+template <class Event>
+void sort_by_time(std::vector<Event>& b) {
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    const Event ev = b[i];
+    std::size_t j = i;
+    for (; j > 0 && ev.time < b[j - 1].time; --j) b[j] = b[j - 1];
+    b[j] = ev;
+  }
+}
+
+}  // namespace
 
 double Activity::duty_high(NetId net) const {
   if (cycles == 0) return 0.0;
@@ -34,6 +51,15 @@ TimedSim::TimedSim(const Netlist& nl, Sta::GateDelays delays, DelayModel model)
   if (delays_.rise.size() != nl.num_gates() ||
       delays_.fall.size() != nl.num_gates()) {
     throw std::invalid_argument("TimedSim: delay vector size mismatch");
+  }
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    for (const double d : {delays_.rise[g], delays_.fall[g]}) {
+      if (!std::isfinite(d) || d < 0.0) {
+        throw std::invalid_argument(
+            "TimedSim: gate " + std::to_string(g) +
+            " has a negative or non-finite delay");
+      }
+    }
   }
   if (nl.num_nets() < 2) {
     throw std::invalid_argument("TimedSim: netlist missing constant nets");
@@ -121,18 +147,17 @@ inline __attribute__((always_inline)) void TimedSim::push_event(Event ev) {
   std::uint32_t idx = static_cast<std::uint32_t>(ev.time * inv_bucket_width_);
   if (idx >= n_buckets_) idx = n_buckets_ - 1;  // float-rounding clamp only
   std::vector<Event>& b = buckets_[idx];
-  // Sorted insert; upper_bound lands after equal times, preserving FIFO among
-  // ties. Pushes arrive in pop order plus a positive delay, so the common
-  // case is a plain append. Inserting into the bucket being drained is safe:
-  // ev.time >= the current pop time, so the position is >= drain_pos_.
-  if (b.empty() || !(ev.time < b.back().time)) {
-    b.push_back(ev);
-  } else {
-    const auto from = b.begin() + static_cast<std::ptrdiff_t>(
-                                      idx == cur_bucket_ ? drain_pos_ : 0);
-    b.insert(std::upper_bound(from, b.end(), ev.time,
+  // Later buckets take plain appends (push order) and are sorted once when
+  // the drain opens them. The bucket being drained stays sorted: upper_bound
+  // lands after equal times (FIFO among ties), and ev.time >= the current
+  // pop time keeps the position >= drain_pos_.
+  if (idx == cur_bucket_ && !b.empty() && ev.time < b.back().time) {
+    b.insert(std::upper_bound(b.begin() + static_cast<std::ptrdiff_t>(drain_pos_),
+                              b.end(), ev.time,
                               [](double t, const Event& e) { return t < e.time; }),
              ev);
+  } else {
+    b.push_back(ev);
   }
   occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
   if (++queue_size_ > max_queue_depth_) max_queue_depth_ = queue_size_;
@@ -259,6 +284,7 @@ bool TimedSim::step_impl(double t_clock_ps) {
     for (std::size_t n = 0; n < net_.size(); ++n) sampled_[n] = net_[n].value;
     sampled_is_settled_ = false;
     snapshotted = true;
+    snapshot_after = std::numeric_limits<double>::infinity();
   }
   for (const NetId pi : pi_changed_) {
     NetHot& h = net_[pi];
@@ -312,6 +338,7 @@ bool TimedSim::step_impl(double t_clock_ps) {
       cur_bucket_ = static_cast<std::uint32_t>(
           (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits)));
       bucket = &buckets_[cur_bucket_];
+      sort_by_time(*bucket);
     }
     const Event ev = (*bucket)[drain_pos_++];
     --queue_size_;

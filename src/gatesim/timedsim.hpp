@@ -42,7 +42,9 @@ enum class DelayModel { inertial, transport };
 
 class TimedSim {
  public:
-  /// `delays` come from Sta::gate_delays (fresh or aged).
+  /// `delays` come from Sta::gate_delays (fresh or aged). Throws
+  /// std::invalid_argument on a size mismatch or a negative or non-finite
+  /// rise/fall delay.
   TimedSim(const Netlist& nl, Sta::GateDelays delays,
            DelayModel model = DelayModel::inertial);
   /// Flushes per-instance statistics (events, steps, peak queue depth) into
@@ -152,18 +154,19 @@ class TimedSim {
   /// gates reader_gate_[reader_offset_[net] .. reader_offset_[net+1]).
   std::vector<std::uint32_t> reader_offset_;
   std::vector<GateId> reader_gate_;
-  /// Monotone calendar queue replacing the old binary heap. Buckets span
-  /// [0, horizon] where the horizon is the topo longest-path delay bound —
-  /// no event in a step can ever land beyond it (times are path-delay sums
-  /// from t = 0), so the clamp into the last bucket only absorbs float
-  /// rounding. Each bucket is kept sorted by time with FIFO order among
-  /// equal times (sorted insertion; appends dominate because pushes arrive
-  /// in pop order plus a positive delay). Draining is strictly monotone:
-  /// while bucket B drains, new events land at sorted positions >=
-  /// drain_pos_ of B or in later buckets, and once B completes nothing can
-  /// ever map below B+1 again. Pop order is therefore exactly the old
-  /// heap's (time, push-seq) order. The occupied_ bitmask makes skipping
-  /// empty buckets O(1) per 64.
+  /// Monotone calendar queue. Pop-order contract: events pop in exactly
+  /// (time, push sequence) order, the order of a binary heap with a FIFO
+  /// tie-break. Buckets split [0, horizon] evenly; the horizon is the
+  /// topological longest path over max(rise, fall), a hard bound on every
+  /// event time in a step (times are path-delay sums from t = 0; STA computes
+  /// the same bound), so the clamp into the last bucket only absorbs float
+  /// rounding. A push into a later bucket appends; the drain sorts each
+  /// bucket once by time (stable, so ties keep push order) when it opens it.
+  /// The bucket being drained stays sorted: a push into it is an upper_bound
+  /// insert at or after drain_pos_, since its time is >= the current pop
+  /// time. Times map to buckets monotonically and no push goes below
+  /// cur_bucket_, so once a bucket completes nothing lands in it again. The
+  /// occupied_ bitmask skips empty buckets 64 at a time.
   std::vector<std::vector<Event>> buckets_;
   std::vector<std::uint64_t> occupied_;
   double inv_bucket_width_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "approx/error_bounds.hpp"
 #include "engine/context.hpp"
@@ -60,6 +61,18 @@ TimedNetlistBackend::TimedNetlistBackend(const Netlist& mult,
   if (t_clock_ps <= 0.0) {
     throw std::invalid_argument("TimedNetlistBackend: bad clock period");
   }
+  // An empty or out-of-bus window would check no bit, silently disabling
+  // error detection and the settle-time record.
+  const int bus = static_cast<int>(mult.output_bus("y").size());
+  const int lo = mult_window.lo;
+  const int count = mult_window.count;
+  if (lo < 0 || lo >= bus ||
+      (count != -1 && (count <= 0 || count > bus - lo))) {
+    throw std::invalid_argument(
+        "TimedNetlistBackend: observed window [" + std::to_string(lo) + ", +" +
+        std::to_string(count) + ") outside the " + std::to_string(bus) +
+        "-bit product bus");
+  }
 }
 
 std::int64_t TimedNetlistBackend::multiply(std::int64_t a, std::int64_t b) {
@@ -80,11 +93,10 @@ std::int64_t TimedNetlistBackend::multiply(std::int64_t a, std::int64_t b) {
   // unconsumed product bits never reach a register in the real datapath.
   const auto& y = mult_->output_bus("y");
   const std::size_t lo = static_cast<std::size_t>(mult_window_.lo);
-  const std::size_t hi = mult_window_.count < 0
-                             ? y.size()
-                             : std::min(y.size(),
-                                        lo + static_cast<std::size_t>(
-                                                 mult_window_.count));
+  const std::size_t hi =
+      mult_window_.count < 0
+          ? y.size()
+          : lo + static_cast<std::size_t>(mult_window_.count);
   bool error = false;
   for (std::size_t i = lo; i < hi; ++i) {
     max_mult_settle_ = std::max(max_mult_settle_, mult_sim_.settle_time(y[i]));

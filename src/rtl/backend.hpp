@@ -63,7 +63,9 @@ class ExactBackend final : public ArithBackend {
 /// Range of output-bus bits a downstream consumer actually reads. A fixed-
 /// point datapath that wraps the product to `width` bits after a right shift
 /// only consumes product bits [frac, frac + width); constraining and
-/// checking just those bits models the real register boundary.
+/// checking just those bits models the real register boundary. The window
+/// must lie inside the product bus: 0 <= lo < bus width, and count is -1
+/// (through the top bit) or in (0, bus width - lo].
 struct ObservedWindow {
   int lo = 0;
   int count = -1;  ///< -1 = the whole bus
@@ -73,7 +75,8 @@ struct ObservedWindow {
 class TimedNetlistBackend final : public ArithBackend {
  public:
   /// `mult` must expose buses a, b -> y; `adder` buses a, b -> y.
-  /// `t_clock_ps` is the sampling clock; delays carry the aging.
+  /// `t_clock_ps` is the sampling clock; delays carry the aging. Throws
+  /// std::invalid_argument for a bad width, clock or `mult_window`.
   TimedNetlistBackend(const Netlist& mult, Sta::GateDelays mult_delays,
                       const Netlist& adder, Sta::GateDelays adder_delays,
                       int width, double t_clock_ps,

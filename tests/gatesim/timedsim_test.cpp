@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cell/degradation.hpp"
 #include "core/stimulus.hpp"
 #include "gatesim/funcsim.hpp"
@@ -203,6 +205,76 @@ TEST_F(TimedSimTest, SizeMismatchThrows) {
   EXPECT_THROW(sim.reset({1}), std::invalid_argument);
   Sta::GateDelays bad;
   EXPECT_THROW(TimedSim(nl, bad), std::invalid_argument);
+}
+
+TEST_F(TimedSimTest, NegativeOrNonFiniteDelayThrows) {
+  const Netlist nl = make_adder(8);
+  const Sta sta(nl);
+  const Sta::GateDelays good = sta.gate_delays(nullptr, nullptr);
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Sta::GateDelays rise = good;
+    rise.rise[3] = bad;
+    EXPECT_THROW(TimedSim(nl, rise), std::invalid_argument) << bad;
+    Sta::GateDelays fall = good;
+    fall.fall.back() = bad;
+    EXPECT_THROW(TimedSim(nl, fall, DelayModel::transport),
+                 std::invalid_argument)
+        << bad;
+  }
+  Sta::GateDelays zero = good;
+  zero.rise[0] = 0.0;
+  EXPECT_NO_THROW(TimedSim(nl, zero));
+}
+
+// STA upper-bounds simulation: no output settles later than the STA max
+// delay computed from the same library and stress as the simulator's gate
+// delays. The calendar queue's horizon relies on this bound.
+TEST_F(TimedSimTest, StaMaxDelayBoundsEveryOutputSettleTime) {
+  using K = ComponentKind;
+  const std::vector<ComponentSpec> specs = {
+      {K::adder, 8, 0, AdderArch::ripple, MultArch::array},
+      {K::adder, 8, 0, AdderArch::cla4, MultArch::array},
+      {K::adder, 8, 0, AdderArch::kogge_stone, MultArch::array},
+      {K::multiplier, 8, 0, AdderArch::cla4, MultArch::array},
+      {K::multiplier, 8, 0, AdderArch::cla4, MultArch::wallace},
+      {K::mac, 8, 0, AdderArch::ripple, MultArch::array},
+      {K::clamp, 10, 0, AdderArch::cla4, MultArch::array},  // needs >= 9 bits
+  };
+  const DegradationAwareLibrary aged1(lib_, model_, 1.0);
+  const DegradationAwareLibrary aged10(lib_, model_, 10.0);
+  Rng rng(11);
+  for (const ComponentSpec& spec : specs) {
+    const Netlist nl = make_component(lib_, spec);
+    const Sta sta(nl);
+    for (const DegradationAwareLibrary* aged :
+         {static_cast<const DegradationAwareLibrary*>(nullptr), &aged1,
+          &aged10}) {
+      for (const StressMode mode : {StressMode::worst, StressMode::balanced}) {
+        const StressProfile stress =
+            StressProfile::uniform(mode, nl.num_gates());
+        const StressProfile* sp = aged != nullptr ? &stress : nullptr;
+        const double bound = aged != nullptr
+                                 ? sta.run_aged(*aged, stress).max_delay
+                                 : sta.run_fresh().max_delay;
+        for (const DelayModel dm :
+             {DelayModel::inertial, DelayModel::transport}) {
+          TimedSim sim(nl, sta.gate_delays(aged, sp), dm);
+          std::vector<char> pis(nl.inputs().size(), 0);
+          for (int i = 0; i < 40; ++i) {
+            for (char& b : pis) b = rng.next_bool() ? 1 : 0;
+            EXPECT_FALSE(sim.step(pis, bound));
+            for (const NetId po : nl.outputs()) {
+              ASSERT_LE(sim.settle_time(po), bound)
+                  << spec.name() << " aged " << (aged ? aged->years() : 0.0)
+                  << " " << to_string(mode);
+            }
+          }
+        }
+        if (aged == nullptr) break;  // stress does not affect fresh delays
+      }
+    }
+  }
 }
 
 }  // namespace

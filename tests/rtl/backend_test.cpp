@@ -111,6 +111,32 @@ TEST_F(TimedBackendTest, ConstructorValidation) {
                std::invalid_argument);
 }
 
+TEST_F(TimedBackendTest, OutOfRangeObservedWindowThrows) {
+  // The 12-bit multiplier's product bus has 24 bits. A window outside it
+  // would check no bit and silently report zero errors.
+  const Sta msta(*mult_);
+  const Sta asta(*adder_);
+  const auto make = [&](ObservedWindow w) {
+    return TimedNetlistBackend(*mult_, msta.gate_delays(nullptr, nullptr),
+                               *adder_, asta.gate_delays(nullptr, nullptr), 12,
+                               10.0, DelayModel::transport, w);
+  };
+  for (const ObservedWindow w : {ObservedWindow{-1, -1}, ObservedWindow{24, -1},
+                                 ObservedWindow{30, 4}, ObservedWindow{20, 8},
+                                 ObservedWindow{4, 0}, ObservedWindow{4, -2}}) {
+    EXPECT_THROW(make(w), std::invalid_argument) << w.lo << "+" << w.count;
+  }
+  for (const ObservedWindow w : {ObservedWindow{0, -1}, ObservedWindow{0, 24},
+                                 ObservedWindow{6, 12}, ObservedWindow{23, 1}}) {
+    TimedNetlistBackend be = make(w);
+    Rng rng(5);
+    for (int i = 0; i < 20; ++i) {
+      be.multiply(rng.next_int(-2048, 2047), rng.next_int(-2048, 2047));
+    }
+    EXPECT_GT(be.max_mult_settle(), 0.0) << w.lo << "+" << w.count;
+  }
+}
+
 TEST(RecordingBackendTest, RecordsMultiplyOperands) {
   ExactBackend inner(16, 0, 0);
   RecordingBackend rec(inner);
