@@ -14,7 +14,6 @@
 #include "common.hpp"
 #include "image/synthetic.hpp"
 #include "runtime/runtime.hpp"
-#include "util/parallel.hpp"
 
 using namespace aapx;
 using namespace aapx::bench;
@@ -125,7 +124,7 @@ int run(int argc, char** argv) {
   // The open- and closed-loop campaigns share the runtime's (mutexed) caches
   // but are otherwise independent plants — run the pair concurrently.
   CampaignResult campaigns[2];
-  parallel_for(2, [&](std::size_t i) {
+  bench_context().parallel_for(2, [&](std::size_t i) {
     campaigns[i] = runtime.run(faults, i == 0 ? open_opt : copt);
   });
   const CampaignResult& open = campaigns[0];
@@ -148,7 +147,7 @@ int run(int argc, char** argv) {
   // so the 2 x epochs PSNR grid fans out over the pool into indexed slots.
   const std::size_t n_epochs = open.epochs.size();
   std::vector<EpochDecode> decodes(2 * n_epochs);
-  parallel_for(2 * n_epochs, [&](std::size_t i) {
+  bench_context().parallel_for(2 * n_epochs, [&](std::size_t i) {
     const bool is_open = i < n_epochs;
     const CampaignResult& campaign = is_open ? open : closed;
     decodes[i] = epoch_psnr(cfg, runtime, faults,

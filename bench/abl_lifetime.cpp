@@ -80,6 +80,7 @@ int run(int argc, char** argv) {
   LifetimeOptions opts;
   opts.dies = arg_int(argc, argv, "--dies", fast_mode(argc, argv) ? 64 : 256);
   opts.seed = 1;
+  opts.threads = bench_context().num_threads();
 
   opts.tolerable_delay_factor = 1.0 + guardband;
   const LifetimeResult noapprox = simulate_lifetime(model, trace, opts);

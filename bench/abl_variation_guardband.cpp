@@ -33,7 +33,7 @@ int run(int argc, char** argv) {
   const DegradationAwareLibrary aged(cfg.lib, cfg.model, 10.0);
   const StressProfile stress =
       StressProfile::uniform(StressMode::worst, nl.num_gates());
-  const MonteCarloSta mc(nl);
+  const MonteCarloSta mc(nl, {}, {}, &bench_context());
 
   const VariationResult fresh = mc.run_fresh(dies);
   const VariationResult worn = mc.run_aged(aged, stress, dies);
@@ -67,7 +67,7 @@ int run(int argc, char** argv) {
     const Netlist tnl = make_component(bench_context(), cfg.lib, t);
     const StressProfile tstress =
         StressProfile::uniform(StressMode::worst, tnl.num_gates());
-    const MonteCarloSta tmc(tnl);
+    const MonteCarloSta tmc(tnl, {}, {}, &bench_context());
     const double p99 = tmc.run_aged(aged, tstress, dies).quantile(0.99);
     const bool meets = p99 <= nominal;
     if (meets && required < 0) required = k;

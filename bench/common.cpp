@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,30 +22,60 @@
 
 namespace aapx::bench {
 
-const Context& bench_context() { return Context::process_default(); }
-
 namespace {
 
 CancelToken g_bench_cancel;          // NOLINT
 std::atomic<int> g_bench_signal{0};  // NOLINT
+
+// guarded_main's root Context, valid while its body runs.
+const Context* g_bench_root = nullptr;  // NOLINT
 
 extern "C" void bench_shutdown_signal(int signum) {
   g_bench_signal.store(signum, std::memory_order_relaxed);
   g_bench_cancel.cancel();
 }
 
+/// Value of "<flag> <number>" or fallback; the number must be the whole
+/// argument, else the flag is reported by name.
+template <typename T>
+T arg_number(int argc, char** argv, const std::string& flag, T fallback) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (flag != argv[i]) continue;
+    const char* text = argv[i + 1];
+    const char* end = text + std::strlen(text);
+    T value{};
+    const auto [stop, error] = std::from_chars(text, end, value);
+    if (error != std::errc() || stop != end) {
+      throw std::invalid_argument("bad " + flag + " value '" + text + "'");
+    }
+    return value;
+  }
+  return fallback;
+}
+
 }  // namespace
 
+const Context& bench_context() { return *g_bench_root; }
+
 int guarded_main(int argc, char** argv, const std::function<int()>& body) {
-  (void)argc;
-  (void)argv;
-  Context::process_default().set_cancel_token(&g_bench_cancel);
-  struct sigaction sa = {};
-  sa.sa_handler = bench_shutdown_signal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
   try {
+    Context::Options options;
+    options.threads =
+        arg_int(argc, argv, "--threads", arg_int(argc, argv, "-j", 0));
+    if (options.threads < 0) {
+      throw std::invalid_argument("--threads must be >= 0");
+    }
+    // The process registry, so the --metrics snapshot and the BENCH json's
+    // metrics_registry block also carry what layers without a Context count.
+    options.metrics = &obs::metrics();
+    options.cancel = &g_bench_cancel;
+    const Context root(options);
+    g_bench_root = &root;
+    struct sigaction sa = {};
+    sa.sa_handler = bench_shutdown_signal;
+    sigemptyset(&sa.sa_mask);
+    sigaction(SIGINT, &sa, nullptr);
+    sigaction(SIGTERM, &sa, nullptr);
     return body();
   } catch (const CancelledError& e) {
     // The exception already unwound the bench scope, so a BenchJson that
@@ -54,6 +85,9 @@ int guarded_main(int argc, char** argv, const std::function<int()>& body) {
     std::fprintf(stderr, "bench: interrupted by signal %d (%s)\n", signum,
                  e.what());
     return signum > 0 ? 128 + signum : 1;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+    return 2;
   }
 }
 
@@ -65,18 +99,12 @@ bool fast_mode(int argc, char** argv) {
 }
 
 int arg_int(int argc, char** argv, const std::string& flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (flag == argv[i]) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
+  return arg_number(argc, argv, flag, fallback);
 }
 
 double arg_double(int argc, char** argv, const std::string& flag,
                   double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (flag == argv[i]) return std::atof(argv[i + 1]);
-  }
-  return fallback;
+  return arg_number(argc, argv, flag, fallback);
 }
 
 std::string arg_str(int argc, char** argv, const std::string& flag,
@@ -106,9 +134,6 @@ std::string json_num(double v) {
 
 BenchJson::BenchJson(std::string name, int argc, char** argv)
     : name_(std::move(name)) {
-  const int threads = arg_int(argc, argv, "--threads",
-                              arg_int(argc, argv, "-j", 0));
-  if (threads > 0) set_num_threads(threads);
   baseline_wall_s_ = arg_double(argc, argv, "--baseline-wall", 0.0);
   trace_path_ = arg_str(argc, argv, "--trace", "");
   metrics_path_ = arg_str(argc, argv, "--metrics", "");
@@ -161,7 +186,7 @@ BenchJson::~BenchJson() {
   if (!out) return;
   out << "{\n";
   out << "  \"name\": \"" << name_ << "\",\n";
-  out << "  \"threads\": " << num_threads() << ",\n";
+  out << "  \"threads\": " << bench_context().num_threads() << ",\n";
   out << "  \"wall_s\": " << json_num(wall_s);
   if (events_ > 0) {
     out << ",\n  \"events\": " << events_;
@@ -223,6 +248,7 @@ double bin_fresh_clock(const Config& cfg, const Netlist& nl,
   const auto bus_pis = resolve_stage_buses(sim, nl, stimulus);
   double t_clock = 0.0;
   for (const auto& row : stimulus.vectors) {
+    bench_context().check_cancelled("bench.bin_clock");
     apply_row(sim, bus_pis, row);
     sim.step_staged(1e12);
     t_clock = std::max(t_clock, sim.last_output_settle_time());
@@ -238,6 +264,7 @@ double measure_error_rate(const Config& cfg, const Netlist& nl,
   const auto bus_pis = resolve_stage_buses(sim, nl, stimulus);
   std::size_t errors = 0;
   for (const auto& row : stimulus.vectors) {
+    bench_context().check_cancelled("bench.error_rate");
     apply_row(sim, bus_pis, row);
     if (sim.step_staged(t_clock)) ++errors;
   }

@@ -18,15 +18,12 @@
 #include "aging/stress.hpp"
 #include "cell/library.hpp"
 #include "core/stimulus.hpp"
+#include "engine/context.hpp"
 #include "rtl/backend.hpp"
 #include "rtl/codec.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 #include "util/table.hpp"
-
-namespace aapx {
-class Context;
-}  // namespace aapx
 
 namespace aapx::bench {
 
@@ -73,31 +70,31 @@ struct Config {
   double mult_sigma = 8192.0;
 };
 
-/// The Context every bench runs on. This is the process default, so the
-/// shared "--threads/-j" handling in BenchJson (which lands on the global
-/// set_num_threads shim) and the "--metrics" registry snapshot keep their
-/// historic meaning, while all benches share one DesignStore: a netlist
-/// synthesized for one table row is a cache hit for the next.
+/// The root Context of guarded_main's body (only valid there): "--threads
+/// N" / "-j N" workers (default: all cores), the process registry
+/// obs::metrics(), the signal token, and one DesignStore for every row of
+/// the bench.
 const Context& bench_context();
 
-/// Runs a bench body under graceful SIGINT/SIGTERM handling. The signal
-/// handler trips the process-default Context's CancelToken (two atomic
-/// stores — async-signal-safe), the running sweep unwinds with
+/// Builds the root Context and runs a bench body on it under graceful
+/// SIGINT/SIGTERM handling. The signal handler trips the root's CancelToken
+/// (two atomic stores — async-signal-safe), the running sweep unwinds with
 /// CancelledError through the bench scope — so a live BenchJson still
 /// writes its telemetry and saves the --store snapshot on the way out, the
 /// same "store holds only completed artifacts" contract the CLI gives —
 /// and the process exits 128+signum with a one-line diagnostic instead of
-/// dying mid-write. Every bench main is `return guarded_main(argc, argv,
-/// [&] { ... });`.
+/// dying mid-write; a malformed flag value exits 2 naming the flag. Every
+/// bench main is `return guarded_main(argc, argv, [&] { ... });`.
 int guarded_main(int argc, char** argv, const std::function<int()>& body);
 
 /// True if "--fast" was passed (benches shrink their workloads; used by CI).
 bool fast_mode(int argc, char** argv);
 
-/// Value of "--size N" or fallback.
+/// Value of "--size N" or fallback; std::invalid_argument unless N is a
+/// whole integer.
 int arg_int(int argc, char** argv, const std::string& flag, int fallback);
 
-/// Value of "--flag X.Y" or fallback.
+/// Value of "--flag X.Y" or fallback; as strict as arg_int.
 double arg_double(int argc, char** argv, const std::string& flag,
                   double fallback);
 
@@ -112,10 +109,9 @@ std::string out_path(int argc, char** argv, const std::string& filename);
 
 /// Machine-readable bench telemetry.
 ///
-/// Constructing a BenchJson starts the wall timer and applies the shared
-/// "--threads N" / "-j N" flags to the process-wide worker-pool size;
-/// destruction writes BENCH_<name>.json into the working directory with the
-/// wall time, thread count, event throughput (when the bench reported
+/// Constructing a BenchJson starts the wall timer; destruction writes
+/// BENCH_<name>.json into the working directory with the wall time, the
+/// bench_context() thread count, event throughput (when the bench reported
 /// events), any custom metrics, a snapshot of the process metrics registry
 /// ("metrics_registry"), and — when the caller passed
 /// "--baseline-wall <seconds>" (measured wall time of a reference binary) —

@@ -45,7 +45,7 @@ int run(int argc, char** argv) {
     TimedNetlistBackend be(
         mult, scenario_delays(cfg, mult, AgingScenario::fresh()), adder,
         scenario_delays(cfg, adder, AgingScenario::fresh()), codec.width, 1e12,
-        DelayModel::transport, window);
+        DelayModel::transport, window, bench_context().cancel_token());
     FixedPointDct dct(codec, be);
     FixedPointIdct idct(codec, be);
     const Image out = idct.decode(dct.encode(img));
@@ -71,7 +71,8 @@ int run(int argc, char** argv) {
   for (const auto& row : rows) {
     TimedNetlistBackend be(mult, scenario_delays(cfg, mult, row.scenario),
                            adder, scenario_delays(cfg, adder, row.scenario),
-                           codec.width, t_clock, DelayModel::transport, window);
+                           codec.width, t_clock, DelayModel::transport, window,
+                           bench_context().cancel_token());
     FixedPointDct dct(codec, be);
     FixedPointIdct idct(codec, be);
     const Image out = idct.decode(dct.encode(img));

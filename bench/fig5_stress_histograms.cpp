@@ -19,7 +19,8 @@ namespace {
 
 Histogram stress_histogram(const Netlist& nl, const StimulusSet& stim) {
   Histogram hist(0.0, 100.0, 50);  // 2% bins as in the paper
-  for (const double duty : measure_gate_duty(nl, stim)) {
+  for (const double duty :
+       measure_gate_duty(nl, stim, bench_context().num_threads())) {
     // pMOS NBTI stress factor = output duty cycle (fraction of time high).
     hist.add(duty * 100.0);
   }
@@ -94,9 +95,11 @@ int run(int argc, char** argv) {
   const Sta sta(mult);
   const DegradationAwareLibrary aged(cfg.lib, cfg.model, 10.0);
   const StressProfile p_nd =
-      StressProfile::measured(measure_gate_duty(mult, nd));
+      StressProfile::measured(
+          measure_gate_duty(mult, nd, bench_context().num_threads()));
   const StressProfile p_idct =
-      StressProfile::measured(measure_gate_duty(mult, idct_ops));
+      StressProfile::measured(
+          measure_gate_duty(mult, idct_ops, bench_context().num_threads()));
   const double d_nd = sta.run_aged(aged, p_nd).max_delay;
   const double d_idct = sta.run_aged(aged, p_idct).max_delay;
   std::printf("10Y aged delay under ND stress:   %.1f ps\n", d_nd);

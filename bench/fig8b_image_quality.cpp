@@ -10,7 +10,6 @@
 #include "common.hpp"
 #include "core/characterizer.hpp"
 #include "image/synthetic.hpp"
-#include "util/parallel.hpp"
 
 using namespace aapx;
 using namespace aapx::bench;
@@ -51,7 +50,7 @@ int run(int argc, char** argv) {
   const auto& names = video_trace_names();
   std::vector<double> fresh_db(names.size());
   std::vector<double> approx_db(names.size());
-  parallel_for(names.size(), [&](std::size_t i) {
+  bench_context().parallel_for(names.size(), [&](std::size_t i) {
     ExactBackend fresh_be(codec.width, 0, 0);
     ExactBackend approx_be(codec.width, truncated, 0);
     FixedPointIdct fresh_idct(codec, fresh_be);

@@ -8,7 +8,6 @@
 
 #include "common.hpp"
 #include "image/synthetic.hpp"
-#include "util/parallel.hpp"
 
 using namespace aapx;
 using namespace aapx::bench;
@@ -43,7 +42,7 @@ int run(int argc, char** argv) {
         out_path(argc, argv, std::string("fig9_") + rows[i].name + ".pgm");
   }
   std::vector<double> db(n_rows);
-  parallel_for(n_rows, [&](std::size_t i) {
+  bench_context().parallel_for(n_rows, [&](std::size_t i) {
     ExactBackend be(codec.width, truncated, 0);
     FixedPointIdct idct(codec, be);
     const Image img = make_video_trace_frame(rows[i].name, w, h);

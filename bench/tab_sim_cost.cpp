@@ -29,6 +29,13 @@ Config& config() {
   return cfg;
 }
 
+/// Options of a private cold Context with the bench root's worker count.
+Context::Options cold_options() {
+  Context::Options options;
+  options.threads = bench_context().num_threads();
+  return options;
+}
+
 const Netlist& mult_netlist() {
   static const Netlist nl =
       make_component(bench_context(), config().lib, config().mult32());
@@ -109,7 +116,7 @@ void BM_CharacterizeOnePrecision(benchmark::State& state) {
   // a surface-cache hit.
   for (auto _ : state) {
     state.PauseTiming();
-    auto ctx = std::make_unique<Context>();
+    auto ctx = std::make_unique<Context>(cold_options());
     const ComponentCharacterizer characterizer(*ctx, cfg.lib, cfg.model,
                                                copt);
     state.ResumeTiming();
@@ -195,7 +202,8 @@ void print_cost_table() {
 /// regression-checked.
 void measure_sweep_breakdown(BenchJson& bench_json) {
   const Config& cfg = config();
-  Context ctx;  // private cold store so the phases don't bleed into each other
+  // Private cold store so the phases don't bleed into each other.
+  const Context ctx(cold_options());
   const ComponentSpec spec = cfg.adder32();
   const auto now = [] { return std::chrono::steady_clock::now(); };
   const auto secs = [](std::chrono::steady_clock::time_point a,
@@ -215,7 +223,8 @@ void measure_sweep_breakdown(BenchJson& bench_json) {
   const auto t2 = now();
 
   const StimulusSet stim = make_normal_stimulus(32, 2048, 11, cfg.adder_sigma);
-  const std::vector<double> duty = measure_gate_duty(nl, stim);
+  const std::vector<double> duty =
+      measure_gate_duty(nl, stim, ctx.num_threads());
   const auto t3 = now();
 
   double duty_checksum = 0.0;
@@ -257,10 +266,12 @@ void measure_sweep_breakdown(BenchJson& bench_json) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  aapx::bench::BenchJson bench_json("tab_sim_cost", argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_cost_table();
-  measure_sweep_breakdown(bench_json);
-  return 0;
+  return aapx::bench::guarded_main(argc, argv, [&] {
+    aapx::bench::BenchJson bench_json("tab_sim_cost", argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    print_cost_table();
+    measure_sweep_breakdown(bench_json);
+    return 0;
+  });
 }

@@ -24,17 +24,9 @@ ComponentCharacterizer::ComponentCharacterizer(const Context& ctx,
   }
 }
 
-ComponentCharacterizer::ComponentCharacterizer(const CellLibrary& lib,
-                                               AgingModel model,
-                                               CharacterizerOptions options)
-    : ComponentCharacterizer(Context::process_default(), lib,
-                             std::move(model), options) {}
-
 const DegradationAwareLibrary& ComponentCharacterizer::degradation_for(
     double years) const {
-  // PR 4: the per-characterizer cache moved into the Context's DesignStore —
-  // aged libraries built here are keyed by content and shared with the
-  // runtime and the fault injector.
+  // Keyed by content, so shared with the runtime and the fault injector.
   return ctx_->store().aged_library(*lib_, model_, years);
 }
 
@@ -55,8 +47,8 @@ double ComponentCharacterizer::aged_delay_with(
       throw std::invalid_argument(
           "aged_delay: measured scenario requires a non-empty stimulus set");
     }
-    const StressProfile profile =
-        StressProfile::measured(measure_gate_duty(nl, *stimulus));
+    const StressProfile profile = StressProfile::measured(
+        measure_gate_duty(nl, *stimulus, ctx_->num_threads()));
     return sta.run_aged(aged, profile).max_delay;
   }
   const StressProfile profile =

@@ -37,10 +37,6 @@ class ComponentCharacterizer {
   ComponentCharacterizer(const Context& ctx, const CellLibrary& lib,
                          AgingModel model, CharacterizerOptions options = {});
 
-  /// Process-default-Context shim: behaves exactly like the pre-Context API.
-  ComponentCharacterizer(const CellLibrary& lib, AgingModel model,
-                         CharacterizerOptions options = {});
-
   /// Characterizes `base` (which must have truncated_bits == 0) under the
   /// given scenarios. Scenarios with StressMode::measured require `stimulus`.
   ComponentCharacterization characterize(

@@ -26,12 +26,6 @@ MicroarchApproximator::MicroarchApproximator(const Context& ctx,
                                              CharacterizerOptions options)
     : lib_(&lib), characterizer_(ctx, lib, std::move(model), options) {}
 
-MicroarchApproximator::MicroarchApproximator(const CellLibrary& lib,
-                                             AgingModel model,
-                                             CharacterizerOptions options)
-    : MicroarchApproximator(Context::process_default(), lib, std::move(model),
-                            options) {}
-
 const ComponentCharacterization& MicroarchApproximator::characterization_for(
     const ComponentSpec& base, const AgingScenario& scenario,
     const StimulusSet* stimulus) {

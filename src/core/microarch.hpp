@@ -69,10 +69,6 @@ class MicroarchApproximator {
   MicroarchApproximator(const Context& ctx, const CellLibrary& lib,
                         AgingModel model, CharacterizerOptions options = {});
 
-  /// Process-default-Context shim (pre-Context API).
-  MicroarchApproximator(const CellLibrary& lib, AgingModel model,
-                        CharacterizerOptions options = {});
-
   FlowResult run(const MicroarchSpec& design, const FlowOptions& options);
 
   /// Characterizations built (and cached) while running flows.

@@ -190,7 +190,8 @@ StimulusSet stimulus_from_operand_pairs(
 }
 
 std::vector<double> measure_gate_duty(const Netlist& nl,
-                                      const StimulusSet& stimulus) {
+                                      const StimulusSet& stimulus,
+                                      int threads) {
   if (stimulus.vectors.empty()) {
     throw std::invalid_argument("measure_gate_duty: empty stimulus");
   }
@@ -200,8 +201,9 @@ std::vector<double> measure_gate_duty(const Netlist& nl,
     }
   }
   // One PackedFuncSim::eval simulates 64 vectors; batches are distributed
-  // over the pool. Per-batch integer popcounts summed in batch order keep
-  // the result bit-identical to the scalar loop regardless of thread count.
+  // over `threads` pool workers. Per-batch integer popcounts summed in batch
+  // order keep the result bit-identical to the scalar loop regardless of
+  // thread count.
   const std::size_t n_vectors = stimulus.vectors.size();
   constexpr std::size_t lanes = PackedFuncSim::kLanes;
   const std::size_t n_batches = (n_vectors + lanes - 1) / lanes;
@@ -225,7 +227,7 @@ std::vector<double> measure_gate_duty(const Netlist& nl,
     std::vector<std::uint64_t>& high = batch_high[batch];
     high.assign(nl.num_gates(), 0);
     sim.add_high_popcounts(gate_fanout, static_cast<int>(count), high.data());
-  });
+  }, threads);
   std::vector<double> duty(nl.num_gates(), 0.0);
   for (std::size_t g = 0; g < nl.num_gates(); ++g) {
     std::uint64_t high = 0;

@@ -80,8 +80,11 @@ StimulusSet stimulus_from_operand_pairs(
 
 /// Runs the stimulus through a zero-delay simulation of the netlist and
 /// returns the per-gate output duty cycles (the measured stress input).
+/// 64-vector batches fan out over `threads` workers (0 = all hardware
+/// threads); the result never depends on it.
 std::vector<double> measure_gate_duty(const Netlist& nl,
-                                      const StimulusSet& stimulus);
+                                      const StimulusSet& stimulus,
+                                      int threads = 0);
 
 /// Replays the stimulus *in order* through a zero-delay simulation and
 /// returns per-gate toggle activities: settled output transitions between

@@ -6,7 +6,10 @@ namespace aapx {
 
 Context::Context() : Context(Options{}) {}
 
-Context::Context(const Options& options) {
+Context::Context(const Options& options)
+    : threads_(options.threads > 0 ? options.threads : hardware_threads()),
+      seed_(options.seed),
+      cancel_(options.cancel) {
   if (options.metrics != nullptr) {
     metrics_ = options.metrics;
   } else {
@@ -19,10 +22,6 @@ Context::Context(const Options& options) {
     owned_runlog_ = std::make_unique<obs::RunLog>();
     runlog_ = owned_runlog_.get();
   }
-  tracer_ = &obs::Tracer::instance();
-  threads_.store(options.threads, std::memory_order_relaxed);
-  seed_.store(options.seed, std::memory_order_relaxed);
-  cancel_.store(options.cancel, std::memory_order_relaxed);
   if (options.shared_store != nullptr) {
     // Multi-tenant mode: borrow another Context's store (the server's
     // per-connection Contexts all point at the root store). Its metrics
@@ -39,17 +38,5 @@ Context::Context(const Options& options) {
 }
 
 Context::~Context() = default;
-
-Context& Context::process_default() {
-  // Leaked on purpose, like the singletons it subsumes: worker threads and
-  // atexit-ordered destructors may still touch it at process teardown.
-  static Context* ctx = [] {
-    Options options;
-    options.metrics = &obs::MetricsRegistry::instance();
-    options.runlog = &obs::RunLog::instance();
-    return new Context(options);
-  }();
-  return *ctx;
-}
 
 }  // namespace aapx

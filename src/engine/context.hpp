@@ -1,28 +1,25 @@
-// Explicit execution context — the home of everything that used to be a
-// process-global singleton.
+// Explicit execution context: one logical "tenant" of the process. It owns
+// (or borrows) a content-addressed engine::DesignStore (see
+// design_store.hpp), a metrics registry and a run log, and fixes at
+// construction the worker count, the base seed of its RNG streams and the
+// cancel token its long-running work observes. It has no setters.
 //
-// A Context bundles the shared evaluation substrate one logical "tenant" of
-// the process uses:
+// Every entry point builds one root Context from its own flags and passes it
+// down — the `aapx` CLI and the benches' guarded_main from --threads/-j and
+// their signal token; tests and examples build their own. Two Contexts in
+// one process share no caches, no metrics and no log, which is what makes
+// multi-tenant serving correct (tests/engine/context_isolation_test.cpp).
 //
-//   * a content-addressed engine::DesignStore (synthesized netlists,
-//     degradation-aware libraries, aged-STA delays — see design_store.hpp),
-//   * the observability sinks (metrics registry, run log, tracer handle),
-//   * the worker count its parallel sweeps fan out to,
-//   * a base seed from which per-purpose RNG streams are derived.
-//
-// Layers take `Context&` (or `const Context*` for the leaf layers below the
-// engine) instead of reaching for MetricsRegistry::instance(),
-// RunLog::instance() or the global worker-count override. Two Contexts in
-// one process are fully isolated: campaigns running concurrently under
-// different Contexts share no caches, no metrics and no log — which is what
-// makes multi-tenant serving correct (see tests/engine/
-// context_isolation_test.cpp).
-//
-// `Context::process_default()` is the compatibility shim: it routes metrics
-// and the run log to the historic process-wide singletons and its worker
-// count to the aapx::set_num_threads() global, so every pre-Context call
-// site (and the `--threads/-j`/AAPX_THREADS contract) behaves exactly as
-// before. Code that never mentions a Context implicitly runs on it.
+//   * Metrics. A layer that holds a Context counts in metrics(). Layers with
+//     none (gatesim, the thread pool, aging lifetime, an Sta built with a
+//     null Context) count in the process registry obs::metrics(); the CLI
+//     and bench roots use that registry too, so one snapshot holds both.
+//   * Run log. Only code holding a Context writes records; an Sta built
+//     with a null Context writes none.
+//   * Threads. Options::threads == 0 means hardware_threads(). Layers below
+//     the engine take their width from the caller (a `threads` argument or
+//     a Context).
+//   * Cancellation. Work checks the token it is handed; there is no global.
 //
 // Layering note: this header is includable from the layers *below* the
 // engine library (sta, synth) because everything they call is inline and
@@ -30,7 +27,6 @@
 // engine library, which links above sta/synth.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,7 +35,6 @@
 #include "engine/cancel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runlog.hpp"
-#include "obs/trace.hpp"
 #include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -53,8 +48,8 @@ class DesignStore;
 class Context {
  public:
   struct Options {
-    /// Worker count for this Context's parallel sweeps. 0 = inherit the
-    /// process default (aapx::set_num_threads() / AAPX_THREADS / hardware).
+    /// Worker count for this Context's parallel sweeps; 0 = all hardware
+    /// threads.
     int threads = 0;
     /// Base seed for make_rng() stream derivation.
     std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
@@ -88,38 +83,17 @@ class Context {
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
-  /// The process-default Context: global metrics registry, global run log,
-  /// worker count driven by the aapx::set_num_threads() shim. Created on
-  /// first use, lives for the process.
-  static Context& process_default();
-
   /// The unified design cache. Internally synchronized; const because every
   /// layer holds the Context by const reference on its read paths.
   engine::DesignStore& store() const noexcept { return *store_; }
 
   obs::MetricsRegistry& metrics() const noexcept { return *metrics_; }
   obs::RunLog& runlog() const noexcept { return *runlog_; }
-  /// Tracing is process-wide (per-thread buffers, one Chrome trace per run);
-  /// the Context carries the handle so call sites stay sink-agnostic.
-  obs::Tracer& tracer() const noexcept { return *tracer_; }
+  /// This Context's worker count (Options::threads, or hardware_threads()
+  /// when that was 0).
+  int num_threads() const noexcept { return threads_; }
 
-  /// Resolved worker count: this Context's override if set, else the
-  /// process default chain (set_num_threads / AAPX_THREADS / hardware).
-  int num_threads() const noexcept {
-    const int t = threads_.load(std::memory_order_relaxed);
-    return t > 0 ? t : aapx::num_threads();
-  }
-  /// Per-Context worker-count override (0 = back to the process default).
-  void set_num_threads(int threads) {
-    threads_.store(threads, std::memory_order_relaxed);
-  }
-
-  std::uint64_t seed() const noexcept {
-    return seed_.load(std::memory_order_relaxed);
-  }
-  void set_seed(std::uint64_t seed) {
-    seed_.store(seed, std::memory_order_relaxed);
-  }
+  std::uint64_t seed() const noexcept { return seed_; }
   /// Deterministic RNG stream `stream` of this Context's base seed. Distinct
   /// streams are decorrelated; the same (seed, stream) always reproduces.
   Rng make_rng(std::uint64_t stream) const noexcept {
@@ -127,14 +101,9 @@ class Context {
   }
 
   /// The cancellation token long-running work under this Context observes,
-  /// or nullptr. Swappable at runtime: the CLI arms the process-default
-  /// Context's token before dispatch, the server arms one per request.
-  const CancelToken* cancel_token() const noexcept {
-    return cancel_.load(std::memory_order_relaxed);
-  }
-  void set_cancel_token(const CancelToken* token) noexcept {
-    cancel_.store(token, std::memory_order_relaxed);
-  }
+  /// or nullptr. The CLI and bench roots carry their signal token, the
+  /// server one token per request.
+  const CancelToken* cancel_token() const noexcept { return cancel_; }
   /// Throws CancelledError if this Context's token (if any) has tripped.
   /// Two relaxed loads when untripped — cheap enough for per-grain checks
   /// (one precision point, one STA fill), which is the granularity the
@@ -147,7 +116,7 @@ class Context {
   /// contract as aapx::parallel_for: results are bit-identical at any count.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& fn) const {
-    aapx::parallel_for(n, fn, threads_.load(std::memory_order_relaxed));
+    aapx::parallel_for(n, fn, threads_);
   }
 
  private:
@@ -155,12 +124,11 @@ class Context {
   std::unique_ptr<obs::RunLog> owned_runlog_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::RunLog* runlog_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   std::unique_ptr<engine::DesignStore> owned_store_;
   engine::DesignStore* store_ = nullptr;
-  std::atomic<int> threads_{0};
-  std::atomic<std::uint64_t> seed_{0};
-  std::atomic<const CancelToken*> cancel_{nullptr};
+  const int threads_;
+  const std::uint64_t seed_;
+  const CancelToken* const cancel_;
 };
 
 }  // namespace aapx

@@ -111,12 +111,10 @@ double histogram_quantile(const HistogramSample& sample, double q) {
   return sample.max;
 }
 
-MetricsRegistry& MetricsRegistry::instance() {
+MetricsRegistry& metrics() {
   static MetricsRegistry* registry = new MetricsRegistry();  // leaked on exit
   return *registry;
 }
-
-MetricsRegistry& metrics() { return MetricsRegistry::instance(); }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);

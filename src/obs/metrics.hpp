@@ -119,14 +119,11 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// Registries are constructible: each aapx::Context owns a private one so
-  /// concurrent tenants never share counters. instance() remains the
-  /// process-default registry (what Context::process_default() routes to).
+  /// Registries are constructible: each aapx::Context owns a private one
+  /// unless it is handed one, so concurrent tenants never share counters.
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  static MetricsRegistry& instance();
 
   /// Returns the metric with this name, creating it on first use. The
   /// returned reference stays valid for the process lifetime (including
@@ -149,7 +146,9 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Shorthand for MetricsRegistry::instance().
+/// The process registry: where layers without a Context count (gatesim,
+/// the thread pool, aging lifetime, an Sta with no Context). The CLI and
+/// bench root Contexts use it as their registry too.
 MetricsRegistry& metrics();
 
 }  // namespace aapx::obs

@@ -9,11 +9,6 @@
 
 namespace aapx::obs {
 
-RunLog& RunLog::instance() {
-  static RunLog* log = new RunLog();  // leaked; usable until process exit
-  return *log;
-}
-
 bool RunLog::open(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (out_.is_open()) out_.close();
@@ -44,10 +39,6 @@ void RunLog::emit(std::string_view type, const JsonWriter& fields) {
 }
 
 void RunLog::emit(std::string_view type) { emit(type, JsonWriter()); }
-
-void emit_manifest(const JsonWriter& caller_fields) {
-  emit_manifest(RunLog::instance(), caller_fields);
-}
 
 void emit_manifest(RunLog& log, const JsonWriter& caller_fields) {
   if (!log.enabled()) return;

@@ -29,14 +29,11 @@ inline constexpr const char* kRunLogSchema = "aapx-runlog-v1";
 
 class RunLog {
  public:
-  /// Logs are constructible: each aapx::Context owns a private one (closed
-  /// until open()), so concurrent tenants write disjoint files. instance()
-  /// remains the process-default log the CLI's --log flag drives.
+  /// Each aapx::Context owns a private log (closed until open()) unless it
+  /// is handed one, so concurrent tenants write disjoint files.
   RunLog() = default;
   RunLog(const RunLog&) = delete;
   RunLog& operator=(const RunLog&) = delete;
-
-  static RunLog& instance();
 
   bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -56,13 +53,11 @@ class RunLog {
   std::ofstream out_;
 };
 
-/// Emits the run manifest: schema version, build configuration (build type,
-/// sanitizer, compiler) plus whatever caller fields are passed in (command,
-/// component spec, seed, thread count). Call once, right after open().
-void emit_manifest(const JsonWriter& caller_fields);
-
-/// Same, into an explicit log — the server's per-request logs each start
-/// with their own manifest so every file is report --check-valid standalone.
+/// Emits the run manifest into `log`: schema version, build configuration
+/// (build type, sanitizer, compiler) plus whatever caller fields are passed
+/// in (command, component spec, seed, thread count). Call once, right after
+/// open(); the server's per-request logs each start with their own manifest
+/// so every file is report --check-valid standalone.
 void emit_manifest(RunLog& log, const JsonWriter& caller_fields);
 
 }  // namespace aapx::obs

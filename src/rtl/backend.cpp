@@ -5,7 +5,6 @@
 #include <string>
 
 #include "approx/error_bounds.hpp"
-#include "engine/context.hpp"
 
 namespace aapx {
 
@@ -47,14 +46,16 @@ TimedNetlistBackend::TimedNetlistBackend(const Netlist& mult,
                                          const Netlist& adder,
                                          Sta::GateDelays adder_delays, int width,
                                          double t_clock_ps, DelayModel model,
-                                         ObservedWindow mult_window)
+                                         ObservedWindow mult_window,
+                                         const CancelToken* cancel)
     : mult_(&mult),
       adder_(&adder),
       mult_sim_(mult, std::move(mult_delays), model),
       adder_sim_(adder, std::move(adder_delays), model),
       width_(width),
       t_clock_(t_clock_ps),
-      mult_window_(mult_window) {
+      mult_window_(mult_window),
+      cancel_(cancel) {
   if (width <= 1 || width > 32) {
     throw std::invalid_argument("TimedNetlistBackend: width must be in (1, 32]");
   }
@@ -76,13 +77,10 @@ TimedNetlistBackend::TimedNetlistBackend(const Netlist& mult,
 }
 
 std::int64_t TimedNetlistBackend::multiply(std::int64_t a, std::int64_t b) {
-  // One gate-level simulation is the cooperative cancellation grain of every
-  // sim-heavy workload (image benches, faultsim campaigns). Backends are
-  // constructed without a Context, so the check goes against the
-  // process-default one — exactly the token the bench/CLI signal handlers
-  // arm; an untripped check is two relaxed loads, invisible next to an
-  // event-driven multiply.
-  Context::process_default().check_cancelled("gatesim.multiply");
+  // One gate-level simulation is the cooperative cancellation grain of the
+  // image benches; an untripped check is two relaxed loads, invisible next
+  // to an event-driven multiply.
+  if (cancel_ != nullptr) cancel_->check("gatesim.multiply");
   const std::uint64_t mask = width_ == 64 ? ~std::uint64_t{0}
                                           : (std::uint64_t{1} << width_) - 1;
   mult_sim_.stage_bus("a", static_cast<std::uint64_t>(a) & mask);
@@ -108,7 +106,7 @@ std::int64_t TimedNetlistBackend::multiply(std::int64_t a, std::int64_t b) {
 }
 
 std::int64_t TimedNetlistBackend::add(std::int64_t a, std::int64_t b) {
-  Context::process_default().check_cancelled("gatesim.add");
+  if (cancel_ != nullptr) cancel_->check("gatesim.add");
   const std::uint64_t mask = (std::uint64_t{1} << width_) - 1;
   adder_sim_.stage_bus("a", static_cast<std::uint64_t>(a) & mask);
   adder_sim_.stage_bus("b", static_cast<std::uint64_t>(b) & mask);

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/cancel.hpp"
 #include "gatesim/timedsim.hpp"
 #include "netlist/netlist.hpp"
 
@@ -75,13 +76,16 @@ struct ObservedWindow {
 class TimedNetlistBackend final : public ArithBackend {
  public:
   /// `mult` must expose buses a, b -> y; `adder` buses a, b -> y.
-  /// `t_clock_ps` is the sampling clock; delays carry the aging. Throws
+  /// `t_clock_ps` is the sampling clock; delays carry the aging. Every
+  /// multiply and add first checks `cancel` (borrowed; nullptr = never
+  /// cancelled) and throws CancelledError once it has tripped. Throws
   /// std::invalid_argument for a bad width, clock or `mult_window`.
   TimedNetlistBackend(const Netlist& mult, Sta::GateDelays mult_delays,
                       const Netlist& adder, Sta::GateDelays adder_delays,
                       int width, double t_clock_ps,
                       DelayModel model = DelayModel::transport,
-                      ObservedWindow mult_window = {});
+                      ObservedWindow mult_window = {},
+                      const CancelToken* cancel = nullptr);
 
   std::int64_t multiply(std::int64_t a, std::int64_t b) override;
   std::int64_t add(std::int64_t a, std::int64_t b) override;
@@ -108,6 +112,7 @@ class TimedNetlistBackend final : public ArithBackend {
   int width_;
   double t_clock_;
   ObservedWindow mult_window_;
+  const CancelToken* cancel_;
   std::uint64_t mult_errors_ = 0;
   std::uint64_t add_errors_ = 0;
   std::uint64_t mult_ops_ = 0;

@@ -35,11 +35,6 @@ FaultInjector::FaultInjector(const Context& ctx, const CellLibrary& lib,
   }
 }
 
-FaultInjector::FaultInjector(const CellLibrary& lib, AgingModel nominal,
-                             FaultScenario scenario)
-    : FaultInjector(Context::process_default(), lib, std::move(nominal),
-                    scenario) {}
-
 AgingModel FaultInjector::faulted_model(double years) const {
   AgingParams params = nominal_.params();
   params.bti.a_pmos *= scenario_.aging_acceleration;

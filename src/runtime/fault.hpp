@@ -73,10 +73,6 @@ class FaultInjector {
   FaultInjector(const Context& ctx, const CellLibrary& lib,
                 AgingModel nominal, FaultScenario scenario);
 
-  /// Process-default-Context shim (pre-Context API).
-  FaultInjector(const CellLibrary& lib, AgingModel nominal,
-                FaultScenario scenario);
-
   /// The age a nominal-model ΔVth observer would infer at wall-clock
   /// `years`: the t_eq with dVth_nominal(t_eq) = dVth_true(years). This is
   /// what a *perfect* aging sensor reports; under the power law a ΔVth

@@ -58,11 +58,6 @@ ClosedLoopRuntime::ClosedLoopRuntime(const Context& ctx, const CellLibrary& lib,
   schedule_ = scheduler.plan(c, options_.stress, options_.schedule_grid);
 }
 
-ClosedLoopRuntime::ClosedLoopRuntime(const CellLibrary& lib, AgingModel nominal,
-                                     RuntimeOptions options)
-    : ClosedLoopRuntime(Context::process_default(), lib, std::move(nominal),
-                        std::move(options)) {}
-
 ComponentSpec ClosedLoopRuntime::spec_for(int precision) const {
   if (precision < options_.min_precision ||
       precision > options_.component.width) {
@@ -316,7 +311,7 @@ CampaignResult ClosedLoopRuntime::run(const FaultInjector& faults,
         failover_now =
             controller.notify_hazard(e, years, sensor_years, hazard, monitor);
         if (failover_now) {
-          obs::metrics().counter("aging.controller.failover_decisions").add();
+          ctx_->metrics().counter("aging.controller.failover_decisions").add();
         }
       }
       if (!failover_now &&

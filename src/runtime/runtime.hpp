@@ -98,10 +98,6 @@ class ClosedLoopRuntime {
   ClosedLoopRuntime(const Context& ctx, const CellLibrary& lib,
                     AgingModel nominal, RuntimeOptions options);
 
-  /// Process-default-Context shim (pre-Context API).
-  ClosedLoopRuntime(const CellLibrary& lib, AgingModel nominal,
-                    RuntimeOptions options);
-
   const AdaptiveSchedule& schedule() const noexcept { return schedule_; }
   const RuntimeOptions& options() const noexcept { return options_; }
 

@@ -61,7 +61,7 @@ struct ServerOptions {
   /// Worker threads executing requests. >= 1.
   int workers = 2;
   /// Threads each worker's characterization sweep fans out to (per-request
-  /// Context worker count). 0 = process default.
+  /// Context worker count). 0 = all hardware threads.
   int sweep_threads = 1;
   /// Admission limit: queued-but-unstarted requests beyond this are shed.
   std::size_t queue_capacity = 64;

@@ -38,7 +38,7 @@ Sta::Sta(const Netlist& nl, StaOptions options, const Context* ctx)
       ctx != nullptr ? ctx->metrics() : obs::metrics();
   fresh_runs_ = &registry.counter("sta.fresh_runs");
   aged_runs_ = &registry.counter("sta.aged_runs");
-  runlog_ = ctx != nullptr ? &ctx->runlog() : &obs::RunLog::instance();
+  runlog_ = ctx != nullptr ? &ctx->runlog() : nullptr;
   metrics_ = &registry;
 }
 
@@ -115,13 +115,12 @@ StaResult Sta::run(const DegradationAwareLibrary* aged,
   // Serial-spine queries only: runs launched from parallel_for workers stay
   // out of the log so its byte content is independent of the thread count
   // (the serial fallback marks the region too, so 1 thread matches N).
-  obs::RunLog& log = *runlog_;
-  if (log.enabled() && !in_parallel_region()) {
+  if (runlog_ != nullptr && runlog_->enabled() && !in_parallel_region()) {
     obs::JsonWriter w;
     w.field("kind", aged != nullptr ? "aged" : "fresh")
         .field("gates", static_cast<std::uint64_t>(nl_->num_gates()))
         .field("max_delay_ps", res.max_delay);
-    log.emit("sta_query", w);
+    runlog_->emit("sta_query", w);
   }
   return res;
 }

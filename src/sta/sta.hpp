@@ -57,8 +57,9 @@ struct StaResult {
 class Sta {
  public:
   /// `ctx` scopes the instrumentation sinks (run counters, sta_query log
-  /// records); nullptr routes to the process-default registry/log, which is
-  /// what existing call sites get. Timing results never depend on `ctx`.
+  /// records); with nullptr the counters go to the process registry
+  /// obs::metrics() and no log records are written. Timing results never
+  /// depend on `ctx`.
   explicit Sta(const Netlist& nl, StaOptions options = {},
                const Context* ctx = nullptr);
 
@@ -93,7 +94,7 @@ class Sta {
   /// registry sees its own sta.* counts).
   obs::Counter* fresh_runs_;
   obs::Counter* aged_runs_;
-  obs::RunLog* runlog_;
+  obs::RunLog* runlog_;  ///< nullptr = no sta_query records
   /// Kept for mechanism counters that must be registered lazily: BTI-only
   /// runs never look them up, so their metrics snapshots carry no new keys.
   obs::MetricsRegistry* metrics_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "engine/context.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -62,22 +63,22 @@ double VariationResult::guardband(double nominal, double q) const {
 }
 
 MonteCarloSta::MonteCarloSta(const Netlist& nl, VariationParams params,
-                             StaOptions sta_options)
-    : nl_(&nl), params_(params), sta_options_(sta_options) {
+                             StaOptions sta_options, const Context* ctx)
+    : nl_(&nl), params_(params), sta_options_(sta_options), ctx_(ctx) {
   if (params_.local_sigma < 0.0 || params_.global_sigma < 0.0) {
     throw std::invalid_argument("MonteCarloSta: negative sigma");
   }
 }
 
 VariationResult MonteCarloSta::run_fresh(int samples) const {
-  const Sta sta(*nl_, sta_options_);
+  const Sta sta(*nl_, sta_options_, ctx_);
   return run(sta.gate_delays(nullptr, nullptr), samples);
 }
 
 VariationResult MonteCarloSta::run_aged(const DegradationAwareLibrary& aged,
                                         const StressProfile& stress,
                                         int samples) const {
-  const Sta sta(*nl_, sta_options_);
+  const Sta sta(*nl_, sta_options_, ctx_);
   return run(sta.gate_delays(&aged, &stress), samples);
 }
 
@@ -98,6 +99,7 @@ VariationResult MonteCarloSta::run(const Sta::GateDelays& base,
   // parallel into index-owned slots, so the distribution is bit-identical
   // to a serial run at any thread count.
   constexpr std::size_t kBlock = 64;
+  const int threads = ctx_ != nullptr ? ctx_->num_threads() : 0;
   std::vector<double> factors;
   for (std::size_t first = 0; first < n; first += kBlock) {
     const std::size_t count = std::min(kBlock, n - first);
@@ -115,7 +117,7 @@ VariationResult MonteCarloSta::run(const Sta::GateDelays& base,
         die.fall[g] = base.fall[g] * factors[s * gates + g];
       }
       result.samples[first + s] = max_delay_with(*nl_, die);
-    });
+    }, threads);
   }
   std::sort(result.samples.begin(), result.samples.end());
   return result;

@@ -34,8 +34,11 @@ struct VariationResult {
 
 class MonteCarloSta {
  public:
+  /// `ctx` sets the worker count the dies fan out to and the sinks of the
+  /// inner Sta; nullptr = all hardware threads and the process registry, as
+  /// for Sta. Results never depend on `ctx`.
   MonteCarloSta(const Netlist& nl, VariationParams params = {},
-                StaOptions sta_options = {});
+                StaOptions sta_options = {}, const Context* ctx = nullptr);
 
   /// Fresh variation-only analysis over `samples` dies.
   VariationResult run_fresh(int samples) const;
@@ -50,6 +53,7 @@ class MonteCarloSta {
   const Netlist* nl_;
   VariationParams params_;
   StaOptions sta_options_;
+  const Context* ctx_;
 };
 
 }  // namespace aapx

@@ -23,7 +23,8 @@ struct OptimizeResult {
 /// preserved verbatim so component interfaces stay stable even when inputs
 /// become dangling; outputs/buses are remapped onto the new nets.
 /// Pass counters go to `ctx`'s metrics registry when given, else to the
-/// process-default registry; the netlist result is context-independent.
+/// process registry obs::metrics(); the netlist result is
+/// context-independent.
 OptimizeResult optimize(const Netlist& nl, const Context* ctx = nullptr);
 
 }  // namespace aapx

@@ -3,10 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -16,7 +14,6 @@
 namespace aapx {
 namespace {
 
-std::atomic<int> g_num_threads_override{0};
 thread_local bool t_in_parallel_region = false;
 
 /// A lazily grown, process-lifetime pool. One job at a time (parallel_for is
@@ -153,21 +150,6 @@ int hardware_threads() {
   return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
-int num_threads() {
-  const int forced = g_num_threads_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  if (const char* env = std::getenv("AAPX_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return hardware_threads();
-}
-
-void set_num_threads(int threads) {
-  if (threads < 0) throw std::invalid_argument("set_num_threads: negative");
-  g_num_threads_override.store(threads, std::memory_order_relaxed);
-}
-
 bool in_parallel_region() { return t_in_parallel_region; }
 
 OffSpineGuard::OffSpineGuard() : prev_(t_in_parallel_region) {
@@ -178,7 +160,7 @@ OffSpineGuard::~OffSpineGuard() { t_in_parallel_region = prev_; }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   int threads) {
-  if (threads <= 0) threads = num_threads();
+  if (threads <= 0) threads = hardware_threads();
   if (static_cast<std::size_t>(threads) > n) threads = static_cast<int>(n);
   if (n <= 1 || threads <= 1 || t_in_parallel_region) {
     // The serial fallback still counts as a parallel region: callers that

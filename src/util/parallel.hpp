@@ -21,22 +21,9 @@ namespace aapx {
 /// Hardware concurrency, at least 1.
 int hardware_threads();
 
-/// Worker count parallel_for uses when `threads == 0`:
-/// set_num_threads() override, else AAPX_THREADS env var, else hardware.
-/// Worker counts are a per-Context property since PR 4: an aapx::Context
-/// with Options::threads == 0 falls through to this default, so these free
-/// functions are exactly the default Context's thread policy (and the -j /
-/// --threads flags keep their historic meaning).
-int num_threads();
-
-/// Overrides the global default worker count (0 = back to automatic).
-/// The `aapx` CLI's -j flag and the benches' --threads flag land here;
-/// Contexts with an explicit thread count are unaffected.
-void set_num_threads(int threads);
-
 /// Runs fn(i) for every i in [0, n), distributing chunks over `threads`
-/// workers (0 = num_threads()). Falls back to a plain serial loop when n is
-/// tiny, when only one thread is configured, or when already inside a
+/// workers (0 = hardware_threads()). Falls back to a plain serial loop when
+/// n is tiny, when only one thread is configured, or when already inside a
 /// parallel_for body. The first exception thrown by any body is rethrown on
 /// the caller after all workers finish.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,

@@ -2,18 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/context.hpp"
+
 namespace aapx {
 namespace {
 
 class AdaptiveTest : public ::testing::Test {
  protected:
+  const Context ctx_;
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
 
   ComponentCharacterizer make_characterizer(int min_precision = 8) const {
     CharacterizerOptions opt;
     opt.min_precision = min_precision;
-    return ComponentCharacterizer(lib_, model_, opt);
+    return ComponentCharacterizer(ctx_, lib_, model_, opt);
   }
 };
 
@@ -128,7 +131,7 @@ TEST_F(AdaptiveTest, InfeasibleGridReported) {
   // A Kogge-Stone adder cannot compensate aging by truncation: infeasible.
   CharacterizerOptions opt;
   opt.min_precision = 12;
-  const ComponentCharacterizer ch(lib_, model_, opt);
+  const ComponentCharacterizer ch(ctx_, lib_, model_, opt);
   const AdaptiveScheduler scheduler(ch);
   const double grid[] = {10.0};
   const AdaptiveSchedule plan = scheduler.plan(

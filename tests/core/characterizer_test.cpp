@@ -2,18 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/context.hpp"
+
 namespace aapx {
 namespace {
 
 class CharacterizerTest : public ::testing::Test {
  protected:
+  const Context ctx_;
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
 
   ComponentCharacterizer make(int min_precision = 8) const {
     CharacterizerOptions opt;
     opt.min_precision = min_precision;
-    return ComponentCharacterizer(lib_, model_, opt);
+    return ComponentCharacterizer(ctx_, lib_, model_, opt);
   }
 };
 
@@ -110,7 +113,7 @@ TEST_F(CharacterizerTest, InputValidation) {
                std::invalid_argument);
   CharacterizerOptions zero_step;
   zero_step.precision_step = 0;
-  EXPECT_THROW(ComponentCharacterizer(lib_, model_, zero_step),
+  EXPECT_THROW(ComponentCharacterizer(ctx_, lib_, model_, zero_step),
                std::invalid_argument);
 }
 
@@ -149,7 +152,7 @@ TEST_F(CharacterizerTest, PaperHeadlineNumbers) {
   // worst-case aging; the 32-bit array multiplier needs 2 and 3 bits.
   CharacterizerOptions opt;
   opt.min_precision = 22;
-  const ComponentCharacterizer ch(lib_, model_, opt);
+  const ComponentCharacterizer ch(ctx_, lib_, model_, opt);
   const auto adder = ch.characterize(
       {ComponentKind::adder, 32, 0, AdderArch::cla4, MultArch::array},
       {{StressMode::worst, 1.0}, {StressMode::worst, 10.0}});
@@ -158,7 +161,7 @@ TEST_F(CharacterizerTest, PaperHeadlineNumbers) {
 
   CharacterizerOptions mopt;
   mopt.min_precision = 28;
-  const ComponentCharacterizer mch(lib_, model_, mopt);
+  const ComponentCharacterizer mch(ctx_, lib_, model_, mopt);
   const auto mult = mch.characterize(
       {ComponentKind::multiplier, 32, 0, AdderArch::cla4, MultArch::array},
       {{StressMode::worst, 1.0}, {StressMode::worst, 10.0}});

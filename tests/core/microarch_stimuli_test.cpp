@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "core/microarch.hpp"
+#include "engine/context.hpp"
 
 namespace aapx {
 namespace {
 
 class MicroarchStimuliTest : public ::testing::Test {
  protected:
+  const Context ctx_;
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
 
@@ -27,7 +29,7 @@ class MicroarchStimuliTest : public ::testing::Test {
 TEST_F(MicroarchStimuliTest, MeasuredScenarioUsesPerBlockStimuli) {
   CharacterizerOptions copt;
   copt.min_precision = 6;
-  MicroarchApproximator flow(lib_, model_, copt);
+  MicroarchApproximator flow(ctx_, lib_, model_, copt);
   FlowOptions opt;
   opt.scenario = {StressMode::measured, 10.0};
   opt.stimuli["mult"] = make_normal_stimulus(12, 200, 3, 200.0);
@@ -44,7 +46,7 @@ TEST_F(MicroarchStimuliTest, MeasuredScenarioUsesPerBlockStimuli) {
 TEST_F(MicroarchStimuliTest, MeasuredScenarioWithoutStimuliThrows) {
   CharacterizerOptions copt;
   copt.min_precision = 6;
-  MicroarchApproximator flow(lib_, model_, copt);
+  MicroarchApproximator flow(ctx_, lib_, model_, copt);
   FlowOptions opt;
   opt.scenario = {StressMode::measured, 10.0};
   // No stimuli registered for the blocks.
@@ -55,7 +57,7 @@ TEST_F(MicroarchStimuliTest, CharacterizerPrecisionStepRespected) {
   CharacterizerOptions copt;
   copt.min_precision = 8;
   copt.precision_step = 2;
-  const ComponentCharacterizer ch(lib_, model_, copt);
+  const ComponentCharacterizer ch(ctx_, lib_, model_, copt);
   const auto c = ch.characterize(
       {ComponentKind::adder, 16, 0, AdderArch::cla4, MultArch::array},
       {{StressMode::worst, 10.0}});
@@ -70,7 +72,7 @@ TEST_F(MicroarchStimuliTest, LibraryExtendsAcrossScenarios) {
   // scenarios instead of failing the index lookup.
   CharacterizerOptions copt;
   copt.min_precision = 6;
-  MicroarchApproximator flow(lib_, model_, copt);
+  MicroarchApproximator flow(ctx_, lib_, model_, copt);
   FlowOptions ten;
   ten.scenario = {StressMode::worst, 10.0};
   FlowOptions one;

@@ -2,18 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/context.hpp"
+
 namespace aapx {
 namespace {
 
 class MicroarchTest : public ::testing::Test {
  protected:
+  const Context ctx_;
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
 
   MicroarchApproximator make_flow(int min_precision = 8) const {
     CharacterizerOptions opt;
     opt.min_precision = min_precision;
-    return MicroarchApproximator(lib_, model_, opt);
+    return MicroarchApproximator(ctx_, lib_, model_, opt);
   }
 
   /// Small IDCT-shaped design: multiplier dominates, adder has slack.

@@ -1,33 +1,41 @@
 // Thread-count determinism: every parallel_for grain writes only to its own
 // index slot, so characterization, Monte-Carlo STA and measured-stress
-// extraction must produce bit-identical results at any worker count.
+// extraction must produce bit-identical results at any worker count. Each
+// case runs once on a 1-thread Context and once on a 4-thread Context.
 #include <gtest/gtest.h>
 
 #include "core/characterizer.hpp"
 #include "core/stimulus.hpp"
+#include "engine/context.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sta/variation.hpp"
 #include "synth/components.hpp"
-#include "util/parallel.hpp"
 
 namespace aapx {
 namespace {
 
+Context::Options with_threads(int threads) {
+  Context::Options options;
+  options.threads = threads;
+  return options;
+}
+
 class DeterminismTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    obs::Tracer::instance().discard();
-    set_num_threads(0);
-  }
+  void TearDown() override { obs::Tracer::instance().discard(); }
 
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
+  const Context serial_ctx_{with_threads(1)};
+  const Context pooled_ctx_{with_threads(4)};
 };
 
 TEST_F(DeterminismTest, CharacterizeBitIdenticalAcrossThreadCounts) {
   CharacterizerOptions opt;
   opt.min_precision = 11;
-  const ComponentCharacterizer ch(lib_, model_, opt);
+  const ComponentCharacterizer serial_ch(serial_ctx_, lib_, model_, opt);
+  const ComponentCharacterizer pooled_ch(pooled_ctx_, lib_, model_, opt);
   const ComponentSpec spec{ComponentKind::adder, 16, 0, AdderArch::cla4,
                            MultArch::array};
   const StimulusSet stim = make_normal_stimulus(16, 64, 3);
@@ -36,10 +44,8 @@ TEST_F(DeterminismTest, CharacterizeBitIdenticalAcrossThreadCounts) {
       {StressMode::balanced, 5.0},
       {StressMode::measured, 10.0}};
 
-  set_num_threads(1);
-  const auto serial = ch.characterize(spec, scenarios, &stim);
-  set_num_threads(4);
-  const auto pooled = ch.characterize(spec, scenarios, &stim);
+  const auto serial = serial_ch.characterize(spec, scenarios, &stim);
+  const auto pooled = pooled_ch.characterize(spec, scenarios, &stim);
 
   ASSERT_EQ(serial.points.size(), pooled.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
@@ -66,19 +72,18 @@ TEST_F(DeterminismTest, TracingDoesNotPerturbResults) {
   // serial one bit for bit.
   CharacterizerOptions opt;
   opt.min_precision = 11;
-  const ComponentCharacterizer ch(lib_, model_, opt);
+  const ComponentCharacterizer serial_ch(serial_ctx_, lib_, model_, opt);
+  const ComponentCharacterizer pooled_ch(pooled_ctx_, lib_, model_, opt);
   const ComponentSpec spec{ComponentKind::adder, 16, 0, AdderArch::cla4,
                            MultArch::array};
   const StimulusSet stim = make_normal_stimulus(16, 64, 3);
   const std::vector<AgingScenario> scenarios = {{StressMode::worst, 10.0},
                                                 {StressMode::measured, 5.0}};
 
-  set_num_threads(1);
-  const auto bare = ch.characterize(spec, scenarios, &stim);
+  const auto bare = serial_ch.characterize(spec, scenarios, &stim);
 
   obs::Tracer::instance().start();
-  set_num_threads(4);
-  const auto traced = ch.characterize(spec, scenarios, &stim);
+  const auto traced = pooled_ch.characterize(spec, scenarios, &stim);
   EXPECT_GT(obs::Tracer::instance().event_count(), 0u);
   obs::Tracer::instance().discard();
 
@@ -100,12 +105,11 @@ TEST_F(DeterminismTest, MonteCarloBitIdenticalAcrossThreadCounts) {
       lib_, {ComponentKind::adder, 16, 0, AdderArch::ripple, MultArch::array});
   VariationParams params;
   params.seed = 42;
-  const MonteCarloSta mc(nl, params);
+  const MonteCarloSta serial_mc(nl, params, {}, &serial_ctx_);
+  const MonteCarloSta pooled_mc(nl, params, {}, &pooled_ctx_);
 
-  set_num_threads(1);
-  const VariationResult serial = mc.run_fresh(150);
-  set_num_threads(4);
-  const VariationResult pooled = mc.run_fresh(150);
+  const VariationResult serial = serial_mc.run_fresh(150);
+  const VariationResult pooled = pooled_mc.run_fresh(150);
 
   ASSERT_EQ(serial.samples.size(), pooled.samples.size());
   for (std::size_t s = 0; s < serial.samples.size(); ++s) {
@@ -118,15 +122,33 @@ TEST_F(DeterminismTest, MeasuredDutyBitIdenticalAcrossThreadCounts) {
       lib_, {ComponentKind::adder, 16, 0, AdderArch::cla4, MultArch::array});
   const StimulusSet stim = make_normal_stimulus(16, 300, 5);
 
-  set_num_threads(1);
-  const std::vector<double> serial = measure_gate_duty(nl, stim);
-  set_num_threads(4);
-  const std::vector<double> pooled = measure_gate_duty(nl, stim);
+  const std::vector<double> serial =
+      measure_gate_duty(nl, stim, serial_ctx_.num_threads());
+  const std::vector<double> pooled =
+      measure_gate_duty(nl, stim, pooled_ctx_.num_threads());
 
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t g = 0; g < serial.size(); ++g) {
     EXPECT_EQ(serial[g], pooled[g]) << "gate " << g;
   }
+}
+
+TEST_F(DeterminismTest, OneThreadContextNeverFansOut) {
+  // Options::threads reaches the layers below the characterizer: on a
+  // 1-thread Context neither measured-stress extraction nor Monte-Carlo STA
+  // hands a job to the thread pool.
+  const Netlist nl = make_component(
+      lib_, {ComponentKind::adder, 16, 0, AdderArch::cla4, MultArch::array});
+  const StimulusSet stim = make_normal_stimulus(16, 300, 5);
+  const ComponentCharacterizer ch(serial_ctx_, lib_, model_);
+  const MonteCarloSta mc(nl, {}, {}, &serial_ctx_);
+  const obs::Counter& jobs = obs::metrics().counter("pool.jobs");
+  const std::uint64_t before = jobs.value();
+
+  EXPECT_GT(ch.aged_delay(nl, {StressMode::measured, 10.0}, &stim), 0.0);
+  EXPECT_EQ(mc.run_fresh(150).samples.size(), 150u);
+
+  EXPECT_EQ(jobs.value(), before);
 }
 
 }  // namespace

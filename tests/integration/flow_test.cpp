@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/microarch.hpp"
+#include "engine/context.hpp"
 #include "netlist/stats.hpp"
 #include "power/power.hpp"
 #include "synth/sizing.hpp"
@@ -14,6 +15,7 @@ namespace {
 
 class FlowIntegrationTest : public ::testing::Test {
  protected:
+  const Context ctx_;
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
 };
@@ -35,7 +37,7 @@ TEST_F(FlowIntegrationTest, ApproximationBeatsSizingOnAreaAndLeakage) {
   // Ours: characterize and truncate until the aged netlist meets it.
   CharacterizerOptions copt;
   copt.min_precision = 10;
-  const ComponentCharacterizer ch(lib_, model_, copt);
+  const ComponentCharacterizer ch(ctx_, lib_, model_, copt);
   const auto c =
       ch.characterize(mult_spec, {{StressMode::worst, 10.0}});
   const int precision = c.required_precision(0);
@@ -71,7 +73,7 @@ TEST_F(FlowIntegrationTest, ApproximatedDesignUsesLessPowerThanSized) {
 
   CharacterizerOptions copt;
   copt.min_precision = 6;
-  const ComponentCharacterizer ch(lib_, model_, copt);
+  const ComponentCharacterizer ch(ctx_, lib_, model_, copt);
   const auto c = ch.characterize(spec, {{StressMode::worst, 10.0}});
   const int precision = c.required_precision(0);
   ASSERT_GT(precision, 0);
@@ -102,7 +104,7 @@ TEST_F(FlowIntegrationTest, FullMicroarchFlowOnIdctShape) {
   // timing, and keep the non-critical blocks exact.
   CharacterizerOptions copt;
   copt.min_precision = 8;
-  MicroarchApproximator flow(lib_, model_, copt);
+  MicroarchApproximator flow(ctx_, lib_, model_, copt);
   MicroarchSpec spec;
   spec.name = "idct";
   spec.blocks = {

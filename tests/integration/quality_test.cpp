@@ -7,6 +7,7 @@
 #include "approx/error_bounds.hpp"
 #include "core/characterizer.hpp"
 #include "core/stimulus.hpp"
+#include "engine/context.hpp"
 #include "gatesim/timedsim.hpp"
 #include "image/synthetic.hpp"
 #include "rtl/codec.hpp"
@@ -17,6 +18,7 @@ namespace {
 
 class QualityIntegrationTest : public ::testing::Test {
  protected:
+  const Context ctx_;
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
 };
@@ -29,7 +31,7 @@ TEST_F(QualityIntegrationTest, TruncatedComponentIsTimingCleanUnderAging) {
                            MultArch::array};
   CharacterizerOptions copt;
   copt.min_precision = 8;
-  const ComponentCharacterizer ch(lib_, model_, copt);
+  const ComponentCharacterizer ch(ctx_, lib_, model_, copt);
   const auto c = ch.characterize(spec, {{StressMode::worst, 10.0}});
   const int precision = c.required_precision(0);
   ASSERT_GT(precision, 0);
@@ -132,7 +134,7 @@ TEST_F(QualityIntegrationTest, GracefulDegradationOverLifetime) {
                            MultArch::array};
   CharacterizerOptions copt;
   copt.min_precision = 8;
-  const ComponentCharacterizer ch(lib_, model_, copt);
+  const ComponentCharacterizer ch(ctx_, lib_, model_, copt);
   const auto c = ch.characterize(
       spec, {{StressMode::worst, 1.0}, {StressMode::worst, 10.0}});
   const int k1 = 16 - c.required_precision(0);

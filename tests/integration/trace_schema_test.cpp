@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "cell/library.hpp"
+#include "engine/context.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runtime.hpp"
-#include "util/parallel.hpp"
 
 namespace aapx {
 namespace {
@@ -41,18 +41,15 @@ class TraceSchemaTest : public ::testing::Test {
     scenario_.aging_acceleration = 1.7;
   }
 
-  void TearDown() override {
-    obs::RunLog::instance().close();
-    obs::Tracer::instance().discard();
-    set_num_threads(0);
-  }
+  void TearDown() override { obs::Tracer::instance().discard(); }
 
-  /// Constructs the runtime and runs the campaign while the log/tracer are
-  /// live, mirroring the CLI: the schedule characterization happens inside
-  /// the instrumented window so sweep records land in the log too.
-  CampaignResult run_instrumented() const {
-    ClosedLoopRuntime runtime(lib_, AgingModel{}, options_);
-    const FaultInjector faults(lib_, AgingModel{}, scenario_);
+  /// Constructs the runtime and runs the campaign on `ctx` while its log and
+  /// the tracer are live, mirroring the CLI: the schedule characterization
+  /// happens inside the instrumented window so sweep records land in the
+  /// log too.
+  CampaignResult run_instrumented(const Context& ctx) const {
+    ClosedLoopRuntime runtime(ctx, lib_, AgingModel{}, options_);
+    const FaultInjector faults(ctx, lib_, AgingModel{}, scenario_);
     return runtime.run(faults, campaign_);
   }
 
@@ -81,18 +78,19 @@ class TraceSchemaTest : public ::testing::Test {
 
 TEST_F(TraceSchemaTest, TinyRunEmitsValidTraceAndLog) {
   const std::string log_path = ::testing::TempDir() + "trace_schema_run.jsonl";
-  ASSERT_TRUE(obs::RunLog::instance().open(log_path));
+  const Context ctx;
+  ASSERT_TRUE(ctx.runlog().open(log_path));
   obs::JsonWriter manifest;
   manifest.field("command", "trace_schema_test")
-      .field("threads", num_threads());
-  obs::emit_manifest(manifest);
+      .field("threads", ctx.num_threads());
+  obs::emit_manifest(ctx.runlog(), manifest);
   obs::Tracer::instance().start();
 
-  const CampaignResult result = run_instrumented();
+  const CampaignResult result = run_instrumented(ctx);
 
   std::ostringstream trace_os;
   obs::Tracer::instance().stop_and_write(trace_os);
-  obs::RunLog::instance().close();
+  ctx.runlog().close();
 
   // --- trace: parses, balanced, and contains the flow's span names --------
   std::string parse_error;
@@ -144,15 +142,19 @@ TEST_F(TraceSchemaTest, LogIsByteIdenticalAcrossThreadCounts) {
   const std::string serial_path = ::testing::TempDir() + "runlog_serial.jsonl";
   const std::string pooled_path = ::testing::TempDir() + "runlog_pooled.jsonl";
 
-  set_num_threads(1);
-  ASSERT_TRUE(obs::RunLog::instance().open(serial_path));
-  const CampaignResult serial = run_instrumented();
-  obs::RunLog::instance().close();
+  Context::Options serial_options, pooled_options;
+  serial_options.threads = 1;
+  pooled_options.threads = 4;
 
-  set_num_threads(4);
-  ASSERT_TRUE(obs::RunLog::instance().open(pooled_path));
-  const CampaignResult pooled = run_instrumented();
-  obs::RunLog::instance().close();
+  const Context serial_ctx(serial_options);
+  ASSERT_TRUE(serial_ctx.runlog().open(serial_path));
+  const CampaignResult serial = run_instrumented(serial_ctx);
+  serial_ctx.runlog().close();
+
+  const Context pooled_ctx(pooled_options);
+  ASSERT_TRUE(pooled_ctx.runlog().open(pooled_path));
+  const CampaignResult pooled = run_instrumented(pooled_ctx);
+  pooled_ctx.runlog().close();
 
   // Byte-for-byte: parallel sweeps log ordered per-index records after the
   // barrier, worker emission is suppressed symmetrically (the serial
@@ -163,14 +165,15 @@ TEST_F(TraceSchemaTest, LogIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(TraceSchemaTest, InstrumentationDoesNotPerturbTheCampaign) {
-  const CampaignResult bare = run_instrumented();
+  const Context ctx;
+  const CampaignResult bare = run_instrumented(ctx);
 
   const std::string log_path = ::testing::TempDir() + "perturb_check.jsonl";
-  ASSERT_TRUE(obs::RunLog::instance().open(log_path));
+  ASSERT_TRUE(ctx.runlog().open(log_path));
   obs::Tracer::instance().start();
-  const CampaignResult traced = run_instrumented();
+  const CampaignResult traced = run_instrumented(ctx);
   obs::Tracer::instance().discard();
-  obs::RunLog::instance().close();
+  ctx.runlog().close();
 
   EXPECT_EQ(bare.timing_constraint, traced.timing_constraint);
   EXPECT_EQ(bare.total_errors, traced.total_errors);

@@ -17,10 +17,7 @@ namespace {
 class MetricsTest : public ::testing::Test {
  protected:
   void SetUp() override { metrics().reset(); }
-  void TearDown() override {
-    metrics().reset();
-    set_num_threads(0);
-  }
+  void TearDown() override { metrics().reset(); }
 };
 
 TEST_F(MetricsTest, CounterAccumulatesAndResets) {

@@ -13,10 +13,10 @@
 namespace aapx::obs {
 namespace {
 
-/// The run log is process-global; every test leaves it closed.
+/// Every test writes through its own, initially closed, log.
 class RunLogTest : public ::testing::Test {
  protected:
-  void TearDown() override { RunLog::instance().close(); }
+  RunLog log_;
 
   static std::string tmp_path(const std::string& name) {
     return ::testing::TempDir() + name;
@@ -33,23 +33,23 @@ class RunLogTest : public ::testing::Test {
 };
 
 TEST_F(RunLogTest, DisabledEmitIsANoOp) {
-  ASSERT_FALSE(RunLog::instance().enabled());
+  ASSERT_FALSE(log_.enabled());
   JsonWriter w;
   w.field("x", 1);
-  RunLog::instance().emit("ignored", w);  // must not crash or write
+  log_.emit("ignored", w);  // must not crash or write
 }
 
 TEST_F(RunLogTest, EmitsOneParsableRecordPerLine) {
   const std::string path = tmp_path("runlog_basic.jsonl");
-  ASSERT_TRUE(RunLog::instance().open(path));
-  EXPECT_TRUE(RunLog::instance().enabled());
+  ASSERT_TRUE(log_.open(path));
+  EXPECT_TRUE(log_.enabled());
 
   JsonWriter w;
   w.field("component", "adder32").field("points", 11);
-  RunLog::instance().emit("sweep_start", w);
-  RunLog::instance().emit("campaign_end");
-  RunLog::instance().close();
-  EXPECT_FALSE(RunLog::instance().enabled());
+  log_.emit("sweep_start", w);
+  log_.emit("campaign_end");
+  log_.close();
+  EXPECT_FALSE(log_.enabled());
 
   const auto records = read_records(path);
   ASSERT_EQ(records.size(), 2u);
@@ -61,9 +61,9 @@ TEST_F(RunLogTest, EmitsOneParsableRecordPerLine) {
 
 TEST_F(RunLogTest, TypeStringsAreEscaped) {
   const std::string path = tmp_path("runlog_escape.jsonl");
-  ASSERT_TRUE(RunLog::instance().open(path));
-  RunLog::instance().emit("odd\"type");
-  RunLog::instance().close();
+  ASSERT_TRUE(log_.open(path));
+  log_.emit("odd\"type");
+  log_.close();
   const auto records = read_records(path);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].str_or("type", ""), "odd\"type");
@@ -71,29 +71,29 @@ TEST_F(RunLogTest, TypeStringsAreEscaped) {
 
 TEST_F(RunLogTest, OpenTruncatesPreviousContents) {
   const std::string path = tmp_path("runlog_trunc.jsonl");
-  ASSERT_TRUE(RunLog::instance().open(path));
-  RunLog::instance().emit("first");
-  RunLog::instance().close();
-  ASSERT_TRUE(RunLog::instance().open(path));
-  RunLog::instance().emit("second");
-  RunLog::instance().close();
+  ASSERT_TRUE(log_.open(path));
+  log_.emit("first");
+  log_.close();
+  ASSERT_TRUE(log_.open(path));
+  log_.emit("second");
+  log_.close();
   const auto records = read_records(path);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].str_or("type", ""), "second");
 }
 
 TEST_F(RunLogTest, OpenFailureLeavesLogDisabled) {
-  EXPECT_FALSE(RunLog::instance().open("/nonexistent-dir/x/y.jsonl"));
-  EXPECT_FALSE(RunLog::instance().enabled());
+  EXPECT_FALSE(log_.open("/nonexistent-dir/x/y.jsonl"));
+  EXPECT_FALSE(log_.enabled());
 }
 
 TEST_F(RunLogTest, ManifestCarriesSchemaBuildInfoAndCallerFields) {
   const std::string path = tmp_path("runlog_manifest.jsonl");
-  ASSERT_TRUE(RunLog::instance().open(path));
+  ASSERT_TRUE(log_.open(path));
   JsonWriter caller;
   caller.field("command", "faultsim").field("threads", 4);
-  emit_manifest(caller);
-  RunLog::instance().close();
+  emit_manifest(log_, caller);
+  log_.close();
 
   const auto records = read_records(path);
   ASSERT_EQ(records.size(), 1u);
@@ -109,7 +109,7 @@ TEST_F(RunLogTest, ManifestCarriesSchemaBuildInfoAndCallerFields) {
 }
 
 TEST_F(RunLogTest, ManifestWithoutOpenLogIsANoOp) {
-  emit_manifest(JsonWriter());  // disabled: nothing to write to
+  emit_manifest(log_, JsonWriter());  // disabled: nothing to write to
 }
 
 }  // namespace

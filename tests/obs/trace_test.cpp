@@ -16,10 +16,7 @@ namespace {
 /// The tracer is process-global; every test leaves it disabled and empty.
 class TraceTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    Tracer::instance().discard();
-    set_num_threads(0);
-  }
+  void TearDown() override { Tracer::instance().discard(); }
 
   static JsonValue collect() {
     std::ostringstream os;

@@ -137,6 +137,24 @@ TEST_F(TimedBackendTest, OutOfRangeObservedWindowThrows) {
   }
 }
 
+TEST_F(TimedBackendTest, TrippedCancelTokenStopsEveryOperation) {
+  const Sta msta(*mult_);
+  const Sta asta(*adder_);
+  const auto make = [&](const CancelToken* cancel) {
+    return TimedNetlistBackend(*mult_, msta.gate_delays(nullptr, nullptr),
+                               *adder_, asta.gate_delays(nullptr, nullptr), 12,
+                               1e9, DelayModel::transport, {}, cancel);
+  };
+  CancelToken token;
+  TimedNetlistBackend watched = make(&token);
+  TimedNetlistBackend unwatched = make(nullptr);
+  token.cancel();
+  EXPECT_THROW(watched.multiply(3, -5), CancelledError);
+  EXPECT_THROW(watched.add(3, -5), CancelledError);
+  EXPECT_EQ(unwatched.multiply(3, -5), -15);
+  EXPECT_EQ(unwatched.add(3, -5), -2);
+}
+
 TEST(RecordingBackendTest, RecordsMultiplyOperands) {
   ExactBackend inner(16, 0, 0);
   RecordingBackend rec(inner);

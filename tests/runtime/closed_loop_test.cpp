@@ -19,6 +19,8 @@
 #include <stdexcept>
 
 #include "cell/library.hpp"
+#include "engine/context.hpp"
+#include "obs/metrics.hpp"
 
 namespace aapx {
 namespace {
@@ -31,7 +33,7 @@ class ClosedLoopCampaignTest : public ::testing::Test {
     options_.min_precision = 6;
     options_.schedule_grid = {0.5, 1.0, 2.0, 5.0, 10.0};
     runtime_ =
-        std::make_unique<ClosedLoopRuntime>(lib_, AgingModel{}, options_);
+        std::make_unique<ClosedLoopRuntime>(ctx_, lib_, AgingModel{}, options_);
 
     campaign_.lifetime_years = 10.0;
     campaign_.epochs = 16;
@@ -54,6 +56,7 @@ class ClosedLoopCampaignTest : public ::testing::Test {
     return f;
   }
 
+  const Context ctx_;
   CellLibrary lib_;
   RuntimeOptions options_;
   CampaignOptions campaign_;
@@ -61,7 +64,8 @@ class ClosedLoopCampaignTest : public ::testing::Test {
 };
 
 TEST_F(ClosedLoopCampaignTest, NominalLifeIsCleanForBothLoops) {
-  const FaultInjector nominal(lib_, AgingModel{}, FaultScenario::nominal());
+  const FaultInjector nominal(ctx_, lib_, AgingModel{},
+                              FaultScenario::nominal());
 
   CampaignOptions open = campaign_;
   open.closed_loop = false;
@@ -80,7 +84,7 @@ TEST_F(ClosedLoopCampaignTest, NominalLifeIsCleanForBothLoops) {
 }
 
 TEST_F(ClosedLoopCampaignTest, OpenLoopCollapsesUnderAcceptanceScenario) {
-  const FaultInjector faults(lib_, AgingModel{}, acceptance_scenario());
+  const FaultInjector faults(ctx_, lib_, AgingModel{}, acceptance_scenario());
   CampaignOptions open = campaign_;
   open.closed_loop = false;
   const CampaignResult r = runtime_->run(faults, open);
@@ -94,7 +98,7 @@ TEST_F(ClosedLoopCampaignTest, OpenLoopCollapsesUnderAcceptanceScenario) {
 }
 
 TEST_F(ClosedLoopCampaignTest, ClosedLoopConvergesUnderAcceptanceScenario) {
-  const FaultInjector faults(lib_, AgingModel{}, acceptance_scenario());
+  const FaultInjector faults(ctx_, lib_, AgingModel{}, acceptance_scenario());
   const CampaignResult closed = runtime_->run(faults, campaign_);
 
   CampaignOptions open_opt = campaign_;
@@ -141,7 +145,7 @@ TEST_F(ClosedLoopCampaignTest, SensorScheduleAloneHandlesPureAcceleration) {
   f.aging_acceleration = 1.5;
   f.sensor_gain = 0.6;
   f.sensor_noise_sigma_years = 0.2;
-  const FaultInjector faults(lib_, AgingModel{}, f);
+  const FaultInjector faults(ctx_, lib_, AgingModel{}, f);
 
   const CampaignResult closed = runtime_->run(faults, campaign_);
   EXPECT_TRUE(closed.converged_clean());
@@ -158,10 +162,10 @@ TEST_F(ClosedLoopCampaignTest, HazardCrossingFailsOverToTheSpare) {
                        MechanismKind::tddb};
   params.em.eta_ref_years = 3.0;
   const AgingModel model(params);
-  ClosedLoopRuntime runtime(lib_, model, options_);
+  ClosedLoopRuntime runtime(ctx_, lib_, model, options_);
   CampaignOptions campaign = campaign_;
   campaign.controller.hazard_failover_threshold = 0.5;
-  const FaultInjector nominal(lib_, model, FaultScenario::nominal());
+  const FaultInjector nominal(ctx_, lib_, model, FaultScenario::nominal());
   const CampaignResult r = runtime.run(nominal, campaign);
 
   EXPECT_TRUE(r.failed_over);
@@ -176,14 +180,38 @@ TEST_F(ClosedLoopCampaignTest, HazardCrossingFailsOverToTheSpare) {
   // BTI/HCI drift stays on the precision-fallback path.
   CampaignOptions armed = campaign_;
   armed.controller.hazard_failover_threshold = 0.5;
-  const FaultInjector drift_only(lib_, AgingModel{}, FaultScenario::nominal());
+  const FaultInjector drift_only(ctx_, lib_, AgingModel{},
+                                 FaultScenario::nominal());
   const CampaignResult r2 = runtime_->run(drift_only, armed);
   EXPECT_FALSE(r2.failed_over);
   EXPECT_EQ(r2.epochs.size(), static_cast<std::size_t>(campaign_.epochs));
 }
 
+TEST_F(ClosedLoopCampaignTest, FailoverIsCountedInTheRuntimesContext) {
+  // A runtime on a Context with a private registry counts its failover
+  // decisions there, not in the process registry.
+  AgingParams params;
+  params.mechanisms = {MechanismKind::bti, MechanismKind::em,
+                       MechanismKind::tddb};
+  params.em.eta_ref_years = 3.0;
+  const AgingModel model(params);
+  const ClosedLoopRuntime runtime(ctx_, lib_, model, options_);
+  CampaignOptions campaign = campaign_;
+  campaign.controller.hazard_failover_threshold = 0.5;
+  const FaultInjector nominal(ctx_, lib_, model, FaultScenario::nominal());
+  const char* name = "aging.controller.failover_decisions";
+  const std::uint64_t process_before = obs::metrics().counter(name).value();
+
+  const CampaignResult r = runtime.run(nominal, campaign);
+
+  ASSERT_TRUE(r.failed_over);
+  EXPECT_EQ(ctx_.metrics().counter(name).value(), 1u);
+  EXPECT_EQ(obs::metrics().counter(name).value(), process_before);
+}
+
 TEST_F(ClosedLoopCampaignTest, ValidatesCampaignOptions) {
-  const FaultInjector nominal(lib_, AgingModel{}, FaultScenario::nominal());
+  const FaultInjector nominal(ctx_, lib_, AgingModel{},
+                              FaultScenario::nominal());
   CampaignOptions bad = campaign_;
   bad.epochs = 0;
   EXPECT_THROW(runtime_->run(nominal, bad), std::invalid_argument);
@@ -198,15 +226,15 @@ TEST_F(ClosedLoopCampaignTest, ValidatesCampaignOptions) {
 TEST_F(ClosedLoopCampaignTest, ValidatesRuntimeOptions) {
   RuntimeOptions bad = options_;
   bad.component.truncated_bits = 2;
-  EXPECT_THROW(ClosedLoopRuntime(lib_, AgingModel{}, bad),
+  EXPECT_THROW(ClosedLoopRuntime(ctx_, lib_, AgingModel{}, bad),
                std::invalid_argument);
   bad = options_;
   bad.min_precision = 0;
-  EXPECT_THROW(ClosedLoopRuntime(lib_, AgingModel{}, bad),
+  EXPECT_THROW(ClosedLoopRuntime(ctx_, lib_, AgingModel{}, bad),
                std::invalid_argument);
   bad = options_;
   bad.stress = StressMode::measured;
-  EXPECT_THROW(ClosedLoopRuntime(lib_, AgingModel{}, bad),
+  EXPECT_THROW(ClosedLoopRuntime(ctx_, lib_, AgingModel{}, bad),
                std::invalid_argument);
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "cell/library.hpp"
+#include "engine/context.hpp"
 #include "synth/components.hpp"
 
 namespace aapx {
@@ -19,6 +20,7 @@ class FaultInjectorTest : public ::testing::Test {
             lib_, {ComponentKind::adder, 8, 0, AdderArch::ripple,
                    MultArch::array})) {}
 
+  const Context ctx_;
   CellLibrary lib_;
   Netlist nl_;
   AgingModel nominal_;
@@ -27,20 +29,20 @@ class FaultInjectorTest : public ::testing::Test {
 TEST_F(FaultInjectorTest, ValidatesScenario) {
   FaultScenario s;
   s.aging_acceleration = 0.0;
-  EXPECT_THROW(FaultInjector(lib_, nominal_, s), std::invalid_argument);
+  EXPECT_THROW(FaultInjector(ctx_, lib_, nominal_, s), std::invalid_argument);
   s = {};
   s.gate_outlier_fraction = 1.5;
-  EXPECT_THROW(FaultInjector(lib_, nominal_, s), std::invalid_argument);
+  EXPECT_THROW(FaultInjector(ctx_, lib_, nominal_, s), std::invalid_argument);
   s = {};
   s.gate_outlier_factor = 0.5;
-  EXPECT_THROW(FaultInjector(lib_, nominal_, s), std::invalid_argument);
+  EXPECT_THROW(FaultInjector(ctx_, lib_, nominal_, s), std::invalid_argument);
   s = {};
   s.temp_step_from_years = -1.0;
-  EXPECT_THROW(FaultInjector(lib_, nominal_, s), std::invalid_argument);
+  EXPECT_THROW(FaultInjector(ctx_, lib_, nominal_, s), std::invalid_argument);
 }
 
 TEST_F(FaultInjectorTest, NominalScenarioIsTransparent) {
-  const FaultInjector inj(lib_, nominal_, FaultScenario::nominal());
+  const FaultInjector inj(ctx_, lib_, nominal_, FaultScenario::nominal());
   // Equivalent age is the wall-clock age.
   EXPECT_DOUBLE_EQ(inj.equivalent_nominal_years(0.0), 0.0);
   EXPECT_NEAR(inj.equivalent_nominal_years(5.0), 5.0, 1e-9);
@@ -61,8 +63,8 @@ TEST_F(FaultInjectorTest, NominalScenarioIsTransparent) {
 TEST_F(FaultInjectorTest, AccelerationInflatesDelaysAndEquivalentAge) {
   FaultScenario s;
   s.aging_acceleration = 1.5;
-  const FaultInjector inj(lib_, nominal_, s);
-  const FaultInjector nom(lib_, nominal_, FaultScenario::nominal());
+  const FaultInjector inj(ctx_, lib_, nominal_, s);
+  const FaultInjector nom(ctx_, lib_, nominal_, FaultScenario::nominal());
 
   // ΔVth acceleration r maps to equivalent age t * r^(1/n) under the
   // power law — far more than r itself.
@@ -82,7 +84,7 @@ TEST_F(FaultInjectorTest, TemperatureStepActivatesAtItsOnset) {
   FaultScenario s;
   s.temp_step_kelvin = 20.0;
   s.temp_step_from_years = 5.0;
-  const FaultInjector inj(lib_, nominal_, s);
+  const FaultInjector inj(ctx_, lib_, nominal_, s);
   // Before the excursion the die is nominal; after it ages harder.
   EXPECT_NEAR(inj.equivalent_nominal_years(4.0), 4.0, 1e-9);
   EXPECT_GT(inj.equivalent_nominal_years(6.0), 6.0);
@@ -97,8 +99,8 @@ TEST_F(FaultInjectorTest, OutliersAreDeterministicPerDie) {
   s.gate_outlier_fraction = 0.25;
   s.gate_outlier_factor = 1.3;
   s.seed = 9;
-  const FaultInjector inj(lib_, nominal_, s);
-  const FaultInjector nom(lib_, nominal_, FaultScenario::nominal());
+  const FaultInjector inj(ctx_, lib_, nominal_, s);
+  const FaultInjector nom(ctx_, lib_, nominal_, FaultScenario::nominal());
 
   const auto a = inj.true_delays(nl_, StressMode::worst, 2.0);
   const auto b = inj.true_delays(nl_, StressMode::worst, 2.0);
@@ -122,13 +124,13 @@ TEST_F(FaultInjectorTest, SensorInheritsScenarioFaults) {
   FaultScenario s;
   s.sensor_gain = 0.5;
   s.sensor_offset_years = 1.0;
-  const FaultInjector inj(lib_, nominal_, s);
+  const FaultInjector inj(ctx_, lib_, nominal_, s);
   AgingSensor sensor = inj.make_sensor();
   EXPECT_NEAR(sensor.read(8.0), 0.5 * 8.0 + 1.0, 1e-12);
 }
 
 TEST_F(FaultInjectorTest, RejectsNegativeAges) {
-  const FaultInjector inj(lib_, nominal_, FaultScenario::nominal());
+  const FaultInjector inj(ctx_, lib_, nominal_, FaultScenario::nominal());
   EXPECT_THROW(inj.equivalent_nominal_years(-1.0), std::invalid_argument);
   EXPECT_THROW(inj.true_delays(nl_, StressMode::worst, -1.0),
                std::invalid_argument);

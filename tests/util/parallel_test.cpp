@@ -10,14 +10,7 @@
 namespace aapx {
 namespace {
 
-/// set_num_threads is process-global; every test restores the automatic
-/// default so ordering cannot leak a thread-count override.
-class ParallelTest : public ::testing::Test {
- protected:
-  void TearDown() override { set_num_threads(0); }
-};
-
-TEST_F(ParallelTest, CallsEveryIndexExactlyOnce) {
+TEST(ParallelTest, CallsEveryIndexExactlyOnce) {
   constexpr std::size_t n = 10'000;
   std::vector<std::atomic<int>> hits(n);
   parallel_for(n, [&](std::size_t i) {
@@ -28,13 +21,13 @@ TEST_F(ParallelTest, CallsEveryIndexExactlyOnce) {
   }
 }
 
-TEST_F(ParallelTest, ZeroIterationsIsANoOp) {
+TEST(ParallelTest, ZeroIterationsIsANoOp) {
   std::atomic<int> calls{0};
   parallel_for(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST_F(ParallelTest, ResultsIdenticalAcrossThreadCounts) {
+TEST(ParallelTest, ResultsIdenticalAcrossThreadCounts) {
   constexpr std::size_t n = 4096;
   const auto body = [](std::size_t i) {
     return std::sin(static_cast<double>(i)) * 1e9;
@@ -49,7 +42,7 @@ TEST_F(ParallelTest, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParallelTest, NestedLoopsSerializeAndStayCorrect) {
+TEST(ParallelTest, NestedLoopsSerializeAndStayCorrect) {
   constexpr std::size_t outer = 8, inner = 64;
   std::vector<std::vector<int>> grid(outer, std::vector<int>(inner, 0));
   std::atomic<int> nested_regions{0};
@@ -69,7 +62,7 @@ TEST_F(ParallelTest, NestedLoopsSerializeAndStayCorrect) {
   }
 }
 
-TEST_F(ParallelTest, ExceptionPropagatesAndPoolStaysUsable) {
+TEST(ParallelTest, ExceptionPropagatesAndPoolStaysUsable) {
   std::vector<std::atomic<int>> hits(512);
   EXPECT_THROW(
       parallel_for(hits.size(), [&](std::size_t i) {
@@ -86,14 +79,6 @@ TEST_F(ParallelTest, ExceptionPropagatesAndPoolStaysUsable) {
   std::atomic<int> calls{0};
   parallel_for(256, [&](std::size_t) { ++calls; }, 4);
   EXPECT_EQ(calls.load(), 256);
-}
-
-TEST_F(ParallelTest, NumThreadsOverrideRoundTrips) {
-  set_num_threads(3);
-  EXPECT_EQ(num_threads(), 3);
-  set_num_threads(0);
-  EXPECT_GE(num_threads(), 1);
-  EXPECT_GE(hardware_threads(), 1);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ namespace {
 using namespace aapx;
 
 /// The process-wide cancellation token SIGINT/SIGTERM trip. Long-running
-/// flows observe it through the process-default Context; `aapx serve`
+/// flows observe it through the root Context; `aapx serve`
 /// additionally gets its graceful-drain request. The handler body is two
 /// atomic stores — strictly async-signal-safe.
 CancelToken g_cancel;                              // NOLINT
@@ -1524,7 +1524,7 @@ commands:
 
 global options:
   --threads N | -j N   worker threads for parallel sweeps (default: all
-                       cores, or the AAPX_THREADS environment variable)
+                       cores)
   --store <file>       persistent DesignStore: warm this run from the file
                        if it exists, save the warmed store back on exit
                        (default: the AAPX_STORE environment variable)
@@ -1571,25 +1571,24 @@ int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
     reject_unknown_options(args);
-    // The CLI is a single-tenant process: it runs on the process-default
-    // Context, whose metrics/run-log sinks are the global instances the
-    // --metrics/--log flags have always driven. --threads/-j keeps its
-    // historic meaning by setting the global default worker count, which a
-    // Context with no explicit thread count falls through to.
-    Context& ctx = Context::process_default();
+    // The CLI is a single-tenant process with one root Context. Its
+    // registry is the process one, so the --metrics snapshot also carries
+    // what layers without a Context count (gatesim, the thread pool).
+    Context::Options root;
+    root.metrics = &obs::metrics();
+    if (args.has("threads")) {
+      root.threads = args.get_int("threads", 0);
+      if (root.threads < 1) throw std::runtime_error("--threads must be >= 1");
+    }
     // SIGINT/SIGTERM become cooperative cancellation: sweeps and campaign
     // epochs observe the token and unwind cleanly instead of the process
     // dying with an unsaved store. `report` keeps default signal behavior
     // (it only reads artifacts; instant death loses nothing).
     if (args.command != "report") {
       install_signal_handlers();
-      ctx.set_cancel_token(&g_cancel);
+      root.cancel = &g_cancel;
     }
-    if (args.has("threads")) {
-      const int threads = args.get_int("threads", 0);
-      if (threads < 1) throw std::runtime_error("--threads must be >= 1");
-      set_num_threads(threads);
-    }
+    const Context ctx(root);
     const std::string trace_path = args.get("trace", "");
     const std::string metrics_path = args.get("metrics", "");
     const std::string log_path = args.get("log", "");
@@ -1608,7 +1607,7 @@ int main(int argc, char** argv) {
       mf.field("command", args.command)
           .field("argv", argline)
           .field("threads", ctx.num_threads());
-      obs::emit_manifest(mf);
+      obs::emit_manifest(ctx.runlog(), mf);
     }
     if (instrumented && !trace_path.empty()) obs::Tracer::instance().start();
 
