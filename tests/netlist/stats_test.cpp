@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "netlist/dot.hpp"
-
 namespace aapx {
 namespace {
 
@@ -37,21 +33,6 @@ TEST(NetlistStatsTest, TotalAreaIncludesRegisters) {
   const double without = total_area(nl, 0);
   const double with = total_area(nl, 10);
   EXPECT_NEAR(with - without, 10 * lib.dff().area, 1e-12);
-}
-
-TEST(DotExportTest, EmitsWellFormedDigraph) {
-  const CellLibrary lib = make_nangate45_like();
-  Netlist nl(lib);
-  const NetId a = nl.add_input("a");
-  const NetId y = nl.mk(LogicFn::kNand2, a, nl.const1());
-  nl.mark_output(y, "y");
-  std::ostringstream os;
-  write_dot(nl, os, "test");
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("NAND2_X1"), std::string::npos);
-  EXPECT_NE(dot.find("const1"), std::string::npos);
-  EXPECT_NE(dot.find("-> po0"), std::string::npos);
 }
 
 }  // namespace

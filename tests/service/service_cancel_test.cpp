@@ -4,6 +4,7 @@
 // the results (or the run-log bytes) of surviving requests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -102,8 +103,16 @@ TEST(CancelToken, MidSweepCancelLeavesNoPartialSurface) {
   CharacterizerOptions copt;
   copt.min_precision = 1;
   const ComponentCharacterizer ch(ctx, lib, AgingModel{}, copt);
+  // Cancel on progress, not on a wall-clock sleep: the first point's
+  // netlist miss means the sweep is past its prewarm and in its point
+  // loop, with 31 points still to go. A fixed sleep raced the whole sweep
+  // (a few ms) and lost on fast or loaded machines.
+  std::atomic<bool> sweep_done{false};
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    while (ctx.store().stats().netlist_misses == 0 &&
+           !sweep_done.load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
     token.cancel();
   });
   bool threw = false;
@@ -112,6 +121,7 @@ TEST(CancelToken, MidSweepCancelLeavesNoPartialSurface) {
   } catch (const CancelledError&) {
     threw = true;
   }
+  sweep_done.store(true, std::memory_order_relaxed);
   canceller.join();
   if (!threw) GTEST_SKIP() << "sweep outran the canceller on this machine";
   // Sub-artifacts of completed grains (netlists, aged libraries, delays)

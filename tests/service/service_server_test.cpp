@@ -3,7 +3,7 @@
 // computation, shared-store warmth across clients, deadline enforcement,
 // graceful drain, and the BoundedQueue admission primitive. (The
 // fault-injection side — drops, malformed frames, storms, SIGKILL — lives
-// in the chaos harness; see src/service/chaos.cpp and `aapx servesim`.)
+// in the chaos harness; see tests/service/chaos.cpp.)
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 

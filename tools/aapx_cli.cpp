@@ -9,12 +9,18 @@
 //   aapx faultsim --width 16 --arch ripple --accel 1.5 --sensor-gain 0.6
 //   aapx faultsim ... --log run.jsonl --trace run.trace --metrics run.json
 //   aapx report --log run.jsonl --trace run.trace --metrics run.json
+//   aapx library build --out lib.aapx --kinds adder,multiplier --widths 8,16
 //   aapx serve --listen tcp:7471 --store lib.aapx --snapshot-interval 30
 //   aapx client --connect tcp:7471 --op characterize --width 16
-//   aapx servesim --scenario all
 //
-// Every subcommand builds the generated NanGate-45-like library and the
-// calibrated BTI model; see `aapx help` for the full option list.
+// One table, kCommands near the end of this file, declares every subcommand
+// and `library` action: its handler, whether main attaches --store around
+// it, whether it writes --trace/--metrics/--log, and every option it takes
+// with the option's value shape and help line. Parsing, the argv-indexed
+// diagnostics, `aapx help` and dispatch all read that table, so an option
+// is accepted exactly where it is declared and its value is checked before
+// any work starts. The computing subcommands build the generated
+// NanGate-45-like library and the calibrated aging model.
 //
 // Signal discipline: SIGINT/SIGTERM trip a process-wide CancelToken that
 // long-running flows (characterize sweeps, faultsim epochs) check
@@ -22,17 +28,13 @@
 // prints a one-line diagnostic and exits 128+signum — never a lost store,
 // never a torn file (snapshots are temp+rename). `aapx serve` instead
 // drains gracefully and exits 0: shutdown is its normal lifecycle.
-//
-// Global instrumentation options (any subcommand):
-//   --trace <file>    Chrome trace-event JSON (load in Perfetto)
-//   --metrics <file>  metrics-registry snapshot as JSON
-//   --log <file>      structured JSONL run log (manifest + flow records)
 #include <signal.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,10 +42,12 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "aging/aging_model.hpp"
@@ -61,7 +65,6 @@
 #include "obs/runlog.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runtime.hpp"
-#include "service/chaos.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -97,241 +100,245 @@ void install_signal_handlers() {
   sigaction(SIGTERM, &sa, nullptr);
 }
 
-/// Strict numeric conversion: the whole string must be consumed, so
-/// "--width banana" and "--years 1x" are one-line errors, not zeros.
-int to_int_strict(const std::string& text, const std::string& what) {
-  std::size_t used = 0;
-  int value = 0;
-  try {
-    value = std::stoi(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size()) {
-    throw std::runtime_error("bad " + what + " value '" + text + "'");
-  }
-  return value;
-}
-
-double to_double_strict(const std::string& text, const std::string& what) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size()) {
-    throw std::runtime_error("bad " + what + " value '" + text + "'");
-  }
-  return value;
-}
-
-struct Args {
-  std::string command;
-  std::string action;  ///< positional sub-action ("library build" etc.)
-  std::map<std::string, std::string> options;
-  /// argv index where each option appeared, for parser-style diagnostics
-  /// ("argv[3]: unknown option '--foo'" mirrors "verilog:12: ...").
-  std::map<std::string, int> arg_index;
-
-  bool has(const std::string& key) const {
-    return options.find(key) != options.end();
-  }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  int get_int(const std::string& key, int fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : to_int_strict(it->second, "--" + key);
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : to_double_strict(it->second, "--" + key);
-  }
-  /// Like get_double but additionally rejects negative values.
-  double get_years(const std::string& key, double fallback) const {
-    const double y = get_double(key, fallback);
-    if (y < 0.0) {
-      throw std::runtime_error("--" + key + " must be non-negative, got " +
-                               get(key, ""));
-    }
-    return y;
-  }
+/// What an option's value looks like. Every shape but `flag` and `diff`
+/// consumes the next argv token (or "" when the next token is an option).
+enum class Shape {
+  flag,     ///< presence only; a token after it is a parse error
+  integer,  ///< int >= Opt::min
+  real,     ///< finite double
+  years,    ///< finite double >= 0
+  u64,      ///< unsigned 64-bit integer
+  text,     ///< any string (paths, endpoints)
+  choice,   ///< one of Opt::choices
+  diff,     ///< every token up to the next option, joined comma-style
 };
 
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc < 2) return args;
-  args.command = argv[1];
-  int i = 2;
-  // `library` takes one positional action before options.
-  if (args.command == "library" && i < argc &&
-      std::strncmp(argv[i], "--", 2) != 0) {
-    args.action = argv[i++];
-  }
-  for (; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key == "-j") key = "--threads";  // make-style worker-count shorthand
-    if (key.rfind("--", 0) != 0) {
-      throw std::runtime_error("argv[" + std::to_string(i) +
-                               "]: expected --option, got '" + key + "'");
-    }
-    key = key.substr(2);
-    args.arg_index[key] = i;
-    if (key == "diff" && args.command == "report") {
-      // `report --diff A B` (or `--diff A,B`) compares two artifacts, so
-      // this one option consumes up to two values, joined comma-style.
-      std::string joined;
-      while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        if (!joined.empty()) joined += ',';
-        joined += argv[++i];
-      }
-      args.options[key] = joined;
-      continue;
-    }
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[key] = argv[++i];
-    } else {
-      args.options[key] = "";
-    }
-  }
-  return args;
+struct Choice {
+  const char* text;
+  int value;  ///< the enum value it selects
+};
+
+struct Opt {
+  const char* name;
+  Shape shape;
+  const char* meta;  ///< value placeholder in `aapx help`
+  const char* help;
+  int min = 0;        ///< integer: smallest accepted value
+  bool list = false;  ///< a comma-separated list of `shape` values
+  std::span<const Choice> choices = {};
+};
+
+using Opts = std::vector<Opt>;
+
+Opts operator+(Opts a, const Opts& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
 }
 
-std::uint64_t to_u64_strict(const std::string& text, const std::string& what) {
-  std::size_t used = 0;
-  std::uint64_t value = 0;
-  try {
-    value = std::stoull(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size()) {
-    throw std::runtime_error("bad " + what + " value '" + text + "'");
-  }
-  return value;
+// Table shorthands: name, [min,] value placeholder for `aapx help`, help.
+using Text = const char*;
+template <Shape kShape>
+Opt plain(Text name, Text meta, Text help) {
+  return {name, kShape, meta, help};
+}
+constexpr auto real = plain<Shape::real>, years = plain<Shape::years>,
+               u64 = plain<Shape::u64>, str = plain<Shape::text>;
+Opt flag(Text name, Text help) { return {name, Shape::flag, "", help}; }
+Opt integer(Text name, int min, Text meta, Text help) {
+  return {name, Shape::integer, meta, help, min};
+}
+Opt choice(Text name, std::span<const Choice> choices, Text help) {
+  return {name, Shape::choice, "", help, 0, false, choices};
+}
+Opt csv(Opt item) {
+  item.list = true;
+  return item;
 }
 
-/// Rejects options the selected command does not understand — silently
-/// ignored flags hide typos ("--mim-precision") until the results look
-/// wrong. Diagnostics carry the argv position, like the liberty/verilog
-/// parsers carry line numbers. Unknown *commands* fall through: dispatch()
-/// reports those.
-void reject_unknown_options(const Args& args) {
-  static const std::set<std::string> kGlobal = {"threads", "trace", "metrics",
-                                               "log", "store"};
-  static const std::map<std::string, std::set<std::string>> kByCommand = {
-      {"characterize",
-       {"kind", "width", "trunc", "arch", "mult-arch", "min-precision", "mode",
-        "years", "save", "mechanisms", "hci-a", "hci-exp", "em-eta", "em-beta",
-        "tddb-eta", "tddb-beta"}},
-      {"flow",
-       {"width", "years", "mode", "min-precision", "mechanisms", "hci-a",
-        "hci-exp", "em-eta", "em-beta", "tddb-eta", "tddb-beta"}},
-      {"schedule",
-       {"kind", "width", "trunc", "arch", "mult-arch", "min-precision", "mode",
-        "grid", "mechanisms", "hci-a", "hci-exp", "em-eta", "em-beta",
-        "tddb-eta", "tddb-beta"}},
-      {"export-liberty", {"out", "years", "stress"}},
-      {"export-verilog", {"kind", "width", "trunc", "arch", "mult-arch",
-                          "out"}},
-      {"export-sdf", {"kind", "width", "trunc", "arch", "mult-arch", "years",
-                      "stress", "out"}},
-      {"faultsim",
-       {"kind", "width", "trunc", "arch", "mult-arch", "min-precision", "grid",
-        "accel", "temp-step", "temp-from", "outlier-frac", "outlier-factor",
-        "sensor-gain", "sensor-offset", "sensor-noise", "seed", "years",
-        "epochs", "vectors", "verify-vectors", "open-loop", "canary-margin",
-        "canary-trip", "mechanisms", "hci-a", "hci-exp", "em-eta", "em-beta",
-        "tddb-eta", "tddb-beta", "hazard-failover"}},
-      {"report",
-       {"trace", "log", "metrics", "check", "top", "diff", "log-dir"}},
-      {"serve",
-       {"listen", "workers", "sweep-threads", "queue", "retry-hint-ms",
-        "snapshot-interval", "log-dir", "admin", "request-trace",
-        "request-trace-rotate-kb", "slow-ring"}},
-      {"client",
-       {"connect", "op", "kind", "width", "trunc", "arch", "mult-arch",
-        "min-precision", "step", "mode", "years", "deadline-ms", "attempts",
-        "trace-id"}},
-      {"top", {"connect", "interval", "once", "attempts"}},
-      {"servesim", {"scenario", "work-dir", "self-exe", "verbose"}},
-      {"help", {}},
-  };
-  static const std::map<std::string, std::set<std::string>> kLibraryActions = {
-      {"build", {"out", "kinds", "widths", "arch", "mult-arch",
-                 "min-precision", "mode", "years", "mechanisms", "hci-a",
-                 "hci-exp", "em-eta", "em-beta", "tddb-eta", "tddb-beta"}},
-      {"query", {"kind", "width"}},
-      {"info", {}},
-      {"merge", {"out", "inputs"}},
-  };
-  const std::set<std::string>* allowed = nullptr;
-  std::string label = args.command;
-  if (args.command == "library") {
-    const auto it = kLibraryActions.find(args.action);
-    if (it == kLibraryActions.end()) return;  // cmd_library reports it
-    allowed = &it->second;
-    label += " " + args.action;
-  } else {
-    const auto it = kByCommand.find(args.command);
-    if (it == kByCommand.end()) return;  // dispatch reports it
-    allowed = &it->second;
-  }
-  // Report the *first* offending token on the command line, not map order.
-  const std::string* worst_key = nullptr;
-  int worst_index = 0;
-  for (const auto& [key, index] : args.arg_index) {
-    if (kGlobal.count(key) != 0 || allowed->count(key) != 0) continue;
-    if (worst_key == nullptr || index < worst_index) {
-      worst_key = &key;
-      worst_index = index;
-    }
-  }
-  if (worst_key != nullptr) {
-    throw std::runtime_error("argv[" + std::to_string(worst_index) +
-                             "]: unknown option '--" + *worst_key + "' for '" +
-                             label + "' (try 'aapx help')");
-  }
-}
-
-std::vector<double> parse_list(const std::string& csv, const std::string& what) {
-  std::vector<double> out;
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> out;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(to_double_strict(item, what));
-  }
-  if (out.empty()) {
-    throw std::runtime_error(what + " list is empty");
+    if (!item.empty()) out.push_back(item);
   }
   return out;
 }
 
-ComponentKind parse_kind(const std::string& s) {
-  if (s == "adder") return ComponentKind::adder;
-  if (s == "multiplier" || s == "mult") return ComponentKind::multiplier;
-  if (s == "mac") return ComponentKind::mac;
-  if (s == "clamp") return ComponentKind::clamp;
-  throw std::runtime_error("unknown --kind " + s);
+/// "a|b|c"; an alias (same value as the entry before it) is left out.
+std::string choice_names(const Opt& opt) {
+  std::string out;
+  for (std::size_t i = 0; i < opt.choices.size(); ++i) {
+    if (i > 0 && opt.choices[i].value == opt.choices[i - 1].value) continue;
+    out += (out.empty() ? "" : "|") + std::string(opt.choices[i].text);
+  }
+  return out;
 }
 
-AdderArch parse_adder_arch(const std::string& s) {
-  if (s == "ripple") return AdderArch::ripple;
-  if (s == "cla4") return AdderArch::cla4;
-  if (s == "kogge-stone" || s == "kogge_stone") return AdderArch::kogge_stone;
-  throw std::runtime_error("unknown --arch " + s);
+int choice_value(const Opt& opt, const std::string& text) {
+  for (const Choice& c : opt.choices) {
+    if (text == c.text) return c.value;
+  }
+  throw std::runtime_error("unknown --" + std::string(opt.name) + " " + text +
+                           " (" + choice_names(opt) + ")");
 }
 
-StressMode parse_mode(const std::string& s) {
-  if (s == "worst") return StressMode::worst;
-  if (s == "balanced") return StressMode::balanced;
-  throw std::runtime_error("unknown --mode " + s + " (worst|balanced)");
+/// The one strict conversion of an option value: the whole token must be a
+/// T, so "--width banana", "--years 1x", "--seed -1" and "--years nan" are
+/// one-line errors, not zeros, wrapped counts or NaN lifetimes.
+template <class T>
+T convert(const Opt& opt, const std::string& text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_enum_v<T>) {
+    return static_cast<T>(choice_value(opt, text));
+  } else {
+    const std::string flag = std::string("--") + opt.name;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool ok = !text.empty() && ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+    if (!ok) throw std::runtime_error("bad " + flag + " value '" + text + "'");
+    if constexpr (std::is_same_v<T, int>) {
+      if (value < opt.min) {
+        throw std::runtime_error(flag + " must be >= " +
+                                 std::to_string(opt.min));
+      }
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      if (opt.shape == Shape::years && value < 0.0) {
+        throw std::runtime_error(flag + " must be non-negative, got " + text);
+      }
+    }
+    return value;
+  }
 }
+
+/// Parse-time check of one argv value against its option's shape.
+void check_value(const Opt& opt, const std::string& value) {
+  const auto check_item = [&opt](const std::string& item) {
+    switch (opt.shape) {
+      case Shape::integer: (void)convert<int>(opt, item); break;
+      case Shape::real:
+      case Shape::years: (void)convert<double>(opt, item); break;
+      case Shape::u64: (void)convert<std::uint64_t>(opt, item); break;
+      case Shape::choice: (void)choice_value(opt, item); break;
+      case Shape::flag:
+      case Shape::text:
+      case Shape::diff: break;
+    }
+  };
+  if (!opt.list) return check_item(value);
+  const std::vector<std::string> items = split_csv(value);
+  if (items.empty()) {
+    throw std::runtime_error("--" + std::string(opt.name) + " list is empty");
+  }
+  for (const std::string& item : items) check_item(item);
+}
+
+/// Accepted by every command.
+const Opts kGlobalOptions = {
+    integer("threads", 1, "N", "worker threads (default: all cores); -j N"),
+    str("store", "FILE", "persistent DesignStore (default: $AAPX_STORE)")};
+
+/// Outputs every command but `report` writes (report reads them instead).
+const Opts kInstrumentOptions = {
+    str("trace", "FILE", "write a Chrome trace-event JSON (Perfetto)"),
+    str("metrics", "FILE", "write the metrics-registry snapshot as JSON"),
+    str("log", "FILE", "write the structured JSONL run log")};
+
+struct Args;
+
+struct Command {
+  const char* name;     ///< "characterize", ..., "library build", ...
+  const char* summary;  ///< one line in `aapx help`
+  int (*run)(const Context& ctx, const Args& args);
+  bool store;         ///< main warms --store before the run, saves it after
+  bool instrumented;  ///< writes --trace/--metrics/--log; SIGINT cancels it
+  Opts options;       ///< its own options, in help order
+
+  const Opt* find(const std::string& option) const {
+    for (const Opts* group : {&options, &kGlobalOptions, &kInstrumentOptions}) {
+      if (group == &kInstrumentOptions && !instrumented) continue;
+      for (const Opt& opt : *group) {
+        if (option == opt.name) return &opt;
+      }
+    }
+    return nullptr;
+  }
+};
+
+/// One parsed command line. Values were checked against their option's
+/// shape at parse time, so the getters' conversions cannot fail.
+struct Args {
+  std::string command;           ///< argv[1] as typed (the manifest's)
+  const Command* cmd = nullptr;  ///< nullptr: unknown command
+  std::map<std::string, std::string> values;
+  std::string store;  ///< the store file main attached ("" = none)
+
+  bool has(const std::string& name) const { return values.count(name) != 0; }
+  std::string text(const std::string& name) const {
+    const auto it = values.find(name);
+    return it == values.end() ? std::string() : it->second;
+  }
+  template <class T>
+  T get(const std::string& name, T fallback) const {
+    const auto it = values.find(name);
+    return it == values.end() ? fallback
+                              : convert<T>(*cmd->find(name), it->second);
+  }
+  template <class T>
+  std::vector<T> list(const std::string& name, std::vector<T> fallback) const {
+    const auto it = values.find(name);
+    if (it == values.end()) return fallback;
+    std::vector<T> out;
+    for (const std::string& item : split_csv(it->second)) {
+      out.push_back(convert<T>(*cmd->find(name), item));
+    }
+    return out;
+  }
+};
+
+constexpr Choice kKinds[] = {
+    {"adder", static_cast<int>(ComponentKind::adder)},
+    {"multiplier", static_cast<int>(ComponentKind::multiplier)},
+    {"mult", static_cast<int>(ComponentKind::multiplier)},
+    {"mac", static_cast<int>(ComponentKind::mac)},
+    {"clamp", static_cast<int>(ComponentKind::clamp)}};
+constexpr Choice kAdderArchs[] = {
+    {"ripple", static_cast<int>(AdderArch::ripple)},
+    {"cla4", static_cast<int>(AdderArch::cla4)},
+    {"kogge-stone", static_cast<int>(AdderArch::kogge_stone)},
+    {"kogge_stone", static_cast<int>(AdderArch::kogge_stone)}};
+constexpr Choice kMultArchs[] = {
+    {"array", static_cast<int>(MultArch::array)},
+    {"wallace", static_cast<int>(MultArch::wallace)}};
+constexpr Choice kModes[] = {
+    {"worst", static_cast<int>(StressMode::worst)},
+    {"balanced", static_cast<int>(StressMode::balanced)}};
+
+const Opt kWidth = integer("width", 0, "N", "operand width in bits");
+const Opt kArch = choice("arch", kAdderArchs, "adder architecture");
+const Opt kMultArch = choice("mult-arch", kMultArchs, "multiplier arch");
+const Opt kMinPrecision = integer("min-precision", 1, "K", "lowest precision");
+const Opt kMode = choice("mode", kModes, "stress mode (default worst)");
+const Opt kYearsList = csv(years("years", "1,10", "aging horizons in years"));
+const Opt kGrid = csv(real("grid", "0.5,1,2,5,10", "schedule grid in years"));
+const Opt kOut = str("out", "FILE", "output file (required)");
+
+const Opts kComponent = {
+    choice("kind", kKinds, "component kind (default adder)"), kWidth,
+    integer("trunc", 0, "K", "truncated low bits"), kArch, kMultArch};
+
+const Opts kAging = {
+    csv(str("mechanisms", "bti,hci,em,tddb", "aging mechanisms (default bti)")),
+    real("hci-a", "A", "HCI drift prefactor"),
+    real("hci-exp", "M", "HCI activity exponent"),
+    real("em-eta", "Y", "EM Weibull scale [years]"),
+    real("em-beta", "B", "EM Weibull shape"),
+    real("tddb-eta", "Y", "TDDB Weibull scale [years]"),
+    real("tddb-beta", "B", "TDDB Weibull shape")};
 
 /// Builds the aging model a command runs under: `--mechanisms bti,hci,em,tddb`
 /// selects the mechanism set (default BTI only), and per-mechanism knobs
@@ -341,10 +348,7 @@ AgingModel model_from(const Args& args) {
   AgingParams params;
   if (args.has("mechanisms")) {
     params.mechanisms.clear();
-    std::stringstream ss(args.get("mechanisms", "bti"));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
+    for (const std::string& item : args.list<std::string>("mechanisms", {})) {
       try {
         params.mechanisms.push_back(mechanism_from_string(item));
       } catch (const std::invalid_argument& e) {
@@ -352,14 +356,13 @@ AgingModel model_from(const Args& args) {
       }
     }
   }
-  params.hci.a_hci = args.get_double("hci-a", params.hci.a_hci);
+  params.hci.a_hci = args.get("hci-a", params.hci.a_hci);
   params.hci.activity_exponent =
-      args.get_double("hci-exp", params.hci.activity_exponent);
-  params.em.eta_ref_years = args.get_double("em-eta", params.em.eta_ref_years);
-  params.em.beta = args.get_double("em-beta", params.em.beta);
-  params.tddb.eta_ref_years =
-      args.get_double("tddb-eta", params.tddb.eta_ref_years);
-  params.tddb.beta = args.get_double("tddb-beta", params.tddb.beta);
+      args.get("hci-exp", params.hci.activity_exponent);
+  params.em.eta_ref_years = args.get("em-eta", params.em.eta_ref_years);
+  params.em.beta = args.get("em-beta", params.em.beta);
+  params.tddb.eta_ref_years = args.get("tddb-eta", params.tddb.eta_ref_years);
+  params.tddb.beta = args.get("tddb-beta", params.tddb.beta);
   try {
     return AgingModel(params);
   } catch (const std::invalid_argument& e) {
@@ -416,63 +419,81 @@ void validate_aging_horizon(const CellLibrary& lib, const AgingModel& model,
   }
 }
 
-ComponentSpec spec_from(const Args& args) {
+ComponentSpec spec_from(const Args& args, int width = 32,
+                        AdderArch arch = AdderArch::cla4) {
   ComponentSpec spec;
-  spec.kind = parse_kind(args.get("kind", "adder"));
-  spec.width = args.get_int("width", 32);
-  spec.truncated_bits = args.get_int("trunc", 0);
-  spec.adder_arch = parse_adder_arch(args.get("arch", "cla4"));
-  spec.mult_arch =
-      args.get("mult-arch", "array") == "wallace" ? MultArch::wallace
-                                                  : MultArch::array;
+  spec.kind = args.get("kind", ComponentKind::adder);
+  spec.width = args.get("width", width);
+  spec.truncated_bits = args.get("trunc", 0);
+  spec.adder_arch = args.get("arch", arch);
+  spec.mult_arch = args.get("mult-arch", MultArch::array);
   return spec;
 }
 
+/// The `--mode` x `--years` scenarios of a characterization sweep.
+std::vector<AgingScenario> scenarios_from(const Args& args) {
+  const StressMode mode = args.get("mode", StressMode::worst);
+  std::vector<AgingScenario> scenarios;
+  for (const double y : args.list<double>("years", {1.0, 10.0})) {
+    scenarios.push_back({mode, y});
+  }
+  return scenarios;
+}
+
 std::ofstream open_out(const Args& args) {
-  const std::string path = args.get("out", "");
+  const std::string path = args.text("out");
   if (path.empty()) throw std::runtime_error("--out <file> is required");
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot open " + path);
   return os;
 }
 
+/// The delay-vs-precision table of one characterization surface.
+void print_surface_table(const ComponentCharacterization& c) {
+  std::vector<std::string> header = {"precision", "fresh [ps]", "area [um^2]"};
+  for (const AgingScenario& s : c.scenarios) {
+    header.push_back(s.label() + " [ps]");
+  }
+  TextTable table(header);
+  for (const PrecisionPoint& pt : c.points) {
+    std::vector<std::string> row = {std::to_string(pt.precision),
+                                    TextTable::num(pt.fresh_delay, 1),
+                                    TextTable::num(pt.area, 1)};
+    for (const double d : pt.aged_delay) row.push_back(TextTable::num(d, 1));
+    table.add_row(std::move(row));
+  }
+  table.print(std::cout);
+}
+
+/// Prints one persisted or served surface: its spec line, then the same
+/// table `aapx characterize` prints.
+void print_surface(const engine::SurfacePayload& p) {
+  std::printf("%s (min precision %d, step %d)\n",
+              p.surface.base.name().c_str(), p.min_precision,
+              p.precision_step);
+  print_surface_table(p.surface);
+}
+
 int cmd_characterize(const Context& ctx, const Args& args) {
   const CellLibrary lib = make_nangate45_like();
   const ComponentSpec spec = spec_from(args);
   CharacterizerOptions copt;
-  copt.min_precision =
-      args.get_int("min-precision", std::max(1, spec.width - 10));
+  copt.min_precision = args.get("min-precision", std::max(1, spec.width - 10));
   const AgingModel model = model_from(args);
   const ComponentCharacterizer ch(ctx, lib, model, copt);
-  const StressMode mode = parse_mode(args.get("mode", "worst"));
-  std::vector<AgingScenario> scenarios;
-  for (const double y : parse_list(args.get("years", "1,10"), "--years")) {
-    if (y < 0.0) {
-      throw std::runtime_error("--years entries must be non-negative");
-    }
-    validate_aging_horizon(lib, model, y);
-    scenarios.push_back({mode, y});
+  const std::vector<AgingScenario> scenarios = scenarios_from(args);
+  for (const AgingScenario& s : scenarios) {
+    validate_aging_horizon(lib, model, s.years);
   }
   const ComponentCharacterization c = ch.characterize(spec, scenarios);
-
-  std::vector<std::string> header = {"precision", "fresh [ps]", "area [um^2]"};
-  for (const AgingScenario& s : scenarios) header.push_back(s.label() + " [ps]");
-  TextTable table(header);
-  for (const PrecisionPoint& p : c.points) {
-    std::vector<std::string> row = {std::to_string(p.precision),
-                                    TextTable::num(p.fresh_delay, 1),
-                                    TextTable::num(p.area, 1)};
-    for (const double d : p.aged_delay) row.push_back(TextTable::num(d, 1));
-    table.add_row(std::move(row));
-  }
-  table.print(std::cout);
+  print_surface_table(c);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const int k = c.required_precision(i);
     std::printf("%s: guardband-free precision = %s\n",
                 scenarios[i].label().c_str(),
                 k > 0 ? std::to_string(k).c_str() : "unreachable");
   }
-  const std::string save = args.get("save", "");
+  const std::string save = args.text("save");
   if (!save.empty()) {
     ApproximationLibrary out;
     out.add(c);
@@ -486,9 +507,9 @@ int cmd_characterize(const Context& ctx, const Args& args) {
 
 int cmd_flow(const Context& ctx, const Args& args) {
   const CellLibrary lib = make_nangate45_like();
-  const int width = args.get_int("width", 32);
+  const int width = args.get("width", 32);
   CharacterizerOptions copt;
-  copt.min_precision = args.get_int("min-precision", std::max(1, width - 8));
+  copt.min_precision = args.get("min-precision", std::max(1, width - 8));
   const AgingModel model = model_from(args);
   MicroarchApproximator flow(ctx, lib, model, copt);
   MicroarchSpec design;
@@ -500,8 +521,8 @@ int cmd_flow(const Context& ctx, const Args& args) {
        false},
   };
   FlowOptions fopt;
-  fopt.scenario = {parse_mode(args.get("mode", "worst")),
-                   args.get_years("years", 10.0)};
+  fopt.scenario = {args.get("mode", StressMode::worst),
+                   args.get("years", 10.0)};
   validate_aging_horizon(lib, model, fopt.scenario.years);
   const FlowResult plan = flow.run(design, fopt);
   std::printf("constraint t_CP(noAging) = %.1f ps, timing %s\n",
@@ -522,16 +543,14 @@ int cmd_schedule(const Context& ctx, const Args& args) {
   const CellLibrary lib = make_nangate45_like();
   const ComponentSpec spec = spec_from(args);
   CharacterizerOptions copt;
-  copt.min_precision =
-      args.get_int("min-precision", std::max(1, spec.width - 10));
+  copt.min_precision = args.get("min-precision", std::max(1, spec.width - 10));
   const AgingModel model = model_from(args);
   const ComponentCharacterizer ch(ctx, lib, model, copt);
   const AdaptiveScheduler scheduler(ch);
-  const std::vector<double> grid =
-      parse_list(args.get("grid", "1,2,5,10"), "--grid");
+  const std::vector<double> grid = args.list<double>("grid", {1, 2, 5, 10});
   for (const double y : grid) validate_aging_horizon(lib, model, y);
-  const AdaptiveSchedule plan = scheduler.plan(
-      spec, parse_mode(args.get("mode", "worst")), grid);
+  const AdaptiveSchedule plan =
+      scheduler.plan(spec, args.get("mode", StressMode::worst), grid);
   std::printf("%s, constraint %.1f ps, schedule %s\n", spec.name().c_str(),
               plan.timing_constraint, plan.feasible ? "feasible" : "INFEASIBLE");
   TextTable table({"from [y]", "precision", "aged delay [ps]",
@@ -546,23 +565,23 @@ int cmd_schedule(const Context& ctx, const Args& args) {
   return plan.feasible ? 0 : 1;
 }
 
-int cmd_export_liberty(const Args& args) {
+int cmd_export_liberty(const Context&, const Args& args) {
   const CellLibrary lib = make_nangate45_like();
   std::ofstream os = open_out(args);
-  const double years = args.get_years("years", 0.0);
+  const double years = args.get("years", 0.0);
   if (years > 0.0) {
     const AgingModel model;
     validate_aging_horizon(lib, model, years);
     const DegradationAwareLibrary aged(lib, model, years);
-    const StressMode mode = parse_mode(args.get("stress", "worst"));
+    const StressMode mode = args.get("stress", StressMode::worst);
     const StressPair stress =
         mode == StressMode::worst ? kWorstCaseStress : kBalancedStress;
     write_aged_liberty(aged, stress, os);
     std::printf("aged liberty (%g years, %s stress) written to %s\n", years,
-                to_string(mode).c_str(), args.get("out", "").c_str());
+                to_string(mode).c_str(), args.text("out").c_str());
   } else {
     write_liberty(lib, os);
-    std::printf("fresh liberty written to %s\n", args.get("out", "").c_str());
+    std::printf("fresh liberty written to %s\n", args.text("out").c_str());
   }
   return 0;
 }
@@ -575,7 +594,7 @@ int cmd_export_verilog(const Context& ctx, const Args& args) {
   write_verilog(nl, os, spec.name());
   std::printf("%s: %zu gates, %.1f um^2 -> %s\n", spec.name().c_str(),
               nl.num_gates(), compute_stats(nl).cell_area,
-              args.get("out", "").c_str());
+              args.text("out").c_str());
   return 0;
 }
 
@@ -586,19 +605,19 @@ int cmd_export_sdf(const Context& ctx, const Args& args) {
   std::ofstream os = open_out(args);
   SdfWriteOptions sopt;
   sopt.design_name = spec.name();
-  const double years = args.get_years("years", 0.0);
+  const double years = args.get("years", 0.0);
   if (years > 0.0) {
     const AgingModel model;
     validate_aging_horizon(lib, model, years);
     const DegradationAwareLibrary aged(lib, model, years);
     const StressProfile stress = StressProfile::uniform(
-        parse_mode(args.get("stress", "worst")), nl.num_gates());
+        args.get("stress", StressMode::worst), nl.num_gates());
     write_aged_sdf(nl, aged, stress, os, sopt);
   } else {
     write_sdf(nl, os, sopt);
   }
   std::printf("SDF for %s (%s) written to %s\n", spec.name().c_str(),
-              years > 0.0 ? "aged" : "fresh", args.get("out", "").c_str());
+              years > 0.0 ? "aged" : "fresh", args.text("out").c_str());
   return 0;
 }
 
@@ -606,41 +625,36 @@ int cmd_faultsim(const Context& ctx, const Args& args) {
   const CellLibrary lib = make_nangate45_like();
 
   RuntimeOptions ropt;
-  ropt.component = spec_from(args);
-  if (!args.has("arch")) ropt.component.adder_arch = AdderArch::ripple;
-  if (!args.has("width")) ropt.component.width = 16;
+  ropt.component = spec_from(args, 16, AdderArch::ripple);
   ropt.min_precision =
-      args.get_int("min-precision", std::max(1, ropt.component.width - 10));
-  ropt.schedule_grid = parse_list(args.get("grid", "0.5,1,2,5,10"), "--grid");
+      args.get("min-precision", std::max(1, ropt.component.width - 10));
+  ropt.schedule_grid = args.list<double>("grid", {0.5, 1, 2, 5, 10});
   const AgingModel model = model_from(args);
   const ClosedLoopRuntime runtime(ctx, lib, model, ropt);
 
   FaultScenario fault;
-  fault.aging_acceleration = args.get_double("accel", 1.0);
-  fault.temp_step_kelvin = args.get_double("temp-step", 0.0);
-  fault.temp_step_from_years = args.get_years("temp-from", 0.0);
-  fault.gate_outlier_fraction = args.get_double("outlier-frac", 0.0);
-  fault.gate_outlier_factor = args.get_double("outlier-factor", 1.0);
-  fault.sensor_gain = args.get_double("sensor-gain", 1.0);
-  fault.sensor_offset_years = args.get_double("sensor-offset", 0.0);
-  fault.sensor_noise_sigma_years = args.get_double("sensor-noise", 0.0);
-  fault.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  fault.aging_acceleration = args.get("accel", 1.0);
+  fault.temp_step_kelvin = args.get("temp-step", 0.0);
+  fault.temp_step_from_years = args.get("temp-from", 0.0);
+  fault.gate_outlier_fraction = args.get("outlier-frac", 0.0);
+  fault.gate_outlier_factor = args.get("outlier-factor", 1.0);
+  fault.sensor_gain = args.get("sensor-gain", 1.0);
+  fault.sensor_offset_years = args.get("sensor-offset", 0.0);
+  fault.sensor_noise_sigma_years = args.get("sensor-noise", 0.0);
+  fault.seed = args.get("seed", std::uint64_t{1});
   const FaultInjector faults(ctx, lib, model, fault);
 
   CampaignOptions copt;
-  copt.lifetime_years = args.get_years("years", 10.0);
-  copt.epochs = args.get_int("epochs", 16);
-  copt.vectors_per_epoch =
-      static_cast<std::size_t>(args.get_int("vectors", 96));
-  copt.verify_vectors =
-      static_cast<std::size_t>(args.get_int("verify-vectors", 48));
+  copt.lifetime_years = args.get("years", 10.0);
+  copt.epochs = args.get("epochs", 16);
+  copt.vectors_per_epoch = args.get("vectors", std::size_t{96});
+  copt.verify_vectors = args.get("verify-vectors", std::size_t{48});
   copt.closed_loop = !args.has("open-loop");
   copt.monitor.window = copt.vectors_per_epoch;
-  copt.monitor.canary_margin = args.get_double("canary-margin", 0.97);
-  copt.monitor.canary_trip =
-      static_cast<std::size_t>(args.get_int("canary-trip", 2));
+  copt.monitor.canary_margin = args.get("canary-margin", 0.97);
+  copt.monitor.canary_trip = args.get("canary-trip", std::size_t{2});
   copt.controller.hazard_failover_threshold =
-      args.get_double("hazard-failover", 0.0);
+      args.get("hazard-failover", 0.0);
 
   // The campaign's ground truth runs on the *faulted* model, so the horizon
   // guard must hold for it too (an acceleration of r moves the domain edge
@@ -685,6 +699,27 @@ int cmd_faultsim(const Context& ctx, const Args& args) {
   return r.converged_clean() ? 0 : 1;
 }
 
+/// Parses a JSONL run log and validates every record against the schema;
+/// errors name the record they belong to.
+std::vector<obs::JsonValue> read_run_log(std::istream& is,
+                                         std::vector<std::string>* errors) {
+  std::vector<obs::JsonValue> records = obs::parse_jsonl(is, errors);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    for (const std::string& e : obs::validate_log_record(records[i])) {
+      errors->push_back("record " + std::to_string(i + 1) + ": " + e);
+    }
+  }
+  return records;
+}
+
+/// A two-column name/count table.
+template <class Rows>
+void print_counts(const char* name, const char* count, const Rows& rows) {
+  TextTable table({name, count});
+  for (const auto& [key, n] : rows) table.add_row({key, std::to_string(n)});
+  table.print(std::cout);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open " + path);
@@ -693,13 +728,26 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-std::vector<std::string> split_csv(const std::string& csv);
+/// Parses one `report` input (none for an empty path); a JSON syntax error
+/// counts as a validation failure.
+std::optional<obs::JsonValue> read_json(const char* what,
+                                        const std::string& path,
+                                        std::size_t* failures) {
+  if (path.empty()) return std::nullopt;
+  std::string err;
+  auto doc = obs::json_parse(read_file(path), &err);
+  if (!doc) {
+    std::printf("%s %s: JSON parse error: %s\n", what, path.c_str(),
+                err.c_str());
+    ++*failures;
+  }
+  return doc;
+}
 
 /// `aapx report --diff A B`: per-metric comparison of two JSON artifacts
 /// (metrics snapshots or BENCH_*.json files) — absolute and relative deltas,
 /// with metrics present on only one side called out.
-int cmd_report_diff(const std::string& spec) {
-  const std::vector<std::string> paths = split_csv(spec);
+int cmd_report_diff(const std::vector<std::string>& paths) {
   if (paths.size() != 2) {
     throw std::runtime_error("report: --diff needs exactly two files, got " +
                              std::to_string(paths.size()));
@@ -762,12 +810,7 @@ std::size_t report_log_dir(const std::string& dir) {
       continue;
     }
     std::vector<std::string> errors;
-    std::vector<obs::JsonValue> recs = obs::parse_jsonl(is, &errors);
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-      for (const std::string& e : obs::validate_log_record(recs[i])) {
-        errors.push_back("record " + std::to_string(i + 1) + ": " + e);
-      }
-    }
+    std::vector<obs::JsonValue> recs = read_run_log(is, &errors);
     for (const std::string& e : errors) {
       std::printf("log-dir %s: %s\n", file.c_str(), e.c_str());
     }
@@ -778,29 +821,17 @@ std::size_t report_log_dir(const std::string& dir) {
   std::printf("service logs: %zu file(s), %llu request(s), %llu cancelled\n",
               files.size(), static_cast<unsigned long long>(s.requests),
               static_cast<unsigned long long>(s.cancelled));
-  if (!s.ops.empty()) {
-    TextTable ops({"op", "requests"});
-    for (const auto& [op, count] : s.ops) {
-      ops.add_row({op, std::to_string(count)});
-    }
-    ops.print(std::cout);
-  }
-  if (!s.outcomes.empty()) {
-    TextTable outcomes({"outcome", "count"});
-    for (const auto& [outcome, count] : s.outcomes) {
-      outcomes.add_row({outcome, std::to_string(count)});
-    }
-    outcomes.print(std::cout);
-  }
+  if (!s.ops.empty()) print_counts("op", "requests", s.ops);
+  if (!s.outcomes.empty()) print_counts("outcome", "count", s.outcomes);
   return failures;
 }
 
-int cmd_report(const Args& args) {
-  if (args.has("diff")) return cmd_report_diff(args.get("diff", ""));
-  const std::string trace_path = args.get("trace", "");
-  const std::string log_path = args.get("log", "");
-  const std::string metrics_path = args.get("metrics", "");
-  const std::string log_dir = args.get("log-dir", "");
+int cmd_report(const Context&, const Args& args) {
+  if (args.has("diff")) return cmd_report_diff(split_csv(args.text("diff")));
+  const std::string trace_path = args.text("trace");
+  const std::string log_path = args.text("log");
+  const std::string metrics_path = args.text("metrics");
+  const std::string log_dir = args.text("log-dir");
   if (trace_path.empty() && log_path.empty() && metrics_path.empty() &&
       log_dir.empty()) {
     throw std::runtime_error(
@@ -808,60 +839,42 @@ int cmd_report(const Args& args) {
         "--diff");
   }
   const bool check = args.has("check");
-  const int top = args.get_int("top", 15);
-  if (top < 1) throw std::runtime_error("--top must be >= 1");
+  const int top = args.get("top", 15);
   std::size_t failures = 0;
 
-  if (!trace_path.empty()) {
-    std::string err;
-    const auto doc = obs::json_parse(read_file(trace_path), &err);
-    if (!doc) {
-      std::printf("trace %s: JSON parse error: %s\n", trace_path.c_str(),
-                  err.c_str());
-      ++failures;
-    } else {
-      const std::vector<std::string> errors = obs::validate_trace(*doc);
-      for (const std::string& e : errors) {
-        std::printf("trace %s: %s\n", trace_path.c_str(), e.c_str());
-      }
-      failures += errors.size();
-      const obs::TraceSummary s = obs::summarize_trace(*doc);
-      std::printf("trace: %zu span events on %zu threads, %.3f ms wall\n",
-                  s.events, s.threads, s.wall_us / 1000.0);
-      std::printf("top spans by inclusive time:\n");
-      TextTable table({"span", "count", "incl [ms]", "max [ms]"});
-      for (std::size_t i = 0;
-           i < s.spans.size() && i < static_cast<std::size_t>(top); ++i) {
-        const obs::SpanStat& sp = s.spans[i];
-        table.add_row({sp.name, std::to_string(sp.count),
-                       TextTable::num(sp.incl_us / 1000.0, 3),
-                       TextTable::num(sp.max_us / 1000.0, 3)});
-      }
-      table.print(std::cout);
+  if (const auto doc = read_json("trace", trace_path, &failures)) {
+    const std::vector<std::string> errors = obs::validate_trace(*doc);
+    for (const std::string& e : errors) {
+      std::printf("trace %s: %s\n", trace_path.c_str(), e.c_str());
     }
+    failures += errors.size();
+    const obs::TraceSummary s = obs::summarize_trace(*doc);
+    std::printf("trace: %zu span events on %zu threads, %.3f ms wall\n",
+                s.events, s.threads, s.wall_us / 1000.0);
+    std::printf("top spans by inclusive time:\n");
+    TextTable table({"span", "count", "incl [ms]", "max [ms]"});
+    for (std::size_t i = 0;
+         i < s.spans.size() && i < static_cast<std::size_t>(top); ++i) {
+      const obs::SpanStat& sp = s.spans[i];
+      table.add_row({sp.name, std::to_string(sp.count),
+                     TextTable::num(sp.incl_us / 1000.0, 3),
+                     TextTable::num(sp.max_us / 1000.0, 3)});
+    }
+    table.print(std::cout);
   }
 
   if (!log_path.empty()) {
     std::ifstream is(log_path);
     if (!is) throw std::runtime_error("cannot open " + log_path);
     std::vector<std::string> errors;
-    const std::vector<obs::JsonValue> records = obs::parse_jsonl(is, &errors);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      for (const std::string& e : obs::validate_log_record(records[i])) {
-        errors.push_back("record " + std::to_string(i + 1) + ": " + e);
-      }
-    }
+    const std::vector<obs::JsonValue> records = read_run_log(is, &errors);
     for (const std::string& e : errors) {
       std::printf("log %s: %s\n", log_path.c_str(), e.c_str());
     }
     failures += errors.size();
     const obs::LogSummary ls = obs::summarize_log(records);
     std::printf("run log: %zu records\n", records.size());
-    TextTable types({"record type", "count"});
-    for (const auto& [type, count] : ls.type_counts) {
-      types.add_row({type, std::to_string(count)});
-    }
-    types.print(std::cout);
+    print_counts("record type", "count", ls.type_counts);
     if (!ls.decisions.empty()) {
       std::printf("controller decision timeline:\n");
       TextTable t({"epoch", "age [y]", "sensor [y]", "trigger", "outcome",
@@ -878,49 +891,37 @@ int cmd_report(const Args& args) {
     }
   }
 
-  if (!metrics_path.empty()) {
-    std::string err;
-    const auto doc = obs::json_parse(read_file(metrics_path), &err);
-    if (!doc) {
-      std::printf("metrics %s: JSON parse error: %s\n", metrics_path.c_str(),
-                  err.c_str());
-      ++failures;
-    } else {
-      const std::vector<obs::CacheRate> rates =
-          obs::cache_rates_from_metrics(*doc);
-      std::printf("cache hit rates:\n");
-      TextTable t({"cache", "hits", "misses", "hit rate"});
-      for (const obs::CacheRate& r : rates) {
-        t.add_row({r.name, std::to_string(r.hits), std::to_string(r.misses),
-                   TextTable::pct(r.rate())});
+  if (const auto doc = read_json("metrics", metrics_path, &failures)) {
+    const std::vector<obs::CacheRate> rates =
+        obs::cache_rates_from_metrics(*doc);
+    std::printf("cache hit rates:\n");
+    TextTable t({"cache", "hits", "misses", "hit rate"});
+    for (const obs::CacheRate& r : rates) {
+      t.add_row({r.name, std::to_string(r.hits), std::to_string(r.misses),
+                 TextTable::pct(r.rate())});
+    }
+    t.print(std::cout);
+    const std::vector<obs::AgingCounterRow> aging =
+        obs::aging_counters_from_metrics(*doc);
+    if (!aging.empty()) {
+      std::printf("aging mechanisms (drift/hazard evaluations, lifetime "
+                  "MC dies, failover decisions):\n");
+      print_counts("counter", "count", aging);
+    }
+    const std::vector<obs::HistogramRow> hists =
+        obs::histograms_from_metrics(*doc);
+    if (!hists.empty()) {
+      std::printf("histograms (exact count/sum/min/max, "
+                  "bucket-interpolated quantiles):\n");
+      TextTable ht({"histogram", "count", "mean", "min", "max", "p50",
+                    "p95", "p99"});
+      for (const obs::HistogramRow& h : hists) {
+        ht.add_row({h.name, std::to_string(h.count),
+                    TextTable::num(h.mean(), 1), TextTable::num(h.min, 1),
+                    TextTable::num(h.max, 1), TextTable::num(h.p50, 1),
+                    TextTable::num(h.p95, 1), TextTable::num(h.p99, 1)});
       }
-      t.print(std::cout);
-      const std::vector<obs::AgingCounterRow> aging =
-          obs::aging_counters_from_metrics(*doc);
-      if (!aging.empty()) {
-        std::printf("aging mechanisms (drift/hazard evaluations, lifetime "
-                    "MC dies, failover decisions):\n");
-        TextTable at({"counter", "count"});
-        for (const obs::AgingCounterRow& row : aging) {
-          at.add_row({row.name, std::to_string(row.value)});
-        }
-        at.print(std::cout);
-      }
-      const std::vector<obs::HistogramRow> hists =
-          obs::histograms_from_metrics(*doc);
-      if (!hists.empty()) {
-        std::printf("histograms (exact count/sum/min/max, "
-                    "bucket-interpolated quantiles):\n");
-        TextTable ht({"histogram", "count", "mean", "min", "max", "p50",
-                      "p95", "p99"});
-        for (const obs::HistogramRow& h : hists) {
-          ht.add_row({h.name, std::to_string(h.count),
-                      TextTable::num(h.mean(), 1), TextTable::num(h.min, 1),
-                      TextTable::num(h.max, 1), TextTable::num(h.p50, 1),
-                      TextTable::num(h.p95, 1), TextTable::num(h.p99, 1)});
-        }
-        ht.print(std::cout);
-      }
+      ht.print(std::cout);
     }
   }
 
@@ -937,77 +938,28 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-/// Prints one persisted characterization surface as the same table
-/// `aapx characterize` prints — but straight from the file, no synthesis.
-void print_surface(const engine::SurfacePayload& p) {
-  const ComponentCharacterization& c = p.surface;
-  std::printf("%s (min precision %d, step %d)\n", c.base.name().c_str(),
-              p.min_precision, p.precision_step);
-  std::vector<std::string> header = {"precision", "fresh [ps]", "area [um^2]"};
-  for (const AgingScenario& s : c.scenarios) {
-    header.push_back(s.label() + " [ps]");
-  }
-  TextTable table(header);
-  for (const PrecisionPoint& pt : c.points) {
-    std::vector<std::string> row = {std::to_string(pt.precision),
-                                    TextTable::num(pt.fresh_delay, 1),
-                                    TextTable::num(pt.area, 1)};
-    for (const double d : pt.aged_delay) row.push_back(TextTable::num(d, 1));
-    table.add_row(std::move(row));
-  }
-  table.print(std::cout);
-}
-
 /// `aapx library build`: characterize a cross-product of components into the
 /// Context's DesignStore and save it as one distributable store file — the
 /// materialized form of the paper's aging-induced approximation library.
 int cmd_library_build(const Context& ctx, const Args& args) {
-  const std::string out = args.get("out", "");
+  const std::string out = args.text("out");
   if (out.empty()) throw std::runtime_error("--out <file> is required");
   const CellLibrary lib = make_nangate45_like();
-  const StressMode mode = parse_mode(args.get("mode", "worst"));
   const AgingModel model = model_from(args);
-  std::vector<AgingScenario> scenarios;
-  for (const double y : parse_list(args.get("years", "1,10"), "--years")) {
-    if (y < 0.0) {
-      throw std::runtime_error("--years entries must be non-negative");
-    }
-    validate_aging_horizon(lib, model, y);
-    scenarios.push_back({mode, y});
-  }
-  std::vector<ComponentKind> kinds;
-  for (const std::string& k : split_csv(args.get("kinds", "adder"))) {
-    kinds.push_back(parse_kind(k));
-  }
-  if (kinds.empty()) throw std::runtime_error("--kinds list is empty");
-  std::vector<int> widths;
-  for (const double w : parse_list(args.get("widths", "8"), "--widths")) {
-    widths.push_back(static_cast<int>(w));
+  const std::vector<AgingScenario> scenarios = scenarios_from(args);
+  for (const AgingScenario& s : scenarios) {
+    validate_aging_horizon(lib, model, s.years);
   }
 
   std::size_t surfaces = 0;
-  for (const ComponentKind kind : kinds) {
-    for (const int width : widths) {
-      ComponentSpec spec;
+  for (const ComponentKind kind :
+       args.list<ComponentKind>("kinds", {ComponentKind::adder})) {
+    for (const int width : args.list<int>("widths", {8})) {
+      ComponentSpec spec = spec_from(args, width);
       spec.kind = kind;
-      spec.width = width;
-      spec.adder_arch = parse_adder_arch(args.get("arch", "cla4"));
-      spec.mult_arch = args.get("mult-arch", "array") == "wallace"
-                           ? MultArch::wallace
-                           : MultArch::array;
       CharacterizerOptions copt;
       copt.min_precision =
-          args.get_int("min-precision", std::max(1, width - 10));
+          args.get("min-precision", std::max(1, width - 10));
       const ComponentCharacterizer ch(ctx, lib, model, copt);
       (void)ch.characterize(spec, scenarios);
       ++surfaces;
@@ -1022,19 +974,25 @@ int cmd_library_build(const Context& ctx, const Args& args) {
   return 0;
 }
 
-/// `aapx library query`: print surfaces straight out of a store file.
-int cmd_library_query(const Args& args) {
-  const std::string path = args.get("store", "");
-  if (path.empty()) throw std::runtime_error("--store <file> is required");
+/// Reads a whole store file for the `library` tools, reporting its
+/// warnings (damaged records, foreign format) on stderr.
+engine::StoreFileData load_store(const std::string& path) {
   engine::StoreFileData data = engine::load_store_file(path);
   if (!data.file_found) throw std::runtime_error("cannot open " + path);
   for (const std::string& w : data.warnings) {
     std::fprintf(stderr, "aapx store: %s\n", w.c_str());
   }
+  return data;
+}
+
+/// `aapx library query`: print surfaces straight out of a store file.
+int cmd_library_query(const Context&, const Args& args) {
+  const std::string path = args.text("store");
+  if (path.empty()) throw std::runtime_error("--store <file> is required");
+  const engine::StoreFileData data = load_store(path);
   const bool filter_kind = args.has("kind");
-  const ComponentKind kind =
-      filter_kind ? parse_kind(args.get("kind", "")) : ComponentKind::adder;
-  const int width = args.get_int("width", 0);
+  const ComponentKind kind = args.get("kind", ComponentKind::adder);
+  const int width = args.get("width", 0);
 
   std::size_t shown = 0;
   for (const engine::RawRecord& rec : data.records) {
@@ -1058,8 +1016,8 @@ int cmd_library_query(const Args& args) {
 
 /// `aapx library info`: header + per-kind record census. The header is
 /// decoded by hand so a file from a *different* build still reports itself.
-int cmd_library_info(const Args& args) {
-  const std::string path = args.get("store", "");
+int cmd_library_info(const Context&, const Args& args) {
+  const std::string path = args.text("store");
   if (path.empty()) throw std::runtime_error("--store <file> is required");
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot open " + path);
@@ -1086,10 +1044,7 @@ int cmd_library_info(const Args& args) {
   std::printf("records:        %llu\n",
               static_cast<unsigned long long>(count));
 
-  engine::StoreFileData data = engine::load_store_file(path);
-  for (const std::string& w : data.warnings) {
-    std::fprintf(stderr, "aapx store: %s\n", w.c_str());
-  }
+  const engine::StoreFileData data = load_store(path);
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> census;
   for (const engine::RawRecord& rec : data.records) {
     auto& [n, payload_bytes] = census[engine::to_string(rec.kind)];
@@ -1111,21 +1066,17 @@ int cmd_library_info(const Args& args) {
 
 /// `aapx library merge`: union several store files into one, first-wins on
 /// conflicting payloads for the same key.
-int cmd_library_merge(const Args& args) {
-  const std::string out = args.get("out", "");
+int cmd_library_merge(const Context&, const Args& args) {
+  const std::string out = args.text("out");
   if (out.empty()) throw std::runtime_error("--out <file> is required");
-  const std::vector<std::string> inputs = split_csv(args.get("inputs", ""));
+  const std::vector<std::string> inputs = args.list<std::string>("inputs", {});
   if (inputs.empty()) {
     throw std::runtime_error("--inputs <a.aapx,b.aapx,...> is required");
   }
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> merged;
   std::size_t conflicts = 0;
   for (const std::string& input : inputs) {
-    engine::StoreFileData data = engine::load_store_file(input);
-    if (!data.file_found) throw std::runtime_error("cannot open " + input);
-    for (const std::string& w : data.warnings) {
-      std::fprintf(stderr, "aapx store: %s\n", w.c_str());
-    }
+    engine::StoreFileData data = load_store(input);
     for (engine::RawRecord& rec : data.records) {
       const std::pair<std::uint32_t, std::uint64_t> key = {
           static_cast<std::uint32_t>(rec.kind), rec.key};
@@ -1157,54 +1108,36 @@ int cmd_library_merge(const Args& args) {
   return 0;
 }
 
-int cmd_library(const Context& ctx, const Args& args) {
-  if (args.action == "build") return cmd_library_build(ctx, args);
-  if (args.action == "query") return cmd_library_query(args);
-  if (args.action == "info") return cmd_library_info(args);
-  if (args.action == "merge") return cmd_library_merge(args);
-  throw std::runtime_error("library: unknown action '" + args.action +
-                           "' (build|query|info|merge)");
-}
-
 /// `aapx serve`: long-running characterization service over the Context's
 /// DesignStore. Shutdown is SIGINT/SIGTERM → graceful drain → snapshot →
 /// exit 128+signal, the same convention as every other interrupted
 /// subcommand (see src/service/server.hpp for the robustness contract).
-int cmd_serve(const Context& ctx, const Args& args,
-              const std::string& store_path) {
+int cmd_serve(const Context& ctx, const Args& args) {
   service::ServerOptions sopts;
-  sopts.listen = args.get("listen", "tcp:0");
-  sopts.workers = args.get_int("workers", 2);
-  if (sopts.workers < 1) throw std::runtime_error("--workers must be >= 1");
-  sopts.sweep_threads = args.get_int("sweep-threads", 1);
-  const int queue = args.get_int("queue", 64);
-  if (queue < 1) throw std::runtime_error("--queue must be >= 1");
-  sopts.queue_capacity = static_cast<std::size_t>(queue);
-  sopts.retry_hint_ms =
-      static_cast<std::uint32_t>(args.get_int("retry-hint-ms", 50));
-  sopts.snapshot_interval_s = args.get_double("snapshot-interval", 0.0);
-  sopts.store_path = store_path;
-  sopts.log_dir = args.get("log-dir", "");
-  sopts.admin = args.get("admin", "");
-  sopts.request_trace_path = args.get("request-trace", "");
-  if (args.has("request-trace-rotate-kb")) {
-    const int kb = args.get_int("request-trace-rotate-kb", 0);
-    if (kb < 1) {
-      throw std::runtime_error("--request-trace-rotate-kb must be >= 1");
-    }
-    sopts.request_trace_rotate_bytes = static_cast<std::size_t>(kb) * 1024;
-  }
-  const int slow_ring = args.get_int("slow-ring", 16);
-  if (slow_ring < 0) throw std::runtime_error("--slow-ring must be >= 0");
-  sopts.slow_ring = static_cast<std::size_t>(slow_ring);
+  sopts.listen = args.get("listen", sopts.listen);
+  sopts.workers = args.get("workers", sopts.workers);
+  sopts.sweep_threads = args.get("sweep-threads", sopts.sweep_threads);
+  sopts.queue_capacity = args.get("queue", sopts.queue_capacity);
+  sopts.retry_hint_ms = args.get("retry-hint-ms", sopts.retry_hint_ms);
+  sopts.snapshot_interval_s =
+      args.get("snapshot-interval", sopts.snapshot_interval_s);
+  sopts.store_path = args.store;
+  sopts.log_dir = args.text("log-dir");
+  sopts.admin = args.text("admin");
+  sopts.request_trace_path = args.text("request-trace");
+  sopts.request_trace_rotate_bytes =
+      args.get("request-trace-rotate-kb",
+               sopts.request_trace_rotate_bytes / 1024) *
+      1024;
+  sopts.slow_ring = args.get("slow-ring", sopts.slow_ring);
 
   service::Server server(ctx, sopts);
   std::string err;
   if (!server.start(&err)) throw std::runtime_error("serve: " + err);
   g_server.store(&server);
-  std::printf("aapx serve: listening on %s (%d workers, queue %d%s)\n",
-              server.endpoint().c_str(), sopts.workers, queue,
-              store_path.empty() ? "" : (", store " + store_path).c_str());
+  std::printf("aapx serve: listening on %s (%d workers, queue %zu%s)\n",
+              server.endpoint().c_str(), sopts.workers, sopts.queue_capacity,
+              args.store.empty() ? "" : (", store " + args.store).c_str());
   if (!server.admin_endpoint().empty()) {
     std::printf("aapx serve: admin on %s (GET /metrics, GET /healthz)\n",
                 server.admin_endpoint().c_str());
@@ -1305,18 +1238,29 @@ void print_stats(const service::StatsResponse& s, const std::string& endpoint,
 
 /// `aapx client`: one request against a running `aapx serve`, with the
 /// ServiceClient's full retry/backoff behavior.
-int cmd_client(const Args& args) {
-  const std::string endpoint = args.get("connect", "");
+/// `client --op` values; cmd_client dispatches on the name.
+constexpr Choice kClientOps[] = {
+    {"ping", 0}, {"characterize", 1}, {"aged-delay", 2}, {"query", 3},
+    {"stats", 4}};
+
+/// The --connect endpoint `client` and `top` require.
+std::string endpoint_from(const Args& args) {
+  const std::string endpoint = args.text("connect");
   if (endpoint.empty()) {
     throw std::runtime_error("--connect unix:<path>|tcp:<port> is required");
   }
+  return endpoint;
+}
+
+int cmd_client(const Context&, const Args& args) {
+  const std::string endpoint = endpoint_from(args);
   service::ClientOptions copt;
-  copt.max_attempts = args.get_int("attempts", 8);
+  copt.max_attempts = args.get("attempts", copt.max_attempts);
   service::ServiceClient client(endpoint, copt);
   if (args.has("trace-id")) {
-    client.set_trace_id(to_u64_strict(args.get("trace-id", ""), "--trace-id"));
+    client.set_trace_id(args.get("trace-id", std::uint64_t{0}));
   }
-  const std::string op = args.get("op", "ping");
+  const std::string op = args.get("op", std::string("ping"));
   std::string err;
 
   if (op == "stats") {
@@ -1334,17 +1278,10 @@ int cmd_client(const Args& args) {
     service::CharacterizeRequest req;
     req.spec = spec_from(args);
     req.min_precision =
-        args.get_int("min-precision", std::max(1, req.spec.width - 10));
-    req.precision_step = args.get_int("step", 1);
-    const StressMode mode = parse_mode(args.get("mode", "worst"));
-    for (const double y : parse_list(args.get("years", "1,10"), "--years")) {
-      if (y < 0.0) {
-        throw std::runtime_error("--years entries must be non-negative");
-      }
-      req.scenarios.push_back({mode, y});
-    }
-    req.deadline_ms =
-        static_cast<std::uint32_t>(args.get_int("deadline-ms", 0));
+        args.get("min-precision", std::max(1, req.spec.width - 10));
+    req.precision_step = args.get("step", 1);
+    req.scenarios = scenarios_from(args);
+    req.deadline_ms = args.get("deadline-ms", std::uint32_t{0});
     const auto surface = client.characterize(req, &err);
     if (!surface.has_value()) throw std::runtime_error("characterize: " + err);
     print_surface(*surface);
@@ -1357,45 +1294,43 @@ int cmd_client(const Args& args) {
   if (op == "aged-delay") {
     service::AgedDelayRequest req;
     req.spec = spec_from(args);
-    req.mode = parse_mode(args.get("mode", "worst"));
-    req.years = args.get_years("years", 10.0);
-    req.deadline_ms =
-        static_cast<std::uint32_t>(args.get_int("deadline-ms", 0));
+    req.mode = args.get("mode", StressMode::worst);
+    const std::vector<double> years = args.list<double>("years", {10.0});
+    if (years.size() != 1) {
+      throw std::runtime_error("--op aged-delay takes one --years value");
+    }
+    req.years = years.front();
+    req.deadline_ms = args.get("deadline-ms", std::uint32_t{0});
     const auto delay = client.aged_delay(req, &err);
     if (!delay.has_value()) throw std::runtime_error("aged-delay: " + err);
     std::printf("%s @ %s/%.3gy: %.3f ps\n", req.spec.name().c_str(),
                 to_string(req.mode).c_str(), req.years, *delay);
     return 0;
   }
-  if (op == "query") {
-    service::LibraryQueryRequest req;
-    if (args.has("kind")) {
-      req.kind = static_cast<std::int32_t>(parse_kind(args.get("kind", "")));
-    }
-    req.width = args.get_int("width", 0);
-    const auto surfaces = client.library_query(req, &err);
-    if (!surfaces.has_value()) throw std::runtime_error("query: " + err);
-    for (const engine::SurfacePayload& p : *surfaces) print_surface(p);
-    std::printf("%zu surface(s) on %s\n", surfaces->size(), endpoint.c_str());
-    return 0;
+  // --op query
+  service::LibraryQueryRequest req;
+  if (args.has("kind")) {
+    req.kind =
+        static_cast<std::int32_t>(args.get("kind", ComponentKind::adder));
   }
-  throw std::runtime_error("unknown --op " + op +
-                           " (ping|characterize|aged-delay|query|stats)");
+  req.width = args.get("width", 0);
+  const auto surfaces = client.library_query(req, &err);
+  if (!surfaces.has_value()) throw std::runtime_error("query: " + err);
+  for (const engine::SurfacePayload& p : *surfaces) print_surface(p);
+  std::printf("%zu surface(s) on %s\n", surfaces->size(), endpoint.c_str());
+  return 0;
 }
 
 /// `aapx top`: a refreshing operational dashboard over the in-band stats
 /// op — poll, render, sleep, repeat until SIGINT/SIGTERM (or once with
 /// --once). Rates are completed-count deltas between polls.
-int cmd_top(const Args& args) {
-  const std::string endpoint = args.get("connect", "");
-  if (endpoint.empty()) {
-    throw std::runtime_error("--connect unix:<path>|tcp:<port> is required");
-  }
-  const double interval_s = args.get_double("interval", 2.0);
+int cmd_top(const Context&, const Args& args) {
+  const std::string endpoint = endpoint_from(args);
+  const double interval_s = args.get("interval", 2.0);
   if (interval_s <= 0.0) throw std::runtime_error("--interval must be > 0");
   const bool once = args.has("once");
   service::ClientOptions copt;
-  copt.max_attempts = args.get_int("attempts", 8);
+  copt.max_attempts = args.get("attempts", copt.max_attempts);
   service::ServiceClient client(endpoint, copt);
 
   std::uint64_t prev_completed = 0;
@@ -1433,168 +1368,230 @@ int cmd_top(const Args& args) {
   }
 }
 
-/// `aapx servesim`: the chaos harness (src/service/chaos.hpp).
-int cmd_servesim(const Args& args) {
-  service::ChaosOptions copt;
-  copt.work_dir = args.get("work-dir", ".");
-  copt.self_exe = args.get("self-exe", "/proc/self/exe");
-  copt.verbose = args.has("verbose");
-  const std::string scenario = args.get("scenario", "all");
-  if (scenario != "all") return service::run_chaos_scenario(scenario, copt);
-  int rc = 0;
-  for (const std::string& name : service::chaos_scenarios()) {
-    rc |= service::run_chaos_scenario(name, copt);
-  }
-  return rc;
+int cmd_help(const Context& ctx, const Args& args);
+
+const Opts kExportAged = {
+    years("years", "Y", "age the cells by Y years (default 0 = fresh)"),
+    choice("stress", kModes, "stress mode of the aged cells")};
+const Opt kConnect = str("connect", "unix:<path>|tcp:<port>", "server");
+const Opt kAttempts = integer("attempts", 1, "N", "attempts per request");
+
+// Columns: name, summary, handler, attaches --store, writes
+// --trace/--metrics/--log, options.
+const std::vector<Command> kCommands = {
+    {"characterize", "delay-vs-precision-vs-aging surface of one component",
+     cmd_characterize, true, true,
+     kComponent +
+         Opts{kMinPrecision, kMode, kYearsList,
+              str("save", "FILE", "also write a text approximation library")} +
+         kAging},
+    {"flow", "microarchitecture flow on an IDCT-shaped design", cmd_flow,
+     true, true,
+     Opts{kWidth, years("years", "Y", "lifetime (default 10)"), kMode,
+          kMinPrecision} +
+         kAging},
+    {"schedule", "adaptive lifetime precision schedule", cmd_schedule, true,
+     true, kComponent + Opts{kMinPrecision, kMode, kGrid} + kAging},
+    {"export-liberty", "write the cell library as Liberty", cmd_export_liberty,
+     true, true, Opts{kOut} + kExportAged},
+    {"export-verilog", "write a synthesized component as structural Verilog",
+     cmd_export_verilog, true, true, kComponent + Opts{kOut}},
+    {"export-sdf", "write per-gate delays as SDF", cmd_export_sdf, true, true,
+     kComponent + kExportAged + Opts{kOut}},
+    {"faultsim", "fault-injection campaign on the closed-loop runtime",
+     cmd_faultsim, true, true,
+     kComponent +
+         Opts{kMinPrecision, kGrid,
+              real("accel", "R", "aging acceleration (default 1)"),
+              real("temp-step", "K", "temperature step in kelvin"),
+              years("temp-from", "Y", "age of the temperature step"),
+              real("outlier-frac", "F", "fraction of outlier gates"),
+              real("outlier-factor", "R", "delay factor of outlier gates"),
+              real("sensor-gain", "G", "aging-sensor gain (default 1)"),
+              real("sensor-offset", "Y", "aging-sensor offset in years"),
+              real("sensor-noise", "SIGMA", "aging-sensor noise in years"),
+              u64("seed", "S", "fault-injection seed (default 1)"),
+              years("years", "Y", "campaign lifetime (default 10)"),
+              integer("epochs", 1, "N", "epochs (default 16)"),
+              integer("vectors", 1, "N", "vectors per epoch (default 96)"),
+              integer("verify-vectors", 1, "N", "check vectors (default 48)"),
+              flag("open-loop", "never reconfigure (the failing baseline)"),
+              real("canary-margin", "M", "canary margin (default 0.97)"),
+              integer("canary-trip", 0, "N", "canary trip count (default 2)"),
+              real("hazard-failover", "H",
+                   "fail over to a spare at EM/TDDB hazard H (0 = off)")} +
+         kAging},
+    {"library build", "characterize components into one store file",
+     cmd_library_build, false, true,
+     Opts{kOut, csv(choice("kinds", kKinds, "component kinds")),
+          csv(integer("widths", 1, "8,16", "operand widths (default 8)")),
+          kArch, kMultArch, kMinPrecision, kMode, kYearsList} +
+         kAging},
+    {"library query", "print the surfaces in the --store file",
+     cmd_library_query, false, true,
+     {choice("kind", kKinds, "only this kind"),
+      integer("width", 0, "N", "only this width (0 = all)")}},
+    {"library info", "header and record census of the --store file",
+     cmd_library_info, false, true, {}},
+    {"library merge", "union store files, first wins on conflicts",
+     cmd_library_merge, false, true,
+     {kOut, csv(str("inputs", "a.aapx,b.aapx", "store files to merge"))}},
+    {"report", "summarize instrumentation artifacts of a previous run",
+     cmd_report, false, false,
+     {str("trace", "FILE", "top spans by inclusive time"),
+      str("log", "FILE", "record counts, controller decision timeline"),
+      str("metrics", "FILE", "cache hit rates, histogram quantiles"),
+      flag("check", "exit nonzero if any artifact fails validation"),
+      integer("top", 1, "N", "span rows to print (default 15)"),
+      {"diff", Shape::diff, "A B", "per-metric deltas of two JSON artifacts"},
+      str("log-dir", "DIR", "aggregate a server's per-request run logs")}},
+    {"serve", "characterization-as-a-service daemon (SIGTERM = drain)",
+     cmd_serve, true, true,
+     {str("listen", "unix:<path>|tcp:<port>", "endpoint (default tcp:0)"),
+      integer("workers", 1, "N", "request workers (default 2)"),
+      integer("sweep-threads", 0, "N", "threads per sweep (0 = all)"),
+      integer("queue", 1, "N", "admission queue capacity (default 64)"),
+      integer("retry-hint-ms", 0, "MS", "retry hint when shedding"),
+      real("snapshot-interval", "SECONDS", "periodic --store snapshots"),
+      str("log-dir", "DIR", "per-request JSONL run logs"),
+      str("admin", "unix:<path>|tcp:<port>", "GET /metrics and /healthz"),
+      str("request-trace", "FILE", "per-request span trees (Chrome trace)"),
+      integer("request-trace-rotate-kb", 1, "KB", "trace rotation size"),
+      integer("slow-ring", 0, "N", "slowest-requests ring size")}},
+    {"client", "one request against a running server (retry + backoff)",
+     cmd_client, false, true,
+     Opts{kConnect, choice("op", kClientOps, "request (default ping)")} +
+         kComponent +
+         Opts{kMinPrecision, integer("step", 1, "S", "precision step"), kMode,
+              kYearsList, integer("deadline-ms", 0, "MS", "0 = none"),
+              kAttempts, u64("trace-id", "ID", "fixed trace id")}},
+    {"top", "live dashboard over a running server's stats op", cmd_top, false,
+     true,
+     {kConnect, real("interval", "SECONDS", "refresh period (default 2)"),
+      flag("once", "print one snapshot and exit"), kAttempts}},
+    {"help", "this text", cmd_help, false, true, {}},
+};
+
+void print_option(const Opt& opt) {
+  std::string left = std::string("--") + opt.name;
+  const std::string meta =
+      opt.shape == Shape::choice
+          ? choice_names(opt) + (opt.list ? "[,...]" : "")
+          : opt.meta;
+  if (!meta.empty()) left += " " + meta;
+  std::printf("      %-34s %s\n", left.c_str(), opt.help);
 }
 
-int cmd_help() {
-  std::printf(R"(aapx — aging-induced approximations toolkit
-
-commands:
-  characterize    delay-vs-precision-vs-aging surface of one component
-      --kind adder|multiplier|mac|clamp  --width N  --arch ripple|cla4|kogge-stone
-      --mult-arch array|wallace  --min-precision K  --mode worst|balanced
-      --years 1,10  [--save lib.txt]
-      --mechanisms bti,hci,em,tddb     aging mechanism set (default bti)
-      --hci-a A --hci-exp M            HCI drift prefactor / activity exponent
-      --em-eta Y --em-beta B           EM Weibull scale [years] / shape
-      --tddb-eta Y --tddb-beta B       TDDB Weibull scale [years] / shape
-  flow            run the microarchitecture flow on an IDCT-shaped design
-      --width N  --years Y  --mode worst|balanced  [--min-precision K]
-  schedule        adaptive lifetime precision schedule
-      --kind ... --width N  --grid 0.5,1,2,5,10  --mode worst|balanced
-  export-liberty  write the cell library as Liberty
-      --out f.lib  [--years Y --stress worst|balanced]
-  export-verilog  write a synthesized component as structural Verilog
-      --kind ... --width N  [--trunc K]  --out f.v
-  export-sdf      write per-gate delays as SDF
-      --kind ... --width N  [--years Y --stress ...]  --out f.sdf
-  faultsim        fault-injection campaign on the closed-loop runtime
-      --kind ... --width N  --arch ...  --grid 0.5,1,2,5,10  --years Y
-      --epochs N  --vectors N  --verify-vectors N  [--open-loop]
-      --accel R  --temp-step K --temp-from Y  --outlier-frac F --outlier-factor R
-      --sensor-gain G --sensor-offset Y --sensor-noise SIGMA  --seed S
-      --canary-margin M --canary-trip N
-      --mechanisms bti,hci,em,tddb  [--hazard-failover H]  fail over to a
-                                    spare when cumulative EM/TDDB hazard
-                                    crosses H (0 = disabled)
-  library         build / inspect / merge persistent store files
-      build  --out lib.aapx  --kinds adder,multiplier  --widths 8,16
-             --arch ... --mult-arch ... --mode worst|balanced --years 1,10
-             [--min-precision K]
-      query  --store lib.aapx  [--kind adder --width 8]
-      info   --store lib.aapx
-      merge  --out all.aapx  --inputs a.aapx,b.aapx
-  report          summarize instrumentation artifacts from a previous run
-      --trace f.trace     top spans by inclusive time, thread/wall stats
-      --log f.jsonl       record-type counts + controller decision timeline
-      --metrics f.json    cache hit rates, histogram quantiles (exact
-                          count/sum/min/max) from the metrics snapshot
-      --log-dir DIR       aggregate a server's per-request run logs
-      --diff A B          per-metric delta/percent between two artifacts
-                          (metrics snapshots or BENCH_*.json files)
-      [--top N]           span rows to print (default 15)
-      [--check]           exit nonzero if any artifact fails validation
-  serve           characterization-as-a-service daemon (SIGTERM = drain)
-      --listen unix:<path>|tcp:<port>   (tcp:0 = ephemeral, printed at start)
-      --workers N  --sweep-threads N  --queue N  --retry-hint-ms MS
-      --snapshot-interval SECONDS      periodic atomic --store snapshots
-      --log-dir DIR                    per-request JSONL run logs
-      --admin unix:<path>|tcp:<port>   HTTP plane: GET /metrics (Prometheus
-                                       text), GET /healthz
-      --request-trace FILE             stream per-request span trees (Chrome
-                                       trace) with rotation
-      --request-trace-rotate-kb KB     rotation threshold (default 8192)
-      --slow-ring N                    slowest-requests ring size (default 16)
-  client          one request against a running server (retry + backoff)
-      --connect unix:<path>|tcp:<port>
-      --op ping|characterize|aged-delay|query|stats
-      --kind ... --width N --arch ...  --years 1,10  --mode worst|balanced
-      --min-precision K --step S  --deadline-ms MS  --attempts N
-      --trace-id ID       stamp a fixed trace id for request correlation
-  top             live dashboard over a running server's stats op
-      --connect unix:<path>|tcp:<port>
-      --interval SECONDS  poll/refresh period (default 2)
-      --once              print one snapshot and exit
-  servesim        chaos harness for the service layer
-      --scenario all|drop|slowloris|malformed|storm|kill|scrape
-      --work-dir DIR  --self-exe PATH  --verbose
-  help            this text
-
-global options:
-  --threads N | -j N   worker threads for parallel sweeps (default: all
-                       cores)
-  --store <file>       persistent DesignStore: warm this run from the file
-                       if it exists, save the warmed store back on exit
-                       (default: the AAPX_STORE environment variable)
-  --trace <file>       write a Chrome trace-event JSON of this run
-                       (chrome://tracing or Perfetto)
-  --metrics <file>     write the metrics-registry snapshot as JSON
-  --log <file>         write the structured JSONL run log (manifest,
-                       campaign/epoch/control_event/sweep/sta records)
-)");
+int cmd_help(const Context&, const Args&) {
+  std::printf("aapx — aging-induced approximations toolkit\n\n"
+              "usage: aapx <command> [options]\n\ncommands:\n");
+  std::string attach;
+  for (const Command& c : kCommands) {
+    std::printf("  %-16s %s\n", c.name, c.summary);
+    for (const Opt& opt : c.options) print_option(opt);
+    if (c.store) attach += " " + std::string(c.name);
+  }
+  std::printf("\nglobal options (every command):\n");
+  for (const Opt& opt : kGlobalOptions) print_option(opt);
+  std::printf("      (--store is warmed before and saved after:%s)\n",
+              attach.c_str());
+  std::printf("\noutput options (every command but report, which reads "
+              "them):\n");
+  for (const Opt& opt : kInstrumentOptions) print_option(opt);
   return 0;
 }
 
-}  // namespace
+bool is_option(const char* token) { return std::strncmp(token, "--", 2) == 0; }
 
-namespace {
-
-int dispatch(const Context& ctx, const Args& args,
-             const std::string& store_path) {
-  if (args.command == "characterize") return cmd_characterize(ctx, args);
-  if (args.command == "flow") return cmd_flow(ctx, args);
-  if (args.command == "schedule") return cmd_schedule(ctx, args);
-  if (args.command == "export-liberty") return cmd_export_liberty(args);
-  if (args.command == "export-verilog") return cmd_export_verilog(ctx, args);
-  if (args.command == "export-sdf") return cmd_export_sdf(ctx, args);
-  if (args.command == "faultsim") return cmd_faultsim(ctx, args);
-  if (args.command == "library") return cmd_library(ctx, args);
-  if (args.command == "report") return cmd_report(args);
-  if (args.command == "serve") return cmd_serve(ctx, args, store_path);
-  if (args.command == "client") return cmd_client(args);
-  if (args.command == "top") return cmd_top(args);
-  if (args.command == "servesim") return cmd_servesim(args);
-  if (args.command.empty() || args.command == "help" ||
-      args.command == "--help") {
-    return cmd_help();
+/// Parses argv against kCommands. The first malformed token wins, named by
+/// its argv index like the liberty/verilog parsers name lines. An unknown
+/// command is left for main to report (args.cmd == nullptr).
+Args parse_args(int argc, char** argv) {
+  Args args;
+  args.command = argc > 1 ? argv[1] : "";
+  std::string name =
+      args.command.empty() || args.command == "--help" ? "help" : args.command;
+  int i = 2;
+  // `library` takes one positional action before its options.
+  const bool library = name == "library";
+  if (library) {
+    name += ' ';
+    if (i < argc && !is_option(argv[i])) name += argv[i++];
   }
-  std::fprintf(stderr, "aapx: unknown command '%s' (try 'aapx help')\n",
-               args.command.c_str());
-  return 2;
+  std::string actions;
+  for (const Command& c : kCommands) {
+    if (name == c.name) args.cmd = &c;
+    if (std::strncmp(c.name, "library ", 8) == 0) {
+      actions += (actions.empty() ? "" : "|") + std::string(c.name + 8);
+    }
+  }
+  if (args.cmd == nullptr && library) {
+    throw std::runtime_error("library: unknown action '" + name.substr(8) +
+                             "' (" + actions + ")");
+  }
+  if (args.cmd == nullptr) return args;
+  for (; i < argc; ++i) {
+    // `-j N` is the make-style shorthand for `--threads N`.
+    const std::string token =
+        std::strcmp(argv[i], "-j") == 0 ? "--threads" : argv[i];
+    const std::string where = "argv[" + std::to_string(i) + "]: ";
+    if (!is_option(token.c_str())) {
+      throw std::runtime_error(where + "expected --option, got '" + token +
+                               "'");
+    }
+    const Opt* opt = args.cmd->find(token.substr(2));
+    if (opt == nullptr) {
+      throw std::runtime_error(where + "unknown option '" + token + "' for '" +
+                               args.cmd->name + "' (try 'aapx help')");
+    }
+    std::string value;
+    if (opt->shape == Shape::diff) {
+      while (i + 1 < argc && !is_option(argv[i + 1])) {
+        if (!value.empty()) value += ',';
+        value += argv[++i];
+      }
+    } else if (opt->shape != Shape::flag && i + 1 < argc &&
+               !is_option(argv[i + 1])) {
+      value = argv[++i];
+    }
+    check_value(*opt, value);
+    args.values[opt->name] = value;
+  }
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const Args args = parse_args(argc, argv);
-    reject_unknown_options(args);
+    Args args = parse_args(argc, argv);
+    if (args.cmd == nullptr) {
+      std::fprintf(stderr, "aapx: unknown command '%s' (try 'aapx help')\n",
+                   args.command.c_str());
+      return 2;
+    }
+    const Command& cmd = *args.cmd;
     // The CLI is a single-tenant process with one root Context. Its
     // registry is the process one, so the --metrics snapshot also carries
     // what layers without a Context count (gatesim, the thread pool).
     Context::Options root;
     root.metrics = &obs::metrics();
-    if (args.has("threads")) {
-      root.threads = args.get_int("threads", 0);
-      if (root.threads < 1) throw std::runtime_error("--threads must be >= 1");
-    }
+    root.threads = args.get("threads", root.threads);
     // SIGINT/SIGTERM become cooperative cancellation: sweeps and campaign
     // epochs observe the token and unwind cleanly instead of the process
     // dying with an unsaved store. `report` keeps default signal behavior
     // (it only reads artifacts; instant death loses nothing).
-    if (args.command != "report") {
+    if (cmd.instrumented) {
       install_signal_handlers();
       root.cancel = &g_cancel;
     }
     const Context ctx(root);
-    const std::string trace_path = args.get("trace", "");
-    const std::string metrics_path = args.get("metrics", "");
-    const std::string log_path = args.get("log", "");
     // `report` reads these paths as inputs; every other command writes them.
-    const bool instrumented = args.command != "report";
-    if (instrumented && !log_path.empty()) {
+    const std::string trace_path = cmd.instrumented ? args.text("trace") : "";
+    const std::string metrics_path =
+        cmd.instrumented ? args.text("metrics") : "";
+    const std::string log_path = cmd.instrumented ? args.text("log") : "";
+    if (!log_path.empty()) {
       if (!ctx.runlog().open(log_path)) {
         throw std::runtime_error("cannot open --log file " + log_path);
       }
@@ -1609,49 +1606,46 @@ int main(int argc, char** argv) {
           .field("threads", ctx.num_threads());
       obs::emit_manifest(ctx.runlog(), mf);
     }
-    if (instrumented && !trace_path.empty()) obs::Tracer::instance().start();
+    if (!trace_path.empty()) obs::Tracer::instance().start();
 
     // Persistent store (`--store` / AAPX_STORE): warm the Context's
-    // DesignStore before dispatch and save the warmed store back after, so
+    // DesignStore before the run and save the warmed store back after, so
     // a second identical invocation is served from disk. Opened *after* the
     // run log so the store_load record lands in it — identically whether
-    // the file exists yet or not. `report` only reads artifacts and
-    // `library` manages store files explicitly; neither attaches one.
-    std::string store_path = args.get("store", "");
-    if (store_path.empty()) {
-      if (const char* env = std::getenv("AAPX_STORE")) store_path = env;
+    // the file exists yet or not. Commands that only read artifacts or
+    // manage store files explicitly (`library`) do not attach one.
+    if (cmd.store) {
+      args.store = args.text("store");
+      if (args.store.empty()) {
+        if (const char* env = std::getenv("AAPX_STORE")) args.store = env;
+      }
+      if (!args.store.empty()) ctx.store().open(args.store);
     }
-    static const std::set<std::string> kStoreCommands = {
-        "characterize", "flow",       "schedule", "export-liberty",
-        "export-verilog", "export-sdf", "faultsim", "serve"};
-    const bool uses_store =
-        !store_path.empty() && kStoreCommands.count(args.command) != 0;
-    if (uses_store) ctx.store().open(store_path);
 
     int rc = 0;
     try {
-      rc = dispatch(ctx, args, uses_store ? store_path : std::string());
+      rc = cmd.run(ctx, args);
     } catch (const CancelledError& e) {
       // A shutdown signal unwound the flow mid-sweep/mid-epoch. The store
       // holds only fully-built artifacts (insertions are transactional),
       // so snapshotting the partial progress is always safe — the next
       // run warm-starts from whatever completed.
       const int signum = g_signal.load();
-      const bool saved = uses_store && ctx.store().save(store_path);
+      const bool saved = !args.store.empty() && ctx.store().save(args.store);
       std::fprintf(stderr,
                    "aapx: interrupted by signal %d (%s)%s\n", signum,
                    e.what(),
-                   saved ? (", warm store snapshot saved to " + store_path)
+                   saved ? (", warm store snapshot saved to " + args.store)
                                .c_str()
                          : "");
       return signum > 0 ? 128 + signum : 1;
     }
 
-    if (uses_store && !ctx.store().save(store_path)) {
+    if (!args.store.empty() && !ctx.store().save(args.store)) {
       return rc != 0 ? rc : 1;
     }
 
-    if (instrumented && !trace_path.empty()) {
+    if (!trace_path.empty()) {
       if (obs::Tracer::instance().stop_and_write_file(trace_path)) {
         std::fprintf(stderr, "aapx: trace written to %s\n", trace_path.c_str());
       } else {
@@ -1660,7 +1654,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (instrumented && !metrics_path.empty()) {
+    if (!metrics_path.empty()) {
       std::ofstream os(metrics_path);
       if (!os) {
         std::fprintf(stderr, "aapx: cannot write --metrics file %s\n",
@@ -1671,7 +1665,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "aapx: metrics written to %s\n",
                    metrics_path.c_str());
     }
-    if (instrumented && !log_path.empty()) {
+    if (!log_path.empty()) {
       ctx.runlog().close();
       std::fprintf(stderr, "aapx: run log written to %s\n", log_path.c_str());
     }
