@@ -87,7 +87,9 @@ PassResult run_pass(const std::string& endpoint,
   threads.reserve(clients);
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      service::ServiceClient client(endpoint);
+      service::ClientOptions copt;
+      copt.tracer = &bench_context().tracer();
+      service::ServiceClient client(endpoint, copt);
       std::string err;
       for (int round = 0; round < repeat; ++round) {
         for (std::size_t i = c; i < reqs.size();
@@ -131,10 +133,12 @@ int run(int argc, char** argv) {
   std::uint64_t total_errors = 0;
   std::uint64_t gates_checksum = 0;
   for (const int clients : {1, 2, 4}) {
-    // A fresh root Context per client count: every cold pass really is
+    // A fresh server Context per client count: every cold pass really is
     // cold, and the warm pass that follows hits the store the cold pass
-    // just filled.
-    Context root;
+    // just filled. It traces into the bench root's tracer.
+    Context::Options root_options;
+    root_options.tracer = &bench_context().tracer();
+    const Context root(root_options);
     service::ServerOptions opts;
     opts.listen = "tcp:0";
     // The admin plane stays on while the pass is timed — the qps numbers

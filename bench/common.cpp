@@ -17,7 +17,6 @@
 #include "gatesim/timedsim.hpp"
 #include "image/synthetic.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
 namespace aapx::bench {
@@ -144,7 +143,7 @@ BenchJson::BenchJson(std::string name, int argc, char** argv)
   // Warm-start from the snapshot before the timer starts: load cost is not
   // part of the bench, only the hits it produces are.
   if (!store_path_.empty()) bench_context().store().open(store_path_);
-  if (!trace_path_.empty()) obs::Tracer::instance().start();
+  if (!trace_path_.empty()) bench_context().tracer().start();
   start_ = std::chrono::steady_clock::now();
 }
 
@@ -161,7 +160,7 @@ BenchJson::~BenchJson() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
   if (!trace_path_.empty()) {
-    if (!obs::Tracer::instance().stop_and_write_file(trace_path_)) {
+    if (!bench_context().tracer().stop_and_write_file(trace_path_)) {
       std::fprintf(stderr, "bench: cannot write --trace file %s\n",
                    trace_path_.c_str());
     }

@@ -28,6 +28,9 @@ int run(int argc, char** argv) {
   Config cfg;
   const int size = arg_int(argc, argv, "--size",
                            fast_mode(argc, argv) ? 16 : 24);
+  // The frame size shapes every headline number (it sets the binned clock),
+  // so it is a result field: a run checked at another size fails on it.
+  bench_json.metric("size", size);
   const CodecConfig codec = cfg.codec();
   const Image img = make_video_trace_frame("akiyo", size, size);
 

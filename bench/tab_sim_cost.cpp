@@ -29,10 +29,12 @@ Config& config() {
   return cfg;
 }
 
-/// Options of a private cold Context with the bench root's worker count.
+/// Options of a private cold Context with the bench root's worker count
+/// and tracer.
 Context::Options cold_options() {
   Context::Options options;
   options.threads = bench_context().num_threads();
+  options.tracer = &bench_context().tracer();
   return options;
 }
 

@@ -76,7 +76,7 @@ ComponentCharacterization ComponentCharacterizer::characterize(
       throw std::invalid_argument("characterize: negative scenario years");
     }
   }
-  obs::Span span("characterize");
+  obs::Span span(&ctx_->tracer(), "characterize");
 
   // Route through the Context's surface cache whenever the sweep is a pure
   // function of its key (no stimulus-dependent measured scenarios): a second
@@ -161,7 +161,8 @@ ComponentCharacterization ComponentCharacterizer::sweep(
   ctx_->parallel_for(precisions.size(), [&](std::size_t i) {
     ctx_->check_cancelled("characterize.point");
     const int k = precisions[i];
-    obs::Span point_span("characterize.point", static_cast<std::uint64_t>(k));
+    obs::Span point_span(&ctx_->tracer(), "characterize.point",
+                         static_cast<std::uint64_t>(k));
     ComponentSpec spec = base;
     spec.truncated_bits = base.width - k;
     const Netlist& nl = store.netlist(*lib_, spec);

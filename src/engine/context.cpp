@@ -22,6 +22,12 @@ Context::Context(const Options& options)
     owned_runlog_ = std::make_unique<obs::RunLog>();
     runlog_ = owned_runlog_.get();
   }
+  if (options.tracer != nullptr) {
+    tracer_ = options.tracer;
+  } else {
+    owned_tracer_ = std::make_unique<obs::Tracer>();
+    tracer_ = owned_tracer_.get();
+  }
   if (options.shared_store != nullptr) {
     // Multi-tenant mode: borrow another Context's store (the server's
     // per-connection Contexts all point at the root store). Its metrics

@@ -1,14 +1,15 @@
 // Explicit execution context: one logical "tenant" of the process. It owns
 // (or borrows) a content-addressed engine::DesignStore (see
-// design_store.hpp), a metrics registry and a run log, and fixes at
-// construction the worker count, the base seed of its RNG streams and the
-// cancel token its long-running work observes. It has no setters.
+// design_store.hpp), a metrics registry, a run log and a tracer, and fixes
+// at construction the worker count, the base seed of its RNG streams and
+// the cancel token its long-running work observes. It has no setters.
 //
 // Every entry point builds one root Context from its own flags and passes it
 // down — the `aapx` CLI and the benches' guarded_main from --threads/-j and
 // their signal token; tests and examples build their own. Two Contexts in
-// one process share no caches, no metrics and no log, which is what makes
-// multi-tenant serving correct (tests/engine/context_isolation_test.cpp).
+// one process share no caches, no metrics, no log and no trace, which is
+// what makes multi-tenant serving correct
+// (tests/engine/context_isolation_test.cpp).
 //
 //   * Metrics. A layer that holds a Context counts in metrics(). Layers with
 //     none (gatesim, the thread pool, aging lifetime, an Sta built with a
@@ -16,6 +17,11 @@
 //     and bench roots use that registry too, so one snapshot holds both.
 //   * Run log. Only code holding a Context writes records; an Sta built
 //     with a null Context writes none.
+//   * Tracing. Only code holding a Context opens spans, into tracer(); the
+//     CLI's and benches' --trace starts the root's. Contexts built beneath
+//     a root (the server's per-request ones, a bench's cold ones) borrow
+//     its tracer, so one file holds the whole run. Layers with none record
+//     no spans, and neither do their parallel_for calls.
 //   * Threads. Options::threads == 0 means hardware_threads(). Layers below
 //     the engine take their width from the caller (a `threads` argument or
 //     a Context).
@@ -35,6 +41,7 @@
 #include "engine/cancel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runlog.hpp"
+#include "obs/trace.hpp"
 #include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -58,6 +65,9 @@ class Context {
     /// Run-log sink; nullptr = this Context owns a fresh private log
     /// (disabled until opened).
     obs::RunLog* runlog = nullptr;
+    /// Span sink; nullptr = this Context owns a fresh private tracer (off
+    /// until started).
+    obs::Tracer* tracer = nullptr;
     /// Store file to open into the DesignStore at construction (the CLI's
     /// `--store` / AAPX_STORE). Empty = in-memory only. Opening never
     /// fails hard: a missing file is a cold start, a damaged one degrades
@@ -76,7 +86,7 @@ class Context {
   };
 
   /// Fully private Context: own DesignStore, own metrics registry, own
-  /// (closed) run log.
+  /// (closed) run log, own (stopped) tracer.
   Context();
   explicit Context(const Options& options);
   ~Context();
@@ -89,6 +99,7 @@ class Context {
 
   obs::MetricsRegistry& metrics() const noexcept { return *metrics_; }
   obs::RunLog& runlog() const noexcept { return *runlog_; }
+  obs::Tracer& tracer() const noexcept { return *tracer_; }
   /// This Context's worker count (Options::threads, or hardware_threads()
   /// when that was 0).
   int num_threads() const noexcept { return threads_; }
@@ -112,11 +123,12 @@ class Context {
     if (const CancelToken* token = cancel_token()) token->check(where);
   }
 
-  /// parallel_for with this Context's worker count. Same determinism
-  /// contract as aapx::parallel_for: results are bit-identical at any count.
+  /// parallel_for with this Context's worker count and tracer. Same
+  /// determinism contract as aapx::parallel_for: results are bit-identical
+  /// at any count.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& fn) const {
-    aapx::parallel_for(n, fn, threads_);
+    aapx::parallel_for(n, fn, threads_, tracer_);
   }
 
  private:
@@ -124,6 +136,8 @@ class Context {
   std::unique_ptr<obs::RunLog> owned_runlog_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::RunLog* runlog_ = nullptr;
+  std::unique_ptr<obs::Tracer> owned_tracer_;
+  obs::Tracer* tracer_ = nullptr;
   std::unique_ptr<engine::DesignStore> owned_store_;
   engine::DesignStore* store_ = nullptr;
   const int threads_;

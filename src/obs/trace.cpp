@@ -1,12 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <ostream>
-#include <vector>
+#include <thread>
 
 #include "obs/json.hpp"
 
@@ -23,82 +19,80 @@ struct TraceEvent {
   bool has_arg;
 };
 
-struct ThreadBuf {
-  std::vector<TraceEvent> events;
-  std::string name;
-  int tid = 0;
-};
-
 /// Per-thread buffer cap; beyond it events are dropped (counted in the
 /// emitted metadata) instead of growing without bound.
 constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 22;
 
-thread_local ThreadBuf* t_buf = nullptr;
+std::atomic<std::uint64_t> g_next_tracer_id{1};
 
-/// Innermost SpanCapture sink installed on this thread (nullptr = none).
-thread_local SpanCapture* t_capture = nullptr;
+/// The calling thread's name, copied into each trace buffer it creates.
+thread_local std::string t_thread_name;
+
+/// The buffer this thread last recorded into, and its tracer's id. Only
+/// consulted while that tracer is on; a miss falls back to the tracer's
+/// own list under its lock.
+struct BufCache {
+  std::uint64_t tracer_id = 0;
+  void* buf = nullptr;
+};
+thread_local BufCache t_cache;
 
 }  // namespace
 
-struct Tracer::Impl {
-  std::atomic<bool> enabled{false};
-  mutable std::mutex mutex;
-  std::vector<std::unique_ptr<ThreadBuf>> threads;
-  Clock::time_point epoch{};
-  std::atomic<std::uint64_t> dropped{0};
-
-  ThreadBuf* this_thread() {
-    if (t_buf == nullptr) {
-      auto buf = std::make_unique<ThreadBuf>();
-      std::lock_guard<std::mutex> lock(mutex);
-      buf->tid = static_cast<int>(threads.size());
-      t_buf = buf.get();
-      threads.push_back(std::move(buf));
-    }
-    return t_buf;
-  }
-
-  void record(const char* name, char ph, std::uint64_t arg, bool has_arg) {
-    ThreadBuf* buf = this_thread();
-    if (buf->events.size() >= kMaxEventsPerThread) {
-      dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    const double ts_us =
-        std::chrono::duration<double, std::micro>(Clock::now() - epoch)
-            .count();
-    buf->events.push_back({name, ts_us, arg, ph, has_arg});
-  }
+struct Tracer::ThreadBuf {
+  std::vector<TraceEvent> events;
+  std::string name;
+  std::thread::id owner;
+  int tid = 0;
 };
 
-Tracer::Impl& Tracer::impl() {
-  static Impl* impl = new Impl();  // leaked; thread buffers must outlive exit
-  return *impl;
+Tracer::Tracer() : id_(g_next_tracer_id.fetch_add(1)) {}
+
+Tracer::~Tracer() = default;
+
+Tracer::ThreadBuf& Tracer::this_thread() {
+  if (t_cache.tracer_id == id_) return *static_cast<ThreadBuf*>(t_cache.buf);
+  const std::thread::id self = std::this_thread::get_id();
+  std::lock_guard<std::mutex> lock(mutex_);
+  ThreadBuf* found = nullptr;
+  for (const auto& buf : threads_) {
+    if (buf->owner == self) found = buf.get();
+  }
+  if (found == nullptr) {
+    auto buf = std::make_unique<ThreadBuf>();
+    buf->name = t_thread_name;
+    buf->owner = self;
+    buf->tid = static_cast<int>(threads_.size());
+    found = buf.get();
+    threads_.push_back(std::move(buf));
+  }
+  t_cache = {id_, found};
+  return *found;
 }
 
-Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
-}
-
-bool Tracer::enabled() const noexcept {
-  return const_cast<Tracer*>(this)->impl().enabled.load(
-      std::memory_order_relaxed);
+void Tracer::record(const char* name, char ph, std::uint64_t arg,
+                    bool has_arg) {
+  ThreadBuf& buf = this_thread();
+  if (buf.events.size() >= kMaxEventsPerThread) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const double ts_us =
+      std::chrono::duration<double, std::micro>(Clock::now() - epoch_).count();
+  buf.events.push_back({name, ts_us, arg, ph, has_arg});
 }
 
 void Tracer::start() {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  for (auto& buf : im.threads) buf->events.clear();
-  im.dropped.store(0, std::memory_order_relaxed);
-  im.epoch = Clock::now();
-  im.enabled.store(true, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& buf : threads_) buf->events.clear();
+  dropped_.store(0, std::memory_order_relaxed);
+  epoch_ = Clock::now();
+  enabled_.store(true, std::memory_order_relaxed);
 }
 
 void Tracer::stop_and_write(std::ostream& os) {
-  Impl& im = impl();
-  im.enabled.store(false, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(im.mutex);
+  enabled_.store(false, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto emit = [&](const std::string& line) {
@@ -108,14 +102,14 @@ void Tracer::stop_and_write(std::ostream& os) {
   };
   emit("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
        "\"args\":{\"name\":\"aapx\"}}");
-  for (const auto& buf : im.threads) {
+  for (const auto& buf : threads_) {
     if (!buf->name.empty()) {
       emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(buf->tid) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
            json_escape(buf->name) + "\"}}");
     }
   }
-  for (const auto& buf : im.threads) {
+  for (const auto& buf : threads_) {
     for (const TraceEvent& ev : buf->events) {
       std::string line = "{\"ph\":\"";
       line += ev.ph;
@@ -130,7 +124,7 @@ void Tracer::stop_and_write(std::ostream& os) {
     }
     buf->events.clear();
   }
-  const std::uint64_t dropped = im.dropped.load(std::memory_order_relaxed);
+  const std::uint64_t dropped = dropped_.load(std::memory_order_relaxed);
   if (dropped > 0) {
     emit("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"dropped_events\","
          "\"args\":{\"n\":" + std::to_string(dropped) + "}}");
@@ -149,101 +143,19 @@ bool Tracer::stop_and_write_file(const std::string& path) {
 }
 
 void Tracer::discard() {
-  Impl& im = impl();
-  im.enabled.store(false, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(im.mutex);
-  for (auto& buf : im.threads) buf->events.clear();
-  im.dropped.store(0, std::memory_order_relaxed);
+  enabled_.store(false, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& buf : threads_) buf->events.clear();
+  dropped_.store(0, std::memory_order_relaxed);
 }
 
 std::size_t Tracer::event_count() const {
-  Impl& im = const_cast<Tracer*>(this)->impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
+  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t n = 0;
-  for (const auto& buf : im.threads) n += buf->events.size();
+  for (const auto& buf : threads_) n += buf->events.size();
   return n;
 }
 
-void set_thread_name(const std::string& name) {
-  Tracer::Impl& im = Tracer::instance().impl();
-  ThreadBuf* buf = im.this_thread();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  buf->name = name;
-}
-
-Span::Span(const char* name) noexcept : name_(nullptr) {
-  if (t_capture != nullptr) {
-    const std::size_t slot = t_capture->begin(name);
-    if (slot != static_cast<std::size_t>(-1)) {
-      capture_ = t_capture;
-      slot_ = static_cast<std::uint32_t>(slot);
-    }
-  }
-  Tracer& tracer = Tracer::instance();
-  if (!tracer.enabled()) return;
-  name_ = name;
-  tracer.impl().record(name, 'B', 0, false);
-}
-
-Span::Span(const char* name, std::uint64_t arg) noexcept : name_(nullptr) {
-  if (t_capture != nullptr) {
-    const std::size_t slot = t_capture->begin(name);
-    if (slot != static_cast<std::size_t>(-1)) {
-      capture_ = t_capture;
-      slot_ = static_cast<std::uint32_t>(slot);
-    }
-  }
-  Tracer& tracer = Tracer::instance();
-  if (!tracer.enabled()) return;
-  name_ = name;
-  tracer.impl().record(name, 'B', arg, true);
-}
-
-Span::~Span() {
-  if (capture_ != nullptr) capture_->end(slot_);
-  if (name_ == nullptr) return;
-  Tracer& tracer = Tracer::instance();
-  // If tracing stopped mid-span the B was already flushed or cleared; an E
-  // recorded now would be unbalanced, so drop it.
-  if (!tracer.enabled()) return;
-  tracer.impl().record(name_, 'E', 0, false);
-}
-
-SpanCapture::SpanCapture(std::size_t max_spans) noexcept
-    : max_spans_(max_spans),
-      prev_(t_capture),
-      epoch_(std::chrono::steady_clock::now()) {
-  spans_.reserve(max_spans < 64 ? max_spans : std::size_t{64});
-  t_capture = this;
-}
-
-SpanCapture::~SpanCapture() { t_capture = prev_; }
-
-std::size_t SpanCapture::begin(const char* name) noexcept {
-  // When full, the span is dropped and depth_ is left alone — the matching
-  // end() never runs for dropped spans, so bumping it here would leak depth.
-  if (spans_.size() >= max_spans_) {
-    ++dropped_;
-    return static_cast<std::size_t>(-1);
-  }
-  CapturedSpan span;
-  span.name = name;
-  span.start_us = std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - epoch_)
-                      .count();
-  span.dur_us = -1.0;
-  span.depth = depth_++;
-  spans_.push_back(span);
-  return spans_.size() - 1;
-}
-
-void SpanCapture::end(std::size_t slot) noexcept {
-  --depth_;
-  CapturedSpan& span = spans_[slot];
-  span.dur_us = std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - epoch_)
-                    .count() -
-                span.start_us;
-}
+void set_thread_name(const std::string& name) { t_thread_name = name; }
 
 }  // namespace aapx::obs

@@ -1,37 +1,49 @@
 // Hierarchical tracing with Chrome trace-event JSON output.
 //
-// Spans are RAII: `obs::Span span("characterize");` records a B(egin) event
-// on construction and an E(nd) event on destruction, on the calling thread's
-// own timeline — so spans opened inside parallel_for bodies nest under the
-// worker thread that ran the grain, and the written file shows the real
-// fork/join shape in Perfetto or chrome://tracing.
+// A Tracer is an ordinary object: each aapx::Context owns one or borrows
+// its root's (ctx.tracer()), so two Contexts tracing in one process write
+// two disjoint traces. Spans are RAII and name their tracer explicitly:
+// `obs::Span span(&ctx.tracer(), "characterize");` records a B(egin) event
+// on construction and an E(nd) event on destruction, on the calling
+// thread's own timeline — so spans opened inside parallel_for bodies nest
+// under the worker thread that ran the grain, and the written file shows
+// the real fork/join shape in Perfetto or chrome://tracing. A Span given a
+// null tracer (a layer called without a Context) records nothing.
 //
-// Overhead discipline: when tracing is disabled (the default) a Span costs
-// one relaxed atomic load and nothing else — no allocation, no clock read,
-// no branch the optimizer cannot fold. Timestamps are steady-clock and only
-// ever appear inside the trace file, never in analysis results.
+// Overhead discipline: when tracing is off (a null tracer, or one never
+// started) a Span costs one null check and one relaxed atomic load — no
+// allocation, no clock read, no thread-local access. Timestamps are
+// steady-clock and only ever appear inside the trace file, never in
+// analysis results.
 //
 // Quiescence contract: start() and stop_and_write() must be called outside
 // any parallel region (parallel_for is a barrier, so "after it returned" is
-// enough). Per-thread buffers are written to only by their owning thread
-// while enabled; stop merges them under the registry lock.
+// enough), and a Tracer must outlive every span opened on it. Per-thread
+// buffers are written to only by their owning thread while enabled; stop
+// merges them under the tracer's lock.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace aapx::obs {
 
-class SpanCapture;
-
 class Tracer {
  public:
-  static Tracer& instance();
+  Tracer();
+  ~Tracer();
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
-  bool enabled() const noexcept;
+  bool enabled() const noexcept {
+    return enabled_.load(std::memory_order_relaxed);
+  }
   /// Clears previous events and begins collecting.
   void start();
   /// Stops collecting, writes the Chrome trace-event document, clears
@@ -45,83 +57,57 @@ class Tracer {
   std::size_t event_count() const;
 
  private:
-  Tracer() = default;
   friend class Span;
-  friend void set_thread_name(const std::string& name);
+  struct ThreadBuf;
 
-  struct Impl;
-  Impl& impl();
+  /// The calling thread's buffer in this tracer, created on first use.
+  ThreadBuf& this_thread();
+  void record(const char* name, char ph, std::uint64_t arg, bool has_arg);
+
+  /// Process-unique and never reused: keys each thread's buffer cache, so
+  /// a cache entry left by a destroyed tracer can never match a new one.
+  const std::uint64_t id_;
+  std::atomic<bool> enabled_{false};
+  mutable std::mutex mutex_;
+  std::vector<std::unique_ptr<ThreadBuf>> threads_;
+  std::chrono::steady_clock::time_point epoch_{};
+  std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// Names the calling thread's row in the trace (pool workers call this once
-/// at spawn). Safe to call whether or not tracing is active.
+/// Names the calling thread's row in every trace it later records into
+/// (pool workers call this once at spawn).
 void set_thread_name(const std::string& name);
 
 /// RAII span. Optionally carries one numeric argument (e.g. the item count
-/// of a parallel_for), emitted as args.n on the begin event.
+/// of a parallel_for, or a request's wire trace id), emitted as args.n on
+/// the begin event.
 class Span {
  public:
-  explicit Span(const char* name) noexcept;
-  Span(const char* name, std::uint64_t arg) noexcept;
-  ~Span();
+  Span(Tracer* tracer, const char* name) noexcept
+      : tracer_(on(tracer)), name_(name) {
+    if (tracer_ != nullptr) tracer_->record(name, 'B', 0, false);
+  }
+  Span(Tracer* tracer, const char* name, std::uint64_t arg) noexcept
+      : tracer_(on(tracer)), name_(name) {
+    if (tracer_ != nullptr) tracer_->record(name, 'B', arg, true);
+  }
+  ~Span() {
+    // If tracing stopped mid-span the B was already flushed or cleared; an
+    // E recorded now would be unbalanced, so drop it.
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->record(name_, 'E', 0, false);
+    }
+  }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  const char* name_;  ///< nullptr when tracing was disabled at construction
-  SpanCapture* capture_ = nullptr;  ///< non-null while a sink owns slot_
-  std::uint32_t slot_ = 0;
-};
+  static Tracer* on(Tracer* tracer) noexcept {
+    return tracer != nullptr && tracer->enabled() ? tracer : nullptr;
+  }
 
-/// One completed span collected by a SpanCapture sink. Times are
-/// steady-clock microseconds relative to the sink's construction.
-struct CapturedSpan {
-  const char* name = nullptr;  ///< string literal owned by the call site
-  double start_us = 0.0;
-  double dur_us = 0.0;  ///< -1 while still open (sink destroyed mid-span)
-  int depth = 0;        ///< nesting depth at begin, outermost = 0
-};
-
-/// Thread-local span sink: while one is alive on a thread, every Span
-/// opened on that thread is ALSO recorded here — independently of (and in
-/// addition to) the global Tracer, which may be off. This is how the
-/// server captures a per-request span tree without turning process-wide
-/// tracing on for every tenant: the request worker installs a SpanCapture,
-/// runs the request, and streams the captured tree to the request-trace
-/// file under the request's trace id.
-///
-/// Scope contract: the sink only sees spans on its own thread (spans opened
-/// inside parallel_for grains on pool threads are not captured), and it
-/// must outlive every span opened while it is installed. Sinks nest: a new
-/// sink shadows the previous one until destroyed.
-///
-/// Cost when no sink is installed: one additional thread-local load on the
-/// Span fast path, nothing else.
-class SpanCapture {
- public:
-  explicit SpanCapture(std::size_t max_spans = 256) noexcept;
-  ~SpanCapture();
-  SpanCapture(const SpanCapture&) = delete;
-  SpanCapture& operator=(const SpanCapture&) = delete;
-
-  /// Completed (and still-open) spans in begin order.
-  const std::vector<CapturedSpan>& spans() const noexcept { return spans_; }
-  /// Spans not recorded because max_spans was reached.
-  std::uint64_t dropped() const noexcept { return dropped_; }
-
- private:
-  friend class Span;
-
-  /// Returns the slot index, or SIZE_MAX when full.
-  std::size_t begin(const char* name) noexcept;
-  void end(std::size_t slot) noexcept;
-
-  std::vector<CapturedSpan> spans_;
-  std::size_t max_spans_;
-  std::uint64_t dropped_ = 0;
-  int depth_ = 0;
-  SpanCapture* prev_ = nullptr;
-  std::chrono::steady_clock::time_point epoch_;
+  Tracer* const tracer_;  ///< nullptr when tracing was off at construction
+  const char* const name_;
 };
 
 }  // namespace aapx::obs

@@ -206,7 +206,7 @@ CampaignResult ClosedLoopRuntime::run(const FaultInjector& faults,
         "ClosedLoopRuntime::run: planned schedule is infeasible");
   }
 
-  obs::Span campaign_span("campaign",
+  obs::Span campaign_span(&ctx_->tracer(), "campaign",
                           static_cast<std::uint64_t>(campaign.epochs));
   // Run-log emission is restricted to the serial spine: a campaign launched
   // inside parallel_for (e.g. the open/closed ablation pair) stays silent so
@@ -246,7 +246,8 @@ CampaignResult ClosedLoopRuntime::run(const FaultInjector& faults,
     // unwinds here with only whole epochs behind it, so the snapshot the
     // CLI saves on the way out is exactly as warm as the completed work.
     ctx_->check_cancelled("campaign.epoch");
-    obs::Span epoch_span("epoch", static_cast<std::uint64_t>(e));
+    obs::Span epoch_span(&ctx_->tracer(), "epoch",
+                         static_cast<std::uint64_t>(e));
     const double years = campaign.lifetime_years * static_cast<double>(e) /
                          static_cast<double>(campaign.epochs);
     hooks.set_epoch(e, years);

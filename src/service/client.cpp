@@ -106,9 +106,9 @@ CallResult ServiceClient::call(MsgType type, const std::string& payload,
       deadline_ms > 0 ? deadline_ms + options_.deadline_margin_ms
                       : options_.response_timeout_ms;
   // One trace id per logical call, shared by every retry attempt: the
-  // server tags each attempt's span tree with it, so a Chrome trace shows
-  // the retries of this call as one correlated family. Deterministic
-  // (seed + call counter) so test schedules reproduce.
+  // client.attempt spans and the server's serve.* spans all carry it, so a
+  // trace shows the retries of this call as one correlated family.
+  // Deterministic (seed + call counter) so test schedules reproduce.
   std::uint64_t trace_id = forced_trace_id_ != 0
                                ? forced_trace_id_
                                : mix_seed(options_.jitter_seed ^
@@ -122,7 +122,7 @@ CallResult ServiceClient::call(MsgType type, const std::string& payload,
     if (attempt > 0) ++retries_;
     std::uint32_t hint_ms = 0;
     if (ensure_connected(&last_error)) {
-      const obs::Span span("client.attempt", trace_id);
+      const obs::Span span(options_.tracer, "client.attempt", trace_id);
       Frame request{type, next_request_id_++, trace_id, payload};
       Frame response;
       if (!roundtrip(request, &response, timeout_ms, &last_error)) {

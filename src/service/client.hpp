@@ -26,6 +26,10 @@
 #include "engine/persist.hpp"
 #include "service/protocol.hpp"
 
+namespace aapx::obs {
+class Tracer;
+}  // namespace aapx::obs
+
 namespace aapx::service {
 
 struct ClientOptions {
@@ -42,6 +46,9 @@ struct ClientOptions {
   /// server should answer `cancelled` by then, so anything later means the
   /// server is wedged, not slow.
   std::uint32_t deadline_margin_ms = 2000;
+  /// Tracer for one client.attempt span per attempt, carrying the call's
+  /// trace id as args.n. Borrowed; nullptr = no spans.
+  obs::Tracer* tracer = nullptr;
 };
 
 /// Outcome of one reliable call. `ok` with the payload frame, or a terminal

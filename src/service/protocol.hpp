@@ -11,11 +11,11 @@
 // request_id is chosen by the client and echoed verbatim on the response, so
 // one connection can pipeline requests. trace_id is an opaque correlation
 // id, also client-chosen and echoed: a client stamps the same trace_id on
-// every retry attempt of one logical call, the server tags its per-request
-// span tree and slow-request ring with it, and the streamed request-trace
-// file carries it on every span — so one Chrome trace joins client attempts
-// to the server-side work they caused. 0 means "untraced" and is always
-// legal. The payload is a per-type record encoded below.
+// every retry attempt of one logical call (its client.attempt spans carry
+// it as args.n), and the server puts it on its serve.* spans and in the
+// slow-request ring — so one id joins client attempts to the server-side
+// work they caused. 0 means "untraced" and is always legal. The payload is
+// a per-type record encoded below.
 //
 // Robustness contract (frames arrive from untrusted sockets):
 //   * FrameReader validates the magic and rejects payload_size above the

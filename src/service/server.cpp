@@ -6,11 +6,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
-#include <optional>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -65,83 +62,6 @@ struct Connection {
 };
 
 using ConnPtr = std::shared_ptr<Connection>;
-
-/// Streams completed request span trees to a Chrome trace file in the JSON
-/// *array* format — `[\n{event},\n{event},...` — which Perfetto and
-/// chrome://tracing accept without a closing bracket, so the file is valid
-/// at every instant and rotation is a plain rename. Each span becomes one
-/// 'X' (complete) event on tid = request sequence, carrying the client's
-/// trace id in args — load the client-side trace next to this file and the
-/// shared ids join retry attempts to the server work they caused.
-class RequestTraceWriter {
- public:
-  bool open(const std::string& path, std::size_t rotate_bytes) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    path_ = path;
-    rotate_bytes_ = std::max<std::size_t>(rotate_bytes, 4096);
-    return open_locked();
-  }
-
-  bool active() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return os_.has_value();
-  }
-
-  void append(std::uint64_t seq, std::uint64_t trace_id, const char* op,
-              double start_us, double latency_us,
-              const std::vector<obs::CapturedSpan>& spans) {
-    std::ostringstream line;
-    const std::string args = ",\"args\":{\"trace\":" + std::to_string(trace_id) +
-                             ",\"seq\":" + std::to_string(seq) + "}";
-    const std::string tid = std::to_string(seq);
-    line << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
-         << ",\"ts\":" << obs::json_num(start_us)
-         << ",\"dur\":" << obs::json_num(latency_us) << ",\"name\":\""
-         << op << "\"" << args << "},\n";
-    for (const obs::CapturedSpan& s : spans) {
-      if (s.dur_us < 0.0) continue;  // sink died mid-span; cannot happen here
-      line << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
-           << ",\"ts\":" << obs::json_num(start_us + s.start_us)
-           << ",\"dur\":" << obs::json_num(s.dur_us) << ",\"name\":\""
-           << obs::json_escape(s.name) << "\"" << args << "},\n";
-    }
-    const std::string text = line.str();
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!os_.has_value()) return;
-    *os_ << text;
-    bytes_ += text.size();
-    if (bytes_ >= rotate_bytes_) {
-      os_->flush();
-      os_.reset();
-      std::rename(path_.c_str(), (path_ + ".1").c_str());
-      open_locked();
-    }
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (os_.has_value()) os_->flush();
-    os_.reset();
-  }
-
- private:
-  bool open_locked() {
-    os_.emplace(path_, std::ios::trunc);
-    if (!*os_) {
-      os_.reset();
-      return false;
-    }
-    *os_ << "[\n";
-    bytes_ = 2;
-    return true;
-  }
-
-  mutable std::mutex mutex_;
-  std::optional<std::ofstream> os_;
-  std::string path_;
-  std::size_t rotate_bytes_ = 0;
-  std::size_t bytes_ = 0;
-};
 
 /// A live connection plus its reader thread, owned by Impl::conns until the
 /// reader exits and the acceptor reaps the entry. Workers holding the
@@ -253,8 +173,6 @@ struct Server::Impl {
   /// Slowest requests, latency-descending, bounded at options.slow_ring.
   std::mutex slow_mutex;
   std::vector<StatsResponse::SlowRequest> slow;
-
-  RequestTraceWriter trace_writer;
 
   double us_since_start(std::chrono::steady_clock::time_point tp) const {
     return std::chrono::duration<double, std::micro>(tp - start_time).count();
@@ -484,11 +402,6 @@ struct Server::Impl {
     }
 
     Frame response;
-    // The capture sink records this worker thread's span tree for the
-    // request-trace stream; it is installed only when request tracing is
-    // on, so the steady-state cost stays one thread-local load per Span.
-    std::optional<obs::SpanCapture> capture;
-    if (trace_writer.active()) capture.emplace(256);
     try {
       response = compute(job, log);
     } catch (const CancelledError& e) {
@@ -540,26 +453,25 @@ struct Server::Impl {
       response.trace_id = w.trace_id;
       w.conn->send_frame(response);
     }
-    if (capture.has_value()) {
-      trace_writer.append(job.seq, job.trace_id, to_string(job.type),
-                          us_since_start(job.received_at), latency_us,
-                          capture->spans());
-    }
   }
 
   Frame compute(Job& job, obs::RunLog& log) {
     // The per-request Context: borrows the shared store (every client warms
-    // one cache), carries the job's CancelToken down into the sweep, and
-    // routes the sweep's run-log records into this request's private file.
+    // one cache) and the root's tracer (one span stream for the server),
+    // carries the job's CancelToken down into the sweep, and routes the
+    // sweep's run-log records into this request's private file.
     Context::Options copt;
     copt.shared_store = &root->store();
+    copt.tracer = &root->tracer();
     copt.cancel = &job.token;
     copt.threads = options.sweep_threads;
     copt.runlog = &log;
     const Context ctx(copt);
 
     if (job.type == MsgType::characterize) {
-      const obs::Span span("serve.characterize");
+      // The wire trace id as args.n joins this span to the client's
+      // client.attempt spans that carried it.
+      const obs::Span span(&ctx.tracer(), "serve.characterize", job.trace_id);
       const CharacterizeRequest& req = job.characterize;
       CharacterizerOptions copts;
       copts.min_precision = req.min_precision;
@@ -576,7 +488,7 @@ struct Server::Impl {
       p.surface = ch.characterize(req.spec, req.scenarios);
       return {MsgType::ok_surface, 0, 0, encode_surface_response(p)};
     }
-    const obs::Span span("serve.aged_delay");
+    const obs::Span span(&ctx.tracer(), "serve.aged_delay", job.trace_id);
     const AgedDelayRequest& req = job.aged_delay;
     ctx.check_cancelled("serve.aged_delay");
     const double delay = ctx.store().aged_sta_delay(lib, req.spec, model,
@@ -843,10 +755,6 @@ bool Server::start(std::string* err) {
       return false;
     }
   }
-  if (!impl_->options.request_trace_path.empty()) {
-    impl_->trace_writer.open(impl_->options.request_trace_path,
-                             impl_->options.request_trace_rotate_bytes);
-  }
   impl_->started.store(true);
   impl_->acceptor = std::thread([this] { impl_->acceptor_loop(); });
   if (impl_->admin_fd >= 0) {
@@ -899,7 +807,6 @@ void Server::stop() {
     impl_->admin_fd = -1;
     unlink_endpoint(impl_->options.admin);
   }
-  impl_->trace_writer.close();
   // 4. Final snapshot: the drained store's warmth survives the restart.
   impl_->save_snapshot();
 }

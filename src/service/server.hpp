@@ -37,9 +37,10 @@
 // from atomics and registry snapshots on threads that never touch the
 // worker queue or any request counter — scraping mid-campaign leaves run
 // logs byte-identical. Per-request admission-to-response latency lands in
-// per-op log2 histograms, the slowest requests in a bounded top-K ring, and
-// (when request tracing is on) each request's span tree streams to a
-// rotating Chrome-trace file keyed by the client's trace id.
+// per-op log2 histograms and the slowest requests in a bounded top-K ring.
+// Request spans go to the root Context's tracer (`aapx serve --trace`):
+// every per-request Context borrows it, and serve.characterize /
+// serve.aged_delay carry the client's wire trace id as args.n.
 //
 // See docs/ARCHITECTURE.md "Service layer" for the full failure matrix.
 #pragma once
@@ -83,22 +84,16 @@ struct ServerOptions {
   /// /metrics (Prometheus text exposition of the root registry plus the
   /// server's own serve.* series) and GET /healthz. Empty = no admin plane.
   std::string admin;
-  /// Streams completed request span trees (Chrome trace, JSON array
-  /// format) to this path, rotating to <path>.1 at the size cap below.
-  /// Empty = request tracing off.
-  std::string request_trace_path;
-  /// Size cap that triggers request-trace rotation.
-  std::size_t request_trace_rotate_bytes = 8ull << 20;
   /// Capacity of the slowest-requests ring reported by the stats op.
   std::size_t slow_ring = 16;
 };
 
 class Server {
  public:
-  /// `root` supplies the shared DesignStore and the metrics sink; the
-  /// server builds against the default cell library and BTI model (the
-  /// same configuration every CLI subcommand characterizes with, so served
-  /// results are bit-identical to local ones).
+  /// `root` supplies the shared DesignStore, the metrics sink and the
+  /// tracer; the server builds against the default cell library and BTI
+  /// model (the same configuration every CLI subcommand characterizes with,
+  /// so served results are bit-identical to local ones).
   Server(const Context& root, ServerOptions options);
   ~Server();
   Server(const Server&) = delete;

@@ -39,6 +39,7 @@ Sta::Sta(const Netlist& nl, StaOptions options, const Context* ctx)
   fresh_runs_ = &registry.counter("sta.fresh_runs");
   aged_runs_ = &registry.counter("sta.aged_runs");
   runlog_ = ctx != nullptr ? &ctx->runlog() : nullptr;
+  tracer_ = ctx != nullptr ? &ctx->tracer() : nullptr;
   metrics_ = &registry;
 }
 
@@ -108,7 +109,7 @@ Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
 
 StaResult Sta::run(const DegradationAwareLibrary* aged,
                    const StressProfile* stress) const {
-  obs::Span span("sta.run");
+  obs::Span span(tracer_, "sta.run");
   (aged != nullptr ? aged_runs_ : fresh_runs_)->add();
   StaResult res = run_impl(aged, stress);
 

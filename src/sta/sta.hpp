@@ -20,6 +20,7 @@ namespace aapx::obs {
 class Counter;
 class MetricsRegistry;
 class RunLog;
+class Tracer;
 }  // namespace aapx::obs
 
 namespace aapx {
@@ -95,6 +96,7 @@ class Sta {
   obs::Counter* fresh_runs_;
   obs::Counter* aged_runs_;
   obs::RunLog* runlog_;  ///< nullptr = no sta_query records
+  obs::Tracer* tracer_;  ///< nullptr = no sta.run spans
   /// Kept for mechanism counters that must be registered lazily: BTI-only
   /// runs never look them up, so their metrics snapshots carry no new keys.
   obs::MetricsRegistry* metrics_;

@@ -100,6 +100,7 @@ VariationResult MonteCarloSta::run(const Sta::GateDelays& base,
   // to a serial run at any thread count.
   constexpr std::size_t kBlock = 64;
   const int threads = ctx_ != nullptr ? ctx_->num_threads() : 0;
+  obs::Tracer* tracer = ctx_ != nullptr ? &ctx_->tracer() : nullptr;
   std::vector<double> factors;
   for (std::size_t first = 0; first < n; first += kBlock) {
     const std::size_t count = std::min(kBlock, n - first);
@@ -117,7 +118,7 @@ VariationResult MonteCarloSta::run(const Sta::GateDelays& base,
         die.fall[g] = base.fall[g] * factors[s * gates + g];
       }
       result.samples[first + s] = max_delay_with(*nl_, die);
-    }, threads);
+    }, threads, tracer);
   }
   std::sort(result.samples.begin(), result.samples.end());
   return result;

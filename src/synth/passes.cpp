@@ -119,7 +119,8 @@ OptimizeResult optimize_once(const Netlist& nl);
 }  // namespace
 
 OptimizeResult optimize(const Netlist& nl, const Context* ctx) {
-  obs::Span span("optimize", static_cast<std::uint64_t>(nl.num_gates()));
+  obs::Span span(ctx != nullptr ? &ctx->tracer() : nullptr, "optimize",
+                 static_cast<std::uint64_t>(nl.num_gates()));
   // Counters resolve against the caller's Context registry (per-call lookup:
   // a static handle would pin the first caller's registry forever).
   obs::MetricsRegistry& registry =

@@ -28,7 +28,7 @@ class ThreadPool {
   }
 
   void run(std::size_t n, const std::function<void(std::size_t)>& fn,
-           int threads) {
+           int threads, obs::Tracer* tracer) {
     std::unique_lock<std::mutex> job_lock(job_mutex_);
     {
       std::lock_guard<std::mutex> lk(mutex_);
@@ -47,6 +47,7 @@ class ThreadPool {
       jobs.add();
       items.add(n);
       fn_ = &fn;
+      tracer_ = tracer;
       n_ = n;
       next_.store(0);
       // Chunked self-scheduling: big enough to amortize the atomic, small
@@ -93,16 +94,18 @@ class ThreadPool {
     t_in_parallel_region = true;
     const auto t0 = std::chrono::steady_clock::now();
     const std::function<void(std::size_t)>* fn;
+    obs::Tracer* tracer;
     std::size_t n, chunk;
     {
       std::lock_guard<std::mutex> lk(mutex_);
       fn = fn_;
+      tracer = tracer_;
       n = n_;
       chunk = chunk_;
     }
     std::uint64_t chunks_taken = 0;
     {
-      obs::Span span("parallel_for.work");
+      obs::Span span(tracer, "parallel_for.work");
       for (;;) {
         const std::size_t begin = next_.fetch_add(chunk);
         if (begin >= n) break;
@@ -135,6 +138,7 @@ class ThreadPool {
   std::condition_variable done_cv_;
   std::size_t num_workers_ = 0;
   const std::function<void(std::size_t)>* fn_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
   std::size_t n_ = 0;
   std::size_t chunk_ = 1;
   std::atomic<std::size_t> next_{0};
@@ -159,7 +163,7 @@ OffSpineGuard::OffSpineGuard() : prev_(t_in_parallel_region) {
 OffSpineGuard::~OffSpineGuard() { t_in_parallel_region = prev_; }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  int threads) {
+                  int threads, obs::Tracer* tracer) {
   if (threads <= 0) threads = hardware_threads();
   if (static_cast<std::size_t>(threads) > n) threads = static_cast<int>(n);
   if (n <= 1 || threads <= 1 || t_in_parallel_region) {
@@ -175,8 +179,8 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  obs::Span span("parallel_for", static_cast<std::uint64_t>(n));
-  ThreadPool::instance().run(n, fn, threads);
+  obs::Span span(tracer, "parallel_for", static_cast<std::uint64_t>(n));
+  ThreadPool::instance().run(n, fn, threads, tracer);
 }
 
 }  // namespace aapx

@@ -18,6 +18,10 @@
 
 namespace aapx {
 
+namespace obs {
+class Tracer;
+}  // namespace obs
+
 /// Hardware concurrency, at least 1.
 int hardware_threads();
 
@@ -25,9 +29,11 @@ int hardware_threads();
 /// workers (0 = hardware_threads()). Falls back to a plain serial loop when
 /// n is tiny, when only one thread is configured, or when already inside a
 /// parallel_for body. The first exception thrown by any body is rethrown on
-/// the caller after all workers finish.
+/// the caller after all workers finish. A pooled run records its
+/// `parallel_for`/`parallel_for.work` spans into `tracer` (nullptr = none;
+/// Context::parallel_for passes its own).
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  int threads = 0);
+                  int threads = 0, obs::Tracer* tracer = nullptr);
 
 /// True while executing inside a parallel_for body on any thread (used to
 /// serialize nested parallelism).

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,8 @@
 #include "cell/library.hpp"
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
+#include "obs/json.hpp"
+#include "obs/report.hpp"
 #include "runtime/runtime.hpp"
 
 namespace aapx {
@@ -134,6 +137,51 @@ TEST_F(ContextIsolationTest, MetricsDoNotCrossContaminate) {
   const auto idle_stats = idle.store().stats();
   EXPECT_EQ(idle_stats.hits(), 0u);
   EXPECT_EQ(idle_stats.misses(), 0u);
+}
+
+TEST_F(ContextIsolationTest, ConcurrentTracersWriteDisjointValidTraces) {
+  // Two traced Contexts and one untraced Context run the same campaign at
+  // once, all fanning out on the shared thread pool. Each trace holds
+  // exactly one campaign's spans, and the untraced Context records nothing.
+  const std::string base = ::testing::TempDir();
+  Context::Options pooled;
+  pooled.threads = 4;
+  Context ctx_a(pooled);
+  Context ctx_b(pooled);
+  Context quiet(pooled);
+  ctx_a.tracer().start();
+  ctx_b.tracer().start();
+  std::thread ta([&] { (void)run_campaign(ctx_a, base + "trace_a.jsonl"); });
+  std::thread tb([&] { (void)run_campaign(ctx_b, base + "trace_b.jsonl"); });
+  std::thread tq([&] { (void)run_campaign(quiet, base + "trace_q.jsonl"); });
+  ta.join();
+  tb.join();
+  tq.join();
+  EXPECT_EQ(quiet.tracer().event_count(), 0u);
+
+  // Span counts per name, from a trace that must validate on its own.
+  const auto span_counts = [](const Context& ctx) {
+    std::ostringstream os;
+    ctx.tracer().stop_and_write(os);
+    std::map<std::string, std::uint64_t> counts;
+    const auto doc = obs::json_parse(os.str());
+    EXPECT_TRUE(doc.has_value());
+    if (!doc.has_value()) return counts;
+    const std::vector<std::string> errors = obs::validate_trace(*doc);
+    EXPECT_TRUE(errors.empty()) << errors.front();
+    for (const obs::SpanStat& st : obs::summarize_trace(*doc).spans) {
+      counts[st.name] = st.count;
+    }
+    return counts;
+  };
+  std::map<std::string, std::uint64_t> a = span_counts(ctx_a);
+  // Same work on private stores: a span leaking across would break this.
+  EXPECT_EQ(a, span_counts(ctx_b));
+  EXPECT_EQ(a["campaign"], 1u);
+  EXPECT_EQ(a["epoch"], static_cast<std::uint64_t>(campaign_.epochs));
+  EXPECT_EQ(a["characterize"], 1u);
+  EXPECT_GT(a["parallel_for"], 0u);
+  EXPECT_GE(a["parallel_for.work"], a["parallel_for"]);
 }
 
 TEST_F(ContextIsolationTest, SharedContextServesCrossLayerHitsUnchanged) {

@@ -8,7 +8,6 @@
 #include "core/stimulus.hpp"
 #include "engine/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sta/variation.hpp"
 #include "synth/components.hpp"
 
@@ -23,8 +22,6 @@ Context::Options with_threads(int threads) {
 
 class DeterminismTest : public ::testing::Test {
  protected:
-  void TearDown() override { obs::Tracer::instance().discard(); }
-
   CellLibrary lib_ = make_nangate45_like();
   AgingModel model_;
   const Context serial_ctx_{with_threads(1)};
@@ -82,10 +79,10 @@ TEST_F(DeterminismTest, TracingDoesNotPerturbResults) {
 
   const auto bare = serial_ch.characterize(spec, scenarios, &stim);
 
-  obs::Tracer::instance().start();
+  pooled_ctx_.tracer().start();
   const auto traced = pooled_ch.characterize(spec, scenarios, &stim);
-  EXPECT_GT(obs::Tracer::instance().event_count(), 0u);
-  obs::Tracer::instance().discard();
+  EXPECT_GT(pooled_ctx_.tracer().event_count(), 0u);
+  pooled_ctx_.tracer().discard();
 
   ASSERT_EQ(bare.points.size(), traced.points.size());
   for (std::size_t i = 0; i < bare.points.size(); ++i) {

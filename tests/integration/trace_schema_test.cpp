@@ -18,7 +18,6 @@
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/runlog.hpp"
-#include "obs/trace.hpp"
 #include "runtime/runtime.hpp"
 
 namespace aapx {
@@ -40,8 +39,6 @@ class TraceSchemaTest : public ::testing::Test {
     // log exercises the control_event schema.
     scenario_.aging_acceleration = 1.7;
   }
-
-  void TearDown() override { obs::Tracer::instance().discard(); }
 
   /// Constructs the runtime and runs the campaign on `ctx` while its log and
   /// the tracer are live, mirroring the CLI: the schedule characterization
@@ -84,12 +81,12 @@ TEST_F(TraceSchemaTest, TinyRunEmitsValidTraceAndLog) {
   manifest.field("command", "trace_schema_test")
       .field("threads", ctx.num_threads());
   obs::emit_manifest(ctx.runlog(), manifest);
-  obs::Tracer::instance().start();
+  ctx.tracer().start();
 
   const CampaignResult result = run_instrumented(ctx);
 
   std::ostringstream trace_os;
-  obs::Tracer::instance().stop_and_write(trace_os);
+  ctx.tracer().stop_and_write(trace_os);
   ctx.runlog().close();
 
   // --- trace: parses, balanced, and contains the flow's span names --------
@@ -170,9 +167,9 @@ TEST_F(TraceSchemaTest, InstrumentationDoesNotPerturbTheCampaign) {
 
   const std::string log_path = ::testing::TempDir() + "perturb_check.jsonl";
   ASSERT_TRUE(ctx.runlog().open(log_path));
-  obs::Tracer::instance().start();
+  ctx.tracer().start();
   const CampaignResult traced = run_instrumented(ctx);
-  obs::Tracer::instance().discard();
+  ctx.tracer().discard();
   ctx.runlog().close();
 
   EXPECT_EQ(bare.timing_constraint, traced.timing_constraint);

@@ -13,27 +13,27 @@
 namespace aapx::obs {
 namespace {
 
-/// The tracer is process-global; every test leaves it disabled and empty.
 class TraceTest : public ::testing::Test {
  protected:
-  void TearDown() override { Tracer::instance().discard(); }
-
-  static JsonValue collect() {
+  JsonValue collect() {
     std::ostringstream os;
-    Tracer::instance().stop_and_write(os);
+    tracer_.stop_and_write(os);
     auto doc = json_parse(os.str());
     EXPECT_TRUE(doc.has_value()) << os.str();
     return doc.value_or(JsonValue{});
   }
+
+  Tracer tracer_;
 };
 
 TEST_F(TraceTest, DisabledSpansRecordNothing) {
-  ASSERT_FALSE(Tracer::instance().enabled());
+  ASSERT_FALSE(tracer_.enabled());
   {
-    Span a("outer");
-    Span b("inner", 42);
+    Span a(&tracer_, "outer");
+    Span b(&tracer_, "inner", 42);
+    Span c(nullptr, "no tracer");
   }
-  EXPECT_EQ(Tracer::instance().event_count(), 0u);
+  EXPECT_EQ(tracer_.event_count(), 0u);
 }
 
 TEST_F(TraceTest, NeverStartedWritesAnEmptyValidDocument) {
@@ -43,15 +43,15 @@ TEST_F(TraceTest, NeverStartedWritesAnEmptyValidDocument) {
 }
 
 TEST_F(TraceTest, NestedSpansBalanceAndValidate) {
-  Tracer::instance().start();
-  EXPECT_TRUE(Tracer::instance().enabled());
+  tracer_.start();
+  EXPECT_TRUE(tracer_.enabled());
   {
-    Span outer("outer");
-    { Span inner("inner", 7); }
-    { Span inner("inner"); }
+    Span outer(&tracer_, "outer");
+    { Span inner(&tracer_, "inner", 7); }
+    { Span inner(&tracer_, "inner"); }
   }
   const JsonValue doc = collect();
-  EXPECT_FALSE(Tracer::instance().enabled());
+  EXPECT_FALSE(tracer_.enabled());
   EXPECT_TRUE(validate_trace(doc).empty()) << validate_trace(doc).front();
 
   const TraceSummary sum = summarize_trace(doc);
@@ -67,8 +67,8 @@ TEST_F(TraceTest, NestedSpansBalanceAndValidate) {
 }
 
 TEST_F(TraceTest, SpanArgumentAppearsOnBeginEvent) {
-  Tracer::instance().start();
-  { Span s("sized", 12345); }
+  tracer_.start();
+  { Span s(&tracer_, "sized", 12345); }
   const JsonValue doc = collect();
   const JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -87,12 +87,16 @@ TEST_F(TraceTest, SpanArgumentAppearsOnBeginEvent) {
 TEST_F(TraceTest, WorkerSpansLandOnTheirOwnThreadRows) {
   // Worker spawn is driven by the requested thread count, not the core
   // count, so this holds even on a single-core host.
-  Tracer::instance().start();
+  tracer_.start();
   parallel_for(64, [&](std::size_t i) {
-    Span s("grain", static_cast<std::uint64_t>(i));
-  }, 4);
+    Span s(&tracer_, "grain", static_cast<std::uint64_t>(i));
+  }, 4, &tracer_);
   const JsonValue doc = collect();
   EXPECT_TRUE(validate_trace(doc).empty());
+  std::set<std::string> names;
+  for (const SpanStat& st : summarize_trace(doc).spans) names.insert(st.name);
+  EXPECT_EQ(names, (std::set<std::string>{"grain", "parallel_for",
+                                          "parallel_for.work"}));
 
   std::set<double> tids;
   std::set<std::string> thread_names;
@@ -119,85 +123,38 @@ TEST_F(TraceTest, WorkerSpansLandOnTheirOwnThreadRows) {
 }
 
 TEST_F(TraceTest, DiscardDropsEverything) {
-  Tracer::instance().start();
-  { Span s("dropped"); }
-  EXPECT_GT(Tracer::instance().event_count(), 0u);
-  Tracer::instance().discard();
-  EXPECT_FALSE(Tracer::instance().enabled());
-  EXPECT_EQ(Tracer::instance().event_count(), 0u);
+  tracer_.start();
+  { Span s(&tracer_, "dropped"); }
+  EXPECT_GT(tracer_.event_count(), 0u);
+  tracer_.discard();
+  EXPECT_FALSE(tracer_.enabled());
+  EXPECT_EQ(tracer_.event_count(), 0u);
 }
 
-TEST_F(TraceTest, SpanCaptureRecordsSpansWithGlobalTracerOff) {
-  ASSERT_FALSE(Tracer::instance().enabled());
-  SpanCapture capture;
-  {
-    Span outer("outer");
-    { Span inner("inner"); }
+TEST_F(TraceTest, AlternatingTracersOnOneThreadStayDisjoint) {
+  // One thread switching between two live tracers misses its buffer cache
+  // on every switch; each event must still land in its own tracer.
+  Tracer other;
+  tracer_.start();
+  other.start();
+  for (int i = 0; i < 3; ++i) {
+    Span a(&tracer_, "mine");
+    Span b(&other, "theirs");
   }
-  ASSERT_EQ(capture.spans().size(), 2u);
-  EXPECT_EQ(capture.dropped(), 0u);
-  // Begin order, with nesting depth; both closed before we looked.
-  EXPECT_STREQ(capture.spans()[0].name, "outer");
-  EXPECT_EQ(capture.spans()[0].depth, 0);
-  EXPECT_STREQ(capture.spans()[1].name, "inner");
-  EXPECT_EQ(capture.spans()[1].depth, 1);
-  EXPECT_GE(capture.spans()[0].dur_us, capture.spans()[1].dur_us);
-  EXPECT_GE(capture.spans()[1].dur_us, 0.0);
-  EXPECT_GE(capture.spans()[1].start_us, capture.spans()[0].start_us);
-  // The sink never fed the global tracer.
-  EXPECT_EQ(Tracer::instance().event_count(), 0u);
-}
-
-TEST_F(TraceTest, SpanCaptureDropsBeyondMaxSpansWithoutLeakingDepth) {
-  SpanCapture capture(2);
-  { Span a("kept-1"); }
-  {
-    Span b("kept-2");
-    { Span c("dropped-child"); }  // over capacity: counted, not stored
-  }
-  { Span d("dropped-sibling"); }
-  ASSERT_EQ(capture.spans().size(), 2u);
-  EXPECT_EQ(capture.dropped(), 2u);
-  EXPECT_STREQ(capture.spans()[0].name, "kept-1");
-  EXPECT_STREQ(capture.spans()[1].name, "kept-2");
-  // The dropped child must not have left the depth counter raised.
-  EXPECT_EQ(capture.spans()[1].depth, 0);
-}
-
-TEST_F(TraceTest, SpanCaptureSinksNestAndRestore) {
-  SpanCapture outer_sink;
-  { Span a("to-outer"); }
-  {
-    SpanCapture inner_sink;
-    { Span b("to-inner"); }
-    ASSERT_EQ(inner_sink.spans().size(), 1u);
-    EXPECT_STREQ(inner_sink.spans()[0].name, "to-inner");
-  }
-  { Span c("to-outer-again"); }
-  // The inner sink shadowed the outer one only while alive.
-  ASSERT_EQ(outer_sink.spans().size(), 2u);
-  EXPECT_STREQ(outer_sink.spans()[0].name, "to-outer");
-  EXPECT_STREQ(outer_sink.spans()[1].name, "to-outer-again");
-}
-
-TEST_F(TraceTest, SpanCaptureAlsoFeedsTheGlobalTracer) {
-  Tracer::instance().start();
-  {
-    SpanCapture capture;
-    { Span s("both"); }
-    ASSERT_EQ(capture.spans().size(), 1u);
-  }
-  // "ALSO recorded here": the global tracer got its B/E pair too.
-  EXPECT_EQ(Tracer::instance().event_count(), 2u);
-  const JsonValue doc = collect();
-  EXPECT_TRUE(validate_trace(doc).empty());
+  EXPECT_EQ(tracer_.event_count(), 6u);
+  EXPECT_EQ(other.event_count(), 6u);
+  const TraceSummary sum = summarize_trace(collect());
+  ASSERT_EQ(sum.spans.size(), 1u);
+  EXPECT_EQ(sum.spans[0].name, "mine");
+  EXPECT_EQ(sum.spans[0].count, 3u);
+  other.discard();
 }
 
 TEST_F(TraceTest, RestartClearsPreviousEvents) {
-  Tracer::instance().start();
-  { Span s("first"); }
-  Tracer::instance().start();
-  { Span s("second"); }
+  tracer_.start();
+  { Span s(&tracer_, "first"); }
+  tracer_.start();
+  { Span s(&tracer_, "second"); }
   const JsonValue doc = collect();
   const TraceSummary sum = summarize_trace(doc);
   ASSERT_EQ(sum.spans.size(), 1u);

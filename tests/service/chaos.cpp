@@ -321,6 +321,42 @@ int scenario_malformed(const ChaosOptions& opts) {
 // identical requests must dedup onto one computation. Every completed
 // response must be bit-identical to its cold reference.
 
+/// Sends a long `blocker` and then `reqs` in one write on one connection,
+/// and returns the responses ordered by request id (blocker first). The
+/// reader admits, dedups or sheds the whole burst back to back while the
+/// blocker's sweep holds the only worker, so what queues, attaches or sheds
+/// follows by construction, not from thread timing.
+std::vector<Frame> send_burst(const TestServer& ts,
+                              const CharacterizeRequest& blocker,
+                              const std::vector<CharacterizeRequest>& reqs) {
+  std::string bytes;
+  for (std::size_t i = 0; i <= reqs.size(); ++i) {
+    bytes += encode_frame({MsgType::characterize, i, 0,
+                           encode_request(i == 0 ? blocker : reqs[i - 1])});
+  }
+  std::string err;
+  const int fd = connect_endpoint(ts.server.endpoint(), &err);
+  require(fd >= 0, "burst connect: " + err);
+  send_all(fd, bytes);
+  FrameReader reader;
+  std::vector<Frame> frames(reqs.size() + 1);
+  std::size_t got = 0;
+  char buf[4096];
+  while (got < frames.size()) {
+    require(wait_readable(fd, 60000) == 1, "burst: server hung");
+    const long n = recv_some(fd, buf, sizeof(buf));
+    require(n > 0, "burst: connection closed early");
+    reader.feed(buf, static_cast<std::size_t>(n));
+    while (auto frame = reader.next()) {
+      require(frame->request_id < frames.size(), "burst: unknown request id");
+      frames[frame->request_id] = std::move(*frame);
+      ++got;
+    }
+  }
+  close_fd(fd);
+  return frames;
+}
+
 int scenario_storm(const ChaosOptions& opts) {
   ServerOptions sopts = base_options();
   sopts.workers = 1;
@@ -328,21 +364,36 @@ int scenario_storm(const ChaosOptions& opts) {
   sopts.retry_hint_ms = 20;
   TestServer ts(sopts);
 
+  // Distinct storm. Widths 4..9 are all distinct, so dedup can't absorb
+  // the burst: behind a 30-point blocker at most two fit the queue and the
+  // rest must shed.
   constexpr int kClients = 6;
+  CharacterizeRequest blocker = small_request(30);
+  blocker.min_precision = 1;
+  std::vector<CharacterizeRequest> distinct;
+  for (int i = 0; i < kClients; ++i) distinct.push_back(small_request(4 + i));
+  for (const Frame& f : send_burst(ts, blocker, distinct)) {
+    require(f.type == MsgType::ok_surface || f.type == MsgType::retry_later,
+            "distinct burst: expected ok_surface or retry_later");
+  }
+  const Server::Stats mid = ts.server.stats();
+  note(opts, "distinct storm done: shed=" + std::to_string(mid.shed));
+  require(mid.shed > 0, "7 requests vs 2-slot queue never shed: "
+                        "backpressure not exercised");
+
+  // Shed requests complete after client backoff: six concurrent retrying
+  // clients re-send the distinct requests.
   std::vector<std::thread> threads;
   std::vector<std::string> errors(kClients);
   std::vector<ComponentCharacterization> results(kClients);
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
-      // Widths 4..9: all distinct, so dedup can't absorb the storm and the
-      // 2-slot queue must shed.
-      const CharacterizeRequest req = small_request(4 + i);
       ClientOptions copt;
       copt.max_attempts = 64;
       copt.jitter_seed = static_cast<std::uint64_t>(i + 1);
       ServiceClient client(ts.server.endpoint(), copt);
       std::string err;
-      const auto surface = client.characterize(req, &err);
+      const auto surface = client.characterize(distinct[i], &err);
       if (!surface.has_value()) {
         errors[i] = err;
         return;
@@ -354,59 +405,27 @@ int scenario_storm(const ChaosOptions& opts) {
   for (int i = 0; i < kClients; ++i) {
     require(errors[i].empty(),
             "storm client " + std::to_string(i) + ": " + errors[i]);
-    require_same_surface(results[i], cold_surface(small_request(4 + i)),
+    require_same_surface(results[i], cold_surface(distinct[i]),
                          "storm client " + std::to_string(i));
   }
-  const Server::Stats mid = ts.server.stats();
-  note(opts, "distinct storm done: shed=" + std::to_string(mid.shed));
-  require(mid.shed > 0, "6 clients vs 2-slot queue never shed: backpressure "
-                        "not exercised");
 
-  // Identical storm: one request from many clients at once must compute
-  // once and fan the result out. To make the overlap deterministic (not a
-  // race against how fast one computation finishes), first park a slow
-  // blocker on the single worker; the identical requests then all arrive
-  // while their job is still queued behind it.
-  CharacterizeRequest blocker = small_request(32);
-  blocker.min_precision = 1;  // 32 points: reliably outlasts six connects
-  std::string berr;
-  const int blocker_fd = connect_endpoint(ts.server.endpoint(), &berr);
-  require(blocker_fd >= 0, "blocker connect: " + berr);
-  send_all(blocker_fd, encode_frame({MsgType::characterize, 999, 0,
-                                     encode_request(blocker)}));
-  // Brief pause so the worker has picked the blocker up — kept much
-  // shorter than the blocker's compute time, so it is still running (and
-  // the identical job still queued behind it) when the storm fires.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-
+  // Identical storm: one request sent six times at once must compute once
+  // and fan the result out. Behind a 32-point blocker the first copy
+  // queues and the other five attach to it.
+  blocker = small_request(32);
+  blocker.min_precision = 1;
   const CharacterizeRequest same = small_request(10);
-  threads.clear();
-  for (int i = 0; i < kClients; ++i) {
-    threads.emplace_back([&, i] {
-      ClientOptions copt;
-      copt.max_attempts = 64;
-      copt.jitter_seed = static_cast<std::uint64_t>(100 + i);
-      ServiceClient client(ts.server.endpoint(), copt);
-      std::string err;
-      const auto surface = client.characterize(same, &err);
-      if (!surface.has_value()) {
-        errors[i] = err;
-        return;
-      }
-      results[i] = surface->surface;
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  const std::vector<Frame> frames =
+      send_burst(ts, blocker, std::vector<CharacterizeRequest>(kClients, same));
   const ComponentCharacterization want = cold_surface(same);
-  for (int i = 0; i < kClients; ++i) {
-    require(errors[i].empty(),
-            "identical-storm client " + std::to_string(i) + ": " + errors[i]);
-    require_same_surface(results[i], want,
-                         "identical-storm client " + std::to_string(i));
+  for (int i = 1; i <= kClients; ++i) {
+    require(frames[i].type == MsgType::ok_surface,
+            "identical burst " + std::to_string(i) + ": not ok_surface");
+    require_same_surface(decode_surface_response(frames[i].payload).surface,
+                         want, "identical burst " + std::to_string(i));
   }
   require(ts.server.stats().deduped > 0,
           "identical storm never deduped onto one computation");
-  close_fd(blocker_fd);
   ts.server.stop();
   return 0;
 }

@@ -67,13 +67,38 @@ AgedDelayRequest sample_aged_delay() {
   return req;
 }
 
-/// Runs `decode` over every truncation of `valid` and over `rounds` random
-/// byte mutations. The decoder must either succeed or throw ErrorT.
+/// The truncation lengths fuzz_codec walks: every prefix of a payload up
+/// to 4 KB, and of any payload when AAPX_FUZZ_ITERS > 1 (the extended-fuzz
+/// job). A longer payload at the PR-gate budget walks each of its section
+/// `boundaries` +-1, its first and last byte, and a seeded sample of 512
+/// lengths.
+std::vector<std::size_t> truncation_lengths(
+    std::size_t size, const std::vector<std::size_t>& boundaries) {
+  std::vector<std::size_t> lens;
+  if (size <= 4096 || fuzz_rounds(1) > 1) {
+    for (std::size_t len = 0; len < size; ++len) lens.push_back(len);
+    return lens;
+  }
+  lens = {0, size - 1};
+  for (const std::size_t b : boundaries) {
+    for (std::size_t len = b == 0 ? 0 : b - 1; len <= b + 1; ++len) {
+      if (len < size) lens.push_back(len);
+    }
+  }
+  Xorshift rng;
+  for (int i = 0; i < 512; ++i) lens.push_back(rng.next() % size);
+  return lens;
+}
+
+/// Runs `decode` over truncations of `valid` (see truncation_lengths) and
+/// over `rounds` random byte mutations. The decoder must either succeed or
+/// throw ErrorT.
 template <typename ErrorT, typename Decode>
 void fuzz_codec(const std::string& valid, const Decode& decode,
-                const char* who, int rounds = fuzz_rounds(300)) {
-  // Truncation at every prefix: a short payload must never decode.
-  for (std::size_t len = 0; len < valid.size(); ++len) {
+                const char* who, int rounds = fuzz_rounds(300),
+                const std::vector<std::size_t>& boundaries = {}) {
+  // Truncation: a short payload must never decode.
+  for (const std::size_t len : truncation_lengths(valid.size(), boundaries)) {
     EXPECT_THROW(decode(valid.substr(0, len)), ErrorT)
         << who << ": truncation to " << len << " bytes accepted";
   }
@@ -372,6 +397,22 @@ TEST(FrameReader, FuzzRandomStreams) {
 
 // --- engine/persist record codecs (store files share the binio substrate) ---
 
+/// Table boundaries of an aged-library record, last first: it ends in a
+/// rise and a fall table per cell, each three length-prefixed f64 vectors
+/// (axis1, axis2, values). The last entry is the end of the header.
+std::vector<std::size_t> aged_library_boundaries(
+    std::size_t size, const DegradationAwareLibrary& aged) {
+  std::vector<std::size_t> bounds{size};
+  for (CellId c = aged.num_cells(); c-- > 0;) {
+    for (const Table2D* t : {&aged.fall_grid(c), &aged.rise_grid(c)}) {
+      const std::size_t n1 = t->axis1().size();
+      const std::size_t n2 = t->axis2().size();
+      bounds.push_back(bounds.back() - 8 * (3 + n1 + n2 + n1 * n2));
+    }
+  }
+  return bounds;
+}
+
 TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
   const Context ctx;
   const CellLibrary lib = make_nangate45_like();
@@ -403,12 +444,20 @@ TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
   const AgingModel multi_model(multi);
   const DegradationAwareLibrary& multi_aged =
       ctx.store().aged_library(lib, multi_model, 10.0);
+  const std::string aged_payload =
+      engine::encode_aged_library_payload(lib_fp, multi, 10.0, multi_aged);
+  const std::vector<std::size_t> aged_bounds =
+      aged_library_boundaries(aged_payload.size(), multi_aged);
+  // The layout model is exact: the cell count ends the header.
+  engine::BinReader count_at(
+      std::string_view(aged_payload).substr(aged_bounds.back() - 8, 8));
+  EXPECT_EQ(count_at.u64(), multi_aged.num_cells());
   fuzz_codec<std::runtime_error>(
-      engine::encode_aged_library_payload(lib_fp, multi, 10.0, multi_aged),
+      aged_payload,
       [&](const std::string& b) {
         return engine::decode_aged_library_payload(b, lib);
       },
-      "aged_library record", fuzz_rounds(150));
+      "aged_library record", fuzz_rounds(150), aged_bounds);
 
   const AgingModel model;
   engine::SurfacePayload sp;

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "engine/context.hpp"
+#include "obs/json.hpp"
+#include "obs/report.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -213,6 +215,50 @@ TEST(ServeStats, SlowRequestRingIsBoundedAndCarriesTraceIds) {
     EXPECT_NE(s.trace_id, 0u) << "client stamps ids by default";
   }
   server.stop();
+}
+
+/// args.n of every B event named `name`, in trace order.
+std::vector<std::uint64_t> span_args(const obs::JsonValue& doc,
+                                     const std::string& name) {
+  std::vector<std::uint64_t> ns;
+  for (const obs::JsonValue& e : doc.find("traceEvents")->array) {
+    if (e.str_or("ph", "") != "B" || e.str_or("name", "") != name) continue;
+    const obs::JsonValue* args = e.find("args");
+    ns.push_back(args == nullptr
+                     ? 0
+                     : static_cast<std::uint64_t>(args->num_or("n", 0)));
+  }
+  return ns;
+}
+
+// `aapx serve --trace` is the one span stream: per-request Contexts borrow
+// the root's tracer, and the wire trace id joins a client's attempts to the
+// server work they caused.
+TEST(ServeStats, RootTraceCarriesEachRequestsTraceId) {
+  Context root;
+  root.tracer().start();
+  Server server(root, ServerOptions{});
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  ClientOptions copt;
+  copt.tracer = &root.tracer();
+  ServiceClient client(server.endpoint(), copt);
+  client.set_trace_id(101);
+  ASSERT_TRUE(client.characterize(small_request(4), &err).has_value()) << err;
+  client.set_trace_id(202);
+  ASSERT_TRUE(client.characterize(small_request(5), &err).has_value()) << err;
+  server.stop();
+
+  std::ostringstream os;
+  root.tracer().stop_and_write(os);
+  const auto doc = obs::json_parse(os.str());
+  ASSERT_TRUE(doc.has_value());
+  const std::vector<std::string> errors = obs::validate_trace(*doc);
+  EXPECT_TRUE(errors.empty()) << errors.front();
+  const std::vector<std::uint64_t> ids{101, 202};
+  EXPECT_EQ(span_args(*doc, "serve.characterize"), ids);
+  EXPECT_EQ(span_args(*doc, "client.attempt"), ids);
+  EXPECT_EQ(span_args(*doc, "characterize").size(), 2u);
 }
 
 std::map<std::string, std::string> slurp_dir(const fs::path& dir) {

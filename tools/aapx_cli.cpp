@@ -63,7 +63,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/runlog.hpp"
-#include "obs/trace.hpp"
 #include "runtime/runtime.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -1124,11 +1123,6 @@ int cmd_serve(const Context& ctx, const Args& args) {
   sopts.store_path = args.store;
   sopts.log_dir = args.text("log-dir");
   sopts.admin = args.text("admin");
-  sopts.request_trace_path = args.text("request-trace");
-  sopts.request_trace_rotate_bytes =
-      args.get("request-trace-rotate-kb",
-               sopts.request_trace_rotate_bytes / 1024) *
-      1024;
   sopts.slow_ring = args.get("slow-ring", sopts.slow_ring);
 
   service::Server server(ctx, sopts);
@@ -1141,10 +1135,6 @@ int cmd_serve(const Context& ctx, const Args& args) {
   if (!server.admin_endpoint().empty()) {
     std::printf("aapx serve: admin on %s (GET /metrics, GET /healthz)\n",
                 server.admin_endpoint().c_str());
-  }
-  if (!sopts.request_trace_path.empty()) {
-    std::printf("aapx serve: request traces -> %s\n",
-                sopts.request_trace_path.c_str());
   }
   std::fflush(stdout);
   server.serve_forever();
@@ -1455,8 +1445,6 @@ const std::vector<Command> kCommands = {
       real("snapshot-interval", "SECONDS", "periodic --store snapshots"),
       str("log-dir", "DIR", "per-request JSONL run logs"),
       str("admin", "unix:<path>|tcp:<port>", "GET /metrics and /healthz"),
-      str("request-trace", "FILE", "per-request span trees (Chrome trace)"),
-      integer("request-trace-rotate-kb", 1, "KB", "trace rotation size"),
       integer("slow-ring", 0, "N", "slowest-requests ring size")}},
     {"client", "one request against a running server (retry + backoff)",
      cmd_client, false, true,
@@ -1606,7 +1594,7 @@ int main(int argc, char** argv) {
           .field("threads", ctx.num_threads());
       obs::emit_manifest(ctx.runlog(), mf);
     }
-    if (!trace_path.empty()) obs::Tracer::instance().start();
+    if (!trace_path.empty()) ctx.tracer().start();
 
     // Persistent store (`--store` / AAPX_STORE): warm the Context's
     // DesignStore before the run and save the warmed store back after, so
@@ -1646,7 +1634,7 @@ int main(int argc, char** argv) {
     }
 
     if (!trace_path.empty()) {
-      if (obs::Tracer::instance().stop_and_write_file(trace_path)) {
+      if (ctx.tracer().stop_and_write_file(trace_path)) {
         std::fprintf(stderr, "aapx: trace written to %s\n", trace_path.c_str());
       } else {
         std::fprintf(stderr, "aapx: cannot write --trace file %s\n",
