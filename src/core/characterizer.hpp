@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "aging/aging_model.hpp"
-#include "approx/library.hpp"
+#include "approx/characterization.hpp"
 #include "core/stimulus.hpp"
 #include "engine/context.hpp"
 #include "sta/sta.hpp"

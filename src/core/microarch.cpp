@@ -38,20 +38,23 @@ const ComponentCharacterization& MicroarchApproximator::characterization_for(
     const auto cached = stimulus_cache_.find(name);
     if (cached != stimulus_cache_.end()) stimulus = &cached->second;
   }
-  if (library_.contains(name)) {
-    const ComponentCharacterization& existing = library_.get(name);
-    for (const AgingScenario& s : existing.scenarios) {
-      if (s.mode == scenario.mode && s.years == scenario.years) return existing;
+  std::vector<AgingScenario> scenarios = {scenario};
+  const auto cached = library_.find(name);
+  if (cached != library_.end()) {
+    for (const AgingScenario& s : cached->second.scenarios) {
+      if (s.mode == scenario.mode && s.years == scenario.years) {
+        return cached->second;
+      }
     }
     // Cached but missing this scenario: extend the scenario set and redo
     // (with the remembered stimulus if any scenario is measured).
-    std::vector<AgingScenario> scenarios = existing.scenarios;
+    scenarios = cached->second.scenarios;
     scenarios.push_back(scenario);
-    library_.add(characterizer_.characterize(key, scenarios, stimulus));
-    return library_.get(name);
   }
-  library_.add(characterizer_.characterize(key, {scenario}, stimulus));
-  return library_.get(name);
+  return library_
+      .insert_or_assign(name,
+                        characterizer_.characterize(key, scenarios, stimulus))
+      .first->second;
 }
 
 Netlist MicroarchApproximator::build_block(const BlockPlan& plan) const {

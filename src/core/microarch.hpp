@@ -71,8 +71,12 @@ class MicroarchApproximator {
 
   FlowResult run(const MicroarchSpec& design, const FlowOptions& options);
 
-  /// Characterizations built (and cached) while running flows.
-  const ApproximationLibrary& library() const noexcept { return library_; }
+  /// Characterizations built (and cached) while running flows, keyed by
+  /// the full-precision component name.
+  const std::map<std::string, ComponentCharacterization>& library()
+      const noexcept {
+    return library_;
+  }
 
   /// Builds (or returns the cached) final netlist for a planned block.
   Netlist build_block(const BlockPlan& plan) const;
@@ -88,7 +92,7 @@ class MicroarchApproximator {
 
   const CellLibrary* lib_;
   ComponentCharacterizer characterizer_;
-  ApproximationLibrary library_;
+  std::map<std::string, ComponentCharacterization> library_;
   /// Stimulus used for a component's measured-mode characterization, kept so
   /// later flows can extend the cached entry with new scenarios without the
   /// caller resupplying it.

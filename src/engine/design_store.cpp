@@ -67,16 +67,13 @@ void warn_record_dropped(const char* family, std::uint64_t key,
 
 }  // namespace
 
-DesignStore::DesignStore(const Context& ctx) : ctx_(&ctx) {
+DesignStore::DesignStore(const Context& ctx)
+    : ctx_(&ctx),
+      netlists_(RecordKind::netlist, ctx.metrics(), "netlist"),
+      libraries_(RecordKind::aged_library, ctx.metrics(), "library"),
+      delays_(RecordKind::sta_delay, ctx.metrics(), "delay"),
+      surfaces_(RecordKind::surface, ctx.metrics(), "surface") {
   obs::MetricsRegistry& m = ctx.metrics();
-  netlist_hits_ = &m.counter("engine.store.netlist_hits");
-  netlist_misses_ = &m.counter("engine.store.netlist_misses");
-  library_hits_ = &m.counter("engine.store.library_hits");
-  library_misses_ = &m.counter("engine.store.library_misses");
-  delay_hits_ = &m.counter("engine.store.delay_hits");
-  delay_misses_ = &m.counter("engine.store.delay_misses");
-  surface_hits_ = &m.counter("engine.store.surface_hits");
-  surface_misses_ = &m.counter("engine.store.surface_misses");
   persist_hits_ = &m.counter("engine.store.persist.hits");
   persist_misses_ = &m.counter("engine.store.persist.misses");
   persist_loads_ = &m.counter("engine.store.persist.loads");
@@ -87,19 +84,61 @@ DesignStore::DesignStore(const Context& ctx) : ctx_(&ctx) {
   persist_bytes_written_ = &m.counter("engine.store.persist.bytes_written");
 }
 
-std::optional<std::string> DesignStore::take_staged(std::uint32_t kind,
+std::optional<std::string> DesignStore::take_staged(RecordKind kind,
                                                     std::uint64_t key) {
   if (!store_attached_.load(std::memory_order_relaxed)) return std::nullopt;
   std::lock_guard<std::mutex> lock(staged_mutex_);
-  const auto it = staged_.find({kind, key});
+  const auto it = staged_.find({static_cast<std::uint32_t>(kind), key});
   if (it == staged_.end()) return std::nullopt;
   std::string payload = std::move(it->second);
   staged_.erase(it);
   return payload;
 }
 
-void DesignStore::count_persist_miss() {
+template <typename Payload, typename Decode, typename Matches>
+const Payload* DesignStore::find(Family<Payload>& family, std::uint64_t key,
+                                 const Decode& decode,
+                                 const Matches& matches) {
+  Shard<Payload>& shard = family.shard(key);
+  const auto it = shard.entries.find(key);
+  if (it != shard.entries.end()) {
+    if (!matches(*it->second)) {
+      throw std::logic_error(std::string("DesignStore: ") +
+                             to_string(family.kind) + " key collision");
+    }
+    family.hits->add();
+    return it->second.get();
+  }
+  if (auto blob = take_staged(family.kind, key)) {
+    try {
+      auto p = std::make_unique<Payload>(decode(*blob));
+      if (matches(*p)) {
+        family.hits->add();
+        persist_hits_->add();
+        return shard.entries.emplace(key, std::move(p)).first->second.get();
+      }
+      warn_record_dropped(to_string(family.kind), key, "stale key material");
+    } catch (const std::exception& e) {
+      warn_record_dropped(to_string(family.kind), key, e.what());
+    }
+    persist_records_dropped_->add();
+  }
+  family.misses->add();
   if (store_attached_.load(std::memory_order_relaxed)) persist_misses_->add();
+  return nullptr;
+}
+
+template <typename Payload, typename Decode, typename Matches, typename Build>
+const Payload& DesignStore::find_or_build(Family<Payload>& family,
+                                          std::uint64_t key,
+                                          const Decode& decode,
+                                          const Matches& matches,
+                                          const Build& build) {
+  Shard<Payload>& shard = family.shard(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  if (const Payload* hit = find(family, key, decode, matches)) return *hit;
+  auto built = std::make_unique<Payload>(build());
+  return *shard.entries.emplace(key, std::move(built)).first->second;
 }
 
 std::uint64_t DesignStore::fingerprint(const CellLibrary& lib) {
@@ -121,44 +160,16 @@ const Netlist& DesignStore::netlist(const CellLibrary& lib,
   const std::uint64_t fp = fingerprint(lib);
   const std::uint64_t key =
       Hasher{}.u64(kTagNetlist).u64(fp).u64(key_of(spec)).digest();
-  Shard<NetlistEntry>& shard = netlists_[shard_of(key)];
-  // The build runs under the shard lock: a racing requester of the same
-  // netlist waits instead of synthesizing a duplicate, and hit/miss totals
-  // stay deterministic at any thread count (one miss per distinct key).
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    const NetlistEntry& e = *it->second;
-    if (e.lib_fp != fp || !(e.spec == spec)) {
-      throw std::logic_error("DesignStore: netlist key collision");
-    }
-    netlist_hits_->add();
-    return e.netlist;
-  }
-  if (auto blob = take_staged(
-          static_cast<std::uint32_t>(RecordKind::netlist), key)) {
-    try {
-      NetlistPayload p = decode_netlist_payload(*blob, lib);
-      if (p.lib_fp == fp && p.spec == spec) {
-        netlist_hits_->add();
-        persist_hits_->add();
-        auto entry = std::make_unique<NetlistEntry>(
-            NetlistEntry{fp, spec, std::move(p.netlist)});
-        it = shard.entries.emplace(key, std::move(entry)).first;
-        return it->second->netlist;
-      }
-      warn_record_dropped("netlist", key, "stale key material");
-    } catch (const std::exception& e) {
-      warn_record_dropped("netlist", key, e.what());
-    }
-    persist_records_dropped_->add();
-  }
-  netlist_misses_->add();
-  count_persist_miss();
-  auto entry = std::make_unique<NetlistEntry>(
-      NetlistEntry{fp, spec, make_component(*ctx_, lib, spec)});
-  it = shard.entries.emplace(key, std::move(entry)).first;
-  return it->second->netlist;
+  const auto decode = [&lib](const std::string& blob) {
+    return decode_netlist_payload(blob, lib);
+  };
+  const auto matches = [&](const NetlistPayload& p) {
+    return p.lib_fp == fp && p.spec == spec;
+  };
+  const auto build = [&] {
+    return NetlistPayload{fp, spec, make_component(*ctx_, lib, spec)};
+  };
+  return find_or_build(netlists_, key, decode, matches, build).netlist;
 }
 
 const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
@@ -171,50 +182,19 @@ const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
                                 .u64(key_of(model))
                                 .f64(years)
                                 .digest();
-  Shard<LibraryEntry>& shard = libraries_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    const LibraryEntry& e = *it->second;
-    if (e.lib_fp != fp || e.years != years ||
-        key_of(e.params) != key_of(model.params())) {
-      throw std::logic_error("DesignStore: library key collision");
-    }
-    library_hits_->add();
-    return *e.library;
-  }
-  if (auto blob = take_staged(
-          static_cast<std::uint32_t>(RecordKind::aged_library), key)) {
-    try {
-      AgedLibraryPayload p = decode_aged_library_payload(*blob, lib);
-      if (p.lib_fp == fp && p.years == years &&
-          key_of(p.params) == key_of(model.params())) {
-        library_hits_->add();
-        persist_hits_->add();
-        auto entry = std::make_unique<LibraryEntry>();
-        entry->lib_fp = fp;
-        entry->params = p.params;
-        entry->years = years;
-        entry->library =
-            std::make_unique<DegradationAwareLibrary>(std::move(p.library));
-        it = shard.entries.emplace(key, std::move(entry)).first;
-        return *it->second->library;
-      }
-      warn_record_dropped("aged_library", key, "stale key material");
-    } catch (const std::exception& e) {
-      warn_record_dropped("aged_library", key, e.what());
-    }
-    persist_records_dropped_->add();
-  }
-  library_misses_->add();
-  count_persist_miss();
-  auto entry = std::make_unique<LibraryEntry>();
-  entry->lib_fp = fp;
-  entry->params = model.params();
-  entry->years = years;
-  entry->library = std::make_unique<DegradationAwareLibrary>(lib, model, years);
-  it = shard.entries.emplace(key, std::move(entry)).first;
-  return *it->second->library;
+  const std::uint64_t params_key = key_of(model.params());
+  const auto decode = [&lib](const std::string& blob) {
+    return decode_aged_library_payload(blob, lib);
+  };
+  const auto matches = [&](const AgedLibraryPayload& p) {
+    return p.lib_fp == fp && p.years == years &&
+           key_of(p.params) == params_key;
+  };
+  const auto build = [&] {
+    return AgedLibraryPayload{fp, model.params(), years,
+                              DegradationAwareLibrary(lib, model, years)};
+  };
+  return find_or_build(libraries_, key, decode, matches, build).library;
 }
 
 double DesignStore::aged_sta_delay(const CellLibrary& lib,
@@ -243,58 +223,22 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
                                 .u64(scenario_key)
                                 .digest();
 
-  Shard<DelayEntry>& shard = delays_[shard_of(key)];
+  const auto matches = [&](const StaDelayPayload& p) {
+    return p.netlist_key == netlist_key && p.scenario_key == scenario_key;
+  };
+  Shard<StaDelayPayload>& shard = delays_.shard(key);
+  const StaDelayPayload* hit;
   {
-    bool hit = false;
-    std::uint64_t gates = 0;
-    double delay = 0.0;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        const DelayEntry& e = *it->second;
-        if (e.netlist_key != netlist_key || e.scenario_key != scenario_key) {
-          throw std::logic_error("DesignStore: delay key collision");
-        }
-        delay_hits_->add();
-        hit = true;
-        gates = e.gates;
-        delay = e.delay;
-      } else if (auto blob = take_staged(
-                     static_cast<std::uint32_t>(RecordKind::sta_delay), key)) {
-        try {
-          const StaDelayPayload p = decode_sta_delay_payload(*blob);
-          if (p.netlist_key == netlist_key && p.scenario_key == scenario_key) {
-            delay_hits_->add();
-            persist_hits_->add();
-            auto entry = std::make_unique<DelayEntry>();
-            entry->netlist_key = netlist_key;
-            entry->scenario_key = scenario_key;
-            entry->delay = p.delay;
-            entry->gates = p.gates;
-            shard.entries.emplace(key, std::move(entry));
-            hit = true;
-            gates = p.gates;
-            delay = p.delay;
-          } else {
-            warn_record_dropped("sta_delay", key, "stale key material");
-            persist_records_dropped_->add();
-          }
-        } catch (const std::exception& e) {
-          warn_record_dropped("sta_delay", key, e.what());
-          persist_records_dropped_->add();
-        }
-      }
-    }
-    if (hit) {
-      log_delay_query(years > 0.0, gates, delay);
-      return delay;
-    }
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    hit = find(delays_, key, decode_sta_delay_payload, matches);
   }
-  delay_misses_->add();
-  count_persist_miss();
-  double delay;
-  std::uint64_t gates;
+  // A stored payload is never modified or erased, so reading it after the
+  // lock is released is safe.
+  if (hit != nullptr) {
+    log_delay_query(years > 0.0, hit->gates, hit->delay);
+    return hit->delay;
+  }
+  StaDelayPayload filled{netlist_key, scenario_key, 0.0, 0};
   {
     // Compute outside the lock — netlist()/aged_library() take their own
     // family locks and an STA run is too long to serialize a shard on. A
@@ -306,25 +250,20 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
     const OffSpineGuard off_spine;
     const Netlist& nl = netlist(lib, spec);
     const Sta sta_engine(nl, sta, ctx_);
-    gates = static_cast<std::uint64_t>(nl.num_gates());
+    filled.gates = static_cast<std::uint64_t>(nl.num_gates());
     if (years <= 0.0) {
-      delay = sta_engine.run_fresh().max_delay;
+      filled.delay = sta_engine.run_fresh().max_delay;
     } else {
       const DegradationAwareLibrary& aged = aged_library(lib, model, years);
       const StressProfile stress =
           StressProfile::uniform(mode, nl.num_gates());
-      delay = sta_engine.run_aged(aged, stress).max_delay;
+      filled.delay = sta_engine.run_aged(aged, stress).max_delay;
     }
-    auto entry = std::make_unique<DelayEntry>();
-    entry->netlist_key = netlist_key;
-    entry->scenario_key = scenario_key;
-    entry->delay = delay;
-    entry->gates = gates;
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.emplace(key, std::move(entry));
+    shard.entries.emplace(key, std::make_unique<StaDelayPayload>(filled));
   }
-  log_delay_query(years > 0.0, gates, delay);
-  return delay;
+  log_delay_query(years > 0.0, filled.gates, filled.delay);
+  return filled.delay;
 }
 
 const ComponentCharacterization& DesignStore::surface(
@@ -343,51 +282,23 @@ const ComponentCharacterization& DesignStore::surface(
   const std::uint64_t fp = fingerprint(lib);
   const std::uint64_t key = surface_key(fp, model.params(), base, scenarios,
                                         min_precision, precision_step, sta);
-  Shard<SurfaceEntry>& shard = surfaces_[shard_of(key)];
+  const std::uint64_t params_key = key_of(model.params());
+  const std::uint64_t sta_key = key_of(sta);
+  const auto matches = [&](const SurfacePayload& p) {
+    return p.lib_fp == fp && key_of(p.params) == params_key &&
+           key_of(p.sta) == sta_key && p.min_precision == min_precision &&
+           p.precision_step == precision_step && p.surface.base == base &&
+           scenarios_equal(p.scenarios, scenarios);
+  };
+  const auto sweep = [&] {
+    return SurfacePayload{fp, model.params(), sta, min_precision,
+                          precision_step, scenarios, build()};
+  };
   // Like netlists, the build runs under the shard lock: surfaces are the
   // most expensive artifact in the store and must never be computed twice.
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    const SurfaceEntry& e = *it->second;
-    if (e.lib_fp != fp || key_of(e.params) != key_of(model.params()) ||
-        key_of(e.sta) != key_of(sta) || e.min_precision != min_precision ||
-        e.precision_step != precision_step || !(e.surface.base == base) ||
-        !scenarios_equal(e.scenarios, scenarios)) {
-      throw std::logic_error("DesignStore: surface key collision");
-    }
-    surface_hits_->add();
-    return e.surface;
-  }
-  if (auto blob = take_staged(
-          static_cast<std::uint32_t>(RecordKind::surface), key)) {
-    try {
-      SurfacePayload p = decode_surface_payload(*blob);
-      if (p.lib_fp == fp && key_of(p.params) == key_of(model.params()) &&
-          key_of(p.sta) == key_of(sta) && p.min_precision == min_precision &&
-          p.precision_step == precision_step && p.surface.base == base &&
-          scenarios_equal(p.scenarios, scenarios)) {
-        surface_hits_->add();
-        persist_hits_->add();
-        auto entry = std::make_unique<SurfaceEntry>(
-            SurfaceEntry{fp, p.params, p.sta, min_precision, precision_step,
-                         std::move(p.scenarios), std::move(p.surface)});
-        it = shard.entries.emplace(key, std::move(entry)).first;
-        return it->second->surface;
-      }
-      warn_record_dropped("surface", key, "stale key material");
-    } catch (const std::exception& e) {
-      warn_record_dropped("surface", key, e.what());
-    }
-    persist_records_dropped_->add();
-  }
-  surface_misses_->add();
-  count_persist_miss();
-  auto entry = std::make_unique<SurfaceEntry>(
-      SurfaceEntry{fp, model.params(), sta, min_precision, precision_step,
-                   scenarios, build()});
-  it = shard.entries.emplace(key, std::move(entry)).first;
-  return it->second->surface;
+  const SurfacePayload& p =
+      find_or_build(surfaces_, key, decode_surface_payload, matches, sweep);
+  return p.surface;
 }
 
 bool DesignStore::open(const std::string& path) {
@@ -423,41 +334,23 @@ bool DesignStore::open(const std::string& path) {
 
 bool DesignStore::save(const std::string& path) const {
   std::vector<RawRecord> records;
-  for (const auto& shard : netlists_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, e] : shard.entries) {
-      records.push_back(
-          {RecordKind::netlist, key,
-           encode_netlist_payload(e->lib_fp, e->spec, e->netlist)});
+  const auto collect = [&records](const auto& family, const auto& encode) {
+    for (const auto& shard : family.shards) {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      for (const auto& [key, p] : shard.entries) {
+        records.push_back({family.kind, key, encode(*p)});
+      }
     }
-  }
-  for (const auto& shard : libraries_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, e] : shard.entries) {
-      records.push_back({RecordKind::aged_library, key,
-                         encode_aged_library_payload(e->lib_fp, e->params,
-                                                     e->years, *e->library)});
-    }
-  }
-  for (const auto& shard : delays_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, e] : shard.entries) {
-      records.push_back({RecordKind::sta_delay, key,
-                         encode_sta_delay_payload({e->netlist_key,
-                                                   e->scenario_key, e->delay,
-                                                   e->gates})});
-    }
-  }
-  for (const auto& shard : surfaces_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, e] : shard.entries) {
-      records.push_back(
-          {RecordKind::surface, key,
-           encode_surface_payload({e->lib_fp, e->params, e->sta,
-                                   e->min_precision, e->precision_step,
-                                   e->scenarios, e->surface})});
-    }
-  }
+  };
+  collect(netlists_, [](const NetlistPayload& p) {
+    return encode_netlist_payload(p.lib_fp, p.spec, p.netlist);
+  });
+  collect(libraries_, [](const AgedLibraryPayload& p) {
+    return encode_aged_library_payload(p.lib_fp, p.params, p.years,
+                                       p.library);
+  });
+  collect(delays_, encode_sta_delay_payload);
+  collect(surfaces_, encode_surface_payload);
   {
     // Records loaded but never queried this run ride along unchanged, so a
     // warm run never shrinks the store it was given.
@@ -508,12 +401,9 @@ void DesignStore::log_delay_query(bool aged, std::uint64_t gates,
 
 std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
   std::vector<SurfacePayload> out;
-  for (const auto& shard : surfaces_) {
+  for (const auto& shard : surfaces_.shards) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, e] : shard.entries) {
-      out.push_back({e->lib_fp, e->params, e->sta, e->min_precision,
-                     e->precision_step, e->scenarios, e->surface});
-    }
+    for (const auto& [key, p] : shard.entries) out.push_back(*p);
   }
   {
     // Staged disk records count too: a `serve` on a freshly opened store
@@ -543,14 +433,14 @@ std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
 
 DesignStore::Stats DesignStore::stats() const {
   Stats s;
-  s.netlist_hits = netlist_hits_->value();
-  s.netlist_misses = netlist_misses_->value();
-  s.library_hits = library_hits_->value();
-  s.library_misses = library_misses_->value();
-  s.delay_hits = delay_hits_->value();
-  s.delay_misses = delay_misses_->value();
-  s.surface_hits = surface_hits_->value();
-  s.surface_misses = surface_misses_->value();
+  s.netlist_hits = netlists_.hits->value();
+  s.netlist_misses = netlists_.misses->value();
+  s.library_hits = libraries_.hits->value();
+  s.library_misses = libraries_.misses->value();
+  s.delay_hits = delays_.hits->value();
+  s.delay_misses = delays_.misses->value();
+  s.surface_hits = surfaces_.hits->value();
+  s.surface_misses = surfaces_.misses->value();
   s.persist_hits = persist_hits_->value();
   return s;
 }
@@ -558,7 +448,7 @@ DesignStore::Stats DesignStore::stats() const {
 std::size_t DesignStore::entries() const {
   std::size_t n = 0;
   const auto count = [&n](const auto& family) {
-    for (const auto& shard : family) {
+    for (const auto& shard : family.shards) {
       std::lock_guard<std::mutex> lock(shard.mutex);
       n += shard.entries.size();
     }

@@ -4,12 +4,14 @@
 // buried inside ComponentCharacterizer, ClosedLoopRuntime and FaultInjector.
 // Identical (spec, lifetime, model) work was still recomputed across layers,
 // and nothing could be shared between concurrent campaigns. The DesignStore
-// is the single home for all three families:
+// is the single home for those three families plus the surfaces:
 //
 //   netlist   : (library fingerprint, ComponentSpec)            -> Netlist
 //   library   : (library fingerprint, AgingParams, years)       -> aged lib
 //   sta delay : (netlist key, model-or-fresh, stress, years,
 //                StaOptions)                                    -> ps
+//   surface   : (library fingerprint, AgingParams, base spec,
+//                scenarios, min precision, step, StaOptions)    -> surface
 //
 // Keys are stable 64-bit content digests (engine/key.hpp): the characterizer
 // warms an entry, the runtime and the fault injector hit it — one unified
@@ -17,18 +19,23 @@
 // scenario keys the *same* degradation libraries as the runtime, because the
 // key is the model's parameter content, not the object that asked.
 //
-// Concurrency: each family is sharded 16 ways by key; a shard's mutex is
-// held across a netlist/library build (so racing requesters wait instead of
-// duplicating the expensive work — and hit/miss counts stay deterministic),
-// while STA delays are computed outside the lock (racing duplicates compute
-// the identical value; first insert wins). Returned references are stable
-// for the Context's lifetime: values live in node-stable maps behind
-// unique_ptr.
+// One record type per family: a shard holds the family's persist payload
+// (engine/persist.hpp) itself — the artifact plus its key material — so the
+// in-memory entry and the on-disk record are the same struct.
 //
-// Collision discipline: every netlist/library hit re-verifies the stored key
-// material (spec / params / years / fingerprint) and throws on mismatch —
-// a 64-bit collision is astronomically unlikely but must never silently
-// serve the wrong artifact.
+// Concurrency: each family is sharded 16 ways by key; a shard's mutex is
+// held across a netlist/library/surface build (so racing requesters wait
+// instead of duplicating the expensive work — and hit/miss counts stay
+// deterministic), while STA delays are computed outside the lock (racing
+// duplicates compute the identical value; first insert wins). Returned
+// references are stable for the Context's lifetime: values live in
+// node-stable maps behind unique_ptr.
+//
+// Collision discipline: each family compares key material (spec / params /
+// years / fingerprint / sweep) with one predicate. An in-memory entry that
+// fails it throws — a 64-bit collision is astronomically unlikely but must
+// never silently serve the wrong artifact — and a staged disk record that
+// fails it is dropped as stale.
 //
 // Persistence (engine/persist.hpp): open(path) stages the records of a
 // versioned store file; a staged record is materialized lazily, on the first
@@ -58,6 +65,7 @@
 #include "aging/stress.hpp"
 #include "approx/characterization.hpp"
 #include "cell/degradation.hpp"
+#include "engine/persist.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 #include "sta/sta.hpp"
@@ -68,8 +76,6 @@ namespace aapx {
 class Context;
 
 namespace engine {
-
-struct SurfacePayload;  // engine/persist.hpp
 
 class DesignStore {
  public:
@@ -153,44 +159,48 @@ class DesignStore {
   static constexpr std::size_t kShards = 16;
 
  private:
-  struct NetlistEntry {
-    std::uint64_t lib_fp = 0;
-    ComponentSpec spec;
-    Netlist netlist;
-  };
-  struct LibraryEntry {
-    std::uint64_t lib_fp = 0;
-    AgingParams params;
-    double years = 0.0;
-    std::unique_ptr<DegradationAwareLibrary> library;
-  };
-  struct DelayEntry {
-    std::uint64_t netlist_key = 0;
-    std::uint64_t scenario_key = 0;
-    double delay = 0.0;
-    std::uint64_t gates = 0;  ///< netlist size, kept for query log records
-  };
-  struct SurfaceEntry {
-    std::uint64_t lib_fp = 0;
-    AgingParams params;
-    StaOptions sta;
-    int min_precision = 0;
-    int precision_step = 0;
-    std::vector<AgingScenario> scenarios;
-    ComponentCharacterization surface;
-  };
-
-  template <typename Entry>
+  template <typename Payload>
   struct Shard {
     mutable std::mutex mutex;
-    /// std::map: node-stable, so references/pointers into entries survive
+    /// std::map: node-stable, so references/pointers into payloads survive
     /// growth; unique_ptr keeps them stable even through map moves.
-    std::map<std::uint64_t, std::unique_ptr<Entry>> entries;
+    std::map<std::uint64_t, std::unique_ptr<Payload>> entries;
   };
-  template <typename Entry>
-  using Family = std::array<Shard<Entry>, kShards>;
+  /// One record kind: its shards, each holding the persist payload itself
+  /// (the record save() writes), and its hit/miss counters.
+  template <typename Payload>
+  struct Family {
+    Family(RecordKind kind, obs::MetricsRegistry& m, const std::string& name)
+        : kind(kind),
+          hits(&m.counter("engine.store." + name + "_hits")),
+          misses(&m.counter("engine.store." + name + "_misses")) {}
 
-  static std::size_t shard_of(std::uint64_t key) { return key % kShards; }
+    Shard<Payload>& shard(std::uint64_t key) { return shards[key % kShards]; }
+
+    RecordKind kind;
+    obs::Counter* hits;
+    obs::Counter* misses;
+    std::array<Shard<Payload>, kShards> shards;
+  };
+
+  /// The lookup every family shares; call it holding `key`'s shard mutex.
+  /// `matches` compares a payload's key material with the live query's: an
+  /// in-memory payload that fails it is a key collision (throws), a staged
+  /// disk record that fails it (or does not decode) is dropped as stale and
+  /// the query recomputes. Counts a hit and returns the payload, or counts a
+  /// miss and returns nullptr.
+  template <typename Payload, typename Decode, typename Matches>
+  const Payload* find(Family<Payload>& family, std::uint64_t key,
+                      const Decode& decode, const Matches& matches);
+
+  /// find() under the key's shard lock; on a miss, `build` runs under the
+  /// same lock (racing requesters wait instead of duplicating the work, so
+  /// hit/miss totals stay deterministic: one miss per distinct key).
+  template <typename Payload, typename Decode, typename Matches,
+            typename Build>
+  const Payload& find_or_build(Family<Payload>& family, std::uint64_t key,
+                               const Decode& decode, const Matches& matches,
+                               const Build& build);
 
   /// Emits the sta_query run-log record for one delay *query* (hit or miss
   /// alike — the record documents the logical query, so the log stays
@@ -203,16 +213,13 @@ class DesignStore {
   /// Pops the staged payload for `key` of one record kind, if any. Call
   /// while holding the destination family's shard mutex (lock order is
   /// always shard -> staged).
-  std::optional<std::string> take_staged(std::uint32_t kind,
-                                         std::uint64_t key);
-  /// Accounting for a query that a disk record satisfied / failed to.
-  void count_persist_miss();
+  std::optional<std::string> take_staged(RecordKind kind, std::uint64_t key);
 
   const Context* ctx_;
-  Family<NetlistEntry> netlists_;
-  Family<LibraryEntry> libraries_;
-  Family<DelayEntry> delays_;
-  Family<SurfaceEntry> surfaces_;
+  Family<NetlistPayload> netlists_;
+  Family<AgedLibraryPayload> libraries_;
+  Family<StaDelayPayload> delays_;
+  Family<SurfacePayload> surfaces_;
 
   std::mutex fp_mutex_;
   std::map<const CellLibrary*, std::uint64_t> fp_cache_;
@@ -222,14 +229,6 @@ class DesignStore {
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> staged_;
   std::atomic<bool> store_attached_{false};
 
-  obs::Counter* netlist_hits_;
-  obs::Counter* netlist_misses_;
-  obs::Counter* library_hits_;
-  obs::Counter* library_misses_;
-  obs::Counter* delay_hits_;
-  obs::Counter* delay_misses_;
-  obs::Counter* surface_hits_;
-  obs::Counter* surface_misses_;
   obs::Counter* persist_hits_;
   obs::Counter* persist_misses_;
   obs::Counter* persist_loads_;

@@ -217,18 +217,20 @@ StoreFileData load_store_file(const std::string& path) {
     if (!std::equal(magic, magic + 8, kStoreMagic)) {
       return reject("not a store file (bad magic)");
     }
-    const std::uint32_t version = r.u32();
-    if (version != kStoreFormatVersion) {
-      return reject("format version " + std::to_string(version) +
+    out.format_version = r.u32();
+    out.build_fp = r.u64();
+    out.record_count = r.u64();
+    out.header_read = true;
+    if (out.format_version != kStoreFormatVersion) {
+      return reject("format version " + std::to_string(out.format_version) +
                     " (expected " + std::to_string(kStoreFormatVersion) + ")");
     }
-    const std::uint64_t build_fp = r.u64();
-    if (build_fp != build_fingerprint()) {
+    if (out.build_fp != build_fingerprint()) {
       return reject("built by a different toolchain/configuration");
     }
     out.header_ok = true;
 
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = out.record_count;
     for (std::uint64_t i = 0; i < count; ++i) {
       RawRecord rec;
       bool framed = false;

@@ -82,8 +82,14 @@ struct RawRecord {
 };
 
 struct StoreFileData {
-  bool file_found = false;  ///< false: no file at `path` (clean cold start)
-  bool header_ok = false;   ///< false: file rejected wholesale
+  bool file_found = false;   ///< false: no file at `path` (clean cold start)
+  bool header_read = false;  ///< magic matched and the header fields decoded
+  bool header_ok = false;    ///< false: file rejected wholesale
+  /// The header as decoded, before the compatibility checks (valid iff
+  /// header_read), so a foreign or wrong-version file still reports itself.
+  std::uint32_t format_version = 0;
+  std::uint64_t build_fp = 0;
+  std::uint64_t record_count = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t records_dropped = 0;  ///< bad checksum / truncated tail
   std::vector<RawRecord> records;

@@ -81,7 +81,7 @@ TEST_F(MicroarchStimuliTest, LibraryExtendsAcrossScenarios) {
   const FlowResult second = flow.run(two_block(), one);
   EXPECT_TRUE(first.timing_met);
   EXPECT_TRUE(second.timing_met);
-  const auto& c = flow.library().get("multiplier12_array");
+  const auto& c = flow.library().at("multiplier12_array");
   EXPECT_EQ(c.scenarios.size(), 2u);
 }
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aging/aging_model.hpp"
@@ -89,11 +90,12 @@ class PersistTest : public ::testing::Test {
   /// A minimal hand-rolled sweep so the test does not depend on the core
   /// characterizer (engine-layer test): per precision, fresh + aged delay
   /// via the store.
-  ComponentCharacterization sweep_directly(const Context& ctx) {
+  ComponentCharacterization sweep_directly(const Context& ctx,
+                                           int min_precision = 4) {
     ComponentCharacterization c;
     c.base = adder8();
     c.scenarios = scenarios_;
-    for (int k = 8; k >= 4; --k) {
+    for (int k = 8; k >= min_precision; --k) {
       ComponentSpec spec = adder8();
       spec.truncated_bits = 8 - k;
       PrecisionPoint p;
@@ -118,6 +120,53 @@ class PersistTest : public ::testing::Test {
     const Warmed w = query(ctx);
     if (stats != nullptr) *stats = ctx.store().stats();
     return w;
+  }
+
+  /// Saves what `run` queries on a cold Context, swaps the payloads of the
+  /// file's two `kind` records (their keys stay put) and replays `run` on the
+  /// reopened file. Each swapped record carries the other query's key
+  /// material, so both queries must count as `misses` (never `hits`), drop
+  /// their record as stale and reproduce the cold bytes. `run` returns its
+  /// results serialized, so equal strings mean bit-identical results.
+  template <typename Run>
+  void expect_swapped_records_miss(
+      engine::RecordKind kind, const Run& run,
+      std::uint64_t engine::DesignStore::Stats::*hits,
+      std::uint64_t engine::DesignStore::Stats::*misses) {
+    std::string cold;
+    {
+      Context ctx;
+      cold = run(ctx);
+      ASSERT_TRUE(ctx.store().save(path_));
+    }
+    engine::StoreFileData data = engine::load_store_file(path_);
+    std::vector<engine::RawRecord*> pair;
+    for (engine::RawRecord& rec : data.records) {
+      if (rec.kind == kind) pair.push_back(&rec);
+    }
+    ASSERT_EQ(pair.size(), 2u);
+    ASSERT_NE(pair[0]->payload, pair[1]->payload);
+    std::swap(pair[0]->payload, pair[1]->payload);
+    ASSERT_GT(engine::write_store_file(path_, data.records), 0u);
+
+    Context ctx;
+    ASSERT_TRUE(ctx.store().open(path_));  // well-formed: nothing dropped yet
+    obs::Counter& dropped =
+        ctx.metrics().counter("engine.store.persist.records_dropped");
+    const std::uint64_t dropped_at_open = dropped.value();
+    testing::internal::CaptureStderr();
+    const std::string warm = run(ctx);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cold, warm);
+    EXPECT_EQ(dropped.value() - dropped_at_open, 2u);
+    const engine::DesignStore::Stats stats = ctx.store().stats();
+    EXPECT_EQ(stats.*hits, 0u);
+    EXPECT_EQ(stats.*misses, 2u);
+    EXPECT_NE(err.find("stale key material"), std::string::npos) << err;
+  }
+
+  static std::string bits_of(double v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof v);
   }
 
   static void expect_bit_identical(const Warmed& a, const Warmed& b) {
@@ -350,6 +399,74 @@ TEST_F(PersistTest, StaleRecordIsColdMissNotWrongHit) {
   // no *delay* record keyed to the nominal model may be.
   EXPECT_EQ(ctx.store().stats().delay_hits, 0u);
   EXPECT_EQ(ctx.store().stats().delay_misses, 1u);
+}
+
+// The four cases below reach the staged-record key-material check itself:
+// each file holds both queried keys, but under each other's payloads.
+TEST_F(PersistTest, SwappedNetlistRecordsAreStaleColdMisses) {
+  ComponentSpec truncated = adder8();
+  truncated.truncated_bits = 2;
+  expect_swapped_records_miss(
+      engine::RecordKind::netlist,
+      [&](const Context& ctx) {
+        std::string out;
+        for (const ComponentSpec& spec : {adder8(), truncated}) {
+          out += engine::encode_netlist_payload(
+              0, spec, ctx.store().netlist(lib_, spec));
+        }
+        return out;
+      },
+      &engine::DesignStore::Stats::netlist_hits,
+      &engine::DesignStore::Stats::netlist_misses);
+}
+
+TEST_F(PersistTest, SwappedAgedLibraryRecordsAreStaleColdMisses) {
+  expect_swapped_records_miss(
+      engine::RecordKind::aged_library,
+      [&](const Context& ctx) {
+        std::string out;
+        for (const double years : {1.0, 10.0}) {
+          out += engine::encode_aged_library_payload(
+              0, model_.params(), years,
+              ctx.store().aged_library(lib_, model_, years));
+        }
+        return out;
+      },
+      &engine::DesignStore::Stats::library_hits,
+      &engine::DesignStore::Stats::library_misses);
+}
+
+TEST_F(PersistTest, SwappedStaDelayRecordsAreStaleColdMisses) {
+  expect_swapped_records_miss(
+      engine::RecordKind::sta_delay,
+      [&](const Context& ctx) {
+        std::string out;
+        for (const double years : {0.0, 10.0}) {
+          out += bits_of(ctx.store().aged_sta_delay(
+              lib_, adder8(), model_, StressMode::worst, years, sta_));
+        }
+        return out;
+      },
+      &engine::DesignStore::Stats::delay_hits,
+      &engine::DesignStore::Stats::delay_misses);
+}
+
+TEST_F(PersistTest, SwappedSurfaceRecordsAreStaleColdMisses) {
+  expect_swapped_records_miss(
+      engine::RecordKind::surface,
+      [&](const Context& ctx) {
+        std::string out;
+        for (const int min_precision : {4, 5}) {
+          const ComponentCharacterization& c = ctx.store().surface(
+              lib_, model_, adder8(), scenarios_, min_precision, 1, sta_,
+              [&] { return sweep_directly(ctx, min_precision); });
+          out += engine::encode_surface_payload(
+              {0, model_.params(), sta_, min_precision, 1, scenarios_, c});
+        }
+        return out;
+      },
+      &engine::DesignStore::Stats::surface_hits,
+      &engine::DesignStore::Stats::surface_misses);
 }
 
 }  // namespace

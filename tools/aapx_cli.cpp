@@ -53,7 +53,6 @@
 #include "aging/aging_model.hpp"
 #include "cell/liberty.hpp"
 #include "core/adaptive.hpp"
-#include "engine/binio.hpp"
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
 #include "engine/persist.hpp"
@@ -491,15 +490,6 @@ int cmd_characterize(const Context& ctx, const Args& args) {
     std::printf("%s: guardband-free precision = %s\n",
                 scenarios[i].label().c_str(),
                 k > 0 ? std::to_string(k).c_str() : "unreachable");
-  }
-  const std::string save = args.text("save");
-  if (!save.empty()) {
-    ApproximationLibrary out;
-    out.add(c);
-    std::ofstream os(save);
-    if (!os) throw std::runtime_error("cannot open " + save);
-    out.save(os);
-    std::printf("approximation library written to %s\n", save.c_str());
   }
   return 0;
 }
@@ -1013,37 +1003,29 @@ int cmd_library_query(const Context&, const Args& args) {
   return shown > 0 ? 0 : 1;
 }
 
-/// `aapx library info`: header + per-kind record census. The header is
-/// decoded by hand so a file from a *different* build still reports itself.
+/// `aapx library info`: header + per-kind record census. The header fields
+/// are decoded before the compatibility checks, so a file from a
+/// *different* build or format version still reports itself.
 int cmd_library_info(const Context&, const Args& args) {
   const std::string path = args.text("store");
   if (path.empty()) throw std::runtime_error("--store <file> is required");
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string bytes = buf.str();
-  if (bytes.size() < engine::kHeaderSize ||
-      std::memcmp(bytes.data(), engine::kStoreMagic, 8) != 0) {
+  const engine::StoreFileData data = load_store(path);
+  if (!data.header_read) {
     throw std::runtime_error(path + " is not an aapx store file");
   }
-  engine::BinReader r(std::string_view(bytes).substr(8));  // past the magic
-  const std::uint32_t version = r.u32();
-  const std::uint64_t build_fp = r.u64();
-  const std::uint64_t count = r.u64();
-  std::printf("store file:     %s (%zu bytes)\n", path.c_str(), bytes.size());
-  std::printf("format version: %u (this binary: %u)\n", version,
+  std::printf("store file:     %s (%llu bytes)\n", path.c_str(),
+              static_cast<unsigned long long>(data.bytes_read));
+  std::printf("format version: %u (this binary: %u)\n", data.format_version,
               engine::kStoreFormatVersion);
   std::printf("build:          %016llx (this binary: %016llx)%s\n",
-              static_cast<unsigned long long>(build_fp),
+              static_cast<unsigned long long>(data.build_fp),
               static_cast<unsigned long long>(engine::build_fingerprint()),
-              build_fp == engine::build_fingerprint()
+              data.build_fp == engine::build_fingerprint()
                   ? ""
                   : "  [foreign build: records unusable here]");
   std::printf("records:        %llu\n",
-              static_cast<unsigned long long>(count));
+              static_cast<unsigned long long>(data.record_count));
 
-  const engine::StoreFileData data = load_store(path);
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> census;
   for (const engine::RawRecord& rec : data.records) {
     auto& [n, payload_bytes] = census[engine::to_string(rec.kind)];
@@ -1371,10 +1353,7 @@ const Opt kAttempts = integer("attempts", 1, "N", "attempts per request");
 const std::vector<Command> kCommands = {
     {"characterize", "delay-vs-precision-vs-aging surface of one component",
      cmd_characterize, true, true,
-     kComponent +
-         Opts{kMinPrecision, kMode, kYearsList,
-              str("save", "FILE", "also write a text approximation library")} +
-         kAging},
+     kComponent + Opts{kMinPrecision, kMode, kYearsList} + kAging},
     {"flow", "microarchitecture flow on an IDCT-shaped design", cmd_flow,
      true, true,
      Opts{kWidth, years("years", "Y", "lifetime (default 10)"), kMode,

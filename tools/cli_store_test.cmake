@@ -1,7 +1,8 @@
 # ctest script for the persistent DesignStore contract: the same CLI command
 # run twice with --store must emit a byte-identical run log (warm-start
 # determinism), the warm run must actually be served from disk
-# (engine.store.persist.hits > 0), and the `aapx library` tooling chain
+# (engine.store.persist.hits > 0), `aapx library query` must print the
+# surface the cold run characterized, and the `aapx library` tooling chain
 # (build -> query -> info -> merge) must round-trip the built library file.
 # Invoked as: cmake -DAAPX_BIN=<aapx> -DWORKDIR=<scratch> -P cli_store_test.cmake
 if(NOT DEFINED AAPX_BIN OR NOT DEFINED WORKDIR)
@@ -40,7 +41,27 @@ file(READ "${metrics}" cold_metrics)
 check_contains("${cold_metrics}" "\"engine.store.persist.hits\":0"
                "cold metrics (no disk hits on a cold start)")
 
-# --- 2. warm run: identical argv, served from the snapshot ------------------
+# --- 2. library query prints the surface the cold run characterized -------
+# The store file is the approximation library: no separate export is needed.
+execute_process(
+  COMMAND "${AAPX_BIN}" library query --store "${store}"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE query_out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "library query on the cold store failed (rc=${rc}):\n${query_out}\n${err}")
+endif()
+string(REGEX MATCHALL "\\|[^\n]*" rows "${cold_out}")
+list(LENGTH rows nrows)
+if(nrows LESS 3)
+  message(FATAL_ERROR "characterize printed no surface table:\n${cold_out}")
+endif()
+foreach(row IN LISTS rows)
+  string(FIND "${query_out}" "${row}\n" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "library query lacks the characterize row '${row}':\n${query_out}")
+  endif()
+endforeach()
+
+# --- 3. warm run: identical argv, served from the snapshot ------------------
 execute_process(COMMAND ${cmd}
   RESULT_VARIABLE rc OUTPUT_VARIABLE warm_out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -50,7 +71,7 @@ if(NOT cold_out STREQUAL warm_out)
   message(FATAL_ERROR "warm stdout differs from cold stdout:\n--- cold ---\n${cold_out}\n--- warm ---\n${warm_out}")
 endif()
 
-# --- 3. the warm run log is byte-identical to the cold one ------------------
+# --- 4. the warm run log is byte-identical to the cold one ------------------
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files "${WORKDIR}/cold.jsonl" "${log}"
   RESULT_VARIABLE rc)
@@ -59,14 +80,14 @@ if(NOT rc EQUAL 0)
                       "(cmp ${WORKDIR}/cold.jsonl ${log})")
 endif()
 
-# --- 4. the warm run was actually served from disk --------------------------
+# --- 5. the warm run was actually served from disk --------------------------
 file(READ "${metrics}" warm_metrics)
 check_contains("${warm_metrics}" "\"engine.store.persist.hits\":[1-9]"
                "warm metrics (persist hits)")
 check_contains("${warm_metrics}" "\"engine.store.persist.loads\":1"
                "warm metrics (store loaded once)")
 
-# --- 5. library build -> query -> info -------------------------------------
+# --- 6. library build -> query -> info -------------------------------------
 set(lib "${WORKDIR}/lib.aapx")
 execute_process(
   COMMAND "${AAPX_BIN}" library build --out "${lib}" --kinds adder
@@ -95,7 +116,7 @@ endif()
 check_contains("${out}" "format version: 2" "library info")
 check_contains("${out}" "surface" "library info census")
 
-# --- 6. merge the library with the characterize store -----------------------
+# --- 7. merge the library with the characterize store -----------------------
 set(merged "${WORKDIR}/merged.aapx")
 execute_process(
   COMMAND "${AAPX_BIN}" library merge --out "${merged}"
@@ -112,7 +133,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "info on merged file failed (rc=${rc}):\n${out}\n${err}")
 endif()
 
-# --- 7. a damaged store degrades to a cold run, not a failure ---------------
+# --- 8. a damaged store degrades to a cold run, not a failure ---------------
 file(WRITE "${store}" "this is not a store file")
 execute_process(COMMAND ${cmd}
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
