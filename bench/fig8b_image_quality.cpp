@@ -45,7 +45,7 @@ int run(int argc, char** argv) {
       {"grand", "34"},  {"miss", "36"},     {"mobile", "28"},
       {"mother", "35"}, {"salesman", "36"}, {"suzie", "35"}};
 
-  // One worker per sequence; ArithBackend::multiply mutates backend state, so
+  // One worker per sequence; backends are not shared between threads, so
   // each iteration owns its codec chain and writes only its indexed slots.
   const auto& names = video_trace_names();
   std::vector<double> fresh_db(names.size());

@@ -1,7 +1,8 @@
 // Paper Fig. 9 — example decoded images under the 10-year worst-case
 // aging-induced approximation (paper: salesman 36 dB, grandmother 34 dB,
 // foreman 30 dB, mobile 28 dB; noise hardly observable even on 'mobile').
-// Writes the decoded frames as PGM files next to the binary for inspection.
+// Writes the decoded frames as PGM files next to the binary for inspection,
+// and the per-sequence PSNRs, truncation and frame size as result fields.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -33,9 +34,10 @@ int run(int argc, char** argv) {
       {"salesman", "36"}, {"grand", "34"}, {"foreman", "30"}, {"mobile", "28"}};
   constexpr std::size_t n_rows = std::size(rows);
 
-  // Each frame decodes through its own backend (multiply mutates backend
-  // state) and writes its own PGM + PSNR slot. Paths are resolved before the
-  // loop: out_path may create --outdir, which should happen exactly once.
+  // Each frame decodes through its own codec chain (backends are not shared
+  // between threads) and writes its own PGM + PSNR slot. Paths are resolved
+  // before the loop: out_path may create --outdir, which should happen
+  // exactly once.
   std::vector<std::string> files(n_rows);
   for (std::size_t i = 0; i < n_rows; ++i) {
     files[i] =
@@ -57,6 +59,11 @@ int run(int argc, char** argv) {
                    files[i]});
   }
   table.print(std::cout);
+  bench_json.metric("size", std::to_string(w) + "x" + std::to_string(h));
+  bench_json.metric("truncated_bits", static_cast<double>(truncated));
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    bench_json.metric(std::string("psnr_") + rows[i].name + "_db", db[i]);
+  }
   std::printf("\n(paper: \"even for the 'mobile' image with 28 dB PSNR, image "
               "quality is still very good and noise is hardly observable\")\n");
   return 0;

@@ -18,6 +18,7 @@
 #include "core/characterizer.hpp"
 #include "engine/design_store.hpp"
 #include "gatesim/timedsim.hpp"
+#include "image/synthetic.hpp"
 
 using namespace aapx;
 using namespace aapx::bench;
@@ -131,7 +132,8 @@ void BM_CharacterizeOnePrecision(benchmark::State& state) {
 }
 BENCHMARK(BM_CharacterizeOnePrecision)->Unit(benchmark::kMillisecond);
 
-/// Measured per-op costs -> extrapolated per-image costs.
+/// Measured per-op gate-level cost and per-pixel RTL cost -> extrapolated
+/// per-image costs.
 void print_cost_table() {
   const Config& cfg = config();
   // One multiply through the timed gate-level simulator.
@@ -150,14 +152,20 @@ void print_cost_table() {
       std::chrono::duration<double, std::micro>(t1 - t0).count() /
       static_cast<double>(stim.vectors.size());
 
-  ExactBackend be(32, 3, 0);
+  // One real CIF DCT->IDCT chain through the exact backend, scaled by
+  // pixel count: the decode the flow actually runs, one transform() call
+  // per 8-point pass.
+  const CodecConfig codec = cfg.codec();
+  ExactBackend be(codec.width, 3, 0);
+  const FixedPointDct dct(codec, be);
+  const FixedPointIdct idct(codec, be);
+  const Image cif = make_video_trace_frame("foreman", 352, 288);
   const auto t2 = std::chrono::steady_clock::now();
-  std::int64_t acc = 0;
-  for (int i = 0; i < 2000000; ++i) acc += be.multiply(i, i + 1);
+  const Image decoded = idct.decode(dct.encode(cif));
   const auto t3 = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(acc);
-  const double rtl_us_per_op =
-      std::chrono::duration<double, std::micro>(t3 - t2).count() / 2e6;
+  benchmark::DoNotOptimize(decoded.at(0, 0));
+  const double rtl_s_per_pixel =
+      std::chrono::duration<double>(t3 - t2).count() / (352.0 * 288.0);
 
   // DCT->IDCT chain: 2 transforms x 2 passes x 8 MACs per output pixel.
   const auto ops_per_image = [](double w, double h) { return w * h * 32.0; };
@@ -170,7 +178,7 @@ void print_cost_table() {
   for (const auto& s : sizes) {
     const double ops = ops_per_image(s.w, s.h);
     const double gate_s = ops * gate_us_per_op / 1e6;
-    const double rtl_s = ops * rtl_us_per_op / 1e6;
+    const double rtl_s = s.w * s.h * rtl_s_per_pixel;
     auto fmt_time = [](double seconds) {
       char buf[64];
       if (seconds > 7200) {
@@ -184,7 +192,7 @@ void print_cost_table() {
     };
     table.add_row({s.name, TextTable::num(ops / 1e6, 1) + "M", fmt_time(gate_s),
                    fmt_time(rtl_s),
-                   TextTable::num(gate_us_per_op / rtl_us_per_op, 0) + "x"});
+                   TextTable::num(gate_s / rtl_s, 0) + "x"});
   }
   std::printf("\n");
   print_banner("Secs. III/VI — simulation cost: gate-level vs RTL",

@@ -4,9 +4,46 @@
 #include <stdexcept>
 #include <string>
 
-#include "approx/error_bounds.hpp"
-
 namespace aapx {
+namespace {
+
+/// Sign-extending wrap by a shift pair: keeps the low 64 - `shift` bits.
+inline std::int64_t wrap_by_shift(std::int64_t v, int shift) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(v) << shift) >>
+         shift;
+}
+
+/// Wraps an operand to the datapath width, then clears its truncated LSBs
+/// (toward minus infinity, as truncate_lsbs does).
+inline std::int64_t truncate_operand(std::int64_t v, int wrap_shift,
+                                     std::uint64_t mask) {
+  return static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(wrap_by_shift(v, wrap_shift)) & mask);
+}
+
+/// The one transform loop. On `ArithBackend&` every operation dispatches
+/// virtually; on a final class the calls are direct and inline.
+template <class Backend>
+TransformVector transform_with(Backend& be, const TransformMatrix& m,
+                               const TransformVector& x, int frac_bits) {
+  if (frac_bits <= 0 || frac_bits >= 63) {
+    throw std::invalid_argument("ArithBackend::transform: bad frac_bits");
+  }
+  // Product in Q(2*frac) -> Q(frac) with round-to-nearest.
+  const std::int64_t half = std::int64_t{1} << (frac_bits - 1);
+  TransformVector y{};
+  for (std::size_t o = 0; o < kTransformPoints; ++o) {
+    std::int64_t acc = 0;
+    for (std::size_t i = 0; i < kTransformPoints; ++i) {
+      const std::int64_t p = be.multiply(m[o][i], x[i]);
+      acc = be.add(acc, (p + half) >> frac_bits);
+    }
+    y[o] = acc;
+  }
+  return y;
+}
+
+}  // namespace
 
 std::int64_t wrap_signed(std::int64_t v, int bits) {
   if (bits <= 0 || bits > 64) throw std::invalid_argument("wrap_signed: bad bits");
@@ -17,28 +54,47 @@ std::int64_t wrap_signed(std::int64_t v, int bits) {
   return static_cast<std::int64_t>(u);
 }
 
+TransformVector ArithBackend::transform(const TransformMatrix& m,
+                                        const TransformVector& x,
+                                        int frac_bits) {
+  return transform_with<ArithBackend>(*this, m, x, frac_bits);
+}
+
 ExactBackend::ExactBackend(int width, int mult_truncated_bits,
                            int add_truncated_bits)
-    : width_(width), mult_trunc_(mult_truncated_bits), add_trunc_(add_truncated_bits) {
+    : width_(width), wrap_shift_(64 - width) {
   if (width <= 1 || width > 32) {
     throw std::invalid_argument("ExactBackend: width must be in (1, 32]");
   }
-  if (mult_trunc_ < 0 || mult_trunc_ >= width || add_trunc_ < 0 ||
-      add_trunc_ >= width) {
+  if (mult_truncated_bits < 0 || mult_truncated_bits >= width ||
+      add_truncated_bits < 0 || add_truncated_bits >= width) {
     throw std::invalid_argument("ExactBackend: truncation out of range");
   }
+  mult_mask_ = ~((std::uint64_t{1} << mult_truncated_bits) - 1);
+  add_mask_ = ~((std::uint64_t{1} << add_truncated_bits) - 1);
 }
 
 std::int64_t ExactBackend::multiply(std::int64_t a, std::int64_t b) {
-  const std::int64_t ta = truncate_lsbs(wrap_signed(a, width_), mult_trunc_);
-  const std::int64_t tb = truncate_lsbs(wrap_signed(b, width_), mult_trunc_);
-  return wrap_signed(ta * tb, 2 * width_);
+  // Two width-bit operands have a product of magnitude at most
+  // 2^(2*width - 2): it always fits the 2*width-bit product, unwrapped.
+  return truncate_operand(a, wrap_shift_, mult_mask_) *
+         truncate_operand(b, wrap_shift_, mult_mask_);
 }
 
 std::int64_t ExactBackend::add(std::int64_t a, std::int64_t b) {
-  const std::int64_t ta = truncate_lsbs(wrap_signed(a, width_), add_trunc_);
-  const std::int64_t tb = truncate_lsbs(wrap_signed(b, width_), add_trunc_);
-  return wrap_signed(ta + tb, width_);
+  // A sum wrapped to the width depends only on the operands' low `width`
+  // bits, so the operands need no wrap of their own. That keeps the
+  // accumulator's dependency chain in transform() short.
+  return wrap_by_shift(
+      static_cast<std::int64_t>((static_cast<std::uint64_t>(a) & add_mask_) +
+                                (static_cast<std::uint64_t>(b) & add_mask_)),
+      wrap_shift_);
+}
+
+TransformVector ExactBackend::transform(const TransformMatrix& m,
+                                        const TransformVector& x,
+                                        int frac_bits) {
+  return transform_with(*this, m, x, frac_bits);
 }
 
 TimedNetlistBackend::TimedNetlistBackend(const Netlist& mult,
@@ -48,10 +104,14 @@ TimedNetlistBackend::TimedNetlistBackend(const Netlist& mult,
                                          double t_clock_ps, DelayModel model,
                                          ObservedWindow mult_window,
                                          const CancelToken* cancel)
-    : mult_(&mult),
-      adder_(&adder),
-      mult_sim_(mult, std::move(mult_delays), model),
+    : mult_sim_(mult, std::move(mult_delays), model),
       adder_sim_(adder, std::move(adder_delays), model),
+      mult_a_(mult_sim_.resolve_stage(mult.input_bus("a"))),
+      mult_b_(mult_sim_.resolve_stage(mult.input_bus("b"))),
+      mult_y_(&mult.output_bus("y")),
+      add_a_(adder_sim_.resolve_stage(adder.input_bus("a"))),
+      add_b_(adder_sim_.resolve_stage(adder.input_bus("b"))),
+      add_y_(&adder.output_bus("y")),
       width_(width),
       t_clock_(t_clock_ps),
       mult_window_(mult_window),
@@ -64,7 +124,7 @@ TimedNetlistBackend::TimedNetlistBackend(const Netlist& mult,
   }
   // An empty or out-of-bus window would check no bit, silently disabling
   // error detection and the settle-time record.
-  const int bus = static_cast<int>(mult.output_bus("y").size());
+  const int bus = static_cast<int>(mult_y_->size());
   const int lo = mult_window.lo;
   const int count = mult_window.count;
   if (lo < 0 || lo >= bus ||
@@ -81,15 +141,14 @@ std::int64_t TimedNetlistBackend::multiply(std::int64_t a, std::int64_t b) {
   // image benches; an untripped check is two relaxed loads, invisible next
   // to an event-driven multiply.
   if (cancel_ != nullptr) cancel_->check("gatesim.multiply");
-  const std::uint64_t mask = width_ == 64 ? ~std::uint64_t{0}
-                                          : (std::uint64_t{1} << width_) - 1;
-  mult_sim_.stage_bus("a", static_cast<std::uint64_t>(a) & mask);
-  mult_sim_.stage_bus("b", static_cast<std::uint64_t>(b) & mask);
+  const std::uint64_t mask = (std::uint64_t{1} << width_) - 1;
+  mult_sim_.stage_resolved(mult_a_, static_cast<std::uint64_t>(a) & mask);
+  mult_sim_.stage_resolved(mult_b_, static_cast<std::uint64_t>(b) & mask);
   mult_sim_.step_staged(t_clock_);
   ++mult_ops_;
   // Only the observed bit window gates the error count and the settle time:
   // unconsumed product bits never reach a register in the real datapath.
-  const auto& y = mult_->output_bus("y");
+  const std::vector<NetId>& y = *mult_y_;
   const std::size_t lo = static_cast<std::size_t>(mult_window_.lo);
   const std::size_t hi =
       mult_window_.count < 0
@@ -101,21 +160,22 @@ std::int64_t TimedNetlistBackend::multiply(std::int64_t a, std::int64_t b) {
     if (mult_sim_.sampled(y[i]) != mult_sim_.settled(y[i])) error = true;
   }
   if (error) ++mult_errors_;
-  return wrap_signed(static_cast<std::int64_t>(mult_sim_.sampled_bus("y")),
+  return wrap_signed(static_cast<std::int64_t>(mult_sim_.sampled_word(y)),
                      2 * width_);
 }
 
 std::int64_t TimedNetlistBackend::add(std::int64_t a, std::int64_t b) {
   if (cancel_ != nullptr) cancel_->check("gatesim.add");
   const std::uint64_t mask = (std::uint64_t{1} << width_) - 1;
-  adder_sim_.stage_bus("a", static_cast<std::uint64_t>(a) & mask);
-  adder_sim_.stage_bus("b", static_cast<std::uint64_t>(b) & mask);
+  adder_sim_.stage_resolved(add_a_, static_cast<std::uint64_t>(a) & mask);
+  adder_sim_.stage_resolved(add_b_, static_cast<std::uint64_t>(b) & mask);
   const bool error = adder_sim_.step_staged(t_clock_);
   ++add_ops_;
   if (error) ++add_errors_;
   max_add_settle_ = std::max(max_add_settle_, adder_sim_.last_output_settle_time());
   // The adder output bus has width+1 bits; wrap to the datapath width.
-  return wrap_signed(static_cast<std::int64_t>(adder_sim_.sampled_bus("y")), width_);
+  return wrap_signed(static_cast<std::int64_t>(adder_sim_.sampled_word(*add_y_)),
+                     width_);
 }
 
 RecordingBackend::RecordingBackend(ArithBackend& inner) : inner_(&inner) {}

@@ -4,7 +4,9 @@
 //  * ExactBackend        — bit-accurate two's complement arithmetic with the
 //    paper's LSB truncation applied to operands (deterministic
 //    approximation). This is the paper's "RTL simulation": seconds per
-//    image, quality loss entirely from the *approximation*.
+//    image, quality loss entirely from the *approximation*. It batches:
+//    one transform() call runs a whole 8-point pass with direct, inlined
+//    arithmetic.
 //  * TimedNetlistBackend — every operation is evaluated by the event-driven
 //    gate-level simulator on the synthesized component netlist with aged
 //    delays, and the *sampled-at-clock* (possibly wrong) result is returned.
@@ -14,11 +16,18 @@
 //    multiplier operand stream, used to extract application stimuli for
 //    actual-case aging characterization (paper Fig. 3c).
 //
+// Every backend but ExactBackend keeps the default transform(), which
+// issues the per-operation multiply/add stream in a fixed order: the timed
+// backends' simulator state after an operation depends on the operands of
+// the one before it.
+//
 // Composing per-component timed simulations at register boundaries is exact
 // for the paper's microarchitecture because every block is separated by
 // registers (see DESIGN.md Sec. 2).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -33,6 +42,12 @@ namespace aapx {
 /// Two's complement wrap of `v` to `bits` bits, returned sign-extended.
 std::int64_t wrap_signed(std::int64_t v, int bits);
 
+/// Points of one transform pass (the codec's 8-point DCT/IDCT rows).
+inline constexpr std::size_t kTransformPoints = 8;
+using TransformVector = std::array<std::int64_t, kTransformPoints>;
+/// Q(frac) coefficients, m[output][input].
+using TransformMatrix = std::array<TransformVector, kTransformPoints>;
+
 class ArithBackend {
  public:
   virtual ~ArithBackend() = default;
@@ -44,6 +59,15 @@ class ArithBackend {
   virtual std::int64_t add(std::int64_t a, std::int64_t b) = 0;
 
   virtual int width() const = 0;
+
+  /// One pass of the MAC datapath:
+  ///   y[o] = sum_i round(multiply(m[o][i], x[i]) >> frac_bits),
+  /// accumulated through add() from 0 in i order, outputs in o order. The
+  /// default issues exactly that multiply/add stream; an override must
+  /// return the same values. Throws std::invalid_argument unless
+  /// 0 < frac_bits < 63.
+  virtual TransformVector transform(const TransformMatrix& m,
+                                    const TransformVector& x, int frac_bits);
 };
 
 /// Deterministic approximation: truncation of operand LSBs, exact otherwise.
@@ -55,10 +79,16 @@ class ExactBackend final : public ArithBackend {
   std::int64_t add(std::int64_t a, std::int64_t b) override;
   int width() const override { return width_; }
 
+  /// The default loop instantiated on this final class: every multiply and
+  /// add is a direct, inlined call.
+  TransformVector transform(const TransformMatrix& m, const TransformVector& x,
+                            int frac_bits) override;
+
  private:
   int width_;
-  int mult_trunc_;
-  int add_trunc_;
+  int wrap_shift_;  ///< 64 - width: wraps an operand or a sum
+  std::uint64_t mult_mask_ = 0;  ///< clears the multiplier's truncated LSBs
+  std::uint64_t add_mask_ = 0;   ///< clears the adder's truncated LSBs
 };
 
 /// Range of output-bus bits a downstream consumer actually reads. A fixed-
@@ -75,7 +105,8 @@ struct ObservedWindow {
 /// Gate-accurate timed evaluation with timing-error capture.
 class TimedNetlistBackend final : public ArithBackend {
  public:
-  /// `mult` must expose buses a, b -> y; `adder` buses a, b -> y.
+  /// `mult` must expose buses a, b -> y; `adder` buses a, b -> y; both
+  /// must outlive the backend.
   /// `t_clock_ps` is the sampling clock; delays carry the aging. Every
   /// multiply and add first checks `cancel` (borrowed; nullptr = never
   /// cancelled) and throws CancelledError once it has tripped. Throws
@@ -105,10 +136,15 @@ class TimedNetlistBackend final : public ArithBackend {
   TimedSim& adder_sim() noexcept { return adder_sim_; }
 
  private:
-  const Netlist* mult_;
-  const Netlist* adder_;
   TimedSim mult_sim_;
   TimedSim adder_sim_;
+  // Buses resolved once: PI indices to stage, output nets to sample.
+  const std::vector<NetId> mult_a_;
+  const std::vector<NetId> mult_b_;
+  const std::vector<NetId>* mult_y_;
+  const std::vector<NetId> add_a_;
+  const std::vector<NetId> add_b_;
+  const std::vector<NetId>* add_y_;
   int width_;
   double t_clock_;
   ObservedWindow mult_window_;

@@ -6,14 +6,21 @@
 namespace aapx {
 namespace {
 
-std::array<std::array<std::int64_t, kDctBlock>, kDctBlock> make_coeff_table(
-    int frac_bits) {
-  std::array<std::array<std::int64_t, kDctBlock>, kDctBlock> coeff{};
+static_assert(kTransformPoints == kDctBlock,
+              "one transform pass is one row or column of a block");
+
+using Block = std::array<std::int64_t, kDctBlock * kDctBlock>;
+
+/// Q(frac_bits) basis c[k][n], or c[n][k] when `transposed` (the inverse).
+TransformMatrix make_coeff_table(int frac_bits, bool transposed) {
+  TransformMatrix coeff{};
   const double scale = static_cast<double>(std::int64_t{1} << frac_bits);
   for (int k = 0; k < kDctBlock; ++k) {
     for (int n = 0; n < kDctBlock; ++n) {
-      coeff[static_cast<std::size_t>(k)][static_cast<std::size_t>(n)] =
-          std::llround(dct_basis(k, n) * scale);
+      const std::int64_t c = std::llround(dct_basis(k, n) * scale);
+      const auto ks = static_cast<std::size_t>(k);
+      const auto ns = static_cast<std::size_t>(n);
+      (transposed ? coeff[ns][ks] : coeff[ks][ns]) = c;
     }
   }
   return coeff;
@@ -31,9 +38,23 @@ void check_config(const CodecConfig& cfg) {
   }
 }
 
-/// Product in Q(2*frac) -> Q(frac) with round-to-nearest.
-std::int64_t shift_product(std::int64_t p, int frac_bits) {
-  return (p + (std::int64_t{1} << (frac_bits - 1))) >> frac_bits;
+/// One 8-point pass over every row of `in`, each a single backend call,
+/// stored transposed: the second of two calls transforms the columns and
+/// restores the row-major layout.
+Block transform_rows(ArithBackend& backend, const TransformMatrix& m,
+                     const Block& in, int frac_bits) {
+  Block out{};
+  for (std::size_t row = 0; row < kTransformPoints; ++row) {
+    TransformVector v{};
+    for (std::size_t i = 0; i < kTransformPoints; ++i) {
+      v[i] = in[row * kTransformPoints + i];
+    }
+    const TransformVector t = backend.transform(m, v, frac_bits);
+    for (std::size_t i = 0; i < kTransformPoints; ++i) {
+      out[i * kTransformPoints + row] = t[i];
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -59,28 +80,13 @@ QuantizedImage encode_and_quantize(const Image& img, const CodecConfig& cfg) {
 }
 
 FixedPointIdct::FixedPointIdct(const CodecConfig& cfg, ArithBackend& backend)
-    : cfg_(cfg), backend_(&backend), coeff_(make_coeff_table(cfg.frac_bits)) {
+    : cfg_(cfg),
+      backend_(&backend),
+      inverse_(make_coeff_table(cfg.frac_bits, /*transposed=*/true)) {
   check_config(cfg);
   if (backend.width() != cfg.width) {
     throw std::invalid_argument("FixedPointIdct: backend width mismatch");
   }
-}
-
-std::array<std::int64_t, kDctBlock> FixedPointIdct::transform_vector(
-    const std::array<std::int64_t, kDctBlock>& x, bool inverse) const {
-  std::array<std::int64_t, kDctBlock> y{};
-  for (int out = 0; out < kDctBlock; ++out) {
-    std::int64_t acc = 0;
-    for (int in = 0; in < kDctBlock; ++in) {
-      const std::int64_t c =
-          inverse ? coeff_[static_cast<std::size_t>(in)][static_cast<std::size_t>(out)]
-                  : coeff_[static_cast<std::size_t>(out)][static_cast<std::size_t>(in)];
-      const std::int64_t p = backend_->multiply(c, x[static_cast<std::size_t>(in)]);
-      acc = backend_->add(acc, shift_product(p, cfg_.frac_bits));
-    }
-    y[static_cast<std::size_t>(out)] = acc;
-  }
-  return y;
 }
 
 std::array<std::int64_t, kDctBlock * kDctBlock> FixedPointIdct::decode_block(
@@ -88,34 +94,14 @@ std::array<std::int64_t, kDctBlock * kDctBlock> FixedPointIdct::decode_block(
   const std::int64_t step_q =
       std::llround(cfg_.quant_step *
                    static_cast<double>(std::int64_t{1} << cfg_.frac_bits));
-  std::array<std::int64_t, kDctBlock * kDctBlock> data{};
+  Block data{};
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::int64_t>(levels[i]) * step_q;  // dequantize, Q(frac)
   }
   // Rows, then columns (operating on the transposed intermediate).
-  std::array<std::int64_t, kDctBlock * kDctBlock> tmp{};
-  for (int row = 0; row < kDctBlock; ++row) {
-    std::array<std::int64_t, kDctBlock> v{};
-    for (int i = 0; i < kDctBlock; ++i) v[static_cast<std::size_t>(i)] =
-        data[static_cast<std::size_t>(row * kDctBlock + i)];
-    const auto t = transform_vector(v, true);
-    for (int i = 0; i < kDctBlock; ++i) {
-      tmp[static_cast<std::size_t>(i * kDctBlock + row)] =
-          t[static_cast<std::size_t>(i)];  // store transposed
-    }
-  }
-  std::array<std::int64_t, kDctBlock * kDctBlock> out{};
-  for (int row = 0; row < kDctBlock; ++row) {
-    std::array<std::int64_t, kDctBlock> v{};
-    for (int i = 0; i < kDctBlock; ++i) v[static_cast<std::size_t>(i)] =
-        tmp[static_cast<std::size_t>(row * kDctBlock + i)];
-    const auto t = transform_vector(v, true);
-    for (int i = 0; i < kDctBlock; ++i) {
-      out[static_cast<std::size_t>(i * kDctBlock + row)] =
-          t[static_cast<std::size_t>(i)];  // transpose back
-    }
-  }
-  return out;
+  return transform_rows(*backend_, inverse_,
+                        transform_rows(*backend_, inverse_, data, cfg_.frac_bits),
+                        cfg_.frac_bits);
 }
 
 Image FixedPointIdct::decode(const QuantizedImage& q) const {
@@ -146,27 +132,13 @@ Image FixedPointIdct::decode(const QuantizedImage& q) const {
 }
 
 FixedPointDct::FixedPointDct(const CodecConfig& cfg, ArithBackend& backend)
-    : cfg_(cfg), backend_(&backend), coeff_(make_coeff_table(cfg.frac_bits)) {
+    : cfg_(cfg),
+      backend_(&backend),
+      coeff_(make_coeff_table(cfg.frac_bits, /*transposed=*/false)) {
   check_config(cfg);
   if (backend.width() != cfg.width) {
     throw std::invalid_argument("FixedPointDct: backend width mismatch");
   }
-}
-
-std::array<std::int64_t, kDctBlock> FixedPointDct::transform_vector(
-    const std::array<std::int64_t, kDctBlock>& x) const {
-  std::array<std::int64_t, kDctBlock> y{};
-  for (int k = 0; k < kDctBlock; ++k) {
-    std::int64_t acc = 0;
-    for (int n = 0; n < kDctBlock; ++n) {
-      const std::int64_t p = backend_->multiply(
-          coeff_[static_cast<std::size_t>(k)][static_cast<std::size_t>(n)],
-          x[static_cast<std::size_t>(n)]);
-      acc = backend_->add(acc, shift_product(p, cfg_.frac_bits));
-    }
-    y[static_cast<std::size_t>(k)] = acc;
-  }
-  return y;
 }
 
 QuantizedImage FixedPointDct::encode(const Image& img) const {
@@ -180,7 +152,7 @@ QuantizedImage FixedPointDct::encode(const Image& img) const {
       cfg_.quant_step * static_cast<double>(std::int64_t{1} << cfg_.frac_bits);
   for (int by = 0; by < q.blocks_y; ++by) {
     for (int bx = 0; bx < q.blocks_x; ++bx) {
-      std::array<std::int64_t, kDctBlock * kDctBlock> data{};
+      Block data{};
       for (int y = 0; y < kDctBlock; ++y) {
         for (int x = 0; x < kDctBlock; ++x) {
           const int px = std::min(bx * kDctBlock + x, img.width() - 1);
@@ -191,28 +163,13 @@ QuantizedImage FixedPointDct::encode(const Image& img) const {
         }
       }
       // Rows then columns, as in the inverse path.
-      std::array<std::int64_t, kDctBlock * kDctBlock> tmp{};
-      for (int row = 0; row < kDctBlock; ++row) {
-        std::array<std::int64_t, kDctBlock> v{};
-        for (int i = 0; i < kDctBlock; ++i) v[static_cast<std::size_t>(i)] =
-            data[static_cast<std::size_t>(row * kDctBlock + i)];
-        const auto t = transform_vector(v);
-        for (int i = 0; i < kDctBlock; ++i) {
-          tmp[static_cast<std::size_t>(i * kDctBlock + row)] =
-              t[static_cast<std::size_t>(i)];
-        }
-      }
+      const Block t = transform_rows(
+          *backend_, coeff_, transform_rows(*backend_, coeff_, data, cfg_.frac_bits),
+          cfg_.frac_bits);
       std::array<std::int32_t, kDctBlock * kDctBlock> levels{};
-      for (int row = 0; row < kDctBlock; ++row) {
-        std::array<std::int64_t, kDctBlock> v{};
-        for (int i = 0; i < kDctBlock; ++i) v[static_cast<std::size_t>(i)] =
-            tmp[static_cast<std::size_t>(row * kDctBlock + i)];
-        const auto t = transform_vector(v);
-        for (int i = 0; i < kDctBlock; ++i) {
-          levels[static_cast<std::size_t>(i * kDctBlock + row)] =
-              static_cast<std::int32_t>(std::llround(
-                  static_cast<double>(t[static_cast<std::size_t>(i)]) / denom));
-        }
+      for (std::size_t i = 0; i < levels.size(); ++i) {
+        levels[i] = static_cast<std::int32_t>(
+            std::llround(static_cast<double>(t[i]) / denom));
       }
       q.blocks.push_back(levels);
     }

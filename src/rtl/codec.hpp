@@ -41,7 +41,8 @@ struct QuantizedImage {
 QuantizedImage encode_and_quantize(const Image& img, const CodecConfig& cfg);
 
 /// Fixed-point 2-D IDCT microarchitecture; all multiplies and adds go
-/// through the backend (exact-approximate or gate-timed).
+/// through the backend (exact-approximate or gate-timed), one
+/// ArithBackend::transform call per 8-point row or column pass.
 class FixedPointIdct {
  public:
   FixedPointIdct(const CodecConfig& cfg, ArithBackend& backend);
@@ -54,13 +55,10 @@ class FixedPointIdct {
       const std::array<std::int32_t, kDctBlock * kDctBlock>& levels) const;
 
  private:
-  std::array<std::int64_t, kDctBlock> transform_vector(
-      const std::array<std::int64_t, kDctBlock>& x, bool inverse) const;
-
   CodecConfig cfg_;
   ArithBackend* backend_;
-  /// Q(frac_bits) basis coefficients c[k][n].
-  std::array<std::array<std::int64_t, kDctBlock>, kDctBlock> coeff_;
+  /// Q(frac_bits) transposed basis: inverse_[n][k] = c[k][n].
+  TransformMatrix inverse_;
 };
 
 /// Fixed-point forward DCT through a backend (used to age the encoder in the
@@ -72,12 +70,10 @@ class FixedPointDct {
   QuantizedImage encode(const Image& img) const;
 
  private:
-  std::array<std::int64_t, kDctBlock> transform_vector(
-      const std::array<std::int64_t, kDctBlock>& x) const;
-
   CodecConfig cfg_;
   ArithBackend* backend_;
-  std::array<std::array<std::int64_t, kDctBlock>, kDctBlock> coeff_;
+  /// Q(frac_bits) basis coefficients c[k][n].
+  TransformMatrix coeff_;
 };
 
 }  // namespace aapx

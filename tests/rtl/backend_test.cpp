@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "approx/error_bounds.hpp"
+#include "image/synthetic.hpp"
+#include "rtl/codec.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 #include "util/rng.hpp"
@@ -38,6 +42,44 @@ TEST(ExactBackendTest, TruncationErrorWithinBound) {
     const std::int64_t a = rng.next_int(-32768, 32767);
     const std::int64_t b = rng.next_int(-32768, 32767);
     EXPECT_LE(std::llabs(a * b - be.multiply(a, b)), bound);
+  }
+}
+
+/// An in-width value, an arbitrary 64-bit pattern or an int64 extreme.
+std::int64_t any_operand(Rng& rng, int width) {
+  switch (rng.next_below(4)) {
+    case 0:
+      return static_cast<std::int64_t>(rng.next_u64());
+    case 1:
+      return rng.next_bool() ? std::numeric_limits<std::int64_t>::min()
+                             : std::numeric_limits<std::int64_t>::max();
+    default: {
+      const std::int64_t half = std::int64_t{1} << (width - 1);
+      return rng.next_int(-half, half - 1);
+    }
+  }
+}
+
+TEST(ExactBackendTest, MatchesWrapThenTruncateReference) {
+  // The reference composition: wrap each operand to the width, clear its
+  // truncated LSBs, then wrap the result to the product or sum width.
+  Rng rng(6);
+  for (const int width : {2, 9, 16, 31, 32}) {
+    for (const int k : {0, 1, width - 1}) {
+      ExactBackend be(width, k, k);
+      const auto operand = [&](std::int64_t v) {
+        return truncate_lsbs(wrap_signed(v, width), k);
+      };
+      for (int i = 0; i < 2000; ++i) {
+        const std::int64_t a = any_operand(rng, width);
+        const std::int64_t b = any_operand(rng, width);
+        ASSERT_EQ(be.multiply(a, b),
+                  wrap_signed(operand(a) * operand(b), 2 * width))
+            << "width " << width << " k " << k << ": " << a << " * " << b;
+        ASSERT_EQ(be.add(a, b), wrap_signed(operand(a) + operand(b), width))
+            << "width " << width << " k " << k << ": " << a << " + " << b;
+      }
+    }
   }
 }
 
@@ -153,6 +195,57 @@ TEST_F(TimedBackendTest, TrippedCancelTokenStopsEveryOperation) {
   EXPECT_THROW(watched.add(3, -5), CancelledError);
   EXPECT_EQ(unwatched.multiply(3, -5), -15);
   EXPECT_EQ(unwatched.add(3, -5), -2);
+}
+
+TEST(ArithBackendTest, ExactTransformMatchesPerOpStream) {
+  Rng rng(19);
+  for (const int width : {9, 12, 16, 24, 31, 32}) {
+    for (const int mult_trunc : {0, 3, width - 1}) {
+      for (const int add_trunc : {0, 3, width - 1}) {
+        ExactBackend batched(width, mult_trunc, add_trunc);
+        ExactBackend inner(width, mult_trunc, add_trunc);
+        // Overrides only multiply/add/width: takes the base transform().
+        RecordingBackend per_op(inner);
+        for (const int frac : {1, 7, 14, width - 3}) {
+          for (int trial = 0; trial < 8; ++trial) {
+            TransformMatrix m{};
+            TransformVector x{};
+            for (auto& row : m) {
+              for (auto& c : row) c = any_operand(rng, width);
+            }
+            for (auto& v : x) v = any_operand(rng, width);
+            ASSERT_EQ(batched.transform(m, x, frac), per_op.transform(m, x, frac))
+                << "width " << width << " trunc " << mult_trunc << "/"
+                << add_trunc << " frac " << frac << " trial " << trial;
+          }
+        }
+      }
+    }
+  }
+  ExactBackend be(16, 0, 0);
+  EXPECT_THROW(be.transform({}, {}, 0), std::invalid_argument);
+  EXPECT_THROW(be.transform({}, {}, 63), std::invalid_argument);
+
+  // Codec level: every sequence, edge blocks included (52x44 is not a
+  // multiple of 8), encodes to the same levels and decodes to the same
+  // pixels through either path.
+  CodecConfig cfg;
+  cfg.frac_bits = 7;
+  ExactBackend batched(cfg.width, 3, 2);
+  ExactBackend inner(cfg.width, 3, 2);
+  for (const auto& name : video_trace_names()) {
+    RecordingBackend per_op(inner);
+    const Image img = make_video_trace_frame(name, 52, 44);
+    const QuantizedImage q = FixedPointDct(cfg, batched).encode(img);
+    ASSERT_EQ(q.blocks, FixedPointDct(cfg, per_op).encode(img).blocks) << name;
+    const Image a = FixedPointIdct(cfg, batched).decode(q);
+    const Image b = FixedPointIdct(cfg, per_op).decode(q);
+    for (int y = 0; y < img.height(); ++y) {
+      for (int x = 0; x < img.width(); ++x) {
+        ASSERT_EQ(a.at(x, y), b.at(x, y)) << name << " at " << x << "," << y;
+      }
+    }
+  }
 }
 
 TEST(RecordingBackendTest, RecordsMultiplyOperands) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "image/synthetic.hpp"
 
 namespace aapx {
@@ -139,6 +143,85 @@ TEST(CodecTest, DecodeBlockDcOnly) {
   const double expect = 200.0 / 8.0;
   for (const std::int64_t v : spatial) {
     EXPECT_NEAR(static_cast<double>(v) / (1 << cfg.frac_bits), expect, 0.5);
+  }
+}
+
+using OperandPairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+using Block = std::array<std::int64_t, kDctBlock * kDctBlock>;
+
+/// Row-then-column transform of one block as the datapath must issue it:
+/// each pass walks the block's rows, each row's outputs in order, each
+/// output's MAC over the inputs in order. The forward DCT reads c[out][in],
+/// the IDCT c[in][out]. Records every operand pair and returns the block in
+/// the codec's layout (each pass stores its result transposed).
+Block expected_stream(ExactBackend& be, const Block& data, bool inverse,
+                      int frac, OperandPairs& mults, OperandPairs& adds) {
+  const double scale = static_cast<double>(std::int64_t{1} << frac);
+  const auto c = [&](int k, int n) { return std::llround(dct_basis(k, n) * scale); };
+  const std::int64_t half = std::int64_t{1} << (frac - 1);
+  Block cur = data;
+  for (int pass = 0; pass < 2; ++pass) {
+    Block next{};
+    for (int row = 0; row < kDctBlock; ++row) {
+      for (int out = 0; out < kDctBlock; ++out) {
+        std::int64_t acc = 0;
+        for (int in = 0; in < kDctBlock; ++in) {
+          const std::int64_t coeff = inverse ? c(in, out) : c(out, in);
+          const std::int64_t x = cur[static_cast<std::size_t>(row * kDctBlock + in)];
+          mults.emplace_back(coeff, x);
+          const std::int64_t term = (be.multiply(coeff, x) + half) >> frac;
+          adds.emplace_back(acc, term);
+          acc = be.add(acc, term);
+        }
+        next[static_cast<std::size_t>(out * kDctBlock + row)] = acc;
+      }
+    }
+    cur = next;
+  }
+  return cur;
+}
+
+TEST(CodecTest, PerOpBackendsSeeTheSameStream) {
+  // A per-operation backend (the timed ones, whose simulator state follows
+  // the operand order) must see exactly the stream built here.
+  const CodecConfig cfg = bench_config();
+  ExactBackend inner(cfg.width, 3, 0);
+  RecordingBackend rec(inner);
+  const Image img = make_video_trace_frame("foreman", 16, 16);
+  const QuantizedImage q = FixedPointDct(cfg, rec).encode(img);
+  FixedPointIdct(cfg, rec).decode(q);
+
+  ExactBackend ref(cfg.width, 3, 0);
+  OperandPairs mults;
+  OperandPairs adds;
+  const std::int64_t step_q = std::llround(cfg.quant_step * (1 << cfg.frac_bits));
+  for (int by = 0; by < 2; ++by) {
+    for (int bx = 0; bx < 2; ++bx) {
+      Block data{};
+      for (int y = 0; y < kDctBlock; ++y) {
+        for (int x = 0; x < kDctBlock; ++x) {
+          data[static_cast<std::size_t>(y * kDctBlock + x)] =
+              (static_cast<std::int64_t>(img.at(bx * kDctBlock + x, by * kDctBlock + y)) -
+               128)
+              << cfg.frac_bits;
+        }
+      }
+      expected_stream(ref, data, /*inverse=*/false, cfg.frac_bits, mults, adds);
+    }
+  }
+  ASSERT_EQ(q.blocks.size(), 4u);
+  for (const auto& levels : q.blocks) {
+    Block data{};
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = levels[i] * step_q;
+    expected_stream(ref, data, /*inverse=*/true, cfg.frac_bits, mults, adds);
+  }
+
+  ASSERT_EQ(rec.mult_ops().size(), 2u * 4u * 2u * 64u * 8u);
+  ASSERT_EQ(rec.mult_ops().size(), mults.size());
+  ASSERT_EQ(rec.add_ops().size(), adds.size());
+  for (std::size_t i = 0; i < mults.size(); ++i) {
+    ASSERT_EQ(rec.mult_ops()[i], mults[i]) << "multiply " << i;
+    ASSERT_EQ(rec.add_ops()[i], adds[i]) << "add " << i;
   }
 }
 
