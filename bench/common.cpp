@@ -14,10 +14,8 @@
 #include "engine/cancel.hpp"
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
-#include "gatesim/timedsim.hpp"
 #include "image/synthetic.hpp"
 #include "obs/metrics.hpp"
-#include "util/parallel.hpp"
 
 namespace aapx::bench {
 
@@ -216,41 +214,14 @@ Sta::GateDelays scenario_delays(const Config& cfg, const Netlist& nl,
   return sta.gate_delays(&aged, &stress);
 }
 
-namespace {
-
-/// Bus name -> net list, resolved once per simulation loop.
-/// Per-bus PI indices for TimedSim::stage_resolved (hoists the per-bit
-/// net-to-PI lookups out of the per-vector loop).
-std::vector<std::vector<NetId>> resolve_stage_buses(const TimedSim& sim,
-                                                    const Netlist& nl,
-                                                    const StimulusSet& stim) {
-  std::vector<std::vector<NetId>> resolved;
-  resolved.reserve(stim.buses.size());
-  for (const auto& bus : stim.buses) {
-    resolved.push_back(sim.resolve_stage(nl.input_bus(bus)));
-  }
-  return resolved;
-}
-
-void apply_row(TimedSim& sim, const std::vector<std::vector<NetId>>& bus_pis,
-               const std::vector<std::uint64_t>& row) {
-  for (std::size_t b = 0; b < bus_pis.size(); ++b) {
-    sim.stage_resolved(bus_pis[b], row[b]);
-  }
-}
-
-}  // namespace
-
 double bin_fresh_clock(const Config& cfg, const Netlist& nl,
                        const StimulusSet& stimulus, DelayModel model) {
-  TimedSim sim(nl, scenario_delays(cfg, nl, AgingScenario::fresh()), model);
-  const auto bus_pis = resolve_stage_buses(sim, nl, stimulus);
+  const std::vector<TimedOutcome> outcomes = replay_timed(
+      bench_context(), nl, scenario_delays(cfg, nl, AgingScenario::fresh()),
+      model, stimulus, 1e12);
   double t_clock = 0.0;
-  for (const auto& row : stimulus.vectors) {
-    bench_context().check_cancelled("bench.bin_clock");
-    apply_row(sim, bus_pis, row);
-    sim.step_staged(1e12);
-    t_clock = std::max(t_clock, sim.last_output_settle_time());
+  for (const TimedOutcome& out : outcomes) {
+    t_clock = std::max(t_clock, out.output_settle_ps);
   }
   return t_clock;
 }
@@ -259,14 +230,11 @@ double measure_error_rate(const Config& cfg, const Netlist& nl,
                           const StimulusSet& stimulus,
                           const AgingScenario& scenario, double t_clock,
                           DelayModel model) {
-  TimedSim sim(nl, scenario_delays(cfg, nl, scenario), model);
-  const auto bus_pis = resolve_stage_buses(sim, nl, stimulus);
+  const std::vector<TimedOutcome> outcomes =
+      replay_timed(bench_context(), nl, scenario_delays(cfg, nl, scenario),
+                   model, stimulus, t_clock);
   std::size_t errors = 0;
-  for (const auto& row : stimulus.vectors) {
-    bench_context().check_cancelled("bench.error_rate");
-    apply_row(sim, bus_pis, row);
-    if (sim.step_staged(t_clock)) ++errors;
-  }
+  for (const TimedOutcome& out : outcomes) errors += out.error ? 1 : 0;
   return static_cast<double>(errors) /
          static_cast<double>(stimulus.vectors.size());
 }

@@ -7,32 +7,38 @@
 // paths, see EXPERIMENTS.md) while the event-driven gate-level simulator
 // applies 10^6-scale normally distributed operand pairs through aged delays.
 // An operation errs when the value sampled at the clock edge differs from
-// the settled value.
+// the settled value. Every replay is chunked over the bench Context's
+// workers (replay_timed), bit-identical to one serial pass.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common.hpp"
-#include "gatesim/timedsim.hpp"
 
 using namespace aapx;
 using namespace aapx::bench;
 
 namespace {
 
-void run_component(const Config& cfg, const ComponentSpec& spec, double sigma,
-                   std::size_t vectors, const char* paper_row) {
+void run_component(BenchJson& bench_json, const Config& cfg,
+                   const ComponentSpec& spec, double sigma, std::size_t vectors,
+                   const char* paper_row) {
   const Netlist nl = make_component(bench_context(), cfg.lib, spec);
   const StimulusSet stim = make_normal_stimulus(spec.width, vectors, 42, sigma);
   const double t_clock =
       bin_fresh_clock(cfg, nl, stim, DelayModel::inertial);
   const double fresh_err = measure_error_rate(
       cfg, nl, stim, AgingScenario::fresh(), t_clock, DelayModel::inertial);
+  const std::string component = paper_row;
+  bench_json.metric("vectors_" + component, static_cast<double>(vectors));
+  bench_json.metric("t_clock_ps_" + component, t_clock);
+  bench_json.metric("err_pct_" + component + "_fresh", fresh_err * 100.0);
 
   TextTable table({"scenario", "errors [%]", "paper [%]"});
   table.add_row({"noAging (sanity)", TextTable::num(fresh_err * 100.0, 2), "0"});
   const char* paper_vals[4] = {nullptr, nullptr, nullptr, nullptr};
   // Paper Fig. 1 approximate bar heights.
-  if (std::string(paper_row) == "adder") {
+  if (component == "adder") {
     paper_vals[0] = "~12";
     paper_vals[1] = "~15";
     paper_vals[2] = "20";
@@ -47,6 +53,10 @@ void run_component(const Config& cfg, const ComponentSpec& spec, double sigma,
   for (const AgingScenario& s : cfg.corners()) {
     const double err =
         measure_error_rate(cfg, nl, stim, s, t_clock, DelayModel::inertial);
+    const std::string scenario =
+        to_string(s.mode) + "_" + std::to_string(static_cast<int>(s.years));
+    bench_json.metric("err_pct_" + component + "_" + scenario + "y",
+                      err * 100.0);
     table.add_row({s.label(), TextTable::num(err * 100.0, 2), paper_vals[idx]});
     ++idx;
   }
@@ -67,10 +77,10 @@ int run(int argc, char** argv) {
   BenchJson bench_json("fig1_component_errors", argc, argv);
   Config cfg;
   const bool fast = fast_mode(argc, argv);
-  run_component(cfg, cfg.adder32(), cfg.adder_sigma, fast ? 1200 : 6000,
-                "adder");
-  run_component(cfg, cfg.mult32(), cfg.mult_sigma, fast ? 300 : 2000,
-                "multiplier");
+  run_component(bench_json, cfg, cfg.adder32(), cfg.adder_sigma,
+                fast ? 1200 : 6000, "adder");
+  run_component(bench_json, cfg, cfg.mult32(), cfg.mult_sigma,
+                fast ? 300 : 2000, "multiplier");
   return 0;
 }
 

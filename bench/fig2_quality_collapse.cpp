@@ -8,8 +8,10 @@
 // product window [frac, frac+32) that actually reaches the accumulator
 // register. Aged delays then make individual multiplications sample stale
 // values: rare but catastrophic (nondeterministic) errors that wreck PSNR.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <string>
 
 #include "common.hpp"
@@ -71,27 +73,42 @@ int run(int argc, char** argv) {
       {{StressMode::balanced, 1.0}, "18.5", "balanced_1y"},
       {{StressMode::balanced, 10.0}, "8.4", "balanced_10y"},
   };
-  for (const auto& row : rows) {
-    TimedNetlistBackend be(mult, scenario_delays(cfg, mult, row.scenario),
-                           adder, scenario_delays(cfg, adder, row.scenario),
-                           codec.width, t_clock, DelayModel::transport, window,
+  // The aged passes share only t_clock and the netlists, so they run at the
+  // same time; fields and rows are written afterwards in row order.
+  struct RowResult {
+    double psnr = 0.0;
+    std::uint64_t mult_errors = 0, add_errors = 0, mult_ops = 0, events = 0;
+  };
+  RowResult results[std::size(rows)];
+  bench_context().parallel_for(std::size(rows), [&](std::size_t i) {
+    const AgingScenario& scenario = rows[i].scenario;
+    TimedNetlistBackend be(mult, scenario_delays(cfg, mult, scenario), adder,
+                           scenario_delays(cfg, adder, scenario), codec.width,
+                           t_clock, DelayModel::transport, window,
                            bench_context().cancel_token());
     FixedPointDct dct(codec, be);
     FixedPointIdct idct(codec, be);
     const Image out = idct.decode(dct.encode(img));
-    const double row_psnr = psnr(img, out);
-    const std::string key = row.key;
-    bench_json.metric("psnr_" + key + "_db", row_psnr);
-    bench_json.metric("mult_errors_" + key,
-                      static_cast<double>(be.mult_errors()));
-    bench_json.metric("add_errors_" + key, static_cast<double>(be.add_errors()));
-    bench_json.add_events(be.mult_sim().events_processed() +
-                          be.adder_sim().events_processed());
-    table.add_row({row.scenario.label(), TextTable::num(row_psnr, 1),
-                   TextTable::num(100.0 * static_cast<double>(be.mult_errors()) /
-                                      static_cast<double>(be.mult_ops()),
+    RowResult& r = results[i];
+    r.psnr = psnr(img, out);
+    r.mult_errors = be.mult_errors();
+    r.add_errors = be.add_errors();
+    r.mult_ops = be.mult_ops();
+    r.events = be.mult_sim().events_processed() +
+               be.adder_sim().events_processed();
+  });
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const RowResult& r = results[i];
+    const std::string key = rows[i].key;
+    bench_json.metric("psnr_" + key + "_db", r.psnr);
+    bench_json.metric("mult_errors_" + key, static_cast<double>(r.mult_errors));
+    bench_json.metric("add_errors_" + key, static_cast<double>(r.add_errors));
+    bench_json.add_events(r.events);
+    table.add_row({rows[i].scenario.label(), TextTable::num(r.psnr, 1),
+                   TextTable::num(100.0 * static_cast<double>(r.mult_errors) /
+                                      static_cast<double>(r.mult_ops),
                                   2),
-                   row.paper});
+                   rows[i].paper});
   }
   std::printf("binned t_clock = %.0f ps over consumed product bits [%d, %d)\n",
               t_clock, window.lo, window.lo + window.count);

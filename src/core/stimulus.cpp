@@ -1,9 +1,11 @@
 #include "core/stimulus.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
 
+#include "engine/context.hpp"
 #include "gatesim/funcsim.hpp"
 #include "gatesim/packedsim.hpp"
 #include "util/parallel.hpp"
@@ -235,6 +237,48 @@ std::vector<double> measure_gate_duty(const Netlist& nl,
     duty[g] = static_cast<double>(high) / static_cast<double>(n_vectors);
   }
   return duty;
+}
+
+std::vector<TimedOutcome> replay_timed(const Context& ctx, const Netlist& nl,
+                                       const Sta::GateDelays& delays,
+                                       DelayModel model,
+                                       const StimulusSet& stimulus,
+                                       double t_clock_ps) {
+  for (const auto& row : stimulus.vectors) {
+    if (row.size() != stimulus.buses.size()) {
+      throw std::invalid_argument("replay_timed: ragged stimulus");
+    }
+  }
+  const std::size_t n_rows = stimulus.vectors.size();
+  const std::size_t n_chunks =
+      std::min(n_rows, static_cast<std::size_t>(ctx.num_threads()));
+  std::vector<TimedOutcome> outcomes(n_rows);
+  ctx.parallel_for(n_chunks, [&](std::size_t chunk) {
+    const std::size_t begin = n_rows * chunk / n_chunks;
+    const std::size_t end = n_rows * (chunk + 1) / n_chunks;
+    TimedSim sim(nl, delays, model);
+    std::vector<std::vector<NetId>> bus_pis;
+    bus_pis.reserve(stimulus.buses.size());
+    for (const auto& bus : stimulus.buses) {
+      bus_pis.push_back(sim.resolve_stage(nl.input_bus(bus)));
+    }
+    const auto stage = [&](const std::vector<std::uint64_t>& row) {
+      for (std::size_t b = 0; b < bus_pis.size(); ++b) {
+        sim.stage_resolved(bus_pis[b], row[b]);
+      }
+    };
+    if (begin > 0) {
+      stage(stimulus.vectors[begin - 1]);
+      sim.reset_staged();
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      ctx.check_cancelled("timed.replay");
+      stage(stimulus.vectors[i]);
+      outcomes[i].error = sim.step_staged(t_clock_ps);
+      outcomes[i].output_settle_ps = sim.last_output_settle_time();
+    }
+  });
+  return outcomes;
 }
 
 std::vector<double> measure_gate_activity(const Netlist& nl,

@@ -18,6 +18,8 @@
 
 namespace aapx {
 
+class Context;
+
 struct StimulusSet {
   std::vector<std::string> buses;                   ///< e.g. {"a", "b"}
   std::vector<std::vector<std::uint64_t>> vectors;  ///< one value per bus
@@ -85,6 +87,34 @@ StimulusSet stimulus_from_operand_pairs(
 std::vector<double> measure_gate_duty(const Netlist& nl,
                                       const StimulusSet& stimulus,
                                       int threads = 0);
+
+/// Outcome of one vector of a timed replay.
+struct TimedOutcome {
+  /// A primary output sampled at the clock differs from its settled value.
+  bool error = false;
+  /// Time of the last primary-output change of the step.
+  double output_settle_ps = 0.0;
+};
+
+/// Replays the stimulus in order through event-driven timed simulation of
+/// `nl` under `delays`, sampled at `t_clock_ps`, and returns one outcome per
+/// vector — bit-identical to the serial loop `TimedSim sim(nl, delays,
+/// model); for each row: stage its buses, step_staged(t_clock_ps)`, and so
+/// are the summed events and steps the sims flush into obs::metrics().
+///
+/// TimedSim::step always simulates to quiescence, so the state before
+/// vector i is the settled state of vector i - 1. The rows are cut into at
+/// most ctx.num_threads() contiguous chunks run on ctx.parallel_for, each on
+/// its own TimedSim: chunk 0 starts from reset(), chunk k from the settled
+/// state of the row just before it (TimedSim::reset_staged). A 1-thread
+/// Context runs one chunk, the serial loop itself. Rejects ragged rows;
+/// checks ctx's cancel token once per step, and a CancelledError thrown on
+/// a worker reaches the caller.
+std::vector<TimedOutcome> replay_timed(const Context& ctx, const Netlist& nl,
+                                       const Sta::GateDelays& delays,
+                                       DelayModel model,
+                                       const StimulusSet& stimulus,
+                                       double t_clock_ps);
 
 /// Replays the stimulus *in order* through a zero-delay simulation and
 /// returns per-gate toggle activities: settled output transitions between

@@ -57,6 +57,9 @@ class TimedSim {
   void reset(const std::vector<char>& pi_values);
   /// Convenience reset with all inputs low.
   void reset();
+  /// reset() from the staged vector (see stage_bus): a settled start at the
+  /// inputs a serial run would hold before its next step.
+  void reset_staged() { reset(staged_pi_); }
 
   /// Applies a new input vector at t=0, simulates to quiescence, and samples
   /// every net at `t_clock_ps`. Returns true if any primary output sampled a

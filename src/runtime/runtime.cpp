@@ -148,9 +148,8 @@ class RuntimeHooks final : public DegradationController::VerifyHooks {
   BurstResult burst(int precision) override {
     const RuntimeOptions& opt = runtime_.options();
     const Netlist& nl = runtime_.netlist_for(precision);
-    TimedSim sim(nl, faults_.true_delays(nl, opt.stress, years_, opt.sta),
-                 opt.delay_model);
-    sim.reset();
+    const Sta::GateDelays delays =
+        faults_.true_delays(nl, opt.stress, years_, opt.sta);
     const double t_clock = runtime_.schedule().timing_constraint;
     // A dedicated seed stream: verification vectors differ from the epoch
     // workload so a commit is not tuned to the traffic that tripped it.
@@ -159,20 +158,14 @@ class RuntimeHooks final : public DegradationController::VerifyHooks {
                                static_cast<std::uint64_t>(precision);
     const StimulusSet stim =
         runtime_.make_stimulus(campaign_.verify_vectors, seed);
-    std::vector<std::vector<NetId>> bus_pis;
-    for (const auto& bus : stim.buses) {
-      bus_pis.push_back(sim.resolve_stage(nl.input_bus(bus)));
-    }
+    const std::vector<TimedOutcome> outcomes = replay_timed(
+        runtime_.context(), nl, delays, opt.delay_model, stim, t_clock);
     BurstResult result;
-    for (const auto& row : stim.vectors) {
-      for (std::size_t b = 0; b < bus_pis.size(); ++b) {
-        sim.stage_resolved(bus_pis[b], row[b]);
-      }
-      const bool error = sim.step_staged(t_clock);
-      const double settle = sim.last_output_settle_time();
+    for (const TimedOutcome& out : outcomes) {
       ++result.vectors;
-      if (error) ++result.errors;
-      if (error || settle > campaign_.monitor.canary_margin * t_clock) {
+      if (out.error) ++result.errors;
+      if (out.error ||
+          out.output_settle_ps > campaign_.monitor.canary_margin * t_clock) {
         ++result.canary_hits;
       }
     }
@@ -264,34 +257,28 @@ CampaignResult ClosedLoopRuntime::run(const FaultInjector& faults,
     }
 
     const Netlist& nl = netlist_for(precision);
-    TimedSim sim(nl,
-                 faults.true_delays(nl, options_.stress, years, options_.sta),
-                 options_.delay_model);
-    sim.reset();
+    const Sta::GateDelays delays =
+        faults.true_delays(nl, options_.stress, years, options_.sta);
     const StimulusSet stim =
         make_stimulus(campaign.vectors_per_epoch, campaign.stimulus_seed + e);
-    std::vector<std::vector<NetId>> bus_pis;
-    for (const auto& bus : stim.buses) {
-      bus_pis.push_back(sim.resolve_stage(nl.input_bus(bus)));
-    }
 
     EpochReport report;
     report.epoch = e;
     report.years = years;
     report.precision = precision;
-    for (const auto& row : stim.vectors) {
-      for (std::size_t b = 0; b < bus_pis.size(); ++b) {
-        sim.stage_resolved(bus_pis[b], row[b]);
-      }
-      const bool error = sim.step_staged(t_clock);
-      const double settle = sim.last_output_settle_time();
+    // The replay fans out over the Context's workers; the monitor records
+    // every vector in stream order here on the spine.
+    const std::vector<TimedOutcome> outcomes =
+        replay_timed(*ctx_, nl, delays, options_.delay_model, stim, t_clock);
+    for (const TimedOutcome& out : outcomes) {
+      const double settle = out.output_settle_ps;
       ++report.vectors;
-      if (error) ++report.errors;
-      if (error || settle > campaign.monitor.canary_margin * t_clock) {
+      if (out.error) ++report.errors;
+      if (out.error || settle > campaign.monitor.canary_margin * t_clock) {
         ++report.canary_hits;
       }
       report.max_settle_ps = std::max(report.max_settle_ps, settle);
-      if (campaign.closed_loop) monitor.record(error, settle, t_clock);
+      if (campaign.closed_loop) monitor.record(out.error, settle, t_clock);
     }
 
     bool failover_now = false;

@@ -9,16 +9,27 @@
 // one applied, and the sample is a snapshot taken just before the first
 // event later than the clock. After every step, every observable of the two
 // simulators must agree exactly.
+//
+// TimedReplayTest then holds the chunked stream primitive replay_timed to
+// the plain serial TimedSim loop on the same generators: per-vector error
+// flags and output settle times, and the summed events and steps, at every
+// thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cell/degradation.hpp"
+#include "core/stimulus.hpp"
+#include "engine/cancel.hpp"
+#include "engine/context.hpp"
 #include "gatesim/timedsim.hpp"
+#include "obs/metrics.hpp"
 #include "synth/components.hpp"
 #include "util/rng.hpp"
 
@@ -234,12 +245,12 @@ Sta::GateDelays jittered(const Sta::GateDelays& base, Rng& rng) {
   return d;
 }
 
-TEST(TimedSimOracleTest, MatchesNaiveSimulatorOnEveryGenerator) {
-  const CellLibrary lib = make_nangate45_like();
-  const DegradationAwareLibrary aged(lib, AgingModel{}, 10.0);
+/// Every component generator and approximation technique, small enough for
+/// the naive oracle.
+std::vector<ComponentSpec> oracle_specs() {
   using K = ComponentKind;
   using T = ApproxTechnique;
-  const std::vector<ComponentSpec> specs = {
+  return {
       {K::adder, 8, 0, AdderArch::ripple, MultArch::array},
       {K::adder, 8, 0, AdderArch::cla4, MultArch::array},
       {K::adder, 8, 0, AdderArch::kogge_stone, MultArch::array},
@@ -251,9 +262,14 @@ TEST(TimedSimOracleTest, MatchesNaiveSimulatorOnEveryGenerator) {
       {K::mac, 5, 0, AdderArch::ripple, MultArch::array},
       {K::clamp, 10, 0, AdderArch::cla4, MultArch::array},
   };
+}
+
+TEST(TimedSimOracleTest, MatchesNaiveSimulatorOnEveryGenerator) {
+  const CellLibrary lib = make_nangate45_like();
+  const DegradationAwareLibrary aged(lib, AgingModel{}, 10.0);
   Rng rng(2017);
   std::uint64_t seed = 1;
-  for (const ComponentSpec& spec : specs) {
+  for (const ComponentSpec& spec : oracle_specs()) {
     const Netlist nl = make_component(lib, spec);
     const Sta sta(nl);
     const StressProfile stress =
@@ -272,6 +288,146 @@ TEST(TimedSimOracleTest, MatchesNaiveSimulatorOnEveryGenerator) {
       }
     }
   }
+}
+
+// --- Chunked replay (replay_timed) against the serial TimedSim loop -------
+
+/// Random rows over every input bus of `nl`; row `repeat_at` (0 = none)
+/// copies its predecessor, so no primary input changes there.
+StimulusSet random_rows(const Netlist& nl, std::size_t count,
+                        std::size_t repeat_at, Rng& rng) {
+  StimulusSet stim;
+  stim.buses = nl.input_bus_names();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i == repeat_at && i > 0) {
+      stim.vectors.push_back(stim.vectors.back());
+      continue;
+    }
+    std::vector<std::uint64_t> row;
+    for (const std::string& bus : stim.buses) {
+      const std::size_t width = nl.input_bus(bus).size();
+      const std::uint64_t mask =
+          width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+      row.push_back(rng.next_u64() & mask);
+    }
+    stim.vectors.push_back(std::move(row));
+  }
+  return stim;
+}
+
+/// The reference: one TimedSim, reset() once, every row staged and stepped
+/// in order.
+struct SerialReplay {
+  std::vector<TimedOutcome> outcomes;
+  std::uint64_t events = 0;
+};
+
+SerialReplay serial_replay(const Netlist& nl, const Sta::GateDelays& delays,
+                           DelayModel model, const StimulusSet& stim,
+                           double t_clock) {
+  TimedSim sim(nl, delays, model);
+  sim.reset();
+  SerialReplay ref;
+  for (const auto& row : stim.vectors) {
+    for (std::size_t b = 0; b < stim.buses.size(); ++b) {
+      sim.stage_bus(stim.buses[b], row[b]);
+    }
+    const bool error = sim.step_staged(t_clock);
+    ref.outcomes.push_back({error, sim.last_output_settle_time()});
+  }
+  ref.events = sim.events_processed();
+  return ref;
+}
+
+Context::Options with_threads(int threads) {
+  Context::Options options;
+  options.threads = threads;
+  return options;
+}
+
+TEST(TimedReplayTest, ChunkedEqualsSerialOnEveryGenerator) {
+  const CellLibrary lib = make_nangate45_like();
+  const DegradationAwareLibrary aged(lib, AgingModel{}, 10.0);
+  obs::Counter& events = obs::metrics().counter("timedsim.events");
+  obs::Counter& steps = obs::metrics().counter("timedsim.steps");
+  Rng rng(2020);
+  for (const ComponentSpec& spec : oracle_specs()) {
+    const Netlist nl = make_component(lib, spec);
+    const StressProfile stress =
+        StressProfile::uniform(StressMode::worst, nl.num_gates());
+    const Sta::GateDelays delays = Sta(nl).gate_delays(&aged, &stress);
+    // 37 rows cut unevenly at every thread count; row 18 repeats row 17,
+    // which is a chunk boundary at 2 and 4 threads. The 2- and 5-row
+    // streams are shorter than (or barely longer than) the thread count, so
+    // they run chunks of a single row.
+    const std::vector<StimulusSet> streams = {
+        random_rows(nl, 37, 18, rng), random_rows(nl, 2, 0, rng),
+        random_rows(nl, 5, 0, rng)};
+    for (const DelayModel model : {DelayModel::inertial, DelayModel::transport}) {
+      const char* model_name =
+          model == DelayModel::inertial ? "inertial" : "transport";
+      // A clock at 60 % of the long stream's slowest output settle: tight
+      // enough that some vectors err.
+      const SerialReplay unclocked =
+          serial_replay(nl, delays, model, streams[0], 1e12);
+      double slowest = 0.0;
+      for (const TimedOutcome& o : unclocked.outcomes) {
+        slowest = std::max(slowest, o.output_settle_ps);
+      }
+      const double t_clock = 0.6 * slowest;
+      for (std::size_t s = 0; s < streams.size(); ++s) {
+        const SerialReplay ref =
+            serial_replay(nl, delays, model, streams[s], t_clock);
+        std::size_t errors = 0;
+        for (const TimedOutcome& o : ref.outcomes) errors += o.error ? 1 : 0;
+        if (s == 0) {
+          EXPECT_GT(errors, 0u) << spec.name() << " " << model_name;
+        }
+        for (const int threads : {1, 2, 3, 4}) {
+          SCOPED_TRACE(testing::Message()
+                       << spec.name() << " stream " << s << " " << model_name
+                       << " threads " << threads);
+          const Context ctx(with_threads(threads));
+          const std::uint64_t events0 = events.value();
+          const std::uint64_t steps0 = steps.value();
+          const std::vector<TimedOutcome> got =
+              replay_timed(ctx, nl, delays, model, streams[s], t_clock);
+          EXPECT_EQ(events.value() - events0, ref.events);
+          EXPECT_EQ(steps.value() - steps0, streams[s].size());
+          ASSERT_EQ(got.size(), ref.outcomes.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].error, ref.outcomes[i].error) << "vector " << i;
+            ASSERT_EQ(got[i].output_settle_ps, ref.outcomes[i].output_settle_ps)
+                << "vector " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TimedReplayTest, RejectsRaggedRowsAndObservesCancellation) {
+  const CellLibrary lib = make_nangate45_like();
+  const Netlist nl = make_component(
+      lib, {ComponentKind::adder, 8, 0, AdderArch::ripple, MultArch::array});
+  const Sta::GateDelays delays = Sta(nl).gate_delays(nullptr, nullptr);
+  Rng rng(7);
+  StimulusSet stim = random_rows(nl, 16, 0, rng);
+
+  CancelToken token;
+  token.cancel();
+  Context::Options options = with_threads(4);
+  options.cancel = &token;
+  const Context cancelled(options);
+  EXPECT_THROW(replay_timed(cancelled, nl, delays, DelayModel::inertial, stim,
+                            1e12),
+               CancelledError);
+
+  const Context ctx(with_threads(4));
+  stim.vectors[9].pop_back();
+  EXPECT_THROW(
+      replay_timed(ctx, nl, delays, DelayModel::inertial, stim, 1e12),
+      std::invalid_argument);
 }
 
 }  // namespace
