@@ -13,8 +13,8 @@
 namespace aapx {
 namespace {
 
-/// Stable insertion sort by time: equal times keep push order. Buckets are
-/// small and mostly ordered, so this beats std::stable_sort's buffer.
+/// Stable insertion sort by time: equal times keep push order. It runs after
+/// open_bucket's counting pass, which leaves only within-sub-bin disorder.
 template <class Event>
 void sort_by_time(std::vector<Event>& b) {
   for (std::size_t i = 1; i < b.size(); ++i) {
@@ -47,13 +47,13 @@ std::vector<double> Activity::gate_output_duty(const Netlist& nl) const {
 }
 
 TimedSim::TimedSim(const Netlist& nl, Sta::GateDelays delays, DelayModel model)
-    : nl_(&nl), delays_(std::move(delays)), model_(model) {
-  if (delays_.rise.size() != nl.num_gates() ||
-      delays_.fall.size() != nl.num_gates()) {
+    : nl_(&nl), model_(model) {
+  if (delays.rise.size() != nl.num_gates() ||
+      delays.fall.size() != nl.num_gates()) {
     throw std::invalid_argument("TimedSim: delay vector size mismatch");
   }
   for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-    for (const double d : {delays_.rise[g], delays_.fall[g]}) {
+    for (const double d : {delays.rise[g], delays.fall[g]}) {
       if (!std::isfinite(d) || d < 0.0) {
         throw std::invalid_argument(
             "TimedSim: gate " + std::to_string(g) +
@@ -64,11 +64,8 @@ TimedSim::TimedSim(const Netlist& nl, Sta::GateDelays delays, DelayModel model)
   if (nl.num_nets() < 2) {
     throw std::invalid_argument("TimedSim: netlist missing constant nets");
   }
-  net_.assign(nl.num_nets(), NetHot{0, 0, 0, 0, 0});
-  net_[nl.const1()].value = 1;
-  net_[nl.const1()].pending = 1;
+  net_.assign(nl.num_nets(), NetHot{});
   sampled_.assign(nl.num_nets(), 0);
-  sampled_[nl.const1()] = 1;
   staged_pi_.assign(nl.inputs().size(), 0);
   change_.assign(nl.num_nets(), Change{0.0, 0});
   for (const NetId po : nl.outputs()) net_[po].is_output = 1;
@@ -76,37 +73,36 @@ TimedSim::TimedSim(const Netlist& nl, Sta::GateDelays delays, DelayModel model)
   activity_.high_cycles.assign(nl.num_nets(), 0);
   high_sync_.assign(nl.num_nets(), 0);
 
-  // Flatten gate functions, fanins and delays so the event loop never chases
-  // Gate/Cell indirections, and the reader lists into one CSR array.
-  gate_info_.reserve(nl.num_gates());
+  // Each gate's function and delays go into its output net's record, so the
+  // event loop never chases Gate/Cell indirections (in_mask is set by reset).
   for (std::size_t g = 0; g < nl.num_gates(); ++g) {
     const Gate& gate = nl.gate(static_cast<GateId>(g));
-    GateInfo info;
-    for (std::size_t p = 0; p < info.fanin.size(); ++p) {
-      info.fanin[p] = gate.fanin[p] == kInvalidNet ? nl.const0() : gate.fanin[p];
-    }
-    info.fanout = gate.fanout;
-    info.rise = delays_.rise[g];
-    info.fall = delays_.fall[g];
+    NetHot& h = net_[gate.fanout];
+    h.rise = delays.rise[g];
+    h.fall = delays.fall[g];
     const LogicFn fn = nl.lib().cell(gate.cell).fn;
-    info.tt = 0;
     for (unsigned m = 0; m < 8; ++m) {
-      if (fn_eval(fn, m)) info.tt |= static_cast<std::uint8_t>(1u << m);
+      if (fn_eval(fn, m)) h.tt |= static_cast<std::uint8_t>(1u << m);
     }
-    gate_info_.push_back(info);
   }
+  // Reader CSR: one entry per reader gate, pins of a repeated net merged
+  // into the entry of its first pin. entry_end[g] is one past the gate's
+  // newest entry; it belongs to the net being listed iff it lies past begin.
   reader_offset_.assign(nl.num_nets() + 1, 0);
+  std::vector<std::size_t> entry_end(nl.num_gates(), 0);
   for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-    reader_offset_[n + 1] =
-        reader_offset_[n] +
-        static_cast<std::uint32_t>(nl.readers(static_cast<NetId>(n)).size());
-  }
-  reader_gate_.resize(reader_offset_.back());
-  for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-    std::uint32_t at = reader_offset_[n];
+    const std::size_t begin = reader_.size();
     for (const NetReader& r : nl.readers(static_cast<NetId>(n))) {
-      reader_gate_[at++] = r.gate;
+      const std::uint32_t pin = 1u << r.pin;
+      std::size_t& end = entry_end[r.gate];
+      if (end > begin) {
+        reader_[end - 1].pins |= pin;
+      } else {
+        reader_.push_back({nl.gate(r.gate).fanout, pin});
+        end = reader_.size();
+      }
     }
+    reader_offset_[n + 1] = static_cast<std::uint32_t>(reader_.size());
   }
 
   // Calendar-queue horizon: the topo longest-path delay is a hard upper
@@ -116,10 +112,12 @@ TimedSim::TimedSim(const Netlist& nl, Sta::GateDelays delays, DelayModel model)
   {
     std::vector<double> arrive(nl.num_nets(), 0.0);
     for (const GateId gid : nl.topo_order()) {
-      const GateInfo& g = gate_info_[gid];
+      const Gate& g = nl.gate(gid);
       double in = 0.0;
-      for (const NetId f : g.fanin) in = std::max(in, arrive[f]);
-      arrive[g.fanout] = in + std::max(g.rise, g.fall);
+      for (const NetId f : g.fanin) {
+        if (f != kInvalidNet) in = std::max(in, arrive[f]);
+      }
+      arrive[g.fanout] = in + std::max(delays.rise[gid], delays.fall[gid]);
       horizon = std::max(horizon, arrive[g.fanout]);
     }
   }
@@ -196,6 +194,16 @@ void TimedSim::reset(const std::vector<char>& pi_values) {
     net_[n].pending = net_[n].value;
     sampled_[n] = net_[n].value;
   }
+  for (std::size_t g = 0; g < nl_->num_gates(); ++g) {
+    const Gate& gate = nl_->gate(static_cast<GateId>(g));
+    std::uint8_t mask = 0;
+    for (std::size_t p = 0; p < gate.fanin.size(); ++p) {
+      if (gate.fanin[p] != kInvalidNet && net_[gate.fanin[p]].value) {
+        mask |= static_cast<std::uint8_t>(1u << p);
+      }
+    }
+    net_[gate.fanout].in_mask = mask;
+  }
   sampled_is_settled_ = true;
   staged_pi_ = pi_values;
 }
@@ -267,6 +275,72 @@ bool TimedSim::step(const std::vector<char>& pi_values, double t_clock_ps) {
              : step_impl<DelayModel::transport>(t_clock_ps);
 }
 
+void TimedSim::open_bucket(std::vector<Event>& b) {
+  const std::size_t n = b.size();
+  if (n < 2) return;
+  Event* const ev = b.data();
+  // Sub-bin of an event: its offset into the bucket scaled to [0, n). The
+  // map never decreases in time, so an event in a later sub-bin is strictly
+  // later than every event in an earlier one, and the stable counting pass
+  // leaves only within-sub-bin disorder for the insertion sort. The events
+  // are copied out and scattered back, so the bucket keeps its own storage.
+  const double scale = static_cast<double>(n) * inv_bucket_width_;
+  const double base = static_cast<double>(n) * static_cast<double>(cur_bucket_);
+  const std::int64_t last = static_cast<std::int64_t>(n) - 1;
+  if (sub_start_.size() <= n) sub_start_.resize(n + 1);
+  if (sub_bin_.size() < n) {
+    sub_bin_.resize(n);
+    unsorted_.resize(n);
+  }
+  std::uint32_t* const start = sub_start_.data();
+  std::uint32_t* const bin = sub_bin_.data();
+  Event* const copy = unsorted_.data();
+  std::fill_n(start, n + 1, 0u);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto k = static_cast<std::int64_t>(ev[j].time * scale - base);
+    bin[j] = static_cast<std::uint32_t>(std::clamp<std::int64_t>(k, 0, last));
+    ++start[bin[j] + 1];
+    copy[j] = ev[j];
+  }
+  for (std::size_t k = 1; k < n; ++k) start[k] += start[k - 1];
+  for (std::size_t j = 0; j < n; ++j) ev[start[bin[j]]++] = copy[j];
+  sort_by_time(b);
+}
+
+template <DelayModel kModel>
+inline __attribute__((always_inline)) void TimedSim::commit(NetId net, char v, double t) {
+  NetHot& h = net_[net];
+  // Fold the cycles the old value was held into the duty account before
+  // overwriting it (lazy replacement for a per-step sweep of all nets).
+  activity_.high_cycles[net] += (activity_.cycles - high_sync_[net]) &
+                                (0 - static_cast<std::uint64_t>(h.value));
+  high_sync_[net] = activity_.cycles;
+  h.value = v;
+  ++activity_.toggles[net];
+  ++events_processed_;
+  last_settle_time_ = t;
+  change_[net] = {t, step_id_};
+  if (h.is_output) last_output_settle_time_ = t;
+  // Re-decide every reader gate from its output net's record: the committed
+  // net flipped, so its pins' bits flip in the gate's fanin mask.
+  const std::uint32_t rend = reader_offset_[net + 1];
+  for (std::uint32_t r = reader_offset_[net]; r < rend; ++r) {
+    const Reader rd = reader_[r];
+    NetHot& fo = net_[rd.fanout];
+    fo.in_mask ^= static_cast<std::uint8_t>(rd.pins);
+    const char out = static_cast<char>((fo.tt >> fo.in_mask) & 1u);
+    if (fo.pending == out) continue;
+    fo.pending = out;
+    fo.generation += 2;  // cancels in-flight transitions (inertial)
+    if constexpr (kModel == DelayModel::inertial) {
+      if (out == fo.value) continue;  // pulse swallowed entirely
+    }
+    const double delay = out ? fo.rise : fo.fall;
+    push_event(
+        {t + delay, rd.fanout, fo.generation | static_cast<std::uint32_t>(out)});
+  }
+}
+
 template <DelayModel kModel>
 bool TimedSim::step_impl(double t_clock_ps) {
   bool snapshotted = false;
@@ -290,38 +364,7 @@ bool TimedSim::step_impl(double t_clock_ps) {
     NetHot& h = net_[pi];
     ++guard;
     h.applied_generation = h.generation;
-    const char v = h.pending;
-    if (h.value == v) continue;
-    activity_.high_cycles[pi] += (activity_.cycles - high_sync_[pi]) &
-                                 (0 - static_cast<std::uint64_t>(h.value));
-    high_sync_[pi] = activity_.cycles;
-    h.value = v;
-    ++activity_.toggles[pi];
-    ++events_processed_;
-    last_settle_time_ = 0.0;
-    change_[pi] = {0.0, step_id_};
-    if (h.is_output) last_output_settle_time_ = 0.0;
-    const std::uint32_t rbegin = reader_offset_[pi];
-    const std::uint32_t rend = reader_offset_[pi + 1];
-    for (std::uint32_t r = rbegin; r < rend; ++r) {
-      const GateId gid = reader_gate_[r];
-      const GateInfo& g = gate_info_[gid];
-      const unsigned mask =
-          static_cast<unsigned>(net_[g.fanin[0]].value) |
-          (static_cast<unsigned>(net_[g.fanin[1]].value) << 1) |
-          (static_cast<unsigned>(net_[g.fanin[2]].value) << 2);
-      const char out = static_cast<char>((g.tt >> mask) & 1u);
-      NetHot& fo = net_[g.fanout];
-      if (fo.pending == out) continue;
-      fo.pending = out;
-      fo.generation += 2;  // cancels in-flight transitions (inertial)
-      if constexpr (kModel == DelayModel::inertial) {
-        if (out == fo.value) continue;  // pulse swallowed entirely
-      }
-      const double delay = out ? g.rise : g.fall;
-      push_event(
-          {delay, g.fanout, fo.generation | static_cast<std::uint32_t>(out)});
-    }
+    if (h.value != h.pending) commit<kModel>(pi, h.pending, 0.0);
   }
   while (queue_size_ > 0) {
     // Advance to the next occupied bucket (monotone: completed buckets can
@@ -338,7 +381,7 @@ bool TimedSim::step_impl(double t_clock_ps) {
       cur_bucket_ = static_cast<std::uint32_t>(
           (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits)));
       bucket = &buckets_[cur_bucket_];
-      sort_by_time(*bucket);
+      open_bucket(*bucket);
     }
     const Event ev = (*bucket)[drain_pos_++];
     --queue_size_;
@@ -365,42 +408,7 @@ bool TimedSim::step_impl(double t_clock_ps) {
       snapshot_after = std::numeric_limits<double>::infinity();
     }
     h.applied_generation = ev_gen;
-    if (h.value == ev_value) continue;
-    // Fold the cycles the old value was held into the duty account before
-    // overwriting it (lazy replacement for a per-step sweep of all nets).
-    activity_.high_cycles[ev.net] +=
-        (activity_.cycles - high_sync_[ev.net]) &
-        (0 - static_cast<std::uint64_t>(h.value));
-    high_sync_[ev.net] = activity_.cycles;
-    h.value = ev_value;
-    ++activity_.toggles[ev.net];
-    ++events_processed_;
-    last_settle_time_ = ev.time;
-    change_[ev.net] = {ev.time, step_id_};
-    if (h.is_output) last_output_settle_time_ = ev.time;
-    // Propagate to reader gates (flat CSR + per-gate truth tables; no
-    // Gate/Cell lookups on the hot path).
-    const std::uint32_t rbegin = reader_offset_[ev.net];
-    const std::uint32_t rend = reader_offset_[ev.net + 1];
-    for (std::uint32_t r = rbegin; r < rend; ++r) {
-      const GateId gid = reader_gate_[r];
-      const GateInfo& g = gate_info_[gid];
-      const unsigned mask =
-          static_cast<unsigned>(net_[g.fanin[0]].value) |
-          (static_cast<unsigned>(net_[g.fanin[1]].value) << 1) |
-          (static_cast<unsigned>(net_[g.fanin[2]].value) << 2);
-      const char out = static_cast<char>((g.tt >> mask) & 1u);
-      NetHot& fo = net_[g.fanout];
-      if (fo.pending == out) continue;
-      fo.pending = out;
-      fo.generation += 2;  // cancels in-flight transitions (inertial)
-      if constexpr (kModel == DelayModel::inertial) {
-        if (out == fo.value) continue;  // pulse swallowed entirely
-      }
-      const double delay = out ? g.rise : g.fall;
-      push_event(
-          {ev.time + delay, g.fanout, fo.generation | static_cast<std::uint32_t>(out)});
-    }
+    if (h.value != ev_value) commit<kModel>(ev.net, ev_value, ev.time);
   }
   if (cur_bucket_ < n_buckets_) {
     buckets_[cur_bucket_].clear();

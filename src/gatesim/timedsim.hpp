@@ -128,20 +128,22 @@ class TimedSim {
     std::uint32_t gen_val;
   };
 
-  /// Per-gate record flattened out of Netlist/CellLibrary at construction:
-  /// the step() inner loop reads only this array, never chasing Cell or
-  /// Gate indirections per event. `tt` bit m = fn_eval(fn, m); unused fanin
-  /// slots point at const0 so every gate evaluates as 3-input.
-  struct GateInfo {
-    std::array<NetId, 3> fanin;
+  /// One reader gate of a net, in the reader CSR: the net the gate drives
+  /// and the bit of every pin the net feeds (OR'd when one net drives
+  /// several pins of the gate, so a commit re-decides the gate once).
+  struct Reader {
     NetId fanout;
-    double rise;  ///< ps, output-rise delay of this gate
-    double fall;
-    std::uint8_t tt;  ///< 8-entry truth table over the 3 fanin values
+    std::uint32_t pins;
   };
 
   void push_event(Event ev);
   void clear_queue();
+  /// Orders the bucket the drain just opened by (time, push order).
+  void open_bucket(std::vector<Event>& b);
+  /// Commits value `v` of `net` at time `t`: activity and settle-time
+  /// bookkeeping, then every reader gate re-decides its output.
+  template <DelayModel kModel>
+  void commit(NetId net, char v, double t);
   template <DelayModel kModel>
   bool step_impl(double t_clock_ps);
   std::uint64_t word_sampled(const std::vector<NetId>& nets) const;
@@ -150,26 +152,25 @@ class TimedSim {
   void sync_high_cycles() const;
 
   const Netlist* nl_;
-  Sta::GateDelays delays_;
   DelayModel model_;
-  std::vector<GateInfo> gate_info_;  ///< indexed by GateId
-  /// Readers of each net as a flat CSR list of gate ids:
-  /// gates reader_gate_[reader_offset_[net] .. reader_offset_[net+1]).
+  /// Reader gates of each net as a flat CSR list, in first-pin order:
+  /// reader_[reader_offset_[net] .. reader_offset_[net+1]).
   std::vector<std::uint32_t> reader_offset_;
-  std::vector<GateId> reader_gate_;
+  std::vector<Reader> reader_;
   /// Monotone calendar queue. Pop-order contract: events pop in exactly
   /// (time, push sequence) order, the order of a binary heap with a FIFO
   /// tie-break. Buckets split [0, horizon] evenly; the horizon is the
   /// topological longest path over max(rise, fall), a hard bound on every
   /// event time in a step (times are path-delay sums from t = 0; STA computes
   /// the same bound), so the clamp into the last bucket only absorbs float
-  /// rounding. A push into a later bucket appends; the drain sorts each
-  /// bucket once by time (stable, so ties keep push order) when it opens it.
-  /// The bucket being drained stays sorted: a push into it is an upper_bound
-  /// insert at or after drain_pos_, since its time is >= the current pop
-  /// time. Times map to buckets monotonically and no push goes below
-  /// cur_bucket_, so once a bucket completes nothing lands in it again. The
-  /// occupied_ bitmask skips empty buckets 64 at a time.
+  /// rounding. A push into a later bucket appends; the drain orders each
+  /// bucket once when it opens it (open_bucket: a stable counting pass into
+  /// one sub-bin per event, then an insertion sort that only reorders within
+  /// a sub-bin). The bucket being drained stays sorted: a push into it is an
+  /// upper_bound insert at or after drain_pos_, since its time is >= the
+  /// current pop time. Times map to buckets monotonically and no push goes
+  /// below cur_bucket_, so once a bucket completes nothing lands in it again.
+  /// The occupied_ bitmask skips empty buckets 64 at a time.
   std::vector<std::vector<Event>> buckets_;
   std::vector<std::uint64_t> occupied_;
   double inv_bucket_width_ = 0.0;
@@ -177,9 +178,20 @@ class TimedSim {
   std::uint32_t cur_bucket_ = 0;
   std::size_t drain_pos_ = 0;   ///< next index to pop in cur_bucket_
   std::size_t queue_size_ = 0;  ///< live (unpopped) events across buckets
-  /// Hot per-net simulation state, packed so one cache line serves the
-  /// stale check, the commit and the fanout-pending update of an event.
-  struct NetHot {
+  /// open_bucket scratch, reused across steps and only ever grown: each
+  /// event's sub-bin, the sub-bin starts, and a copy of the bucket that the
+  /// counting pass scatters back (never swapped in, so no bucket inherits
+  /// the largest capacity).
+  std::vector<std::uint32_t> sub_bin_;
+  std::vector<std::uint32_t> sub_start_;
+  std::vector<Event> unsorted_;
+  /// Hot per-net simulation state, 32 bytes and 32-aligned so one cache line
+  /// serves the stale check and the commit of an event, and the whole
+  /// re-decision of the gate driving the net when a fanin commits: the
+  /// gate's truth table, delays and current fanin values live here.
+  struct alignas(32) NetHot {
+    double rise;  ///< ps, output-rise delay of the driving gate (0 for PIs)
+    double fall;
     /// Advanced by 2 whenever the net's scheduled transition is superseded
     /// (bit 0 is reserved for the value bit inside Event::gen_val);
     /// implements inertial-delay pulse cancellation (ModelSim semantics).
@@ -187,10 +199,17 @@ class TimedSim {
     /// Newest generation already applied; transport mode uses it to drop
     /// events arriving out of order (rise/fall delay inversion).
     std::uint32_t applied_generation;
+    /// Driving gate's 8-entry truth table: bit m = fn_eval(fn, m).
+    std::uint8_t tt;
+    /// Driving gate's current fanin values, bit p = value of pin p's net
+    /// (unused pins read 0). Invariant: every commit flips the bits of the
+    /// pins the committed net feeds, and reset() rebuilds it from the gates.
+    std::uint8_t in_mask;
     char value;    ///< current waveform value
     char pending;  ///< projected final value
     char is_output;
   };
+  static_assert(sizeof(NetHot) == 32);
   std::vector<NetHot> net_;
   /// Snapshot at t_clock. Only materialized when an event actually crosses
   /// the clock edge (a timing violation); otherwise sampled == settled and

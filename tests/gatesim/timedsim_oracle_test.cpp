@@ -199,18 +199,19 @@ void expect_same(const Netlist& nl, TimedSim& sim, const OracleSim& ref,
   }
 }
 
-/// Drives both simulators with the same random vectors, clocks and resets.
-/// Returns the number of steps that flagged a timing error.
+/// Drives both simulators with the same random vectors, clocks and resets
+/// (one reset half-way through). Returns the number of steps that flagged a
+/// timing error.
 int cross_check(const Netlist& nl, const Sta::GateDelays& delays,
-                DelayModel model, std::uint64_t seed) {
+                DelayModel model, std::uint64_t seed, int steps = 40) {
   TimedSim sim(nl, delays, model);
   OracleSim ref(nl, delays, model);
   const double bound = path_bound(nl, delays);
   Rng rng(seed);
   std::vector<char> pis(nl.inputs().size(), 0);
   int errors = 0;
-  for (int i = 0; i < 40; ++i) {
-    if (i == 20) {
+  for (int i = 0; i < steps; ++i) {
+    if (i == steps / 2) {
       for (char& b : pis) b = rng.next_bool() ? 1 : 0;
       sim.reset(pis);
       ref.reset(pis);
@@ -287,6 +288,59 @@ TEST(TimedSimOracleTest, MatchesNaiveSimulatorOnEveryGenerator) {
         if (HasFatalFailure()) return;
       }
     }
+  }
+}
+
+TEST(TimedSimOracleTest, OneNetOnSeveralPinsOfOneGate) {
+  // Gates that read one net on several pins, driven by primary inputs and by
+  // an internal net: every commit of the net must re-decide such a gate once
+  // with all its pins flipped. Re-deciding it per pin would, with transport
+  // delays, emit a zero-width pulse from XOR2(a, a).
+  const CellLibrary lib = make_nangate45_like();
+  Netlist nl(lib);
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const NetId c = nl.add_input("c");
+  const NetId x = nl.mk(LogicFn::kXor2, a, b);
+  const std::vector<NetId> outs = {
+      nl.mk(LogicFn::kAnd2, a, a),
+      nl.mk(LogicFn::kXor2, a, a),
+      nl.mk(LogicFn::kAoi21, a, b, a),
+      nl.mk(LogicFn::kMux2, c, x, x),
+      nl.mk(LogicFn::kXnor2, x, x),
+      nl.mk(LogicFn::kOr2, nl.mk(LogicFn::kXor2, x, x), c),
+      nl.mk(LogicFn::kMaj3, x, c, x),
+  };
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    nl.mark_output(outs[i], "y" + std::to_string(i));
+  }
+  const Sta::GateDelays fresh = Sta(nl).gate_delays(nullptr, nullptr);
+  Rng rng(11);
+  std::uint64_t seed = 100;
+  for (const Sta::GateDelays& delays : {fresh, jittered(fresh, rng)}) {
+    for (const DelayModel model : {DelayModel::inertial, DelayModel::transport}) {
+      SCOPED_TRACE(model == DelayModel::inertial ? "inertial" : "transport");
+      cross_check(nl, delays, model, seed++);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(TimedSimOracleTest, ClusteredBucketsOfArrayMultiplier) {
+  // A 16-bit array multiplier in transport mode fills its calendar buckets
+  // with wavefronts: buckets of about a hundred events at distinct,
+  // near-equal times (the generator suite above opens none larger than about
+  // two dozen), which the bucket ordering's counting pass alone leaves out of
+  // order.
+  const CellLibrary lib = make_nangate45_like();
+  const Netlist nl = make_component(
+      lib, {ComponentKind::multiplier, 16, 0, AdderArch::ripple, MultArch::array});
+  const Sta::GateDelays fresh = Sta(nl).gate_delays(nullptr, nullptr);
+  Rng rng(16);
+  std::uint64_t seed = 200;
+  for (const Sta::GateDelays& delays : {fresh, jittered(fresh, rng)}) {
+    cross_check(nl, delays, DelayModel::transport, seed++, 12);
+    if (HasFatalFailure()) return;
   }
 }
 
