@@ -24,7 +24,6 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "service/socket.hpp"
 
 using namespace aapx;
 using namespace aapx::bench;
@@ -44,26 +43,6 @@ std::vector<service::CharacterizeRequest> make_workload(bool fast) {
     reqs.push_back(req);
   }
   return reqs;
-}
-
-/// One raw-socket GET against the admin plane (what a Prometheus scraper
-/// costs the server mid-pass); returns true when a 200 with the expected
-/// series came back.
-bool scrape_metrics(const std::string& admin_endpoint) {
-  std::string err;
-  const int fd = service::connect_endpoint(admin_endpoint, &err);
-  if (fd < 0) return false;
-  bool ok = service::send_all(fd, "GET /metrics HTTP/1.0\r\n\r\n", 5000);
-  std::string body;
-  char buf[4096];
-  while (ok && service::wait_readable(fd, 5000) == 1) {
-    const long n = service::recv_some(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    body.append(buf, static_cast<std::size_t>(n));
-  }
-  service::close_fd(fd);
-  return ok && body.find("HTTP/1.0 200") != std::string::npos &&
-         body.find("aapx_serve_requests") != std::string::npos;
 }
 
 struct PassResult {
@@ -141,10 +120,6 @@ int run(int argc, char** argv) {
     const Context root(root_options);
     service::ServerOptions opts;
     opts.listen = "tcp:0";
-    // The admin plane stays on while the pass is timed — the qps numbers
-    // include the cost of being scraped, which is the telemetry overhead
-    // claim this bench now also covers.
-    opts.admin = "tcp:0";
     service::Server server(root, opts);
     std::string err;
     if (!server.start(&err)) {
@@ -152,37 +127,21 @@ int run(int argc, char** argv) {
       return 1;
     }
     const PassResult cold = run_pass(server.endpoint(), reqs, clients, 1);
-    // Scrape concurrently with the warm (timed, contended) pass.
-    std::atomic<bool> warm_done{false};
-    std::atomic<std::uint64_t> scrapes{0};
-    std::atomic<std::uint64_t> scrape_failures{0};
-    std::thread scraper([&] {
-      while (!warm_done.load()) {
-        if (scrape_metrics(server.admin_endpoint())) {
-          scrapes.fetch_add(1);
-        } else {
-          scrape_failures.fetch_add(1);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    });
     const PassResult warm =
         run_pass(server.endpoint(), reqs, clients, warm_rounds);
-    warm_done.store(true);
-    scraper.join();
 
     // Per-op latency quantiles from the server's own histograms (the same
-    // interpolation `aapx top` shows), exported as informational metrics.
+    // interpolation `aapx client --op stats` shows), exported as
+    // informational metrics.
     const service::StatsResponse stats = server.stats_response();
     server.stop();
 
     total_completed += cold.completed + warm.completed;
-    total_errors += cold.errors + warm.errors + scrape_failures.load();
+    total_errors += cold.errors + warm.errors;
     gates_checksum += cold.gates + warm.gates;
     const std::string tag = std::to_string(clients);
     bench_json.metric("qps_cold_" + tag, cold.qps);
     bench_json.metric("qps_warm_" + tag, warm.qps);
-    bench_json.metric("scrapes_" + tag, static_cast<double>(scrapes.load()));
     for (const auto& op : stats.ops) {
       if (static_cast<service::MsgType>(op.op) !=
           service::MsgType::characterize) {

@@ -14,7 +14,6 @@
 #include "core/characterizer.hpp"
 #include "engine/design_store.hpp"
 #include "engine/persist.hpp"
-#include "obs/expo.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runlog.hpp"
@@ -130,7 +129,6 @@ struct Server::Impl {
   std::uint64_t lib_fp = 0;
 
   int listen_fd = -1;
-  int admin_fd = -1;
   std::atomic<bool> stopping{false};
   std::atomic<bool> started{false};
 
@@ -140,7 +138,6 @@ struct Server::Impl {
   std::atomic<std::uint64_t> next_seq{0};
 
   std::thread acceptor;
-  std::thread admin;
   std::vector<std::thread> workers;
   std::thread snapshotter;
   std::mutex snapshot_mutex;  // wait_for + final save
@@ -154,8 +151,8 @@ struct Server::Impl {
       n_snapshots{0};
 
   // --- telemetry state -------------------------------------------------------
-  // Latency histograms and gauges live in the root Context's registry so
-  // the admin /metrics exposition picks them up for free; references are
+  // Latency histograms and gauges live in the root Context's registry, so
+  // `--metrics` writes them with every other series; references are
   // resolved once here (registry lookups are name-keyed and mutexed).
   obs::Histogram& lat_characterize;
   obs::Histogram& lat_aged_delay;
@@ -597,7 +594,7 @@ struct Server::Impl {
     }
   }
 
-  // --- telemetry (stats op + admin plane) -----------------------------------
+  // --- telemetry (stats op) -------------------------------------------------
 
   StatsResponse build_stats() {
     StatsResponse r;
@@ -653,87 +650,6 @@ struct Server::Impl {
     r.counters = root->metrics().snapshot().counters;
     return r;
   }
-
-  /// The /metrics snapshot: the root registry plus the server's lifetime
-  /// counters and instantaneous gauges as synthetic serve.* series, sorted
-  /// back into name order so the exposition stays deterministic.
-  obs::MetricsSnapshot admin_snapshot() {
-    obs::MetricsSnapshot snap = root->metrics().snapshot();
-    const StatsResponse s = build_stats();
-    snap.counters.emplace_back("serve.connections", s.connections);
-    snap.counters.emplace_back("serve.requests", s.requests);
-    snap.counters.emplace_back("serve.completed", s.completed);
-    snap.counters.emplace_back("serve.shed", s.shed);
-    snap.counters.emplace_back("serve.deduped", s.deduped);
-    snap.counters.emplace_back("serve.cancelled", s.cancelled);
-    snap.counters.emplace_back("serve.protocol_errors", s.protocol_errors);
-    snap.counters.emplace_back("serve.snapshots", s.snapshots);
-    auto gauge = [&snap](const char* name, double v) {
-      snap.gauges.emplace_back(name, std::make_pair(v, v));
-    };
-    gauge("serve.live_connections", static_cast<double>(s.live_connections));
-    gauge("serve.queue_depth", static_cast<double>(s.queue_depth));
-    gauge("serve.inflight", static_cast<double>(s.inflight));
-    gauge("serve.uptime_s", s.uptime_s);
-    gauge("serve.snapshot_age_s", s.snapshot_age_s);
-    std::sort(snap.counters.begin(), snap.counters.end());
-    std::sort(snap.gauges.begin(), snap.gauges.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return snap;
-  }
-
-  void admin_loop() {
-    while (!stopping.load()) {
-      const int ready = wait_readable(admin_fd, 200);
-      if (ready <= 0) continue;
-      const int fd = ::accept(admin_fd, nullptr, nullptr);
-      if (fd < 0) continue;
-      serve_admin(fd);
-      close_fd(fd);
-    }
-  }
-
-  /// One HTTP/1.0 exchange, served serially on the admin thread: read the
-  /// request head (bounded bytes, bounded time), answer, close. Scrapers
-  /// are trusted operators on a loopback/unix socket — a slow one delays
-  /// the next scrape, never request traffic.
-  void serve_admin(int fd) {
-    std::string head;
-    char buf[1024];
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
-    while (head.find("\r\n") == std::string::npos &&
-           head.size() < sizeof(buf)) {
-      if (std::chrono::steady_clock::now() >= give_up) return;
-      if (wait_readable(fd, 100) <= 0) continue;
-      const long n = recv_some(fd, buf, sizeof(buf));
-      if (n <= 0) break;
-      head.append(buf, static_cast<std::size_t>(n));
-    }
-    const std::size_t eol = head.find("\r\n");
-    if (eol == std::string::npos) return;
-    const std::string request_line = head.substr(0, eol);
-    std::string body, status = "200 OK", content_type = "text/plain";
-    if (request_line.rfind("GET /metrics", 0) == 0) {
-      const std::string info =
-          "endpoint=\"" + obs::prometheus_label_escape(endpoint_for_info) +
-          "\"";
-      body = obs::prometheus_text(admin_snapshot(), info);
-      content_type = "text/plain; version=0.0.4";
-    } else if (request_line.rfind("GET /healthz", 0) == 0) {
-      body = "ok\n";
-    } else {
-      status = "404 Not Found";
-      body = "not found\n";
-    }
-    std::string resp = "HTTP/1.0 " + status +
-                       "\r\nContent-Type: " + content_type +
-                       "\r\nContent-Length: " + std::to_string(body.size()) +
-                       "\r\nConnection: close\r\n\r\n" + body;
-    send_all(fd, resp, options.write_timeout_ms);
-  }
-
-  std::string endpoint_for_info;  ///< resolved serve endpoint, for /metrics
 };
 
 Server::Server(const Context& root, ServerOptions options)
@@ -744,22 +660,8 @@ Server::~Server() { stop(); }
 bool Server::start(std::string* err) {
   impl_->listen_fd = listen_endpoint(impl_->options.listen, &endpoint_, err);
   if (impl_->listen_fd < 0) return false;
-  impl_->endpoint_for_info = endpoint_;
-  if (!impl_->options.admin.empty()) {
-    impl_->admin_fd =
-        listen_endpoint(impl_->options.admin, &admin_endpoint_, err);
-    if (impl_->admin_fd < 0) {
-      close_fd(impl_->listen_fd);
-      impl_->listen_fd = -1;
-      unlink_endpoint(impl_->options.listen);
-      return false;
-    }
-  }
   impl_->started.store(true);
   impl_->acceptor = std::thread([this] { impl_->acceptor_loop(); });
-  if (impl_->admin_fd >= 0) {
-    impl_->admin = std::thread([this] { impl_->admin_loop(); });
-  }
   for (int i = 0; i < impl_->options.workers; ++i) {
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });
   }
@@ -776,7 +678,6 @@ void Server::stop() {
   impl_->stopping.store(true);
   impl_->snapshot_cv.notify_all();
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
-  if (impl_->admin.joinable()) impl_->admin.join();
   // 2. Drain: close() lets workers finish every queued job, then exit.
   impl_->queue.close();
   for (std::thread& w : impl_->workers) {
@@ -802,11 +703,6 @@ void Server::stop() {
   close_fd(impl_->listen_fd);
   impl_->listen_fd = -1;
   unlink_endpoint(impl_->options.listen);
-  if (impl_->admin_fd >= 0) {
-    close_fd(impl_->admin_fd);
-    impl_->admin_fd = -1;
-    unlink_endpoint(impl_->options.admin);
-  }
   // 4. Final snapshot: the drained store's warmth survives the restart.
   impl_->save_snapshot();
 }

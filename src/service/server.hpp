@@ -31,13 +31,13 @@
 //               retry_later), finishes the queued backlog, snapshots, then
 //               joins every thread.
 //
-// Telemetry plane (ISSUE 8): a running server is observable without being
-// perturbable. The in-band `stats` op and the optional `--admin` HTTP/1.0
-// listener (GET /metrics Prometheus text, GET /healthz) are both answered
-// from atomics and registry snapshots on threads that never touch the
-// worker queue or any request counter — scraping mid-campaign leaves run
-// logs byte-identical. Per-request admission-to-response latency lands in
-// per-op log2 histograms and the slowest requests in a bounded top-K ring.
+// Telemetry: a running server is observable without being perturbable. The
+// in-band `stats` op is answered on the connection's reader thread from
+// atomics and registry snapshots; it never touches the worker queue or any
+// request counter, so polling it mid-campaign leaves run logs
+// byte-identical. Per-request admission-to-response latency lands in per-op
+// log2 histograms in the root registry (written by `--metrics`) and the
+// slowest requests in a bounded top-K ring.
 // Request spans go to the root Context's tracer (`aapx serve --trace`):
 // every per-request Context borrows it, and serve.characterize /
 // serve.aged_delay carry the client's wire trace id as args.n.
@@ -80,10 +80,6 @@ struct ServerOptions {
   double snapshot_interval_s = 0.0;
   /// Per-request run-log directory (req_<seq>.jsonl); empty = no logs.
   std::string log_dir;
-  /// Admin HTTP/1.0 endpoint (unix:<path> or tcp:<port>) answering GET
-  /// /metrics (Prometheus text exposition of the root registry plus the
-  /// server's own serve.* series) and GET /healthz. Empty = no admin plane.
-  std::string admin;
   /// Capacity of the slowest-requests ring reported by the stats op.
   std::size_t slow_ring = 16;
 };
@@ -105,11 +101,6 @@ class Server {
 
   /// The concrete endpoint after bind — for tcp:0, the resolved port.
   const std::string& endpoint() const noexcept { return endpoint_; }
-
-  /// The concrete admin endpoint after bind; empty when no admin plane.
-  const std::string& admin_endpoint() const noexcept {
-    return admin_endpoint_;
-  }
 
   /// Graceful drain: shed new work, finish the backlog, snapshot the
   /// store, join every thread. Idempotent; also runs from ~Server.
@@ -145,7 +136,6 @@ class Server {
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::string endpoint_;
-  std::string admin_endpoint_;
   std::atomic<bool> stop_requested_{false};
 };
 

@@ -17,9 +17,9 @@
 // with scenario one of drop, slowloris, malformed, storm, kill, scrape.
 //
 // The `kill` scenario re-execs the aapx binary as `aapx serve` and the
-// `scrape` scenario as `aapx top --once`. The scenarios run as the tier-1
-// chaos_* ctests; AAPX_CHAOS_ITERS=N repeats each one N times (the CI
-// extended-fuzz job sets it to 20).
+// `scrape` scenario as `aapx client --op stats`. The scenarios run as the
+// tier-1 chaos_* ctests; AAPX_CHAOS_ITERS=N repeats each one N times (the
+// CI extended-fuzz job sets it to 20).
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
@@ -519,40 +519,56 @@ int scenario_kill(const ChaosOptions& opts) {
 }
 
 // --- scenario: scrape -------------------------------------------------------
-// Observability under load: a server with the admin plane enabled takes a
-// shedding storm of distinct requests while /metrics, /healthz and the
-// in-band stats op are scraped in a tight loop the whole time. Scrape
-// latency stays bounded, every completed surface is bit-identical to its
-// cold (unscraped, local) reference, the final counters reconcile exactly
-// with the client-side tallies through both scrape planes, and a real
-// `aapx top --once` against the live server exits clean.
+// Observability under load: a server takes a shedding storm of distinct
+// requests while its in-band stats op is scraped in a tight loop the whole
+// time. Scrape latency stays bounded, every completed surface is
+// bit-identical to its cold (unscraped, local) reference, the final
+// counters reconcile exactly with the client-side tallies both in-process
+// and over the wire, and a real `aapx client --op stats` against the live
+// server prints them.
 
-/// One blocking HTTP/1.0 GET against the admin endpoint; returns the whole
-/// response (head + body) and the wall time it took.
-std::string http_get(const std::string& endpoint, const std::string& path,
-                     std::int64_t* latency_us) {
-  std::string err;
-  const auto t0 = std::chrono::steady_clock::now();
-  const int fd = connect_endpoint(endpoint, &err);
-  require(fd >= 0, "admin connect: " + err);
-  require(send_all(fd, "GET " + path + " HTTP/1.0\r\n\r\n", 5000),
-          "admin send failed");
-  std::string response;
+/// Runs `aapx client --connect <endpoint> --op stats` and returns its stdout;
+/// requires a clean exit.
+std::string run_client_stats(const ChaosOptions& opts,
+                             const std::string& endpoint) {
+  int out[2];
+  require(::pipe(out) == 0, "pipe failed");
+  const pid_t pid = ::fork();
+  require(pid >= 0, "fork failed");
+  if (pid == 0) {
+    ::dup2(out[1], 1);
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    if (devnull >= 0) ::dup2(devnull, 2);
+    ::close(out[0]);
+    ::close(out[1]);
+    ::execl(opts.aapx.c_str(), opts.aapx.c_str(), "client", "--connect",
+            endpoint.c_str(), "--op", "stats", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(out[1]);
+  std::string text;
   char buf[4096];
-  while (true) {
-    const int ready = wait_readable(fd, 5000);
-    require(ready == 1, "admin scrape hung on " + path);
-    const long n = recv_some(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
+  long n = 0;
+  while ((n = ::read(out[0], buf, sizeof(buf))) > 0) {
+    text.append(buf, static_cast<std::size_t>(n));
   }
-  close_fd(fd);
-  if (latency_us != nullptr) {
-    *latency_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+  ::close(out[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  require(WIFEXITED(status) && WEXITSTATUS(status) == 0,
+          "`aapx client --op stats` did not exit clean");
+  return text;
+}
+
+/// The characterize row's latency-histogram count in a stats response; 0
+/// when the row is absent.
+std::uint64_t characterize_count(const StatsResponse& s) {
+  for (const auto& op : s.ops) {
+    if (op.op == static_cast<std::uint32_t>(MsgType::characterize)) {
+      return op.count;
+    }
   }
-  return response;
+  return 0;
 }
 
 int scenario_scrape(const ChaosOptions& opts) {
@@ -560,14 +576,12 @@ int scenario_scrape(const ChaosOptions& opts) {
   sopts.workers = 1;
   sopts.queue_capacity = 2;  // small queue: the storm sheds while scraped
   sopts.retry_hint_ms = 20;
-  sopts.admin = "tcp:0";
   TestServer ts(sopts);
-  require(!ts.server.admin_endpoint().empty(), "admin endpoint not bound");
 
-  // Scraper: hammer all three scrape planes until the storm is done. The
-  // stats op is answered inline on the reader thread and the admin plane
-  // never touches the worker queue, so none of this may block — each
-  // round's latency must stay far below the storm's compute time.
+  // Scraper: hammer the stats op until the storm is done. It is answered
+  // inline on the reader thread and never touches the worker queue, so no
+  // scrape may block — each round's latency must stay far below the storm's
+  // compute time.
   std::atomic<bool> done{false};
   std::string scrape_error;
   std::uint64_t scrapes = 0;
@@ -576,19 +590,6 @@ int scenario_scrape(const ChaosOptions& opts) {
     try {
       ServiceClient stats_client(ts.server.endpoint());
       while (!done.load(std::memory_order_relaxed)) {
-        std::int64_t us = 0;
-        const std::string metrics =
-            http_get(ts.server.admin_endpoint(), "/metrics", &us);
-        require(metrics.find("HTTP/1.0 200") != std::string::npos,
-                "/metrics not 200");
-        require(metrics.find("aapx_serve_requests") != std::string::npos,
-                "/metrics missing serve counters");
-        worst_us = std::max(worst_us, us);
-        const std::string health =
-            http_get(ts.server.admin_endpoint(), "/healthz", &us);
-        require(health.find("HTTP/1.0 200") != std::string::npos,
-                "/healthz not 200");
-        worst_us = std::max(worst_us, us);
         const auto t0 = std::chrono::steady_clock::now();
         std::string err;
         const auto s = stats_client.stats(&err);
@@ -629,8 +630,8 @@ int scenario_scrape(const ChaosOptions& opts) {
   scraper.join();
   require(scrape_error.empty(), "scraper: " + scrape_error);
   require(scrapes > 0, "scraper never completed a round");
-  // "Bounded" concretely: every round finished inside the socket waits'
-  // 5 s budget; anything near it means a scrape plane queued behind work.
+  // "Bounded" concretely: every round finished inside the client's socket
+  // budget; anything near 5 s means the stats op queued behind work.
   require(worst_us < 5'000'000, "scrape latency unbounded: " +
                                     std::to_string(worst_us) + " us");
   note(opts, "scraped " + std::to_string(scrapes) + " rounds, worst " +
@@ -659,45 +660,26 @@ int scenario_scrape(const ChaosOptions& opts) {
   require(fin.requests == kClients,
           "admitted=" + std::to_string(fin.requests) +
               " != client-side tally (shed re-sends must not re-count)");
-  bool found_hist = false;
-  for (const auto& op : fin.ops) {
-    if (op.op == static_cast<std::uint32_t>(MsgType::characterize)) {
-      found_hist = true;
-      require(op.count == kClients,
-              "latency histogram count " + std::to_string(op.count) +
-                  " != completed " + std::to_string(kClients));
-    }
-  }
-  require(found_hist, "no characterize latency histogram in stats");
-  // The same exact count must show through the Prometheus plane.
-  const std::string metrics =
-      http_get(ts.server.admin_endpoint(), "/metrics", nullptr);
-  require(metrics.find("aapx_serve_completed " + std::to_string(kClients)) !=
-              std::string::npos,
-          "/metrics aapx_serve_completed != client-side tally");
-  require(
-      metrics.find("aapx_service_latency_us_characterize_count " +
-                   std::to_string(kClients)) != std::string::npos,
-      "/metrics characterize histogram count != client-side tally");
+  require(characterize_count(fin) == kClients,
+          "latency histogram count " +
+              std::to_string(characterize_count(fin)) + " != completed " +
+              std::to_string(kClients));
+  // The same exact counts must survive the wire encoding.
+  std::string err;
+  const auto wire = ServiceClient(ts.server.endpoint()).stats(&err);
+  require(wire.has_value(), "final stats op failed: " + err);
+  require(wire->completed == kClients && wire->requests == kClients,
+          "wire stats completed/requests != client-side tally");
+  require(characterize_count(*wire) == kClients,
+          "wire characterize histogram count != client-side tally");
 
-  // A real `aapx top --once` against the live server renders and exits 0.
-  const pid_t pid = ::fork();
-  require(pid >= 0, "fork failed");
-  if (pid == 0) {
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, 1);
-      ::dup2(devnull, 2);
-    }
-    ::execl(opts.aapx.c_str(), opts.aapx.c_str(), "top", "--connect",
-            ts.server.endpoint().c_str(), "--once",
-            static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  require(WIFEXITED(status) && WEXITSTATUS(status) == 0,
-          "`aapx top --once` did not exit clean");
+  // A real `aapx client --op stats` against the live server renders the
+  // same tallies and exits 0.
+  const std::string text = run_client_stats(opts, ts.server.endpoint());
+  require(text.find("completed " + std::to_string(kClients) + " ") !=
+              std::string::npos,
+          "`aapx client --op stats` did not print completed " +
+              std::to_string(kClients));
   ts.server.stop();
   return 0;
 }

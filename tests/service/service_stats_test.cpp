@@ -1,7 +1,8 @@
-// Coverage of the telemetry plane: the in-band `stats` op (exact counts,
-// per-op latency histograms, the bounded slow-request ring), the `--admin`
-// HTTP endpoints, trace-id stamping, and the determinism contract that
-// scraping a running server never perturbs its run-log bytes.
+// Coverage of service telemetry: the in-band `stats` op (exact counts,
+// per-op latency histograms, the bounded slow-request ring), the service.*
+// series in the root registry that `--metrics` writes, trace-id stamping,
+// and the determinism contract that scraping a running server's stats never
+// perturbs its run-log bytes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,11 +16,11 @@
 
 #include "engine/context.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "service/socket.hpp"
 
 namespace aapx::service {
 namespace {
@@ -34,25 +35,6 @@ CharacterizeRequest small_request(int width = 6) {
   req.scenarios = {{StressMode::worst, 10.0}};
   req.min_precision = width - 2;
   return req;
-}
-
-/// Blocking HTTP/1.0 GET over the socket primitives (curl-free, like the
-/// CI smoke); returns the whole response (status line + headers + body).
-std::string http_get(const std::string& endpoint, const std::string& path) {
-  std::string err;
-  const int fd = connect_endpoint(endpoint, &err);
-  EXPECT_GE(fd, 0) << err;
-  if (fd < 0) return {};
-  EXPECT_TRUE(send_all(fd, "GET " + path + " HTTP/1.0\r\n\r\n", 5000));
-  std::string out;
-  char buf[4096];
-  while (wait_readable(fd, 5000) == 1) {
-    const long n = recv_some(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
-  }
-  close_fd(fd);
-  return out;
 }
 
 TEST(ServeStats, InBandStatsOpIsExactAndCountsNeitherPingNorItself) {
@@ -134,39 +116,46 @@ TEST(ServeStats, CountsStayExactUnderConcurrentClientsAndScrapes) {
   server.stop();
 }
 
-TEST(ServeStats, AdminServesMetricsAndHealthz) {
+// The server's latency histograms and gauges live in the root Context's
+// registry, which is what `aapx serve --metrics` writes: every series is
+// registered there, and the characterize histogram counts exactly the
+// requests the server completed.
+TEST(ServeStats, RootRegistryCarriesTheServiceSeries) {
   Context root;
-  ServerOptions opts;
-  opts.admin = "tcp:0";
-  Server server(root, opts);
+  Server server(root, ServerOptions{});
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
-  ASSERT_FALSE(server.admin_endpoint().empty());
-
-  const std::string health = http_get(server.admin_endpoint(), "/healthz");
-  EXPECT_NE(health.find("HTTP/1.0 200"), std::string::npos) << health;
-  EXPECT_NE(health.find("\r\n\r\nok\n"), std::string::npos) << health;
-
   ServiceClient client(server.endpoint());
-  ASSERT_TRUE(client.characterize(small_request(), &err).has_value()) << err;
-
-  const std::string metrics = http_get(server.admin_endpoint(), "/metrics");
-  EXPECT_NE(metrics.find("HTTP/1.0 200"), std::string::npos);
-  EXPECT_NE(metrics.find("Content-Type: text/plain; version=0.0.4"),
-            std::string::npos);
-  // The identifying series, the lifetime counters, and the per-op latency
-  // histogram the request just fed.
-  EXPECT_NE(metrics.find("aapx_build_info{endpoint=\""), std::string::npos);
-  EXPECT_NE(metrics.find("aapx_serve_requests 1\n"), std::string::npos);
-  EXPECT_NE(metrics.find("aapx_serve_completed 1\n"), std::string::npos);
-  EXPECT_NE(
-      metrics.find("aapx_service_latency_us_characterize_count 1\n"),
-      std::string::npos)
-      << metrics;
-
-  const std::string missing = http_get(server.admin_endpoint(), "/nope");
-  EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos) << missing;
+  for (int width = 4; width < 7; ++width) {
+    CharacterizeRequest req = small_request(width);
+    req.deadline_ms = 60'000;
+    ASSERT_TRUE(client.characterize(req, &err).has_value()) << err;
+  }
+  const std::uint64_t completed = server.stats().completed;
   server.stop();
+  EXPECT_EQ(completed, 3u);
+
+  const obs::MetricsSnapshot snap = root.metrics().snapshot();
+  std::map<std::string, std::uint64_t> hist_counts;
+  for (const auto& [name, sample] : snap.histograms) {
+    hist_counts[name] = sample.count;
+  }
+  for (const char* name :
+       {"service.latency_us.characterize", "service.latency_us.aged_delay",
+        "service.latency_us.library_query", "service.queue_wait_us"}) {
+    EXPECT_TRUE(hist_counts.count(name)) << name << " not registered";
+  }
+  std::map<std::string, double> gauge_max;
+  for (const auto& [name, value_max] : snap.gauges) {
+    gauge_max[name] = value_max.second;
+  }
+  for (const char* name :
+       {"service.queue.depth", "service.deadline.slack_ms"}) {
+    EXPECT_TRUE(gauge_max.count(name)) << name << " not registered";
+  }
+  EXPECT_EQ(hist_counts["service.latency_us.characterize"], completed);
+  EXPECT_EQ(hist_counts["service.queue_wait_us"], completed);
+  EXPECT_GT(gauge_max["service.deadline.slack_ms"], 0.0);
 }
 
 TEST(ServeStats, ClientStampsTraceIdsAndServerEchoesThem) {
@@ -287,8 +276,8 @@ void drive_requests(const std::string& endpoint) {
 }
 
 // The observability acceptance contract: run the same request sequence with
-// and without a scraper hammering every telemetry plane; the per-request
-// run logs must be byte-identical. Scraping is read-only.
+// and without a scraper hammering the stats op; the per-request run logs
+// must be byte-identical. Scraping is read-only.
 TEST(ServeStats, ScrapingDoesNotPerturbRunLogBytes) {
   const fs::path base = fs::temp_directory_path() / "aapx_stats_logs";
   const fs::path quiet_dir = base / "quiet";
@@ -311,7 +300,6 @@ TEST(ServeStats, ScrapingDoesNotPerturbRunLogBytes) {
     Context root;
     ServerOptions opts;
     opts.log_dir = scraped_dir.string();
-    opts.admin = "tcp:0";
     Server server(root, opts);
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;
@@ -321,12 +309,6 @@ TEST(ServeStats, ScrapingDoesNotPerturbRunLogBytes) {
       while (!done.load()) {
         std::string serr;
         EXPECT_TRUE(probe.stats(&serr).has_value()) << serr;
-        EXPECT_NE(http_get(server.admin_endpoint(), "/metrics")
-                      .find("HTTP/1.0 200"),
-                  std::string::npos);
-        EXPECT_NE(
-            http_get(server.admin_endpoint(), "/healthz").find("ok\n"),
-            std::string::npos);
       }
     });
     drive_requests(server.endpoint());

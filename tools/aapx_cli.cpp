@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +45,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -1104,7 +1102,6 @@ int cmd_serve(const Context& ctx, const Args& args) {
       args.get("snapshot-interval", sopts.snapshot_interval_s);
   sopts.store_path = args.store;
   sopts.log_dir = args.text("log-dir");
-  sopts.admin = args.text("admin");
   sopts.slow_ring = args.get("slow-ring", sopts.slow_ring);
 
   service::Server server(ctx, sopts);
@@ -1114,10 +1111,6 @@ int cmd_serve(const Context& ctx, const Args& args) {
   std::printf("aapx serve: listening on %s (%d workers, queue %zu%s)\n",
               server.endpoint().c_str(), sopts.workers, sopts.queue_capacity,
               args.store.empty() ? "" : (", store " + args.store).c_str());
-  if (!server.admin_endpoint().empty()) {
-    std::printf("aapx serve: admin on %s (GET /metrics, GET /healthz)\n",
-                server.admin_endpoint().c_str());
-  }
   std::fflush(stdout);
   server.serve_forever();
   g_server.store(nullptr);
@@ -1139,14 +1132,11 @@ int cmd_serve(const Context& ctx, const Args& args) {
   return signum > 0 ? 128 + signum : 0;
 }
 
-/// Renders one StatsResponse as the operator-facing dashboard `aapx top`
-/// refreshes and `aapx client --op stats` prints once. `qps` < 0 = unknown
-/// (first poll has no delta to rate from).
-void print_stats(const service::StatsResponse& s, const std::string& endpoint,
-                 double qps) {
-  std::printf("aapx serve @ %s — up %.1f s", endpoint.c_str(), s.uptime_s);
-  if (qps >= 0.0) std::printf(" — %.1f done/s", qps);
-  std::printf("\n");
+/// Renders one StatsResponse as the operator-facing summary `aapx client
+/// --op stats` prints.
+void print_stats(const service::StatsResponse& s,
+                 const std::string& endpoint) {
+  std::printf("aapx serve @ %s — up %.1f s\n", endpoint.c_str(), s.uptime_s);
   const std::string snap_note =
       s.snapshot_age_s >= 0.0
           ? "   snapshot " + TextTable::num(s.snapshot_age_s, 1) + " s ago"
@@ -1215,17 +1205,11 @@ constexpr Choice kClientOps[] = {
     {"ping", 0}, {"characterize", 1}, {"aged-delay", 2}, {"query", 3},
     {"stats", 4}};
 
-/// The --connect endpoint `client` and `top` require.
-std::string endpoint_from(const Args& args) {
+int cmd_client(const Context&, const Args& args) {
   const std::string endpoint = args.text("connect");
   if (endpoint.empty()) {
     throw std::runtime_error("--connect unix:<path>|tcp:<port> is required");
   }
-  return endpoint;
-}
-
-int cmd_client(const Context&, const Args& args) {
-  const std::string endpoint = endpoint_from(args);
   service::ClientOptions copt;
   copt.max_attempts = args.get("attempts", copt.max_attempts);
   service::ServiceClient client(endpoint, copt);
@@ -1238,7 +1222,7 @@ int cmd_client(const Context&, const Args& args) {
   if (op == "stats") {
     const auto stats = client.stats(&err);
     if (!stats.has_value()) throw std::runtime_error("stats: " + err);
-    print_stats(*stats, endpoint, -1.0);
+    print_stats(*stats, endpoint);
     return 0;
   }
   if (op == "ping") {
@@ -1293,60 +1277,11 @@ int cmd_client(const Context&, const Args& args) {
   return 0;
 }
 
-/// `aapx top`: a refreshing operational dashboard over the in-band stats
-/// op — poll, render, sleep, repeat until SIGINT/SIGTERM (or once with
-/// --once). Rates are completed-count deltas between polls.
-int cmd_top(const Context&, const Args& args) {
-  const std::string endpoint = endpoint_from(args);
-  const double interval_s = args.get("interval", 2.0);
-  if (interval_s <= 0.0) throw std::runtime_error("--interval must be > 0");
-  const bool once = args.has("once");
-  service::ClientOptions copt;
-  copt.max_attempts = args.get("attempts", copt.max_attempts);
-  service::ServiceClient client(endpoint, copt);
-
-  std::uint64_t prev_completed = 0;
-  auto prev_time = std::chrono::steady_clock::now();
-  bool have_prev = false;
-  while (true) {
-    std::string err;
-    const auto stats = client.stats(&err);
-    if (!stats.has_value()) throw std::runtime_error("top: " + err);
-    const auto now = std::chrono::steady_clock::now();
-    double qps = -1.0;
-    if (have_prev) {
-      const double dt = std::chrono::duration<double>(now - prev_time).count();
-      qps = dt > 0.0 ? static_cast<double>(stats->completed - prev_completed) /
-                           dt
-                     : 0.0;
-    }
-    if (!once) std::printf("\033[H\033[2J");  // home + clear, like top(1)
-    print_stats(*stats, endpoint, qps);
-    std::fflush(stdout);
-    if (once) return 0;
-    prev_completed = stats->completed;
-    prev_time = now;
-    have_prev = true;
-    // Sleep in short slices so a shutdown signal ends the loop promptly.
-    const auto wake = now + std::chrono::duration<double>(interval_s);
-    while (std::chrono::steady_clock::now() < wake) {
-      if (g_signal.load() != 0) {
-        std::printf("\n");
-        return 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (g_signal.load() != 0) return 0;
-  }
-}
-
 int cmd_help(const Context& ctx, const Args& args);
 
 const Opts kExportAged = {
     years("years", "Y", "age the cells by Y years (default 0 = fresh)"),
     choice("stress", kModes, "stress mode of the aged cells")};
-const Opt kConnect = str("connect", "unix:<path>|tcp:<port>", "server");
-const Opt kAttempts = integer("attempts", 1, "N", "attempts per request");
 
 // Columns: name, summary, handler, attaches --store, writes
 // --trace/--metrics/--log, options.
@@ -1423,19 +1358,16 @@ const std::vector<Command> kCommands = {
       integer("retry-hint-ms", 0, "MS", "retry hint when shedding"),
       real("snapshot-interval", "SECONDS", "periodic --store snapshots"),
       str("log-dir", "DIR", "per-request JSONL run logs"),
-      str("admin", "unix:<path>|tcp:<port>", "GET /metrics and /healthz"),
       integer("slow-ring", 0, "N", "slowest-requests ring size")}},
     {"client", "one request against a running server (retry + backoff)",
      cmd_client, false, true,
-     Opts{kConnect, choice("op", kClientOps, "request (default ping)")} +
+     Opts{str("connect", "unix:<path>|tcp:<port>", "server"),
+          choice("op", kClientOps, "request (default ping)")} +
          kComponent +
          Opts{kMinPrecision, integer("step", 1, "S", "precision step"), kMode,
               kYearsList, integer("deadline-ms", 0, "MS", "0 = none"),
-              kAttempts, u64("trace-id", "ID", "fixed trace id")}},
-    {"top", "live dashboard over a running server's stats op", cmd_top, false,
-     true,
-     {kConnect, real("interval", "SECONDS", "refresh period (default 2)"),
-      flag("once", "print one snapshot and exit"), kAttempts}},
+              integer("attempts", 1, "N", "attempts per request"),
+              u64("trace-id", "ID", "fixed trace id")}},
     {"help", "this text", cmd_help, false, true, {}},
 };
 

@@ -40,11 +40,9 @@ IGNORED_FIELDS = {
 }
 
 # Field-name prefixes with the same timing-dependent character: the serve
-# bench reports queries-per-second as qps_<phase>_<clients> and its
-# mid-pass admin-scrape count as scrapes_<clients>, speedup_<stat> fields
-# are ratios of two timings, and the cost breakdown benches report
-# per-phase seconds as *_s.
-IGNORED_PREFIXES = ("qps_", "scrapes_", "speedup_")
+# bench reports queries-per-second as qps_<phase>_<clients>, and the cost
+# breakdown benches report per-phase seconds as *_s.
+IGNORED_PREFIXES = ("qps_",)
 
 
 def is_timing_suffix(key):
