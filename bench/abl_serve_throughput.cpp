@@ -147,14 +147,7 @@ int run(int argc, char** argv) {
           service::MsgType::characterize) {
         continue;
       }
-      obs::HistogramSample sample;
-      sample.count = op.count;
-      sample.sum = op.sum_us;
-      sample.min = op.min_us;
-      sample.max = op.max_us;
-      for (const auto& [index, count] : op.buckets) {
-        sample.buckets.push_back({index, count});
-      }
+      const obs::HistogramSample sample = op.sample();
       bench_json.metric("latency_c" + tag + "_p50_ms",
                         obs::histogram_quantile(sample, 0.50) / 1000.0);
       bench_json.metric("latency_c" + tag + "_p95_ms",

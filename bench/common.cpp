@@ -131,7 +131,6 @@ std::string json_num(double v) {
 
 BenchJson::BenchJson(std::string name, int argc, char** argv)
     : name_(std::move(name)) {
-  baseline_wall_s_ = arg_double(argc, argv, "--baseline-wall", 0.0);
   trace_path_ = arg_str(argc, argv, "--trace", "");
   metrics_path_ = arg_str(argc, argv, "--metrics", "");
   store_path_ = arg_str(argc, argv, "--store", "");
@@ -189,11 +188,6 @@ BenchJson::~BenchJson() {
     out << ",\n  \"events\": " << events_;
     out << ",\n  \"events_per_sec\": "
         << json_num(static_cast<double>(events_) / std::max(wall_s, 1e-12));
-  }
-  if (baseline_wall_s_ > 0.0) {
-    out << ",\n  \"baseline_wall_s\": " << json_num(baseline_wall_s_);
-    out << ",\n  \"speedup_vs_baseline\": "
-        << json_num(baseline_wall_s_ / std::max(wall_s, 1e-12));
   }
   for (const auto& [key, value] : metrics_) {
     out << ",\n  \"" << key << "\": " << value;

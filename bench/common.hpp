@@ -112,10 +112,8 @@ std::string out_path(int argc, char** argv, const std::string& filename);
 /// Constructing a BenchJson starts the wall timer; destruction writes
 /// BENCH_<name>.json into the working directory with the wall time, the
 /// bench_context() thread count, event throughput (when the bench reported
-/// events), any custom metrics, a snapshot of the process metrics registry
-/// ("metrics_registry"), and — when the caller passed
-/// "--baseline-wall <seconds>" (measured wall time of a reference binary) —
-/// the speedup against that baseline.
+/// events), any custom metrics and a snapshot of the process metrics
+/// registry ("metrics_registry").
 ///
 /// The shared instrumentation flags also apply to every bench:
 /// "--trace <file>" collects a Chrome trace across the bench and writes it
@@ -139,7 +137,6 @@ class BenchJson {
 
  private:
   std::string name_;
-  double baseline_wall_s_ = 0.0;
   std::uint64_t events_ = 0;
   std::vector<std::pair<std::string, std::string>> metrics_;
   std::string trace_path_;

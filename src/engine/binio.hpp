@@ -81,6 +81,18 @@ class BinReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
 
+  /// An enum written as i32, range-checked against [0, last]: an
+  /// out-of-range value throws std::runtime_error naming `what`.
+  template <typename Enum>
+  Enum enum32(Enum last, const char* what) {
+    const std::int32_t v = i32();
+    if (v < 0 || v > static_cast<std::int32_t>(last)) {
+      throw std::runtime_error(std::string("bad ") + what + " value " +
+                               std::to_string(v));
+    }
+    return static_cast<Enum>(v);
+  }
+
   std::string str() {
     const std::uint64_t n = len(u64());
     std::string s(data_.substr(pos_, n));

@@ -21,26 +21,6 @@ namespace {
 #define AAPX_SANITIZE_MODE "unknown"
 #endif
 
-void encode_spec(BinWriter& w, const ComponentSpec& spec) {
-  w.i32(static_cast<int>(spec.kind));
-  w.i32(spec.width);
-  w.i32(spec.truncated_bits);
-  w.i32(static_cast<int>(spec.adder_arch));
-  w.i32(static_cast<int>(spec.mult_arch));
-  w.i32(static_cast<int>(spec.technique));
-}
-
-ComponentSpec decode_spec(BinReader& r) {
-  ComponentSpec spec;
-  spec.kind = static_cast<ComponentKind>(r.i32());
-  spec.width = r.i32();
-  spec.truncated_bits = r.i32();
-  spec.adder_arch = static_cast<AdderArch>(r.i32());
-  spec.mult_arch = static_cast<MultArch>(r.i32());
-  spec.technique = static_cast<ApproxTechnique>(r.i32());
-  return spec;
-}
-
 // The aging block every aged-library and surface payload carries right
 // after lib_fp: the mechanism list, then every BTI, HCI, EM and TDDB field.
 // All four blocks are written whether or not their mechanism is enabled, so
@@ -167,6 +147,27 @@ auto decode_guarded(const char* what, const Fn& fn) -> decltype(fn()) {
 }
 
 }  // namespace
+
+void encode_spec(BinWriter& w, const ComponentSpec& spec) {
+  w.i32(static_cast<int>(spec.kind));
+  w.i32(spec.width);
+  w.i32(spec.truncated_bits);
+  w.i32(static_cast<int>(spec.adder_arch));
+  w.i32(static_cast<int>(spec.mult_arch));
+  w.i32(static_cast<int>(spec.technique));
+}
+
+ComponentSpec decode_spec(BinReader& r) {
+  ComponentSpec spec;
+  spec.kind = r.enum32(ComponentKind::clamp, "ComponentKind");
+  spec.width = r.i32();
+  spec.truncated_bits = r.i32();
+  spec.adder_arch = r.enum32(AdderArch::kogge_stone, "AdderArch");
+  spec.mult_arch = r.enum32(MultArch::wallace, "MultArch");
+  spec.technique =
+      r.enum32(ApproxTechnique::pp_truncation, "ApproxTechnique");
+  return spec;
+}
 
 std::uint64_t build_fingerprint() {
   return Hasher{}
@@ -577,7 +578,7 @@ SurfacePayload decode_surface_payload(const std::string& payload) {
     p.scenarios.reserve(nscen);
     for (std::uint64_t i = 0; i < nscen; ++i) {
       AgingScenario s;
-      s.mode = static_cast<StressMode>(r.i32());
+      s.mode = r.enum32(StressMode::measured, "StressMode");
       s.years = r.f64();
       p.scenarios.push_back(s);
     }

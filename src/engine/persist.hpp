@@ -106,6 +106,17 @@ StoreFileData load_store_file(const std::string& path);
 std::uint64_t write_store_file(const std::string& path,
                                const std::vector<RawRecord>& records);
 
+class BinReader;
+class BinWriter;
+
+/// The ComponentSpec layout every spec-carrying store record and service
+/// frame shares: kind, width, truncated_bits, adder_arch, mult_arch and
+/// technique as six i32s. The decoder range-checks the four enums and throws
+/// std::runtime_error on an unknown value; width and truncation are the
+/// caller's to check.
+void encode_spec(BinWriter& w, const ComponentSpec& spec);
+ComponentSpec decode_spec(BinReader& r);
+
 // --- payload codecs ---------------------------------------------------------
 // Encoders serialize an entry with its key material; decoders re-verify
 // structural invariants (counts, cell ids) and throw std::runtime_error on

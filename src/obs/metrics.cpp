@@ -85,6 +85,19 @@ void Histogram::reset() noexcept {
              std::memory_order_relaxed);
 }
 
+HistogramSample Histogram::sample() const {
+  HistogramSample s;
+  s.count = count();
+  s.sum = sum();
+  s.min = min();
+  s.max = max();
+  for (int i = 0; i < kBuckets; ++i) {
+    const std::uint64_t n = bucket(i);
+    if (n > 0) s.buckets.emplace_back(i, n);
+  }
+  return s;
+}
+
 double histogram_quantile(const HistogramSample& sample, double q) {
   if (sample.count == 0) return 0.0;
   if (q <= 0.0) return sample.min;
@@ -156,16 +169,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.gauges.emplace_back(name, std::make_pair(g->value(), g->max()));
   }
   for (const auto& [name, h] : histograms_) {
-    HistogramSample sample;
-    sample.count = h->count();
-    sample.sum = h->sum();
-    sample.min = h->min();
-    sample.max = h->max();
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = h->bucket(i);
-      if (n > 0) sample.buckets.emplace_back(i, n);
-    }
-    snap.histograms.emplace_back(name, std::move(sample));
+    snap.histograms.emplace_back(name, h->sample());
   }
   return snap;
 }

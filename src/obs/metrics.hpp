@@ -62,6 +62,8 @@ class Gauge {
   std::atomic<double> max_{0.0};
 };
 
+struct HistogramSample;
+
 /// Histogram over non-negative measures with power-of-two buckets: bucket 0
 /// counts v < 1, bucket i (i >= 1) counts v in [2^(i-1), 2^i). Alongside the
 /// buckets it tracks the exact sum, minimum and maximum (relaxed atomics /
@@ -84,6 +86,8 @@ class Histogram {
   /// Lower edge of bucket i (0 for bucket 0).
   static double bucket_floor(int i) noexcept;
   void reset() noexcept;
+  /// Copy of the current state, non-empty buckets only.
+  HistogramSample sample() const;
 
  private:
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};

@@ -85,9 +85,10 @@ std::uint32_t ServiceClient::next_backoff_ms(int attempt,
   // in [half, full]) from a deterministic xorshift stream, floored at the
   // server's hint: overlapping client storms decorrelate instead of
   // re-stampeding in lockstep.
+  constexpr std::uint64_t kMaxBackoffMs = 2000;
   std::uint64_t exp = options_.base_backoff_ms;
-  for (int i = 0; i < attempt && exp < options_.max_backoff_ms; ++i) exp *= 2;
-  exp = std::min<std::uint64_t>(exp, options_.max_backoff_ms);
+  for (int i = 0; i < attempt && exp < kMaxBackoffMs; ++i) exp *= 2;
+  exp = std::min<std::uint64_t>(exp, kMaxBackoffMs);
   jitter_state_ ^= jitter_state_ << 13;
   jitter_state_ ^= jitter_state_ >> 7;
   jitter_state_ ^= jitter_state_ << 17;
@@ -102,8 +103,9 @@ CallResult ServiceClient::call(MsgType type, const std::string& payload,
   // its own budget by a healthy server, so anything past deadline + margin
   // means the server is wedged; deadline-free requests get the blanket
   // response timeout.
+  constexpr std::uint32_t kDeadlineMarginMs = 2000;
   const std::uint32_t timeout_ms =
-      deadline_ms > 0 ? deadline_ms + options_.deadline_margin_ms
+      deadline_ms > 0 ? deadline_ms + kDeadlineMarginMs
                       : options_.response_timeout_ms;
   // One trace id per logical call, shared by every retry attempt: the
   // client.attempt spans and the server's serve.* spans all carry it, so a

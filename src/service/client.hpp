@@ -3,17 +3,18 @@
 //
 // Fault-tolerance contract: one call() is a *reliable* request —
 //   * transport failure (server restarting, connection dropped mid-frame)
-//     reconnects and resends after an exponential backoff with
-//     deterministic jitter,
+//     reconnects and resends after an exponential backoff (capped at 2 s)
+//     with deterministic jitter,
 //   * a retry_later response (server backpressure) backs off by at least
 //     the server's hint before resending,
 //   * error / cancelled responses are terminal: the server made a decision,
 //     retrying wouldn't change it, so the outcome is reported to the
 //     caller instead,
 //   * a wedged server (accepts, never answers) is bounded by a response
-//     timeout — deadline_ms + deadline_margin_ms for deadline-carrying
-//     requests, response_timeout_ms otherwise — and treated as a transport
-//     failure eligible for retry.
+//     timeout — deadline_ms + 2 s for deadline-carrying requests (the
+//     server answers `cancelled` by the deadline, so later means wedged),
+//     response_timeout_ms otherwise — and treated as a transport failure
+//     eligible for retry.
 // Retries are bounded by max_attempts; the final failure reason is always
 // a human-readable string, never a hang.
 #pragma once
@@ -35,17 +36,12 @@ namespace aapx::service {
 struct ClientOptions {
   int max_attempts = 8;
   std::uint32_t base_backoff_ms = 10;
-  std::uint32_t max_backoff_ms = 2000;
   /// Jitter stream seed — deterministic, so test schedules reproduce.
   std::uint64_t jitter_seed = 1;
   /// Ceiling on one attempt's wait for a response when the request carries
   /// no deadline; 0 = wait forever. Expiry is a retryable transport
   /// failure, so a wedged server cannot hang the client indefinitely.
   std::uint32_t response_timeout_ms = 60000;
-  /// Slack added to a request's deadline_ms for its attempt timeout: the
-  /// server should answer `cancelled` by then, so anything later means the
-  /// server is wedged, not slow.
-  std::uint32_t deadline_margin_ms = 2000;
   /// Tracer for one client.attempt span per attempt, carrying the call's
   /// trace id as args.n. Borrowed; nullptr = no spans.
   obs::Tracer* tracer = nullptr;

@@ -18,10 +18,10 @@
 // a per-type record encoded below.
 //
 // Robustness contract (frames arrive from untrusted sockets):
-//   * FrameReader validates the magic and rejects payload_size above the
-//     configured ceiling *before* buffering, so a hostile length prefix
-//     cannot drive an allocation — it throws ProtocolError, which the
-//     server answers with one `error` frame and a connection close.
+//   * FrameReader validates the magic and rejects payload_size above
+//     kMaxPayload *before* buffering, so a hostile length prefix cannot
+//     drive an allocation — it throws ProtocolError, which the server
+//     answers with one `error` frame and a connection close.
 //   * Every payload decoder bounds-checks through BinReader, validates enum
 //     ranges and numeric sanity, and requires the payload to be fully
 //     consumed — trailing garbage is malformed, not ignored.
@@ -38,6 +38,7 @@
 
 #include "aging/stress.hpp"
 #include "engine/persist.hpp"
+#include "obs/metrics.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 
@@ -45,9 +46,9 @@ namespace aapx::service {
 
 inline constexpr std::uint32_t kFrameMagic = 0x46585041;  // "APXF" on the wire
 inline constexpr std::size_t kFrameHeaderSize = 32;
-/// Default payload ceiling. Surfaces are a few KiB; 16 MiB leaves room for
-/// big library-query responses while bounding a hostile prefix's damage.
-inline constexpr std::uint64_t kDefaultMaxPayload = 16ull << 20;
+/// Payload ceiling. Surfaces are a few KiB; 16 MiB leaves room for big
+/// library-query responses while bounding a hostile prefix's damage.
+inline constexpr std::uint64_t kMaxPayload = 16ull << 20;
 
 enum class MsgType : std::uint32_t {
   // requests
@@ -94,9 +95,6 @@ std::string encode_frame(const Frame& frame);
 /// rejected before any payload buffering.
 class FrameReader {
  public:
-  explicit FrameReader(std::uint64_t max_payload = kDefaultMaxPayload)
-      : max_payload_(max_payload) {}
-
   void feed(const char* data, std::size_t n);
   std::optional<Frame> next();
   std::size_t buffered() const noexcept { return buf_.size() - pos_; }
@@ -110,7 +108,6 @@ class FrameReader {
   /// already-answered frames across a long-lived connection.
   void compact();
 
-  std::uint64_t max_payload_;
   std::string buf_;
   std::size_t pos_ = 0;
 };
@@ -197,13 +194,14 @@ CancelledResponse decode_cancelled_response(const std::string& payload);
 // point-in-time snapshot of the server's operational state: lifetime
 // counters, per-op latency histograms (exact count/sum/min/max plus the
 // non-empty log2 buckets — enough to recompute p50/p95/p99 client-side with
-// obs::histogram_quantile), the slow-request ring, and the name-ordered
-// counters of the server's metrics registry (store hit rates etc.).
-// The server answers it on the reader thread without touching any request
-// counter or the worker queue, so scraping never perturbs serving.
+// obs::histogram_quantile) and the slow-request ring. The server answers it
+// on the reader thread without touching any request counter or the worker
+// queue, so scraping never perturbs serving. The root registry's counters
+// are not in it: `aapx serve --metrics` writes the whole registry on drain.
+// This record is also the server's in-process view (Server::Stats).
 
 struct StatsResponse {
-  // Lifetime counters (mirrors Server::Stats).
+  // Lifetime counters.
   std::uint64_t connections = 0;
   std::uint64_t live_connections = 0;
   std::uint64_t requests = 0;
@@ -228,6 +226,10 @@ struct StatsResponse {
     double max_us = 0.0;
     /// (log2 bucket index, count), non-empty buckets only, index-ordered.
     std::vector<std::pair<std::int32_t, std::uint64_t>> buckets;
+
+    /// The same histogram as an obs::HistogramSample, for
+    /// obs::histogram_quantile.
+    obs::HistogramSample sample() const;
   };
   std::vector<OpLatency> ops;
 
@@ -239,9 +241,6 @@ struct StatsResponse {
     double latency_us = 0.0;
   };
   std::vector<SlowRequest> slow;
-
-  /// Registry counters of the server's root context, name-ordered.
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 std::string encode_stats_response(const StatsResponse& resp);
 StatsResponse decode_stats_response(const std::string& payload);

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -25,14 +26,18 @@
 namespace aapx::service {
 namespace {
 
+/// A peer whose socket buffer stays full this long is marked dead and
+/// disconnected instead of blocking the writing thread (readers and workers
+/// both write).
+constexpr int kWriteTimeoutMs = 5000;
+
 /// One accepted client. The reader thread and any worker finishing a job
 /// for this client both write frames; the mutex serializes them so frames
 /// never interleave. shutdown() (not close()) tears the socket down while
 /// references remain — the fd itself closes with the last shared_ptr, so a
 /// worker can never write into a recycled descriptor.
 struct Connection {
-  Connection(int fd_in, int write_timeout_ms_in)
-      : fd(fd_in), write_timeout_ms(write_timeout_ms_in) {}
+  explicit Connection(int fd_in) : fd(fd_in) {}
   ~Connection() { close_fd(fd); }
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -40,7 +45,7 @@ struct Connection {
   bool send_frame(const Frame& frame) {
     std::lock_guard<std::mutex> lock(write_mutex);
     if (!alive.load(std::memory_order_relaxed)) return false;
-    if (!send_all(fd, encode_frame(frame), write_timeout_ms)) {
+    if (!send_all(fd, encode_frame(frame), kWriteTimeoutMs)) {
       // Peer vanished mid-response or stopped draining its socket (the
       // chaos harness does both on purpose): mark dead so later responses
       // stop trying, and shut the socket down so the reader thread wakes
@@ -53,7 +58,6 @@ struct Connection {
   }
 
   const int fd;
-  const int write_timeout_ms;
   std::mutex write_mutex;
   std::atomic<bool> alive{true};
   /// Set by the reader thread on exit; the acceptor reaps done connections.
@@ -99,6 +103,18 @@ struct Job {
 
 using JobPtr = std::shared_ptr<Job>;
 
+/// One request op's latency histogram, `service.latency_us.<op>` in the
+/// root registry.
+struct OpHistogram {
+  MsgType op;
+  obs::Histogram& hist;
+};
+
+OpHistogram op_histogram(const Context& root, MsgType op) {
+  return {op, root.metrics().histogram(std::string("service.latency_us.") +
+                                       to_string(op))};
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -108,12 +124,9 @@ struct Server::Impl {
         lib(make_nangate45_like()),
         model(AgingModel{}),
         queue(std::max<std::size_t>(1, options.queue_capacity)),
-        lat_characterize(
-            root.metrics().histogram("service.latency_us.characterize")),
-        lat_aged_delay(
-            root.metrics().histogram("service.latency_us.aged_delay")),
-        lat_library_query(
-            root.metrics().histogram("service.latency_us.library_query")),
+        latency{op_histogram(root, MsgType::characterize),
+                op_histogram(root, MsgType::aged_delay),
+                op_histogram(root, MsgType::library_query)},
         queue_wait(root.metrics().histogram("service.queue_wait_us")),
         queue_depth_gauge(root.metrics().gauge("service.queue.depth")),
         deadline_slack_gauge(
@@ -154,9 +167,9 @@ struct Server::Impl {
   // Latency histograms and gauges live in the root Context's registry, so
   // `--metrics` writes them with every other series; references are
   // resolved once here (registry lookups are name-keyed and mutexed).
-  obs::Histogram& lat_characterize;
-  obs::Histogram& lat_aged_delay;
-  obs::Histogram& lat_library_query;
+  /// Admission-to-response latency, one histogram per request op, in the
+  /// order the stats op lists them.
+  const std::array<OpHistogram, 3> latency;
   obs::Histogram& queue_wait;
   obs::Gauge& queue_depth_gauge;
   obs::Gauge& deadline_slack_gauge;
@@ -167,7 +180,7 @@ struct Server::Impl {
   /// none yet.
   std::atomic<std::int64_t> last_snapshot_us{-1};
 
-  /// Slowest requests, latency-descending, bounded at options.slow_ring.
+  /// Slowest requests, latency-descending, bounded at kSlowRequestRing.
   std::mutex slow_mutex;
   std::vector<StatsResponse::SlowRequest> slow;
 
@@ -175,22 +188,15 @@ struct Server::Impl {
     return std::chrono::duration<double, std::micro>(tp - start_time).count();
   }
 
-  obs::Histogram& latency_histogram(MsgType type) {
-    switch (type) {
-      case MsgType::aged_delay: return lat_aged_delay;
-      case MsgType::library_query: return lat_library_query;
-      default: return lat_characterize;
-    }
-  }
-
   /// Admission-to-response accounting shared by worker jobs and the inline
   /// library_query path: per-op histogram, slow-request ring.
   void record_latency(MsgType type, std::uint64_t seq, std::uint64_t trace_id,
                       double latency_us) {
-    latency_histogram(type).observe(latency_us);
-    if (options.slow_ring == 0) return;
+    for (const OpHistogram& h : latency) {
+      if (h.op == type) h.hist.observe(latency_us);
+    }
     std::lock_guard<std::mutex> lock(slow_mutex);
-    if (slow.size() >= options.slow_ring &&
+    if (slow.size() >= kSlowRequestRing &&
         latency_us <= slow.back().latency_us) {
       return;
     }
@@ -206,7 +212,7 @@ struct Server::Impl {
           return a.latency_us > b.latency_us;
         });
     slow.insert(it, entry);
-    if (slow.size() > options.slow_ring) slow.pop_back();
+    if (slow.size() > kSlowRequestRing) slow.pop_back();
   }
 
   // --- admission (reader threads) -------------------------------------------
@@ -217,9 +223,9 @@ struct Server::Impl {
       return;
     }
     if (frame.type == MsgType::stats) {
-      // Answered inline from atomics and registry snapshots, counted
-      // nowhere: scraping must reconcile exactly against request tallies
-      // and must never contend with the worker queue.
+      // Answered inline from atomics, counted nowhere: scraping must
+      // reconcile exactly against request tallies and must never contend
+      // with the worker queue.
       conn->send_frame({MsgType::ok_stats, frame.request_id, frame.trace_id,
                         encode_stats_response(build_stats())});
       return;
@@ -259,8 +265,9 @@ struct Server::Impl {
       if (req.width != 0 && p.surface.base.width != req.width) continue;
       out.push_back(std::move(p));
     }
-    conn->send_frame({MsgType::ok_surfaces, frame.request_id, frame.trace_id,
-                      encode_surfaces_response(out)});
+    const Frame response{MsgType::ok_surfaces, frame.request_id,
+                         frame.trace_id, encode_surfaces_response(out)};
+    // Counted before the response leaves, like execute()'s jobs.
     n_requests.fetch_add(1);
     n_completed.fetch_add(1);
     record_latency(MsgType::library_query, next_seq.fetch_add(1),
@@ -268,6 +275,7 @@ struct Server::Impl {
                    std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - received_at)
                        .count());
+    conn->send_frame(response);
   }
 
   void admit(const ConnPtr& conn, const Frame& frame) {
@@ -497,7 +505,7 @@ struct Server::Impl {
   // --- connection plumbing --------------------------------------------------
 
   void reader_loop(const ConnPtr& conn) {
-    FrameReader reader(options.max_payload);
+    FrameReader reader;
     char buf[4096];
     while (true) {
       const int ready = wait_readable(conn->fd, 200);
@@ -563,7 +571,7 @@ struct Server::Impl {
       if (ready <= 0) continue;
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
-      auto conn = std::make_shared<Connection>(fd, options.write_timeout_ms);
+      auto conn = std::make_shared<Connection>(fd);
       n_connections.fetch_add(1);
       std::lock_guard<std::mutex> lock(conns_mutex);
       conns.push_back(
@@ -624,30 +632,16 @@ struct Server::Impl {
                            : (us_since_start(now) -
                               static_cast<double>(snap_us)) /
                                  1e6;
-    const std::pair<MsgType, obs::Histogram&> hists[] = {
-        {MsgType::characterize, lat_characterize},
-        {MsgType::aged_delay, lat_aged_delay},
-        {MsgType::library_query, lat_library_query},
-    };
-    for (const auto& [type, hist] : hists) {
-      StatsResponse::OpLatency op;
-      op.op = static_cast<std::uint32_t>(type);
-      op.count = hist.count();
-      if (op.count == 0) continue;
-      op.sum_us = hist.sum();
-      op.min_us = hist.min();
-      op.max_us = hist.max();
-      for (int i = 0; i < obs::Histogram::kBuckets; ++i) {
-        const std::uint64_t n = hist.bucket(i);
-        if (n > 0) op.buckets.emplace_back(i, n);
-      }
-      r.ops.push_back(std::move(op));
+    for (const auto& [type, hist] : latency) {
+      const obs::HistogramSample s = hist.sample();
+      if (s.count == 0) continue;
+      r.ops.push_back({static_cast<std::uint32_t>(type), s.count, s.sum, s.min,
+                       s.max, {s.buckets.begin(), s.buckets.end()}});
     }
     {
       std::lock_guard<std::mutex> lock(slow_mutex);
       r.slow = slow;
     }
-    r.counters = root->metrics().snapshot().counters;
     return r;
   }
 };
@@ -714,23 +708,6 @@ void Server::serve_forever() {
   stop();
 }
 
-Server::Stats Server::stats() const {
-  Stats s;
-  s.connections = impl_->n_connections.load();
-  {
-    std::lock_guard<std::mutex> lock(impl_->conns_mutex);
-    s.live_connections = impl_->conns.size();
-  }
-  s.requests = impl_->n_requests.load();
-  s.completed = impl_->n_completed.load();
-  s.shed = impl_->n_shed.load();
-  s.deduped = impl_->n_deduped.load();
-  s.cancelled = impl_->n_cancelled.load();
-  s.protocol_errors = impl_->n_protocol_errors.load();
-  s.snapshots = impl_->n_snapshots.load();
-  return s;
-}
-
-StatsResponse Server::stats_response() const { return impl_->build_stats(); }
+Server::Stats Server::stats() const { return impl_->build_stats(); }
 
 }  // namespace aapx::service

@@ -33,11 +33,13 @@
 //
 // Telemetry: a running server is observable without being perturbable. The
 // in-band `stats` op is answered on the connection's reader thread from
-// atomics and registry snapshots; it never touches the worker queue or any
-// request counter, so polling it mid-campaign leaves run logs
-// byte-identical. Per-request admission-to-response latency lands in per-op
-// log2 histograms in the root registry (written by `--metrics`) and the
-// slowest requests in a bounded top-K ring.
+// atomics; it never touches the worker queue or any request counter, so
+// polling it mid-campaign leaves run logs byte-identical. Every request is
+// counted, and its admission-to-response latency recorded, before its
+// response leaves, so a client holding a response already sees it in the
+// stats. Latencies land in per-op log2 histograms in the root registry
+// (written by `--metrics`) and the kSlowRequestRing slowest requests in a
+// top-K ring.
 // Request spans go to the root Context's tracer (`aapx serve --trace`):
 // every per-request Context borrows it, and serve.characterize /
 // serve.aged_delay carry the client's wire trace id as args.n.
@@ -56,6 +58,9 @@
 
 namespace aapx::service {
 
+/// Entries of the slowest-requests ring the stats op reports.
+inline constexpr std::size_t kSlowRequestRing = 16;
+
 struct ServerOptions {
   /// unix:<path> or tcp:<port> (tcp:0 = ephemeral; see endpoint()).
   std::string listen = "tcp:0";
@@ -68,20 +73,12 @@ struct ServerOptions {
   std::size_t queue_capacity = 64;
   /// Backoff hint carried in retry_later responses.
   std::uint32_t retry_hint_ms = 50;
-  /// Reject frames with payloads beyond this before buffering them.
-  std::uint64_t max_payload = 16ull << 20;
-  /// Bounded-time response writes: a peer whose socket buffer stays full
-  /// for this long is marked dead and disconnected instead of blocking the
-  /// writing thread (readers and workers both write). < 0 = block forever.
-  int write_timeout_ms = 5000;
   /// Snapshot target for the shared store; empty = no snapshots.
   std::string store_path;
   /// Periodic snapshot interval; 0 = snapshot only on graceful stop.
   double snapshot_interval_s = 0.0;
   /// Per-request run-log directory (req_<seq>.jsonl); empty = no logs.
   std::string log_dir;
-  /// Capacity of the slowest-requests ring reported by the stats op.
-  std::size_t slow_ring = 16;
 };
 
 class Server {
@@ -113,24 +110,14 @@ class Server {
   /// Runs until request_stop() (i.e. SIGINT/SIGTERM) fires, then stop()s.
   void serve_forever();
 
-  struct Stats {
-    std::uint64_t connections = 0;     ///< ever accepted
-    std::uint64_t live_connections = 0;  ///< tracked now (not yet reaped)
-    std::uint64_t requests = 0;        ///< admitted (queued or deduped)
-    std::uint64_t completed = 0;       ///< ok_* responses sent
-    std::uint64_t shed = 0;            ///< retry_later responses sent
-    std::uint64_t deduped = 0;         ///< waiters attached to in-flight jobs
-    std::uint64_t cancelled = 0;       ///< cancelled responses sent
-    std::uint64_t protocol_errors = 0; ///< malformed frames / payloads
-    std::uint64_t snapshots = 0;       ///< successful store saves
-  };
+  /// The operational snapshot the in-band stats op serves: lifetime
+  /// counters, instantaneous queue state, per-op latency histograms and the
+  /// slow-request ring. Built from atomics and brief locked copies;
+  /// callable any time, also after stop(), without perturbing request
+  /// traffic. stats() and stats_response() are the same call.
+  using Stats = StatsResponse;
   Stats stats() const;
-
-  /// The full operational snapshot the in-band stats op serves — lifetime
-  /// counters, per-op latency histograms, the slow-request ring, registry
-  /// counters. Built from atomics and snapshots only; callable any time
-  /// between start() and stop() without perturbing request traffic.
-  StatsResponse stats_response() const;
+  StatsResponse stats_response() const { return stats(); }
 
  private:
   struct Impl;

@@ -376,6 +376,38 @@ TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
   EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 1u);
 }
 
+// A well-formed record (valid checksum) whose enums name no real value is
+// corrupt, not a surface: the spec decoder range-checks ComponentKind and the
+// surface decoder each scenario's StressMode, so a library query never
+// serves a component kind 99 or a stress mode 7.
+TEST_F(PersistTest, OutOfRangeEnumSurfaceRecordIsDropped) {
+  warm_and_save();
+  const engine::StoreFileData saved = engine::load_store_file(path_);
+  ASSERT_TRUE(saved.header_ok);
+  const auto corrupt = [&](const auto& edit) {
+    std::vector<engine::RawRecord> records = saved.records;
+    int surfaces = 0;
+    for (engine::RawRecord& r : records) {
+      if (r.kind != engine::RecordKind::surface) continue;
+      engine::SurfacePayload p = engine::decode_surface_payload(r.payload);
+      edit(p);
+      r.payload = engine::encode_surface_payload(p);
+      ++surfaces;
+    }
+    ASSERT_EQ(surfaces, 1);
+    ASSERT_GT(engine::write_store_file(path_, records), 0u);
+    Context ctx;
+    ASSERT_TRUE(ctx.store().open(path_));  // checksums hold: all staged
+    EXPECT_TRUE(ctx.store().surface_snapshot().empty());
+  };
+  corrupt([](engine::SurfacePayload& p) {
+    p.surface.base.kind = static_cast<ComponentKind>(99);
+  });
+  corrupt([](engine::SurfacePayload& p) {
+    p.scenarios[0].mode = static_cast<StressMode>(7);
+  });
+}
+
 TEST_F(PersistTest, StaleRecordIsColdMissNotWrongHit) {
   warm_and_save();
 

@@ -645,15 +645,10 @@ int scenario_scrape(const ChaosOptions& opts) {
                          "scrape-storm client " + std::to_string(i));
   }
 
-  // Exact reconciliation against the client-side tally. completed ticks on
-  // the worker just after the response bytes go out, so give the last
-  // increment a bounded moment to land before requiring exactness.
-  StatsResponse fin;
-  for (int spin = 0; spin < 200; ++spin) {
-    fin = ts.server.stats_response();
-    if (fin.completed >= kClients) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Exact reconciliation against the client-side tally. Every request is
+  // counted before its response leaves, so one read after the clients
+  // joined is already exact.
+  const StatsResponse fin = ts.server.stats_response();
   require(fin.completed == kClients,
           "completed=" + std::to_string(fin.completed) + ", want " +
               std::to_string(kClients));

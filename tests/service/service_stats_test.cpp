@@ -73,6 +73,17 @@ TEST(ServeStats, InBandStatsOpIsExactAndCountsNeitherPingNorItself) {
   std::uint64_t bucketed = 0;
   for (const auto& [index, count] : lat.buckets) bucketed += count;
   EXPECT_EQ(bucketed, lat.count) << "histogram buckets must reconcile";
+
+  // library_query is answered on the reader thread, not by a worker; it too
+  // is counted before its response leaves, so an in-process read right
+  // after the call returns already sees it.
+  ASSERT_TRUE(client.library_query({}, &err).has_value()) << err;
+  const StatsResponse queried = server.stats_response();
+  EXPECT_EQ(queried.requests, 2u);
+  EXPECT_EQ(queried.completed, 2u);
+  ASSERT_EQ(queried.ops.size(), 2u);
+  EXPECT_EQ(static_cast<MsgType>(queried.ops[1].op), MsgType::library_query);
+  EXPECT_EQ(queried.ops[1].count, 1u);
   server.stop();
 }
 
@@ -184,24 +195,27 @@ TEST(ServeStats, ClientStampsTraceIdsAndServerEchoesThem) {
 
 TEST(ServeStats, SlowRequestRingIsBoundedAndCarriesTraceIds) {
   Context root;
-  ServerOptions opts;
-  opts.slow_ring = 2;
-  Server server(root, opts);
+  Server server(root, ServerOptions{});
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
   ServiceClient client(server.endpoint());
-  for (int width = 4; width < 8; ++width) {
-    ASSERT_TRUE(client.characterize(small_request(width), &err).has_value())
-        << err;
+  // More requests than the ring holds; library queries on an empty store
+  // are cheap, so the overflow costs no sweeps.
+  constexpr std::uint64_t kQueries = kSlowRequestRing + 4;
+  for (std::uint64_t i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(client.library_query({}, &err).has_value()) << err;
   }
   const StatsResponse snap = server.stats_response();
-  EXPECT_EQ(snap.completed, 4u);
-  ASSERT_LE(snap.slow.size(), 2u) << "ring must stay bounded";
-  ASSERT_FALSE(snap.slow.empty());
-  for (const auto& s : snap.slow) {
-    EXPECT_EQ(static_cast<MsgType>(s.op), MsgType::characterize);
-    EXPECT_GT(s.latency_us, 0.0);
+  EXPECT_EQ(snap.completed, kQueries);
+  ASSERT_EQ(snap.slow.size(), kSlowRequestRing) << "ring must stay bounded";
+  for (std::size_t i = 0; i < snap.slow.size(); ++i) {
+    const auto& s = snap.slow[i];
+    EXPECT_EQ(static_cast<MsgType>(s.op), MsgType::library_query);
+    EXPECT_LT(s.seq, kQueries);
     EXPECT_NE(s.trace_id, 0u) << "client stamps ids by default";
+    if (i > 0) {
+      EXPECT_GE(snap.slow[i - 1].latency_us, s.latency_us) << "descending";
+    }
   }
   server.stop();
 }

@@ -1102,7 +1102,6 @@ int cmd_serve(const Context& ctx, const Args& args) {
       args.get("snapshot-interval", sopts.snapshot_interval_s);
   sopts.store_path = args.store;
   sopts.log_dir = args.text("log-dir");
-  sopts.slow_ring = args.get("slow-ring", sopts.slow_ring);
 
   service::Server server(ctx, sopts);
   std::string err;
@@ -1161,14 +1160,7 @@ void print_stats(const service::StatsResponse& s,
     TextTable lat({"op", "count", "mean [ms]", "p50 [ms]", "p95 [ms]",
                    "p99 [ms]", "min [ms]", "max [ms]"});
     for (const service::StatsResponse::OpLatency& op : s.ops) {
-      obs::HistogramSample sample;
-      sample.count = op.count;
-      sample.sum = op.sum_us;
-      sample.min = op.min_us;
-      sample.max = op.max_us;
-      for (const auto& [index, n] : op.buckets) {
-        sample.buckets.emplace_back(index, n);
-      }
+      const obs::HistogramSample sample = op.sample();
       const double mean =
           op.count == 0 ? 0.0 : op.sum_us / static_cast<double>(op.count);
       lat.add_row(
@@ -1357,8 +1349,7 @@ const std::vector<Command> kCommands = {
       integer("queue", 1, "N", "admission queue capacity (default 64)"),
       integer("retry-hint-ms", 0, "MS", "retry hint when shedding"),
       real("snapshot-interval", "SECONDS", "periodic --store snapshots"),
-      str("log-dir", "DIR", "per-request JSONL run logs"),
-      integer("slow-ring", 0, "N", "slowest-requests ring size")}},
+      str("log-dir", "DIR", "per-request JSONL run logs")}},
     {"client", "one request against a running server (retry + backoff)",
      cmd_client, false, true,
      Opts{str("connect", "unix:<path>|tcp:<port>", "server"),

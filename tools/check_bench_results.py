@@ -4,7 +4,7 @@
 The benches reproduce paper tables/figures, so their *result* fields
 (error counts, precision settings, PSNR values, event totals) are
 deterministic and must match the baselines in bench/results/ exactly.
-Timing-dependent fields (wall time, throughput, speedups) and
+Timing-dependent fields (wall time, throughput) and
 environment-dependent ones (thread count, the metrics-registry snapshot)
 legitimately vary between machines and are ignored.
 
@@ -30,8 +30,6 @@ import sys
 IGNORED_FIELDS = {
     "wall_s",
     "events_per_sec",
-    "speedup_vs_baseline",
-    "baseline_wall_s",
     "threads",
     "metrics_registry",
     "requests_total",
