@@ -10,6 +10,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 
 #include "engine/cancel.hpp"
 #include "engine/context.hpp"
@@ -27,6 +29,27 @@ std::atomic<int> g_bench_signal{0};  // NOLINT
 // guarded_main's root Context, valid while its body runs.
 const Context* g_bench_root = nullptr;  // NOLINT
 
+// Every flag a lookup asked for; guarded_main rejects the rest of argv's.
+std::mutex g_read_flags_mutex;      // NOLINT
+std::set<std::string> g_read_flags;  // NOLINT
+
+void note_read(const std::string& flag) {
+  const std::lock_guard<std::mutex> lock(g_read_flags_mutex);
+  g_read_flags.insert(flag);
+}
+
+/// The first "--X" argument no lookup read, or "" if every one was read.
+std::string first_unread_flag(int argc, char** argv) {
+  const std::lock_guard<std::mutex> lock(g_read_flags_mutex);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0 &&
+        g_read_flags.count(argv[i]) == 0) {
+      return argv[i];
+    }
+  }
+  return "";
+}
+
 extern "C" void bench_shutdown_signal(int signum) {
   g_bench_signal.store(signum, std::memory_order_relaxed);
   g_bench_cancel.cancel();
@@ -36,6 +59,7 @@ extern "C" void bench_shutdown_signal(int signum) {
 /// argument, else the flag is reported by name.
 template <typename T>
 T arg_number(int argc, char** argv, const std::string& flag, T fallback) {
+  note_read(flag);
   for (int i = 1; i + 1 < argc; ++i) {
     if (flag != argv[i]) continue;
     const char* text = argv[i + 1];
@@ -73,7 +97,14 @@ int guarded_main(int argc, char** argv, const std::function<int()>& body) {
     sigemptyset(&sa.sa_mask);
     sigaction(SIGINT, &sa, nullptr);
     sigaction(SIGTERM, &sa, nullptr);
-    return body();
+    const int status = body();
+    // Checked after the body, whose lookups decide which flags exist: a
+    // mistyped or deleted flag must not pass for a default run.
+    const std::string unread = first_unread_flag(argc, argv);
+    if (!unread.empty()) {
+      throw std::invalid_argument("unknown option " + unread);
+    }
+    return status;
   } catch (const CancelledError& e) {
     // The exception already unwound the bench scope, so a BenchJson that
     // was live in `body` has written its telemetry and saved the --store
@@ -89,6 +120,7 @@ int guarded_main(int argc, char** argv, const std::function<int()>& body) {
 }
 
 bool fast_mode(int argc, char** argv) {
+  note_read("--fast");
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) return true;
   }
@@ -106,6 +138,7 @@ double arg_double(int argc, char** argv, const std::string& flag,
 
 std::string arg_str(int argc, char** argv, const std::string& flag,
                     const std::string& fallback) {
+  note_read(flag);
   for (int i = 1; i + 1 < argc; ++i) {
     if (flag == argv[i]) return argv[i + 1];
   }

@@ -83,8 +83,9 @@ const Context& bench_context();
 /// writes its telemetry and saves the --store snapshot on the way out, the
 /// same "store holds only completed artifacts" contract the CLI gives —
 /// and the process exits 128+signum with a one-line diagnostic instead of
-/// dying mid-write; a malformed flag value exits 2 naming the flag. Every
-/// bench main is `return guarded_main(argc, argv, [&] { ... });`.
+/// dying mid-write; a malformed flag value exits 2 naming the flag, and so
+/// does (after the body) any "--X" argument that no fast_mode/arg_* lookup
+/// read. Every bench main is `return guarded_main(argc, argv, [&] { ... });`.
 int guarded_main(int argc, char** argv, const std::function<int()>& body);
 
 /// True if "--fast" was passed (benches shrink their workloads; used by CI).

@@ -28,7 +28,7 @@ struct DesignMetrics {
   PowerReport power;
 };
 
-DesignMetrics measure(const Config& cfg, const Netlist& nl, double clock_ps,
+DesignMetrics measure(const Netlist& nl, double clock_ps,
                       const StimulusSet& stim) {
   const Sta sta(nl);
   TimedSim sim(nl, sta.gate_delays(nullptr, nullptr));
@@ -75,10 +75,18 @@ int run(int argc, char** argv) {
   const SizingResult sized =
       size_for_aging(original, aged, stress, constraint, sopt);
   const double baseline_clock = std::max(sized.aged_delay, constraint);
+  const double residual_guardband = baseline_clock - constraint;
+  const double area_overhead = compute_stats(sized.netlist).cell_area /
+                                   compute_stats(original).cell_area -
+                               1.0;
   std::printf("baseline [4], X4-limited: %d bumps, aged delay %.1f ps vs "
-              "constraint %.1f ps -> residual guardband %.1f ps\n",
+              "constraint %.1f ps -> residual guardband %.1f ps, area "
+              "overhead %s\n",
               sized.upsized_gates, sized.aged_delay, constraint,
-              baseline_clock - constraint);
+              residual_guardband, TextTable::pct(area_overhead).c_str());
+  bench_json.metric("baseline_upsized_gates", sized.upsized_gates);
+  bench_json.metric("baseline_residual_guardband_ps", residual_guardband);
+  bench_json.metric("baseline_area_overhead", area_overhead);
   {
     SizingOptions s8;
     s8.max_drive = 8;
@@ -113,34 +121,41 @@ int run(int argc, char** argv) {
 
   const StimulusSet stim = record_idct_mult_stimulus(
       cfg, "akiyo", fast ? 24 : 48, fast ? 400 : 2000);
-  const DesignMetrics base = measure(cfg, sized.netlist, baseline_clock, stim);
-  const DesignMetrics mine = measure(cfg, ours, constraint, stim);
+  const DesignMetrics base = measure(sized.netlist, baseline_clock, stim);
+  const DesignMetrics mine = measure(ours, constraint, stim);
 
   TextTable table({"metric", "baseline [4]", "ours", "saving", "paper"});
   const double f_gain = base.clock_ps / mine.clock_ps - 1.0;
+  const double leakage_saving =
+      1.0 - mine.power.leakage_nw / base.power.leakage_nw;
+  const double dynamic_saving =
+      1.0 - mine.power.dynamic_uw / base.power.dynamic_uw;
+  const double energy_saving =
+      1.0 - mine.power.energy_per_cycle_fj / base.power.energy_per_cycle_fj;
+  const double area_saving = 1.0 - mine.area / base.area;
   table.add_row({"frequency [GHz]", TextTable::num(1000.0 / base.clock_ps, 3),
                  TextTable::num(1000.0 / mine.clock_ps, 3),
                  "+" + TextTable::pct(f_gain), "+11%"});
   table.add_row({"leakage [nW]", TextTable::num(base.power.leakage_nw, 0),
                  TextTable::num(mine.power.leakage_nw, 0),
-                 TextTable::pct(1.0 - mine.power.leakage_nw /
-                                          base.power.leakage_nw),
-                 "14%"});
+                 TextTable::pct(leakage_saving), "14%"});
   table.add_row({"dynamic [uW]", TextTable::num(base.power.dynamic_uw, 1),
                  TextTable::num(mine.power.dynamic_uw, 1),
-                 TextTable::pct(1.0 - mine.power.dynamic_uw /
-                                          base.power.dynamic_uw),
-                 "4%"});
+                 TextTable::pct(dynamic_saving), "4%"});
   table.add_row(
       {"energy/op [fJ]", TextTable::num(base.power.energy_per_cycle_fj, 1),
        TextTable::num(mine.power.energy_per_cycle_fj, 1),
-       TextTable::pct(1.0 - mine.power.energy_per_cycle_fj /
-                                base.power.energy_per_cycle_fj),
-       "13%"});
+       TextTable::pct(energy_saving), "13%"});
   table.add_row({"area [um^2]", TextTable::num(base.area, 0),
                  TextTable::num(mine.area, 0),
-                 TextTable::pct(1.0 - mine.area / base.area), "13%"});
+                 TextTable::pct(area_saving), "13%"});
   table.print(std::cout);
+  bench_json.metric("precision_bits_removed", 32 - precision);
+  bench_json.metric("frequency_gain", f_gain);
+  bench_json.metric("leakage_saving", leakage_saving);
+  bench_json.metric("dynamic_saving", dynamic_saving);
+  bench_json.metric("energy_saving", energy_saving);
+  bench_json.metric("area_saving", area_saving);
   std::printf("\n(all savings normalized to the aging-aware synthesis "
               "baseline, as in paper Fig. 8c)\n");
   return 0;

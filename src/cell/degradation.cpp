@@ -24,27 +24,41 @@ DegradationAwareLibrary::DegradationAwareLibrary(const CellLibrary& lib,
     axis[i] = static_cast<double>(i) / (kGridPoints - 1);
   }
 
+  // The drift depends on the transistor type and the axis point only, the
+  // delay factor and its two powers also on the cell's sensitivity; each
+  // grid entry is the product of one pMOS and one nMOS term.
+  std::vector<double> dvth_p(kGridPoints);
+  std::vector<double> dvth_n(kGridPoints);
+  for (int i = 0; i < kGridPoints; ++i) {
+    dvth_p[i] = model_.delta_vth(TransistorType::pMos, axis[i], years);
+    dvth_n[i] = model_.delta_vth(TransistorType::nMos, axis[i], years);
+  }
+  std::vector<double> p_drive(kGridPoints);  // pow(kp, driving weight)
+  std::vector<double> p_cross(kGridPoints);  // pow(kp, 1 - driving weight)
+  std::vector<double> n_drive(kGridPoints);
+  std::vector<double> n_cross(kGridPoints);
+
   rise_grid_.reserve(lib.size());
   fall_grid_.reserve(lib.size());
   for (const Cell& cell : lib.cells()) {
+    for (int i = 0; i < kGridPoints; ++i) {
+      const double kp =
+          model_.delay_factor_from_dvth(dvth_p[i] * cell.aging_sensitivity);
+      const double kn =
+          model_.delay_factor_from_dvth(dvth_n[i] * cell.aging_sensitivity);
+      p_drive[i] = std::pow(kp, kDrivingWeight);
+      p_cross[i] = std::pow(kp, 1.0 - kDrivingWeight);
+      n_drive[i] = std::pow(kn, kDrivingWeight);
+      n_cross[i] = std::pow(kn, 1.0 - kDrivingWeight);
+    }
     std::vector<double> rise_vals;
     std::vector<double> fall_vals;
     rise_vals.reserve(kGridPoints * kGridPoints);
     fall_vals.reserve(kGridPoints * kGridPoints);
     for (int i = 0; i < kGridPoints; ++i) {
-      const double dvth_p =
-          model_.delta_vth(TransistorType::pMos, axis[i], years) *
-          cell.aging_sensitivity;
-      const double kp = model_.delay_factor_from_dvth(dvth_p);
       for (int j = 0; j < kGridPoints; ++j) {
-        const double dvth_n =
-            model_.delta_vth(TransistorType::nMos, axis[j], years) *
-            cell.aging_sensitivity;
-        const double kn = model_.delay_factor_from_dvth(dvth_n);
-        rise_vals.push_back(std::pow(kp, kDrivingWeight) *
-                            std::pow(kn, 1.0 - kDrivingWeight));
-        fall_vals.push_back(std::pow(kn, kDrivingWeight) *
-                            std::pow(kp, 1.0 - kDrivingWeight));
+        rise_vals.push_back(p_drive[i] * n_cross[j]);
+        fall_vals.push_back(n_drive[j] * p_cross[i]);
       }
     }
     rise_grid_.emplace_back(axis, axis, std::move(rise_vals));

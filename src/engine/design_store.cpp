@@ -249,7 +249,7 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
     // identically for hits and misses).
     const OffSpineGuard off_spine;
     const Netlist& nl = netlist(lib, spec);
-    const Sta sta_engine(nl, sta, ctx_);
+    const Sta& sta_engine = sta_of(nl, netlist_key, sta);
     filled.gates = static_cast<std::uint64_t>(nl.num_gates());
     if (years <= 0.0) {
       filled.delay = sta_engine.run_fresh().max_delay;
@@ -264,6 +264,26 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
   }
   log_delay_query(years > 0.0, filled.gates, filled.delay);
   return filled.delay;
+}
+
+const Sta& DesignStore::sta_of(const Netlist& nl, std::uint64_t netlist_key,
+                               const StaOptions& options) {
+  const std::uint64_t key =
+      Hasher{}.u64(netlist_key).u64(key_of(options)).digest();
+  Shard<Sta>& shard = stas_[key % kShards];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.entries.find(key);
+  if (it == shard.entries.end()) {
+    auto built = std::make_unique<Sta>(nl, options, ctx_);
+    return *shard.entries.emplace(key, std::move(built)).first->second;
+  }
+  const Sta& hit = *it->second;
+  if (&hit.netlist() != &nl ||
+      hit.options().primary_input_slew != options.primary_input_slew ||
+      hit.options().primary_output_load != options.primary_output_load) {
+    throw std::logic_error("DesignStore: sta key collision");
+  }
+  return hit;
 }
 
 const ComponentCharacterization& DesignStore::surface(

@@ -13,6 +13,12 @@
 //   surface   : (library fingerprint, AgingParams, base spec,
 //                scenarios, min precision, step, StaOptions)    -> surface
 //
+// Beside the four families, a delay miss reuses one in-memory Sta per
+// (netlist entry, StaOptions): built on the first miss on that netlist, it
+// holds the netlist's fresh gate delays, so every later aged or fresh query
+// on it costs one propagation. It is never persisted and has no counters —
+// store files, engine.store.* counts and run logs do not see it.
+//
 // Keys are stable 64-bit content digests (engine/key.hpp): the characterizer
 // warms an entry, the runtime and the fault injector hit it — one unified
 // store, cross-layer by construction. A FaultInjector with a nominal
@@ -202,6 +208,11 @@ class DesignStore {
                                const Decode& decode, const Matches& matches,
                                const Build& build);
 
+  /// The memoized Sta of netlist entry `nl` (keyed by `netlist_key`) under
+  /// `options`; built under its shard lock on first use.
+  const Sta& sta_of(const Netlist& nl, std::uint64_t netlist_key,
+                    const StaOptions& options);
+
   /// Emits the sta_query run-log record for one delay *query* (hit or miss
   /// alike — the record documents the logical query, so the log stays
   /// byte-identical no matter what warmed the cache). Serial spine only.
@@ -220,6 +231,8 @@ class DesignStore {
   Family<AgedLibraryPayload> libraries_;
   Family<StaDelayPayload> delays_;
   Family<SurfacePayload> surfaces_;
+  /// In-memory only, never saved or counted (see sta_of).
+  std::array<Shard<Sta>, kShards> stas_;
 
   std::mutex fp_mutex_;
   std::map<const CellLibrary*, std::uint64_t> fp_cache_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "engine/context.hpp"
@@ -41,6 +42,27 @@ Sta::Sta(const Netlist& nl, StaOptions options, const Context* ctx)
   runlog_ = ctx != nullptr ? &ctx->runlog() : nullptr;
   tracer_ = ctx != nullptr ? &ctx->tracer() : nullptr;
   metrics_ = &registry;
+
+  base_.rise.reserve(nl.num_gates());
+  base_.fall.reserve(nl.num_gates());
+  const double slew = options_.primary_input_slew;
+  std::vector<char> is_po(nl.num_nets(), 0);
+  for (const NetId po : nl.outputs()) is_po[po] = 1;
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    const Gate& gate = nl.gate(static_cast<GateId>(g));
+    const Cell& cell = nl.lib().cell(gate.cell);
+    // Primary outputs additionally drive the next pipeline stage's registers.
+    double load = nl.net_load(gate.fanout);
+    if (is_po[gate.fanout]) load += options_.primary_output_load;
+    double rise = 0.0;
+    double fall = 0.0;
+    for (const TimingArc& arc : cell.arcs) {
+      rise = std::max(rise, arc.rise_delay.lookup(slew, load));
+      fall = std::max(fall, arc.fall_delay.lookup(slew, load));
+    }
+    base_.rise.push_back(rise);
+    base_.fall.push_back(fall);
+  }
 }
 
 StaResult Sta::run_fresh() const { return run(nullptr, nullptr); }
@@ -55,55 +77,58 @@ StaResult Sta::run_aged(const DegradationAwareLibrary& aged,
 
 Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
                                  const StressProfile* stress) const {
+  if (aged == nullptr || stress == nullptr) return base_;
   const Netlist& nl = *nl_;
-  GateDelays gd;
-  gd.rise.reserve(nl.num_gates());
-  gd.fall.reserve(nl.num_gates());
-  const double slew = options_.primary_input_slew;
-  std::vector<char> is_po(nl.num_nets(), 0);
-  for (const NetId po : nl.outputs()) is_po[po] = 1;
+  const AgingModel& model = aged->model();
   // HCI drift is activity-driven, not duty-driven, so it cannot live in the
-  // 11x11 stress-factor grids; it multiplies the fall factor per gate here.
-  // The counter is resolved only for HCI-enabled models so that BTI-only
-  // runs register no new metrics keys.
-  const bool hci =
-      aged != nullptr && stress != nullptr && aged->model().has_hci();
-  obs::Counter* hci_evals =
-      hci ? &metrics_->counter("aging.mechanism.hci.drift_evals") : nullptr;
-  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-    const auto gid = static_cast<GateId>(g);
-    const Gate& gate = nl.gate(gid);
-    const Cell& cell = nl.lib().cell(gate.cell);
-    // Primary outputs additionally drive the next pipeline stage's registers.
-    double load = nl.net_load(gate.fanout);
-    if (is_po[gate.fanout]) load += options_.primary_output_load;
+  // 11x11 stress-factor grids; it multiplies the fall factor here.
+  const bool hci = model.has_hci();
+  struct Factors {
+    double rise;
+    double fall;
+  };
+  const auto factors = [&](std::size_t g, CellId cell) {
+    const StressPair sp = stress->gate(g);
+    Factors f{aged->rise_factor(cell, sp), aged->fall_factor(cell, sp)};
+    if (hci) {
+      // HCI wears the nMOS pull-down network, so only output falls slow
+      // down; the factor composes multiplicatively with the BTI grid's.
+      const double dvth =
+          model.hci_delta_vth(stress->gate_activity(g), aged->years()) *
+          nl.lib().cell(cell).aging_sensitivity;
+      f.fall *= model.delay_factor_from_dvth(dvth);
+    }
+    return f;
+  };
 
-    double rise_factor = 1.0;
-    double fall_factor = 1.0;
-    if (aged != nullptr && stress != nullptr) {
-      const StressPair sp = stress->gate(gid);
-      rise_factor = aged->rise_factor(gate.cell, sp);
-      fall_factor = aged->fall_factor(gate.cell, sp);
-      if (hci) {
-        // HCI wears the nMOS pull-down network, so only output falls slow
-        // down; the factor composes multiplicatively with the BTI grid's.
-        const double dvth =
-            aged->model().hci_delta_vth(stress->gate_activity(g),
-                                        aged->years()) *
-            cell.aging_sensitivity;
-        fall_factor *= aged->model().delay_factor_from_dvth(dvth);
-      }
+  GateDelays gd;
+  gd.rise.resize(nl.num_gates());
+  gd.fall.resize(nl.num_gates());
+  const auto scale = [&](std::size_t g, const Factors& f) {
+    gd.rise[g] = base_.rise[g] * f.rise;
+    gd.fall[g] = base_.fall[g] * f.fall;
+  };
+  if (stress->mode() != StressMode::measured && !stress->has_activity()) {
+    // Uniform profile: every gate shares one stress pair and one activity,
+    // so the factors depend on the cell alone — look them up once per cell.
+    std::vector<std::optional<Factors>> per_cell(nl.lib().size());
+    for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+      const CellId cell = nl.gate(static_cast<GateId>(g)).cell;
+      if (!per_cell[cell]) per_cell[cell] = factors(g, cell);
+      scale(g, *per_cell[cell]);
     }
-    double rise = 0.0;
-    double fall = 0.0;
-    for (const TimingArc& arc : cell.arcs) {
-      rise = std::max(rise, arc.rise_delay.lookup(slew, load));
-      fall = std::max(fall, arc.fall_delay.lookup(slew, load));
+  } else {
+    for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+      scale(g, factors(g, nl.gate(static_cast<GateId>(g)).cell));
     }
-    gd.rise.push_back(rise * rise_factor);
-    gd.fall.push_back(fall * fall_factor);
   }
-  if (hci_evals != nullptr) hci_evals->add(nl.num_gates());
+  // Resolved only for HCI-enabled models so that BTI-only runs register no
+  // new metrics keys. It counts one drift evaluation per gate even where a
+  // uniform profile evaluated one per cell, so the count names the work a
+  // query asks for, not how it was shared.
+  if (hci) {
+    metrics_->counter("aging.mechanism.hci.drift_evals").add(nl.num_gates());
+  }
   return gd;
 }
 

@@ -6,6 +6,11 @@
 // The aged variant multiplies each arc delay/slew by the degradation-aware
 // library's factor for the gate's stress pair — the paper's "aging-aware STA"
 // (Fig. 3b / Fig. 6).
+//
+// The netlist-invariant part of that work — each gate's fresh delay at its
+// load — is computed once per Sta, so an Sta answers repeated queries on one
+// netlist at propagation cost. An Sta therefore must not outlive a change to
+// its netlist (Netlist::set_gate_cell or any other edit): build a new one.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +62,11 @@ struct StaResult {
 
 class Sta {
  public:
-  /// `ctx` scopes the instrumentation sinks (run counters, sta_query log
-  /// records); with nullptr the counters go to the process registry
-  /// obs::metrics() and no log records are written. Timing results never
-  /// depend on `ctx`.
+  /// Computes every gate's fresh rise/fall delay once; `nl` must stay
+  /// unchanged for the Sta's lifetime. `ctx` scopes the instrumentation
+  /// sinks (run counters, sta_query log records); with nullptr the counters
+  /// go to the process registry obs::metrics() and no log records are
+  /// written. Timing results never depend on `ctx`.
   explicit Sta(const Netlist& nl, StaOptions options = {},
                const Context* ctx = nullptr);
 
@@ -73,13 +79,17 @@ class Sta {
                      const StressProfile& stress) const;
 
   /// Per-gate aged delays for the event-driven simulator: worst rise/fall arc
-  /// delay of each gate at its actual load and a nominal input slew.
+  /// delay of each gate at its actual load and a nominal input slew, times
+  /// the gate's aging factors (fresh delays when `aged` or `stress` is null).
   struct GateDelays {
     std::vector<double> rise;  ///< ps, indexed by GateId
     std::vector<double> fall;
   };
   GateDelays gate_delays(const DegradationAwareLibrary* aged,
                          const StressProfile* stress) const;
+
+  const Netlist& netlist() const noexcept { return *nl_; }
+  const StaOptions& options() const noexcept { return options_; }
 
  private:
   StaResult run(const DegradationAwareLibrary* aged,
@@ -90,6 +100,9 @@ class Sta {
 
   const Netlist* nl_;
   StaOptions options_;
+  /// Fresh per-gate delays (max over arcs at the nominal slew and the gate's
+  /// load, PO load included); aged delays are these times the factors.
+  GateDelays base_;
   /// Instrumentation handles resolved once at construction against the
   /// context's sinks (a per-instance cache; never static, so each Context's
   /// registry sees its own sta.* counts).

@@ -85,10 +85,16 @@ void recover_area_pass(Netlist& work, const DegradationAwareLibrary& aged,
   const CellLibrary& lib = work.lib();
   double slack_factor = 1.5;  // escalates after a failed batch
   for (int iter = 0; iter < options.max_recovery_iterations; ++iter) {
-    const Sta sta(work, options.sta);
-    const StaResult timing = sta.run_aged(aged, stress);
-    if (timing.max_delay > target) return;  // should not happen; stay safe
-    const Sta::GateDelays gd = sta.gate_delays(&aged, &stress);
+    // The Sta dies before the batch below edits `work` (an Sta must not
+    // outlive a change to its netlist).
+    StaResult timing;
+    Sta::GateDelays gd;
+    {
+      const Sta sta(work, options.sta);
+      timing = sta.run_aged(aged, stress);
+      if (timing.max_delay > target) return;  // should not happen; stay safe
+      gd = sta.gate_delays(&aged, &stress);
+    }
     const std::vector<double> required = required_times(work, gd, target);
 
     // Collect downsizing candidates with their slack margins. Slack along a
@@ -132,8 +138,7 @@ void recover_area_pass(Netlist& work, const DegradationAwareLibrary& aged,
     }
     if (batch.empty()) return;
 
-    const Sta verify(work, options.sta);
-    if (verify.run_aged(aged, stress).max_delay > target) {
+    if (Sta(work, options.sta).run_aged(aged, stress).max_delay > target) {
       for (const auto& [gid, cell] : batch) work.set_gate_cell(gid, cell);
       slack_factor *= 2.0;
       if (slack_factor > 50.0) return;
@@ -152,8 +157,7 @@ SizingResult size_for_aging(const Netlist& nl, const DegradationAwareLibrary& ag
   double best_delay = std::numeric_limits<double>::infinity();
   int stall = 0;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const Sta sta(work, options.sta);
-    const StaResult timing = sta.run_aged(aged, stress);
+    const StaResult timing = Sta(work, options.sta).run_aged(aged, stress);
     result.aged_delay = timing.max_delay;
     if (timing.max_delay <= target_delay_ps) {
       result.met = true;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace aapx {
 namespace {
 
@@ -99,6 +101,50 @@ TEST_F(DegradationTest, OutOfRangeCellThrows) {
   const DegradationAwareLibrary aged(lib_, model_, 1.0);
   EXPECT_THROW(aged.rise_factor(static_cast<CellId>(lib_.size()), kWorstCaseStress),
                std::out_of_range);
+}
+
+TEST_F(DegradationTest, GridsBitIdenticalToNaiveDoubleLoop) {
+  AgingParams hot;
+  hot.bti.a_pmos = 0.07;
+  hot.bti.alpha = 1.5;
+  hot.bti.temp_kelvin = 398.15;
+  constexpr double kDrivingWeight = 0.92;  // as in cell/degradation.cpp
+  const int n = DegradationAwareLibrary::kGridPoints;
+  for (const AgingModel& model : {model_, AgingModel(hot)}) {
+    for (const double years : {1.0, 3.0, 10.0}) {
+      const DegradationAwareLibrary aged(lib_, model, years);
+      for (CellId c = 0; c < lib_.size(); ++c) {
+        const double sens = lib_.cell(c).aging_sensitivity;
+        for (int i = 0; i < n; ++i) {
+          const double sp = static_cast<double>(i) / (n - 1);
+          const double kp = model.delay_factor_from_dvth(
+              model.delta_vth(TransistorType::pMos, sp, years) * sens);
+          for (int j = 0; j < n; ++j) {
+            const double sn = static_cast<double>(j) / (n - 1);
+            const double kn = model.delay_factor_from_dvth(
+                model.delta_vth(TransistorType::nMos, sn, years) * sens);
+            const double rise = std::pow(kp, kDrivingWeight) *
+                                std::pow(kn, 1.0 - kDrivingWeight);
+            const double fall = std::pow(kn, kDrivingWeight) *
+                                std::pow(kp, 1.0 - kDrivingWeight);
+            ASSERT_EQ(aged.rise_grid(c).at(i, j), rise)
+                << lib_.cell(c).name << " " << years << "y (" << i << ","
+                << j << ")";
+            ASSERT_EQ(aged.fall_grid(c).at(i, j), fall)
+                << lib_.cell(c).name << " " << years << "y (" << i << ","
+                << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(DegradationTest, ConsumedOverdriveThrowsDomainError) {
+  AgingParams extreme;
+  extreme.bti.a_pmos = 1.0;  // dVth far beyond vdd - vth0
+  EXPECT_THROW(DegradationAwareLibrary(lib_, AgingModel(extreme), 10.0),
+               std::domain_error);
 }
 
 }  // namespace

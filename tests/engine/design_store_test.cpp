@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "aging/aging_model.hpp"
 #include "cell/library.hpp"
@@ -108,6 +110,70 @@ TEST_F(DesignStoreTest, DelayCacheMatchesDirectSta) {
                                                StressMode::worst, 0.0, sta));
   EXPECT_EQ(store.stats().delay_hits, before.delay_hits + 1);
   EXPECT_EQ(store.stats().delay_misses, before.delay_misses);
+}
+
+TEST_F(DesignStoreTest, MemoizedStaMatchesFreshStaPerQuery) {
+  engine::DesignStore& store = ctx_.store();
+  const AgingModel model;
+  StaOptions heavy;
+  heavy.primary_output_load = 12.0;
+  const Netlist& nl = store.netlist(lib_, adder8());
+  // Two passes over 9 distinct scenarios (fresh + 2 modes x 4 lifetimes;
+  // the balanced fresh query shares the worst one's entry) per options set.
+  for (const StaOptions& opts : {StaOptions{}, heavy}) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const StressMode mode : {StressMode::worst, StressMode::balanced}) {
+        for (const double years : {0.0, 0.5, 1.0, 3.0, 10.0}) {
+          const double cached =
+              store.aged_sta_delay(lib_, adder8(), model, mode, years, opts);
+          const Sta direct(nl, opts);
+          const double expected =
+              years == 0.0
+                  ? direct.run_fresh().max_delay
+                  : direct
+                        .run_aged(DegradationAwareLibrary(lib_, model, years),
+                                  StressProfile::uniform(mode, nl.num_gates()))
+                        .max_delay;
+          EXPECT_EQ(cached, expected)
+              << to_string(mode) << " " << years << "y pass " << pass;
+        }
+      }
+    }
+  }
+  // The memoized Sta is keyed by the options: the same spec and scenario
+  // under a heavier PO load is slower.
+  EXPECT_LT(store.aged_sta_delay(lib_, adder8(), model, StressMode::worst,
+                                 10.0, StaOptions{}),
+            store.aged_sta_delay(lib_, adder8(), model, StressMode::worst,
+                                 10.0, heavy));
+  // Counts as without the memo: one miss per distinct (scenario, options),
+  // a hit for every repeat.
+  EXPECT_EQ(store.stats().delay_misses, 18u);
+  EXPECT_EQ(store.stats().delay_hits, 24u);
+}
+
+TEST_F(DesignStoreTest, ConcurrentMissesShareTheMemoizedSta) {
+  engine::DesignStore& store = ctx_.store();
+  const AgingModel model;
+  const std::vector<double> years = {0.5, 1.0, 2.0, 3.0, 5.0, 10.0};
+  const auto query = [&](engine::DesignStore& s, std::size_t i) {
+    const StressMode mode = i % 2 == 0 ? StressMode::worst
+                                       : StressMode::balanced;
+    return s.aged_sta_delay(lib_, adder8(), model, mode, years[i / 2],
+                            StaOptions{});
+  };
+  // Every query is a miss on one netlist, so the threads race to build
+  // and then share its one Sta.
+  std::vector<double> got(2 * years.size());
+  std::vector<std::thread> workers;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    workers.emplace_back([&, i] { got[i] = query(store, i); });
+  }
+  for (std::thread& w : workers) w.join();
+  Context serial;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], query(serial.store(), i)) << i;
+  }
 }
 
 TEST_F(DesignStoreTest, FreshDelayIsSharedAcrossModels) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "engine/context.hpp"
+#include "obs/metrics.hpp"
 #include "synth/components.hpp"
+#include "util/rng.hpp"
 
 namespace aapx {
 namespace {
@@ -159,6 +164,116 @@ TEST_F(StaTest, MeasuredStressBetweenFreshAndWorst) {
   const double meas = sta.run_aged(aged, measured).max_delay;
   EXPECT_GT(meas, fresh);
   EXPECT_LT(meas, worst);
+}
+
+/// The per-gate delay formula as it stood before Sta cached the fresh
+/// delays: every arc looked up and every factor looked up for each gate.
+Sta::GateDelays reference_gate_delays(const Netlist& nl, const StaOptions& opt,
+                                      const DegradationAwareLibrary* aged,
+                                      const StressProfile* stress) {
+  Sta::GateDelays gd;
+  std::vector<char> is_po(nl.num_nets(), 0);
+  for (const NetId po : nl.outputs()) is_po[po] = 1;
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    const auto gid = static_cast<GateId>(g);
+    const Gate& gate = nl.gate(gid);
+    const Cell& cell = nl.lib().cell(gate.cell);
+    double load = nl.net_load(gate.fanout);
+    if (is_po[gate.fanout]) load += opt.primary_output_load;
+    double rise_factor = 1.0;
+    double fall_factor = 1.0;
+    if (aged != nullptr && stress != nullptr) {
+      const StressPair sp = stress->gate(gid);
+      rise_factor = aged->rise_factor(gate.cell, sp);
+      fall_factor = aged->fall_factor(gate.cell, sp);
+      if (aged->model().has_hci()) {
+        const double dvth =
+            aged->model().hci_delta_vth(stress->gate_activity(g),
+                                        aged->years()) *
+            cell.aging_sensitivity;
+        fall_factor *= aged->model().delay_factor_from_dvth(dvth);
+      }
+    }
+    double rise = 0.0;
+    double fall = 0.0;
+    for (const TimingArc& arc : cell.arcs) {
+      const double slew = opt.primary_input_slew;
+      rise = std::max(rise, arc.rise_delay.lookup(slew, load));
+      fall = std::max(fall, arc.fall_delay.lookup(slew, load));
+    }
+    gd.rise.push_back(rise * rise_factor);
+    gd.fall.push_back(fall * fall_factor);
+  }
+  return gd;
+}
+
+TEST_F(StaTest, GateDelaysBitIdenticalToPerGateFormula) {
+  AgingParams hci_params;
+  hci_params.mechanisms = {MechanismKind::bti, MechanismKind::hci};
+  const AgingModel hci_model(hci_params);
+  const DegradationAwareLibrary bti_lib(lib_, model_, 10.0);
+  const DegradationAwareLibrary hci_lib(lib_, hci_model, 10.0);
+  StaOptions opt;
+  opt.primary_output_load = 6.5;  // non-default, so the PO term is exercised
+
+  for (const ComponentKind kind :
+       {ComponentKind::adder, ComponentKind::multiplier, ComponentKind::mac,
+        ComponentKind::clamp}) {
+    for (const AdderArch adder :
+         {AdderArch::ripple, AdderArch::cla4, AdderArch::kogge_stone}) {
+      for (const MultArch mult : {MultArch::array, MultArch::wallace}) {
+        for (const int truncated : {0, 3}) {
+          const Netlist nl =
+              make_component(lib_, {kind, 10, truncated, adder, mult});
+          const std::size_t n = nl.num_gates();
+          Rng rng(n);
+          std::vector<double> duty(n);
+          std::vector<double> activity(n);
+          for (std::size_t g = 0; g < n; ++g) {
+            duty[g] = rng.next_double();
+            activity[g] = 2.0 * rng.next_double();
+          }
+          const StressProfile worst =
+              StressProfile::uniform(StressMode::worst, n);
+          const StressProfile balanced =
+              StressProfile::uniform(StressMode::balanced, n);
+          const StressProfile measured = StressProfile::measured(duty);
+          const StressProfile worst_active = worst.with_activity(activity);
+          const StressProfile measured_active =
+              measured.with_activity(activity);
+          const std::vector<const StressProfile*> profiles = {
+              &worst, &balanced, &measured, &worst_active, &measured_active};
+
+          Context ctx;
+          const Sta sta(nl, opt, &ctx);
+          const std::string what = to_string(kind) + " " + to_string(adder) +
+                                   "/" + to_string(mult) + " t" +
+                                   std::to_string(truncated);
+          const Sta::GateDelays fresh = sta.gate_delays(nullptr, nullptr);
+          const Sta::GateDelays fresh_ref =
+              reference_gate_delays(nl, opt, nullptr, nullptr);
+          EXPECT_EQ(fresh.rise, fresh_ref.rise) << what;
+          EXPECT_EQ(fresh.fall, fresh_ref.fall) << what;
+          std::uint64_t hci_calls = 0;
+          for (const DegradationAwareLibrary* aged : {&bti_lib, &hci_lib}) {
+            for (const StressProfile* stress : profiles) {
+              const Sta::GateDelays gd = sta.gate_delays(aged, stress);
+              const Sta::GateDelays ref =
+                  reference_gate_delays(nl, opt, aged, stress);
+              EXPECT_EQ(gd.rise, ref.rise) << what;
+              EXPECT_EQ(gd.fall, ref.fall) << what;
+              if (aged->model().has_hci()) ++hci_calls;
+            }
+          }
+          // HCI drift is still counted once per gate per call.
+          EXPECT_EQ(
+              ctx.metrics().counter("aging.mechanism.hci.drift_evals").value(),
+              hci_calls * n)
+              << what;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
