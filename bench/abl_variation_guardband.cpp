@@ -29,10 +29,12 @@ int run(int argc, char** argv) {
   const ComponentSpec spec{ComponentKind::multiplier, width, 0, AdderArch::cla4,
                            MultArch::array};
   const Netlist nl = make_component(bench_context(), cfg.lib, spec);
-  const double nominal = Sta(nl).run_fresh().max_delay;
+  const Sta sta(nl);
+  const double nominal = sta.run_fresh().max_delay;
   const DegradationAwareLibrary aged(cfg.lib, cfg.model, 10.0);
   const StressProfile stress =
       StressProfile::uniform(StressMode::worst, nl.num_gates());
+  const double aged_delay = sta.run_aged(aged, stress).max_delay;
   const MonteCarloSta mc(nl, {}, {}, &bench_context());
 
   const VariationResult fresh = mc.run_fresh(dies);
@@ -44,13 +46,9 @@ int run(int argc, char** argv) {
   parts.add_row({"variation only", TextTable::num(fresh.quantile(0.99), 1),
                  TextTable::num(fresh.guardband(nominal, 0.99), 1),
                  TextTable::pct(fresh.guardband(nominal, 0.99) / nominal)});
-  parts.add_row({"aging only (10Y WC)",
-                 TextTable::num(Sta(nl).run_aged(aged, stress).max_delay, 1),
-                 TextTable::num(Sta(nl).run_aged(aged, stress).max_delay - nominal,
-                                1),
-                 TextTable::pct((Sta(nl).run_aged(aged, stress).max_delay -
-                                 nominal) /
-                                nominal)});
+  parts.add_row({"aging only (10Y WC)", TextTable::num(aged_delay, 1),
+                 TextTable::num(aged_delay - nominal, 1),
+                 TextTable::pct((aged_delay - nominal) / nominal)});
   parts.add_row({"variation + aging", TextTable::num(worn.quantile(0.99), 1),
                  TextTable::num(worn.guardband(nominal, 0.99), 1),
                  TextTable::pct(worn.guardband(nominal, 0.99) / nominal)});

@@ -58,9 +58,9 @@ int main() {
   const DegradationAwareLibrary aged(lib, aging, 10.0);
   const StressProfile stress =
       StressProfile::uniform(StressMode::worst, full.num_gates());
+  const double aged_cp = sta.run_aged(aged, stress).max_delay;
   std::printf("10Y worst-case aged CP: %.1f ps (guardband %.1f ps)\n\n",
-              sta.run_aged(aged, stress).max_delay,
-              sta.run_aged(aged, stress).max_delay - constraint);
+              aged_cp, aged_cp - constraint);
 
   // Paper Eq. 2 by hand: truncate until the aged variant meets the fresh CP.
   int chosen = -1;

@@ -105,21 +105,12 @@ TimedSim::TimedSim(const Netlist& nl, Sta::GateDelays delays, DelayModel model)
     reader_offset_[n + 1] = static_cast<std::uint32_t>(reader_.size());
   }
 
-  // Calendar-queue horizon: the topo longest-path delay is a hard upper
-  // bound on any event time within a step (every event time is a sum of
-  // gate delays along a path from a t=0 input transition).
+  // Calendar-queue horizon: the STA longest path is a hard upper bound on
+  // any event time within a step (every event time is a sum of gate delays
+  // along a path from a t=0 input transition).
   double horizon = 0.0;
-  {
-    std::vector<double> arrive(nl.num_nets(), 0.0);
-    for (const GateId gid : nl.topo_order()) {
-      const Gate& g = nl.gate(gid);
-      double in = 0.0;
-      for (const NetId f : g.fanin) {
-        if (f != kInvalidNet) in = std::max(in, arrive[f]);
-      }
-      arrive[g.fanout] = in + std::max(delays.rise[gid], delays.fall[gid]);
-      horizon = std::max(horizon, arrive[g.fanout]);
-    }
+  for (const double a : worst_arrivals(nl, delays)) {
+    horizon = std::max(horizon, a);
   }
   if (horizon <= 0.0) horizon = 1.0;
   // ~1 bucket per couple of gate delays on typical components; bounded so

@@ -160,9 +160,9 @@ class TimedSim {
   /// Monotone calendar queue. Pop-order contract: events pop in exactly
   /// (time, push sequence) order, the order of a binary heap with a FIFO
   /// tie-break. Buckets split [0, horizon] evenly; the horizon is the
-  /// topological longest path over max(rise, fall), a hard bound on every
-  /// event time in a step (times are path-delay sums from t = 0; STA computes
-  /// the same bound), so the clamp into the last bucket only absorbs float
+  /// largest finite worst_arrivals entry (the STA longest-path pass), a hard
+  /// bound on every event time in a step (times are path-delay sums from
+  /// t = 0), so the clamp into the last bucket only absorbs float
   /// rounding. A push into a later bucket appends; the drain orders each
   /// bucket once when it opens it (open_bucket: a stable counting pass into
   /// one sub-bin per event, then an insertion sort that only reorders within

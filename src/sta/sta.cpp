@@ -16,21 +16,77 @@ namespace {
 
 constexpr double kNeverArrives = -std::numeric_limits<double>::infinity();
 
-/// Back-pointer for critical-path extraction: which input pin and input
-/// transition produced a net's worst rise/fall arrival.
-struct Origin {
-  GateId gate = kInvalidGate;
-  int pin = -1;
-  bool input_rising = false;
-};
+/// Worst arrival over gate `g`'s input pins (-inf when none ever arrives).
+double worst_input(const Netlist& nl, const std::vector<double>& arrival,
+                   GateId g) {
+  const Gate& gate = nl.gate(g);
+  const int pins = nl.gate_num_inputs(g);
+  double worst = kNeverArrives;
+  for (int p = 0; p < pins; ++p) {
+    worst = std::max(worst, arrival[gate.fanin[static_cast<std::size_t>(p)]]);
+  }
+  return worst;
+}
+
+/// Critical path ending at `po`, walked back over the per-net worst arrivals.
+/// The rise (fall) arrival of a gate's output is W + rise (W + fall), where W
+/// is the worst arrival over the gate's input pins. Each step takes the first
+/// (pin, input edge) in pin order, falling edge first, whose arrival plus the
+/// gate delay reaches the step's own — the tie rule of a forward pass that
+/// keeps only strictly later arrivals.
+std::vector<PathStep> critical_path_to(const Netlist& nl,
+                                       const Sta::GateDelays& gd,
+                                       const std::vector<double>& arrival,
+                                       NetId po) {
+  std::vector<PathStep> path;
+  GateId g = nl.driver(po);
+  double w = worst_input(nl, arrival, g);
+  bool rising = w + gd.rise[g] >= w + gd.fall[g];
+  while (g != kInvalidGate) {
+    const Gate& gate = nl.gate(g);
+    const double delay = rising ? gd.rise[g] : gd.fall[g];
+    const double at = w + delay;
+    const int pins = nl.gate_num_inputs(g);
+    int p = 0;
+    GateId from = kInvalidGate;
+    double w_from = kNeverArrives;
+    bool from_rising = false;
+    for (; p < pins; ++p) {
+      const NetId in = gate.fanin[static_cast<std::size_t>(p)];
+      // An edge of `in` can only reach `at` if the net's worst arrival does
+      // (rounded addition is monotone), so other pins skip the recompute.
+      if (arrival[in] + delay != at) continue;
+      from = nl.driver(in);
+      if (from == kInvalidGate) break;  // a PI: both edges arrive at 0
+      w_from = worst_input(nl, arrival, from);
+      // The falling edge is tried first; if it falls short, the rising one
+      // is the edge at the net's worst arrival.
+      from_rising = w_from + gd.fall[from] + delay != at;
+      break;
+    }
+    if (p == pins) break;  // unreachable while `at` is finite
+    path.push_back({g, p, rising, at});
+    g = from;
+    w = w_from;
+    rising = from_rising;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
 
 }  // namespace
 
-double StaResult::net_arrival(NetId net) const {
-  const double r = arrival_rise[net];
-  const double f = arrival_fall[net];
-  const double worst = std::max(r, f);
-  return worst == kNeverArrives ? 0.0 : worst;
+std::vector<double> worst_arrivals(const Netlist& nl,
+                                   const Sta::GateDelays& gd) {
+  std::vector<double> arrival(nl.num_nets(), kNeverArrives);
+  for (const NetId pi : nl.inputs()) arrival[pi] = 0.0;
+  for (const GateId g : nl.topo_order()) {
+    // -inf plus a finite delay stays -inf: a gate no input reaches never
+    // switches either.
+    arrival[nl.gate(g).fanout] =
+        worst_input(nl, arrival, g) + std::max(gd.rise[g], gd.fall[g]);
+  }
+  return arrival;
 }
 
 Sta::Sta(const Netlist& nl, StaOptions options, const Context* ctx)
@@ -69,9 +125,6 @@ StaResult Sta::run_fresh() const { return run(nullptr, nullptr); }
 
 StaResult Sta::run_aged(const DegradationAwareLibrary& aged,
                         const StressProfile& stress) const {
-  if (stress.gate_count() != nl_->num_gates()) {
-    throw std::invalid_argument("Sta::run_aged: stress profile size mismatch");
-  }
   return run(&aged, &stress);
 }
 
@@ -79,6 +132,10 @@ Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
                                  const StressProfile* stress) const {
   if (aged == nullptr || stress == nullptr) return base_;
   const Netlist& nl = *nl_;
+  if (stress->gate_count() != nl.num_gates()) {
+    throw std::invalid_argument(
+        "Sta::gate_delays: stress profile size mismatch");
+  }
   const AgingModel& model = aged->model();
   // HCI drift is activity-driven, not duty-driven, so it cannot live in the
   // 11x11 stress-factor grids; it multiplies the fall factor here.
@@ -154,8 +211,6 @@ StaResult Sta::run(const DegradationAwareLibrary* aged,
 StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
                         const StressProfile* stress) const {
   const Netlist& nl = *nl_;
-  const std::size_t nets = nl.num_nets();
-
   // STA and the event-driven simulator share one delay model (per gate and
   // transition direction, at a nominal boundary slew). This makes the STA
   // max delay a strict upper bound on any simulated settling time, which is
@@ -163,71 +218,18 @@ StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
   const GateDelays gd = gate_delays(aged, stress);
 
   StaResult res;
-  res.arrival_rise.assign(nets, kNeverArrives);
-  res.arrival_fall.assign(nets, kNeverArrives);
-  std::vector<Origin> origin_rise(nets);
-  std::vector<Origin> origin_fall(nets);
-
-  for (const NetId pi : nl.inputs()) {
-    res.arrival_rise[pi] = 0.0;
-    res.arrival_fall[pi] = 0.0;
-  }
-
-  for (const GateId gid : nl.topo_order()) {
-    const Gate& g = nl.gate(gid);
-    const int pins = nl.gate_num_inputs(gid);
-    for (int p = 0; p < pins; ++p) {
-      const NetId in = g.fanin[static_cast<std::size_t>(p)];
-      // Non-unate treatment: either input transition may cause either output
-      // transition; take the worst combination per output edge.
-      for (const bool input_rising : {false, true}) {
-        const double in_arr =
-            input_rising ? res.arrival_rise[in] : res.arrival_fall[in];
-        if (in_arr == kNeverArrives) continue;
-        const double a_rise = in_arr + gd.rise[gid];
-        if (a_rise > res.arrival_rise[g.fanout]) {
-          res.arrival_rise[g.fanout] = a_rise;
-          origin_rise[g.fanout] = {gid, p, input_rising};
-        }
-        const double a_fall = in_arr + gd.fall[gid];
-        if (a_fall > res.arrival_fall[g.fanout]) {
-          res.arrival_fall[g.fanout] = a_fall;
-          origin_fall[g.fanout] = {gid, p, input_rising};
-        }
-      }
-    }
-  }
-
-  res.output_delay.reserve(nl.outputs().size());
-  res.max_delay = 0.0;
-  res.critical_output = 0;
-  bool critical_rising = true;
+  res.arrival = worst_arrivals(nl, gd);
+  std::size_t critical = 0;  // first PO reaching max_delay
   for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-    const NetId po = nl.outputs()[i];
-    const double r = res.arrival_rise[po];
-    const double f = res.arrival_fall[po];
-    const double worst = std::max({r, f, 0.0});
-    res.output_delay.push_back(worst);
+    const double worst = std::max(res.arrival[nl.outputs()[i]], 0.0);
     if (worst > res.max_delay) {
       res.max_delay = worst;
-      res.critical_output = i;
-      critical_rising = r >= f;
+      critical = i;
     }
   }
-
-  // Critical-path walk-back from the worst output.
-  if (res.max_delay > 0.0 && !nl.outputs().empty()) {
-    NetId net = nl.outputs()[res.critical_output];
-    bool rising = critical_rising;
-    while (true) {
-      const Origin& o = rising ? origin_rise[net] : origin_fall[net];
-      if (o.gate == kInvalidGate) break;
-      const double arrival = rising ? res.arrival_rise[net] : res.arrival_fall[net];
-      res.critical_path.push_back({o.gate, o.pin, rising, arrival});
-      net = nl.gate(o.gate).fanin[static_cast<std::size_t>(o.pin)];
-      rising = o.input_rising;
-    }
-    std::reverse(res.critical_path.begin(), res.critical_path.end());
+  if (res.max_delay > 0.0) {
+    res.critical_path =
+        critical_path_to(nl, gd, res.arrival, nl.outputs()[critical]);
   }
   return res;
 }

@@ -1,10 +1,11 @@
 // Static timing analysis with optional aging awareness.
 //
-// Arrival times and slews propagate in topological order through the NLDM
-// tables, separately for rising and falling output transitions (arcs are
-// treated as non-unate, the conservative convention for max-delay analysis).
-// The aged variant multiplies each arc delay/slew by the degradation-aware
-// library's factor for the gate's stress pair — the paper's "aging-aware STA"
+// Each gate carries a rise and a fall delay from the NLDM tables at its load
+// and a nominal input slew; arrivals propagate in topological order, and a
+// net keeps one worst arrival over both edges (arcs are treated as
+// non-unate, the conservative convention for max-delay analysis). The aged
+// variant multiplies each gate's delays by the degradation-aware library's
+// factors for the gate's stress pair — the paper's "aging-aware STA"
 // (Fig. 3b / Fig. 6).
 //
 // The netlist-invariant part of that work — each gate's fresh delay at its
@@ -46,18 +47,11 @@ struct PathStep {
 };
 
 struct StaResult {
-  /// Per-net worst arrival times [ps]; -inf for nets that never transition.
-  std::vector<double> arrival_rise;
-  std::vector<double> arrival_fall;
-
-  double max_delay = 0.0;             ///< worst PO arrival (>= 0)
-  std::size_t critical_output = 0;    ///< PO index achieving max_delay
+  /// Per-net worst arrival over both edges [ps]; -inf for nets that never
+  /// transition.
+  std::vector<double> arrival;
+  double max_delay = 0.0;               ///< worst PO arrival (>= 0)
   std::vector<PathStep> critical_path;  ///< PI-side first
-
-  /// Worst arrival per primary output index (0 for constant outputs).
-  std::vector<double> output_delay;
-
-  double net_arrival(NetId net) const;
 };
 
 class Sta {
@@ -81,6 +75,7 @@ class Sta {
   /// Per-gate aged delays for the event-driven simulator: worst rise/fall arc
   /// delay of each gate at its actual load and a nominal input slew, times
   /// the gate's aging factors (fresh delays when `aged` or `stress` is null).
+  /// Throws std::invalid_argument unless `stress` covers every gate.
   struct GateDelays {
     std::vector<double> rise;  ///< ps, indexed by GateId
     std::vector<double> fall;
@@ -114,5 +109,14 @@ class Sta {
   /// runs never look them up, so their metrics snapshots carry no new keys.
   obs::MetricsRegistry* metrics_;
 };
+
+/// The one longest-path pass over explicit per-gate delays, shared by Sta,
+/// MonteCarloSta and the TimedSim calendar-queue horizon. Per net, the worst
+/// arrival over both edges [ps]: primary inputs arrive at 0, nets that never
+/// switch stay at -inf, and a gate output arrives at the worst of its input
+/// pins plus max(rise, fall) of the gate. Because rounded addition is
+/// monotone, this is exactly the max of separate rise and fall passes.
+std::vector<double> worst_arrivals(const Netlist& nl,
+                                   const Sta::GateDelays& gd);
 
 }  // namespace aapx

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "engine/context.hpp"
@@ -10,38 +9,6 @@
 #include "util/rng.hpp"
 
 namespace aapx {
-namespace {
-
-/// Longest-path analysis over explicit per-gate delays — the same
-/// rise/fall propagation the Sta uses, minus path extraction.
-double max_delay_with(const Netlist& nl, const Sta::GateDelays& gd) {
-  constexpr double kNever = -std::numeric_limits<double>::infinity();
-  std::vector<double> rise(nl.num_nets(), kNever);
-  std::vector<double> fall(nl.num_nets(), kNever);
-  for (const NetId pi : nl.inputs()) {
-    rise[pi] = 0.0;
-    fall[pi] = 0.0;
-  }
-  for (const GateId gid : nl.topo_order()) {
-    const Gate& g = nl.gate(gid);
-    const int pins = nl.gate_num_inputs(gid);
-    double worst_in = kNever;
-    for (int p = 0; p < pins; ++p) {
-      const NetId in = g.fanin[static_cast<std::size_t>(p)];
-      worst_in = std::max({worst_in, rise[in], fall[in]});
-    }
-    if (worst_in == kNever) continue;
-    rise[g.fanout] = std::max(rise[g.fanout], worst_in + gd.rise[gid]);
-    fall[g.fanout] = std::max(fall[g.fanout], worst_in + gd.fall[gid]);
-  }
-  double max_delay = 0.0;
-  for (const NetId po : nl.outputs()) {
-    max_delay = std::max({max_delay, rise[po], fall[po]});
-  }
-  return max_delay;
-}
-
-}  // namespace
 
 double VariationResult::mean() const {
   if (samples.empty()) return 0.0;
@@ -117,7 +84,12 @@ VariationResult MonteCarloSta::run(const Sta::GateDelays& base,
         die.rise[g] = base.rise[g] * factors[s * gates + g];
         die.fall[g] = base.fall[g] * factors[s * gates + g];
       }
-      result.samples[first + s] = max_delay_with(*nl_, die);
+      const std::vector<double> arrival = worst_arrivals(*nl_, die);
+      double worst = 0.0;
+      for (const NetId po : nl_->outputs()) {
+        worst = std::max(worst, arrival[po]);
+      }
+      result.samples[first + s] = worst;
     }, threads, tracer);
   }
   std::sort(result.samples.begin(), result.samples.end());

@@ -3,10 +3,11 @@
 // Real guardbands cover process variation as well as aging (paper Sec. I
 // cites both as reliability costs). This module samples per-gate delay
 // multipliers from a lognormal distribution (local/random variation) plus a
-// global corner factor (die-to-die), runs the shared STA delay model per
-// sample, and reports the resulting max-delay distribution. Combined with
-// the degradation library it answers: how much of the combined
-// variation+aging guardband can precision reduction absorb?
+// global corner factor (die-to-die), runs the shared STA delay model and
+// longest-path pass (worst_arrivals) per sample, and reports the resulting
+// max-delay distribution. Combined with the degradation library it answers:
+// how much of the combined variation+aging guardband can precision reduction
+// absorb?
 #pragma once
 
 #include <vector>

@@ -106,8 +106,7 @@ void recover_area_pass(Netlist& work, const DegradationAwareLibrary& aged,
       const Gate& gate = work.gate(gid);
       const Cell& current = lib.cell(gate.cell);
       if (current.drive <= 1) continue;
-      const double arrival = std::max(timing.arrival_rise[gate.fanout],
-                                      timing.arrival_fall[gate.fanout]);
+      const double arrival = timing.arrival[gate.fanout];
       const double slack = required[gate.fanout] -
                            (arrival == -std::numeric_limits<double>::infinity()
                                 ? 0.0

@@ -22,7 +22,7 @@ TEST_F(VariationTest, ZeroSigmaReproducesSta) {
   const MonteCarloSta mc(nl_, params);
   const VariationResult res = mc.run_fresh(5);
   const double nominal = Sta(nl_).run_fresh().max_delay;
-  for (const double s : res.samples) EXPECT_NEAR(s, nominal, 1e-9);
+  for (const double s : res.samples) EXPECT_EQ(s, nominal);
   EXPECT_DOUBLE_EQ(res.guardband(nominal, 0.99), 0.0);
 }
 
