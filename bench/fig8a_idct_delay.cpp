@@ -4,6 +4,7 @@
 // in every aging case, i.e. no timing errors ever occur.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common.hpp"
 #include "core/microarch.hpp"
@@ -38,6 +39,7 @@ int run(int argc, char** argv) {
 
   std::printf("timing constraint t_CP(noAging) = %.1f ps\n",
               plan.timing_constraint);
+  bench_json.metric("timing_constraint_ps", plan.timing_constraint);
   TextTable blocks({"block", "fresh [ps]", "10Y WC aged [ps]", "rel. slack",
                     "chosen precision", "meets aged?"});
   for (const BlockPlan& b : plan.blocks) {
@@ -46,6 +48,7 @@ int run(int argc, char** argv) {
                     TextTable::pct(b.rel_slack),
                     std::to_string(b.chosen_precision),
                     b.meets ? "yes" : "NO"});
+    bench_json.metric(b.spec.name + "_chosen_precision", b.chosen_precision);
   }
   blocks.print(std::cout);
   std::printf("(paper: multiplier rel. slack -8.3%% after 10Y WC; 3-bit "
@@ -60,12 +63,13 @@ int run(int argc, char** argv) {
   TextTable table({"case", "original [ps]", "approx [ps]", "constraint met?"});
   const struct {
     const char* label;
+    const char* key;  ///< BENCH json field stem
     AgingScenario scenario;
   } cases[] = {
-      {"Initial", AgingScenario::fresh()},
-      {"1Y (WC)", {StressMode::worst, 1.0}},
-      {"10Y (WC)", {StressMode::worst, 10.0}},
-      {"10Y (AC)", {StressMode::measured, 10.0}},
+      {"Initial", "initial", AgingScenario::fresh()},
+      {"1Y (WC)", "1y_wc", {StressMode::worst, 1.0}},
+      {"10Y (WC)", "10y_wc", {StressMode::worst, 10.0}},
+      {"10Y (AC)", "10y_ac", {StressMode::measured, 10.0}},
   };
   for (const auto& c : cases) {
     const double d_orig =
@@ -75,6 +79,8 @@ int run(int argc, char** argv) {
     table.add_row({c.label, TextTable::num(d_orig, 1),
                    TextTable::num(d_approx, 1),
                    d_approx <= plan.timing_constraint + 1e-6 ? "yes" : "NO"});
+    bench_json.metric(std::string(c.key) + "_original_ps", d_orig);
+    bench_json.metric(std::string(c.key) + "_approx_ps", d_approx);
   }
   table.print(std::cout);
   std::printf("(paper Fig. 8a: the approximated design fulfills the timing "
