@@ -7,6 +7,7 @@
 // Units: time ps, capacitance fF, area um^2, leakage nW.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +36,10 @@ enum class LogicFn : std::uint8_t {
   kMux2,   ///< sel ? b : a  (pins: 0=a, 1=b, 2=sel)
   kMaj3,   ///< majority — the carry function of a full adder
 };
+
+/// Number of LogicFn values (kMaj3 is the last), for per-function tables.
+inline constexpr std::size_t kNumLogicFns =
+    static_cast<std::size_t>(LogicFn::kMaj3) + 1;
 
 /// Number of input pins of a logic function.
 int fn_num_inputs(LogicFn fn);

@@ -7,8 +7,11 @@
 namespace aapx {
 
 CellId CellLibrary::add(Cell cell) {
+  const auto id = static_cast<CellId>(cells_.size());
+  CellId& best = smallest_[static_cast<std::size_t>(cell.fn)];
+  if (best == kInvalidCell || cell.area < cells_[best].area) best = id;
   cells_.push_back(std::move(cell));
-  return static_cast<CellId>(cells_.size() - 1);
+  return id;
 }
 
 const Cell& CellLibrary::cell(CellId id) const {
@@ -33,13 +36,7 @@ std::optional<CellId> CellLibrary::find(LogicFn fn, int drive) const {
 }
 
 CellId CellLibrary::smallest(LogicFn fn) const {
-  CellId best = kInvalidCell;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].fn != fn) continue;
-    if (best == kInvalidCell || cells_[i].area < cells_[best].area) {
-      best = static_cast<CellId>(i);
-    }
-  }
+  const CellId best = smallest_[static_cast<std::size_t>(fn)];
   if (best == kInvalidCell) {
     throw std::out_of_range("CellLibrary::smallest: no cell for " + to_string(fn));
   }

@@ -10,6 +10,7 @@
 // drop-in replacement.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,6 +25,8 @@ inline constexpr CellId kInvalidCell = static_cast<CellId>(-1);
 
 class CellLibrary {
  public:
+  CellLibrary() { smallest_.fill(kInvalidCell); }
+
   CellId add(Cell cell);
 
   const Cell& cell(CellId id) const;
@@ -35,7 +38,8 @@ class CellLibrary {
   /// Finds the cell implementing `fn` at the given drive strength.
   std::optional<CellId> find(LogicFn fn, int drive) const;
 
-  /// Cheapest (smallest-area) cell implementing `fn`.
+  /// Cheapest (smallest-area) cell implementing `fn`; the first one added
+  /// among cells of equal area. Throws std::out_of_range if none does.
   CellId smallest(LogicFn fn) const;
 
   /// All drive variants of `fn`, sorted ascending by drive strength.
@@ -48,6 +52,8 @@ class CellLibrary {
 
  private:
   std::vector<Cell> cells_;
+  /// Per LogicFn: the answer of smallest(), kept current by add().
+  std::array<CellId, kNumLogicFns> smallest_;
   DffSpec dff_;
 };
 

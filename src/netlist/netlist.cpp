@@ -13,7 +13,6 @@ Netlist::Netlist(const CellLibrary& lib) : lib_(&lib) {
 
 NetId Netlist::add_net() {
   net_driver_.push_back(kInvalidGate);
-  net_readers_.emplace_back();
   pi_index_.push_back(kInvalidNet);
   topo_.clear();
   return static_cast<NetId>(net_driver_.size() - 1);
@@ -71,10 +70,8 @@ GateId Netlist::add_gate_driving(CellId cell, std::span<const NetId> ins,
   if (net_driver_[output] != kInvalidGate) {
     throw std::invalid_argument("add_gate_driving: output already driven");
   }
-  for (const NetId pi : inputs_) {
-    if (pi == output) {
-      throw std::invalid_argument("add_gate_driving: output is a primary input");
-    }
+  if (pi_index_[output] != kInvalidNet) {
+    throw std::invalid_argument("add_gate_driving: output is a primary input");
   }
   Gate g;
   g.cell = cell;
@@ -88,9 +85,6 @@ GateId Netlist::add_gate_driving(CellId cell, std::span<const NetId> ins,
   const auto gid = static_cast<GateId>(gates_.size());
   gates_.push_back(g);
   net_driver_[output] = gid;
-  for (int p = 0; p < pins; ++p) {
-    net_readers_[ins[static_cast<std::size_t>(p)]].push_back({gid, p});
-  }
   topo_.clear();
   return gid;
 }
@@ -131,9 +125,46 @@ GateId Netlist::driver(NetId net) const {
   return net_driver_[net];
 }
 
-const std::vector<NetReader>& Netlist::readers(NetId net) const {
+std::span<const NetReader> Netlist::readers(NetId net) const {
   if (net >= num_nets()) throw std::out_of_range("Netlist::readers");
-  return net_readers_[net];
+  if (!topo_.readers_valid.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(topo_.mutex);
+    fill_readers();
+  }
+  return reader_run(net);
+}
+
+std::span<const NetReader> Netlist::reader_run(NetId net) const {
+  const std::uint32_t begin = topo_.reader_begin[net];
+  return {topo_.readers.data() + begin, topo_.reader_begin[net + 1] - begin};
+}
+
+void Netlist::fill_readers() const {
+  if (topo_.readers_valid.load(std::memory_order_relaxed)) return;
+  // Counting sort by input net. Placing the readers from the last gate and
+  // pin backwards leaves each net's run ascending by (gate, pin), and leaves
+  // begin[n] at the start of net n's run.
+  std::vector<std::uint32_t> begin(num_nets() + 1, 0);
+  for (const Gate& g : gates_) {
+    const int pins = lib_->cell(g.cell).num_inputs();
+    for (int p = 0; p < pins; ++p) ++begin[g.fanin[static_cast<std::size_t>(p)]];
+  }
+  std::uint32_t total = 0;
+  for (std::uint32_t& b : begin) {
+    total += b;
+    b = total;
+  }
+  std::vector<NetReader> readers(total);
+  for (std::size_t g = gates_.size(); g-- > 0;) {
+    const Gate& gate = gates_[g];
+    for (int p = lib_->cell(gate.cell).num_inputs(); p-- > 0;) {
+      readers[--begin[gate.fanin[static_cast<std::size_t>(p)]]] = {
+          static_cast<GateId>(g), p};
+    }
+  }
+  topo_.reader_begin = std::move(begin);
+  topo_.readers = std::move(readers);
+  topo_.readers_valid.store(true, std::memory_order_release);
 }
 
 const std::vector<NetId>& Netlist::input_bus(const std::string& name) const {
@@ -181,19 +212,39 @@ void Netlist::set_output_bus(const std::string& name, std::vector<NetId> nets) {
 Netlist::TopoCache& Netlist::TopoCache::operator=(const TopoCache& other) {
   if (this == &other) return *this;
   std::lock_guard<std::mutex> lock(other.mutex);
+  reader_begin = other.reader_begin;
+  readers = other.readers;
+  readers_valid.store(other.readers_valid.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
   order = other.order;
-  valid = other.valid;
+  order_valid = other.order_valid;
+  return *this;
+}
+
+Netlist::TopoCache& Netlist::TopoCache::operator=(TopoCache&& other) noexcept {
+  if (this == &other) return *this;
+  std::lock_guard<std::mutex> lock(other.mutex);
+  reader_begin = std::move(other.reader_begin);
+  readers = std::move(other.readers);
+  readers_valid.store(other.readers_valid.exchange(false),
+                      std::memory_order_relaxed);
+  order = std::move(other.order);
+  order_valid = std::exchange(other.order_valid, false);
   return *this;
 }
 
 void Netlist::TopoCache::clear() noexcept {
-  valid = false;
+  readers_valid.store(false, std::memory_order_relaxed);
+  reader_begin.clear();
+  readers.clear();
+  order_valid = false;
   order.clear();
 }
 
 const std::vector<GateId>& Netlist::topo_order() const {
   std::lock_guard<std::mutex> lock(topo_.mutex);
-  if (topo_.valid) return topo_.order;
+  if (topo_.order_valid) return topo_.order;
+  fill_readers();
   std::vector<int> pending(gates_.size(), 0);
   std::vector<GateId> ready;
   for (std::size_t g = 0; g < gates_.size(); ++g) {
@@ -211,7 +262,7 @@ const std::vector<GateId>& Netlist::topo_order() const {
   for (std::size_t head = 0; head < ready.size(); ++head) {
     const GateId g = ready[head];
     order.push_back(g);
-    for (const NetReader& r : net_readers_[gates_[g].fanout]) {
+    for (const NetReader& r : reader_run(gates_[g].fanout)) {
       if (--pending[r.gate] == 0) ready.push_back(r.gate);
     }
   }
@@ -219,12 +270,12 @@ const std::vector<GateId>& Netlist::topo_order() const {
     throw std::logic_error("Netlist::topo_order: combinational cycle detected");
   }
   topo_.order = std::move(order);
-  topo_.valid = true;
+  topo_.order_valid = true;
   return topo_.order;
 }
 
 double Netlist::net_load(NetId net) const {
-  const auto& rs = readers(net);
+  const std::span<const NetReader> rs = readers(net);
   double load = kWireCapPerFanout * static_cast<double>(rs.size());
   for (const NetReader& r : rs) {
     load += lib_->cell(gates_[r.gate].cell).pin_cap;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -81,7 +82,10 @@ class Netlist {
 
   /// Gate driving `net`, or kInvalidGate for PIs/constants.
   GateId driver(NetId net) const;
-  const std::vector<NetReader>& readers(NetId net) const;
+  /// Every (gate, pin) reading `net`, ascending by gate then pin. Built for
+  /// all nets on the first call after construction, under the same guard as
+  /// topo_order(); the span stays valid until the next construction call.
+  std::span<const NetReader> readers(NetId net) const;
 
   const std::vector<NetId>& inputs() const noexcept { return inputs_; }
   const std::vector<NetId>& outputs() const noexcept { return outputs_; }
@@ -126,7 +130,6 @@ class Netlist {
   const CellLibrary* lib_;
   std::vector<Gate> gates_;
   std::vector<GateId> net_driver_;
-  std::vector<std::vector<NetReader>> net_readers_;
   std::vector<NetId> inputs_;
   std::vector<std::string> input_names_;
   std::vector<NetId> pi_index_;  ///< per net: index into inputs_ or kInvalidNet
@@ -135,21 +138,33 @@ class Netlist {
   std::unordered_map<std::string, std::vector<NetId>> input_buses_;
   std::unordered_map<std::string, std::vector<NetId>> output_buses_;
 
-  /// Lazily filled topological order. Readers may race on the first fill
-  /// (per-batch simulators on one shared netlist), so the fill is guarded;
-  /// copies and moves carry the order, never the lock.
+  /// Lazily filled net readers (one CSR array over all nets) and
+  /// topological order. Readers may race on the first fill (per-batch
+  /// simulators on one shared netlist), so each fill is guarded; copies and
+  /// moves carry the contents, never the lock.
   struct TopoCache {
     TopoCache() = default;
     TopoCache(const TopoCache& other) { *this = other; }
+    TopoCache(TopoCache&& other) noexcept { *this = std::move(other); }
     TopoCache& operator=(const TopoCache& other);
+    TopoCache& operator=(TopoCache&& other) noexcept;
     /// Construction calls only: a netlist being built has no readers.
     void clear() noexcept;
 
-    mutable std::mutex mutex;  ///< guards valid and order
-    bool valid = false;
+    mutable std::mutex mutex;  ///< guards both fills
+    /// Set last by the readers fill, so readers() can skip the lock.
+    std::atomic<bool> readers_valid{false};
+    std::vector<std::uint32_t> reader_begin;  ///< per net, plus the end
+    std::vector<NetReader> readers;
+    bool order_valid = false;
     std::vector<GateId> order;
   };
   mutable TopoCache topo_;
+
+  /// Builds topo_'s reader CSR if it is stale; the caller holds topo_.mutex.
+  void fill_readers() const;
+  /// `net`'s run of the reader CSR, which must be filled.
+  std::span<const NetReader> reader_run(NetId net) const;
 };
 
 }  // namespace aapx

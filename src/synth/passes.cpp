@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/context.hpp"
@@ -24,24 +25,24 @@ struct Mapped {
 /// so AND2(a,b) and AND2(b,a) merge.
 class GateEmitter {
  public:
-  explicit GateEmitter(Netlist& nl) : nl_(&nl) {}
+  /// `expected_gates`, the input netlist's gate count, sizes the hash table.
+  GateEmitter(Netlist& nl, std::size_t expected_gates) : nl_(&nl) {
+    cache_.reserve(expected_gates);
+  }
 
-  NetId emit(LogicFn fn, std::vector<NetId> ins) {
+  /// Instantiates the smallest cell for `fn` over the first
+  /// fn_num_inputs(fn) entries of `ins`, or returns the structurally equal
+  /// gate's output net if one was already emitted.
+  NetId emit(LogicFn fn, std::array<NetId, 3> ins) {
+    const auto pins = static_cast<std::size_t>(fn_num_inputs(fn));
     canonicalize(fn, ins);
-    const Key key{fn, {ins.size() > 0 ? ins[0] : kInvalidNet,
-                       ins.size() > 1 ? ins[1] : kInvalidNet,
-                       ins.size() > 2 ? ins[2] : kInvalidNet}};
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    NetId out = kInvalidNet;
-    switch (ins.size()) {
-      case 1: out = nl_->mk(fn, ins[0]); break;
-      case 2: out = nl_->mk(fn, ins[0], ins[1]); break;
-      case 3: out = nl_->mk(fn, ins[0], ins[1], ins[2]); break;
-      default: throw std::logic_error("GateEmitter: bad input count");
+    for (std::size_t p = pins; p < ins.size(); ++p) ins[p] = kInvalidNet;
+    const auto [it, inserted] = cache_.try_emplace(Key{fn, ins}, kInvalidNet);
+    if (inserted) {
+      const std::span<const NetId> used(ins.data(), pins);
+      it->second = nl_->add_gate(nl_->lib().smallest(fn), used);
     }
-    cache_.emplace(key, out);
-    return out;
+    return it->second;
   }
 
   NetId emit_inv(NetId a) { return emit(LogicFn::kInv, {a}); }
@@ -50,13 +51,17 @@ class GateEmitter {
   struct Key {
     LogicFn fn;
     std::array<NetId, 3> ins;
-    bool operator<(const Key& o) const {
-      if (fn != o.fn) return fn < o.fn;
-      return ins < o.ins;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      std::uint64_t h = static_cast<std::uint64_t>(k.fn);
+      for (const NetId n : k.ins) h = (h ^ n) * 0x9E3779B97F4A7C15ULL;
+      return static_cast<std::size_t>(h ^ (h >> 29));
     }
   };
 
-  static void canonicalize(LogicFn fn, std::vector<NetId>& ins) {
+  static void canonicalize(LogicFn fn, std::array<NetId, 3>& ins) {
     switch (fn) {
       case LogicFn::kAnd2:
       case LogicFn::kNand2:
@@ -64,6 +69,8 @@ class GateEmitter {
       case LogicFn::kNor2:
       case LogicFn::kXor2:
       case LogicFn::kXnor2:
+        std::sort(ins.begin(), ins.begin() + 2);
+        break;
       case LogicFn::kAnd3:
       case LogicFn::kNand3:
       case LogicFn::kOr3:
@@ -81,7 +88,7 @@ class GateEmitter {
   }
 
   Netlist* nl_;
-  std::map<Key, NetId> cache_;
+  std::unordered_map<Key, NetId, KeyHash> cache_;
 };
 
 /// Synthesizes an arbitrary 2-variable function given by a 4-bit truth table
@@ -116,6 +123,22 @@ Mapped synth2(GateEmitter& em, Netlist& nl, unsigned tt, NetId x, NetId y) {
 
 OptimizeResult optimize_once(const Netlist& nl);
 
+/// Whether another pass over `nl`, a pass's output, could remove a gate.
+/// Such a pass maps every gate back to its own function over the images of
+/// its inputs, and the structural hash that built `nl` already merged equal
+/// gates, so it removes nothing unless some gate is dead (its output has no
+/// reader and is not a primary output) or is a BUF (which becomes an alias).
+bool may_shrink(const Netlist& nl) {
+  std::vector<char> is_output(nl.num_nets(), 0);
+  for (const NetId o : nl.outputs()) is_output[o] = 1;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const Gate& gate = nl.gate(g);
+    if (nl.lib().cell(gate.cell).fn == LogicFn::kBuf) return true;
+    if (!is_output[gate.fanout] && nl.readers(gate.fanout).empty()) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 OptimizeResult optimize(const Netlist& nl, const Context* ctx) {
@@ -131,13 +154,14 @@ OptimizeResult optimize(const Netlist& nl, const Context* ctx) {
   calls.add();
   std::uint64_t pass_count = 1;
   // Constant folding can orphan upstream logic that was still live when the
-  // forward pass visited it, so iterate to a fixpoint (2 passes typical).
+  // forward pass visited it, so iterate to a fixpoint. A pass runs only when
+  // may_shrink says it could remove a gate; one that removes none anyway is
+  // discarded.
   OptimizeResult result = optimize_once(nl);
-  for (int iter = 0; iter < 8; ++iter) {
+  for (int iter = 0; iter < 8 && may_shrink(result.netlist); ++iter) {
     OptimizeResult next = optimize_once(result.netlist);
     ++pass_count;
     if (next.netlist.num_gates() == result.netlist.num_gates()) break;
-    next.gates_removed += result.gates_removed;
     result = std::move(next);
   }
   result.gates_removed = nl.num_gates() - result.netlist.num_gates();
@@ -195,7 +219,7 @@ OptimizeResult optimize_once(const Netlist& nl) {
     out.set_input_bus(bus_name, std::move(fresh));
   }
 
-  GateEmitter emitter(out);
+  GateEmitter emitter(out, nl.num_gates());
   std::size_t removed = 0;
 
   for (const GateId gid : nl.topo_order()) {

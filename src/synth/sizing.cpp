@@ -87,14 +87,14 @@ void recover_area_pass(Netlist& work, const DegradationAwareLibrary& aged,
   for (int iter = 0; iter < options.max_recovery_iterations; ++iter) {
     // The Sta dies before the batch below edits `work` (an Sta must not
     // outlive a change to its netlist).
-    StaResult timing;
-    Sta::GateDelays gd;
-    {
-      const Sta sta(work, options.sta);
-      timing = sta.run_aged(aged, stress);
-      if (timing.max_delay > target) return;  // should not happen; stay safe
-      gd = sta.gate_delays(&aged, &stress);
+    const Sta::GateDelays gd =
+        Sta(work, options.sta).gate_delays(&aged, &stress);
+    const std::vector<double> arrivals = worst_arrivals(work, gd);
+    double max_delay = 0.0;
+    for (const NetId po : work.outputs()) {
+      max_delay = std::max(max_delay, arrivals[po]);
     }
+    if (max_delay > target) return;  // should not happen; stay safe
     const std::vector<double> required = required_times(work, gd, target);
 
     // Collect downsizing candidates with their slack margins. Slack along a
@@ -106,7 +106,7 @@ void recover_area_pass(Netlist& work, const DegradationAwareLibrary& aged,
       const Gate& gate = work.gate(gid);
       const Cell& current = lib.cell(gate.cell);
       if (current.drive <= 1) continue;
-      const double arrival = timing.arrival[gate.fanout];
+      const double arrival = arrivals[gate.fanout];
       const double slack = required[gate.fanout] -
                            (arrival == -std::numeric_limits<double>::infinity()
                                 ? 0.0

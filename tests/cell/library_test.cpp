@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace aapx {
 namespace {
 
@@ -98,6 +101,45 @@ TEST_F(LibraryTest, DffSpecPresent) {
   EXPECT_GT(lib_.dff().area, 0.0);
   EXPECT_GT(lib_.dff().clk_to_q, 0.0);
   EXPECT_GT(lib_.dff().setup, 0.0);
+}
+
+// smallest() is a table that add() keeps current; it must answer what a scan
+// of the cells in insertion order answers: the least area, and the first
+// added cell among equal areas.
+TEST(CellLibraryTest, SmallestMatchesAScanOverAnyInsertionOrder) {
+  const CellLibrary generated = make_nangate45_like();
+  CellLibrary lib;
+  const auto add_cell = [&](LogicFn fn, int drive, double area) {
+    Cell cell = generated.cell(generated.smallest(fn));
+    cell.name = to_string(fn) + "_T" + std::to_string(lib.size());
+    cell.drive = drive;
+    cell.area = area;
+    lib.add(std::move(cell));
+  };
+  add_cell(LogicFn::kNand2, 4, 3.0);
+  add_cell(LogicFn::kInv, 2, 0.9);
+  add_cell(LogicFn::kNand2, 2, 1.5);
+  add_cell(LogicFn::kNand2, 1, 1.5);  // ties the X2: the earlier one wins
+  add_cell(LogicFn::kInv, 8, 2.0);
+  add_cell(LogicFn::kInv, 1, 0.5);    // smaller, added last
+  add_cell(LogicFn::kMaj3, 1, 2.1);
+
+  for (std::size_t f = 0; f < kNumLogicFns; ++f) {
+    const auto fn = static_cast<LogicFn>(f);
+    CellId best = kInvalidCell;
+    for (CellId id = 0; id < lib.size(); ++id) {
+      if (lib.cell(id).fn != fn) continue;
+      if (best == kInvalidCell || lib.cell(id).area < lib.cell(best).area) best = id;
+    }
+    if (best == kInvalidCell) {
+      EXPECT_THROW(lib.smallest(fn), std::out_of_range) << to_string(fn);
+    } else {
+      EXPECT_EQ(lib.smallest(fn), best) << to_string(fn);
+    }
+  }
+  EXPECT_EQ(lib.cell(lib.smallest(LogicFn::kNand2)).drive, 2);
+  EXPECT_EQ(lib.cell(lib.smallest(LogicFn::kInv)).drive, 1);
+  EXPECT_THROW(lib.smallest(LogicFn::kXor2), std::out_of_range);
 }
 
 TEST(CellLibraryTest, OutOfRangeAccessThrows) {

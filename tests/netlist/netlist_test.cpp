@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/persist.hpp"
 #include "synth/components.hpp"
+#include "util/rng.hpp"
 
 namespace aapx {
 namespace {
@@ -106,6 +109,112 @@ TEST_F(NetlistTest, TopoOrderFirstFillIsThreadSafe) {
   }
   for (std::thread& th : threads) th.join();
   for (const std::vector<GateId>& order : seen) EXPECT_EQ(order, expect);
+}
+
+/// Random DAG over every library function; pins read any earlier net,
+/// constants included, so nets get zero, one or many readers.
+Netlist random_dag(const CellLibrary& lib, std::uint64_t seed) {
+  Rng rng(seed);
+  Netlist nl(lib);
+  std::vector<NetId> pool = {nl.const0(), nl.const1()};
+  for (int i = 0; i < 6; ++i) pool.push_back(nl.add_input("i" + std::to_string(i)));
+  const int gates = 40 + static_cast<int>(rng.next_below(80));
+  for (int g = 0; g < gates; ++g) {
+    const auto fn = static_cast<LogicFn>(rng.next_below(kNumLogicFns));
+    std::vector<NetId> ins;
+    for (int p = 0; p < fn_num_inputs(fn); ++p) {
+      ins.push_back(pool[rng.next_below(pool.size())]);
+    }
+    pool.push_back(nl.add_gate(lib.smallest(fn), ins));
+  }
+  nl.mark_output(pool.back(), "y");
+  return nl;
+}
+
+TEST_F(NetlistTest, ReadersAreAscendingAndMatchAScan) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Netlist nl = random_dag(lib_, seed);
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+      std::vector<std::pair<GateId, int>> expect;
+      for (GateId g = 0; g < nl.num_gates(); ++g) {
+        for (int p = 0; p < nl.gate_num_inputs(g); ++p) {
+          if (nl.gate(g).fanin[static_cast<std::size_t>(p)] == n) {
+            expect.emplace_back(g, p);
+          }
+        }
+      }
+      std::vector<std::pair<GateId, int>> seen;
+      for (const NetReader& r : nl.readers(n)) seen.emplace_back(r.gate, r.pin);
+      EXPECT_EQ(seen, expect) << "seed " << seed << " net " << n;
+    }
+  }
+}
+
+TEST_F(NetlistTest, ConstructionAfterAReadRefreshesReaders) {
+  Netlist nl(lib_);
+  const NetId a = nl.add_input("a");
+  nl.mk(LogicFn::kInv, a);
+  ASSERT_EQ(nl.readers(a).size(), 1u);
+  nl.mk(LogicFn::kBuf, a);
+  ASSERT_EQ(nl.readers(a).size(), 2u);
+  EXPECT_EQ(nl.readers(a)[1].gate, 1u);
+  EXPECT_TRUE(nl.readers(nl.add_net()).empty());
+}
+
+// Moving a netlist takes its filled caches along; the result reads exactly
+// as a copy does, and the moved-from netlist holds no stale cache.
+TEST_F(NetlistTest, MovedNetlistKeepsReadersAndOrder) {
+  Netlist source = random_dag(lib_, 7);
+  source.topo_order();  // fill both caches before the move
+  const Netlist copy = source;
+  const Netlist moved = std::move(source);
+  EXPECT_EQ(moved.topo_order(), copy.topo_order());
+  for (NetId n = 0; n < copy.num_nets(); ++n) {
+    const auto a = moved.readers(n);
+    const auto b = copy.readers(n);
+    ASSERT_EQ(a.size(), b.size()) << "net " << n;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].gate, b[i].gate);
+      EXPECT_EQ(a[i].pin, b[i].pin);
+    }
+  }
+  Netlist assigned(lib_);
+  assigned = Netlist(copy);
+  EXPECT_EQ(assigned.topo_order(), copy.topo_order());
+}
+
+// Same race as TopoOrderFirstFillIsThreadSafe, entered through readers():
+// the reader CSR is filled lazily under the topological order's guard.
+TEST_F(NetlistTest, ReadersFirstFillIsThreadSafe) {
+  const ComponentSpec spec{ComponentKind::adder, 16, 0, AdderArch::cla4,
+                           MultArch::array};
+  const Netlist built = make_component(lib_, spec);
+  std::vector<std::size_t> expect;
+  for (NetId n = 0; n < built.num_nets(); ++n) {
+    expect.push_back(built.readers(n).size());
+  }
+  const engine::NetlistPayload decoded = engine::decode_netlist_payload(
+      engine::encode_netlist_payload(0, spec, built), lib_);
+  const Netlist& nl = decoded.netlist;
+
+  constexpr int kThreads = 4;
+  std::atomic<int> arrived{0};
+  std::vector<std::vector<std::size_t>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) {
+      }
+      for (NetId n = 0; n < nl.num_nets(); ++n) {
+        seen[static_cast<std::size_t>(t)].push_back(nl.readers(n).size());
+      }
+      if (t == 0) nl.topo_order();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<std::size_t>& counts : seen) EXPECT_EQ(counts, expect);
+  EXPECT_EQ(nl.topo_order(), built.topo_order());
 }
 
 TEST_F(NetlistTest, NetLoadSumsPinCaps) {
