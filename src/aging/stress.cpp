@@ -48,27 +48,10 @@ const StressPair& StressProfile::gate(std::size_t index) const {
   return per_gate_[index];
 }
 
-StressProfile StressProfile::with_activity(std::vector<double> activity) const {
-  if (activity.size() != per_gate_.size()) {
-    throw std::invalid_argument(
-        "StressProfile::with_activity: one activity per gate required");
-  }
-  for (const double a : activity) {
-    if (a < 0.0) {
-      throw std::invalid_argument(
-          "StressProfile::with_activity: negative activity");
-    }
-  }
-  StressProfile annotated(mode_, per_gate_);
-  annotated.activity_ = std::move(activity);
-  return annotated;
-}
-
 double StressProfile::gate_activity(std::size_t index) const {
   if (index >= per_gate_.size()) {
     throw std::out_of_range("StressProfile::gate_activity");
   }
-  if (!activity_.empty()) return activity_[index];
   switch (mode_) {
     case StressMode::worst:
       return 1.0;

@@ -40,13 +40,9 @@ std::string to_string(StressMode mode);
 /// Fig. 3b). For worst/balanced modes every gate shares the same pair; for
 /// measured mode the vector carries one entry per gate.
 ///
-/// A profile may additionally carry per-gate *toggle activity* (output
-/// transitions per cycle), the input of the activity-driven mechanisms (HCI
-/// drift, EM current density). Duty answers "how long does the output sit
-/// high"; activity answers "how often does it switch" — a clock buffer has
-/// duty 0.5 and activity 1, a stuck control net duty 1 and activity 0.
-/// Unannotated profiles fall back to a mode-derived default, so worst /
-/// balanced sweeps need no simulation.
+/// HCI drift, an activity-driven mechanism, also needs each gate's *toggle
+/// activity* (output transitions per cycle); a profile derives it from its
+/// mode, so worst / balanced sweeps need no simulation.
 class StressProfile {
  public:
   /// Uniform profile (worst or balanced case).
@@ -59,15 +55,9 @@ class StressProfile {
   const StressPair& gate(std::size_t index) const;
   const std::vector<StressPair>& all() const noexcept { return per_gate_; }
 
-  /// Returns a copy annotated with measured per-gate toggle activities
-  /// (size must equal gate_count(); entries must be non-negative).
-  StressProfile with_activity(std::vector<double> activity) const;
-  bool has_activity() const noexcept { return !activity_.empty(); }
-  /// Raw annotations; empty when the profile is unannotated.
-  const std::vector<double>& activity() const noexcept { return activity_; }
-  /// Toggle activity of one gate: the annotation when present, otherwise a
-  /// mode default — worst 1.0, balanced 0.5, and for measured profiles the
-  /// random-sampling estimate 2*p*(1-p) from the gate's duty.
+  /// Toggle activity of one gate, a mode default: worst 1.0, balanced 0.5,
+  /// and for measured profiles the random-sampling estimate 2*p*(1-p) from
+  /// the gate's duty.
   double gate_activity(std::size_t index) const;
 
  private:
@@ -75,7 +65,6 @@ class StressProfile {
 
   StressMode mode_;
   std::vector<StressPair> per_gate_;
-  std::vector<double> activity_;  ///< per gate; empty = unannotated
 };
 
 /// An aging scenario bundles the stress regime with the lifetime, e.g.

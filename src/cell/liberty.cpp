@@ -1,18 +1,13 @@
 #include "cell/liberty.hpp"
 
-#include <cctype>
-#include <cstring>
-#include <istream>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace aapx {
 namespace {
-
-// --- writing ---------------------------------------------------------------
 
 std::string fn_expression(LogicFn fn) {
   // Liberty boolean expression over pins A0, A1, A2 (pin i = Ai).
@@ -65,12 +60,11 @@ void write_table(std::ostream& os, const std::string& group,
 }
 
 void write_library(const CellLibrary& lib, std::ostream& os,
-                   const LibertyWriteOptions& options,
                    const DegradationAwareLibrary* aged, StressPair stress) {
   if (lib.size() == 0) throw std::invalid_argument("write_liberty: empty library");
   os.precision(17);  // lossless double round trip
-  os << "library (" << options.library_name << ") {\n";
-  os << "  time_unit : \"" << options.time_unit << "\";\n";
+  os << "library (aapx_nangate45_like) {\n";
+  os << "  time_unit : \"1ps\";\n";
   os << "  capacitive_load_unit (1, ff);\n";
   os << "  leakage_power_unit : \"1nW\";\n";
   os << "  default_max_transition : 300;\n";
@@ -135,398 +129,15 @@ void write_library(const CellLibrary& lib, std::ostream& os,
   os << "}\n";
 }
 
-// --- parsing ---------------------------------------------------------------
-
-enum class TokKind { ident, string, symbol, eof };
-
-struct Token {
-  TokKind kind = TokKind::eof;
-  std::string text;
-  int line = 0;  ///< 1-based source line the token starts on
-};
-
-[[noreturn]] void fail_at(int line, const std::string& message) {
-  throw std::runtime_error("liberty:" + std::to_string(line) + ": " + message);
-}
-
-class Lexer {
- public:
-  explicit Lexer(std::istream& is) { src_.assign(std::istreambuf_iterator<char>(is), {}); }
-
-  Token next() {
-    skip_ws_and_comments();
-    Token tok;
-    tok.line = line_;
-    if (pos_ >= src_.size()) return tok;
-    const char c = src_[pos_];
-    if (c == '"') {
-      ++pos_;
-      tok.kind = TokKind::string;
-      while (pos_ < src_.size() && src_[pos_] != '"') {
-        if (src_[pos_] == '\\' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '\n') {
-          pos_ += 2;  // line continuation inside a string
-          ++line_;
-          continue;
-        }
-        if (src_[pos_] == '\n') ++line_;
-        tok.text += src_[pos_++];
-      }
-      if (pos_ >= src_.size()) fail_at(tok.line, "unterminated string");
-      ++pos_;
-      return tok;
-    }
-    if (std::strchr("(){}:;,", c) != nullptr) {
-      tok.kind = TokKind::symbol;
-      tok.text = std::string(1, c);
-      ++pos_;
-      return tok;
-    }
-    tok.kind = TokKind::ident;
-    while (pos_ < src_.size() &&
-           (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
-            std::strchr("._+-", src_[pos_]) != nullptr)) {
-      tok.text += src_[pos_++];
-    }
-    if (tok.text.empty()) {
-      fail_at(line_, std::string("unexpected character '") + c + "'");
-    }
-    return tok;
-  }
-
- private:
-  void skip_ws_and_comments() {
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c)) || c == '\\') {
-        if (c == '\n') ++line_;
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '*') {
-        const std::size_t end = src_.find("*/", pos_ + 2);
-        if (end == std::string::npos) fail_at(line_, "open comment");
-        for (std::size_t i = pos_; i < end; ++i) {
-          if (src_[i] == '\n') ++line_;
-        }
-        pos_ = end + 2;
-      } else {
-        break;
-      }
-    }
-  }
-
-  std::string src_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
-
-/// Generic in-memory Liberty group tree.
-struct Group {
-  std::string type;                 // e.g. "cell"
-  int line = 0;                     // source line the group starts on
-  std::vector<std::string> args;    // e.g. {"NAND2_X1"}
-  std::map<std::string, std::string> attrs;          // simple attributes
-  std::vector<std::pair<std::string, std::vector<std::string>>> complex;
-  std::vector<Group> children;
-};
-
-/// Required attribute lookup with a located diagnostic instead of the bare
-/// std::out_of_range a map::at would give on truncated input.
-const std::string& require_attr(const Group& group, const char* name) {
-  const auto it = group.attrs.find(name);
-  if (it == group.attrs.end()) {
-    fail_at(group.line, "missing attribute '" + std::string(name) + "' in " +
-                            group.type + " group");
-  }
-  return it->second;
-}
-
-class Parser {
- public:
-  explicit Parser(std::istream& is) : lexer_(is) { advance(); }
-
-  Group parse_group() {
-    Group group;
-    expect(TokKind::ident);
-    group.type = tok_.text;
-    group.line = tok_.line;
-    advance();
-    expect_symbol("(");
-    advance();
-    while (!is_symbol(")")) {
-      if (tok_.kind == TokKind::ident || tok_.kind == TokKind::string) {
-        group.args.push_back(tok_.text);
-        advance();
-      } else if (is_symbol(",")) {
-        advance();
-      } else {
-        fail_at(tok_.line, "bad group argument list near '" + tok_.text + "'");
-      }
-    }
-    advance();  // ')'
-    expect_symbol("{");
-    advance();
-    while (!is_symbol("}")) {
-      parse_statement(group);
-    }
-    advance();  // '}'
-    return group;
-  }
-
- private:
-  void parse_statement(Group& group) {
-    expect(TokKind::ident);
-    const std::string name = tok_.text;
-    const int name_line = tok_.line;
-    advance();
-    if (is_symbol(":")) {
-      advance();
-      std::string value;
-      if (tok_.kind == TokKind::ident || tok_.kind == TokKind::string) {
-        value = tok_.text;
-        advance();
-      }
-      expect_symbol(";");
-      advance();
-      group.attrs[name] = value;
-      return;
-    }
-    if (is_symbol("(")) {
-      // Either a child group or a complex attribute; decide by what follows
-      // the closing parenthesis.
-      advance();
-      std::vector<std::string> args;
-      while (!is_symbol(")")) {
-        if (tok_.kind == TokKind::ident || tok_.kind == TokKind::string) {
-          args.push_back(tok_.text);
-          advance();
-        } else if (is_symbol(",")) {
-          advance();
-        } else {
-          fail_at(tok_.line, "bad argument list for " + name);
-        }
-      }
-      advance();  // ')'
-      if (is_symbol("{")) {
-        Group child;
-        child.type = name;
-        child.line = name_line;
-        child.args = std::move(args);
-        advance();
-        while (!is_symbol("}")) parse_statement(child);
-        advance();
-        group.children.push_back(std::move(child));
-        return;
-      }
-      if (is_symbol(";")) advance();  // complex attribute terminator
-      group.complex.emplace_back(name, std::move(args));
-      return;
-    }
-    fail_at(tok_.line, "unexpected token after " + name);
-  }
-
-  void advance() { tok_ = lexer_.next(); }
-  void expect(TokKind kind) {
-    if (tok_.kind != kind) {
-      if (tok_.kind == TokKind::eof) {
-        fail_at(tok_.line, "unexpected end of input");
-      }
-      fail_at(tok_.line, "unexpected token '" + tok_.text + "'");
-    }
-  }
-  bool is_symbol(const char* s) const {
-    return tok_.kind == TokKind::symbol && tok_.text == s;
-  }
-  void expect_symbol(const char* s) {
-    if (!is_symbol(s)) {
-      if (tok_.kind == TokKind::eof) {
-        fail_at(tok_.line, std::string("expected '") + s +
-                               "' before end of input");
-      }
-      fail_at(tok_.line,
-              std::string("expected '") + s + "' near '" + tok_.text + "'");
-    }
-  }
-
-  Lexer lexer_;
-  Token tok_;
-};
-
-double to_double(const std::string& text, int line, const char* what) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    fail_at(line, std::string("bad ") + what + " value '" + text + "'");
-  }
-  if (used != text.size()) {
-    fail_at(line, std::string("bad ") + what + " value '" + text + "'");
-  }
-  return value;
-}
-
-double attr_double(const Group& group, const char* name) {
-  return to_double(require_attr(group, name), group.line, name);
-}
-
-int attr_int(const Group& group, const char* name) {
-  const double value = to_double(require_attr(group, name), group.line, name);
-  const int as_int = static_cast<int>(value);
-  if (static_cast<double>(as_int) != value) {
-    fail_at(group.line, std::string("bad ") + name + " value (not an integer)");
-  }
-  return as_int;
-}
-
-std::vector<double> parse_number_list(const std::string& csv, int line) {
-  std::vector<double> out;
-  std::istringstream is(csv);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    const std::size_t first = item.find_first_not_of(" \t\n");
-    if (first == std::string::npos) continue;
-    const std::size_t last = item.find_last_not_of(" \t\n");
-    out.push_back(to_double(item.substr(first, last - first + 1), line,
-                            "number list"));
-  }
-  return out;
-}
-
-LogicFn parse_fn(const std::string& name) {
-  static const std::map<std::string, LogicFn> kMap = {
-      {"BUF", LogicFn::kBuf},     {"INV", LogicFn::kInv},
-      {"AND2", LogicFn::kAnd2},   {"NAND2", LogicFn::kNand2},
-      {"OR2", LogicFn::kOr2},     {"NOR2", LogicFn::kNor2},
-      {"XOR2", LogicFn::kXor2},   {"XNOR2", LogicFn::kXnor2},
-      {"AND3", LogicFn::kAnd3},   {"NAND3", LogicFn::kNand3},
-      {"OR3", LogicFn::kOr3},     {"NOR3", LogicFn::kNor3},
-      {"AOI21", LogicFn::kAoi21}, {"OAI21", LogicFn::kOai21},
-      {"MUX2", LogicFn::kMux2},   {"MAJ3", LogicFn::kMaj3},
-  };
-  const auto it = kMap.find(name);
-  if (it == kMap.end()) throw std::runtime_error("unknown function " + name);
-  return it->second;
-}
-
-Table2D parse_values(const Group& table_group, const std::vector<double>& axis1,
-                     const std::vector<double>& axis2) {
-  for (const auto& [name, args] : table_group.complex) {
-    if (name != "values") continue;
-    std::vector<double> flat;
-    for (const std::string& row : args) {
-      for (const double v : parse_number_list(row, table_group.line)) {
-        flat.push_back(v);
-      }
-    }
-    if (flat.size() != axis1.size() * axis2.size()) {
-      fail_at(table_group.line, "table " + table_group.type + " has " +
-                                    std::to_string(flat.size()) +
-                                    " values, template wants " +
-                                    std::to_string(axis1.size() * axis2.size()));
-    }
-    return Table2D(axis1, axis2, std::move(flat));
-  }
-  fail_at(table_group.line, "table group " + table_group.type +
-                                " without values()");
-}
-
 }  // namespace
 
-void write_liberty(const CellLibrary& lib, std::ostream& os,
-                   const LibertyWriteOptions& options) {
-  write_library(lib, os, options, nullptr, kWorstCaseStress);
+void write_liberty(const CellLibrary& lib, std::ostream& os) {
+  write_library(lib, os, nullptr, kWorstCaseStress);
 }
 
 void write_aged_liberty(const DegradationAwareLibrary& aged, StressPair stress,
-                        std::ostream& os, const LibertyWriteOptions& options) {
-  write_library(aged.base(), os, options, &aged, stress);
-}
-
-CellLibrary parse_liberty(std::istream& is) {
-  Parser parser(is);
-  const Group root = parser.parse_group();
-  if (root.type != "library") {
-    throw std::runtime_error("liberty: top-level group must be library");
-  }
-
-  // Template axes.
-  std::vector<double> axis1;
-  std::vector<double> axis2;
-  for (const Group& child : root.children) {
-    if (child.type != "lu_table_template") continue;
-    for (const auto& [name, args] : child.complex) {
-      if (name == "index_1" && !args.empty()) {
-        axis1 = parse_number_list(args[0], child.line);
-      }
-      if (name == "index_2" && !args.empty()) {
-        axis2 = parse_number_list(args[0], child.line);
-      }
-    }
-  }
-  if (axis1.empty() || axis2.empty()) {
-    throw std::runtime_error("liberty: missing lu_table_template axes");
-  }
-
-  CellLibrary lib;
-  for (const Group& cg : root.children) {
-    if (cg.type != "cell") continue;
-    if (cg.args.empty()) fail_at(cg.line, "unnamed cell");
-    Cell cell;
-    cell.name = cg.args[0];
-    try {
-      cell.fn = parse_fn(require_attr(cg, "aapx_function"));
-    } catch (const std::runtime_error& e) {
-      fail_at(cg.line, std::string(e.what()) + " in cell " + cell.name);
-    }
-    cell.drive = attr_int(cg, "aapx_drive");
-    cell.area = attr_double(cg, "area");
-    cell.aging_sensitivity = attr_double(cg, "aapx_aging_sensitivity");
-    for (const double v : parse_number_list(
-             require_attr(cg, "aapx_leakage_states"), cg.line)) {
-      cell.leakage_per_state.push_back(v);
-    }
-    const int pins = cell.num_inputs();
-    if (cell.leakage_per_state.size() != std::size_t{1} << pins) {
-      fail_at(cg.line, "leakage state count mismatch in " + cell.name);
-    }
-    for (const Group& pin : cg.children) {
-      if (pin.type != "pin" || pin.args.empty()) continue;
-      if (pin.attrs.count("capacitance") != 0) {
-        cell.pin_cap = attr_double(pin, "capacitance");
-      }
-      if (pin.args[0] == "Y") {
-        if (pin.attrs.count("max_capacitance") != 0) {
-          cell.max_load = attr_double(pin, "max_capacitance");
-        }
-        for (const Group& timing : pin.children) {
-          if (timing.type != "timing") continue;
-          TimingArc arc;
-          const std::string related = require_attr(timing, "related_pin");
-          if (related.size() < 2 || related[0] != 'A') {
-            fail_at(timing.line, "bad related_pin " + related);
-          }
-          arc.input_pin =
-              static_cast<int>(to_double(related.substr(1), timing.line,
-                                         "related_pin index"));
-          for (const Group& tbl : timing.children) {
-            if (tbl.type == "cell_rise") arc.rise_delay = parse_values(tbl, axis1, axis2);
-            if (tbl.type == "cell_fall") arc.fall_delay = parse_values(tbl, axis1, axis2);
-            if (tbl.type == "rise_transition") arc.rise_slew = parse_values(tbl, axis1, axis2);
-            if (tbl.type == "fall_transition") arc.fall_slew = parse_values(tbl, axis1, axis2);
-          }
-          if (arc.rise_delay.empty() || arc.fall_delay.empty()) {
-            fail_at(timing.line, "incomplete timing arc in " + cell.name);
-          }
-          cell.arcs.push_back(std::move(arc));
-        }
-      }
-    }
-    if (cell.arcs.size() != static_cast<std::size_t>(pins)) {
-      fail_at(cg.line, "arc count mismatch in " + cell.name);
-    }
-    lib.add(std::move(cell));
-  }
-  if (lib.size() == 0) throw std::runtime_error("liberty: no cells parsed");
-  return lib;
+                        std::ostream& os) {
+  write_library(aged.base(), os, &aged, stress);
 }
 
 }  // namespace aapx

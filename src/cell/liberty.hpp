@@ -1,12 +1,12 @@
-// Liberty (.lib) interchange for the cell library.
+// Liberty (.lib) export of the cell library.
 //
 // The paper's degradation-aware cell libraries [9] are distributed as
 // Liberty files compatible with the Synopsys flow. This module writes our
 // generated library in a faithful Liberty subset — library header with unit
 // attributes, lu_table templates, per-cell area/leakage/function, pins with
 // capacitance, and NLDM timing groups (cell_rise/cell_fall/rise_transition/
-// fall_transition) — and parses that subset back, so libraries survive a
-// round trip and aged variants can be inspected with standard EDA tooling.
+// fall_transition) — so aged variants can be inspected with standard EDA
+// tooling. The flow only hands libraries out; it never reads Liberty back.
 //
 // Aged export: `write_aged_liberty` emits the library with every delay table
 // pre-scaled by the degradation factors of a chosen stress pair and lifetime
@@ -14,31 +14,18 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "cell/degradation.hpp"
 #include "cell/library.hpp"
 
 namespace aapx {
 
-struct LibertyWriteOptions {
-  std::string library_name = "aapx_nangate45_like";
-  std::string time_unit = "1ps";
-  std::string cap_unit = "1ff";
-};
-
-/// Writes the fresh library.
-void write_liberty(const CellLibrary& lib, std::ostream& os,
-                   const LibertyWriteOptions& options = {});
+/// Writes the fresh library. Throws std::invalid_argument when it is empty.
+void write_liberty(const CellLibrary& lib, std::ostream& os);
 
 /// Writes an aged corner: all delay/slew tables scaled by the degradation
 /// factors for `stress` at the library's lifetime.
 void write_aged_liberty(const DegradationAwareLibrary& aged, StressPair stress,
-                        std::ostream& os, const LibertyWriteOptions& options = {});
-
-/// Parses the subset produced by write_liberty. Throws std::runtime_error on
-/// malformed input. The parser is resilient to whitespace/comments but only
-/// understands the groups the writer emits.
-CellLibrary parse_liberty(std::istream& is);
+                        std::ostream& os);
 
 }  // namespace aapx

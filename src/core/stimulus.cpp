@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "engine/context.hpp"
-#include "gatesim/funcsim.hpp"
 #include "gatesim/packedsim.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -43,29 +42,6 @@ StimulusSet make_normal_stimulus(int width, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     const std::int64_t a = rng.next_normal_int(sigma, -lim, lim);
     const std::int64_t b = rng.next_normal_int(sigma, -lim, lim);
-    set.vectors.push_back({wrap_to_width(a, width), wrap_to_width(b, width)});
-  }
-  return set;
-}
-
-StimulusSet make_normal_pair_stimulus(int width, std::size_t count,
-                                      std::uint64_t seed, double sigma_a,
-                                      double sigma_b) {
-  if (width <= 1 || width > 64) {
-    throw std::invalid_argument("make_normal_pair_stimulus: bad width");
-  }
-  if (sigma_a <= 0.0 || sigma_b <= 0.0) {
-    throw std::invalid_argument("make_normal_pair_stimulus: bad sigma");
-  }
-  Rng rng(seed);
-  StimulusSet set;
-  set.buses = {"a", "b"};
-  set.vectors.reserve(count);
-  const std::int64_t lim = width >= 63 ? INT64_MAX / 2
-                                       : (std::int64_t{1} << (width - 1)) - 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::int64_t a = rng.next_normal_int(sigma_a, -lim, lim);
-    const std::int64_t b = rng.next_normal_int(sigma_b, -lim, lim);
     set.vectors.push_back({wrap_to_width(a, width), wrap_to_width(b, width)});
   }
   return set;
@@ -279,41 +255,6 @@ std::vector<TimedOutcome> replay_timed(const Context& ctx, const Netlist& nl,
     }
   });
   return outcomes;
-}
-
-std::vector<double> measure_gate_activity(const Netlist& nl,
-                                          const StimulusSet& stimulus) {
-  if (stimulus.vectors.size() < 2) {
-    throw std::invalid_argument(
-        "measure_gate_activity: need at least two vectors");
-  }
-  for (const auto& row : stimulus.vectors) {
-    if (row.size() != stimulus.buses.size()) {
-      throw std::invalid_argument("measure_gate_activity: ragged stimulus");
-    }
-  }
-  // Toggles are a property of the vector *sequence*, so this replay is a
-  // plain serial loop — vector order is the signal, not a parallel grain.
-  FuncSim sim(nl);
-  std::vector<char> prev(nl.num_gates(), 0);
-  std::vector<std::uint64_t> toggles(nl.num_gates(), 0);
-  for (std::size_t i = 0; i < stimulus.vectors.size(); ++i) {
-    for (std::size_t b = 0; b < stimulus.buses.size(); ++b) {
-      sim.set_bus(stimulus.buses[b], stimulus.vectors[i][b]);
-    }
-    sim.eval();
-    for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-      const char v = sim.value(nl.gate(static_cast<GateId>(g)).fanout) ? 1 : 0;
-      if (i > 0 && v != prev[g]) ++toggles[g];
-      prev[g] = v;
-    }
-  }
-  const double steps = static_cast<double>(stimulus.vectors.size() - 1);
-  std::vector<double> activity(nl.num_gates(), 0.0);
-  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-    activity[g] = static_cast<double>(toggles[g]) / steps;
-  }
-  return activity;
 }
 
 }  // namespace aapx

@@ -32,13 +32,6 @@ struct StimulusSet {
 StimulusSet make_normal_stimulus(int width, std::size_t count,
                                  std::uint64_t seed = 1, double sigma = -1.0);
 
-/// Two-operand variant with distinct magnitudes per operand — e.g. a
-/// coefficient input (narrow) against a data input (wide), the profile a
-/// multiplier sees inside a transform datapath.
-StimulusSet make_normal_pair_stimulus(int width, std::size_t count,
-                                      std::uint64_t seed, double sigma_a,
-                                      double sigma_b);
-
 /// Three-operand (a, b, acc) variant for MAC components.
 StimulusSet make_normal_mac_stimulus(int width, std::size_t count,
                                      std::uint64_t seed = 1, double sigma = -1.0);
@@ -115,14 +108,5 @@ std::vector<TimedOutcome> replay_timed(const Context& ctx, const Netlist& nl,
                                        DelayModel model,
                                        const StimulusSet& stimulus,
                                        double t_clock_ps);
-
-/// Replays the stimulus *in order* through a zero-delay simulation and
-/// returns per-gate toggle activities: settled output transitions between
-/// consecutive vectors, divided by the number of vector steps. This is the
-/// measured input of the activity-driven aging mechanisms (HCI drift, EM
-/// current density) — see StressProfile::with_activity. Needs at least two
-/// vectors; glitch toggles are not counted (settled values only).
-std::vector<double> measure_gate_activity(const Netlist& nl,
-                                          const StimulusSet& stimulus);
 
 }  // namespace aapx

@@ -56,8 +56,8 @@ class Netlist {
   NetId add_gate(CellId cell, std::span<const NetId> inputs);
 
   /// Instantiates `cell` driving an existing net. The net must be driverless
-  /// and must not be a primary input or constant. Used by netlist parsers,
-  /// which know the wire names before they see the drivers.
+  /// and must not be a primary input or constant. For readers that know the
+  /// wire names before they see the drivers.
   GateId add_gate_driving(CellId cell, std::span<const NetId> inputs,
                           NetId output);
 

@@ -1,19 +1,14 @@
 #include "netlist/verilog.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstring>
-#include <istream>
 #include <map>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace aapx {
 namespace {
-
-// --- writing ---------------------------------------------------------------
 
 /// Splits "a[3]" into ("a", 3); returns index -1 for scalar names.
 std::pair<std::string, int> split_indexed(const std::string& name) {
@@ -101,295 +96,6 @@ void write_verilog(const Netlist& nl, std::ostream& os,
        << net_ref(nl, nl.outputs()[i], pi_names) << ";\n";
   }
   os << "endmodule\n";
-}
-
-namespace {
-
-// --- parsing ---------------------------------------------------------------
-
-[[noreturn]] void vfail(int line, const std::string& message) {
-  throw std::runtime_error("verilog:" + std::to_string(line) + ": " + message);
-}
-
-class VLexer {
- public:
-  explicit VLexer(std::istream& is) {
-    src_.assign(std::istreambuf_iterator<char>(is), {});
-  }
-
-  /// Next token: identifier/number-like chunk or single symbol; empty at EOF.
-  std::string next() {
-    skip();
-    token_line_ = line_;
-    if (pos_ >= src_.size()) return {};
-    const char c = src_[pos_];
-    if (std::strchr("()[];,.=:", c) != nullptr) {
-      ++pos_;
-      return std::string(1, c);
-    }
-    std::string tok;
-    while (pos_ < src_.size()) {
-      const char ch = src_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' ||
-          ch == '\'') {
-        tok += ch;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (tok.empty()) {
-      vfail(line_, std::string("unexpected character '") + c + "'");
-    }
-    return tok;
-  }
-
-  /// Line the most recently returned token started on.
-  int token_line() const noexcept { return token_line_; }
-
- private:
-  void skip() {
-    while (pos_ < src_.size()) {
-      if (std::isspace(static_cast<unsigned char>(src_[pos_]))) {
-        if (src_[pos_] == '\n') ++line_;
-        ++pos_;
-      } else if (src_[pos_] == '/' && pos_ + 1 < src_.size() &&
-                 src_[pos_ + 1] == '/') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
-      } else if (src_[pos_] == '/' && pos_ + 1 < src_.size() &&
-                 src_[pos_ + 1] == '*') {
-        const std::size_t end = src_.find("*/", pos_ + 2);
-        if (end == std::string::npos) {
-          vfail(line_, "open comment");
-        }
-        for (std::size_t i = pos_; i < end; ++i) {
-          if (src_[i] == '\n') ++line_;
-        }
-        pos_ = end + 2;
-      } else {
-        break;
-      }
-    }
-  }
-
-  std::string src_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  int token_line_ = 1;
-};
-
-class VParser {
- public:
-  VParser(std::istream& is, const CellLibrary& lib) : lexer_(is), lib_(&lib) {}
-
-  Netlist parse() {
-    Netlist nl(*lib_);
-    expect("module");
-    (void)token();  // module name
-    expect("(");
-    while (peek() != ")") {
-      (void)token();  // port name
-      if (peek() == ",") (void)token();
-    }
-    expect(")");
-    expect(";");
-
-    struct OutputBit {
-      std::string name;
-      NetId net;
-    };
-    std::vector<OutputBit> outputs;
-    std::map<std::string, std::vector<NetId>> output_buses;
-    std::map<std::string, NetId> assigns_pending;  // output bit -> rhs net
-
-    for (std::string tok = token(); tok != "endmodule"; tok = token()) {
-      if (tok == "input" || tok == "output") {
-        const bool is_input = tok == "input";
-        int width = 0;  // 0 = scalar
-        if (peek() == "[") {
-          (void)token();
-          width = number("bus msb") + 1;
-          expect(":");
-          if (token() != "0") vfail(line(), "bus lsb must be 0");
-          expect("]");
-        }
-        while (true) {
-          const std::string name = token();
-          if (is_input) {
-            if (width == 0) {
-              nets_[name] = nl.add_input(name);
-            } else {
-              const auto bus = nl.add_input_bus(name, width);
-              for (int i = 0; i < width; ++i) {
-                nets_[name + "[" + std::to_string(i) + "]"] =
-                    bus[static_cast<std::size_t>(i)];
-              }
-            }
-          } else {
-            const int bits = width == 0 ? 1 : width;
-            for (int i = 0; i < bits; ++i) {
-              const std::string bit_name =
-                  width == 0 ? name : name + "[" + std::to_string(i) + "]";
-              const NetId net = nl.add_net();
-              nets_[bit_name] = net;
-              outputs.push_back({bit_name, net});
-              if (width > 0) output_buses[name].push_back(net);
-            }
-          }
-          if (peek() == ",") {
-            (void)token();
-            continue;
-          }
-          break;
-        }
-        expect(";");
-      } else if (tok == "wire") {
-        while (true) {
-          const std::string name = token();
-          nets_[name] = nl.add_net();
-          if (peek() == ",") {
-            (void)token();
-            continue;
-          }
-          break;
-        }
-        expect(";");
-      } else if (tok == "assign") {
-        const std::string lhs = resolve_name();
-        expect("=");
-        const NetId rhs = resolve_net(nl);
-        expect(";");
-        assigns_pending[lhs] = rhs;
-      } else {
-        // Cell instance: CELLNAME instname ( .PIN(net), ... ) ;
-        const auto cell = lib_->find(tok);
-        if (!cell.has_value()) {
-          vfail(line(), "unknown cell or keyword " + tok);
-        }
-        (void)token();  // instance name
-        expect("(");
-        std::map<std::string, NetId> pins;
-        while (peek() != ")") {
-          expect(".");
-          const std::string pin = token();
-          expect("(");
-          pins[pin] = resolve_net(nl);
-          expect(")");
-          if (peek() == ",") (void)token();
-        }
-        expect(")");
-        expect(";");
-        const int num_ins = lib_->cell(*cell).num_inputs();
-        std::vector<NetId> ins;
-        for (int p = 0; p < num_ins; ++p) {
-          const auto it = pins.find("A" + std::to_string(p));
-          if (it == pins.end()) {
-            vfail(line(), "missing pin A" + std::to_string(p) + " on " + tok);
-          }
-          ins.push_back(it->second);
-        }
-        const auto y = pins.find("Y");
-        if (y == pins.end()) vfail(line(), "missing pin Y on " + tok);
-        nl.add_gate_driving(*cell, ins, y->second);
-      }
-    }
-
-    // Resolve outputs: direct drivers win; otherwise follow the alias assign.
-    std::map<std::string, std::vector<NetId>> final_buses;
-    for (const OutputBit& out : outputs) {
-      NetId net = out.net;
-      if (nl.driver(net) == kInvalidGate) {
-        const auto it = assigns_pending.find(out.name);
-        if (it == assigns_pending.end()) {
-          vfail(line(), "undriven output " + out.name);
-        }
-        net = it->second;
-      }
-      nl.mark_output(net, out.name);
-      const auto [base, index] = split_indexed(out.name);
-      if (index >= 0) final_buses[base].push_back(net);
-    }
-    for (auto& [name, bus] : final_buses) nl.set_output_bus(name, bus);
-    return nl;
-  }
-
- private:
-  std::string token() {
-    if (!lookahead_.empty()) {
-      std::string t = std::move(lookahead_);
-      lookahead_.clear();
-      line_ = lookahead_line_;
-      return t;
-    }
-    const std::string t = lexer_.next();
-    line_ = lexer_.token_line();
-    if (t.empty()) vfail(line_, "unexpected end of file");
-    return t;
-  }
-
-  const std::string& peek() {
-    if (lookahead_.empty()) {
-      lookahead_ = lexer_.next();
-      lookahead_line_ = lexer_.token_line();
-    }
-    return lookahead_;
-  }
-
-  /// Line of the most recently consumed token.
-  int line() const noexcept { return line_; }
-
-  void expect(const std::string& s) {
-    const std::string t = token();
-    if (t != s) {
-      vfail(line_, "expected '" + s + "', got '" + t + "'");
-    }
-  }
-
-  /// Reads a token that must be an unsigned decimal number.
-  int number(const char* what) {
-    const std::string t = token();
-    if (t.empty() ||
-        t.find_first_not_of("0123456789") != std::string::npos ||
-        t.size() > 9) {
-      vfail(line_, std::string("bad ") + what + " '" + t + "'");
-    }
-    return std::stoi(t);
-  }
-
-  /// Reads an identifier, optionally followed by [index].
-  std::string resolve_name() {
-    std::string name = token();
-    if (peek() == "[") {
-      (void)token();
-      name += "[" + std::to_string(number("bit index")) + "]";
-      expect("]");
-    }
-    return name;
-  }
-
-  NetId resolve_net(Netlist& nl) {
-    const std::string name = resolve_name();
-    if (name == "1'b0") return nl.const0();
-    if (name == "1'b1") return nl.const1();
-    const auto it = nets_.find(name);
-    if (it == nets_.end()) {
-      vfail(line_, "unknown net " + name);
-    }
-    return it->second;
-  }
-
-  VLexer lexer_;
-  const CellLibrary* lib_;
-  std::string lookahead_;
-  int line_ = 1;
-  int lookahead_line_ = 1;
-  std::map<std::string, NetId> nets_;
-};
-
-}  // namespace
-
-Netlist parse_verilog(std::istream& is, const CellLibrary& lib) {
-  return VParser(is, lib).parse();
 }
 
 }  // namespace aapx

@@ -1,11 +1,11 @@
-// Structural Verilog interchange for gate-level netlists.
+// Structural Verilog export of gate-level netlists.
 //
 // The synthesized netlists the flow produces are what a real project would
 // hand to downstream tools (simulation, P&R) as structural Verilog. The
-// writer emits a flat gate-level module over the library cells; the parser
-// accepts the same subset (module, input/output with ranges, wire, cell
-// instances with named connections, assign aliases, 1'b0/1'b1 constants),
-// so netlists survive a round trip.
+// writer emits a flat gate-level module over the library cells: bused
+// input/output ports, one wire per gate output, cell instances g0, g1, ...
+// with named connections (.A0, .A1, ..., .Y), 1'b0/1'b1 constants, and one
+// assign per output bit. The flow never reads Verilog back.
 #pragma once
 
 #include <iosfwd>
@@ -18,10 +18,5 @@ namespace aapx {
 /// Writes `nl` as a flat structural Verilog module.
 void write_verilog(const Netlist& nl, std::ostream& os,
                    const std::string& module_name);
-
-/// Parses a module produced by write_verilog against `lib` (cells are looked
-/// up by instance type name). Throws std::runtime_error on malformed input
-/// or unknown cells.
-Netlist parse_verilog(std::istream& is, const CellLibrary& lib);
 
 }  // namespace aapx

@@ -2,18 +2,19 @@
 
 #include <ostream>
 
+#include "sta/sta.hpp"
+
 namespace aapx {
 namespace {
 
 void write_file(const Netlist& nl, const DegradationAwareLibrary* aged,
                 const StressProfile* stress, std::ostream& os,
-                const SdfWriteOptions& options) {
-  const Sta sta(nl, options.sta);
-  const Sta::GateDelays gd = sta.gate_delays(aged, stress);
+                const std::string& design_name) {
+  const Sta::GateDelays gd = Sta(nl).gate_delays(aged, stress);
 
   os << "(DELAYFILE\n";
   os << "  (SDFVERSION \"3.0\")\n";
-  os << "  (DESIGN \"" << options.design_name << "\")\n";
+  os << "  (DESIGN \"" << design_name << "\")\n";
   os << "  (TIMESCALE 1ps)\n";
   for (std::size_t g = 0; g < nl.num_gates(); ++g) {
     const auto gid = static_cast<GateId>(g);
@@ -38,14 +39,14 @@ void write_file(const Netlist& nl, const DegradationAwareLibrary* aged,
 }  // namespace
 
 void write_sdf(const Netlist& nl, std::ostream& os,
-               const SdfWriteOptions& options) {
-  write_file(nl, nullptr, nullptr, os, options);
+               const std::string& design_name) {
+  write_file(nl, nullptr, nullptr, os, design_name);
 }
 
 void write_aged_sdf(const Netlist& nl, const DegradationAwareLibrary& aged,
                     const StressProfile& stress, std::ostream& os,
-                    const SdfWriteOptions& options) {
-  write_file(nl, &aged, &stress, os, options);
+                    const std::string& design_name) {
+  write_file(nl, &aged, &stress, os, design_name);
 }
 
 }  // namespace aapx

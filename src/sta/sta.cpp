@@ -28,18 +28,47 @@ double worst_input(const Netlist& nl, const std::vector<double>& arrival,
   return worst;
 }
 
-/// Critical path ending at `po`, walked back over the per-net worst arrivals.
-/// The rise (fall) arrival of a gate's output is W + rise (W + fall), where W
-/// is the worst arrival over the gate's input pins. Each step takes the first
-/// (pin, input edge) in pin order, falling edge first, whose arrival plus the
-/// gate delay reaches the step's own — the tie rule of a forward pass that
-/// keeps only strictly later arrivals.
-std::vector<PathStep> critical_path_to(const Netlist& nl,
-                                       const Sta::GateDelays& gd,
-                                       const std::vector<double>& arrival,
-                                       NetId po) {
+/// Index of the first primary output reaching the worst arrival, or
+/// outputs().size() when no output arrives after 0.
+std::size_t first_worst_output(const Netlist& nl,
+                               const std::vector<double>& arrival) {
+  std::size_t first = nl.outputs().size();
+  double worst = 0.0;
+  for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
+    if (arrival[nl.outputs()[i]] > worst) {
+      worst = arrival[nl.outputs()[i]];
+      first = i;
+    }
+  }
+  return first;
+}
+
+}  // namespace
+
+std::vector<double> worst_arrivals(const Netlist& nl,
+                                   const Sta::GateDelays& gd) {
+  std::vector<double> arrival(nl.num_nets(), kNeverArrives);
+  for (const NetId pi : nl.inputs()) arrival[pi] = 0.0;
+  for (const GateId g : nl.topo_order()) {
+    // -inf plus a finite delay stays -inf: a gate no input reaches never
+    // switches either.
+    arrival[nl.gate(g).fanout] =
+        worst_input(nl, arrival, g) + std::max(gd.rise[g], gd.fall[g]);
+  }
+  return arrival;
+}
+
+// The walk: the rise (fall) arrival of a gate's output is W + rise
+// (W + fall), where W is the worst arrival over the gate's input pins. Each
+// step takes the first (pin, input edge) in pin order, falling edge first,
+// whose arrival plus the gate delay reaches the step's own — the tie rule of
+// a forward pass that keeps only strictly later arrivals.
+std::vector<PathStep> critical_path(const Netlist& nl, const Sta::GateDelays& gd,
+                                    const std::vector<double>& arrival) {
   std::vector<PathStep> path;
-  GateId g = nl.driver(po);
+  const std::size_t po = first_worst_output(nl, arrival);
+  if (po == nl.outputs().size()) return path;
+  GateId g = nl.driver(nl.outputs()[po]);
   double w = worst_input(nl, arrival, g);
   bool rising = w + gd.rise[g] >= w + gd.fall[g];
   while (g != kInvalidGate) {
@@ -72,21 +101,6 @@ std::vector<PathStep> critical_path_to(const Netlist& nl,
   }
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-}  // namespace
-
-std::vector<double> worst_arrivals(const Netlist& nl,
-                                   const Sta::GateDelays& gd) {
-  std::vector<double> arrival(nl.num_nets(), kNeverArrives);
-  for (const NetId pi : nl.inputs()) arrival[pi] = 0.0;
-  for (const GateId g : nl.topo_order()) {
-    // -inf plus a finite delay stays -inf: a gate no input reaches never
-    // switches either.
-    arrival[nl.gate(g).fanout] =
-        worst_input(nl, arrival, g) + std::max(gd.rise[g], gd.fall[g]);
-  }
-  return arrival;
 }
 
 Sta::Sta(const Netlist& nl, StaOptions options, const Context* ctx)
@@ -165,7 +179,7 @@ Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
     gd.rise[g] = base_.rise[g] * f.rise;
     gd.fall[g] = base_.fall[g] * f.fall;
   };
-  if (stress->mode() != StressMode::measured && !stress->has_activity()) {
+  if (stress->mode() != StressMode::measured) {
     // Uniform profile: every gate shares one stress pair and one activity,
     // so the factors depend on the cell alone — look them up once per cell.
     std::vector<std::optional<Factors>> per_cell(nl.lib().size());
@@ -219,17 +233,8 @@ StaResult Sta::run_impl(const DegradationAwareLibrary* aged,
 
   StaResult res;
   res.arrival = worst_arrivals(nl, gd);
-  std::size_t critical = 0;  // first PO reaching max_delay
-  for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-    const double worst = std::max(res.arrival[nl.outputs()[i]], 0.0);
-    if (worst > res.max_delay) {
-      res.max_delay = worst;
-      critical = i;
-    }
-  }
-  if (res.max_delay > 0.0) {
-    res.critical_path =
-        critical_path_to(nl, gd, res.arrival, nl.outputs()[critical]);
+  for (const NetId po : nl.outputs()) {
+    res.max_delay = std::max(res.max_delay, res.arrival[po]);
   }
   return res;
 }

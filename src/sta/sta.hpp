@@ -6,7 +6,8 @@
 // non-unate, the conservative convention for max-delay analysis). The aged
 // variant multiplies each gate's delays by the degradation-aware library's
 // factors for the gate's stress pair — the paper's "aging-aware STA"
-// (Fig. 3b / Fig. 6).
+// (Fig. 3b / Fig. 6). A run yields arrivals and the max delay only; the
+// critical path is walked back on demand by critical_path().
 //
 // The netlist-invariant part of that work — each gate's fresh delay at its
 // load — is computed once per Sta, so an Sta answers repeated queries on one
@@ -50,8 +51,7 @@ struct StaResult {
   /// Per-net worst arrival over both edges [ps]; -inf for nets that never
   /// transition.
   std::vector<double> arrival;
-  double max_delay = 0.0;               ///< worst PO arrival (>= 0)
-  std::vector<PathStep> critical_path;  ///< PI-side first
+  double max_delay = 0.0;  ///< worst PO arrival (>= 0)
 };
 
 class Sta {
@@ -118,5 +118,14 @@ class Sta {
 /// monotone, this is exactly the max of separate rise and fall passes.
 std::vector<double> worst_arrivals(const Netlist& nl,
                                    const Sta::GateDelays& gd);
+
+/// Critical path (PI-side first) of the `arrival` that worst_arrivals gives
+/// for `gd`, walked back from the first primary output reaching the worst
+/// arrival; empty when no output arrives after 0. At each step it takes the
+/// first input pin, falling edge before rising, whose arrival reaches the
+/// step's — the tie rule of a forward pass keeping only strictly later
+/// arrivals. Only the sizer reads paths, so Sta runs do not build one.
+std::vector<PathStep> critical_path(const Netlist& nl, const Sta::GateDelays& gd,
+                                    const std::vector<double>& arrival);
 
 }  // namespace aapx

@@ -6,6 +6,13 @@
 namespace aapx {
 namespace {
 
+/// Worst primary-output arrival, at least 0 — Sta's max delay.
+double max_po_arrival(const Netlist& nl, const std::vector<double>& arrival) {
+  double worst = 0.0;
+  for (const NetId po : nl.outputs()) worst = std::max(worst, arrival[po]);
+  return worst;
+}
+
 /// Per-net required times under a max-delay target, from a backward pass over
 /// the aged per-gate delays (worst of rise/fall, matching the STA model).
 std::vector<double> required_times(const Netlist& nl, const Sta::GateDelays& gd,
@@ -31,7 +38,7 @@ std::vector<double> required_times(const Netlist& nl, const Sta::GateDelays& gd,
 /// One upsizing round along the aged critical path: bumps only the few gates
 /// with the highest estimated delay gain (greedy, like a commercial sizer),
 /// instead of blanket-upsizing the whole path. Returns the bump count.
-int upsize_critical_path(Netlist& work, const StaResult& timing,
+int upsize_critical_path(Netlist& work, const std::vector<PathStep>& path,
                          const SizingOptions& options, int cap) {
   const CellLibrary& lib = work.lib();
   struct Candidate {
@@ -41,7 +48,7 @@ int upsize_critical_path(Netlist& work, const StaResult& timing,
   };
   std::vector<Candidate> candidates;
   std::vector<GateId> seen;
-  for (const PathStep& step : timing.critical_path) {
+  for (const PathStep& step : path) {
     if (std::find(seen.begin(), seen.end(), step.gate) != seen.end()) continue;
     seen.push_back(step.gate);
     const Gate& gate = work.gate(step.gate);
@@ -90,11 +97,7 @@ void recover_area_pass(Netlist& work, const DegradationAwareLibrary& aged,
     const Sta::GateDelays gd =
         Sta(work, options.sta).gate_delays(&aged, &stress);
     const std::vector<double> arrivals = worst_arrivals(work, gd);
-    double max_delay = 0.0;
-    for (const NetId po : work.outputs()) {
-      max_delay = std::max(max_delay, arrivals[po]);
-    }
-    if (max_delay > target) return;  // should not happen; stay safe
+    if (max_po_arrival(work, arrivals) > target) return;  // stay safe
     const std::vector<double> required = required_times(work, gd, target);
 
     // Collect downsizing candidates with their slack margins. Slack along a
@@ -156,15 +159,20 @@ SizingResult size_for_aging(const Netlist& nl, const DegradationAwareLibrary& ag
   double best_delay = std::numeric_limits<double>::infinity();
   int stall = 0;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const StaResult timing = Sta(work, options.sta).run_aged(aged, stress);
-    result.aged_delay = timing.max_delay;
-    if (timing.max_delay <= target_delay_ps) {
+    // The Sta dies before upsizing edits `work`; the round needs the aged
+    // gate delays, the arrivals and, unless timing is met, the path.
+    const Sta::GateDelays gd =
+        Sta(work, options.sta).gate_delays(&aged, &stress);
+    const std::vector<double> arrival = worst_arrivals(work, gd);
+    const double delay = max_po_arrival(work, arrival);
+    result.aged_delay = delay;
+    if (delay <= target_delay_ps) {
       result.met = true;
       break;
     }
     // Stop chasing an unreachable target once upsizing stops helping.
-    if (timing.max_delay < best_delay - 1e-6) {
-      best_delay = timing.max_delay;
+    if (delay < best_delay - 1e-6) {
+      best_delay = delay;
       stall = 0;
     } else if (++stall >= 60) {
       break;
@@ -173,7 +181,8 @@ SizingResult size_for_aging(const Netlist& nl, const DegradationAwareLibrary& ag
     // blanket rounds over the whole critical path (the structure has many
     // parallel near-critical paths that must all be strengthened).
     const int cap = stall > 10 ? 1 << 20 : 5;
-    const int bumped = upsize_critical_path(work, timing, options, cap);
+    const int bumped = upsize_critical_path(
+        work, critical_path(work, gd, arrival), options, cap);
     result.upsized_gates += bumped;
     if (bumped == 0) break;  // everything on the path is at max drive
   }

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "support/interchange_reader.hpp"
+
 namespace aapx {
 namespace {
 
@@ -27,7 +29,7 @@ TEST_F(LibertyTest, WriterEmitsLibertyStructure) {
 TEST_F(LibertyTest, RoundTripPreservesEverything) {
   std::stringstream ss;
   write_liberty(lib_, ss);
-  const CellLibrary loaded = parse_liberty(ss);
+  const CellLibrary loaded = test::read_liberty(ss);
   ASSERT_EQ(loaded.size(), lib_.size());
   for (CellId id = 0; id < lib_.size(); ++id) {
     const Cell& a = lib_.cell(id);
@@ -67,8 +69,8 @@ TEST_F(LibertyTest, AgedExportScalesDelays) {
   std::stringstream aged_ss;
   write_liberty(lib_, fresh_ss);
   write_aged_liberty(aged, kWorstCaseStress, aged_ss);
-  const CellLibrary fresh = parse_liberty(fresh_ss);
-  const CellLibrary worn = parse_liberty(aged_ss);
+  const CellLibrary fresh = test::read_liberty(fresh_ss);
+  const CellLibrary worn = test::read_liberty(aged_ss);
   const CellId nand_fresh = *fresh.find("NAND2_X1");
   const CellId nand_worn = *worn.find("NAND2_X1");
   const double d_fresh =
@@ -77,23 +79,6 @@ TEST_F(LibertyTest, AgedExportScalesDelays) {
   const double expect =
       aged.rise_factor(*lib_.find("NAND2_X1"), kWorstCaseStress);
   EXPECT_NEAR(d_worn / d_fresh, expect, 1e-6);
-}
-
-TEST_F(LibertyTest, ParserRejectsGarbage) {
-  std::stringstream not_liberty("hello world");
-  EXPECT_THROW(parse_liberty(not_liberty), std::runtime_error);
-  std::stringstream wrong_top("cell (X) { }");
-  EXPECT_THROW(parse_liberty(wrong_top), std::runtime_error);
-  std::stringstream unterminated("library (x) { time_unit : \"1ps;");
-  EXPECT_THROW(parse_liberty(unterminated), std::runtime_error);
-}
-
-TEST_F(LibertyTest, ParserToleratesCommentsAndWhitespace) {
-  std::stringstream ss;
-  write_liberty(lib_, ss);
-  std::string text = "/* generated\n by aapx */\n" + ss.str();
-  std::stringstream annotated(text);
-  EXPECT_EQ(parse_liberty(annotated).size(), lib_.size());
 }
 
 TEST_F(LibertyTest, EmptyLibraryRejected) {

@@ -8,6 +8,7 @@
 #include "gatesim/funcsim.hpp"
 #include "netlist/verilog.hpp"
 #include "sta/sta.hpp"
+#include "support/interchange_reader.hpp"
 #include "synth/components.hpp"
 #include "synth/passes.hpp"
 #include "util/rng.hpp"
@@ -19,7 +20,7 @@ TEST(RoundTripIntegrationTest, StaAgreesOnLibertyReloadedLibrary) {
   const CellLibrary lib = make_nangate45_like();
   std::stringstream ss;
   write_liberty(lib, ss);
-  const CellLibrary reloaded = parse_liberty(ss);
+  const CellLibrary reloaded = test::read_liberty(ss);
 
   // The same component synthesized against both libraries must time equally.
   // Cell ids may differ, so rebuild the netlist against the reloaded library.
@@ -35,7 +36,7 @@ TEST(RoundTripIntegrationTest, AgedStaAgreesAfterLibertyRoundTrip) {
   const CellLibrary lib = make_nangate45_like();
   std::stringstream ss;
   write_liberty(lib, ss);
-  const CellLibrary reloaded = parse_liberty(ss);
+  const CellLibrary reloaded = test::read_liberty(ss);
   const AgingModel model;
   const ComponentSpec spec{ComponentKind::multiplier, 10, 0, AdderArch::cla4,
                            MultArch::array};
@@ -55,7 +56,7 @@ TEST(RoundTripIntegrationTest, VerilogRoundTripPreservesTiming) {
       lib, {ComponentKind::adder, 12, 3, AdderArch::cla4, MultArch::array});
   std::stringstream ss;
   write_verilog(nl, ss, "adder12_k9");
-  const Netlist back = parse_verilog(ss, lib);
+  const Netlist back = test::read_verilog(ss, lib);
   EXPECT_NEAR(Sta(nl).run_fresh().max_delay, Sta(back).run_fresh().max_delay,
               1e-9);
 }
@@ -150,7 +151,7 @@ TEST_P(VerilogFuzzTest, RoundTripPreservesRandomNetlists) {
                                           2, 0.1);
   std::stringstream ss;
   write_verilog(original, ss, "fuzz");
-  const Netlist back = parse_verilog(ss, lib);
+  const Netlist back = test::read_verilog(ss, lib);
   ASSERT_EQ(back.num_gates(), original.num_gates());
 
   FuncSim sa(original);

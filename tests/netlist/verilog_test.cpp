@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gatesim/funcsim.hpp"
+#include "support/interchange_reader.hpp"
 #include "synth/components.hpp"
 #include "util/rng.hpp"
 
@@ -57,7 +58,7 @@ TEST_F(VerilogTest, RoundTripAdder) {
       lib_, {ComponentKind::adder, 8, 0, AdderArch::cla4, MultArch::array});
   std::stringstream ss;
   write_verilog(nl, ss, "adder8");
-  const Netlist back = parse_verilog(ss, lib_);
+  const Netlist back = test::read_verilog(ss, lib_);
   EXPECT_EQ(back.num_gates(), nl.num_gates());
   EXPECT_EQ(back.input_bus("a").size(), 8u);
   EXPECT_EQ(back.output_bus("y").size(), 9u);
@@ -70,7 +71,7 @@ TEST_F(VerilogTest, RoundTripMultiplierWithConstants) {
       lib_, {ComponentKind::multiplier, 6, 2, AdderArch::cla4, MultArch::wallace});
   std::stringstream ss;
   write_verilog(nl, ss, "mult6_k4");
-  const Netlist back = parse_verilog(ss, lib_);
+  const Netlist back = test::read_verilog(ss, lib_);
   expect_equivalent(nl, back, 300, 2);
 }
 
@@ -79,68 +80,12 @@ TEST_F(VerilogTest, RoundTripSurvivesSecondTrip) {
       lib_, {ComponentKind::clamp, 12, 0, AdderArch::cla4, MultArch::array});
   std::stringstream ss1;
   write_verilog(nl, ss1, "clamp12");
-  const Netlist once = parse_verilog(ss1, lib_);
+  const Netlist once = test::read_verilog(ss1, lib_);
   std::stringstream ss2;
   write_verilog(once, ss2, "clamp12");
-  const Netlist twice = parse_verilog(ss2, lib_);
+  const Netlist twice = test::read_verilog(ss2, lib_);
   EXPECT_EQ(once.num_gates(), twice.num_gates());
   expect_equivalent(once, twice, 200, 3);
-}
-
-TEST_F(VerilogTest, ParserHandlesCommentsAndFormatting) {
-  std::stringstream ss(R"(
-// a hand-written module
-module tiny (a, b, y);
-  input a;  /* one bit */
-  input b;
-  output y;
-  wire n9;
-  NAND2_X1 u1 (.A0(a), .A1(b), .Y(n9));
-  assign y = n9;
-endmodule
-)");
-  const Netlist nl = parse_verilog(ss, lib_);
-  EXPECT_EQ(nl.num_gates(), 1u);
-  FuncSim sim(nl);
-  sim.set_input(nl.inputs()[0], true);
-  sim.set_input(nl.inputs()[1], true);
-  sim.eval();
-  EXPECT_FALSE(sim.value(nl.outputs()[0]));
-}
-
-TEST_F(VerilogTest, ParserDirectOutputDrive) {
-  std::stringstream ss(R"(
-module tiny (a, y);
-  input a;
-  output y;
-  INV_X1 u1 (.A0(a), .Y(y));
-endmodule
-)");
-  const Netlist nl = parse_verilog(ss, lib_);
-  EXPECT_EQ(nl.num_gates(), 1u);
-  FuncSim sim(nl);
-  sim.set_input(nl.inputs()[0], false);
-  sim.eval();
-  EXPECT_TRUE(sim.value(nl.outputs()[0]));
-}
-
-TEST_F(VerilogTest, ParserErrors) {
-  const char* cases[] = {
-      "module m (a); input a; endmodule extra",                    // ok actually
-      "module m (y); output y; endmodule",                         // undriven
-      "module m (a, y); input a; output y; BOGUS_X1 u (.A0(a), .Y(y)); endmodule",
-      "module m (a, y); input a; output y; INV_X1 u (.Y(y)); endmodule",
-      "module m (a, y); input a; output y; assign y = q; endmodule",
-  };
-  // Case 0 parses fine (trailing text ignored after endmodule).
-  {
-    std::stringstream ss(cases[0]);
-    EXPECT_NO_THROW(parse_verilog(ss, lib_));
-  }
-  for (int i = 1; i < 5; ++i) {
-    std::stringstream ss(cases[i]);
-    EXPECT_THROW(parse_verilog(ss, lib_), std::runtime_error) << "case " << i;
-  }
 }
 
 TEST_F(VerilogTest, AddGateDrivingValidation) {

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "sta/sta.hpp"
 #include "synth/components.hpp"
 
 namespace aapx {
@@ -19,9 +20,7 @@ class SdfTest : public ::testing::Test {
 
 TEST_F(SdfTest, StructureAndInstanceCount) {
   std::ostringstream os;
-  SdfWriteOptions opt;
-  opt.design_name = "adder4";
-  write_sdf(nl_, os, opt);
+  write_sdf(nl_, os, "adder4");
   const std::string text = os.str();
   EXPECT_NE(text.find("(DELAYFILE"), std::string::npos);
   EXPECT_NE(text.find("(DESIGN \"adder4\")"), std::string::npos);
@@ -39,11 +38,11 @@ TEST_F(SdfTest, StructureAndInstanceCount) {
 TEST_F(SdfTest, AgedDelaysLargerThanFresh) {
   std::ostringstream fresh_os;
   std::ostringstream aged_os;
-  write_sdf(nl_, fresh_os);
+  write_sdf(nl_, fresh_os, "adder4");
   const DegradationAwareLibrary aged(lib_, model_, 10.0);
   const StressProfile stress =
       StressProfile::uniform(StressMode::worst, nl_.num_gates());
-  write_aged_sdf(nl_, aged, stress, aged_os);
+  write_aged_sdf(nl_, aged, stress, aged_os, "adder4");
 
   // Extract the first IOPATH rise delay from each file and compare.
   auto first_delay = [](const std::string& text) {
@@ -61,7 +60,7 @@ TEST_F(SdfTest, AgedDelaysLargerThanFresh) {
 
 TEST_F(SdfTest, MatchesStaGateDelays) {
   std::ostringstream os;
-  write_sdf(nl_, os);
+  write_sdf(nl_, os, "adder4");
   const Sta sta(nl_);
   const Sta::GateDelays gd = sta.gate_delays(nullptr, nullptr);
   // Gate g0's first IOPATH rise value equals the STA's per-gate rise delay.

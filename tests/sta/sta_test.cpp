@@ -102,21 +102,24 @@ TEST_F(StaTest, ZeroYearAgedEqualsFresh) {
 
 TEST_F(StaTest, CriticalPathIsConnectedAndMonotone) {
   const Netlist nl = make_adder(16);
-  const StaResult res = Sta(nl).run_fresh();
-  ASSERT_FALSE(res.critical_path.empty());
+  const Sta sta(nl);
+  const StaResult res = sta.run_fresh();
+  const std::vector<PathStep> path =
+      critical_path(nl, sta.gate_delays(nullptr, nullptr), res.arrival);
+  ASSERT_FALSE(path.empty());
   // Arrivals strictly increase along the path, ending at max_delay.
   double prev = 0.0;
-  for (const PathStep& step : res.critical_path) {
+  for (const PathStep& step : path) {
     EXPECT_GT(step.arrival, prev);
     prev = step.arrival;
   }
   EXPECT_NEAR(prev, res.max_delay, 1e-9);
   // Consecutive steps are structurally connected.
-  for (std::size_t i = 1; i < res.critical_path.size(); ++i) {
-    const PathStep& cur = res.critical_path[i];
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const PathStep& cur = path[i];
     const NetId in =
         nl.gate(cur.gate).fanin[static_cast<std::size_t>(cur.input_pin)];
-    EXPECT_EQ(nl.driver(in), res.critical_path[i - 1].gate);
+    EXPECT_EQ(nl.driver(in), path[i - 1].gate);
   }
 }
 
@@ -235,21 +238,14 @@ TEST_F(StaTest, GateDelaysBitIdenticalToPerGateFormula) {
           const std::size_t n = nl.num_gates();
           Rng rng(n);
           std::vector<double> duty(n);
-          std::vector<double> activity(n);
-          for (std::size_t g = 0; g < n; ++g) {
-            duty[g] = rng.next_double();
-            activity[g] = 2.0 * rng.next_double();
-          }
+          for (double& d : duty) d = rng.next_double();
           const StressProfile worst =
               StressProfile::uniform(StressMode::worst, n);
           const StressProfile balanced =
               StressProfile::uniform(StressMode::balanced, n);
           const StressProfile measured = StressProfile::measured(duty);
-          const StressProfile worst_active = worst.with_activity(activity);
-          const StressProfile measured_active =
-              measured.with_activity(activity);
           const std::vector<const StressProfile*> profiles = {
-              &worst, &balanced, &measured, &worst_active, &measured_active};
+              &worst, &balanced, &measured};
 
           Context ctx;
           const Sta sta(nl, opt, &ctx);

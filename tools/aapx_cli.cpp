@@ -590,8 +590,6 @@ int cmd_export_sdf(const Context& ctx, const Args& args) {
   const ComponentSpec spec = spec_from(args);
   const Netlist nl = make_component(ctx, lib, spec);
   std::ofstream os = open_out(args);
-  SdfWriteOptions sopt;
-  sopt.design_name = spec.name();
   const double years = args.get("years", 0.0);
   if (years > 0.0) {
     const AgingModel model;
@@ -599,9 +597,9 @@ int cmd_export_sdf(const Context& ctx, const Args& args) {
     const DegradationAwareLibrary aged(lib, model, years);
     const StressProfile stress = StressProfile::uniform(
         args.get("stress", StressMode::worst), nl.num_gates());
-    write_aged_sdf(nl, aged, stress, os, sopt);
+    write_aged_sdf(nl, aged, stress, os, spec.name());
   } else {
-    write_sdf(nl, os, sopt);
+    write_sdf(nl, os, spec.name());
   }
   std::printf("SDF for %s (%s) written to %s\n", spec.name().c_str(),
               years > 0.0 ? "aged" : "fresh", args.text("out").c_str());
