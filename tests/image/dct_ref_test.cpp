@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "image/synthetic.hpp"
 #include "util/rng.hpp"
@@ -92,6 +94,108 @@ TEST(DctImageTest, SmoothImagesCompactEnergyInLowFrequencies) {
     return high / (low + high);
   };
   EXPECT_GT(high_freq_fraction(busy), 3.0 * high_freq_fraction(smooth));
+}
+
+// The reference DCT as it read its basis before the table: one dct_basis()
+// call per multiply-accumulate, same summation order. The library's
+// transforms must match it bit for bit.
+DctBlock per_call_transform_rows(const DctBlock& in, bool inverse) {
+  DctBlock out{};
+  for (int row = 0; row < kDctBlock; ++row) {
+    for (int k = 0; k < kDctBlock; ++k) {
+      double acc = 0.0;
+      for (int n = 0; n < kDctBlock; ++n) {
+        const double basis = inverse ? dct_basis(n, k) : dct_basis(k, n);
+        acc += basis * in[row * kDctBlock + n];
+      }
+      out[row * kDctBlock + k] = acc;
+    }
+  }
+  return out;
+}
+
+DctBlock transposed(const DctBlock& in) {
+  DctBlock out{};
+  for (int y = 0; y < kDctBlock; ++y) {
+    for (int x = 0; x < kDctBlock; ++x) {
+      out[x * kDctBlock + y] = in[y * kDctBlock + x];
+    }
+  }
+  return out;
+}
+
+DctBlock per_call_dct(const DctBlock& in, bool inverse) {
+  return transposed(per_call_transform_rows(
+      transposed(per_call_transform_rows(in, inverse)), inverse));
+}
+
+void expect_same_block(const DctBlock& got, const DctBlock& want,
+                       const std::string& where) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << where << " coefficient " << i;
+  }
+}
+
+TEST(DctRefTest, TransformsMatchPerCallBasisBitForBit) {
+  Rng rng(29);
+  for (int trial = 0; trial < 64; ++trial) {
+    DctBlock block{};
+    for (auto& v : block) v = rng.next_normal(0.0, 200.0);
+    expect_same_block(forward_dct(block), per_call_dct(block, false),
+                      "forward trial " + std::to_string(trial));
+    expect_same_block(inverse_dct(block), per_call_dct(block, true),
+                      "inverse trial " + std::to_string(trial));
+  }
+}
+
+TEST(DctRefTest, ImageCodecMatchesPerCallBasisBitForBit) {
+  // 52x44 is not a multiple of 8: the right and bottom blocks replicate
+  // edge pixels on encode and drop their overhang on decode.
+  for (const auto& name : video_trace_names()) {
+    const Image img = make_video_trace_frame(name, 52, 44);
+    const BlockImage coeffs = encode_image(img);
+    ASSERT_EQ(coeffs.blocks_x, 7);
+    ASSERT_EQ(coeffs.blocks_y, 6);
+    ASSERT_EQ(coeffs.blocks.size(), 42u);
+    Image want(img.width(), img.height());
+    for (int by = 0; by < coeffs.blocks_y; ++by) {
+      for (int bx = 0; bx < coeffs.blocks_x; ++bx) {
+        DctBlock spatial{};
+        for (int y = 0; y < kDctBlock; ++y) {
+          for (int x = 0; x < kDctBlock; ++x) {
+            const int px = std::min(bx * kDctBlock + x, img.width() - 1);
+            const int py = std::min(by * kDctBlock + y, img.height() - 1);
+            spatial[y * kDctBlock + x] =
+                static_cast<double>(img.at(px, py)) - 128.0;
+          }
+        }
+        const DctBlock& freq =
+            coeffs.blocks[static_cast<std::size_t>(by * coeffs.blocks_x + bx)];
+        const std::string where =
+            name + " block " + std::to_string(bx) + "," + std::to_string(by);
+        expect_same_block(freq, per_call_dct(spatial, false), where);
+        const DctBlock pixels = per_call_dct(freq, true);
+        expect_same_block(inverse_dct(freq), pixels, where);
+        for (int y = 0; y < kDctBlock; ++y) {
+          for (int x = 0; x < kDctBlock; ++x) {
+            const int px = bx * kDctBlock + x;
+            const int py = by * kDctBlock + y;
+            if (px >= img.width() || py >= img.height()) continue;
+            want.set_clamped(px, py,
+                             static_cast<int>(std::lround(
+                                 pixels[y * kDctBlock + x] + 128.0)));
+          }
+        }
+      }
+    }
+    const Image rec = decode_image_reference(coeffs);
+    for (int y = 0; y < img.height(); ++y) {
+      for (int x = 0; x < img.width(); ++x) {
+        ASSERT_EQ(rec.at(x, y), want.at(x, y))
+            << name << " pixel " << x << "," << y;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
+#include "util/hash.hpp"
+
 namespace aapx {
 namespace {
 
@@ -75,6 +81,34 @@ TEST(SyntheticTest, PixelsUseFullRangeSensibly) {
   }
   EXPECT_LT(lo, 80);   // has dark content
   EXPECT_GT(hi, 180);  // has bright content
+}
+
+TEST(SyntheticTest, FramesArePinned) {
+  // FNV-1a digests of every frame at CIF and QCIF. The frames feed every
+  // PSNR baseline in bench/results, so any change to the generator must
+  // keep them bit-identical.
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> kWant = {
+      {"akiyo", {0x134369ed6880054eULL, 0x985aa9accf5b6e33ULL}},
+      {"carphone", {0xf796509b82b58f29ULL, 0x7c917d27cda24929ULL}},
+      {"foreman", {0xa5faaf5623bc76f9ULL, 0x11eeecd4afb991cdULL}},
+      {"grand", {0x3e9783373a085a50ULL, 0x0b5f14d2188809fcULL}},
+      {"miss", {0x82fb0ebd0afc2ab8ULL, 0x7c521141775e4513ULL}},
+      {"mobile", {0x82669d60ab91e8a4ULL, 0x62b82d91aa3e9166ULL}},
+      {"mother", {0xf52b6bf55c6d3b36ULL, 0xb2b9dbbb6c98d019ULL}},
+      {"salesman", {0x1176b28018b06248ULL, 0x54df69b68ed9e462ULL}},
+      {"suzie", {0x482249379893e17bULL, 0x785265e0dd7206e8ULL}},
+  };
+  for (const auto& name : video_trace_names()) {
+    const Image cif = make_video_trace_frame(name, 352, 288);
+    const Image qcif = make_video_trace_frame(name, 176, 144);
+    const std::uint64_t got_cif =
+        Hasher{}.bytes(cif.data().data(), cif.data().size()).digest();
+    const std::uint64_t got_qcif =
+        Hasher{}.bytes(qcif.data().data(), qcif.data().size()).digest();
+    ASSERT_EQ(kWant.count(name), 1u) << name;
+    EXPECT_EQ(got_cif, kWant.at(name).first) << name << " 352x288";
+    EXPECT_EQ(got_qcif, kWant.at(name).second) << name << " 176x144";
+  }
 }
 
 }  // namespace
