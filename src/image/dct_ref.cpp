@@ -12,15 +12,23 @@ double dct_basis(int k, int n) {
 
 namespace {
 
-/// 1-D transform of the rows of `in` with basis[k][n]; `transpose` swaps
-/// input indexing so the same routine covers rows and columns.
+/// 1-D transform of the rows of `in` with basis[k][n] (basis[n][k] when
+/// `inverse`). The basis is computed once, by dct_basis() itself.
 DctBlock transform_rows(const DctBlock& in, bool inverse) {
+  static const DctBlock kBasis = [] {
+    DctBlock b{};
+    for (int k = 0; k < kDctBlock; ++k) {
+      for (int n = 0; n < kDctBlock; ++n) b[k * kDctBlock + n] = dct_basis(k, n);
+    }
+    return b;
+  }();
   DctBlock out{};
   for (int row = 0; row < kDctBlock; ++row) {
     for (int k = 0; k < kDctBlock; ++k) {
       double acc = 0.0;
       for (int n = 0; n < kDctBlock; ++n) {
-        const double basis = inverse ? dct_basis(n, k) : dct_basis(k, n);
+        const double basis =
+            inverse ? kBasis[n * kDctBlock + k] : kBasis[k * kDctBlock + n];
         acc += basis * in[row * kDctBlock + n];
       }
       out[row * kDctBlock + k] = acc;

@@ -7,40 +7,10 @@
 namespace aapx {
 namespace {
 
-/// Sign-extending wrap by a shift pair: keeps the low 64 - `shift` bits.
-inline std::int64_t wrap_by_shift(std::int64_t v, int shift) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(v) << shift) >>
-         shift;
-}
-
-/// Wraps an operand to the datapath width, then clears its truncated LSBs
-/// (toward minus infinity, as truncate_lsbs does).
-inline std::int64_t truncate_operand(std::int64_t v, int wrap_shift,
-                                     std::uint64_t mask) {
-  return static_cast<std::int64_t>(
-      static_cast<std::uint64_t>(wrap_by_shift(v, wrap_shift)) & mask);
-}
-
-/// The one transform loop. On `ArithBackend&` every operation dispatches
-/// virtually; on a final class the calls are direct and inline.
-template <class Backend>
-TransformVector transform_with(Backend& be, const TransformMatrix& m,
-                               const TransformVector& x, int frac_bits) {
+void check_frac_bits(int frac_bits) {
   if (frac_bits <= 0 || frac_bits >= 63) {
     throw std::invalid_argument("ArithBackend::transform: bad frac_bits");
   }
-  // Product in Q(2*frac) -> Q(frac) with round-to-nearest.
-  const std::int64_t half = std::int64_t{1} << (frac_bits - 1);
-  TransformVector y{};
-  for (std::size_t o = 0; o < kTransformPoints; ++o) {
-    std::int64_t acc = 0;
-    for (std::size_t i = 0; i < kTransformPoints; ++i) {
-      const std::int64_t p = be.multiply(m[o][i], x[i]);
-      acc = be.add(acc, (p + half) >> frac_bits);
-    }
-    y[o] = acc;
-  }
-  return y;
 }
 
 }  // namespace
@@ -57,12 +27,23 @@ std::int64_t wrap_signed(std::int64_t v, int bits) {
 TransformVector ArithBackend::transform(const TransformMatrix& m,
                                         const TransformVector& x,
                                         int frac_bits) {
-  return transform_with<ArithBackend>(*this, m, x, frac_bits);
+  check_frac_bits(frac_bits);
+  // Product in Q(2*frac) -> Q(frac) with round-to-nearest.
+  const std::int64_t half = std::int64_t{1} << (frac_bits - 1);
+  TransformVector y{};
+  for (std::size_t o = 0; o < kTransformPoints; ++o) {
+    std::int64_t acc = 0;
+    for (std::size_t i = 0; i < kTransformPoints; ++i) {
+      acc = add(acc, (multiply(m[o][i], x[i]) + half) >> frac_bits);
+    }
+    y[o] = acc;
+  }
+  return y;
 }
 
 ExactBackend::ExactBackend(int width, int mult_truncated_bits,
                            int add_truncated_bits)
-    : width_(width), wrap_shift_(64 - width) {
+    : width_(width) {
   if (width <= 1 || width > 32) {
     throw std::invalid_argument("ExactBackend: width must be in (1, 32]");
   }
@@ -70,6 +51,8 @@ ExactBackend::ExactBackend(int width, int mult_truncated_bits,
       add_truncated_bits < 0 || add_truncated_bits >= width) {
     throw std::invalid_argument("ExactBackend: truncation out of range");
   }
+  low_mask_ = (std::uint64_t{1} << width) - 1;
+  sign_bit_ = std::uint64_t{1} << (width - 1);
   mult_mask_ = ~((std::uint64_t{1} << mult_truncated_bits) - 1);
   add_mask_ = ~((std::uint64_t{1} << add_truncated_bits) - 1);
 }
@@ -77,24 +60,39 @@ ExactBackend::ExactBackend(int width, int mult_truncated_bits,
 std::int64_t ExactBackend::multiply(std::int64_t a, std::int64_t b) {
   // Two width-bit operands have a product of magnitude at most
   // 2^(2*width - 2): it always fits the 2*width-bit product, unwrapped.
-  return truncate_operand(a, wrap_shift_, mult_mask_) *
-         truncate_operand(b, wrap_shift_, mult_mask_);
+  return truncate(a) * truncate(b);
 }
 
 std::int64_t ExactBackend::add(std::int64_t a, std::int64_t b) {
   // A sum wrapped to the width depends only on the operands' low `width`
-  // bits, so the operands need no wrap of their own. That keeps the
-  // accumulator's dependency chain in transform() short.
-  return wrap_by_shift(
-      static_cast<std::int64_t>((static_cast<std::uint64_t>(a) & add_mask_) +
-                                (static_cast<std::uint64_t>(b) & add_mask_)),
-      wrap_shift_);
+  // bits, so the operands need no wrap of their own.
+  return wrap((static_cast<std::uint64_t>(a) & add_mask_) +
+              (static_cast<std::uint64_t>(b) & add_mask_));
 }
 
 TransformVector ExactBackend::transform(const TransformMatrix& m,
                                         const TransformVector& x,
                                         int frac_bits) {
-  return transform_with(*this, m, x, frac_bits);
+  check_frac_bits(frac_bits);
+  const std::int64_t half = std::int64_t{1} << (frac_bits - 1);
+  // The per-op stream's accumulator is acc' = wrap(acc + (term & add_mask))
+  // (acc's own truncated bits are already clear, so its mask is a no-op).
+  // wrap() depends only on its argument mod 2^width, so the eight sums run
+  // unwrapped in uint64_t (mod 2^64) and wrap once at the end. A zero
+  // operand contributes nothing: its product is 0 and (0 + half) >> frac
+  // is 0 because half < 2^frac. About 44 % of quantized CIF levels are 0.
+  std::array<std::uint64_t, kTransformPoints> acc{};
+  for (std::size_t i = 0; i < kTransformPoints; ++i) {
+    const std::int64_t xi = truncate(x[i]);
+    if (xi == 0) continue;
+    for (std::size_t o = 0; o < kTransformPoints; ++o) {
+      const std::int64_t term = (truncate(m[o][i]) * xi + half) >> frac_bits;
+      acc[o] += static_cast<std::uint64_t>(term) & add_mask_;
+    }
+  }
+  TransformVector y{};
+  for (std::size_t o = 0; o < kTransformPoints; ++o) y[o] = wrap(acc[o]);
+  return y;
 }
 
 TimedNetlistBackend::TimedNetlistBackend(const Netlist& mult,

@@ -5,8 +5,9 @@
 //    paper's LSB truncation applied to operands (deterministic
 //    approximation). This is the paper's "RTL simulation": seconds per
 //    image, quality loss entirely from the *approximation*. It batches:
-//    one transform() call runs a whole 8-point pass with direct, inlined
-//    arithmetic.
+//    one transform() call runs a whole 8-point pass, updating all eight
+//    accumulators per input, skipping inputs that truncate or wrap to 0
+//    and wrapping each output to the width once, with constant masks.
 //  * TimedNetlistBackend — every operation is evaluated by the event-driven
 //    gate-level simulator on the synthesized component netlist with aged
 //    delays, and the *sampled-at-clock* (possibly wrong) result is returned.
@@ -79,14 +80,29 @@ class ExactBackend final : public ArithBackend {
   std::int64_t add(std::int64_t a, std::int64_t b) override;
   int width() const override { return width_; }
 
-  /// The default loop instantiated on this final class: every multiply and
-  /// add is a direct, inlined call.
+  /// The default's values, computed directly: operands that truncate to 0
+  /// are skipped, the eight outputs accumulate together, and each output
+  /// wraps to the width once.
   TransformVector transform(const TransformMatrix& m, const TransformVector& x,
                             int frac_bits) override;
 
  private:
+  /// Two's complement wrap to the width with constant masks, sign-extended.
+  std::int64_t wrap(std::uint64_t v) const {
+    return static_cast<std::int64_t>((v & low_mask_) ^ sign_bit_) -
+           static_cast<std::int64_t>(sign_bit_);
+  }
+  /// Wraps an operand to the width, then clears its truncated LSBs (toward
+  /// minus infinity, as truncate_lsbs does).
+  std::int64_t truncate(std::int64_t v) const {
+    return static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(wrap(static_cast<std::uint64_t>(v))) &
+        mult_mask_);
+  }
+
   int width_;
-  int wrap_shift_;  ///< 64 - width: wraps an operand or a sum
+  std::uint64_t low_mask_ = 0;   ///< the width's low bits
+  std::uint64_t sign_bit_ = 0;   ///< bit width - 1
   std::uint64_t mult_mask_ = 0;  ///< clears the multiplier's truncated LSBs
   std::uint64_t add_mask_ = 0;   ///< clears the adder's truncated LSBs
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "approx/error_bounds.hpp"
 #include "image/synthetic.hpp"
@@ -197,6 +198,43 @@ TEST_F(TimedBackendTest, TrippedCancelTokenStopsEveryOperation) {
   EXPECT_EQ(unwatched.add(3, -5), -2);
 }
 
+/// An operand of a sparse transform input: 0; a value the multiplier
+/// truncates to 0 (0 <= v < 2^mult_trunc); a multiple of 2^width, which
+/// wraps to 0; a small negative value, which truncates to -2^mult_trunc, not
+/// to 0; or any operand.
+std::int64_t sparse_operand(Rng& rng, int width, int mult_trunc) {
+  const std::int64_t below_lsb = std::int64_t{1} << mult_trunc;
+  switch (rng.next_below(5)) {
+    case 0:
+      return 0;
+    case 1:
+      return rng.next_int(0, below_lsb - 1);
+    case 2:
+      return rng.next_int(-(1 << 20), 1 << 20) * (std::int64_t{1} << width);
+    case 3:
+      return -rng.next_int(1, below_lsb);
+    default:
+      return any_operand(rng, width);
+  }
+}
+
+/// All-zero, one-nonzero (at every position) and mixed sparse vectors.
+std::vector<TransformVector> sparse_vectors(Rng& rng, int width,
+                                            int mult_trunc) {
+  std::vector<TransformVector> out(1, TransformVector{});
+  for (std::size_t at = 0; at < kTransformPoints; ++at) {
+    TransformVector one{};
+    while (one[at] == 0) one[at] = sparse_operand(rng, width, mult_trunc);
+    out.push_back(one);
+  }
+  for (int trial = 0; trial < 8; ++trial) {
+    TransformVector mixed{};
+    for (auto& v : mixed) v = sparse_operand(rng, width, mult_trunc);
+    out.push_back(mixed);
+  }
+  return out;
+}
+
 TEST(ArithBackendTest, ExactTransformMatchesPerOpStream) {
   Rng rng(19);
   for (const int width : {9, 12, 16, 24, 31, 32}) {
@@ -217,6 +255,19 @@ TEST(ArithBackendTest, ExactTransformMatchesPerOpStream) {
             ASSERT_EQ(batched.transform(m, x, frac), per_op.transform(m, x, frac))
                 << "width " << width << " trunc " << mult_trunc << "/"
                 << add_trunc << " frac " << frac << " trial " << trial;
+          }
+          // The batched path skips operands that truncate or wrap to 0;
+          // every skip must leave the per-op result unchanged, negative
+          // and sparse coefficients included.
+          for (const TransformVector& x :
+               sparse_vectors(rng, width, mult_trunc)) {
+            TransformMatrix m{};
+            for (auto& row : m) {
+              for (auto& c : row) c = sparse_operand(rng, width, mult_trunc);
+            }
+            ASSERT_EQ(batched.transform(m, x, frac), per_op.transform(m, x, frac))
+                << "width " << width << " trunc " << mult_trunc << "/"
+                << add_trunc << " frac " << frac << " sparse x[0] " << x[0];
           }
         }
       }

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -90,52 +91,62 @@ TEST(CancelToken, PreCancelledSweepLeavesStoreEmpty) {
 }
 
 TEST(CancelToken, MidSweepCancelLeavesNoPartialSurface) {
-  CancelToken token;
-  Context::Options opt;
-  opt.threads = 1;
-  opt.cancel = &token;
-  const Context ctx(opt);
   const CellLibrary lib = make_nangate45_like();
-  // Wide sweep (every precision point of a 32-bit adder) so the cancel
-  // reliably lands mid-flight.
-  ComponentSpec spec{ComponentKind::adder, 32, 0, AdderArch::ripple,
-                     MultArch::array};
+  // Every precision point of a 32-bit array multiplier: each point
+  // synthesizes and times a netlist of thousands of gates, so the 31 points
+  // left after the first one take far longer than the canceller needs to
+  // wake. A loaded machine can still starve the canceller's thread, so a
+  // sweep that outruns it is retried on a fresh token and Context; one that
+  // outruns it on every attempt fails the test.
+  const ComponentSpec spec{ComponentKind::multiplier, 32, 0, AdderArch::ripple,
+                           MultArch::array};
   CharacterizerOptions copt;
   copt.min_precision = 1;
-  const ComponentCharacterizer ch(ctx, lib, AgingModel{}, copt);
-  // Cancel on progress, not on a wall-clock sleep: the first point's
-  // netlist miss means the sweep is past its prewarm and in its point
-  // loop, with 31 points still to go. A fixed sleep raced the whole sweep
-  // (a few ms) and lost on fast or loaded machines.
-  std::atomic<bool> sweep_done{false};
-  std::thread canceller([&] {
-    while (ctx.store().stats().netlist_misses == 0 &&
-           !sweep_done.load(std::memory_order_relaxed)) {
-      std::this_thread::yield();
-    }
-    token.cancel();
-  });
+  constexpr int kAttempts = 5;
+  std::unique_ptr<CancelToken> token;
+  std::unique_ptr<Context> ctx;  // borrows *token: declared after it
   bool threw = false;
-  try {
-    ch.characterize(spec, {{StressMode::worst, 10.0}});
-  } catch (const CancelledError&) {
-    threw = true;
+  for (int attempt = 0; attempt < kAttempts && !threw; ++attempt) {
+    ctx.reset();
+    token = std::make_unique<CancelToken>();
+    Context::Options opt;
+    opt.threads = 1;
+    opt.cancel = token.get();
+    ctx = std::make_unique<Context>(opt);
+    const ComponentCharacterizer ch(*ctx, lib, AgingModel{}, copt);
+    // Cancel on progress, not on a wall-clock sleep: the first point's
+    // netlist miss means the sweep is past its prewarm and in its point
+    // loop.
+    std::atomic<bool> sweep_done{false};
+    std::thread canceller([&] {
+      while (ctx->store().stats().netlist_misses == 0 &&
+             !sweep_done.load(std::memory_order_relaxed)) {
+        std::this_thread::yield();
+      }
+      token->cancel();
+    });
+    try {
+      ch.characterize(spec, {{StressMode::worst, 10.0}});
+    } catch (const CancelledError&) {
+      threw = true;
+    }
+    sweep_done.store(true, std::memory_order_relaxed);
+    canceller.join();
   }
-  sweep_done.store(true, std::memory_order_relaxed);
-  canceller.join();
-  if (!threw) GTEST_SKIP() << "sweep outran the canceller on this machine";
+  ASSERT_TRUE(threw) << "the sweep outran the canceller on all " << kAttempts
+                     << " attempts";
   // Sub-artifacts of completed grains (netlists, aged libraries, delays)
   // may be cached — that is the "exactly as warm as completed work"
   // contract — but no characterization surface may exist: the surface
   // insertion is post-build only.
-  EXPECT_TRUE(ctx.store().surface_snapshot().empty());
+  EXPECT_TRUE(ctx->store().surface_snapshot().empty());
   // The store is not poisoned: the same request retried on the same store
   // — through a fresh token-less Context, the way the server arms a new
   // Context per request — completes and matches a computation in a fully
   // fresh context bit-for-bit.
   Context::Options retry_opt;
   retry_opt.threads = 1;
-  retry_opt.shared_store = &ctx.store();
+  retry_opt.shared_store = &ctx->store();
   const Context retry_ctx(retry_opt);
   Context::Options fresh_opt;
   fresh_opt.threads = 1;
