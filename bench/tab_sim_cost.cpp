@@ -9,10 +9,12 @@
 // microbenchmarks.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "common.hpp"
 #include "core/characterizer.hpp"
@@ -132,40 +134,57 @@ void BM_CharacterizeOnePrecision(benchmark::State& state) {
 }
 BENCHMARK(BM_CharacterizeOnePrecision)->Unit(benchmark::kMillisecond);
 
+/// Median wall seconds of one call of `pass`, repeated for at least 0.2 s
+/// and 5 passes: a single pass of either engine is short enough (about
+/// 0.01 s for the CIF chain) that host load would otherwise move the
+/// extrapolated figures by tens of percent between runs.
+template <typename Pass>
+double median_pass_seconds(const Pass& pass) {
+  std::vector<double> samples;
+  double total = 0.0;
+  while (total < 0.2 || samples.size() < 5) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pass();
+    const auto t1 = std::chrono::steady_clock::now();
+    samples.push_back(std::chrono::duration<double>(t1 - t0).count());
+    total += samples.back();
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 /// Measured per-op gate-level cost and per-pixel RTL cost -> extrapolated
 /// per-image costs.
 void print_cost_table() {
   const Config& cfg = config();
-  // One multiply through the timed gate-level simulator.
+  // Multiplies through the timed gate-level simulator, 200 vectors a pass.
   const Netlist& nl = mult_netlist();
   TimedSim sim(nl, scenario_delays(cfg, nl, {StressMode::worst, 10.0}),
                DelayModel::transport);
   const StimulusSet stim = make_normal_stimulus(32, 200, 3, cfg.mult_sigma);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& row : stim.vectors) {
-    sim.stage_bus("a", row[0]);
-    sim.stage_bus("b", row[1]);
-    sim.step_staged(4000.0);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
+  const double gate_s_per_pass = median_pass_seconds([&] {
+    for (const auto& row : stim.vectors) {
+      sim.stage_bus("a", row[0]);
+      sim.stage_bus("b", row[1]);
+      sim.step_staged(4000.0);
+    }
+  });
   const double gate_us_per_op =
-      std::chrono::duration<double, std::micro>(t1 - t0).count() /
-      static_cast<double>(stim.vectors.size());
+      1e6 * gate_s_per_pass / static_cast<double>(stim.vectors.size());
 
-  // One real CIF DCT->IDCT chain through the exact backend, scaled by
-  // pixel count: the decode the flow actually runs, one transform() call
-  // per 8-point pass.
+  // Real CIF DCT->IDCT chains through the exact backend, scaled by pixel
+  // count: the decode the flow actually runs, one transform() call per
+  // 8-point pass.
   const CodecConfig codec = cfg.codec();
   ExactBackend be(codec.width, 3, 0);
   const FixedPointDct dct(codec, be);
   const FixedPointIdct idct(codec, be);
   const Image cif = make_video_trace_frame("foreman", 352, 288);
-  const auto t2 = std::chrono::steady_clock::now();
-  const Image decoded = idct.decode(dct.encode(cif));
-  const auto t3 = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(decoded.at(0, 0));
-  const double rtl_s_per_pixel =
-      std::chrono::duration<double>(t3 - t2).count() / (352.0 * 288.0);
+  const double rtl_s_per_pass = median_pass_seconds([&] {
+    const Image decoded = idct.decode(dct.encode(cif));
+    benchmark::DoNotOptimize(decoded.at(0, 0));
+  });
+  const double rtl_s_per_pixel = rtl_s_per_pass / (352.0 * 288.0);
 
   // DCT->IDCT chain: 2 transforms x 2 passes x 8 MACs per output pixel.
   const auto ops_per_image = [](double w, double h) { return w * h * 32.0; };

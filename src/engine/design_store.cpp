@@ -102,20 +102,20 @@ const Payload* DesignStore::find(Family<Payload>& family, std::uint64_t key,
   Shard<Payload>& shard = family.shard(key);
   const auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
-    if (!matches(*it->second)) {
+    if (!matches(it->second)) {
       throw std::logic_error(std::string("DesignStore: ") +
                              to_string(family.kind) + " key collision");
     }
     family.hits->add();
-    return it->second.get();
+    return &it->second;
   }
   if (auto blob = take_staged(family.kind, key)) {
     try {
-      auto p = std::make_unique<Payload>(decode(*blob));
-      if (matches(*p)) {
+      Payload p = decode(*blob);
+      if (matches(p)) {
         family.hits->add();
         persist_hits_->add();
-        return shard.entries.emplace(key, std::move(p)).first->second.get();
+        return &shard.entries.emplace(key, std::move(p)).first->second;
       }
       warn_record_dropped(to_string(family.kind), key, "stale key material");
     } catch (const std::exception& e) {
@@ -137,8 +137,7 @@ const Payload& DesignStore::find_or_build(Family<Payload>& family,
   Shard<Payload>& shard = family.shard(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (const Payload* hit = find(family, key, decode, matches)) return *hit;
-  auto built = std::make_unique<Payload>(build());
-  return *shard.entries.emplace(key, std::move(built)).first->second;
+  return shard.entries.emplace(key, build()).first->second;
 }
 
 std::uint64_t DesignStore::fingerprint(const CellLibrary& lib) {
@@ -260,7 +259,7 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
       filled.delay = sta_engine.run_aged(aged, stress).max_delay;
     }
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.emplace(key, std::make_unique<StaDelayPayload>(filled));
+    shard.entries.emplace(key, filled);
   }
   log_delay_query(years > 0.0, filled.gates, filled.delay);
   return filled.delay;
@@ -272,18 +271,15 @@ const Sta& DesignStore::sta_of(const Netlist& nl, std::uint64_t netlist_key,
       Hasher{}.u64(netlist_key).u64(key_of(options)).digest();
   Shard<Sta>& shard = stas_[key % kShards];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    auto built = std::make_unique<Sta>(nl, options, ctx_);
-    return *shard.entries.emplace(key, std::move(built)).first->second;
-  }
-  const Sta& hit = *it->second;
-  if (&hit.netlist() != &nl ||
-      hit.options().primary_input_slew != options.primary_input_slew ||
-      hit.options().primary_output_load != options.primary_output_load) {
+  const auto [it, built] = shard.entries.try_emplace(key, nl, options, ctx_);
+  const Sta& sta = it->second;
+  if (!built &&
+      (&sta.netlist() != &nl ||
+       sta.options().primary_input_slew != options.primary_input_slew ||
+       sta.options().primary_output_load != options.primary_output_load)) {
     throw std::logic_error("DesignStore: sta key collision");
   }
-  return hit;
+  return sta;
 }
 
 const ComponentCharacterization& DesignStore::surface(
@@ -358,7 +354,7 @@ bool DesignStore::save(const std::string& path) const {
     for (const auto& shard : family.shards) {
       std::lock_guard<std::mutex> lock(shard.mutex);
       for (const auto& [key, p] : shard.entries) {
-        records.push_back({family.kind, key, encode(*p)});
+        records.push_back({family.kind, key, encode(p)});
       }
     }
   };
@@ -366,8 +362,7 @@ bool DesignStore::save(const std::string& path) const {
     return encode_netlist_payload(p.lib_fp, p.spec, p.netlist);
   });
   collect(libraries_, [](const AgedLibraryPayload& p) {
-    return encode_aged_library_payload(p.lib_fp, p.params, p.years,
-                                       p.library);
+    return encode_aged_library_payload(p.lib_fp, p.params, p.years);
   });
   collect(delays_, encode_sta_delay_payload);
   collect(surfaces_, encode_surface_payload);
@@ -423,7 +418,7 @@ std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
   std::vector<SurfacePayload> out;
   for (const auto& shard : surfaces_.shards) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, p] : shard.entries) out.push_back(*p);
+    for (const auto& [key, p] : shard.entries) out.push_back(p);
   }
   {
     // Staged disk records count too: a `serve` on a freshly opened store

@@ -27,15 +27,22 @@
 //
 // One record type per family: a shard holds the family's persist payload
 // (engine/persist.hpp) itself — the artifact plus its key material — so the
-// in-memory entry and the on-disk record are the same struct.
+// in-memory entry and the on-disk record are the same struct. An aged
+// library's record carries only the key material; its decoder rebuilds the
+// library from it.
+//
+// Footprint: every entry, and every memoized Sta, is held by value in its
+// shard's std::map node — one heap block per entry beside what the payload
+// itself owns. An aged-library entry is about 5 KB: one set of factor rows
+// per sensitivity class (cell/degradation.hpp) plus its AgingModel.
 //
 // Concurrency: each family is sharded 16 ways by key; a shard's mutex is
 // held across a netlist/library/surface build (so racing requesters wait
 // instead of duplicating the expensive work — and hit/miss counts stay
 // deterministic), while STA delays are computed outside the lock (racing
 // duplicates compute the identical value; first insert wins). Returned
-// references are stable for the Context's lifetime: values live in
-// node-stable maps behind unique_ptr.
+// references are stable for the Context's lifetime: values live in the
+// nodes of node-stable maps.
 //
 // Collision discipline: each family compares key material (spec / params /
 // years / fingerprint / sweep) with one predicate. An in-memory entry that
@@ -61,7 +68,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -168,9 +174,9 @@ class DesignStore {
   template <typename Payload>
   struct Shard {
     mutable std::mutex mutex;
-    /// std::map: node-stable, so references/pointers into payloads survive
-    /// growth; unique_ptr keeps them stable even through map moves.
-    std::map<std::uint64_t, std::unique_ptr<Payload>> entries;
+    /// Payloads held by value in the map's own nodes: std::map is
+    /// node-stable, so references into them survive every insertion.
+    std::map<std::uint64_t, Payload> entries;
   };
   /// One record kind: its shards, each holding the persist payload itself
   /// (the record save() writes), and its hit/miss counters.

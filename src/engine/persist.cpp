@@ -111,28 +111,9 @@ AgingParams decode_aging(BinReader& r) {
   return p;
 }
 
-void encode_table(BinWriter& w, const Table2D& t) {
-  w.f64_vec(t.axis1());
-  w.f64_vec(t.axis2());
-  w.u64(t.axis1().size() * t.axis2().size());
-  for (std::size_t i = 0; i < t.axis1().size(); ++i) {
-    for (std::size_t j = 0; j < t.axis2().size(); ++j) w.f64(t.at(i, j));
-  }
-}
-
-Table2D decode_table(BinReader& r) {
-  std::vector<double> axis1 = r.f64_vec();
-  std::vector<double> axis2 = r.f64_vec();
-  std::vector<double> values = r.f64_vec();
-  if (values.size() != axis1.size() * axis2.size()) {
-    throw std::runtime_error("store table dimensions inconsistent");
-  }
-  return Table2D(std::move(axis1), std::move(axis2), std::move(values));
-}
-
 /// Normalizes decoder failures to the documented std::runtime_error. The
 /// structural re-checks the decoders lean on (Netlist::add_gate_driving,
-/// Table2D construction) throw logic_error flavours like out_of_range on
+/// the aged-library rebuild) throw logic_error flavours like out_of_range on
 /// corrupt input; callers — the load path, and now the untrusted-socket
 /// protocol layer — are promised runtime_error and nothing else.
 template <typename Fn>
@@ -470,20 +451,11 @@ NetlistPayload decode_netlist_payload(const std::string& payload,
 
 std::string encode_aged_library_payload(std::uint64_t lib_fp,
                                         const AgingParams& params,
-                                        double years,
-                                        const DegradationAwareLibrary& aged) {
+                                        double years) {
   BinWriter w;
   w.u64(lib_fp);
   encode_aging(w, params);
   w.f64(years);
-  // Cell count from the grids, NOT aged.base(): save() may run after the
-  // borrowed CellLibrary object is gone.
-  const std::uint64_t num_cells = aged.num_cells();
-  w.u64(num_cells);
-  for (CellId c = 0; c < num_cells; ++c) {
-    encode_table(w, aged.rise_grid(c));
-    encode_table(w, aged.fall_grid(c));
-  }
   return w.take();
 }
 
@@ -495,23 +467,12 @@ AgedLibraryPayload decode_aged_library_payload(const std::string& payload,
     const std::uint64_t lib_fp = r.u64();
     const AgingParams params = decode_aging(r);
     const double years = r.f64();
-    const std::uint64_t num_cells = r.count(r.u64(), 32);
-    if (num_cells != lib.size()) {
-      throw std::runtime_error("store aged library cell count mismatch");
-    }
-    std::vector<Table2D> rise;
-    std::vector<Table2D> fall;
-    rise.reserve(num_cells);
-    fall.reserve(num_cells);
-    for (std::uint64_t c = 0; c < num_cells; ++c) {
-      rise.push_back(decode_table(r));
-      fall.push_back(decode_table(r));
-    }
     r.expect_end();
+    // The record is key material only: the library is a pure function of
+    // it and `lib`, rebuilt bit-identically within one build fingerprint.
     return AgedLibraryPayload{
         lib_fp, params, years,
-        DegradationAwareLibrary(lib, AgingModel(params), years,
-                                std::move(rise), std::move(fall))};
+        DegradationAwareLibrary(lib, AgingModel(params), years)};
   });
 }
 

@@ -30,8 +30,11 @@
 // for that re-verification; decode helpers below are the single source of
 // truth for their layout. Aged-library and surface payloads carry one fixed
 // aging block right after lib_fp: the mechanism count and list, then every
-// BTI, HCI, EM and TDDB parameter, whichever mechanisms are enabled. Payload
-// layout changes require bumping kStoreFormatVersion.
+// BTI, HCI, EM and TDDB parameter, whichever mechanisms are enabled. Since
+// format 3 an aged-library record is that key material alone (lib_fp, aging
+// block, years: 260 bytes for BTI alone): the library is a pure function of
+// it, so the decoder rebuilds it, bit-identically within one build
+// fingerprint. Payload layout changes require bumping kStoreFormatVersion.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +53,7 @@ namespace aapx::engine {
 
 inline constexpr char kStoreMagic[8] = {'A', 'A', 'P', 'X',
                                         'S', 'T', 'R', '\0'};
-inline constexpr std::uint32_t kStoreFormatVersion = 2;
+inline constexpr std::uint32_t kStoreFormatVersion = 3;
 
 /// Byte offsets of the header fields, exported so the corruption tests can
 /// patch specific fields without re-deriving the layout.
@@ -141,10 +144,11 @@ struct AgedLibraryPayload {
   double years = 0.0;
   DegradationAwareLibrary library;
 };
+/// Key material only (lib_fp, aging block, years); the decoder rebuilds the
+/// library from it.
 std::string encode_aged_library_payload(std::uint64_t lib_fp,
                                         const AgingParams& params,
-                                        double years,
-                                        const DegradationAwareLibrary& aged);
+                                        double years);
 AgedLibraryPayload decode_aged_library_payload(const std::string& payload,
                                                const CellLibrary& lib);
 

@@ -4,29 +4,6 @@
 #include <stdexcept>
 
 namespace aapx {
-namespace {
-
-/// Index i such that axis[i] <= x < axis[i+1], clamped so that [i, i+1] is a
-/// valid segment; implements Liberty edge extrapolation.
-std::size_t segment_index(const std::vector<double>& axis, double x) {
-  if (axis.size() < 2) return 0;
-  const auto it = std::upper_bound(axis.begin(), axis.end(), x);
-  auto idx = static_cast<std::size_t>(std::distance(axis.begin(), it));
-  if (idx == 0) return 0;
-  if (idx >= axis.size()) return axis.size() - 2;
-  return idx - 1;
-}
-
-double lerp_on(const std::vector<double>& axis, std::size_t seg, double x,
-               double v0, double v1) {
-  const double x0 = axis[seg];
-  const double x1 = axis[seg + 1];
-  if (x1 == x0) return v0;
-  const double t = (x - x0) / (x1 - x0);
-  return v0 + t * (v1 - v0);
-}
-
-}  // namespace
 
 double interp1(const std::vector<double>& axis, const std::vector<double>& values,
                double x) {
@@ -62,20 +39,10 @@ double Table2D::at(std::size_t i, std::size_t j) const {
 
 double Table2D::lookup(double x1, double x2) const {
   if (values_.empty()) throw std::logic_error("Table2D::lookup on empty table");
-  if (axis1_.size() == 1 && axis2_.size() == 1) return values_[0];
-  if (axis1_.size() == 1) {
-    const std::size_t s2 = segment_index(axis2_, x2);
-    return lerp_on(axis2_, s2, x2, at(0, s2), at(0, s2 + 1));
-  }
-  if (axis2_.size() == 1) {
-    const std::size_t s1 = segment_index(axis1_, x1);
-    return lerp_on(axis1_, s1, x1, at(s1, 0), at(s1 + 1, 0));
-  }
-  const std::size_t s1 = segment_index(axis1_, x1);
-  const std::size_t s2 = segment_index(axis2_, x2);
-  const double v0 = lerp_on(axis2_, s2, x2, at(s1, s2), at(s1, s2 + 1));
-  const double v1 = lerp_on(axis2_, s2, x2, at(s1 + 1, s2), at(s1 + 1, s2 + 1));
-  return lerp_on(axis1_, s1, x1, v0, v1);
+  const std::size_t n2 = axis2_.size();
+  return bilinear(axis1_, axis2_, x1, x2, [&](std::size_t i, std::size_t j) {
+    return values_[i * n2 + j];
+  });
 }
 
 Table2D Table2D::scaled(double factor) const {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
+
+#include "util/interp.hpp"
+#include "util/rng.hpp"
 
 namespace aapx {
 namespace {
@@ -103,40 +108,113 @@ TEST_F(DegradationTest, OutOfRangeCellThrows) {
                std::out_of_range);
 }
 
-TEST_F(DegradationTest, GridsBitIdenticalToNaiveDoubleLoop) {
+/// The paper's per-cell 11x11 grids, materialized by the naive double loop
+/// over the axis points, exactly as a released library would store them.
+struct NaiveGrids {
+  Table2D rise;
+  Table2D fall;
+};
+NaiveGrids naive_grids(const AgingModel& model, double years, double sens) {
+  constexpr double kDrivingWeight = 0.92;  // as in cell/degradation.cpp
+  const int n = DegradationAwareLibrary::kGridPoints;
+  std::vector<double> axis;
+  for (int i = 0; i < n; ++i) axis.push_back(static_cast<double>(i) / (n - 1));
+  std::vector<double> rise;
+  std::vector<double> fall;
+  for (int i = 0; i < n; ++i) {
+    const double kp = model.delay_factor_from_dvth(
+        model.delta_vth(TransistorType::pMos, axis[i], years) * sens);
+    for (int j = 0; j < n; ++j) {
+      const double kn = model.delay_factor_from_dvth(
+          model.delta_vth(TransistorType::nMos, axis[j], years) * sens);
+      rise.push_back(std::pow(kp, kDrivingWeight) *
+                     std::pow(kn, 1.0 - kDrivingWeight));
+      fall.push_back(std::pow(kn, kDrivingWeight) *
+                     std::pow(kp, 1.0 - kDrivingWeight));
+    }
+  }
+  return {Table2D(axis, axis, rise), Table2D(axis, axis, std::move(fall))};
+}
+
+/// The stress pairs the oracle checks: all 121 grid points, the 100 cell
+/// midpoints, 1,000 seeded random points in [0,1]^2 and the edge
+/// extrapolation points -0.05 and 1.05 paired with every axis point.
+std::vector<StressPair> oracle_points() {
+  const int n = DegradationAwareLibrary::kGridPoints;
+  std::vector<StressPair> pts;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      pts.push_back({static_cast<double>(i) / (n - 1),
+                     static_cast<double>(j) / (n - 1)});
+      if (i + 1 < n && j + 1 < n) {
+        pts.push_back({(i + 0.5) / (n - 1), (j + 0.5) / (n - 1)});
+      }
+    }
+  }
+  Rng rng(29);
+  for (int k = 0; k < 1000; ++k) {
+    const double sp = rng.next_double();
+    pts.push_back({sp, rng.next_double()});
+  }
+  for (const double out : {-0.05, 1.05}) {
+    for (int i = 0; i < n; ++i) {
+      const double axis = static_cast<double>(i) / (n - 1);
+      pts.push_back({out, axis});
+      pts.push_back({axis, out});
+    }
+    pts.push_back({out, -0.05});
+    pts.push_back({out, 1.05});
+  }
+  return pts;
+}
+
+/// Every factor of `aged` is == to Table2D::lookup on the naive grids of its
+/// cell, at every oracle point.
+void expect_matches_naive_grids(const CellLibrary& lib, const AgingModel& model,
+                                double years) {
+  const DegradationAwareLibrary aged(lib, model, years);
+  const std::vector<StressPair> pts = oracle_points();
+  for (CellId c = 0; c < lib.size(); ++c) {
+    const NaiveGrids grids =
+        naive_grids(model, years, lib.cell(c).aging_sensitivity);
+    for (const StressPair& sp : pts) {
+      ASSERT_EQ(aged.rise_factor(c, sp), grids.rise.lookup(sp.pmos, sp.nmos))
+          << lib.cell(c).name << " " << years << "y (" << sp.pmos << ","
+          << sp.nmos << ")";
+      ASSERT_EQ(aged.fall_factor(c, sp), grids.fall.lookup(sp.pmos, sp.nmos))
+          << lib.cell(c).name << " " << years << "y (" << sp.pmos << ","
+          << sp.nmos << ")";
+    }
+  }
+}
+
+TEST_F(DegradationTest, FactorsEqualLookupOnNaiveGrids) {
   AgingParams hot;
   hot.bti.a_pmos = 0.07;
   hot.bti.alpha = 1.5;
   hot.bti.temp_kelvin = 398.15;
-  constexpr double kDrivingWeight = 0.92;  // as in cell/degradation.cpp
-  const int n = DegradationAwareLibrary::kGridPoints;
   for (const AgingModel& model : {model_, AgingModel(hot)}) {
     for (const double years : {1.0, 3.0, 10.0}) {
-      const DegradationAwareLibrary aged(lib_, model, years);
-      for (CellId c = 0; c < lib_.size(); ++c) {
-        const double sens = lib_.cell(c).aging_sensitivity;
-        for (int i = 0; i < n; ++i) {
-          const double sp = static_cast<double>(i) / (n - 1);
-          const double kp = model.delay_factor_from_dvth(
-              model.delta_vth(TransistorType::pMos, sp, years) * sens);
-          for (int j = 0; j < n; ++j) {
-            const double sn = static_cast<double>(j) / (n - 1);
-            const double kn = model.delay_factor_from_dvth(
-                model.delta_vth(TransistorType::nMos, sn, years) * sens);
-            const double rise = std::pow(kp, kDrivingWeight) *
-                                std::pow(kn, 1.0 - kDrivingWeight);
-            const double fall = std::pow(kn, kDrivingWeight) *
-                                std::pow(kp, 1.0 - kDrivingWeight);
-            ASSERT_EQ(aged.rise_grid(c).at(i, j), rise)
-                << lib_.cell(c).name << " " << years << "y (" << i << ","
-                << j << ")";
-            ASSERT_EQ(aged.fall_grid(c).at(i, j), fall)
-                << lib_.cell(c).name << " " << years << "y (" << i << ","
-                << j << ")";
-          }
-        }
-      }
+      expect_matches_naive_grids(lib_, model, years);
     }
+  }
+}
+
+TEST_F(DegradationTest, SharedAndUniqueSensitivitiesMatchNaiveGrids) {
+  // Classes are keyed by the sensitivity's bits: equal values share one set
+  // of factor rows, and a value one ulp away gets its own.
+  const double one_up = std::nextafter(1.0, 2.0);
+  CellLibrary mixed;
+  const std::vector<double> sens = {1.0, 0.75, 1.0, 1.3, one_up,
+                                    0.75, 2.0, 0.0, 1.0, 1.3};
+  for (std::size_t k = 0; k < sens.size(); ++k) {
+    Cell cell = lib_.cell(static_cast<CellId>(k % lib_.size()));
+    cell.name += "_S" + std::to_string(k);
+    cell.aging_sensitivity = sens[k];
+    mixed.add(std::move(cell));
+  }
+  for (const double years : {1.0, 3.0, 10.0}) {
+    expect_matches_naive_grids(mixed, model_, years);
   }
 }
 

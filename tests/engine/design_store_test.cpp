@@ -4,8 +4,10 @@
 #include "engine/design_store.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -230,6 +232,26 @@ TEST_F(DesignStoreTest, ContextsDoNotShareEntries) {
   EXPECT_EQ(ctx_.store().stats().netlist_misses, 1u);
   EXPECT_EQ(other.store().stats().netlist_misses, 1u);
   EXPECT_EQ(ctx_.store().stats().netlist_hits, 0u);
+}
+
+// Footprint guard: an aged library holds one set of factor rows per
+// sensitivity class, about 5 KB, and the store holds it by value. Per-cell
+// 11x11 grids took about 156 KB each, so 100 libraries grew the heap by
+// about 15.6 MB; this bound catches any return of per-cell storage.
+TEST_F(DesignStoreTest, AgedLibrariesStaySmall) {
+  if (std::string_view(AAPX_SANITIZE_MODE) != "OFF") {
+    GTEST_SKIP() << "mallinfo2 does not see a sanitizer's allocator";
+  }
+  engine::DesignStore& store = ctx_.store();
+  const AgingModel model;
+  store.aged_library(lib_, model, 0.05);  // fingerprint and first-use setup
+  const std::size_t before = mallinfo2().uordblks;
+  for (int k = 1; k <= 100; ++k) {
+    store.aged_library(lib_, model, 0.1 * k);
+  }
+  const std::size_t grown = mallinfo2().uordblks - before;
+  EXPECT_EQ(store.stats().library_misses, 101u);
+  EXPECT_LT(grown, std::size_t{2} << 20) << grown << " bytes for 100 libraries";
 }
 
 }  // namespace

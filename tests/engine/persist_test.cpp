@@ -287,8 +287,11 @@ TEST_F(PersistTest, FlippedPayloadByteDropsOnlyThatRecord) {
 }
 
 TEST_F(PersistTest, WrongFormatVersionRejectsWholeFile) {
-  // A future format, and version 1 — the layout before the fixed aging block.
-  for (const std::uint32_t version : {engine::kStoreFormatVersion + 1, 1u}) {
+  // A future format; version 2, whose aged-library records carried every
+  // cell's factor grids; and version 1, the layout before the fixed aging
+  // block.
+  for (const std::uint32_t version :
+       {engine::kStoreFormatVersion + 1, 2u, 1u}) {
     const Warmed cold = warm_and_save();
     std::string bytes = read_bytes(path_);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -456,11 +459,17 @@ TEST_F(PersistTest, SwappedAgedLibraryRecordsAreStaleColdMisses) {
   expect_swapped_records_miss(
       engine::RecordKind::aged_library,
       [&](const Context& ctx) {
+        // The served library's key material and every factor it answers.
         std::string out;
         for (const double years : {1.0, 10.0}) {
-          out += engine::encode_aged_library_payload(
-              0, model_.params(), years,
-              ctx.store().aged_library(lib_, model_, years));
+          const DegradationAwareLibrary& aged =
+              ctx.store().aged_library(lib_, model_, years);
+          out += engine::encode_aged_library_payload(0, aged.model().params(),
+                                                     aged.years());
+          for (CellId c = 0; c < lib_.size(); ++c) {
+            out += bits_of(aged.rise_factor(c, kBalancedStress)) +
+                   bits_of(aged.fall_factor(c, kBalancedStress));
+          }
         }
         return out;
       },

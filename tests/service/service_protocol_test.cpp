@@ -20,6 +20,7 @@
 #include "engine/binio.hpp"
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
+#include "engine/key.hpp"
 #include "engine/persist.hpp"
 #include "service/protocol.hpp"
 
@@ -397,20 +398,16 @@ TEST(FrameReader, FuzzRandomStreams) {
 
 // --- engine/persist record codecs (store files share the binio substrate) ---
 
-/// Table boundaries of an aged-library record, last first: it ends in a
-/// rise and a fall table per cell, each three length-prefixed f64 vectors
-/// (axis1, axis2, values). The last entry is the end of the header.
-std::vector<std::size_t> aged_library_boundaries(
-    std::size_t size, const DegradationAwareLibrary& aged) {
-  std::vector<std::size_t> bounds{size};
-  for (CellId c = aged.num_cells(); c-- > 0;) {
-    for (const Table2D* t : {&aged.fall_grid(c), &aged.rise_grid(c)}) {
-      const std::size_t n1 = t->axis1().size();
-      const std::size_t n2 = t->axis2().size();
-      bounds.push_back(bounds.back() - 8 * (3 + n1 + n2 + n1 * n2));
-    }
-  }
-  return bounds;
+/// Field boundaries of a key-only aged-library record, last first: it ends
+/// in years (one f64) after the aging block's 29 f64 parameters, its
+/// `mechanisms`-entry i32 list and u64 count, and the u64 lib_fp. The last
+/// entry is the end of lib_fp.
+std::vector<std::size_t> aged_library_boundaries(std::size_t size,
+                                                 std::size_t mechanisms) {
+  const std::size_t years_at = size - 8;
+  const std::size_t params_at = years_at - 29 * 8;
+  const std::size_t list_at = params_at - 4 * mechanisms;
+  return {size, years_at, params_at, list_at, list_at - 8};
 }
 
 TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
@@ -435,23 +432,28 @@ TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
       "sta_delay record", fuzz_rounds(150));
 
   // Aged-library and surface payloads share one aging-block codec. The
-  // aged-library pass runs once, on the 4-mechanism record (its grids make
-  // it by far the most expensive codec to fuzz); the two surface passes
-  // cover the aging block with a 1-entry and a 4-entry mechanism list.
+  // aged-library pass runs once, on the 4-mechanism record (its decoder
+  // rebuilds the library, the most expensive decode per byte); the two
+  // surface passes cover the aging block with a 1-entry and a 4-entry
+  // mechanism list.
   AgingParams multi;
   multi.mechanisms = {MechanismKind::bti, MechanismKind::hci,
                       MechanismKind::em, MechanismKind::tddb};
-  const AgingModel multi_model(multi);
-  const DegradationAwareLibrary& multi_aged =
-      ctx.store().aged_library(lib, multi_model, 10.0);
   const std::string aged_payload =
-      engine::encode_aged_library_payload(lib_fp, multi, 10.0, multi_aged);
+      engine::encode_aged_library_payload(lib_fp, multi, 10.0);
   const std::vector<std::size_t> aged_bounds =
-      aged_library_boundaries(aged_payload.size(), multi_aged);
-  // The layout model is exact: the cell count ends the header.
-  engine::BinReader count_at(
-      std::string_view(aged_payload).substr(aged_bounds.back() - 8, 8));
-  EXPECT_EQ(count_at.u64(), multi_aged.num_cells());
+      aged_library_boundaries(aged_payload.size(), multi.mechanisms.size());
+  // The layout model is exact: lib_fp ends where the record starts it, and
+  // years reads back from the last field.
+  EXPECT_EQ(aged_bounds.back(), 8u);
+  engine::BinReader years_at(
+      std::string_view(aged_payload).substr(aged_bounds[1], 8));
+  EXPECT_EQ(years_at.f64(), 10.0);
+  const engine::AgedLibraryPayload decoded =
+      engine::decode_aged_library_payload(aged_payload, lib);
+  EXPECT_EQ(decoded.lib_fp, lib_fp);
+  EXPECT_EQ(decoded.years, 10.0);
+  EXPECT_EQ(engine::key_of(decoded.params), engine::key_of(multi));
   fuzz_codec<std::runtime_error>(
       aged_payload,
       [&](const std::string& b) {

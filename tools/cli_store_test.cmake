@@ -113,7 +113,7 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "library info failed (rc=${rc}):\n${out}\n${err}")
 endif()
-check_contains("${out}" "format version: 2" "library info")
+check_contains("${out}" "format version: 3" "library info")
 check_contains("${out}" "surface" "library info census")
 
 # --- 7. merge the library with the characterize store -----------------------
