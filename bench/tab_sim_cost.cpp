@@ -204,8 +204,10 @@ void print_cost_table() {
         std::snprintf(buf, sizeof buf, "%.1f hours", seconds / 3600);
       } else if (seconds > 120) {
         std::snprintf(buf, sizeof buf, "%.1f minutes", seconds / 60);
-      } else {
+      } else if (seconds >= 10) {
         std::snprintf(buf, sizeof buf, "%.2f seconds", seconds);
+      } else {
+        std::snprintf(buf, sizeof buf, "%.3g seconds", seconds);
       }
       return std::string(buf);
     };

@@ -5,31 +5,6 @@
 
 namespace aapx {
 
-int fn_num_inputs(LogicFn fn) {
-  switch (fn) {
-    case LogicFn::kBuf:
-    case LogicFn::kInv:
-      return 1;
-    case LogicFn::kAnd2:
-    case LogicFn::kNand2:
-    case LogicFn::kOr2:
-    case LogicFn::kNor2:
-    case LogicFn::kXor2:
-    case LogicFn::kXnor2:
-      return 2;
-    case LogicFn::kAnd3:
-    case LogicFn::kNand3:
-    case LogicFn::kOr3:
-    case LogicFn::kNor3:
-    case LogicFn::kAoi21:
-    case LogicFn::kOai21:
-    case LogicFn::kMux2:
-    case LogicFn::kMaj3:
-      return 3;
-  }
-  throw std::invalid_argument("fn_num_inputs: unknown function");
-}
-
 bool fn_eval(LogicFn fn, unsigned m) {
   const bool a = (m & 1u) != 0;
   const bool b = (m & 2u) != 0;

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,30 @@ inline constexpr std::size_t kNumLogicFns =
     static_cast<std::size_t>(LogicFn::kMaj3) + 1;
 
 /// Number of input pins of a logic function.
-int fn_num_inputs(LogicFn fn);
+inline int fn_num_inputs(LogicFn fn) {
+  switch (fn) {
+    case LogicFn::kBuf:
+    case LogicFn::kInv:
+      return 1;
+    case LogicFn::kAnd2:
+    case LogicFn::kNand2:
+    case LogicFn::kOr2:
+    case LogicFn::kNor2:
+    case LogicFn::kXor2:
+    case LogicFn::kXnor2:
+      return 2;
+    case LogicFn::kAnd3:
+    case LogicFn::kNand3:
+    case LogicFn::kOr3:
+    case LogicFn::kNor3:
+    case LogicFn::kAoi21:
+    case LogicFn::kOai21:
+    case LogicFn::kMux2:
+    case LogicFn::kMaj3:
+      return 3;
+  }
+  throw std::invalid_argument("fn_num_inputs: unknown function");
+}
 
 /// Evaluates `fn` on an input bitmask (bit i = logic value of pin i).
 bool fn_eval(LogicFn fn, unsigned input_mask);

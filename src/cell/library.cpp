@@ -14,11 +14,6 @@ CellId CellLibrary::add(Cell cell) {
   return id;
 }
 
-const Cell& CellLibrary::cell(CellId id) const {
-  if (id >= cells_.size()) throw std::out_of_range("CellLibrary::cell");
-  return cells_[id];
-}
-
 std::optional<CellId> CellLibrary::find(const std::string& name) const {
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     if (cells_[i].name == name) return static_cast<CellId>(i);

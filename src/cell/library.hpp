@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,10 @@ class CellLibrary {
 
   CellId add(Cell cell);
 
-  const Cell& cell(CellId id) const;
+  const Cell& cell(CellId id) const {
+    if (id >= cells_.size()) throw std::out_of_range("CellLibrary::cell");
+    return cells_[id];
+  }
   std::size_t size() const noexcept { return cells_.size(); }
 
   /// Finds a cell by exact name ("NAND2_X2"); nullopt if absent.

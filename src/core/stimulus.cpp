@@ -178,38 +178,47 @@ std::vector<double> measure_gate_duty(const Netlist& nl,
       throw std::invalid_argument("measure_gate_duty: ragged stimulus");
     }
   }
-  // One PackedFuncSim::eval simulates 64 vectors; batches are distributed
-  // over `threads` pool workers. Per-batch integer popcounts summed in batch
-  // order keep the result bit-identical to the scalar loop regardless of
-  // thread count.
+  // One PackedFuncSim::eval simulates 64 vectors. The batches are split
+  // into one contiguous run per worker; each run reuses one simulator
+  // (set_bus restages every bus lane, eval rewrites every gate) and keeps
+  // its own integer high counts. Integer sums do not depend on order, so
+  // the result is bit-identical to the scalar loop at any thread count.
   const std::size_t n_vectors = stimulus.vectors.size();
   constexpr std::size_t lanes = PackedFuncSim::kLanes;
   const std::size_t n_batches = (n_vectors + lanes - 1) / lanes;
-  std::vector<NetId> gate_fanout(nl.num_gates());
-  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-    gate_fanout[g] = nl.gate(static_cast<GateId>(g)).fanout;
-  }
-  std::vector<std::vector<std::uint64_t>> batch_high(n_batches);
-  parallel_for(n_batches, [&](std::size_t batch) {
+  const std::size_t n_chunks = std::min(
+      n_batches,
+      static_cast<std::size_t>(threads > 0 ? threads : hardware_threads()));
+  std::vector<NetId> gate_fanout;
+  gate_fanout.reserve(nl.num_gates());
+  for (const Gate& g : nl.gates()) gate_fanout.push_back(g.fanout);
+  std::vector<std::vector<std::uint64_t>> chunk_high(n_chunks);
+  parallel_for(n_chunks, [&](std::size_t chunk) {
     PackedFuncSim sim(nl);
-    const std::size_t first = batch * lanes;
-    const std::size_t count = std::min(lanes, n_vectors - first);
-    std::vector<std::uint64_t> lane_values(count);
-    for (std::size_t b = 0; b < stimulus.buses.size(); ++b) {
-      for (std::size_t i = 0; i < count; ++i) {
-        lane_values[i] = stimulus.vectors[first + i][b];
-      }
-      sim.set_bus(stimulus.buses[b], lane_values);
-    }
-    sim.eval();
-    std::vector<std::uint64_t>& high = batch_high[batch];
+    std::vector<std::uint64_t>& high = chunk_high[chunk];
     high.assign(nl.num_gates(), 0);
-    sim.add_high_popcounts(gate_fanout, static_cast<int>(count), high.data());
+    std::vector<std::uint64_t> lane_values;
+    const std::size_t end = n_batches * (chunk + 1) / n_chunks;
+    for (std::size_t batch = n_batches * chunk / n_chunks; batch < end;
+         ++batch) {
+      const std::size_t first = batch * lanes;
+      const std::size_t count = std::min(lanes, n_vectors - first);
+      lane_values.resize(count);
+      for (std::size_t b = 0; b < stimulus.buses.size(); ++b) {
+        for (std::size_t i = 0; i < count; ++i) {
+          lane_values[i] = stimulus.vectors[first + i][b];
+        }
+        sim.set_bus(stimulus.buses[b], lane_values);
+      }
+      sim.eval();
+      sim.add_high_popcounts(gate_fanout, static_cast<int>(count),
+                             high.data());
+    }
   }, threads);
   std::vector<double> duty(nl.num_gates(), 0.0);
   for (std::size_t g = 0; g < nl.num_gates(); ++g) {
     std::uint64_t high = 0;
-    for (const auto& batch : batch_high) high += batch[g];
+    for (const auto& chunk : chunk_high) high += chunk[g];
     duty[g] = static_cast<double>(high) / static_cast<double>(n_vectors);
   }
   return duty;

@@ -75,8 +75,9 @@ StimulusSet stimulus_from_operand_pairs(
 
 /// Runs the stimulus through a zero-delay simulation of the netlist and
 /// returns the per-gate output duty cycles (the measured stress input).
-/// 64-vector batches fan out over `threads` workers (0 = all hardware
-/// threads); the result never depends on it.
+/// The 64-vector batches are split into one contiguous run per worker over
+/// `threads` workers (0 = all hardware threads), each run on one reused
+/// packed simulator; the result never depends on the thread count.
 std::vector<double> measure_gate_duty(const Netlist& nl,
                                       const StimulusSet& stimulus,
                                       int threads = 0);

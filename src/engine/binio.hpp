@@ -4,7 +4,9 @@
 // endianness, mirroring the convention util/hash.hpp uses to feed digests —
 // a store file written on a big-endian machine reads back identically on a
 // little-endian one. Doubles travel as their IEEE-754 bit pattern inside a
-// u64. Strings and vectors are length-prefixed.
+// u64. Strings and vectors are length-prefixed. A word moves whole: it is
+// assembled with shifts (one code path for every host byte order), and a
+// read makes one bounds check, not one per byte.
 //
 // BinReader is bounds-checked against adversarial input: any read past the
 // end of the payload throws std::runtime_error, and every length prefix is
@@ -28,35 +30,37 @@ namespace aapx::engine {
 class BinWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      u8(static_cast<std::uint8_t>(v & 0xffU));
-      v >>= 8;
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      u8(static_cast<std::uint8_t>(v & 0xffU));
-      v >>= 8;
-    }
-  }
+  void u32(std::uint32_t v) { word<4>(v); }
+  void u64(std::uint64_t v) { word<8>(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
+  /// Raw bytes, no length prefix.
+  void bytes(std::string_view s) { buf_.append(s.data(), s.size()); }
   void str(std::string_view s) {
     u64(s.size());
-    buf_.append(s.data(), s.size());
+    bytes(s);
   }
   void f64_vec(const std::vector<double>& v) {
     u64(v.size());
     for (const double x : v) f64(x);
   }
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
   const std::string& data() const noexcept { return buf_; }
   std::string take() { return std::move(buf_); }
 
  private:
+  /// Appends the low N bytes of `v`, least significant first. The bytes
+  /// come from shifts, not from `v`'s memory, so every host writes the same
+  /// file; on a little-endian host the compiler merges them into one store.
+  template <std::size_t N>
+  void word(std::uint64_t v) {
+    char b[N];
+    for (std::size_t i = 0; i < N; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    buf_.append(b, N);
+  }
+
   std::string buf_;
 };
 
@@ -68,16 +72,8 @@ class BinReader {
     if (pos_ >= data_.size()) fail();
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(word<4>()); }
+  std::uint64_t u64() { return word<8>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
 
@@ -93,12 +89,13 @@ class BinReader {
     return static_cast<Enum>(v);
   }
 
-  std::string str() {
-    const std::uint64_t n = len(u64());
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
+  /// The next `n` raw bytes, as a view into the payload.
+  std::string_view bytes(std::uint64_t n) {
+    const std::string_view v(data_.data() + pos_, len(n));
+    pos_ += v.size();
+    return v;
   }
+  std::string str() { return std::string(bytes(u64())); }
   std::vector<double> f64_vec() {
     // count(), not len(n * 8): an adversarial length prefix near 2^61 would
     // wrap the multiplication and sail past the bounds check — frames now
@@ -130,6 +127,18 @@ class BinReader {
   std::uint64_t len(std::uint64_t n) {
     if (n > remaining()) fail();
     return n;
+  }
+  /// Reads N bytes, least significant first, after one bounds check.
+  /// Assembled with shifts, so the value is the same on every host; on a
+  /// little-endian host the compiler merges them into one load.
+  template <std::size_t N>
+  std::uint64_t word() {
+    const std::string_view b = bytes(N);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(b[i])} << (8 * i);
+    }
+    return v;
   }
   [[noreturn]] static void fail() {
     throw std::runtime_error("store payload truncated or corrupt");

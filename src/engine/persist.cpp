@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "engine/binio.hpp"
 #include "util/hash.hpp"
@@ -180,9 +179,21 @@ StoreFileData load_store_file(const std::string& path) {
   if (!is) return out;  // no file: clean cold start
   out.file_found = true;
 
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string bytes = buf.str();
+  // The file in one read, into a buffer one byte longer than the size the
+  // file system reports, so the read meets the end. A path with no size
+  // (a pipe) grows the buffer until its end; one that cannot be read (a
+  // directory) leaves it empty, which the header check below rejects.
+  std::error_code size_ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_ec);
+  std::string bytes(size_ec ? 0 : size + 1, '\0');
+  std::size_t got = 0;
+  do {
+    if (got == bytes.size()) bytes.resize(2 * got + 4096);
+    is.read(bytes.data() + got,
+            static_cast<std::streamsize>(bytes.size() - got));
+    got += static_cast<std::size_t>(is.gcount());
+  } while (is);
+  bytes.resize(got);
   out.bytes_read = bytes.size();
 
   const auto reject = [&](const std::string& why) -> StoreFileData& {
@@ -194,9 +205,8 @@ StoreFileData load_store_file(const std::string& path) {
 
   try {
     BinReader r(bytes);
-    char magic[8];
-    for (char& c : magic) c = static_cast<char>(r.u8());
-    if (!std::equal(magic, magic + 8, kStoreMagic)) {
+    if (r.bytes(sizeof kStoreMagic) !=
+        std::string_view(kStoreMagic, sizeof kStoreMagic)) {
       return reject("not a store file (bad magic)");
     }
     out.format_version = r.u32();
@@ -224,10 +234,7 @@ StoreFileData load_store_file(const std::string& path) {
         if (size > r.remaining()) {
           throw std::runtime_error("truncated record");
         }
-        rec.payload.resize(size);
-        for (std::uint64_t b = 0; b < size; ++b) {
-          rec.payload[b] = static_cast<char>(r.u8());
-        }
+        rec.payload = r.bytes(size);
         // Past this point the cursor sits at the next record: a content
         // failure below costs only this record, not the tail.
         framed = true;
@@ -267,8 +274,12 @@ StoreFileData load_store_file(const std::string& path) {
 
 std::uint64_t write_store_file(const std::string& path,
                                const std::vector<RawRecord>& records) {
+  // Per record: kind u32, key u64, payload size u64, checksum u64, payload.
+  std::size_t total = kHeaderSize;
+  for (const RawRecord& rec : records) total += 4 + 3 * 8 + rec.payload.size();
   BinWriter w;
-  for (const char c : kStoreMagic) w.u8(static_cast<std::uint8_t>(c));
+  w.reserve(total);
+  w.bytes(std::string_view(kStoreMagic, sizeof kStoreMagic));
   w.u32(kStoreFormatVersion);
   w.u64(build_fingerprint());
   w.u64(records.size());
@@ -277,7 +288,7 @@ std::uint64_t write_store_file(const std::string& path,
     w.u64(rec.key);
     w.u64(rec.payload.size());
     w.u64(fnv1a(rec.payload));
-    for (const char c : rec.payload) w.u8(static_cast<std::uint8_t>(c));
+    w.bytes(rec.payload);
   }
 
   const std::string tmp = path + ".tmp";
@@ -316,11 +327,7 @@ std::string encode_netlist_payload(std::uint64_t lib_fp,
     // Pin count from the gate's own fanin sentinels, NOT gate_num_inputs():
     // that consults the CellLibrary, and save() may run after the caller's
     // library object is gone (the store only borrows it).
-    int pins = 0;
-    while (pins < static_cast<int>(gate.fanin.size()) &&
-           gate.fanin[static_cast<std::size_t>(pins)] != kInvalidNet) {
-      ++pins;
-    }
+    const int pins = gate.num_inputs();
     w.u32(gate.cell);
     w.u8(static_cast<std::uint8_t>(pins));
     for (int p = 0; p < pins; ++p) w.u32(gate.fanin[static_cast<std::size_t>(p)]);

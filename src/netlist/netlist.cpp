@@ -102,15 +102,6 @@ NetId Netlist::mk(LogicFn fn, NetId a, NetId b, NetId c) {
   return add_gate(lib_->smallest(fn), ins);
 }
 
-const Gate& Netlist::gate(GateId id) const {
-  if (id >= gates_.size()) throw std::out_of_range("Netlist::gate");
-  return gates_[id];
-}
-
-int Netlist::gate_num_inputs(GateId id) const {
-  return lib_->cell(gate(id).cell).num_inputs();
-}
-
 void Netlist::set_gate_cell(GateId id, CellId cell) {
   if (id >= gates_.size()) throw std::out_of_range("Netlist::set_gate_cell");
   if (lib_->cell(cell).fn != lib_->cell(gates_[id].cell).fn) {
@@ -146,7 +137,7 @@ void Netlist::fill_readers() const {
   // begin[n] at the start of net n's run.
   std::vector<std::uint32_t> begin(num_nets() + 1, 0);
   for (const Gate& g : gates_) {
-    const int pins = lib_->cell(g.cell).num_inputs();
+    const int pins = g.num_inputs();
     for (int p = 0; p < pins; ++p) ++begin[g.fanin[static_cast<std::size_t>(p)]];
   }
   std::uint32_t total = 0;
@@ -157,7 +148,7 @@ void Netlist::fill_readers() const {
   std::vector<NetReader> readers(total);
   for (std::size_t g = gates_.size(); g-- > 0;) {
     const Gate& gate = gates_[g];
-    for (int p = lib_->cell(gate.cell).num_inputs(); p-- > 0;) {
+    for (int p = gate.num_inputs(); p-- > 0;) {
       readers[--begin[gate.fanin[static_cast<std::size_t>(p)]]] = {
           static_cast<GateId>(g), p};
     }
@@ -217,7 +208,8 @@ Netlist::TopoCache& Netlist::TopoCache::operator=(const TopoCache& other) {
   readers_valid.store(other.readers_valid.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   order = other.order;
-  order_valid = other.order_valid;
+  order_valid.store(other.order_valid.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
   return *this;
 }
 
@@ -229,7 +221,8 @@ Netlist::TopoCache& Netlist::TopoCache::operator=(TopoCache&& other) noexcept {
   readers_valid.store(other.readers_valid.exchange(false),
                       std::memory_order_relaxed);
   order = std::move(other.order);
-  order_valid = std::exchange(other.order_valid, false);
+  order_valid.store(other.order_valid.exchange(false),
+                    std::memory_order_relaxed);
   return *this;
 }
 
@@ -237,19 +230,20 @@ void Netlist::TopoCache::clear() noexcept {
   readers_valid.store(false, std::memory_order_relaxed);
   reader_begin.clear();
   readers.clear();
-  order_valid = false;
+  order_valid.store(false, std::memory_order_relaxed);
   order.clear();
 }
 
 const std::vector<GateId>& Netlist::topo_order() const {
+  if (topo_.order_valid.load(std::memory_order_acquire)) return topo_.order;
   std::lock_guard<std::mutex> lock(topo_.mutex);
-  if (topo_.order_valid) return topo_.order;
+  if (topo_.order_valid.load(std::memory_order_relaxed)) return topo_.order;
   fill_readers();
   std::vector<int> pending(gates_.size(), 0);
   std::vector<GateId> ready;
   for (std::size_t g = 0; g < gates_.size(); ++g) {
     int unresolved = 0;
-    const int pins = lib_->cell(gates_[g].cell).num_inputs();
+    const int pins = gates_[g].num_inputs();
     for (int p = 0; p < pins; ++p) {
       const NetId in = gates_[g].fanin[static_cast<std::size_t>(p)];
       if (net_driver_[in] != kInvalidGate) ++unresolved;
@@ -270,7 +264,7 @@ const std::vector<GateId>& Netlist::topo_order() const {
     throw std::logic_error("Netlist::topo_order: combinational cycle detected");
   }
   topo_.order = std::move(order);
-  topo_.order_valid = true;
+  topo_.order_valid.store(true, std::memory_order_release);
   return topo_.order;
 }
 

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +32,18 @@ struct Gate {
   CellId cell = kInvalidCell;
   std::array<NetId, 3> fanin{kInvalidNet, kInvalidNet, kInvalidNet};
   NetId fanout = kInvalidNet;
+
+  /// Connected input pins: the fanin slots before the first kInvalidNet
+  /// sentinel. Equals the cell's pin count (add_gate_driving fills exactly
+  /// that many), read without touching the CellLibrary.
+  int num_inputs() const noexcept {
+    int pins = 0;
+    while (pins < static_cast<int>(fanin.size()) &&
+           fanin[static_cast<std::size_t>(pins)] != kInvalidNet) {
+      ++pins;
+    }
+    return pins;
+  }
 };
 
 /// A (gate, pin) endpoint reading a net.
@@ -73,8 +86,16 @@ class Netlist {
   // --- topology -----------------------------------------------------------
   std::size_t num_nets() const noexcept { return net_driver_.size(); }
   std::size_t num_gates() const noexcept { return gates_.size(); }
-  const Gate& gate(GateId id) const;
-  int gate_num_inputs(GateId id) const;
+  const Gate& gate(GateId id) const {
+    if (id >= gates_.size()) throw std::out_of_range("Netlist::gate");
+    return gates_[id];
+  }
+  int gate_num_inputs(GateId id) const {
+    return lib_->cell(gate(id).cell).num_inputs();
+  }
+  /// Every gate, indexed by GateId: for per-gate walks that index the array
+  /// directly instead of range-checking each gate(id) call.
+  std::span<const Gate> gates() const noexcept { return gates_; }
 
   /// Swaps a gate's cell for another implementation of the same function
   /// (drive-strength change). Topology is unchanged.
@@ -139,8 +160,9 @@ class Netlist {
   std::unordered_map<std::string, std::vector<NetId>> output_buses_;
 
   /// Lazily filled net readers (one CSR array over all nets) and
-  /// topological order. Readers may race on the first fill (per-batch
-  /// simulators on one shared netlist), so each fill is guarded; copies and
+  /// topological order. Readers may race on the first fill (per-chunk
+  /// simulators on one shared netlist), so each fill is guarded; once a fill
+  /// is published its flag is set, and later calls skip the lock. Copies and
   /// moves carry the contents, never the lock.
   struct TopoCache {
     TopoCache() = default;
@@ -152,11 +174,12 @@ class Netlist {
     void clear() noexcept;
 
     mutable std::mutex mutex;  ///< guards both fills
-    /// Set last by the readers fill, so readers() can skip the lock.
+    /// Set last by each fill, so readers() and topo_order() can skip the
+    /// lock (acquire load) once their contents are published.
     std::atomic<bool> readers_valid{false};
     std::vector<std::uint32_t> reader_begin;  ///< per net, plus the end
     std::vector<NetReader> readers;
-    bool order_valid = false;
+    std::atomic<bool> order_valid{false};
     std::vector<GateId> order;
   };
   mutable TopoCache topo_;

@@ -8,10 +8,8 @@ NetlistStats compute_stats(const Netlist& nl) {
   stats.nets = nl.num_nets();
   stats.inputs = nl.inputs().size();
   stats.outputs = nl.outputs().size();
-  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-    const Cell& cell = nl.lib().cell(nl.gate(static_cast<GateId>(g)).cell);
-    stats.cell_area += cell.area;
-    ++stats.cell_histogram[cell.name];
+  for (const Gate& g : nl.gates()) {
+    stats.cell_area += nl.lib().cell(g.cell).area;
   }
   return stats;
 }

@@ -1,8 +1,7 @@
-// Netlist bookkeeping: area, cell-mix histogram and size summary.
+// Netlist bookkeeping: area and size summary.
 #pragma once
 
-#include <map>
-#include <string>
+#include <cstddef>
 
 #include "netlist/netlist.hpp"
 
@@ -13,8 +12,7 @@ struct NetlistStats {
   std::size_t nets = 0;
   std::size_t inputs = 0;
   std::size_t outputs = 0;
-  double cell_area = 0.0;               ///< um^2, combinational cells only
-  std::map<std::string, std::size_t> cell_histogram;
+  double cell_area = 0.0;  ///< um^2, combinational cells only
 };
 
 NetlistStats compute_stats(const Netlist& nl);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "engine/context.hpp"
@@ -16,11 +17,10 @@ namespace {
 
 constexpr double kNeverArrives = -std::numeric_limits<double>::infinity();
 
-/// Worst arrival over gate `g`'s input pins (-inf when none ever arrives).
-double worst_input(const Netlist& nl, const std::vector<double>& arrival,
-                   GateId g) {
-  const Gate& gate = nl.gate(g);
-  const int pins = nl.gate_num_inputs(g);
+/// Worst arrival over `gate`'s input pins, in pin order (-inf when none
+/// ever arrives).
+double worst_input(const Gate& gate, const double* arrival) {
+  const int pins = gate.num_inputs();
   double worst = kNeverArrives;
   for (int p = 0; p < pins; ++p) {
     worst = std::max(worst, arrival[gate.fanin[static_cast<std::size_t>(p)]]);
@@ -49,11 +49,13 @@ std::vector<double> worst_arrivals(const Netlist& nl,
                                    const Sta::GateDelays& gd) {
   std::vector<double> arrival(nl.num_nets(), kNeverArrives);
   for (const NetId pi : nl.inputs()) arrival[pi] = 0.0;
+  const std::span<const Gate> gates = nl.gates();
+  double* const at = arrival.data();
   for (const GateId g : nl.topo_order()) {
+    const Gate& gate = gates[g];
     // -inf plus a finite delay stays -inf: a gate no input reaches never
     // switches either.
-    arrival[nl.gate(g).fanout] =
-        worst_input(nl, arrival, g) + std::max(gd.rise[g], gd.fall[g]);
+    at[gate.fanout] = worst_input(gate, at) + std::max(gd.rise[g], gd.fall[g]);
   }
   return arrival;
 }
@@ -69,13 +71,13 @@ std::vector<PathStep> critical_path(const Netlist& nl, const Sta::GateDelays& gd
   const std::size_t po = first_worst_output(nl, arrival);
   if (po == nl.outputs().size()) return path;
   GateId g = nl.driver(nl.outputs()[po]);
-  double w = worst_input(nl, arrival, g);
+  double w = worst_input(nl.gate(g), arrival.data());
   bool rising = w + gd.rise[g] >= w + gd.fall[g];
   while (g != kInvalidGate) {
     const Gate& gate = nl.gate(g);
     const double delay = rising ? gd.rise[g] : gd.fall[g];
     const double at = w + delay;
-    const int pins = nl.gate_num_inputs(g);
+    const int pins = gate.num_inputs();
     int p = 0;
     GateId from = kInvalidGate;
     double w_from = kNeverArrives;
@@ -87,7 +89,7 @@ std::vector<PathStep> critical_path(const Netlist& nl, const Sta::GateDelays& gd
       if (arrival[in] + delay != at) continue;
       from = nl.driver(in);
       if (from == kInvalidGate) break;  // a PI: both edges arrive at 0
-      w_from = worst_input(nl, arrival, from);
+      w_from = worst_input(nl.gate(from), arrival.data());
       // The falling edge is tried first; if it falls short, the rising one
       // is the edge at the net's worst arrival.
       from_rising = w_from + gd.fall[from] + delay != at;
@@ -179,18 +181,19 @@ Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
     gd.rise[g] = base_.rise[g] * f.rise;
     gd.fall[g] = base_.fall[g] * f.fall;
   };
+  const std::span<const Gate> gates = nl.gates();
   if (stress->mode() != StressMode::measured) {
     // Uniform profile: every gate shares one stress pair and one activity,
     // so the factors depend on the cell alone — look them up once per cell.
     std::vector<std::optional<Factors>> per_cell(nl.lib().size());
-    for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-      const CellId cell = nl.gate(static_cast<GateId>(g)).cell;
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      const CellId cell = gates[g].cell;
       if (!per_cell[cell]) per_cell[cell] = factors(g, cell);
       scale(g, *per_cell[cell]);
     }
   } else {
-    for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-      scale(g, factors(g, nl.gate(static_cast<GateId>(g)).cell));
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      scale(g, factors(g, gates[g].cell));
     }
   }
   // Resolved only for HCI-enabled models so that BTI-only runs register no

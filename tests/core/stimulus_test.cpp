@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "gatesim/funcsim.hpp"
 #include "rtl/backend.hpp"
 #include "synth/components.hpp"
+#include "util/rng.hpp"
 
 namespace aapx {
 namespace {
@@ -119,6 +121,60 @@ TEST(MeasureGateDutyTest, DutyBoundsRespected) {
   for (const double d : measure_gate_duty(nl, stim)) {
     EXPECT_GE(d, 0.0);
     EXPECT_LE(d, 1.0);
+  }
+}
+
+// 1,000 vectors: 15 full 64-lane batches and a 40-lane tail. Each worker
+// reuses one packed simulator over its run of batches, so a lane left over
+// from one batch would show in the next batch's counts; the per-vector
+// scalar FuncSim count is the reference, at every thread count.
+TEST(MeasureGateDutyTest, ReusedSimulatorMatchesScalarOnEveryGenerator) {
+  const CellLibrary lib = make_nangate45_like();
+  const ComponentSpec specs[] = {
+      {ComponentKind::adder, 16, 0, AdderArch::ripple, MultArch::array},
+      {ComponentKind::adder, 16, 3, AdderArch::cla4, MultArch::array},
+      {ComponentKind::adder, 16, 0, AdderArch::kogge_stone, MultArch::array},
+      {ComponentKind::adder, 16, 6, AdderArch::ripple, MultArch::array,
+       ApproxTechnique::carry_window},
+      {ComponentKind::multiplier, 8, 0, AdderArch::cla4, MultArch::array},
+      {ComponentKind::multiplier, 8, 2, AdderArch::cla4, MultArch::wallace},
+      {ComponentKind::multiplier, 8, 3, AdderArch::cla4, MultArch::array,
+       ApproxTechnique::pp_truncation},
+      {ComponentKind::mac, 8, 0, AdderArch::cla4, MultArch::array},
+      {ComponentKind::clamp, 12, 0, AdderArch::cla4, MultArch::array},
+  };
+  for (const ComponentSpec& spec : specs) {
+    const Netlist nl = make_component(lib, spec);
+    StimulusSet stim;
+    stim.buses = nl.input_bus_names();
+    Rng rng(static_cast<std::uint64_t>(spec.width * 31 + spec.truncated_bits));
+    stim.vectors.resize(1000);
+    for (auto& row : stim.vectors) {
+      for (std::size_t b = 0; b < stim.buses.size(); ++b) {
+        row.push_back(rng.next_u64());
+      }
+    }
+
+    std::vector<std::uint64_t> high(nl.num_gates(), 0);
+    FuncSim scalar(nl);
+    for (const auto& row : stim.vectors) {
+      for (std::size_t b = 0; b < stim.buses.size(); ++b) {
+        scalar.set_bus(stim.buses[b], row[b]);
+      }
+      scalar.eval();
+      for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+        if (scalar.value(nl.gates()[g].fanout)) ++high[g];
+      }
+    }
+    std::vector<double> expected(nl.num_gates());
+    for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+      expected[g] = static_cast<double>(high[g]) / 1000.0;
+    }
+
+    for (const int threads : {1, 3, 4}) {
+      EXPECT_EQ(measure_gate_duty(nl, stim, threads), expected)
+          << spec.name() << " at " << threads << " threads";
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -236,6 +237,20 @@ TEST_F(PersistTest, MissingFileIsCleanColdStart) {
   const Warmed cold = replay(/*open_store=*/false, &stats);
   EXPECT_GT(cold.gates, 0u);
   EXPECT_EQ(stats.persist_hits, 0u);
+}
+
+// A path that opens but is no regular file must not size the read from a
+// bogus length (a directory reports one near 2^63 on some file systems): it
+// is a rejected store, one warning, never a throw.
+TEST_F(PersistTest, DirectoryPathIsRejectedWithAWarning) {
+  const std::string dir = path_ + ".dir";
+  std::filesystem::create_directory(dir);
+  const engine::StoreFileData data = engine::load_store_file(dir);
+  EXPECT_EQ(data.bytes_read, 0u);
+  EXPECT_FALSE(data.header_ok);
+  EXPECT_TRUE(data.records.empty());
+  EXPECT_EQ(data.warnings.size(), 1u);
+  std::filesystem::remove(dir);
 }
 
 TEST_F(PersistTest, TruncatedFileDegradesToCold) {

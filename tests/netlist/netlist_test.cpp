@@ -83,7 +83,7 @@ TEST_F(NetlistTest, TopoOrderRespectsDependencies) {
 }
 
 // A netlist decoded from a store record has no cached topological order, and
-// its first readers may be concurrent (measure_gate_duty's per-batch
+// its first readers may be concurrent (measure_gate_duty's per-chunk
 // simulators). Four threads racing on the first fill must all see the same,
 // complete order; the sanitizer build checks that the fill is race-free.
 TEST_F(NetlistTest, TopoOrderFirstFillIsThreadSafe) {
@@ -260,6 +260,12 @@ TEST_F(NetlistTest, GateCountedInputsMatchCell) {
   const NetId c = nl.add_input("c");
   nl.mk(LogicFn::kMaj3, a, b, c);
   EXPECT_EQ(nl.gate_num_inputs(0), 3);
+  EXPECT_EQ(nl.gate(0).num_inputs(), 3);
+  // The fanin sentinels give the cell's pin count on every gate.
+  const Netlist dag = random_dag(lib_, 3);
+  for (const Gate& g : dag.gates()) {
+    EXPECT_EQ(g.num_inputs(), lib_.cell(g.cell).num_inputs());
+  }
 }
 
 TEST_F(NetlistTest, InvalidAccessThrows) {
