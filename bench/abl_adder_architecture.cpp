@@ -39,7 +39,7 @@ int run(int argc, char** argv) {
     const int k1 = c.required_precision(0);
     const int k10 = c.required_precision(1);
     table.add_row({to_string(arch), TextTable::num(fresh, 1),
-                   "+" + TextTable::pct(aging),
+                   std::string("+").append(TextTable::pct(aging)),
                    k1 > 0 ? std::to_string(32 - k1) : "unreachable",
                    k10 > 0 ? std::to_string(32 - k10) : "unreachable"});
   }

@@ -43,16 +43,17 @@ int run(int argc, char** argv) {
           cfg.mult32(), {{StressMode::worst, 10.0}});
       const int ka = adder.required_precision(0);
       const int km = mult.required_precision(0);
+      // Full-precision 10 y delay increase, as "+x.y%".
+      const auto aging = [](const auto& surface) {
+        return std::string("+").append(TextTable::pct(
+            surface.points.front().aged_delay[0] / surface.full_fresh_delay() -
+            1.0));
+      };
       table.add_row(
           {TextTable::num(n, 2), TextTable::num(scale, 1),
            ka > 0 ? std::to_string(32 - ka) : "unreachable",
            km > 0 ? std::to_string(32 - km) : "unreachable",
-           "+" + TextTable::pct(
-                     adder.points.front().aged_delay[0] / adder.full_fresh_delay() -
-                     1.0),
-           "+" + TextTable::pct(
-                     mult.points.front().aged_delay[0] / mult.full_fresh_delay() -
-                     1.0)});
+           aging(adder), aging(mult)});
     }
   }
   table.print(std::cout);

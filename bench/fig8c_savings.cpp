@@ -135,7 +135,7 @@ int run(int argc, char** argv) {
   const double area_saving = 1.0 - mine.area / base.area;
   table.add_row({"frequency [GHz]", TextTable::num(1000.0 / base.clock_ps, 3),
                  TextTable::num(1000.0 / mine.clock_ps, 3),
-                 "+" + TextTable::pct(f_gain), "+11%"});
+                 std::string("+").append(TextTable::pct(f_gain)), "+11%"});
   table.add_row({"leakage [nW]", TextTable::num(base.power.leakage_nw, 0),
                  TextTable::num(mine.power.leakage_nw, 0),
                  TextTable::pct(leakage_saving), "14%"});

@@ -4,16 +4,13 @@
 // aging-induced *approximations* only needs RTL simulation (paper: < 3
 // minutes per 1080p image, a few seconds for CIF).
 //
-// This binary measures both engines with google-benchmark and extrapolates
-// to the paper's image sizes, printing the cost table after the
-// microbenchmarks.
-#include <benchmark/benchmark.h>
-
+// This binary times both engines and extrapolates to the paper's image
+// sizes, then breaks one characterization sweep down by phase.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "common.hpp"
@@ -41,99 +38,6 @@ Context::Options cold_options() {
   return options;
 }
 
-const Netlist& mult_netlist() {
-  static const Netlist nl =
-      make_component(bench_context(), config().lib, config().mult32());
-  return nl;
-}
-
-const Netlist& adder_netlist() {
-  static const Netlist nl =
-      make_component(bench_context(), config().lib, config().adder32());
-  return nl;
-}
-
-void BM_GateLevelTimedMultiply(benchmark::State& state) {
-  const Config& cfg = config();
-  const Netlist& nl = mult_netlist();
-  TimedSim sim(nl, scenario_delays(cfg, nl, {StressMode::worst, 10.0}),
-               DelayModel::transport);
-  const StimulusSet stim = make_normal_stimulus(32, 256, 3, cfg.mult_sigma);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& row = stim.vectors[i++ % stim.vectors.size()];
-    sim.stage_bus("a", row[0]);
-    sim.stage_bus("b", row[1]);
-    benchmark::DoNotOptimize(sim.step_staged(4000.0));
-  }
-}
-BENCHMARK(BM_GateLevelTimedMultiply)->Unit(benchmark::kMicrosecond);
-
-void BM_GateLevelTimedAdd(benchmark::State& state) {
-  const Config& cfg = config();
-  const Netlist& nl = adder_netlist();
-  TimedSim sim(nl, scenario_delays(cfg, nl, {StressMode::worst, 10.0}),
-               DelayModel::transport);
-  const StimulusSet stim = make_normal_stimulus(32, 256, 4, cfg.adder_sigma);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& row = stim.vectors[i++ % stim.vectors.size()];
-    sim.stage_bus("a", row[0]);
-    sim.stage_bus("b", row[1]);
-    benchmark::DoNotOptimize(sim.step_staged(900.0));
-  }
-}
-BENCHMARK(BM_GateLevelTimedAdd)->Unit(benchmark::kMicrosecond);
-
-void BM_RtlMultiply(benchmark::State& state) {
-  ExactBackend be(32, 3, 0);
-  std::int64_t a = 12345;
-  std::int64_t b = -678;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(be.multiply(a, b));
-    a += 7;
-    b -= 3;
-  }
-}
-BENCHMARK(BM_RtlMultiply);
-
-void BM_AgedSta(benchmark::State& state) {
-  const Config& cfg = config();
-  const Netlist& nl = mult_netlist();
-  const Sta sta(nl);
-  const DegradationAwareLibrary aged(cfg.lib, cfg.model, 10.0);
-  const StressProfile stress =
-      StressProfile::uniform(StressMode::worst, nl.num_gates());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sta.run_aged(aged, stress).max_delay);
-  }
-}
-BENCHMARK(BM_AgedSta)->Unit(benchmark::kMillisecond);
-
-void BM_CharacterizeOnePrecision(benchmark::State& state) {
-  const Config& cfg = config();
-  CharacterizerOptions copt;
-  copt.min_precision = 31;
-  const ComponentSpec spec = cfg.adder32();
-  // Every iteration characterizes cold: a fresh Context (and with it an
-  // empty DesignStore) is built and torn down outside the timed region, so
-  // the timing covers synthesis, the aged-library build and STA rather than
-  // a surface-cache hit.
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto ctx = std::make_unique<Context>(cold_options());
-    const ComponentCharacterizer characterizer(*ctx, cfg.lib, cfg.model,
-                                               copt);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        characterizer.characterize(spec, {{StressMode::worst, 10.0}}));
-    state.PauseTiming();
-    ctx.reset();
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_CharacterizeOnePrecision)->Unit(benchmark::kMillisecond);
-
 /// Median wall seconds of one call of `pass`, repeated for at least 0.2 s
 /// and 5 passes: a single pass of either engine is short enough (about
 /// 0.01 s for the CIF chain) that host load would otherwise move the
@@ -158,7 +62,7 @@ double median_pass_seconds(const Pass& pass) {
 void print_cost_table() {
   const Config& cfg = config();
   // Multiplies through the timed gate-level simulator, 200 vectors a pass.
-  const Netlist& nl = mult_netlist();
+  const Netlist nl = make_component(bench_context(), cfg.lib, cfg.mult32());
   TimedSim sim(nl, scenario_delays(cfg, nl, {StressMode::worst, 10.0}),
                DelayModel::transport);
   const StimulusSet stim = make_normal_stimulus(32, 200, 3, cfg.mult_sigma);
@@ -180,9 +84,10 @@ void print_cost_table() {
   const FixedPointDct dct(codec, be);
   const FixedPointIdct idct(codec, be);
   const Image cif = make_video_trace_frame("foreman", 352, 288);
+  volatile std::uint8_t sink = 0;  // reading each decode keeps it live
   const double rtl_s_per_pass = median_pass_seconds([&] {
     const Image decoded = idct.decode(dct.encode(cif));
-    benchmark::DoNotOptimize(decoded.at(0, 0));
+    sink = decoded.at(0, 0);
   });
   const double rtl_s_per_pixel = rtl_s_per_pass / (352.0 * 288.0);
 
@@ -296,11 +201,8 @@ void measure_sweep_breakdown(BenchJson& bench_json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   return aapx::bench::guarded_main(argc, argv, [&] {
     aapx::bench::BenchJson bench_json("tab_sim_cost", argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
     print_cost_table();
     measure_sweep_breakdown(bench_json);
     return 0;

@@ -115,11 +115,24 @@ TimedSim::TimedSim(const Netlist& nl, Sta::GateDelays delays, DelayModel model)
   if (horizon <= 0.0) horizon = 1.0;
   // ~1 bucket per couple of gate delays on typical components; bounded so
   // tiny netlists don't pay a big sweep and huge ones don't blow memory.
-  n_buckets_ = static_cast<std::uint32_t>(
-      std::clamp<std::size_t>(nl.num_gates() * 2, 64, 4096));
-  inv_bucket_width_ = static_cast<double>(n_buckets_) / (horizon * (1.0 + 1e-9));
-  buckets_.resize(n_buckets_);
-  occupied_.assign((n_buckets_ + 63) / 64, 0);
+  const std::size_t n_buckets =
+      std::clamp<std::size_t>(nl.num_gates() * 2, 64, 4096);
+  inv_bucket_width_ = static_cast<double>(n_buckets) / (horizon * (1.0 + 1e-9));
+  // The ring covers one gate delay: a push lands at most max_delay after the
+  // pop that made it, so at most floor(max_delay / width) + 2 buckets past
+  // cur_bucket_ (+1 for the pop's offset into its bucket, +1 for rounding).
+  // A gate whose delay exceeds the horizon has no input reaching it and
+  // never switches, so the horizon caps the delay that counts.
+  double max_delay = 0.0;
+  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
+    max_delay = std::max({max_delay, delays.rise[g], delays.fall[g]});
+  }
+  const auto span = static_cast<std::size_t>(std::min(max_delay, horizon) *
+                                             inv_bucket_width_) + 3;
+  const std::size_t ring = std::bit_ceil(std::max<std::size_t>(span, 64));
+  ring_mask_ = static_cast<std::uint32_t>(ring - 1);
+  buckets_.resize(ring);
+  occupied_.assign(ring / 64, 0);
   reset();
 }
 
@@ -133,9 +146,9 @@ TimedSim::~TimedSim() {
 }
 
 inline __attribute__((always_inline)) void TimedSim::push_event(Event ev) {
-  std::uint32_t idx = static_cast<std::uint32_t>(ev.time * inv_bucket_width_);
-  if (idx >= n_buckets_) idx = n_buckets_ - 1;  // float-rounding clamp only
-  std::vector<Event>& b = buckets_[idx];
+  const auto idx = static_cast<std::uint32_t>(ev.time * inv_bucket_width_);
+  const std::uint32_t slot = idx & ring_mask_;
+  std::vector<Event>& b = buckets_[slot];
   // Later buckets take plain appends (push order) and are sorted once when
   // the drain opens them. The bucket being drained stays sorted: upper_bound
   // lands after equal times (FIFO among ties), and ev.time >= the current
@@ -148,7 +161,7 @@ inline __attribute__((always_inline)) void TimedSim::push_event(Event ev) {
   } else {
     b.push_back(ev);
   }
-  occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+  occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
   if (++queue_size_ > max_queue_depth_) max_queue_depth_ = queue_size_;
 }
 
@@ -360,18 +373,22 @@ bool TimedSim::step_impl(double t_clock_ps) {
   while (queue_size_ > 0) {
     // Advance to the next occupied bucket (monotone: completed buckets can
     // never be repopulated, so cur_bucket_ only moves forward in a step).
-    std::vector<Event>* bucket = &buckets_[cur_bucket_];
+    // Every live event lies less than one ring past cur_bucket_, so the
+    // first occupied slot after this one, wrapping, is the next bucket.
+    std::uint32_t slot = cur_bucket_ & ring_mask_;
+    std::vector<Event>* bucket = &buckets_[slot];
     while (drain_pos_ >= bucket->size()) {
       bucket->clear();
-      occupied_[cur_bucket_ >> 6] &=
-          ~(std::uint64_t{1} << (cur_bucket_ & 63));
+      occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
       drain_pos_ = 0;
-      std::uint32_t w = cur_bucket_ >> 6;
-      std::uint64_t bits = occupied_[w] & ~((std::uint64_t{1} << (cur_bucket_ & 63)) - 1);
-      while (bits == 0) bits = occupied_[++w];
-      cur_bucket_ = static_cast<std::uint32_t>(
-          (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits)));
-      bucket = &buckets_[cur_bucket_];
+      std::uint32_t w = slot >> 6;
+      std::uint64_t bits = occupied_[w] & ~((std::uint64_t{1} << (slot & 63)) - 1);
+      while (bits == 0) bits = occupied_[w = (w + 1) & (ring_mask_ >> 6)];
+      const std::uint32_t next =
+          (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+      cur_bucket_ += (next - slot) & ring_mask_;
+      slot = next;
+      bucket = &buckets_[slot];
       open_bucket(*bucket);
     }
     const Event ev = (*bucket)[drain_pos_++];
@@ -401,10 +418,9 @@ bool TimedSim::step_impl(double t_clock_ps) {
     h.applied_generation = ev_gen;
     if (h.value != ev_value) commit<kModel>(ev.net, ev_value, ev.time);
   }
-  if (cur_bucket_ < n_buckets_) {
-    buckets_[cur_bucket_].clear();
-    occupied_[cur_bucket_ >> 6] &= ~(std::uint64_t{1} << (cur_bucket_ & 63));
-  }
+  const std::uint32_t slot = cur_bucket_ & ring_mask_;
+  buckets_[slot].clear();
+  occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   cur_bucket_ = 0;
   drain_pos_ = 0;
 

@@ -157,27 +157,33 @@ class TimedSim {
   /// reader_[reader_offset_[net] .. reader_offset_[net+1]).
   std::vector<std::uint32_t> reader_offset_;
   std::vector<Reader> reader_;
-  /// Monotone calendar queue. Pop-order contract: events pop in exactly
-  /// (time, push sequence) order, the order of a binary heap with a FIFO
-  /// tie-break. Buckets split [0, horizon] evenly; the horizon is the
-  /// largest finite worst_arrivals entry (the STA longest-path pass), a hard
-  /// bound on every event time in a step (times are path-delay sums from
-  /// t = 0), so the clamp into the last bucket only absorbs float
-  /// rounding. A push into a later bucket appends; the drain orders each
-  /// bucket once when it opens it (open_bucket: a stable counting pass into
-  /// one sub-bin per event, then an insertion sort that only reorders within
-  /// a sub-bin). The bucket being drained stays sorted: a push into it is an
-  /// upper_bound insert at or after drain_pos_, since its time is >= the
-  /// current pop time. Times map to buckets monotonically and no push goes
-  /// below cur_bucket_, so once a bucket completes nothing lands in it again.
-  /// The occupied_ bitmask skips empty buckets 64 at a time.
+  /// Monotone calendar queue on a ring of buckets (a timing wheel).
+  /// Pop-order contract: events pop in exactly (time, push sequence) order,
+  /// the order of a binary heap with a FIFO tie-break. An event's absolute
+  /// bucket is floor(time / width). The width is horizon / clamp(2 * gates,
+  /// 64, 4096), where the horizon is the largest finite worst_arrivals entry
+  /// (the STA longest-path pass); the horizon sets nothing else. The bucket
+  /// lives in ring slot `absolute & ring_mask_`. Every push lands at most one
+  /// gate delay after the current pop time, so all live events lie within
+  /// floor(max_delay / width) + 2 buckets of cur_bucket_, and the ring holds
+  /// at least that + 1 slots (a power of two, at least 64): no two live
+  /// buckets share a slot, and the buckets kept in memory span the live
+  /// window instead of the whole horizon. A push into a later bucket
+  /// appends; the drain orders each bucket once when it opens it
+  /// (open_bucket: a stable counting pass into one sub-bin per event, then
+  /// an insertion sort that only reorders within a sub-bin). The bucket being
+  /// drained stays sorted: a push into it is an upper_bound insert at or
+  /// after drain_pos_, since its time is >= the current pop time. Times map
+  /// to buckets monotonically and no push goes below cur_bucket_, so once a
+  /// bucket completes nothing lands in it again. The occupied_ bitmask skips
+  /// empty slots 64 at a time and wraps around the ring.
   std::vector<std::vector<Event>> buckets_;
   std::vector<std::uint64_t> occupied_;
   double inv_bucket_width_ = 0.0;
-  std::uint32_t n_buckets_ = 1;
-  std::uint32_t cur_bucket_ = 0;
-  std::size_t drain_pos_ = 0;   ///< next index to pop in cur_bucket_
-  std::size_t queue_size_ = 0;  ///< live (unpopped) events across buckets
+  std::uint32_t ring_mask_ = 0;   ///< ring slots - 1
+  std::uint32_t cur_bucket_ = 0;  ///< absolute index of the bucket drained
+  std::size_t drain_pos_ = 0;     ///< next index to pop in cur_bucket_
+  std::size_t queue_size_ = 0;    ///< live (unpopped) events across buckets
   /// open_bucket scratch, reused across steps and only ever grown: each
   /// event's sub-bin, the sub-bin starts, and a copy of the bucket that the
   /// counting pass scatters back (never swapped in, so no bucket inherits

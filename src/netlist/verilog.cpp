@@ -24,7 +24,9 @@ std::string net_ref(const Netlist& nl, NetId net,
   if (net == nl.const1()) return "1'b1";
   const auto it = pi_names.find(net);
   if (it != pi_names.end()) return it->second;
-  return "n" + std::to_string(net);
+  std::string ref = "n";
+  ref += std::to_string(net);
+  return ref;
 }
 
 }  // namespace

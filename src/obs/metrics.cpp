@@ -204,7 +204,11 @@ std::string MetricsRegistry::to_json() const {
     for (const auto& [index, n] : h.buckets) {
       if (!bfirst) out += ',';
       bfirst = false;
-      out += "[" + std::to_string(index) + "," + std::to_string(n) + "]";
+      out += '[';
+      out += std::to_string(index);
+      out += ',';
+      out += std::to_string(n);
+      out += ']';
     }
     out += "]}";
   }

@@ -28,17 +28,30 @@ std::string to_string(ApproxTechnique technique) {
 std::string ComponentSpec::name() const {
   std::string n = to_string(kind) + std::to_string(width);
   switch (kind) {
-    case ComponentKind::adder: n += "_" + to_string(adder_arch); break;
-    case ComponentKind::multiplier: n += "_" + to_string(mult_arch); break;
+    case ComponentKind::adder:
+      n += '_';
+      n += to_string(adder_arch);
+      break;
+    case ComponentKind::multiplier:
+      n += '_';
+      n += to_string(mult_arch);
+      break;
     case ComponentKind::mac:
-      n += "_" + to_string(mult_arch) + "_" + to_string(adder_arch);
+      n += '_';
+      n += to_string(mult_arch);
+      n += '_';
+      n += to_string(adder_arch);
       break;
     case ComponentKind::clamp: break;
   }
   if (technique != ApproxTechnique::lsb_truncation) {
-    n += "_" + to_string(technique);
+    n += '_';
+    n += to_string(technique);
   }
-  if (truncated_bits > 0) n += "_k" + std::to_string(precision());
+  if (truncated_bits > 0) {
+    n += "_k";
+    n += std::to_string(precision());
+  }
   return n;
 }
 

@@ -58,7 +58,8 @@ Netlist make_idct_row_unit(const CellLibrary& lib, const IdctUnitSpec& spec) {
   std::vector<Word> x(8);
   for (int k = 0; k < 8; ++k) {
     x[static_cast<std::size_t>(k)] =
-        nl.add_input_bus("x" + std::to_string(k), spec.data_width);
+        nl.add_input_bus(std::string("x").append(std::to_string(k)),
+                         spec.data_width);
     for (int t = 0; t < spec.truncated_bits; ++t) {
       x[static_cast<std::size_t>(k)][static_cast<std::size_t>(t)] = nl.const0();
     }
@@ -105,7 +106,7 @@ Netlist make_idct_row_unit(const CellLibrary& lib, const IdctUnitSpec& spec) {
       if (terms.size() % 2 == 1) next.push_back(terms.back());
       terms = std::move(next);
     }
-    nl.mark_output_bus(terms[0], "y" + std::to_string(n));
+    nl.mark_output_bus(terms[0], std::string("y").append(std::to_string(n)));
   }
   return optimize(nl).netlist;
 }

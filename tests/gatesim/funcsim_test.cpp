@@ -72,7 +72,7 @@ TEST_F(FuncSimTest, SetBusSkipsConstantMembers) {
 TEST_F(FuncSimTest, WideBusRejected) {
   Netlist nl(lib_);
   std::vector<NetId> nets;
-  for (int i = 0; i < 65; ++i) nets.push_back(nl.add_input("n" + std::to_string(i)));
+  for (int i = 0; i < 65; ++i) nets.push_back(nl.add_input(std::string("n").append(std::to_string(i))));
   FuncSim sim(nl);
   EXPECT_THROW(sim.word_value(nets), std::invalid_argument);
 }

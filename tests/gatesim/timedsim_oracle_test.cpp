@@ -8,7 +8,7 @@
 // transition, transport mode drops only transitions older than the newest
 // one applied, and the sample is a snapshot taken just before the first
 // event later than the clock. After every step, every observable of the two
-// simulators must agree exactly.
+// simulators must agree exactly, the peak queue population included.
 //
 // TimedReplayTest then holds the chunked stream primitive replay_timed to
 // the plain serial TimedSim loop on the same generators: per-vector error
@@ -122,6 +122,7 @@ class OracleSim {
   double last_output_settle_ = 0.0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t cycles_ = 0;
+  std::size_t max_queue_depth_ = 0;
 
  private:
   struct Event {
@@ -159,6 +160,7 @@ class OracleSim {
       const double delay = out ? delays_.rise[r.gate] : delays_.fall[r.gate];
       events_.emplace(std::make_pair(t + delay, seq_++),
                       Event{out_net, generation_[out_net], out});
+      max_queue_depth_ = std::max(max_queue_depth_, events_.size());
     }
   }
 
@@ -186,6 +188,7 @@ void expect_same(const Netlist& nl, TimedSim& sim, const OracleSim& ref,
                  bool err, bool ref_err) {
   ASSERT_EQ(err, ref_err);
   ASSERT_EQ(sim.events_processed(), ref.events_processed_);
+  ASSERT_EQ(sim.max_queue_depth(), ref.max_queue_depth_);
   ASSERT_EQ(sim.last_settle_time(), ref.last_settle_);
   ASSERT_EQ(sim.last_output_settle_time(), ref.last_output_settle_);
   const Activity& act = sim.activity();
@@ -341,6 +344,47 @@ TEST(TimedSimOracleTest, ClusteredBucketsOfArrayMultiplier) {
   for (const Sta::GateDelays& delays : {fresh, jittered(fresh, rng)}) {
     cross_check(nl, delays, DelayModel::transport, seed++, 12);
     if (HasFatalFailure()) return;
+  }
+}
+
+TEST(TimedSimOracleTest, RingEdgesOfTheEventQueue) {
+  // The event queue is a ring of bucket slots that covers the largest gate
+  // delay. One gate 40x slower than the rest sizes the ring to its own
+  // delay, so its events wait up to a whole ring ahead of the drain; on the
+  // multiplier the drain wraps past the ring's end behind them. Gates with a
+  // zero rise or fall delay push into the bucket being drained, at the
+  // current pop time; there the multiplier's drain wraps its 64-slot ring
+  // in every step.
+  const CellLibrary lib = make_nangate45_like();
+  const std::vector<ComponentSpec> specs = {
+      {ComponentKind::adder, 8, 0, AdderArch::ripple, MultArch::array},
+      {ComponentKind::multiplier, 6, 0, AdderArch::ripple, MultArch::array},
+  };
+  std::uint64_t seed = 300;
+  for (const ComponentSpec& spec : specs) {
+    const Netlist nl = make_component(lib, spec);
+    const Sta::GateDelays fresh = Sta(nl).gate_delays(nullptr, nullptr);
+    Sta::GateDelays slow = fresh;
+    const std::size_t g = nl.topo_order()[nl.num_gates() / 8];
+    slow.rise[g] *= 40.0;
+    slow.fall[g] *= 40.0;
+    Sta::GateDelays zero = fresh;
+    for (std::size_t i = 0; i < nl.num_gates(); i += 5) {
+      (i % 2 == 0 ? zero.rise : zero.fall)[i] = 0.0;
+    }
+    const struct {
+      const char* name;
+      const Sta::GateDelays& delays;
+    } sets[] = {{"slow gate", slow}, {"zero delays", zero}};
+    for (const auto& set : sets) {
+      for (const DelayModel model : {DelayModel::inertial, DelayModel::transport}) {
+        SCOPED_TRACE(testing::Message()
+                     << spec.name() << " " << set.name << " "
+                     << (model == DelayModel::inertial ? "inertial" : "transport"));
+        cross_check(nl, set.delays, model, seed++);
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 

@@ -69,7 +69,7 @@ Netlist random_netlist(const CellLibrary& lib, Rng& rng, int num_inputs,
   Netlist nl(lib);
   std::vector<NetId> pool;
   for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(nl.add_input("i" + std::to_string(i)));
+    pool.push_back(nl.add_input(std::string("i").append(std::to_string(i))));
   }
   const LogicFn fns[] = {LogicFn::kInv,   LogicFn::kBuf,   LogicFn::kAnd2,
                          LogicFn::kNand2, LogicFn::kOr2,   LogicFn::kNor2,
@@ -98,7 +98,7 @@ Netlist random_netlist(const CellLibrary& lib, Rng& rng, int num_inputs,
   }
   for (int o = 0; o < num_outputs; ++o) {
     nl.mark_output(pool[pool.size() - 1 - static_cast<std::size_t>(o)],
-                   "o" + std::to_string(o));
+                   std::string("o").append(std::to_string(o)));
   }
   return nl;
 }

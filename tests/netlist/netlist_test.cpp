@@ -117,7 +117,7 @@ Netlist random_dag(const CellLibrary& lib, std::uint64_t seed) {
   Rng rng(seed);
   Netlist nl(lib);
   std::vector<NetId> pool = {nl.const0(), nl.const1()};
-  for (int i = 0; i < 6; ++i) pool.push_back(nl.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) pool.push_back(nl.add_input(std::string("i").append(std::to_string(i))));
   const int gates = 40 + static_cast<int>(rng.next_below(80));
   for (int g = 0; g < gates; ++g) {
     const auto fn = static_cast<LogicFn>(rng.next_below(kNumLogicFns));

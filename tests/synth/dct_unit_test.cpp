@@ -46,12 +46,12 @@ TEST_F(DctUnitTest, MatchesReferenceOnRandomVectors) {
     for (int k = 0; k < 8; ++k) {
       x[k] = rng.next_int(-(1 << (spec.data_width - 1)),
                           (1 << (spec.data_width - 1)) - 1);
-      sim.set_bus("x" + std::to_string(k), static_cast<std::uint64_t>(x[k]) & mask);
+      sim.set_bus(std::string("x").append(std::to_string(k)), static_cast<std::uint64_t>(x[k]) & mask);
     }
     sim.eval();
     for (int n = 0; n < 8; ++n) {
       const std::int64_t got = wrap_signed(
-          static_cast<std::int64_t>(sim.bus_value("y" + std::to_string(n))),
+          static_cast<std::int64_t>(sim.bus_value(std::string("y").append(std::to_string(n)))),
           spec.output_width());
       ASSERT_EQ(got, idct_unit_reference(spec, n, x)) << "n=" << n;
     }
@@ -71,12 +71,12 @@ TEST_F(DctUnitTest, TruncatedUnitMatchesTruncatedReference) {
     std::int64_t x[8];
     for (int k = 0; k < 8; ++k) {
       x[k] = rng.next_int(-512, 511);
-      sim.set_bus("x" + std::to_string(k), static_cast<std::uint64_t>(x[k]) & mask);
+      sim.set_bus(std::string("x").append(std::to_string(k)), static_cast<std::uint64_t>(x[k]) & mask);
     }
     sim.eval();
     for (int n = 0; n < 8; ++n) {
       const std::int64_t got = wrap_signed(
-          static_cast<std::int64_t>(sim.bus_value("y" + std::to_string(n))),
+          static_cast<std::int64_t>(sim.bus_value(std::string("y").append(std::to_string(n)))),
           spec.output_width());
       ASSERT_EQ(got, idct_unit_reference(spec, n, x));
     }

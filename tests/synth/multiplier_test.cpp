@@ -110,7 +110,7 @@ TEST(ReduceColumnsTest, SumsArbitraryColumns) {
   Netlist nl(lib);
   // Three addends of weight 1 at bit 0, two at bit 1: value = x0+x1+x2 + 2*(x3+x4).
   std::vector<NetId> ins;
-  for (int i = 0; i < 5; ++i) ins.push_back(nl.add_input("x" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) ins.push_back(nl.add_input(std::string("x").append(std::to_string(i))));
   std::vector<std::vector<NetId>> cols(4);
   cols[0] = {ins[0], ins[1], ins[2]};
   cols[1] = {ins[3], ins[4]};

@@ -166,7 +166,8 @@ std::string choice_names(const Opt& opt) {
   std::string out;
   for (std::size_t i = 0; i < opt.choices.size(); ++i) {
     if (i > 0 && opt.choices[i].value == opt.choices[i - 1].value) continue;
-    out += (out.empty() ? "" : "|") + std::string(opt.choices[i].text);
+    if (!out.empty()) out += '|';
+    out += opt.choices[i].text;
   }
   return out;
 }
@@ -1377,7 +1378,10 @@ int cmd_help(const Context&, const Args&) {
   for (const Command& c : kCommands) {
     std::printf("  %-16s %s\n", c.name, c.summary);
     for (const Opt& opt : c.options) print_option(opt);
-    if (c.store) attach += " " + std::string(c.name);
+    if (c.store) {
+      attach += ' ';
+      attach += c.name;
+    }
   }
   std::printf("\nglobal options (every command):\n");
   for (const Opt& opt : kGlobalOptions) print_option(opt);
