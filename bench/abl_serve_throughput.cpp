@@ -2,13 +2,19 @@
 // per second against an in-process `aapx serve` server, cold store vs warm
 // store, at 1/2/4 concurrent clients. The qps numbers are machine-dependent
 // (they land in BENCH_abl_serve_throughput.json as qps_* fields, which the
-// regression checker ignores like wall_s). The request counts, error count
+// regression checker ignores like wall_s). One cold pass lasts a few
+// milliseconds, so each client count runs kColdPasses of them, each on a
+// fresh server, and reports their median as qps_cold_N with the spread as
+// qps_cold_N_min / qps_cold_N_max. The warm pass, the request count and the
+// checksum come from the first cold pass's server only; request_errors
+// counts every pass. The request counts, error count
 // and the gate checksum over every returned surface are informational too:
 // since the server learned to shed load under deadline pressure, how many
 // requests complete inside the timed window — and hence the checksum over
 // the surfaces that did come back — depends on machine speed. The
 // bit-identical-to-local contract is enforced by the service tests, not by
 // this bench.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -44,6 +50,9 @@ std::vector<service::CharacterizeRequest> make_workload(bool fast) {
   }
   return reqs;
 }
+
+/// Cold passes per client count; odd, so the median is one pass's qps.
+constexpr int kColdPasses = 7;
 
 struct PassResult {
   double qps = 0.0;
@@ -107,40 +116,54 @@ int run(int argc, char** argv) {
   const int warm_rounds = arg_int(argc, argv, "--rounds", fast ? 3 : 5);
   const std::vector<service::CharacterizeRequest> reqs = make_workload(fast);
 
-  TextTable table({"clients", "cold qps", "warm qps", "warm/cold"});
+  TextTable table({"clients", "cold qps (median)", "cold min..max",
+                   "warm qps", "warm/cold"});
   std::uint64_t total_completed = 0;
   std::uint64_t total_errors = 0;
   std::uint64_t gates_checksum = 0;
   for (const int clients : {1, 2, 4}) {
-    // A fresh server Context per client count: every cold pass really is
-    // cold, and the warm pass that follows hits the store the cold pass
+    // A fresh server Context per cold pass: every cold pass really is cold,
+    // and the warm pass that follows the first one hits the store that pass
     // just filled. It traces into the bench root's tracer.
-    Context::Options root_options;
-    root_options.tracer = &bench_context().tracer();
-    const Context root(root_options);
-    service::ServerOptions opts;
-    opts.listen = "tcp:0";
-    service::Server server(root, opts);
-    std::string err;
-    if (!server.start(&err)) {
-      std::fprintf(stderr, "abl_serve_throughput: %s\n", err.c_str());
-      return 1;
+    std::vector<double> cold_qps;
+    PassResult cold;
+    PassResult warm;
+    service::StatsResponse stats;
+    for (int pass = 0; pass < kColdPasses; ++pass) {
+      Context::Options root_options;
+      root_options.tracer = &bench_context().tracer();
+      const Context root(root_options);
+      service::ServerOptions opts;
+      opts.listen = "tcp:0";
+      service::Server server(root, opts);
+      std::string err;
+      if (!server.start(&err)) {
+        std::fprintf(stderr, "abl_serve_throughput: %s\n", err.c_str());
+        return 1;
+      }
+      const PassResult r = run_pass(server.endpoint(), reqs, clients, 1);
+      cold_qps.push_back(r.qps);
+      total_errors += r.errors;
+      if (pass == 0) {
+        cold = r;
+        warm = run_pass(server.endpoint(), reqs, clients, warm_rounds);
+        // Per-op latency quantiles from the server's own histograms (the
+        // same interpolation `aapx client --op stats` shows), exported as
+        // informational metrics.
+        stats = server.stats_response();
+      }
+      server.stop();
     }
-    const PassResult cold = run_pass(server.endpoint(), reqs, clients, 1);
-    const PassResult warm =
-        run_pass(server.endpoint(), reqs, clients, warm_rounds);
-
-    // Per-op latency quantiles from the server's own histograms (the same
-    // interpolation `aapx client --op stats` shows), exported as
-    // informational metrics.
-    const service::StatsResponse stats = server.stats_response();
-    server.stop();
+    std::sort(cold_qps.begin(), cold_qps.end());
+    const double cold_median = cold_qps[cold_qps.size() / 2];
 
     total_completed += cold.completed + warm.completed;
-    total_errors += cold.errors + warm.errors;
+    total_errors += warm.errors;
     gates_checksum += cold.gates + warm.gates;
     const std::string tag = std::to_string(clients);
-    bench_json.metric("qps_cold_" + tag, cold.qps);
+    bench_json.metric("qps_cold_" + tag, cold_median);
+    bench_json.metric("qps_cold_" + tag + "_min", cold_qps.front());
+    bench_json.metric("qps_cold_" + tag + "_max", cold_qps.back());
     bench_json.metric("qps_warm_" + tag, warm.qps);
     for (const auto& op : stats.ops) {
       if (static_cast<service::MsgType>(op.op) !=
@@ -155,9 +178,11 @@ int run(int argc, char** argv) {
       bench_json.metric("latency_c" + tag + "_p99_ms",
                         obs::histogram_quantile(sample, 0.99) / 1000.0);
     }
-    table.add_row({tag, TextTable::num(cold.qps, 1),
+    std::string spread = TextTable::num(cold_qps.front(), 1);
+    spread.append("..").append(TextTable::num(cold_qps.back(), 1));
+    table.add_row({tag, TextTable::num(cold_median, 1), spread,
                    TextTable::num(warm.qps, 1),
-                   TextTable::num(warm.qps / std::max(cold.qps, 1e-12), 2)});
+                   TextTable::num(warm.qps / std::max(cold_median, 1e-12), 2)});
   }
   bench_json.metric("requests_total", static_cast<double>(total_completed));
   bench_json.metric("request_errors", static_cast<double>(total_errors));

@@ -3,7 +3,60 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace aapx {
+
+std::uint64_t aging_params_key(const AgingParams& params) {
+  // Domain-separation tag of the aging-parameter key family.
+  constexpr std::uint64_t kTagAgingModel = 0x41474d3131ULL;  // "AGM11"
+  Hasher h;
+  h.u64(kTagAgingModel);
+  h.u64(params.mechanisms.size());
+  for (const MechanismKind kind : params.mechanisms) {
+    h.i32(static_cast<int>(kind));
+  }
+  const BtiParams& b = params.bti;
+  h.f64(b.vdd)
+      .f64(b.vth0)
+      .f64(b.a_pmos)
+      .f64(b.a_nmos)
+      .f64(b.time_exponent)
+      .f64(b.stress_exponent)
+      .f64(b.alpha)
+      .f64(b.t_ref_years)
+      .f64(b.temp_kelvin)
+      .f64(b.t_ref_kelvin)
+      .f64(b.activation_ev);
+  if (params.has(MechanismKind::hci)) {
+    const HciParams& p = params.hci;
+    h.f64(p.a_hci)
+        .f64(p.activity_exponent)
+        .f64(p.time_exponent)
+        .f64(p.t_ref_years)
+        .f64(p.activation_ev)
+        .f64(p.t_ref_kelvin);
+  }
+  if (params.has(MechanismKind::em)) {
+    const EmParams& p = params.em;
+    h.f64(p.beta)
+        .f64(p.eta_ref_years)
+        .f64(p.j_ref)
+        .f64(p.current_exponent)
+        .f64(p.activation_ev)
+        .f64(p.t_ref_kelvin);
+  }
+  if (params.has(MechanismKind::tddb)) {
+    const TddbParams& p = params.tddb;
+    h.f64(p.beta)
+        .f64(p.eta_ref_years)
+        .f64(p.vdd_ref)
+        .f64(p.voltage_exponent)
+        .f64(p.activation_ev)
+        .f64(p.t_ref_kelvin);
+  }
+  return h.digest();
+}
 
 AgingModel::AgingModel(AgingParams params) : params_(std::move(params)) {
   const BtiParams& bti = params_.bti;
@@ -20,15 +73,18 @@ AgingModel::AgingModel(AgingParams params) : params_(std::move(params)) {
     throw std::invalid_argument("AgingModel: temperatures must be positive");
   }
   rebuild();
+  key_ = aging_params_key(params_);
 }
 
-AgingModel::AgingModel(const AgingModel& other) : params_(other.params_) {
+AgingModel::AgingModel(const AgingModel& other)
+    : params_(other.params_), key_(other.key_) {
   rebuild();
 }
 
 AgingModel& AgingModel::operator=(const AgingModel& other) {
   if (this != &other) {
     params_ = other.params_;
+    key_ = other.key_;
     rebuild();
   }
   return *this;

@@ -12,6 +12,7 @@
 // BtiParams (DESIGN.md Sec. 5).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -39,6 +40,15 @@ struct AgingParams {
   }
 };
 
+/// Stable 64-bit content digest of a parameter record (util/hash.hpp): the
+/// ordered mechanism list, every BtiParams field (the block carries the
+/// shared electrical operating point, so it always participates) and the
+/// parameter block of each enabled HCI/EM/TDDB mechanism. A disabled
+/// mechanism's block does not affect the key, so records with equal
+/// effective parameters key identically. Store keys and files depend on
+/// this byte stream; tests/engine/key_pin_test.cpp pins it.
+std::uint64_t aging_params_key(const AgingParams& params);
+
 class AgingModel {
  public:
   /// Validates the BTI block (it carries the electrical operating point for
@@ -47,13 +57,16 @@ class AgingModel {
   explicit AgingModel(AgingParams params = {});
 
   /// Copyable: mechanisms are rebuilt from the params (cheap, validation
-  /// already passed once).
+  /// already passed once) and the key is copied with them.
   AgingModel(const AgingModel& other);
   AgingModel& operator=(const AgingModel& other);
   AgingModel(AgingModel&&) noexcept = default;
   AgingModel& operator=(AgingModel&&) noexcept = default;
 
   const AgingParams& params() const noexcept { return params_; }
+  /// aging_params_key(params()), computed once at construction: every store
+  /// lookup keys on it, so a query never re-hashes the parameter block.
+  std::uint64_t key() const noexcept { return key_; }
 
   bool has(MechanismKind kind) const noexcept { return params_.has(kind); }
   bool has_hci() const noexcept { return hci_ != nullptr; }
@@ -98,6 +111,7 @@ class AgingModel {
   void rebuild();
 
   AgingParams params_;
+  std::uint64_t key_ = 0;
   std::vector<std::unique_ptr<AgingMechanism>> mechanisms_;
   // Borrowed views into mechanisms_, refreshed by rebuild().
   const BtiMechanism* bti_ = nullptr;

@@ -21,8 +21,13 @@ std::string to_string(StressMode mode) {
   return "unknown";
 }
 
-StressProfile::StressProfile(StressMode mode, std::vector<StressPair> per_gate)
-    : mode_(mode), per_gate_(std::move(per_gate)) {}
+StressProfile::StressProfile(StressMode mode, std::size_t gate_count,
+                             StressPair uniform,
+                             std::vector<StressPair> per_gate)
+    : mode_(mode),
+      gate_count_(gate_count),
+      uniform_(uniform),
+      per_gate_(std::move(per_gate)) {}
 
 StressProfile StressProfile::uniform(StressMode mode, std::size_t gate_count) {
   if (mode == StressMode::measured) {
@@ -31,25 +36,26 @@ StressProfile StressProfile::uniform(StressMode mode, std::size_t gate_count) {
   }
   const StressPair pair = mode == StressMode::worst ? kWorstCaseStress
                                                     : kBalancedStress;
-  return StressProfile(mode, std::vector<StressPair>(gate_count, pair));
+  return StressProfile(mode, gate_count, pair, {});
 }
 
 StressProfile StressProfile::measured(const std::vector<double>& duty_high) {
   std::vector<StressPair> per_gate;
   per_gate.reserve(duty_high.size());
   for (const double d : duty_high) per_gate.push_back(stress_from_duty(d));
-  return StressProfile(StressMode::measured, std::move(per_gate));
+  const std::size_t n = per_gate.size();
+  return StressProfile(StressMode::measured, n, {}, std::move(per_gate));
 }
 
 const StressPair& StressProfile::gate(std::size_t index) const {
-  if (index >= per_gate_.size()) {
+  if (index >= gate_count_) {
     throw std::out_of_range("StressProfile::gate");
   }
-  return per_gate_[index];
+  return mode_ == StressMode::measured ? per_gate_[index] : uniform_;
 }
 
 double StressProfile::gate_activity(std::size_t index) const {
-  if (index >= per_gate_.size()) {
+  if (index >= gate_count_) {
     throw std::out_of_range("StressProfile::gate_activity");
   }
   switch (mode_) {

@@ -37,8 +37,10 @@ enum class StressMode { worst, balanced, measured };
 std::string to_string(StressMode mode);
 
 /// Per-gate stress annotation of a netlist ("netlist indexing" in paper
-/// Fig. 3b). For worst/balanced modes every gate shares the same pair; for
-/// measured mode the vector carries one entry per gate.
+/// Fig. 3b). For worst/balanced modes every gate shares the same pair, so a
+/// uniform profile holds the mode, the gate count and that one pair — no
+/// per-gate data, and building one for a netlist of any size costs nothing.
+/// A measured profile carries one pair per gate.
 ///
 /// HCI drift, an activity-driven mechanism, also needs each gate's *toggle
 /// activity* (output transitions per cycle); a profile derives it from its
@@ -51,9 +53,10 @@ class StressProfile {
   static StressProfile measured(const std::vector<double>& duty_high);
 
   StressMode mode() const noexcept { return mode_; }
-  std::size_t gate_count() const noexcept { return per_gate_.size(); }
+  std::size_t gate_count() const noexcept { return gate_count_; }
+  /// The stress pair of one gate; throws std::out_of_range past
+  /// gate_count().
   const StressPair& gate(std::size_t index) const;
-  const std::vector<StressPair>& all() const noexcept { return per_gate_; }
 
   /// Toggle activity of one gate, a mode default: worst 1.0, balanced 0.5,
   /// and for measured profiles the random-sampling estimate 2*p*(1-p) from
@@ -61,10 +64,13 @@ class StressProfile {
   double gate_activity(std::size_t index) const;
 
  private:
-  StressProfile(StressMode mode, std::vector<StressPair> per_gate);
+  StressProfile(StressMode mode, std::size_t gate_count, StressPair uniform,
+                std::vector<StressPair> per_gate);
 
   StressMode mode_;
-  std::vector<StressPair> per_gate_;
+  std::size_t gate_count_;
+  StressPair uniform_;                ///< every gate's pair (uniform modes)
+  std::vector<StressPair> per_gate_;  ///< measured mode only
 };
 
 /// An aging scenario bundles the stress regime with the lifetime, e.g.

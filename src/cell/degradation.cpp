@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/interp.hpp"
@@ -42,6 +43,18 @@ DegradationAwareLibrary::DegradationAwareLibrary(const CellLibrary& lib,
     dvth_n[i] = model_.delta_vth(TransistorType::nMos, axis[i], years);
   }
 
+  // A class's factors under a uniform profile, from its first cell: every
+  // cell of the class shares them. NaN marks a fall factor that threw.
+  const auto at_uniform = [this](CellId cell, StressMode mode) -> Factors {
+    const StressProfile one = StressProfile::uniform(mode, 1);
+    try {
+      return gate_factors(cell, one, 0);
+    } catch (const std::exception&) {
+      return {rise_factor(cell, one.gate(0)),
+              std::numeric_limits<double>::quiet_NaN()};
+    }
+  };
+
   // One class per bit-equal sensitivity, in order of first appearance.
   std::vector<std::uint64_t> class_bits;
   class_of_.reserve(lib.size());
@@ -63,20 +76,35 @@ DegradationAwareLibrary::DegradationAwareLibrary(const CellLibrary& lib,
       rows.n_drive[i] = std::pow(kn, kDrivingWeight);
       rows.n_cross[i] = std::pow(kn, 1.0 - kDrivingWeight);
     }
+    const auto id = static_cast<CellId>(class_of_.size() - 1);
+    uniform_.push_back({at_uniform(id, StressMode::worst),
+                        at_uniform(id, StressMode::balanced)});
   }
   classes_.shrink_to_fit();
+  uniform_.shrink_to_fit();
 }
 
-const DegradationAwareLibrary::FactorRows& DegradationAwareLibrary::rows_of(
-    CellId cell) const {
-  if (cell >= class_of_.size()) {
-    throw std::out_of_range("DegradationAwareLibrary: cell id out of range");
+void DegradationAwareLibrary::throw_cell_out_of_range() {
+  throw std::out_of_range("DegradationAwareLibrary: cell id out of range");
+}
+
+DegradationAwareLibrary::Factors DegradationAwareLibrary::gate_factors(
+    CellId cell, const StressProfile& stress, std::size_t gate) const {
+  const StressPair sp = stress.gate(gate);
+  Factors f{rise_factor(cell, sp), fall_factor(cell, sp)};
+  if (model_.has_hci()) {
+    // Output falls only; the factor composes multiplicatively with the BTI
+    // grid's.
+    const double dvth =
+        model_.hci_delta_vth(stress.gate_activity(gate), years_) *
+        lib_->cell(cell).aging_sensitivity;
+    f.fall *= model_.delay_factor_from_dvth(dvth);
   }
-  return classes_[class_of_[cell]];
+  return f;
 }
 
 double DegradationAwareLibrary::rise_factor(CellId cell, StressPair stress) const {
-  const FactorRows& r = rows_of(cell);
+  const FactorRows& r = classes_[class_index(cell)];
   const std::vector<double>& axis = stress_axis();
   return bilinear(axis, axis, stress.pmos, stress.nmos,
                   [&r](std::size_t i, std::size_t j) {
@@ -85,7 +113,7 @@ double DegradationAwareLibrary::rise_factor(CellId cell, StressPair stress) cons
 }
 
 double DegradationAwareLibrary::fall_factor(CellId cell, StressPair stress) const {
-  const FactorRows& r = rows_of(cell);
+  const FactorRows& r = classes_[class_index(cell)];
   const std::vector<double>& axis = stress_axis();
   return bilinear(axis, axis, stress.pmos, stress.nmos,
                   [&r](std::size_t i, std::size_t j) {

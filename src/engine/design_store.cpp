@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "engine/context.hpp"
@@ -38,7 +39,7 @@ bool scenarios_equal(const std::vector<AgingScenario>& a,
   return true;
 }
 
-std::uint64_t surface_key(std::uint64_t lib_fp, const AgingParams& params,
+std::uint64_t surface_key(std::uint64_t lib_fp, const AgingModel& model,
                           const ComponentSpec& base,
                           const std::vector<AgingScenario>& scenarios,
                           int min_precision, int precision_step,
@@ -46,7 +47,7 @@ std::uint64_t surface_key(std::uint64_t lib_fp, const AgingParams& params,
   Hasher h;
   h.u64(kTagSurface)
       .u64(lib_fp)
-      .u64(key_of(params))
+      .u64(key_of(model))
       .u64(key_of(base))
       .u64(key_of(sta))
       .i32(min_precision)
@@ -181,16 +182,15 @@ const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
                                 .u64(key_of(model))
                                 .f64(years)
                                 .digest();
-  const std::uint64_t params_key = key_of(model.params());
   const auto decode = [&lib](const std::string& blob) {
     return decode_aged_library_payload(blob, lib);
   };
   const auto matches = [&](const AgedLibraryPayload& p) {
     return p.lib_fp == fp && p.years == years &&
-           key_of(p.params) == params_key;
+           key_of(p.library.model()) == key_of(model);
   };
   const auto build = [&] {
-    return AgedLibraryPayload{fp, model.params(), years,
+    return AgedLibraryPayload{fp, years,
                               DegradationAwareLibrary(lib, model, years)};
   };
   return find_or_build(libraries_, key, decode, matches, build).library;
@@ -296,9 +296,9 @@ const ComponentCharacterization& DesignStore::surface(
     }
   }
   const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t key = surface_key(fp, model.params(), base, scenarios,
+  const std::uint64_t key = surface_key(fp, model, base, scenarios,
                                         min_precision, precision_step, sta);
-  const std::uint64_t params_key = key_of(model.params());
+  const std::uint64_t params_key = key_of(model);
   const std::uint64_t sta_key = key_of(sta);
   const auto matches = [&](const SurfacePayload& p) {
     return p.lib_fp == fp && key_of(p.params) == params_key &&
@@ -362,7 +362,8 @@ bool DesignStore::save(const std::string& path) const {
     return encode_netlist_payload(p.lib_fp, p.spec, p.netlist);
   });
   collect(libraries_, [](const AgedLibraryPayload& p) {
-    return encode_aged_library_payload(p.lib_fp, p.params, p.years);
+    return encode_aged_library_payload(p.lib_fp, p.library.model().params(),
+                                       p.years);
   });
   collect(delays_, encode_sta_delay_payload);
   collect(surfaces_, encode_surface_payload);
@@ -415,10 +416,12 @@ void DesignStore::log_delay_query(bool aged, std::uint64_t gates,
 }
 
 std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
-  std::vector<SurfacePayload> out;
+  // Each surface with its record key, the tie-break that makes the order
+  // total: surfaces of one base spec differ only in their sweep parameters.
+  std::vector<std::pair<std::uint64_t, SurfacePayload>> keyed;
   for (const auto& shard : surfaces_.shards) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, p] : shard.entries) out.push_back(p);
+    for (const auto& [key, p] : shard.entries) keyed.emplace_back(key, p);
   }
   {
     // Staged disk records count too: a `serve` on a freshly opened store
@@ -427,22 +430,21 @@ std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
     for (const auto& [k, payload] : staged_) {
       if (static_cast<RecordKind>(k.first) != RecordKind::surface) continue;
       try {
-        out.push_back(decode_surface_payload(payload));
+        keyed.emplace_back(k.second, decode_surface_payload(payload));
       } catch (const std::exception&) {
         // Damaged staged record: the query path would drop it too.
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const SurfacePayload& a, const SurfacePayload& b) {
-              if (a.surface.base.kind != b.surface.base.kind) {
-                return a.surface.base.kind < b.surface.base.kind;
-              }
-              if (a.surface.base.width != b.surface.base.width) {
-                return a.surface.base.width < b.surface.base.width;
-              }
-              return key_of(a.surface.base) < key_of(b.surface.base);
-            });
+  const auto rank = [](const std::pair<std::uint64_t, SurfacePayload>& e) {
+    const ComponentSpec& base = e.second.surface.base;
+    return std::tuple(base.kind, base.width, key_of(base), e.first);
+  };
+  std::sort(keyed.begin(), keyed.end(),
+            [&rank](const auto& a, const auto& b) { return rank(a) < rank(b); });
+  std::vector<SurfacePayload> out;
+  out.reserve(keyed.size());
+  for (auto& e : keyed) out.push_back(std::move(e.second));
   return out;
 }
 

@@ -32,17 +32,24 @@
 // library from it.
 //
 // Footprint: every entry, and every memoized Sta, is held by value in its
-// shard's std::map node — one heap block per entry beside what the payload
-// itself owns. An aged-library entry is about 5 KB: one set of factor rows
-// per sensitivity class (cell/degradation.hpp) plus its AgingModel.
+// shard's std::unordered_map node — one heap block per entry beside what the
+// payload itself owns, plus one bucket pointer per entry. An aged-library
+// entry is about 5 KB: one set of factor rows per sensitivity class
+// (cell/degradation.hpp) plus its AgingModel.
 //
 // Concurrency: each family is sharded 16 ways by key; a shard's mutex is
 // held across a netlist/library/surface build (so racing requesters wait
 // instead of duplicating the expensive work — and hit/miss counts stay
 // deterministic), while STA delays are computed outside the lock (racing
-// duplicates compute the identical value; first insert wins). Returned
-// references are stable for the Context's lifetime: values live in the
-// nodes of node-stable maps.
+// duplicates compute the identical value; first insert wins). A lookup
+// hashes its 64-bit key into a bucket instead of walking a tree: serve_mix's
+// store holds about 18k entries per shard. Returned references are stable
+// for the Context's lifetime: values live in the map's nodes, and a rehash
+// relinks nodes into a new bucket array without moving them, so it
+// invalidates iterators but never a reference or pointer to an entry.
+// Iteration order is therefore insertion- and rehash-dependent; every reader
+// that walks the shards sorts by a total order (save() by kind and key,
+// surface_snapshot() by spec and then record key).
 //
 // Collision discipline: each family compares key material (spec / params /
 // years / fingerprint / sweep) with one predicate. An in-memory entry that
@@ -71,6 +78,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "aging/aging_model.hpp"
@@ -145,7 +153,8 @@ class DesignStore {
 
   /// Every characterization surface currently in the store — materialized
   /// entries plus still-staged disk records — sorted by (kind, width, spec
-  /// key) so the output is deterministic. Serves `aapx serve`'s
+  /// key, record key), a total order, so the output does not depend on the
+  /// order the surfaces were inserted in. Serves `aapx serve`'s
   /// library-query requests without forcing materialization.
   std::vector<SurfacePayload> surface_snapshot() const;
 
@@ -174,9 +183,9 @@ class DesignStore {
   template <typename Payload>
   struct Shard {
     mutable std::mutex mutex;
-    /// Payloads held by value in the map's own nodes: std::map is
-    /// node-stable, so references into them survive every insertion.
-    std::map<std::uint64_t, Payload> entries;
+    /// Payloads held by value in the map's own nodes: a rehash moves no
+    /// node, so references into them survive every insertion.
+    std::unordered_map<std::uint64_t, Payload> entries;
   };
   /// One record kind: its shards, each holding the persist payload itself
   /// (the record save() writes), and its hit/miss counters.

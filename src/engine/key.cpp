@@ -12,7 +12,6 @@ constexpr std::uint64_t kTagSpec = 0x5350454331ULL;      // "SPEC1"
 constexpr std::uint64_t kTagSta = 0x5354413131ULL;       // "STA11"
 constexpr std::uint64_t kTagScenario = 0x5343454e31ULL;  // "SCEN1"
 constexpr std::uint64_t kTagLibrary = 0x4c49423131ULL;   // "LIB11"
-constexpr std::uint64_t kTagAgingModel = 0x41474d3131ULL;  // "AGM11"
 
 void feed(Hasher& h, const Table2D& t) {
   h.u64(t.axis1().size()).u64(t.axis2().size());
@@ -37,55 +36,6 @@ std::uint64_t key_of(const ComponentSpec& spec) {
       .i32(static_cast<int>(spec.mult_arch))
       .i32(static_cast<int>(spec.technique))
       .digest();
-}
-
-std::uint64_t key_of(const AgingParams& params) {
-  Hasher h;
-  h.u64(kTagAgingModel);
-  h.u64(params.mechanisms.size());
-  for (const MechanismKind kind : params.mechanisms) {
-    h.i32(static_cast<int>(kind));
-  }
-  const BtiParams& b = params.bti;
-  h.f64(b.vdd)
-      .f64(b.vth0)
-      .f64(b.a_pmos)
-      .f64(b.a_nmos)
-      .f64(b.time_exponent)
-      .f64(b.stress_exponent)
-      .f64(b.alpha)
-      .f64(b.t_ref_years)
-      .f64(b.temp_kelvin)
-      .f64(b.t_ref_kelvin)
-      .f64(b.activation_ev);
-  if (params.has(MechanismKind::hci)) {
-    const HciParams& p = params.hci;
-    h.f64(p.a_hci)
-        .f64(p.activity_exponent)
-        .f64(p.time_exponent)
-        .f64(p.t_ref_years)
-        .f64(p.activation_ev)
-        .f64(p.t_ref_kelvin);
-  }
-  if (params.has(MechanismKind::em)) {
-    const EmParams& p = params.em;
-    h.f64(p.beta)
-        .f64(p.eta_ref_years)
-        .f64(p.j_ref)
-        .f64(p.current_exponent)
-        .f64(p.activation_ev)
-        .f64(p.t_ref_kelvin);
-  }
-  if (params.has(MechanismKind::tddb)) {
-    const TddbParams& p = params.tddb;
-    h.f64(p.beta)
-        .f64(p.eta_ref_years)
-        .f64(p.vdd_ref)
-        .f64(p.voltage_exponent)
-        .f64(p.activation_ev)
-        .f64(p.t_ref_kelvin);
-  }
-  return h.digest();
 }
 
 std::uint64_t key_of(const StaOptions& options) {

@@ -30,15 +30,14 @@ namespace engine {
 /// multiplier architecture, approximation technique).
 std::uint64_t key_of(const ComponentSpec& spec);
 
-/// Digest of the composite aging-parameter record: the ordered mechanism
-/// list, every BtiParams field (the block carries the shared electrical
-/// operating point, so it always participates) and the parameter block of
-/// each enabled HCI/EM/TDDB mechanism. A disabled mechanism's block does not
-/// affect the key. Models with equal parameters key identically.
-std::uint64_t key_of(const AgingParams& params);
-inline std::uint64_t key_of(const AgingModel& model) {
-  return key_of(model.params());
+/// Digest of the composite aging-parameter record: aging_params_key
+/// (aging/aging_model.hpp), which lives beside the model so an AgingModel can
+/// hold its own key. Models with equal parameters key identically.
+inline std::uint64_t key_of(const AgingParams& params) {
+  return aging_params_key(params);
 }
+/// The model's stored key: no hashing per query.
+inline std::uint64_t key_of(const AgingModel& model) { return model.key(); }
 
 std::uint64_t key_of(const StaOptions& options);
 

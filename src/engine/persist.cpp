@@ -478,8 +478,7 @@ AgedLibraryPayload decode_aged_library_payload(const std::string& payload,
     // The record is key material only: the library is a pure function of
     // it and `lib`, rebuilt bit-identically within one build fingerprint.
     return AgedLibraryPayload{
-        lib_fp, params, years,
-        DegradationAwareLibrary(lib, AgingModel(params), years)};
+        lib_fp, years, DegradationAwareLibrary(lib, AgingModel(params), years)};
   });
 }
 

@@ -138,9 +138,10 @@ std::string encode_netlist_payload(std::uint64_t lib_fp,
 NetlistPayload decode_netlist_payload(const std::string& payload,
                                       const CellLibrary& lib);
 
+/// The aging parameters are library.model().params(); the record writes
+/// them as its aging block.
 struct AgedLibraryPayload {
   std::uint64_t lib_fp = 0;
-  AgingParams params;
   double years = 0.0;
   DegradationAwareLibrary library;
 };

@@ -1,8 +1,8 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -152,55 +152,40 @@ Sta::GateDelays Sta::gate_delays(const DegradationAwareLibrary* aged,
     throw std::invalid_argument(
         "Sta::gate_delays: stress profile size mismatch");
   }
-  const AgingModel& model = aged->model();
-  // HCI drift is activity-driven, not duty-driven, so it cannot live in the
-  // 11x11 stress-factor grids; it multiplies the fall factor here.
-  const bool hci = model.has_hci();
-  struct Factors {
-    double rise;
-    double fall;
-  };
-  const auto factors = [&](std::size_t g, CellId cell) {
-    const StressPair sp = stress->gate(g);
-    Factors f{aged->rise_factor(cell, sp), aged->fall_factor(cell, sp)};
-    if (hci) {
-      // HCI wears the nMOS pull-down network, so only output falls slow
-      // down; the factor composes multiplicatively with the BTI grid's.
-      const double dvth =
-          model.hci_delta_vth(stress->gate_activity(g), aged->years()) *
-          nl.lib().cell(cell).aging_sensitivity;
-      f.fall *= model.delay_factor_from_dvth(dvth);
-    }
-    return f;
-  };
-
   GateDelays gd;
   gd.rise.resize(nl.num_gates());
   gd.fall.resize(nl.num_gates());
-  const auto scale = [&](std::size_t g, const Factors& f) {
+  const auto scale = [&](std::size_t g, const DegradationAwareLibrary::Factors& f) {
     gd.rise[g] = base_.rise[g] * f.rise;
     gd.fall[g] = base_.fall[g] * f.fall;
   };
   const std::span<const Gate> gates = nl.gates();
-  if (stress->mode() != StressMode::measured) {
+  const StressMode mode = stress->mode();
+  if (mode != StressMode::measured) {
     // Uniform profile: every gate shares one stress pair and one activity,
-    // so the factors depend on the cell alone — look them up once per cell.
-    std::vector<std::optional<Factors>> per_cell(nl.lib().size());
+    // so the factors depend on the cell's sensitivity class alone — one
+    // table load per gate. A NaN fall factor marks a class whose HCI drift
+    // threw; re-evaluating it throws that error here, as it always did.
     for (std::size_t g = 0; g < gates.size(); ++g) {
       const CellId cell = gates[g].cell;
-      if (!per_cell[cell]) per_cell[cell] = factors(g, cell);
-      scale(g, *per_cell[cell]);
+      const DegradationAwareLibrary::Factors& f =
+          aged->uniform_factors(cell, mode);
+      if (std::isnan(f.fall)) {
+        scale(g, aged->gate_factors(cell, *stress, g));
+        continue;
+      }
+      scale(g, f);
     }
   } else {
     for (std::size_t g = 0; g < gates.size(); ++g) {
-      scale(g, factors(g, gates[g].cell));
+      scale(g, aged->gate_factors(gates[g].cell, *stress, g));
     }
   }
   // Resolved only for HCI-enabled models so that BTI-only runs register no
   // new metrics keys. It counts one drift evaluation per gate even where a
-  // uniform profile evaluated one per cell, so the count names the work a
-  // query asks for, not how it was shared.
-  if (hci) {
+  // uniform profile read the drift from the library's table, so the count
+  // names the work a query asks for, not how it was shared.
+  if (aged->model().has_hci()) {
     metrics_->counter("aging.mechanism.hci.drift_evals").add(nl.num_gates());
   }
   return gd;

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "aging/stress.hpp"
@@ -74,8 +73,11 @@ class Sta {
 
   /// Per-gate aged delays for the event-driven simulator: worst rise/fall arc
   /// delay of each gate at its actual load and a nominal input slew, times
-  /// the gate's aging factors (fresh delays when `aged` or `stress` is null).
-  /// Throws std::invalid_argument unless `stress` covers every gate.
+  /// the gate's aging factors (fresh delays when `aged` or `stress` is null):
+  /// DegradationAwareLibrary::gate_factors per gate, which a uniform profile
+  /// reads from the library's per-class table. `aged` must be built over the
+  /// netlist's cell library (or one of equal content). Throws
+  /// std::invalid_argument unless `stress` covers every gate.
   struct GateDelays {
     std::vector<double> rise;  ///< ps, indexed by GateId
     std::vector<double> fall;

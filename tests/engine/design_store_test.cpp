@@ -15,6 +15,7 @@
 #include "cell/library.hpp"
 #include "engine/context.hpp"
 #include "engine/key.hpp"
+#include "service/protocol.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 
@@ -252,6 +253,61 @@ TEST_F(DesignStoreTest, AgedLibrariesStaySmall) {
   const std::size_t grown = mallinfo2().uordblks - before;
   EXPECT_EQ(store.stats().library_misses, 101u);
   EXPECT_LT(grown, std::size_t{2} << 20) << grown << " bytes for 100 libraries";
+}
+
+TEST_F(DesignStoreTest, SurfaceSnapshotOrderIgnoresInsertionOrder) {
+  // Surfaces of one base spec that differ only in scenarios, minimum
+  // precision or STA options tie on (kind, width, spec key); the record key
+  // breaks the tie. Twenty-four of them share the 16 shards, so some share a
+  // shard, whose iteration order follows insertion order.
+  struct Sweep {
+    std::vector<AgingScenario> scenarios;
+    int min_precision;
+    StaOptions sta;
+  };
+  std::vector<Sweep> sweeps;
+  for (const double years : {1.0, 3.0, 10.0}) {
+    for (const StressMode mode : {StressMode::worst, StressMode::balanced}) {
+      for (const double load : {4.0, 8.0}) {
+        for (const int min_precision : {4, 6}) {
+          StaOptions sta;
+          sta.primary_output_load = load;
+          sweeps.push_back({{{mode, years}}, min_precision, sta});
+        }
+      }
+    }
+  }
+  const AgingModel model;
+  const auto fill = [&](const Context& ctx, bool reversed) {
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+      const Sweep& s = sweeps[reversed ? sweeps.size() - 1 - i : i];
+      const auto build = [&] {
+        ComponentCharacterization c;
+        c.base = adder8();
+        c.scenarios = s.scenarios;
+        return c;
+      };
+      ctx.store().surface(lib_, model, adder8(), s.scenarios, s.min_precision, 1, s.sta, build);
+    }
+  };
+  const Context forward;
+  const Context backward;
+  fill(forward, false);
+  fill(backward, true);
+  const std::vector<engine::SurfacePayload> a =
+      forward.store().surface_snapshot();
+  const std::vector<engine::SurfacePayload> b =
+      backward.store().surface_snapshot();
+  ASSERT_EQ(a.size(), sweeps.size());
+  ASSERT_EQ(b.size(), sweeps.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(engine::encode_surface_payload(a[i]),
+              engine::encode_surface_payload(b[i]))
+        << i;
+  }
+  // The library_query response a server sends for this store.
+  EXPECT_EQ(service::encode_surfaces_response(a),
+            service::encode_surfaces_response(b));
 }
 
 }  // namespace

@@ -1,0 +1,116 @@
+// Pins the DesignStore's key digests to fixed hex values.
+//
+// A store file is only as reusable as its keys. The build fingerprint in
+// the file header covers the format version and the compiler, not how keys
+// are derived, so a digest that drifts would silently turn every existing
+// store file into cold misses. These values must only change together with
+// kStoreFormatVersion. The netlist, delay and surface keys also depend on
+// the cell-library fingerprint, pinned here too so a failure says which
+// input moved.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "aging/aging_model.hpp"
+#include "cell/library.hpp"
+#include "engine/context.hpp"
+#include "engine/design_store.hpp"
+#include "engine/key.hpp"
+#include "engine/persist.hpp"
+#include "synth/components.hpp"
+
+namespace aapx {
+namespace {
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+AgingParams all_mechanisms() {
+  AgingParams p;
+  p.mechanisms = {MechanismKind::bti, MechanismKind::hci, MechanismKind::em,
+                  MechanismKind::tddb};
+  return p;
+}
+
+TEST(StoreKeyPin, AgingModelKeys) {
+  EXPECT_EQ(hex(engine::key_of(AgingModel{})), "de6e97f300a517c6");
+  EXPECT_EQ(hex(engine::key_of(AgingModel(all_mechanisms()))), "4ab62d8b4b4f3529");
+  EXPECT_EQ(engine::key_of(AgingParams{}), engine::key_of(AgingModel{}));
+  EXPECT_EQ(engine::key_of(all_mechanisms()),
+            engine::key_of(AgingModel(all_mechanisms())));
+}
+
+TEST(StoreKeyPin, CopiedAssignedAndMovedModelsKeepTheirKey) {
+  const AgingModel multi(all_mechanisms());
+  const std::uint64_t key = engine::key_of(multi);
+  ASSERT_NE(key, engine::key_of(AgingModel{}));
+
+  AgingModel copy(multi);
+  EXPECT_EQ(engine::key_of(copy), key);
+  AgingModel assigned;
+  assigned = multi;
+  EXPECT_EQ(engine::key_of(assigned), key);
+  const AgingModel moved(std::move(copy));
+  EXPECT_EQ(engine::key_of(moved), key);
+  AgingModel move_assigned;
+  move_assigned = std::move(assigned);
+  EXPECT_EQ(engine::key_of(move_assigned), key);
+  // Assigning back over a multi-mechanism model takes the default's key.
+  move_assigned = AgingModel{};
+  EXPECT_EQ(engine::key_of(move_assigned), engine::key_of(AgingModel{}));
+}
+
+TEST(StoreKeyPin, RecordKeys) {
+  const CellLibrary lib = make_nangate45_like();
+  EXPECT_EQ(hex(engine::fingerprint(lib)), "f331e8262fc5c406");
+
+  const ComponentSpec adder8{ComponentKind::adder, 8, 0, AdderArch::ripple,
+                             MultArch::array};
+  const std::vector<AgingScenario> scenarios = {{StressMode::worst, 10.0}};
+  const AgingModel model;
+  const StaOptions sta;
+  const std::string path =
+      ::testing::TempDir() + "key_pin_test_store.aapx";
+  std::remove(path.c_str());
+  {
+    // One record of each kind: the aged delay query builds the netlist and
+    // the aged library, and the surface's sweep adds nothing else.
+    Context ctx;
+    ctx.store().aged_sta_delay(lib, adder8, model, StressMode::worst, 10.0,
+                               sta);
+    ctx.store().surface(lib, model, adder8, scenarios, 6, 1, sta, [&] {
+      ComponentCharacterization c;
+      c.base = adder8;
+      c.scenarios = scenarios;
+      return c;
+    });
+    ASSERT_TRUE(ctx.store().save(path));
+  }
+  const engine::StoreFileData data = engine::load_store_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(data.header_ok);
+  std::map<std::string, std::vector<std::string>> keys;
+  for (const engine::RawRecord& rec : data.records) {
+    keys[engine::to_string(rec.kind)].push_back(hex(rec.key));
+  }
+  EXPECT_EQ(keys[engine::to_string(engine::RecordKind::netlist)],
+            std::vector<std::string>{"531d930cfa3481f2"});
+  EXPECT_EQ(keys[engine::to_string(engine::RecordKind::aged_library)],
+            std::vector<std::string>{"57f20296e57abae9"});
+  EXPECT_EQ(keys[engine::to_string(engine::RecordKind::sta_delay)],
+            std::vector<std::string>{"ef25f619b536aafe"});
+  EXPECT_EQ(keys[engine::to_string(engine::RecordKind::surface)],
+            std::vector<std::string>{"ea32545e8cbfde24"});
+  EXPECT_EQ(data.records.size(), 4u);
+}
+
+}  // namespace
+}  // namespace aapx

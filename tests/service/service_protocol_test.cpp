@@ -453,7 +453,7 @@ TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
       engine::decode_aged_library_payload(aged_payload, lib);
   EXPECT_EQ(decoded.lib_fp, lib_fp);
   EXPECT_EQ(decoded.years, 10.0);
-  EXPECT_EQ(engine::key_of(decoded.params), engine::key_of(multi));
+  EXPECT_EQ(engine::key_of(decoded.library.model()), engine::key_of(multi));
   fuzz_codec<std::runtime_error>(
       aged_payload,
       [&](const std::string& b) {
