@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "engine/context.hpp"
@@ -39,17 +40,17 @@ bool scenarios_equal(const std::vector<AgingScenario>& a,
   return true;
 }
 
-std::uint64_t surface_key(std::uint64_t lib_fp, const AgingModel& model,
+std::uint64_t surface_key(std::uint64_t lib_fp, std::uint64_t model_key,
                           const ComponentSpec& base,
                           const std::vector<AgingScenario>& scenarios,
                           int min_precision, int precision_step,
-                          const StaOptions& sta) {
+                          std::uint64_t sta_key) {
   Hasher h;
   h.u64(kTagSurface)
       .u64(lib_fp)
-      .u64(key_of(model))
+      .u64(model_key)
       .u64(key_of(base))
-      .u64(key_of(sta))
+      .u64(sta_key)
       .i32(min_precision)
       .i32(precision_step)
       .u64(scenarios.size());
@@ -110,22 +111,24 @@ const Payload* DesignStore::find(Family<Payload>& family, std::uint64_t key,
     family.hits->add();
     return &it->second;
   }
-  if (auto blob = take_staged(family.kind, key)) {
-    try {
-      Payload p = decode(*blob);
-      if (matches(p)) {
-        family.hits->add();
-        persist_hits_->add();
-        return &shard.entries.emplace(key, std::move(p)).first->second;
+  if constexpr (!std::is_null_pointer_v<Decode>) {
+    if (auto blob = take_staged(family.kind, key)) {
+      try {
+        Payload p = decode(*blob);
+        if (matches(p)) {
+          family.hits->add();
+          persist_hits_->add();
+          return &shard.entries.emplace(key, std::move(p)).first->second;
+        }
+        warn_record_dropped(to_string(family.kind), key, "stale key material");
+      } catch (const std::exception& e) {
+        warn_record_dropped(to_string(family.kind), key, e.what());
       }
-      warn_record_dropped(to_string(family.kind), key, "stale key material");
-    } catch (const std::exception& e) {
-      warn_record_dropped(to_string(family.kind), key, e.what());
+      persist_records_dropped_->add();
     }
-    persist_records_dropped_->add();
+    if (store_attached_.load(std::memory_order_relaxed)) persist_misses_->add();
   }
   family.misses->add();
-  if (store_attached_.load(std::memory_order_relaxed)) persist_misses_->add();
   return nullptr;
 }
 
@@ -157,25 +160,33 @@ std::uint64_t DesignStore::fingerprint(const CellLibrary& lib) {
 
 const Netlist& DesignStore::netlist(const CellLibrary& lib,
                                     const ComponentSpec& spec) {
-  const std::uint64_t fp = fingerprint(lib);
+  return netlist(lib, spec, fingerprint(lib), key_of(spec));
+}
+
+const Netlist& DesignStore::netlist(const CellLibrary& lib,
+                                    const ComponentSpec& spec,
+                                    std::uint64_t fp, std::uint64_t spec_key) {
   const std::uint64_t key =
-      Hasher{}.u64(kTagNetlist).u64(fp).u64(key_of(spec)).digest();
-  const auto decode = [&lib](const std::string& blob) {
-    return decode_netlist_payload(blob, lib);
-  };
-  const auto matches = [&](const NetlistPayload& p) {
-    return p.lib_fp == fp && p.spec == spec;
+      Hasher{}.u64(kTagNetlist).u64(fp).u64(spec_key).digest();
+  const auto matches = [&](const NetlistEntry& e) {
+    return e.lib_fp == fp && e.spec == spec;
   };
   const auto build = [&] {
-    return NetlistPayload{fp, spec, make_component(*ctx_, lib, spec)};
+    return NetlistEntry{fp, spec, make_component(*ctx_, lib, spec)};
   };
-  return find_or_build(netlists_, key, decode, matches, build).netlist;
+  return find_or_build(netlists_, key, nullptr, matches, build).netlist;
 }
 
 const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
                                                          const AgingModel& model,
                                                          double years) {
-  const std::uint64_t fp = fingerprint(lib);
+  return aged_library(lib, model, years, fingerprint(lib));
+}
+
+const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
+                                                         const AgingModel& model,
+                                                         double years,
+                                                         std::uint64_t fp) {
   const std::uint64_t key = Hasher{}
                                 .u64(kTagLibrary)
                                 .u64(fp)
@@ -205,8 +216,11 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
         "DesignStore::aged_sta_delay: measured-mode delays are "
         "stimulus-dependent and not cacheable by spec");
   }
-  const std::uint64_t netlist_key =
-      Hasher{}.u64(fingerprint(lib)).u64(key_of(spec)).digest();
+  // Each input is hashed once here; the miss path below reuses the digests.
+  const std::uint64_t fp = fingerprint(lib);
+  const std::uint64_t spec_key = key_of(spec);
+  const std::uint64_t sta_key = key_of(sta);
+  const std::uint64_t netlist_key = Hasher{}.u64(fp).u64(spec_key).digest();
   // Fresh timing does not depend on the aging model or stress mode; keying
   // it as plain "fresh" lets every model share one entry.
   Hasher scenario;
@@ -215,7 +229,7 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
   } else {
     scenario.u64(key_of(model)).i32(static_cast<int>(mode)).f64(years);
   }
-  const std::uint64_t scenario_key = scenario.u64(key_of(sta)).digest();
+  const std::uint64_t scenario_key = scenario.u64(sta_key).digest();
   const std::uint64_t key = Hasher{}
                                 .u64(kTagDelay)
                                 .u64(netlist_key)
@@ -247,13 +261,13 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
     // sta_query record (log_delay_query below reports the query instead,
     // identically for hits and misses).
     const OffSpineGuard off_spine;
-    const Netlist& nl = netlist(lib, spec);
-    const Sta& sta_engine = sta_of(nl, netlist_key, sta);
+    const Netlist& nl = netlist(lib, spec, fp, spec_key);
+    const Sta& sta_engine = sta_of(nl, netlist_key, sta, sta_key);
     filled.gates = static_cast<std::uint64_t>(nl.num_gates());
     if (years <= 0.0) {
       filled.delay = sta_engine.run_fresh().max_delay;
     } else {
-      const DegradationAwareLibrary& aged = aged_library(lib, model, years);
+      const DegradationAwareLibrary& aged = aged_library(lib, model, years, fp);
       const StressProfile stress =
           StressProfile::uniform(mode, nl.num_gates());
       filled.delay = sta_engine.run_aged(aged, stress).max_delay;
@@ -266,9 +280,9 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
 }
 
 const Sta& DesignStore::sta_of(const Netlist& nl, std::uint64_t netlist_key,
-                               const StaOptions& options) {
-  const std::uint64_t key =
-      Hasher{}.u64(netlist_key).u64(key_of(options)).digest();
+                               const StaOptions& options,
+                               std::uint64_t options_key) {
+  const std::uint64_t key = Hasher{}.u64(netlist_key).u64(options_key).digest();
   Shard<Sta>& shard = stas_[key % kShards];
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto [it, built] = shard.entries.try_emplace(key, nl, options, ctx_);
@@ -296,10 +310,10 @@ const ComponentCharacterization& DesignStore::surface(
     }
   }
   const std::uint64_t fp = fingerprint(lib);
-  const std::uint64_t key = surface_key(fp, model, base, scenarios,
-                                        min_precision, precision_step, sta);
   const std::uint64_t params_key = key_of(model);
   const std::uint64_t sta_key = key_of(sta);
+  const std::uint64_t key = surface_key(fp, params_key, base, scenarios,
+                                        min_precision, precision_step, sta_key);
   const auto matches = [&](const SurfacePayload& p) {
     return p.lib_fp == fp && key_of(p.params) == params_key &&
            key_of(p.sta) == sta_key && p.min_precision == min_precision &&
@@ -358,9 +372,7 @@ bool DesignStore::save(const std::string& path) const {
       }
     }
   };
-  collect(netlists_, [](const NetlistPayload& p) {
-    return encode_netlist_payload(p.lib_fp, p.spec, p.netlist);
-  });
+  // Netlists are not saved (engine/persist.hpp): a reopen synthesizes them.
   collect(libraries_, [](const AgedLibraryPayload& p) {
     return encode_aged_library_payload(p.lib_fp, p.library.model().params(),
                                        p.years);

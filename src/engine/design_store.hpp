@@ -29,7 +29,9 @@
 // (engine/persist.hpp) itself — the artifact plus its key material — so the
 // in-memory entry and the on-disk record are the same struct. An aged
 // library's record carries only the key material; its decoder rebuilds the
-// library from it.
+// library from it. The netlist family is the exception: its entries live in
+// memory only (NetlistEntry), are never saved and never read from a file; a
+// netlist needed after a reopen is synthesized on its miss.
 //
 // Footprint: every entry, and every memoized Sta, is held by value in its
 // shard's std::unordered_map node — one heap block per entry beside what the
@@ -61,10 +63,11 @@
 // versioned store file; a staged record is materialized lazily, on the first
 // query for its key, after re-verifying its embedded key material against
 // the live query — so a stale or colliding record degrades to a cold miss,
-// never a wrong hit. save(path) snapshots every in-memory entry plus any
-// still-staged record back to disk (byte-deterministic: records sorted by
-// kind then key). A characterizer run with a store attached thereby warms a
-// file that later runtime / fault-injection runs hit across processes.
+// never a wrong hit. save(path) snapshots every aged-library, delay and
+// surface entry plus any still-staged record back to disk
+// (byte-deterministic: records sorted by kind then key). A characterizer run
+// with a store attached thereby warms a file that later runtime /
+// fault-injection runs hit across processes.
 // Run logs stay byte-identical cold vs. warm: disk-served queries take the
 // exact hit paths (sta_query records carry the same fields either way), and
 // the store_load/store_save records contain only warmth-invariant fields.
@@ -146,9 +149,10 @@ class DesignStore {
   /// file existed but some of it had to be discarded.
   bool open(const std::string& path);
 
-  /// Serializes every in-memory entry plus any still-staged record to
-  /// `path` (atomic: temp file + rename). Output bytes are deterministic
-  /// for a given store content. Returns false on I/O failure.
+  /// Serializes every aged-library, delay and surface entry plus any
+  /// still-staged record to `path` (atomic: temp file + rename). Output
+  /// bytes are deterministic for a given store content. Returns false on I/O
+  /// failure.
   bool save(const std::string& path) const;
 
   /// Every characterization surface currently in the store — materialized
@@ -180,6 +184,12 @@ class DesignStore {
   static constexpr std::size_t kShards = 16;
 
  private:
+  /// A netlist entry with its key material; in memory only.
+  struct NetlistEntry {
+    std::uint64_t lib_fp = 0;
+    ComponentSpec spec;
+    Netlist netlist;
+  };
   template <typename Payload>
   struct Shard {
     mutable std::mutex mutex;
@@ -188,7 +198,8 @@ class DesignStore {
     std::unordered_map<std::uint64_t, Payload> entries;
   };
   /// One record kind: its shards, each holding the persist payload itself
-  /// (the record save() writes), and its hit/miss counters.
+  /// (the record save() writes; for netlists, the in-memory entry), and its
+  /// hit/miss counters.
   template <typename Payload>
   struct Family {
     Family(RecordKind kind, obs::MetricsRegistry& m, const std::string& name)
@@ -208,8 +219,9 @@ class DesignStore {
   /// `matches` compares a payload's key material with the live query's: an
   /// in-memory payload that fails it is a key collision (throws), a staged
   /// disk record that fails it (or does not decode) is dropped as stale and
-  /// the query recomputes. Counts a hit and returns the payload, or counts a
-  /// miss and returns nullptr.
+  /// the query recomputes. A `decode` of nullptr (the netlist family) never
+  /// consults staged records. Counts a hit and returns the payload, or
+  /// counts a miss and returns nullptr.
   template <typename Payload, typename Decode, typename Matches>
   const Payload* find(Family<Payload>& family, std::uint64_t key,
                       const Decode& decode, const Matches& matches);
@@ -223,10 +235,20 @@ class DesignStore {
                                const Decode& decode, const Matches& matches,
                                const Build& build);
 
+  /// netlist() and aged_library() with the library fingerprint `fp` (and
+  /// `spec_key` = key_of(spec)) already derived, so aged_sta_delay's miss
+  /// hashes its inputs once.
+  const Netlist& netlist(const CellLibrary& lib, const ComponentSpec& spec,
+                         std::uint64_t fp, std::uint64_t spec_key);
+  const DegradationAwareLibrary& aged_library(const CellLibrary& lib,
+                                              const AgingModel& model,
+                                              double years, std::uint64_t fp);
+
   /// The memoized Sta of netlist entry `nl` (keyed by `netlist_key`) under
-  /// `options`; built under its shard lock on first use.
+  /// `options` (`options_key` = key_of(options)); built under its shard lock
+  /// on first use.
   const Sta& sta_of(const Netlist& nl, std::uint64_t netlist_key,
-                    const StaOptions& options);
+                    const StaOptions& options, std::uint64_t options_key);
 
   /// Emits the sta_query run-log record for one delay *query* (hit or miss
   /// alike — the record documents the logical query, so the log stays
@@ -242,7 +264,7 @@ class DesignStore {
   std::optional<std::string> take_staged(RecordKind kind, std::uint64_t key);
 
   const Context* ctx_;
-  Family<NetlistPayload> netlists_;
+  Family<NetlistEntry> netlists_;
   Family<AgedLibraryPayload> libraries_;
   Family<StaDelayPayload> delays_;
   Family<SurfacePayload> surfaces_;

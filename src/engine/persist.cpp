@@ -1,6 +1,5 @@
 #include "engine/persist.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -111,10 +110,10 @@ AgingParams decode_aging(BinReader& r) {
 }
 
 /// Normalizes decoder failures to the documented std::runtime_error. The
-/// structural re-checks the decoders lean on (Netlist::add_gate_driving,
-/// the aged-library rebuild) throw logic_error flavours like out_of_range on
-/// corrupt input; callers — the load path, and now the untrusted-socket
-/// protocol layer — are promised runtime_error and nothing else.
+/// aged-library rebuild throws logic_error flavours like invalid_argument on
+/// corrupt aging parameters or years; callers — the load path and the
+/// untrusted-socket protocol layer — are promised runtime_error and nothing
+/// else.
 template <typename Fn>
 auto decode_guarded(const char* what, const Fn& fn) -> decltype(fn()) {
   try {
@@ -241,7 +240,9 @@ StoreFileData load_store_file(const std::string& path) {
         if (fnv1a(rec.payload) != checksum) {
           throw std::runtime_error("checksum mismatch");
         }
-        if (kind < 1 || kind > 4) {
+        // Kind 1 (netlists, up to format 3) and kind 5 (retired) are
+        // never written: a record of either is dropped like an unknown one.
+        if (kind < 2 || kind > 4) {
           throw std::runtime_error("unknown record kind " +
                                    std::to_string(kind));
         }
@@ -305,153 +306,6 @@ std::uint64_t write_store_file(const std::string& path,
     return 0;
   }
   return w.data().size();
-}
-
-// --- netlist ----------------------------------------------------------------
-
-std::string encode_netlist_payload(std::uint64_t lib_fp,
-                                   const ComponentSpec& spec,
-                                   const Netlist& nl) {
-  BinWriter w;
-  w.u64(lib_fp);
-  encode_spec(w, spec);
-  w.u64(nl.num_nets());
-  w.u64(nl.inputs().size());
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    w.u64(nl.inputs()[i]);
-    w.str(nl.input_name(i));
-  }
-  w.u64(nl.num_gates());
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
-    const Gate& gate = nl.gate(g);
-    // Pin count from the gate's own fanin sentinels, NOT gate_num_inputs():
-    // that consults the CellLibrary, and save() may run after the caller's
-    // library object is gone (the store only borrows it).
-    const int pins = gate.num_inputs();
-    w.u32(gate.cell);
-    w.u8(static_cast<std::uint8_t>(pins));
-    for (int p = 0; p < pins; ++p) w.u32(gate.fanin[static_cast<std::size_t>(p)]);
-    w.u32(gate.fanout);
-  }
-  w.u64(nl.outputs().size());
-  for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-    w.u64(nl.outputs()[i]);
-    w.str(nl.output_name(i));
-  }
-  // Buses sorted by name so encoding never depends on unordered_map order.
-  const auto write_buses = [&w, &nl](std::vector<std::string> names,
-                                     const auto& bus_of) {
-    std::sort(names.begin(), names.end());
-    w.u64(names.size());
-    for (const std::string& name : names) {
-      w.str(name);
-      const std::vector<NetId>& nets = bus_of(name);
-      w.u64(nets.size());
-      for (const NetId net : nets) w.u64(net);
-    }
-  };
-  write_buses(nl.input_bus_names(),
-              [&nl](const std::string& n) -> const std::vector<NetId>& {
-                return nl.input_bus(n);
-              });
-  write_buses(nl.output_bus_names(),
-              [&nl](const std::string& n) -> const std::vector<NetId>& {
-                return nl.output_bus(n);
-              });
-  return w.take();
-}
-
-NetlistPayload decode_netlist_payload(const std::string& payload,
-                                      const CellLibrary& lib) {
-  return decode_guarded("store netlist record", [&]() -> NetlistPayload {
-    BinReader r(payload);
-    const std::uint64_t lib_fp = r.u64();
-    const ComponentSpec spec = decode_spec(r);
-
-    const std::uint64_t num_nets = r.u64();
-    Netlist nl(lib);  // creates the two constant nets
-    if (num_nets < 2) throw std::runtime_error("store netlist has no nets");
-
-    struct NamedNet {
-      NetId net;
-      std::string name;
-    };
-    std::vector<NamedNet> inputs;
-    const std::uint64_t num_inputs = r.count(r.u64(), 16);
-    inputs.reserve(num_inputs);
-    for (std::uint64_t i = 0; i < num_inputs; ++i) {
-      const auto net = static_cast<NetId>(r.u64());
-      inputs.push_back({net, r.str()});
-    }
-    // In any valid encoding every net beyond the constants is either a
-    // primary input or carries at least one payload byte downstream (its
-    // driving gate), so this bounds the replay loop below — without it a
-    // corrupt count would grow the netlist until the machine runs dry.
-    if (num_nets > 2 + num_inputs + payload.size()) {
-      throw std::runtime_error("store netlist net count exceeds payload bound");
-    }
-    // Primary inputs appear in net-id order (add_input creates a fresh net per
-    // call), which is what lets a linear replay reconstruct the exact ids.
-    std::size_t next_input = 0;
-    for (std::uint64_t id = 2; id < num_nets; ++id) {
-      if (next_input < inputs.size() && inputs[next_input].net == id) {
-        if (nl.add_input(inputs[next_input].name) != id) {
-          throw std::runtime_error("store netlist input replay diverged");
-        }
-        ++next_input;
-      } else if (nl.add_net() != id) {
-        throw std::runtime_error("store netlist net replay diverged");
-      }
-    }
-    if (next_input != inputs.size()) {
-      throw std::runtime_error("store netlist inputs not in net order");
-    }
-
-    const std::uint64_t num_gates = r.count(r.u64(), 9);
-    for (std::uint64_t g = 0; g < num_gates; ++g) {
-      const auto cell = static_cast<CellId>(r.u32());
-      const int pins = r.u8();
-      if (pins > 3) throw std::runtime_error("store netlist gate pin overflow");
-      NetId ins[3] = {};
-      for (int p = 0; p < pins; ++p) ins[p] = static_cast<NetId>(r.u32());
-      const auto out = static_cast<NetId>(r.u32());
-      // add_gate_driving re-checks pin count vs the cell function, driver
-      // uniqueness and net bounds — a corrupt gate list throws here.
-      nl.add_gate_driving(cell, std::span<const NetId>(ins, pins), out);
-    }
-
-    const std::uint64_t num_outputs = r.count(r.u64(), 16);
-    for (std::uint64_t i = 0; i < num_outputs; ++i) {
-      const auto net = static_cast<NetId>(r.u64());
-      nl.mark_output(net, r.str());
-    }
-
-    const auto read_buses = [&r, num_nets](const auto& install) {
-      const std::uint64_t count = r.count(r.u64(), 16);
-      for (std::uint64_t b = 0; b < count; ++b) {
-        std::string name = r.str();
-        const std::uint64_t n = r.count(r.u64(), 8);
-        std::vector<NetId> nets;
-        nets.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const auto net = static_cast<NetId>(r.u64());
-          if (net >= num_nets) {
-            throw std::runtime_error("store bus net overflow");
-          }
-          nets.push_back(net);
-        }
-        install(std::move(name), std::move(nets));
-      }
-    };
-    read_buses([&nl](std::string name, std::vector<NetId> nets) {
-      nl.set_input_bus(name, std::move(nets));
-    });
-    read_buses([&nl](std::string name, std::vector<NetId> nets) {
-      nl.set_output_bus(name, std::move(nets));
-    });
-    r.expect_end();
-    return NetlistPayload{lib_fp, spec, std::move(nl)};
-  });
 }
 
 // --- aged library -----------------------------------------------------------

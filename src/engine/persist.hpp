@@ -26,7 +26,7 @@
 // design_store.cpp), so a stale-but-well-formed record degrades to a cold
 // miss, never a wrong hit.
 //
-// Record payloads (kinds 1-4) carry the entry plus the key material needed
+// Record payloads (kinds 2-4) carry the entry plus the key material needed
 // for that re-verification; decode helpers below are the single source of
 // truth for their layout. Aged-library and surface payloads carry one fixed
 // aging block right after lib_fp: the mechanism count and list, then every
@@ -34,7 +34,11 @@
 // format 3 an aged-library record is that key material alone (lib_fp, aging
 // block, years: 260 bytes for BTI alone): the library is a pure function of
 // it, so the decoder rebuilds it, bit-identically within one build
-// fingerprint. Payload layout changes require bumping kStoreFormatVersion.
+// fingerprint. Kind 1 held synthesized netlists up to format 3; since
+// format 4 no file carries it: netlists are an intermediate that costs a
+// fraction of a millisecond to synthesize, yet made up 95-98 % of a file's
+// bytes, so a netlist needed after a reopen is rebuilt on its miss. Payload
+// layout changes require bumping kStoreFormatVersion.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +49,6 @@
 #include "aging/stress.hpp"
 #include "approx/characterization.hpp"
 #include "cell/degradation.hpp"
-#include "netlist/netlist.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 
@@ -53,7 +56,7 @@ namespace aapx::engine {
 
 inline constexpr char kStoreMagic[8] = {'A', 'A', 'P', 'X',
                                         'S', 'T', 'R', '\0'};
-inline constexpr std::uint32_t kStoreFormatVersion = 3;
+inline constexpr std::uint32_t kStoreFormatVersion = 4;
 
 /// Byte offsets of the header fields, exported so the corruption tests can
 /// patch specific fields without re-deriving the layout.
@@ -67,6 +70,8 @@ inline constexpr std::size_t kHeaderSize = 28;
 std::uint64_t build_fingerprint();
 
 enum class RecordKind : std::uint32_t {
+  // Value 1 names the DesignStore's in-memory netlist family, which is never
+  // saved since format 4; a file record of kind 1 is dropped on load.
   netlist = 1,
   aged_library = 2,
   sta_delay = 3,
@@ -123,20 +128,9 @@ ComponentSpec decode_spec(BinReader& r);
 // --- payload codecs ---------------------------------------------------------
 // Encoders serialize an entry with its key material; decoders re-verify
 // structural invariants (counts, cell ids) and throw std::runtime_error on
-// any inconsistency. Decoded netlists/libraries attach to the live
-// CellLibrary passed in; callers must have checked the payload's library
-// fingerprint against that library first.
-
-struct NetlistPayload {
-  std::uint64_t lib_fp = 0;
-  ComponentSpec spec;
-  Netlist netlist;
-};
-std::string encode_netlist_payload(std::uint64_t lib_fp,
-                                   const ComponentSpec& spec,
-                                   const Netlist& nl);
-NetlistPayload decode_netlist_payload(const std::string& payload,
-                                      const CellLibrary& lib);
+// any inconsistency. Decoded libraries attach to the live CellLibrary passed
+// in; callers must have checked the payload's library fingerprint against
+// that library first.
 
 /// The aging parameters are library.model().params(); the record writes
 /// them as its aging block.

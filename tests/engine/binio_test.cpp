@@ -9,10 +9,8 @@
 #include <string>
 
 #include "aging/aging_model.hpp"
-#include "cell/library.hpp"
 #include "engine/binio.hpp"
 #include "engine/persist.hpp"
-#include "netlist/netlist.hpp"
 
 namespace aapx {
 namespace {
@@ -81,26 +79,9 @@ TEST(CodecLayoutTest, EveryTruncatedWordReadThrows) {
 }
 
 TEST(CodecLayoutTest, RecordPayloadsMatchPinnedBytes) {
-  const CellLibrary lib = make_nangate45_like();
   constexpr std::uint64_t kLibFp = 0x1122334455667788ULL;
   const ComponentSpec spec{ComponentKind::adder, 2, 0, AdderArch::ripple,
                            MultArch::array};
-
-  Netlist nl(lib);
-  const std::vector<NetId> a = nl.add_input_bus("a", 2);
-  const NetId u = nl.mk(LogicFn::kNand2, a[0], a[1]);
-  const NetId y = nl.mk(LogicFn::kInv, u);
-  const NetId ys[] = {y};
-  nl.mark_output_bus(ys, "y");
-  EXPECT_EQ(to_hex(engine::encode_netlist_payload(kLibFp, spec, nl)),
-            "8877665544332211000000000200000000000000000000000000000000000000"
-            "0600000000000000020000000000000002000000000000000400000000000000"
-            "615b305d03000000000000000400000000000000615b315d0200000000000000"
-            "0800000002020000000300000004000000000000000104000000050000000100"
-            "00000000000005000000000000000400000000000000795b305d010000000000"
-            "0000010000000000000061020000000000000002000000000000000300000000"
-            "0000000100000000000000010000000000000079010000000000000005000000"
-            "00000000");
 
   EXPECT_EQ(
       to_hex(engine::encode_aged_library_payload(kLibFp, AgingParams{}, 10.0)),

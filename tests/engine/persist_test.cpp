@@ -5,12 +5,14 @@
 // run that never had a store — never a wrong hit, never a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,11 +20,13 @@
 #include "approx/characterization.hpp"
 #include "cell/library.hpp"
 #include "engine/context.hpp"
+#include "engine/binio.hpp"
 #include "engine/design_store.hpp"
 #include "engine/persist.hpp"
 #include "obs/metrics.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
+#include "util/hash.hpp"
 
 namespace aapx {
 namespace {
@@ -57,7 +61,8 @@ class PersistTest : public ::testing::Test {
   }
 
   /// Warms a store with one netlist, one aged library, fresh + aged delays
-  /// and one characterization surface, then saves it to path_. Returns the
+  /// and one characterization surface, then saves it to path_ (every entry
+  /// but the netlists, which are never saved). Returns the
   /// values the cold computation produced.
   struct Warmed {
     std::size_t gates = 0;
@@ -205,12 +210,13 @@ TEST_F(PersistTest, RoundTripReproducesBitIdenticalArtifacts) {
   const Warmed warm = replay(/*open_store=*/true, &stats);
   expect_bit_identical(cold, warm);
 
-  // Every query was served from the file: persist hits, zero misses, no
-  // synthesis or STA recomputed (every family counted a hit).
+  // Every query of a saved family was served from the file: persist hits,
+  // no STA recomputed. The one netlist queried directly is synthesized again
+  // (netlists are not saved); the surface hit means no sweep ran.
   EXPECT_GT(stats.persist_hits, 0u);
-  EXPECT_EQ(stats.misses(), 0u);
-  EXPECT_EQ(stats.netlist_hits + stats.delay_hits + stats.surface_hits,
-            stats.hits());
+  EXPECT_EQ(stats.misses(), stats.netlist_misses);
+  EXPECT_EQ(stats.netlist_misses, 1u);
+  EXPECT_EQ(stats.delay_hits + stats.surface_hits, stats.hits());
 }
 
 TEST_F(PersistTest, SaveIsByteDeterministic) {
@@ -223,7 +229,9 @@ TEST_F(PersistTest, SaveIsByteDeterministic) {
   {
     Context ctx;
     ctx.store().open(path_);
-    (void)ctx.store().netlist(lib_, adder8());  // materialize one record
+    // Materialize one record; the other stays staged.
+    (void)ctx.store().aged_sta_delay(lib_, adder8(), model_, StressMode::worst,
+                                     10.0, sta_);
     ASSERT_TRUE(ctx.store().save(second_path));
   }
   EXPECT_EQ(first, read_bytes(second_path));
@@ -302,11 +310,11 @@ TEST_F(PersistTest, FlippedPayloadByteDropsOnlyThatRecord) {
 }
 
 TEST_F(PersistTest, WrongFormatVersionRejectsWholeFile) {
-  // A future format; version 2, whose aged-library records carried every
-  // cell's factor grids; and version 1, the layout before the fixed aging
-  // block.
+  // A future format; version 3, whose files carried netlist records;
+  // version 2, whose aged-library records carried every cell's factor grids;
+  // and version 1, the layout before the fixed aging block.
   for (const std::uint32_t version :
-       {engine::kStoreFormatVersion + 1, 2u, 1u}) {
+       {engine::kStoreFormatVersion + 1, 3u, 2u, 1u}) {
     const Warmed cold = warm_and_save();
     std::string bytes = read_bytes(path_);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -327,6 +335,46 @@ TEST_F(PersistTest, WrongFormatVersionRejectsWholeFile) {
     expect_bit_identical(cold, recovered);
     EXPECT_EQ(stats.persist_hits, 0u);  // no record was even staged
   }
+}
+
+// A version-3 file as that format framed it: the header and one kind-1
+// (netlist) record, written by hand. It opens cold with exactly one warning,
+// and the run recomputes everything with the cold results.
+TEST_F(PersistTest, Version3FileOpensColdWithOneWarning) {
+  const std::string payload(40, '\x4e');
+  engine::BinWriter w;
+  w.bytes(std::string_view(engine::kStoreMagic, sizeof engine::kStoreMagic));
+  w.u32(3);
+  w.u64(engine::build_fingerprint());  // the version check comes first
+  w.u64(1);
+  w.u32(static_cast<std::uint32_t>(engine::RecordKind::netlist));
+  w.u64(0x4e4c303031ULL);
+  w.u64(payload.size());
+  w.u64(fnv1a(payload));
+  w.bytes(payload);
+  write_bytes(path_, w.take());
+
+  engine::DesignStore::Stats cold_stats;
+  const Warmed cold = replay(/*open_store=*/false, &cold_stats);
+  Context ctx;
+  testing::internal::CaptureStderr();
+  const bool clean = ctx.store().open(path_);
+  const Warmed recomputed = query(ctx);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(clean);
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("format version 3 (expected 4)"), std::string::npos)
+      << err;
+  expect_bit_identical(cold, recomputed);
+  const engine::DesignStore::Stats stats = ctx.store().stats();
+  // Every query counted exactly as on a Context that opened no file.
+  EXPECT_EQ(stats.persist_hits, 0u);
+  EXPECT_EQ(stats.hits(), cold_stats.hits());
+  EXPECT_EQ(stats.misses(), cold_stats.misses());
+  EXPECT_EQ(stats.surface_misses, 1u);
+  EXPECT_EQ(
+      ctx.metrics().counter("engine.store.persist.records_loaded").value(),
+      0u);
 }
 
 TEST_F(PersistTest, ForeignBuildFingerprintRejectsWholeFile) {
@@ -356,10 +404,10 @@ TEST_F(PersistTest, DamagedOpenReportsFalseAndWarns) {
   EXPECT_NE(err.find("format version"), std::string::npos) << err;
 }
 
-// Record kind 5 is retired (see RecordKind in engine/persist.hpp). A store
-// file written before the retirement must still open: the kind-5
-// record is dropped and counted, and every other record is served from disk
-// exactly as before.
+// Record kind 5 is retired and kind 1 (netlists) is never written since
+// format 4 (see RecordKind in engine/persist.hpp). A current-format file that
+// carries either must still open: each such record is dropped and counted,
+// and every other record is served from disk exactly as before.
 TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
   const Warmed cold = warm_and_save();
   engine::StoreFileData data = engine::load_store_file(path_);
@@ -368,21 +416,26 @@ TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
   std::set<engine::RecordKind> kinds;
   for (const engine::RawRecord& r : records) kinds.insert(r.kind);
   EXPECT_EQ(kinds, (std::set<engine::RecordKind>{
-                       engine::RecordKind::netlist,
                        engine::RecordKind::aged_library,
                        engine::RecordKind::sta_delay,
                        engine::RecordKind::surface}));
   const std::size_t live = records.size();
+  records.push_back({engine::RecordKind::netlist, 0x4e4c303031ULL,
+                     std::string(64, '\x4e')});
   records.push_back({static_cast<engine::RecordKind>(5), 0x5352303031ULL,
                      std::string(96, '\x5a')});
   ASSERT_GT(engine::write_store_file(path_, records), 0u);
 
   Context ctx;
   bool clean = true;
+  testing::internal::CaptureStderr();
   ASSERT_NO_THROW(clean = ctx.store().open(path_));
-  EXPECT_FALSE(clean);  // the dropped record is reported, not hidden
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(clean);  // the dropped records are reported, not hidden
+  EXPECT_NE(err.find("unknown record kind 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("unknown record kind 5"), std::string::npos) << err;
   obs::MetricsRegistry& m = ctx.metrics();
-  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 1u);
+  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 2u);
   EXPECT_EQ(m.counter("engine.store.persist.records_loaded").value(), live);
 
   Warmed warm;
@@ -390,8 +443,10 @@ TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
   expect_bit_identical(cold, warm);
   const engine::DesignStore::Stats stats = ctx.store().stats();
   EXPECT_GT(stats.persist_hits, 0u);
-  EXPECT_EQ(stats.misses(), 0u);
-  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 1u);
+  // Only the netlist is recomputed: no netlist record was served.
+  EXPECT_EQ(stats.netlist_hits, 0u);
+  EXPECT_EQ(stats.misses(), stats.netlist_misses);
+  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 2u);
 }
 
 // A well-formed record (valid checksum) whose enums name no real value is
@@ -445,31 +500,13 @@ TEST_F(PersistTest, StaleRecordIsColdMissNotWrongHit) {
   const double recomputed = ctx.store().aged_sta_delay(
       lib_, adder8(), hot_model, StressMode::worst, 10.0, sta_);
   EXPECT_EQ(honest, recomputed);
-  // The netlist record is legitimately model-independent and may be served;
-  // no *delay* record keyed to the nominal model may be.
+  // No *delay* record keyed to the nominal model may be served.
   EXPECT_EQ(ctx.store().stats().delay_hits, 0u);
   EXPECT_EQ(ctx.store().stats().delay_misses, 1u);
 }
 
-// The four cases below reach the staged-record key-material check itself:
+// The three cases below reach the staged-record key-material check itself:
 // each file holds both queried keys, but under each other's payloads.
-TEST_F(PersistTest, SwappedNetlistRecordsAreStaleColdMisses) {
-  ComponentSpec truncated = adder8();
-  truncated.truncated_bits = 2;
-  expect_swapped_records_miss(
-      engine::RecordKind::netlist,
-      [&](const Context& ctx) {
-        std::string out;
-        for (const ComponentSpec& spec : {adder8(), truncated}) {
-          out += engine::encode_netlist_payload(
-              0, spec, ctx.store().netlist(lib_, spec));
-        }
-        return out;
-      },
-      &engine::DesignStore::Stats::netlist_hits,
-      &engine::DesignStore::Stats::netlist_misses);
-}
-
 TEST_F(PersistTest, SwappedAgedLibraryRecordsAreStaleColdMisses) {
   expect_swapped_records_miss(
       engine::RecordKind::aged_library,

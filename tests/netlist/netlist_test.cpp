@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/persist.hpp"
 #include "synth/components.hpp"
 #include "util/rng.hpp"
 
@@ -82,8 +81,31 @@ TEST_F(NetlistTest, TopoOrderRespectsDependencies) {
   EXPECT_LT(pos[1], pos[2]);
 }
 
-// A netlist decoded from a store record has no cached topological order, and
-// its first readers may be concurrent (measure_gate_duty's per-chunk
+/// `src` rebuilt through the public builder API with the same net and gate
+/// ids, so nothing has read it yet: its reader and order caches are unfilled.
+Netlist rebuild(const Netlist& src) {
+  Netlist nl(src.lib());
+  for (NetId id = 2; id < src.num_nets(); ++id) {
+    if (src.pi_index(id) != kInvalidNet) {
+      nl.add_input(src.input_name(src.pi_index(id)));
+    } else {
+      nl.add_net();
+    }
+  }
+  for (const Gate& g : src.gates()) {
+    nl.add_gate_driving(
+        g.cell,
+        std::span<const NetId>(g.fanin.data(),
+                               static_cast<std::size_t>(g.num_inputs())),
+        g.fanout);
+  }
+  for (std::size_t i = 0; i < src.outputs().size(); ++i) {
+    nl.mark_output(src.outputs()[i], src.output_name(i));
+  }
+  return nl;
+}
+
+// A netlist's first readers may be concurrent (measure_gate_duty's per-chunk
 // simulators). Four threads racing on the first fill must all see the same,
 // complete order; the sanitizer build checks that the fill is race-free.
 TEST_F(NetlistTest, TopoOrderFirstFillIsThreadSafe) {
@@ -91,9 +113,7 @@ TEST_F(NetlistTest, TopoOrderFirstFillIsThreadSafe) {
                            MultArch::array};
   const Netlist built = make_component(lib_, spec);
   const std::vector<GateId> expect = built.topo_order();
-  const engine::NetlistPayload decoded = engine::decode_netlist_payload(
-      engine::encode_netlist_payload(0, spec, built), lib_);
-  const Netlist& nl = decoded.netlist;
+  const Netlist nl = rebuild(built);
 
   constexpr int kThreads = 4;
   std::atomic<int> arrived{0};
@@ -193,9 +213,7 @@ TEST_F(NetlistTest, ReadersFirstFillIsThreadSafe) {
   for (NetId n = 0; n < built.num_nets(); ++n) {
     expect.push_back(built.readers(n).size());
   }
-  const engine::NetlistPayload decoded = engine::decode_netlist_payload(
-      engine::encode_netlist_payload(0, spec, built), lib_);
-  const Netlist& nl = decoded.netlist;
+  const Netlist nl = rebuild(built);
 
   constexpr int kThreads = 4;
   std::atomic<int> arrived{0};

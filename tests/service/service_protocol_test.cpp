@@ -416,14 +416,7 @@ TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
   const std::uint64_t lib_fp = ctx.store().fingerprint(lib);
   const ComponentSpec spec{ComponentKind::adder, 4, 0, AdderArch::ripple,
                            MultArch::array};
-  const Netlist& nl = ctx.store().netlist(lib, spec);
 
-  fuzz_codec<std::runtime_error>(
-      engine::encode_netlist_payload(lib_fp, spec, nl),
-      [&](const std::string& b) {
-        return engine::decode_netlist_payload(b, lib);
-      },
-      "netlist record", fuzz_rounds(150));
   fuzz_codec<std::runtime_error>(
       engine::encode_sta_delay_payload({1, 2, 3.5, 40}),
       [](const std::string& b) {

@@ -47,7 +47,8 @@ TEST(StoreTorture, DISABLED_SaveLoopChild) {
   for (const int width : {4, 6, 8}) {
     const ComponentSpec spec{ComponentKind::adder, width, 0,
                              AdderArch::ripple, MultArch::array};
-    ctx.store().netlist(lib, spec);
+    ctx.store().aged_sta_delay(lib, spec, AgingModel{}, StressMode::worst,
+                               10.0, StaOptions{});
   }
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -121,8 +122,9 @@ TEST(StoreTorture, SigkillMidSaveAlwaysReopens) {
     opt.threads = 1;
     opt.store_path = store;
     const Context reopened(opt);
-    reopened.store().netlist(lib, {ComponentKind::adder, 4, 0,
-                                   AdderArch::ripple, MultArch::array});
+    reopened.store().aged_sta_delay(
+        lib, {ComponentKind::adder, 4, 0, AdderArch::ripple, MultArch::array},
+        AgingModel{}, StressMode::worst, 10.0, StaOptions{});
     EXPECT_GE(reopened.store().stats().persist_hits, 1u)
         << "round " << round;
   }

@@ -21,6 +21,12 @@ function(check_contains text pattern what)
   endif()
 endfunction()
 
+function(check_lacks text pattern what)
+  if(text MATCHES "${pattern}")
+    message(FATAL_ERROR "${what}: expected no match for '${pattern}', got:\n${text}")
+  endif()
+endfunction()
+
 # The invocation under test. Cold and warm runs use the *identical* argv —
 # the run-log manifest records the command line, so any difference there
 # would break the byte-identity comparison for a trivial reason.
@@ -113,7 +119,7 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "library info failed (rc=${rc}):\n${out}\n${err}")
 endif()
-check_contains("${out}" "format version: 3" "library info")
+check_contains("${out}" "format version: 4" "library info")
 check_contains("${out}" "surface" "library info census")
 
 # --- 7. merge the library with the characterize store -----------------------
@@ -132,6 +138,13 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "info on merged file failed (rc=${rc}):\n${out}\n${err}")
 endif()
+# Both inputs synthesized netlists, yet no file holds a netlist record: the
+# census lists the three saved kinds only.
+check_contains("${out}" "format version: 4 \\(this binary: 4\\)" "merged info")
+foreach(kind aged_library sta_delay surface)
+  check_contains("${out}" "\\| ${kind} " "merged info census")
+endforeach()
+check_lacks("${out}" "\\| netlist " "merged info census")
 
 # --- 8. a damaged store degrades to a cold run, not a failure ---------------
 file(WRITE "${store}" "this is not a store file")
