@@ -36,10 +36,14 @@ using namespace aapx::bench;
 
 namespace {
 
+/// One request per adder width, all distinct, so a cold pass stays cold:
+/// every request misses the store. 12 requests (24 in full mode) give each
+/// of 4 clients at least 3, so qps_cold_4 measures throughput, not one
+/// sweep's latency.
 std::vector<service::CharacterizeRequest> make_workload(bool fast) {
   std::vector<service::CharacterizeRequest> reqs;
-  for (const int width : fast ? std::vector<int>{4, 5}
-                              : std::vector<int>{4, 5, 6, 7}) {
+  const int widths = fast ? 12 : 24;
+  for (int width = 4; width < 4 + widths; ++width) {
     service::CharacterizeRequest req;
     req.spec.kind = ComponentKind::adder;
     req.spec.width = width;

@@ -58,23 +58,23 @@ std::uint64_t surface_key(std::uint64_t lib_fp, std::uint64_t model_key,
   return h.digest();
 }
 
-/// Stderr note for a staged disk record that could not be served. Never a
-/// run-log record: whether it fires depends on store warmth.
-void warn_record_dropped(const char* family, std::uint64_t key,
-                         const char* why) {
+/// Stderr note for a staged surface record that could not be served. Never
+/// a run-log record: whether it fires depends on store warmth.
+void warn_record_dropped(std::uint64_t key, const char* why) {
   std::fprintf(stderr,
-               "aapx store: %s record %016llx unusable (%s) — recomputing\n",
-               family, static_cast<unsigned long long>(key), why);
+               "aapx store: surface record %016llx unusable (%s) — "
+               "recomputing\n",
+               static_cast<unsigned long long>(key), why);
 }
 
 }  // namespace
 
 DesignStore::DesignStore(const Context& ctx)
     : ctx_(&ctx),
-      netlists_(RecordKind::netlist, ctx.metrics(), "netlist"),
-      libraries_(RecordKind::aged_library, ctx.metrics(), "library"),
-      delays_(RecordKind::sta_delay, ctx.metrics(), "delay"),
-      surfaces_(RecordKind::surface, ctx.metrics(), "surface") {
+      netlists_(ctx.metrics(), "netlist"),
+      libraries_(ctx.metrics(), "library"),
+      delays_(ctx.metrics(), "delay"),
+      surfaces_(ctx.metrics(), "surface") {
   obs::MetricsRegistry& m = ctx.metrics();
   persist_hits_ = &m.counter("engine.store.persist.hits");
   persist_misses_ = &m.counter("engine.store.persist.misses");
@@ -86,43 +86,42 @@ DesignStore::DesignStore(const Context& ctx)
   persist_bytes_written_ = &m.counter("engine.store.persist.bytes_written");
 }
 
-std::optional<std::string> DesignStore::take_staged(RecordKind kind,
-                                                    std::uint64_t key) {
+std::optional<std::string> DesignStore::take_staged(std::uint64_t key) {
   if (!store_attached_.load(std::memory_order_relaxed)) return std::nullopt;
   std::lock_guard<std::mutex> lock(staged_mutex_);
-  const auto it = staged_.find({static_cast<std::uint32_t>(kind), key});
+  const auto it = staged_.find(key);
   if (it == staged_.end()) return std::nullopt;
   std::string payload = std::move(it->second);
   staged_.erase(it);
   return payload;
 }
 
-template <typename Payload, typename Decode, typename Matches>
+template <typename Payload, typename Matches>
 const Payload* DesignStore::find(Family<Payload>& family, std::uint64_t key,
-                                 const Decode& decode,
                                  const Matches& matches) {
   Shard<Payload>& shard = family.shard(key);
   const auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
     if (!matches(it->second)) {
-      throw std::logic_error(std::string("DesignStore: ") +
-                             to_string(family.kind) + " key collision");
+      throw std::logic_error("DesignStore: " + family.name +
+                             " key collision");
     }
     family.hits->add();
     return &it->second;
   }
-  if constexpr (!std::is_null_pointer_v<Decode>) {
-    if (auto blob = take_staged(family.kind, key)) {
+  // Surfaces are the only family a store file holds (engine/persist.hpp).
+  if constexpr (std::is_same_v<Payload, SurfacePayload>) {
+    if (auto blob = take_staged(key)) {
       try {
-        Payload p = decode(*blob);
+        SurfacePayload p = decode_surface_payload(*blob);
         if (matches(p)) {
           family.hits->add();
           persist_hits_->add();
           return &shard.entries.emplace(key, std::move(p)).first->second;
         }
-        warn_record_dropped(to_string(family.kind), key, "stale key material");
+        warn_record_dropped(key, "stale key material");
       } catch (const std::exception& e) {
-        warn_record_dropped(to_string(family.kind), key, e.what());
+        warn_record_dropped(key, e.what());
       }
       persist_records_dropped_->add();
     }
@@ -132,15 +131,14 @@ const Payload* DesignStore::find(Family<Payload>& family, std::uint64_t key,
   return nullptr;
 }
 
-template <typename Payload, typename Decode, typename Matches, typename Build>
+template <typename Payload, typename Matches, typename Build>
 const Payload& DesignStore::find_or_build(Family<Payload>& family,
                                           std::uint64_t key,
-                                          const Decode& decode,
                                           const Matches& matches,
                                           const Build& build) {
   Shard<Payload>& shard = family.shard(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (const Payload* hit = find(family, key, decode, matches)) return *hit;
+  if (const Payload* hit = find(family, key, matches)) return *hit;
   return shard.entries.emplace(key, build()).first->second;
 }
 
@@ -174,7 +172,7 @@ const Netlist& DesignStore::netlist(const CellLibrary& lib,
   const auto build = [&] {
     return NetlistEntry{fp, spec, make_component(*ctx_, lib, spec)};
   };
-  return find_or_build(netlists_, key, nullptr, matches, build).netlist;
+  return find_or_build(netlists_, key, matches, build).netlist;
 }
 
 const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
@@ -193,18 +191,14 @@ const DegradationAwareLibrary& DesignStore::aged_library(const CellLibrary& lib,
                                 .u64(key_of(model))
                                 .f64(years)
                                 .digest();
-  const auto decode = [&lib](const std::string& blob) {
-    return decode_aged_library_payload(blob, lib);
-  };
-  const auto matches = [&](const AgedLibraryPayload& p) {
-    return p.lib_fp == fp && p.years == years &&
-           key_of(p.library.model()) == key_of(model);
+  const auto matches = [&](const LibraryEntry& e) {
+    return e.lib_fp == fp && e.years == years &&
+           key_of(e.library.model()) == key_of(model);
   };
   const auto build = [&] {
-    return AgedLibraryPayload{fp, years,
-                              DegradationAwareLibrary(lib, model, years)};
+    return LibraryEntry{fp, years, DegradationAwareLibrary(lib, model, years)};
   };
-  return find_or_build(libraries_, key, decode, matches, build).library;
+  return find_or_build(libraries_, key, matches, build).library;
 }
 
 double DesignStore::aged_sta_delay(const CellLibrary& lib,
@@ -236,22 +230,22 @@ double DesignStore::aged_sta_delay(const CellLibrary& lib,
                                 .u64(scenario_key)
                                 .digest();
 
-  const auto matches = [&](const StaDelayPayload& p) {
-    return p.netlist_key == netlist_key && p.scenario_key == scenario_key;
+  const auto matches = [&](const DelayEntry& e) {
+    return e.netlist_key == netlist_key && e.scenario_key == scenario_key;
   };
-  Shard<StaDelayPayload>& shard = delays_.shard(key);
-  const StaDelayPayload* hit;
+  Shard<DelayEntry>& shard = delays_.shard(key);
+  const DelayEntry* hit;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    hit = find(delays_, key, decode_sta_delay_payload, matches);
+    hit = find(delays_, key, matches);
   }
-  // A stored payload is never modified or erased, so reading it after the
+  // A stored entry is never modified or erased, so reading it after the
   // lock is released is safe.
   if (hit != nullptr) {
     log_delay_query(years > 0.0, hit->gates, hit->delay);
     return hit->delay;
   }
-  StaDelayPayload filled{netlist_key, scenario_key, 0.0, 0};
+  DelayEntry filled{netlist_key, scenario_key, 0.0, 0};
   {
     // Compute outside the lock — netlist()/aged_library() take their own
     // family locks and an STA run is too long to serialize a shard on. A
@@ -327,7 +321,7 @@ const ComponentCharacterization& DesignStore::surface(
   // Like netlists, the build runs under the shard lock: surfaces are the
   // most expensive artifact in the store and must never be computed twice.
   const SurfacePayload& p =
-      find_or_build(surfaces_, key, decode_surface_payload, matches, sweep);
+      find_or_build(surfaces_, key, matches, sweep);
   return p.surface;
 }
 
@@ -351,10 +345,10 @@ bool DesignStore::open(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(staged_mutex_);
     for (RawRecord& rec : data.records) {
+      // Every loaded record is a surface (load_store_file drops the rest).
       // Last record wins for duplicate keys; `aapx library merge` warns on
       // genuine conflicts before they ever reach a store file.
-      staged_[{static_cast<std::uint32_t>(rec.kind), rec.key}] =
-          std::move(rec.payload);
+      staged_[rec.key] = std::move(rec.payload);
     }
   }
   store_attached_.store(true, std::memory_order_relaxed);
@@ -363,34 +357,25 @@ bool DesignStore::open(const std::string& path) {
 }
 
 bool DesignStore::save(const std::string& path) const {
+  // Surfaces only: the other families are intermediates a reopen rebuilds
+  // on their misses (engine/persist.hpp).
   std::vector<RawRecord> records;
-  const auto collect = [&records](const auto& family, const auto& encode) {
-    for (const auto& shard : family.shards) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      for (const auto& [key, p] : shard.entries) {
-        records.push_back({family.kind, key, encode(p)});
-      }
+  for (const auto& shard : surfaces_.shards) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [key, p] : shard.entries) {
+      records.push_back({RecordKind::surface, key, encode_surface_payload(p)});
     }
-  };
-  // Netlists are not saved (engine/persist.hpp): a reopen synthesizes them.
-  collect(libraries_, [](const AgedLibraryPayload& p) {
-    return encode_aged_library_payload(p.lib_fp, p.library.model().params(),
-                                       p.years);
-  });
-  collect(delays_, encode_sta_delay_payload);
-  collect(surfaces_, encode_surface_payload);
+  }
   {
     // Records loaded but never queried this run ride along unchanged, so a
     // warm run never shrinks the store it was given.
     std::lock_guard<std::mutex> lock(staged_mutex_);
-    for (const auto& [k, payload] : staged_) {
-      records.push_back(
-          {static_cast<RecordKind>(k.first), k.second, payload});
+    for (const auto& [key, payload] : staged_) {
+      records.push_back({RecordKind::surface, key, payload});
     }
   }
   std::sort(records.begin(), records.end(),
             [](const RawRecord& a, const RawRecord& b) {
-              if (a.kind != b.kind) return a.kind < b.kind;
               return a.key < b.key;
             });
   const std::uint64_t bytes = write_store_file(path, records);
@@ -439,10 +424,9 @@ std::vector<SurfacePayload> DesignStore::surface_snapshot() const {
     // Staged disk records count too: a `serve` on a freshly opened store
     // should answer library queries without anyone forcing materialization.
     std::lock_guard<std::mutex> lock(staged_mutex_);
-    for (const auto& [k, payload] : staged_) {
-      if (static_cast<RecordKind>(k.first) != RecordKind::surface) continue;
+    for (const auto& [key, payload] : staged_) {
       try {
-        keyed.emplace_back(k.second, decode_surface_payload(payload));
+        keyed.emplace_back(key, decode_surface_payload(payload));
       } catch (const std::exception&) {
         // Damaged staged record: the query path would drop it too.
       }

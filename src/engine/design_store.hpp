@@ -25,13 +25,13 @@
 // scenario keys the *same* degradation libraries as the runtime, because the
 // key is the model's parameter content, not the object that asked.
 //
-// One record type per family: a shard holds the family's persist payload
-// (engine/persist.hpp) itself — the artifact plus its key material — so the
-// in-memory entry and the on-disk record are the same struct. An aged
-// library's record carries only the key material; its decoder rebuilds the
-// library from it. The netlist family is the exception: its entries live in
-// memory only (NetlistEntry), are never saved and never read from a file; a
-// netlist needed after a reopen is synthesized on its miss.
+// One record type, surfaces: the surface family's shards hold the persist
+// payload (engine/persist.hpp) itself — the artifact plus its key material
+// — so the in-memory entry and the on-disk record are the same struct. The
+// netlist, library and delay families hold in-memory entries with their key
+// material (NetlistEntry, LibraryEntry, DelayEntry): never saved and never
+// read from a file, since each is an intermediate that costs a synthesis or
+// an STA run to recompute. One needed after a reopen is rebuilt on its miss.
 //
 // Footprint: every entry, and every memoized Sta, is held by value in its
 // shard's std::unordered_map node — one heap block per entry beside what the
@@ -50,7 +50,7 @@
 // relinks nodes into a new bucket array without moving them, so it
 // invalidates iterators but never a reference or pointer to an entry.
 // Iteration order is therefore insertion- and rehash-dependent; every reader
-// that walks the shards sorts by a total order (save() by kind and key,
+// that walks the shards sorts by a total order (save() by key,
 // surface_snapshot() by spec and then record key).
 //
 // Collision discipline: each family compares key material (spec / params /
@@ -59,15 +59,14 @@
 // never silently serve the wrong artifact — and a staged disk record that
 // fails it is dropped as stale.
 //
-// Persistence (engine/persist.hpp): open(path) stages the records of a
-// versioned store file; a staged record is materialized lazily, on the first
-// query for its key, after re-verifying its embedded key material against
-// the live query — so a stale or colliding record degrades to a cold miss,
-// never a wrong hit. save(path) snapshots every aged-library, delay and
-// surface entry plus any still-staged record back to disk
-// (byte-deterministic: records sorted by kind then key). A characterizer run
-// with a store attached thereby warms a file that later runtime /
-// fault-injection runs hit across processes.
+// Persistence (engine/persist.hpp): open(path) stages the surface records
+// of a versioned store file; a staged record is materialized lazily, on the
+// first query for its key, after re-verifying its embedded key material
+// against the live query — so a stale or colliding record degrades to a
+// cold miss, never a wrong hit. save(path) snapshots every surface entry
+// plus any still-staged record back to disk (byte-deterministic: records
+// sorted by key). A characterizer run with a store attached thereby warms a
+// file that later runtime / fault-injection runs hit across processes.
 // Run logs stay byte-identical cold vs. warm: disk-served queries take the
 // exact hit paths (sta_query records carry the same fields either way), and
 // the store_load/store_save records contain only warmth-invariant fields.
@@ -149,10 +148,10 @@ class DesignStore {
   /// file existed but some of it had to be discarded.
   bool open(const std::string& path);
 
-  /// Serializes every aged-library, delay and surface entry plus any
-  /// still-staged record to `path` (atomic: temp file + rename). Output
-  /// bytes are deterministic for a given store content. Returns false on I/O
-  /// failure.
+  /// Serializes every surface entry plus any still-staged record to `path`
+  /// (atomic: temp file + rename); the other families stay in memory.
+  /// Output bytes are deterministic for a given store content. Returns false
+  /// on I/O failure.
   bool save(const std::string& path) const;
 
   /// Every characterization surface currently in the store — materialized
@@ -184,11 +183,23 @@ class DesignStore {
   static constexpr std::size_t kShards = 16;
 
  private:
-  /// A netlist entry with its key material; in memory only.
+  /// The in-memory entries of the netlist, library and delay families, each
+  /// with its key material; never saved.
   struct NetlistEntry {
     std::uint64_t lib_fp = 0;
     ComponentSpec spec;
     Netlist netlist;
+  };
+  struct LibraryEntry {
+    std::uint64_t lib_fp = 0;
+    double years = 0.0;
+    DegradationAwareLibrary library;
+  };
+  struct DelayEntry {
+    std::uint64_t netlist_key = 0;
+    std::uint64_t scenario_key = 0;
+    double delay = 0.0;
+    std::uint64_t gates = 0;
   };
   template <typename Payload>
   struct Shard {
@@ -197,19 +208,18 @@ class DesignStore {
     /// node, so references into them survive every insertion.
     std::unordered_map<std::uint64_t, Payload> entries;
   };
-  /// One record kind: its shards, each holding the persist payload itself
-  /// (the record save() writes; for netlists, the in-memory entry), and its
-  /// hit/miss counters.
+  /// One family: its shards and its hit/miss counters, named
+  /// engine.store.<name>_hits / _misses.
   template <typename Payload>
   struct Family {
-    Family(RecordKind kind, obs::MetricsRegistry& m, const std::string& name)
-        : kind(kind),
+    Family(obs::MetricsRegistry& m, const std::string& name)
+        : name(name),
           hits(&m.counter("engine.store." + name + "_hits")),
           misses(&m.counter("engine.store." + name + "_misses")) {}
 
     Shard<Payload>& shard(std::uint64_t key) { return shards[key % kShards]; }
 
-    RecordKind kind;
+    std::string name;
     obs::Counter* hits;
     obs::Counter* misses;
     std::array<Shard<Payload>, kShards> shards;
@@ -217,23 +227,21 @@ class DesignStore {
 
   /// The lookup every family shares; call it holding `key`'s shard mutex.
   /// `matches` compares a payload's key material with the live query's: an
-  /// in-memory payload that fails it is a key collision (throws), a staged
-  /// disk record that fails it (or does not decode) is dropped as stale and
-  /// the query recomputes. A `decode` of nullptr (the netlist family) never
-  /// consults staged records. Counts a hit and returns the payload, or
-  /// counts a miss and returns nullptr.
-  template <typename Payload, typename Decode, typename Matches>
+  /// in-memory payload that fails it is a key collision (throws). The
+  /// surface family alone also consults staged disk records; one that fails
+  /// `matches` (or does not decode) is dropped as stale and the query
+  /// recomputes. Counts a hit and returns the payload, or counts a miss and
+  /// returns nullptr.
+  template <typename Payload, typename Matches>
   const Payload* find(Family<Payload>& family, std::uint64_t key,
-                      const Decode& decode, const Matches& matches);
+                      const Matches& matches);
 
   /// find() under the key's shard lock; on a miss, `build` runs under the
   /// same lock (racing requesters wait instead of duplicating the work, so
   /// hit/miss totals stay deterministic: one miss per distinct key).
-  template <typename Payload, typename Decode, typename Matches,
-            typename Build>
+  template <typename Payload, typename Matches, typename Build>
   const Payload& find_or_build(Family<Payload>& family, std::uint64_t key,
-                               const Decode& decode, const Matches& matches,
-                               const Build& build);
+                               const Matches& matches, const Build& build);
 
   /// netlist() and aged_library() with the library fingerprint `fp` (and
   /// `spec_key` = key_of(spec)) already derived, so aged_sta_delay's miss
@@ -258,15 +266,14 @@ class DesignStore {
   /// Emits a warmth-invariant store_load / store_save run-log record.
   void log_persist(const char* type, const std::string& path) const;
 
-  /// Pops the staged payload for `key` of one record kind, if any. Call
-  /// while holding the destination family's shard mutex (lock order is
-  /// always shard -> staged).
-  std::optional<std::string> take_staged(RecordKind kind, std::uint64_t key);
+  /// Pops the staged surface payload for `key`, if any. Call while holding
+  /// the surface shard's mutex (lock order is always shard -> staged).
+  std::optional<std::string> take_staged(std::uint64_t key);
 
   const Context* ctx_;
   Family<NetlistEntry> netlists_;
-  Family<AgedLibraryPayload> libraries_;
-  Family<StaDelayPayload> delays_;
+  Family<LibraryEntry> libraries_;
+  Family<DelayEntry> delays_;
   Family<SurfacePayload> surfaces_;
   /// In-memory only, never saved or counted (see sta_of).
   std::array<Shard<Sta>, kShards> stas_;
@@ -274,9 +281,9 @@ class DesignStore {
   std::mutex fp_mutex_;
   std::map<const CellLibrary*, std::uint64_t> fp_cache_;
 
-  /// Raw records loaded by open() but not yet requested, keyed (kind, key).
+  /// Surface records loaded by open() but not yet requested, by key.
   mutable std::mutex staged_mutex_;
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> staged_;
+  std::map<std::uint64_t, std::string> staged_;
   std::atomic<bool> store_attached_{false};
 
   obs::Counter* persist_hits_;

@@ -19,10 +19,10 @@ namespace {
 #define AAPX_SANITIZE_MODE "unknown"
 #endif
 
-// The aging block every aged-library and surface payload carries right
-// after lib_fp: the mechanism list, then every BTI, HCI, EM and TDDB field.
-// All four blocks are written whether or not their mechanism is enabled, so
-// the layout is fixed; the list says which ones are live.
+// The aging block every surface payload carries right after lib_fp: the
+// mechanism list, then every BTI, HCI, EM and TDDB field. All four blocks
+// are written whether or not their mechanism is enabled, so the layout is
+// fixed; the list says which ones are live.
 void encode_aging(BinWriter& w, const AgingParams& p) {
   w.u64(p.mechanisms.size());
   for (const MechanismKind kind : p.mechanisms) {
@@ -110,10 +110,10 @@ AgingParams decode_aging(BinReader& r) {
 }
 
 /// Normalizes decoder failures to the documented std::runtime_error. The
-/// aged-library rebuild throws logic_error flavours like invalid_argument on
-/// corrupt aging parameters or years; callers — the load path and the
-/// untrusted-socket protocol layer — are promised runtime_error and nothing
-/// else.
+/// binio reads throw runtime_error already; anything else a decode step
+/// raises (a logic_error flavour from a library call) is rewrapped, because
+/// callers — the load path and the untrusted-socket protocol layer — are
+/// promised runtime_error and nothing else.
 template <typename Fn>
 auto decode_guarded(const char* what, const Fn& fn) -> decltype(fn()) {
   try {
@@ -159,17 +159,7 @@ std::uint64_t build_fingerprint() {
 }
 
 const char* to_string(RecordKind kind) {
-  switch (kind) {
-    case RecordKind::netlist:
-      return "netlist";
-    case RecordKind::aged_library:
-      return "aged_library";
-    case RecordKind::sta_delay:
-      return "sta_delay";
-    case RecordKind::surface:
-      return "surface";
-  }
-  return "unknown";
+  return kind == RecordKind::surface ? "surface" : "unknown";
 }
 
 StoreFileData load_store_file(const std::string& path) {
@@ -240,9 +230,9 @@ StoreFileData load_store_file(const std::string& path) {
         if (fnv1a(rec.payload) != checksum) {
           throw std::runtime_error("checksum mismatch");
         }
-        // Kind 1 (netlists, up to format 3) and kind 5 (retired) are
-        // never written: a record of either is dropped like an unknown one.
-        if (kind < 2 || kind > 4) {
+        // Surfaces are the only kind written (RecordKind): a record of any
+        // other kind is dropped like an unknown one.
+        if (kind != static_cast<std::uint32_t>(RecordKind::surface)) {
           throw std::runtime_error("unknown record kind " +
                                    std::to_string(kind));
         }
@@ -306,56 +296,6 @@ std::uint64_t write_store_file(const std::string& path,
     return 0;
   }
   return w.data().size();
-}
-
-// --- aged library -----------------------------------------------------------
-
-std::string encode_aged_library_payload(std::uint64_t lib_fp,
-                                        const AgingParams& params,
-                                        double years) {
-  BinWriter w;
-  w.u64(lib_fp);
-  encode_aging(w, params);
-  w.f64(years);
-  return w.take();
-}
-
-AgedLibraryPayload decode_aged_library_payload(const std::string& payload,
-                                               const CellLibrary& lib) {
-  return decode_guarded("store aged library record",
-                        [&]() -> AgedLibraryPayload {
-    BinReader r(payload);
-    const std::uint64_t lib_fp = r.u64();
-    const AgingParams params = decode_aging(r);
-    const double years = r.f64();
-    r.expect_end();
-    // The record is key material only: the library is a pure function of
-    // it and `lib`, rebuilt bit-identically within one build fingerprint.
-    return AgedLibraryPayload{
-        lib_fp, years, DegradationAwareLibrary(lib, AgingModel(params), years)};
-  });
-}
-
-// --- sta delay --------------------------------------------------------------
-
-std::string encode_sta_delay_payload(const StaDelayPayload& p) {
-  BinWriter w;
-  w.u64(p.netlist_key);
-  w.u64(p.scenario_key);
-  w.f64(p.delay);
-  w.u64(p.gates);
-  return w.take();
-}
-
-StaDelayPayload decode_sta_delay_payload(const std::string& payload) {
-  BinReader r(payload);
-  StaDelayPayload p;
-  p.netlist_key = r.u64();
-  p.scenario_key = r.u64();
-  p.delay = r.f64();
-  p.gates = r.u64();
-  r.expect_end();
-  return p;
 }
 
 // --- characterization surface -----------------------------------------------

@@ -26,19 +26,18 @@
 // design_store.cpp), so a stale-but-well-formed record degrades to a cold
 // miss, never a wrong hit.
 //
-// Record payloads (kinds 2-4) carry the entry plus the key material needed
-// for that re-verification; decode helpers below are the single source of
-// truth for their layout. Aged-library and surface payloads carry one fixed
-// aging block right after lib_fp: the mechanism count and list, then every
-// BTI, HCI, EM and TDDB parameter, whichever mechanisms are enabled. Since
-// format 3 an aged-library record is that key material alone (lib_fp, aging
-// block, years: 260 bytes for BTI alone): the library is a pure function of
-// it, so the decoder rebuilds it, bit-identically within one build
-// fingerprint. Kind 1 held synthesized netlists up to format 3; since
-// format 4 no file carries it: netlists are an intermediate that costs a
-// fraction of a millisecond to synthesize, yet made up 95-98 % of a file's
-// bytes, so a netlist needed after a reopen is rebuilt on its miss. Payload
-// layout changes require bumping kStoreFormatVersion.
+// The one record kind is 4, a characterization surface: the delay vs.
+// precision vs. aging table of paper Sec. III plus the key material needed
+// for that re-verification; its decode helpers below are the single source
+// of truth for the layout. The payload carries one fixed aging block right
+// after lib_fp: the mechanism count and list, then every BTI, HCI, EM and
+// TDDB parameter, whichever mechanisms are enabled. Every other artifact is
+// an intermediate that is cheap to recompute, so no file carries it: kind 1
+// held synthesized netlists up to format 3, kinds 2 and 3 held aged-library
+// key material and single STA delays up to format 4, and kind 5 is retired.
+// A record of any of them is dropped on load, and a query that needs the
+// artifact after a reopen rebuilds it on its miss. Payload layout changes
+// require bumping kStoreFormatVersion.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +47,6 @@
 #include "aging/aging_model.hpp"
 #include "aging/stress.hpp"
 #include "approx/characterization.hpp"
-#include "cell/degradation.hpp"
 #include "sta/sta.hpp"
 #include "synth/components.hpp"
 
@@ -56,7 +54,7 @@ namespace aapx::engine {
 
 inline constexpr char kStoreMagic[8] = {'A', 'A', 'P', 'X',
                                         'S', 'T', 'R', '\0'};
-inline constexpr std::uint32_t kStoreFormatVersion = 4;
+inline constexpr std::uint32_t kStoreFormatVersion = 5;
 
 /// Byte offsets of the header fields, exported so the corruption tests can
 /// patch specific fields without re-deriving the layout.
@@ -70,15 +68,11 @@ inline constexpr std::size_t kHeaderSize = 28;
 std::uint64_t build_fingerprint();
 
 enum class RecordKind : std::uint32_t {
-  // Value 1 names the DesignStore's in-memory netlist family, which is never
-  // saved since format 4; a file record of kind 1 is dropped on load.
-  netlist = 1,
-  aged_library = 2,
-  sta_delay = 3,
+  // Values 1-3 (netlists, aged libraries, STA delays) are no longer written
+  // and value 5 is retired (learned-surrogate models, which were removed).
+  // Never reuse them: a file record of any of them is dropped on load as an
+  // unknown kind, a cold miss.
   surface = 4,
-  // Value 5 is retired: it held learned-surrogate model records, which
-  // were removed. Never reuse it — files that still carry such records
-  // drop them on load as an unknown kind, a cold miss.
 };
 
 const char* to_string(RecordKind kind);
@@ -125,36 +119,10 @@ class BinWriter;
 void encode_spec(BinWriter& w, const ComponentSpec& spec);
 ComponentSpec decode_spec(BinReader& r);
 
-// --- payload codecs ---------------------------------------------------------
-// Encoders serialize an entry with its key material; decoders re-verify
-// structural invariants (counts, cell ids) and throw std::runtime_error on
-// any inconsistency. Decoded libraries attach to the live CellLibrary passed
-// in; callers must have checked the payload's library fingerprint against
-// that library first.
-
-/// The aging parameters are library.model().params(); the record writes
-/// them as its aging block.
-struct AgedLibraryPayload {
-  std::uint64_t lib_fp = 0;
-  double years = 0.0;
-  DegradationAwareLibrary library;
-};
-/// Key material only (lib_fp, aging block, years); the decoder rebuilds the
-/// library from it.
-std::string encode_aged_library_payload(std::uint64_t lib_fp,
-                                        const AgingParams& params,
-                                        double years);
-AgedLibraryPayload decode_aged_library_payload(const std::string& payload,
-                                               const CellLibrary& lib);
-
-struct StaDelayPayload {
-  std::uint64_t netlist_key = 0;
-  std::uint64_t scenario_key = 0;
-  double delay = 0.0;
-  std::uint64_t gates = 0;
-};
-std::string encode_sta_delay_payload(const StaDelayPayload& p);
-StaDelayPayload decode_sta_delay_payload(const std::string& payload);
+// --- surface codec ----------------------------------------------------------
+// The encoder serializes a surface with its key material; the decoder
+// re-verifies structural invariants (counts, enum ranges) and throws
+// std::runtime_error on any inconsistency.
 
 struct SurfacePayload {
   std::uint64_t lib_fp = 0;

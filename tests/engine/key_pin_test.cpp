@@ -4,14 +4,12 @@
 // the file header covers the format version and the compiler, not how keys
 // are derived, so a digest that drifts would silently turn every existing
 // store file into cold misses. These values must only change together with
-// kStoreFormatVersion. The netlist, delay and surface keys also depend on
-// the cell-library fingerprint, pinned here too so a failure says which
-// input moved.
+// kStoreFormatVersion. The surface key also depends on the cell-library
+// fingerprint, pinned here too so a failure says which input moved.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,9 +79,8 @@ TEST(StoreKeyPin, RecordKeys) {
       ::testing::TempDir() + "key_pin_test_store.aapx";
   std::remove(path.c_str());
   {
-    // One record of each saved kind: the aged delay query builds the
-    // netlist (kept in memory only) and the aged library, and the surface's
-    // sweep adds nothing else.
+    // The aged delay query builds a netlist, an aged library and a delay
+    // entry, all kept in memory only: the file holds the surface alone.
     Context ctx;
     ctx.store().aged_sta_delay(lib, adder8, model, StressMode::worst, 10.0,
                                sta);
@@ -98,18 +95,9 @@ TEST(StoreKeyPin, RecordKeys) {
   const engine::StoreFileData data = engine::load_store_file(path);
   std::remove(path.c_str());
   ASSERT_TRUE(data.header_ok);
-  std::map<std::string, std::vector<std::string>> keys;
-  for (const engine::RawRecord& rec : data.records) {
-    keys[engine::to_string(rec.kind)].push_back(hex(rec.key));
-  }
-  EXPECT_TRUE(keys[engine::to_string(engine::RecordKind::netlist)].empty());
-  EXPECT_EQ(keys[engine::to_string(engine::RecordKind::aged_library)],
-            std::vector<std::string>{"57f20296e57abae9"});
-  EXPECT_EQ(keys[engine::to_string(engine::RecordKind::sta_delay)],
-            std::vector<std::string>{"ef25f619b536aafe"});
-  EXPECT_EQ(keys[engine::to_string(engine::RecordKind::surface)],
-            std::vector<std::string>{"ea32545e8cbfde24"});
-  EXPECT_EQ(data.records.size(), 3u);
+  ASSERT_EQ(data.records.size(), 1u);
+  EXPECT_EQ(data.records[0].kind, engine::RecordKind::surface);
+  EXPECT_EQ(hex(data.records[0].key), "ea32545e8cbfde24");
 }
 
 }  // namespace

@@ -61,9 +61,9 @@ class PersistTest : public ::testing::Test {
   }
 
   /// Warms a store with one netlist, one aged library, fresh + aged delays
-  /// and one characterization surface, then saves it to path_ (every entry
-  /// but the netlists, which are never saved). Returns the
-  /// values the cold computation produced.
+  /// and one characterization surface, then saves it to path_ (the surface
+  /// alone: no other family is saved). Returns the values the cold
+  /// computation produced.
   struct Warmed {
     std::size_t gates = 0;
     double fresh = 0.0;
@@ -95,9 +95,14 @@ class PersistTest : public ::testing::Test {
 
   /// A minimal hand-rolled sweep so the test does not depend on the core
   /// characterizer (engine-layer test): per precision, fresh + aged delay
-  /// via the store.
+  /// via the store, aged under `model`.
   ComponentCharacterization sweep_directly(const Context& ctx,
                                            int min_precision = 4) {
+    return sweep_directly(ctx, model_, min_precision);
+  }
+  ComponentCharacterization sweep_directly(const Context& ctx,
+                                           const AgingModel& model,
+                                           int min_precision) {
     ComponentCharacterization c;
     c.base = adder8();
     c.scenarios = scenarios_;
@@ -107,11 +112,11 @@ class PersistTest : public ::testing::Test {
       PrecisionPoint p;
       p.precision = k;
       p.fresh_delay = ctx.store().aged_sta_delay(
-          lib_, spec, model_, StressMode::worst, 0.0, sta_);
+          lib_, spec, model, StressMode::worst, 0.0, sta_);
       p.gates = ctx.store().netlist(lib_, spec).num_gates();
       for (const AgingScenario& s : scenarios_) {
         p.aged_delay.push_back(ctx.store().aged_sta_delay(
-            lib_, spec, model_, s.mode, s.years, sta_));
+            lib_, spec, model, s.mode, s.years, sta_));
       }
       c.points.push_back(std::move(p));
     }
@@ -128,51 +133,19 @@ class PersistTest : public ::testing::Test {
     return w;
   }
 
-  /// Saves what `run` queries on a cold Context, swaps the payloads of the
-  /// file's two `kind` records (their keys stay put) and replays `run` on the
-  /// reopened file. Each swapped record carries the other query's key
-  /// material, so both queries must count as `misses` (never `hits`), drop
-  /// their record as stale and reproduce the cold bytes. `run` returns its
-  /// results serialized, so equal strings mean bit-identical results.
-  template <typename Run>
-  void expect_swapped_records_miss(
-      engine::RecordKind kind, const Run& run,
-      std::uint64_t engine::DesignStore::Stats::*hits,
-      std::uint64_t engine::DesignStore::Stats::*misses) {
-    std::string cold;
-    {
-      Context ctx;
-      cold = run(ctx);
-      ASSERT_TRUE(ctx.store().save(path_));
+  /// Two surfaces of adder8() that differ in their precision floor, queried
+  /// through `ctx`'s store and returned serialized, so equal strings mean
+  /// bit-identical results.
+  std::string two_surfaces(const Context& ctx) {
+    std::string out;
+    for (const int min_precision : {4, 5}) {
+      const ComponentCharacterization& c = ctx.store().surface(
+          lib_, model_, adder8(), scenarios_, min_precision, 1, sta_,
+          [&] { return sweep_directly(ctx, min_precision); });
+      out += engine::encode_surface_payload(
+          {0, model_.params(), sta_, min_precision, 1, scenarios_, c});
     }
-    engine::StoreFileData data = engine::load_store_file(path_);
-    std::vector<engine::RawRecord*> pair;
-    for (engine::RawRecord& rec : data.records) {
-      if (rec.kind == kind) pair.push_back(&rec);
-    }
-    ASSERT_EQ(pair.size(), 2u);
-    ASSERT_NE(pair[0]->payload, pair[1]->payload);
-    std::swap(pair[0]->payload, pair[1]->payload);
-    ASSERT_GT(engine::write_store_file(path_, data.records), 0u);
-
-    Context ctx;
-    ASSERT_TRUE(ctx.store().open(path_));  // well-formed: nothing dropped yet
-    obs::Counter& dropped =
-        ctx.metrics().counter("engine.store.persist.records_dropped");
-    const std::uint64_t dropped_at_open = dropped.value();
-    testing::internal::CaptureStderr();
-    const std::string warm = run(ctx);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(cold, warm);
-    EXPECT_EQ(dropped.value() - dropped_at_open, 2u);
-    const engine::DesignStore::Stats stats = ctx.store().stats();
-    EXPECT_EQ(stats.*hits, 0u);
-    EXPECT_EQ(stats.*misses, 2u);
-    EXPECT_NE(err.find("stale key material"), std::string::npos) << err;
-  }
-
-  static std::string bits_of(double v) {
-    return std::string(reinterpret_cast<const char*>(&v), sizeof v);
+    return out;
   }
 
   static void expect_bit_identical(const Warmed& a, const Warmed& b) {
@@ -210,28 +183,39 @@ TEST_F(PersistTest, RoundTripReproducesBitIdenticalArtifacts) {
   const Warmed warm = replay(/*open_store=*/true, &stats);
   expect_bit_identical(cold, warm);
 
-  // Every query of a saved family was served from the file: persist hits,
-  // no STA recomputed. The one netlist queried directly is synthesized again
-  // (netlists are not saved); the surface hit means no sweep ran.
-  EXPECT_GT(stats.persist_hits, 0u);
-  EXPECT_EQ(stats.misses(), stats.netlist_misses);
+  // The surface was served from the file: one persist hit, so no sweep ran.
+  // The intermediates queried directly are recomputed (no file holds them):
+  // one netlist, one aged library and the fresh and aged delays, each a
+  // single miss.
+  EXPECT_EQ(stats.persist_hits, 1u);
+  EXPECT_EQ(stats.surface_hits, 1u);
+  EXPECT_EQ(stats.surface_misses, 0u);
   EXPECT_EQ(stats.netlist_misses, 1u);
-  EXPECT_EQ(stats.delay_hits + stats.surface_hits, stats.hits());
+  EXPECT_EQ(stats.library_misses, 1u);
+  EXPECT_EQ(stats.delay_misses, 2u);
+  EXPECT_EQ(stats.misses(), 4u);
 }
 
 TEST_F(PersistTest, SaveIsByteDeterministic) {
-  warm_and_save();
+  {
+    Context ctx;
+    two_surfaces(ctx);
+    ASSERT_TRUE(ctx.store().save(path_));
+  }
   const std::string first = read_bytes(path_);
+  ASSERT_EQ(engine::load_store_file(path_).records.size(), 2u);
 
   // Re-saving the identical logical content from a fresh warm process must
-  // produce the identical file, byte for byte.
+  // produce the identical file, byte for byte: the re-encoded surface
+  // reproduces the bytes it was decoded from.
   const std::string second_path = path_ + ".resave";
   {
     Context ctx;
     ctx.store().open(path_);
-    // Materialize one record; the other stays staged.
-    (void)ctx.store().aged_sta_delay(lib_, adder8(), model_, StressMode::worst,
-                                     10.0, sta_);
+    // Materialize one surface record; the other stays staged.
+    ctx.store().surface(lib_, model_, adder8(), scenarios_, 4, 1, sta_,
+                        [&] { return sweep_directly(ctx); });
+    EXPECT_EQ(ctx.store().stats().persist_hits, 1u);
     ASSERT_TRUE(ctx.store().save(second_path));
   }
   EXPECT_EQ(first, read_bytes(second_path));
@@ -286,7 +270,13 @@ TEST_F(PersistTest, TruncatedHeaderDegradesToCold) {
 }
 
 TEST_F(PersistTest, FlippedPayloadByteDropsOnlyThatRecord) {
-  const Warmed cold = warm_and_save();
+  // Two surface records, so one survives the damage done to the other.
+  std::string cold;
+  {
+    Context ctx;
+    cold = two_surfaces(ctx);
+    ASSERT_TRUE(ctx.store().save(path_));
+  }
   std::string bytes = read_bytes(path_);
   // Flip one byte inside the first record's payload. The first record
   // starts right after the header; its payload starts 28 bytes later
@@ -296,25 +286,29 @@ TEST_F(PersistTest, FlippedPayloadByteDropsOnlyThatRecord) {
   bytes[target] = static_cast<char>(bytes[target] ^ 0x40);
   write_bytes(path_, bytes);
 
-  // Exactly the damaged record is dropped at load; the rest survive.
+  // Exactly the damaged record is dropped at load; the other survives.
   const engine::StoreFileData data = engine::load_store_file(path_);
   EXPECT_TRUE(data.header_ok);
   EXPECT_EQ(data.records_dropped, 1u);
+  EXPECT_EQ(data.records.size(), 1u);
   ASSERT_EQ(data.warnings.size(), 1u);
   EXPECT_NE(data.warnings[0].find("checksum mismatch"), std::string::npos);
 
-  engine::DesignStore::Stats stats;
-  const Warmed recovered = replay(/*open_store=*/true, &stats);
-  expect_bit_identical(cold, recovered);
-  EXPECT_GT(stats.persist_hits, 0u);  // surviving records still served
+  Context ctx;
+  ctx.store().open(path_);
+  EXPECT_EQ(cold, two_surfaces(ctx));
+  const engine::DesignStore::Stats stats = ctx.store().stats();
+  EXPECT_EQ(stats.persist_hits, 1u);  // the surviving record is still served
+  EXPECT_EQ(stats.surface_misses, 1u);
 }
 
 TEST_F(PersistTest, WrongFormatVersionRejectsWholeFile) {
-  // A future format; version 3, whose files carried netlist records;
-  // version 2, whose aged-library records carried every cell's factor grids;
-  // and version 1, the layout before the fixed aging block.
+  // A future format; version 4, whose files carried aged-library and STA
+  // delay records; version 3, whose files carried netlist records; version
+  // 2, whose aged-library records carried every cell's factor grids; and
+  // version 1, the layout before the fixed aging block.
   for (const std::uint32_t version :
-       {engine::kStoreFormatVersion + 1, 3u, 2u, 1u}) {
+       {engine::kStoreFormatVersion + 1, 4u, 3u, 2u, 1u}) {
     const Warmed cold = warm_and_save();
     std::string bytes = read_bytes(path_);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -337,21 +331,25 @@ TEST_F(PersistTest, WrongFormatVersionRejectsWholeFile) {
   }
 }
 
-// A version-3 file as that format framed it: the header and one kind-1
-// (netlist) record, written by hand. It opens cold with exactly one warning,
-// and the run recomputes everything with the cold results.
-TEST_F(PersistTest, Version3FileOpensColdWithOneWarning) {
-  const std::string payload(40, '\x4e');
+// A version-4 file as that format framed it: the header, one kind-2 (aged
+// library key material) and one kind-3 (STA delay) record, written by hand.
+// It opens cold with exactly one warning, and the run recomputes everything
+// with the cold results.
+TEST_F(PersistTest, Version4FileOpensColdWithOneWarning) {
   engine::BinWriter w;
   w.bytes(std::string_view(engine::kStoreMagic, sizeof engine::kStoreMagic));
-  w.u32(3);
+  w.u32(4);
   w.u64(engine::build_fingerprint());  // the version check comes first
-  w.u64(1);
-  w.u32(static_cast<std::uint32_t>(engine::RecordKind::netlist));
-  w.u64(0x4e4c303031ULL);
-  w.u64(payload.size());
-  w.u64(fnv1a(payload));
-  w.bytes(payload);
+  w.u64(2);
+  const std::pair<std::uint32_t, std::string> records[] = {
+      {2u, std::string(260, '\x41')}, {3u, std::string(32, '\x44')}};
+  for (const auto& [kind, payload] : records) {
+    w.u32(kind);
+    w.u64(0x414c303031ULL + kind);
+    w.u64(payload.size());
+    w.u64(fnv1a(payload));
+    w.bytes(payload);
+  }
   write_bytes(path_, w.take());
 
   engine::DesignStore::Stats cold_stats;
@@ -363,7 +361,7 @@ TEST_F(PersistTest, Version3FileOpensColdWithOneWarning) {
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_FALSE(clean);
   EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
-  EXPECT_NE(err.find("format version 3 (expected 4)"), std::string::npos)
+  EXPECT_NE(err.find("format version 4 (expected 5)"), std::string::npos)
       << err;
   expect_bit_identical(cold, recomputed);
   const engine::DesignStore::Stats stats = ctx.store().stats();
@@ -404,10 +402,11 @@ TEST_F(PersistTest, DamagedOpenReportsFalseAndWarns) {
   EXPECT_NE(err.find("format version"), std::string::npos) << err;
 }
 
-// Record kind 5 is retired and kind 1 (netlists) is never written since
-// format 4 (see RecordKind in engine/persist.hpp). A current-format file that
-// carries either must still open: each such record is dropped and counted,
-// and every other record is served from disk exactly as before.
+// Record kind 5 is retired, and kinds 1-3 (netlists, aged libraries, STA
+// delays) are never written since format 5 (see RecordKind in
+// engine/persist.hpp). A current-format file that carries any of them must
+// still open: each such record is dropped and counted, and the surface is
+// served from disk exactly as before.
 TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
   const Warmed cold = warm_and_save();
   engine::StoreFileData data = engine::load_store_file(path_);
@@ -415,15 +414,14 @@ TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
   std::vector<engine::RawRecord> records = std::move(data.records);
   std::set<engine::RecordKind> kinds;
   for (const engine::RawRecord& r : records) kinds.insert(r.kind);
-  EXPECT_EQ(kinds, (std::set<engine::RecordKind>{
-                       engine::RecordKind::aged_library,
-                       engine::RecordKind::sta_delay,
-                       engine::RecordKind::surface}));
+  EXPECT_EQ(kinds,
+            (std::set<engine::RecordKind>{engine::RecordKind::surface}));
   const std::size_t live = records.size();
-  records.push_back({engine::RecordKind::netlist, 0x4e4c303031ULL,
-                     std::string(64, '\x4e')});
-  records.push_back({static_cast<engine::RecordKind>(5), 0x5352303031ULL,
-                     std::string(96, '\x5a')});
+  const std::uint32_t retired[] = {1, 2, 3, 5};
+  for (const std::uint32_t kind : retired) {
+    records.push_back({static_cast<engine::RecordKind>(kind),
+                       0x5352303030ULL + kind, std::string(64, '\x5a')});
+  }
   ASSERT_GT(engine::write_store_file(path_, records), 0u);
 
   Context ctx;
@@ -432,21 +430,24 @@ TEST_F(PersistTest, RetiredRecordKindIsDroppedRestIsServed) {
   ASSERT_NO_THROW(clean = ctx.store().open(path_));
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_FALSE(clean);  // the dropped records are reported, not hidden
-  EXPECT_NE(err.find("unknown record kind 1"), std::string::npos) << err;
-  EXPECT_NE(err.find("unknown record kind 5"), std::string::npos) << err;
+  for (const std::uint32_t kind : retired) {
+    EXPECT_NE(err.find("unknown record kind " + std::to_string(kind)),
+              std::string::npos)
+        << err;
+  }
   obs::MetricsRegistry& m = ctx.metrics();
-  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 2u);
+  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 4u);
   EXPECT_EQ(m.counter("engine.store.persist.records_loaded").value(), live);
 
   Warmed warm;
   ASSERT_NO_THROW(warm = query(ctx));
   expect_bit_identical(cold, warm);
   const engine::DesignStore::Stats stats = ctx.store().stats();
-  EXPECT_GT(stats.persist_hits, 0u);
-  // Only the netlist is recomputed: no netlist record was served.
-  EXPECT_EQ(stats.netlist_hits, 0u);
-  EXPECT_EQ(stats.misses(), stats.netlist_misses);
-  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 2u);
+  // The surface is served from disk; the intermediates are recomputed.
+  EXPECT_EQ(stats.persist_hits, 1u);
+  EXPECT_EQ(stats.surface_hits, 1u);
+  EXPECT_EQ(stats.surface_misses, 0u);
+  EXPECT_EQ(m.counter("engine.store.persist.records_dropped").value(), 4u);
 }
 
 // A well-formed record (valid checksum) whose enums name no real value is
@@ -484,82 +485,63 @@ TEST_F(PersistTest, OutOfRangeEnumSurfaceRecordIsDropped) {
 TEST_F(PersistTest, StaleRecordIsColdMissNotWrongHit) {
   warm_and_save();
 
-  // A query the file does not answer — the same component under a hotter
-  // BTI parameter set — must recompute honestly: none of the staged records
-  // (keyed by the nominal model's content) may be served for it.
+  // A query the file does not answer — the same surface under a hotter BTI
+  // parameter set — must recompute honestly: the staged record (keyed by
+  // the nominal model's content) may not be served for it.
   AgingParams hot = model_.params();
   hot.bti.a_pmos *= 2.0;
   const AgingModel hot_model{hot};
+  const auto hot_surface = [&](const Context& ctx) {
+    return ctx.store().surface(
+        lib_, hot_model, adder8(), scenarios_, 4, 1, sta_,
+        [&] { return sweep_directly(ctx, hot_model, 4); });
+  };
 
   Context probe_ctx;
-  const double honest = probe_ctx.store().aged_sta_delay(
-      lib_, adder8(), hot_model, StressMode::worst, 10.0, sta_);
+  const Warmed honest{0, 0.0, 0.0, hot_surface(probe_ctx)};
 
   Context ctx;
   ctx.store().open(path_);
-  const double recomputed = ctx.store().aged_sta_delay(
-      lib_, adder8(), hot_model, StressMode::worst, 10.0, sta_);
-  EXPECT_EQ(honest, recomputed);
-  // No *delay* record keyed to the nominal model may be served.
-  EXPECT_EQ(ctx.store().stats().delay_hits, 0u);
-  EXPECT_EQ(ctx.store().stats().delay_misses, 1u);
+  const Warmed recomputed{0, 0.0, 0.0, hot_surface(ctx)};
+  expect_bit_identical(honest, recomputed);
+  // No surface record keyed to the nominal model may be served.
+  EXPECT_EQ(ctx.store().stats().surface_hits, 0u);
+  EXPECT_EQ(ctx.store().stats().surface_misses, 1u);
+  EXPECT_EQ(ctx.store().stats().persist_hits, 0u);
 }
 
-// The three cases below reach the staged-record key-material check itself:
-// each file holds both queried keys, but under each other's payloads.
-TEST_F(PersistTest, SwappedAgedLibraryRecordsAreStaleColdMisses) {
-  expect_swapped_records_miss(
-      engine::RecordKind::aged_library,
-      [&](const Context& ctx) {
-        // The served library's key material and every factor it answers.
-        std::string out;
-        for (const double years : {1.0, 10.0}) {
-          const DegradationAwareLibrary& aged =
-              ctx.store().aged_library(lib_, model_, years);
-          out += engine::encode_aged_library_payload(0, aged.model().params(),
-                                                     aged.years());
-          for (CellId c = 0; c < lib_.size(); ++c) {
-            out += bits_of(aged.rise_factor(c, kBalancedStress)) +
-                   bits_of(aged.fall_factor(c, kBalancedStress));
-          }
-        }
-        return out;
-      },
-      &engine::DesignStore::Stats::library_hits,
-      &engine::DesignStore::Stats::library_misses);
-}
-
-TEST_F(PersistTest, SwappedStaDelayRecordsAreStaleColdMisses) {
-  expect_swapped_records_miss(
-      engine::RecordKind::sta_delay,
-      [&](const Context& ctx) {
-        std::string out;
-        for (const double years : {0.0, 10.0}) {
-          out += bits_of(ctx.store().aged_sta_delay(
-              lib_, adder8(), model_, StressMode::worst, years, sta_));
-        }
-        return out;
-      },
-      &engine::DesignStore::Stats::delay_hits,
-      &engine::DesignStore::Stats::delay_misses);
-}
-
+// A file that holds both queried surface keys, but under each other's
+// payloads, reaches the staged-record key-material check itself. Each
+// swapped record carries the other query's key material, so both queries
+// must count as misses (never hits), drop their record as stale and
+// reproduce the cold bytes.
 TEST_F(PersistTest, SwappedSurfaceRecordsAreStaleColdMisses) {
-  expect_swapped_records_miss(
-      engine::RecordKind::surface,
-      [&](const Context& ctx) {
-        std::string out;
-        for (const int min_precision : {4, 5}) {
-          const ComponentCharacterization& c = ctx.store().surface(
-              lib_, model_, adder8(), scenarios_, min_precision, 1, sta_,
-              [&] { return sweep_directly(ctx, min_precision); });
-          out += engine::encode_surface_payload(
-              {0, model_.params(), sta_, min_precision, 1, scenarios_, c});
-        }
-        return out;
-      },
-      &engine::DesignStore::Stats::surface_hits,
-      &engine::DesignStore::Stats::surface_misses);
+  std::string cold;
+  {
+    Context ctx;
+    cold = two_surfaces(ctx);
+    ASSERT_TRUE(ctx.store().save(path_));
+  }
+  engine::StoreFileData data = engine::load_store_file(path_);
+  ASSERT_EQ(data.records.size(), 2u);
+  ASSERT_NE(data.records[0].payload, data.records[1].payload);
+  std::swap(data.records[0].payload, data.records[1].payload);
+  ASSERT_GT(engine::write_store_file(path_, data.records), 0u);
+
+  Context ctx;
+  ASSERT_TRUE(ctx.store().open(path_));  // well-formed: nothing dropped yet
+  obs::Counter& dropped =
+      ctx.metrics().counter("engine.store.persist.records_dropped");
+  const std::uint64_t dropped_at_open = dropped.value();
+  testing::internal::CaptureStderr();
+  const std::string warm = two_surfaces(ctx);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(cold, warm);
+  EXPECT_EQ(dropped.value() - dropped_at_open, 2u);
+  const engine::DesignStore::Stats stats = ctx.store().stats();
+  EXPECT_EQ(stats.surface_hits, 0u);
+  EXPECT_EQ(stats.surface_misses, 2u);
+  EXPECT_NE(err.find("stale key material"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "engine/binio.hpp"
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
-#include "engine/key.hpp"
 #include "engine/persist.hpp"
 #include "service/protocol.hpp"
 
@@ -71,22 +70,15 @@ AgedDelayRequest sample_aged_delay() {
 
 /// The truncation lengths fuzz_codec walks: every prefix of a payload up
 /// to 4 KB, and of any payload when AAPX_FUZZ_ITERS > 1 (the extended-fuzz
-/// job). A longer payload at the PR-gate budget walks each of its section
-/// `boundaries` +-1, its first and last byte, and a seeded sample of 512
-/// lengths.
-std::vector<std::size_t> truncation_lengths(
-    std::size_t size, const std::vector<std::size_t>& boundaries) {
+/// job). A longer payload at the PR-gate budget walks its first and last
+/// byte and a seeded sample of 512 lengths.
+std::vector<std::size_t> truncation_lengths(std::size_t size) {
   std::vector<std::size_t> lens;
   if (size <= 4096 || fuzz_rounds(1) > 1) {
     for (std::size_t len = 0; len < size; ++len) lens.push_back(len);
     return lens;
   }
   lens = {0, size - 1};
-  for (const std::size_t b : boundaries) {
-    for (std::size_t len = b == 0 ? 0 : b - 1; len <= b + 1; ++len) {
-      if (len < size) lens.push_back(len);
-    }
-  }
   Xorshift rng;
   for (int i = 0; i < 512; ++i) lens.push_back(rng.next() % size);
   return lens;
@@ -97,10 +89,9 @@ std::vector<std::size_t> truncation_lengths(
 /// throw ErrorT.
 template <typename ErrorT, typename Decode>
 void fuzz_codec(const std::string& valid, const Decode& decode,
-                const char* who, int rounds = fuzz_rounds(300),
-                const std::vector<std::size_t>& boundaries = {}) {
+                const char* who, int rounds = fuzz_rounds(300)) {
   // Truncation: a short payload must never decode.
-  for (const std::size_t len : truncation_lengths(valid.size(), boundaries)) {
+  for (const std::size_t len : truncation_lengths(valid.size())) {
     EXPECT_THROW(decode(valid.substr(0, len)), ErrorT)
         << who << ": truncation to " << len << " bytes accepted";
   }
@@ -398,18 +389,6 @@ TEST(FrameReader, FuzzRandomStreams) {
 
 // --- engine/persist record codecs (store files share the binio substrate) ---
 
-/// Field boundaries of a key-only aged-library record, last first: it ends
-/// in years (one f64) after the aging block's 29 f64 parameters, its
-/// `mechanisms`-entry i32 list and u64 count, and the u64 lib_fp. The last
-/// entry is the end of lib_fp.
-std::vector<std::size_t> aged_library_boundaries(std::size_t size,
-                                                 std::size_t mechanisms) {
-  const std::size_t years_at = size - 8;
-  const std::size_t params_at = years_at - 29 * 8;
-  const std::size_t list_at = params_at - 4 * mechanisms;
-  return {size, years_at, params_at, list_at, list_at - 8};
-}
-
 TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
   const Context ctx;
   const CellLibrary lib = make_nangate45_like();
@@ -417,43 +396,8 @@ TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
   const ComponentSpec spec{ComponentKind::adder, 4, 0, AdderArch::ripple,
                            MultArch::array};
 
-  fuzz_codec<std::runtime_error>(
-      engine::encode_sta_delay_payload({1, 2, 3.5, 40}),
-      [](const std::string& b) {
-        return engine::decode_sta_delay_payload(b);
-      },
-      "sta_delay record", fuzz_rounds(150));
-
-  // Aged-library and surface payloads share one aging-block codec. The
-  // aged-library pass runs once, on the 4-mechanism record (its decoder
-  // rebuilds the library, the most expensive decode per byte); the two
-  // surface passes cover the aging block with a 1-entry and a 4-entry
-  // mechanism list.
-  AgingParams multi;
-  multi.mechanisms = {MechanismKind::bti, MechanismKind::hci,
-                      MechanismKind::em, MechanismKind::tddb};
-  const std::string aged_payload =
-      engine::encode_aged_library_payload(lib_fp, multi, 10.0);
-  const std::vector<std::size_t> aged_bounds =
-      aged_library_boundaries(aged_payload.size(), multi.mechanisms.size());
-  // The layout model is exact: lib_fp ends where the record starts it, and
-  // years reads back from the last field.
-  EXPECT_EQ(aged_bounds.back(), 8u);
-  engine::BinReader years_at(
-      std::string_view(aged_payload).substr(aged_bounds[1], 8));
-  EXPECT_EQ(years_at.f64(), 10.0);
-  const engine::AgedLibraryPayload decoded =
-      engine::decode_aged_library_payload(aged_payload, lib);
-  EXPECT_EQ(decoded.lib_fp, lib_fp);
-  EXPECT_EQ(decoded.years, 10.0);
-  EXPECT_EQ(engine::key_of(decoded.library.model()), engine::key_of(multi));
-  fuzz_codec<std::runtime_error>(
-      aged_payload,
-      [&](const std::string& b) {
-        return engine::decode_aged_library_payload(b, lib);
-      },
-      "aged_library record", fuzz_rounds(150), aged_bounds);
-
+  // The two surface passes cover the payload's aging block with a 1-entry
+  // and a 4-entry mechanism list.
   const AgingModel model;
   engine::SurfacePayload sp;
   sp.lib_fp = lib_fp;
@@ -469,6 +413,9 @@ TEST(StoreCodecFuzz, AllRecordCodecsRejectMalformedBytes) {
       engine::encode_surface_payload(sp),
       [](const std::string& b) { return engine::decode_surface_payload(b); },
       "surface record", fuzz_rounds(150));
+  AgingParams multi;
+  multi.mechanisms = {MechanismKind::bti, MechanismKind::hci,
+                      MechanismKind::em, MechanismKind::tddb};
   engine::SurfacePayload msp = sp;
   msp.params = multi;
   fuzz_codec<std::runtime_error>(

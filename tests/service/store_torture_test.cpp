@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "cell/library.hpp"
+#include "core/characterizer.hpp"
 #include "engine/context.hpp"
 #include "engine/design_store.hpp"
 #include "engine/persist.hpp"
@@ -31,6 +32,18 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// The surface the child warms and the parent's reopen queries: a 4-bit
+/// ripple adder swept through the characterizer, which routes it through
+/// the Context's store (surfaces are the record kind a store file holds).
+void characterize_adder4(const Context& ctx, const CellLibrary& lib) {
+  CharacterizerOptions copt;
+  copt.min_precision = 2;
+  const ComponentCharacterizer ch(ctx, lib, AgingModel{}, copt);
+  ch.characterize(
+      {ComponentKind::adder, 4, 0, AdderArch::ripple, MultArch::array},
+      {{StressMode::worst, 10.0}});
 }
 
 /// Child body: warm a small store, then save it to $AAPX_TORTURE_STORE in a
@@ -44,12 +57,7 @@ TEST(StoreTorture, DISABLED_SaveLoopChild) {
   opt.threads = 1;
   const Context ctx(opt);
   const CellLibrary lib = make_nangate45_like();
-  for (const int width : {4, 6, 8}) {
-    const ComponentSpec spec{ComponentKind::adder, width, 0,
-                             AdderArch::ripple, MultArch::array};
-    ctx.store().aged_sta_delay(lib, spec, AgingModel{}, StressMode::worst,
-                               10.0, StaOptions{});
-  }
+  characterize_adder4(ctx, lib);
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < until) {
@@ -122,9 +130,7 @@ TEST(StoreTorture, SigkillMidSaveAlwaysReopens) {
     opt.threads = 1;
     opt.store_path = store;
     const Context reopened(opt);
-    reopened.store().aged_sta_delay(
-        lib, {ComponentKind::adder, 4, 0, AdderArch::ripple, MultArch::array},
-        AgingModel{}, StressMode::worst, 10.0, StaOptions{});
+    characterize_adder4(reopened, lib);
     EXPECT_GE(reopened.store().stats().persist_hits, 1u)
         << "round " << round;
   }

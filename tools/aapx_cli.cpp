@@ -981,8 +981,8 @@ int cmd_library_query(const Context&, const Args& args) {
   const int width = args.get("width", 0);
 
   std::size_t shown = 0;
+  // load_store_file keeps surface records only (engine/persist.hpp).
   for (const engine::RawRecord& rec : data.records) {
-    if (rec.kind != engine::RecordKind::surface) continue;
     engine::SurfacePayload p;
     try {
       p = engine::decode_surface_payload(rec.payload);
@@ -1051,22 +1051,20 @@ int cmd_library_merge(const Context&, const Args& args) {
   if (inputs.empty()) {
     throw std::runtime_error("--inputs <a.aapx,b.aapx,...> is required");
   }
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> merged;
+  // Every loaded record is a surface, so the record key alone identifies it.
+  std::map<std::uint64_t, std::string> merged;
   std::size_t conflicts = 0;
   for (const std::string& input : inputs) {
     engine::StoreFileData data = load_store(input);
     for (engine::RawRecord& rec : data.records) {
-      const std::pair<std::uint32_t, std::uint64_t> key = {
-          static_cast<std::uint32_t>(rec.kind), rec.key};
-      const auto it = merged.find(key);
+      const auto it = merged.find(rec.key);
       if (it == merged.end()) {
-        merged.emplace(key, std::move(rec.payload));
+        merged.emplace(rec.key, std::move(rec.payload));
       } else if (it->second != rec.payload) {
         std::fprintf(stderr,
-                     "aapx store: %s: conflicting %s record %016llx "
+                     "aapx store: %s: conflicting surface record %016llx "
                      "(keeping first)\n",
-                     input.c_str(), engine::to_string(rec.kind),
-                     static_cast<unsigned long long>(rec.key));
+                     input.c_str(), static_cast<unsigned long long>(rec.key));
         ++conflicts;
       }
     }
@@ -1074,10 +1072,9 @@ int cmd_library_merge(const Context&, const Args& args) {
   std::vector<engine::RawRecord> records;
   records.reserve(merged.size());
   for (auto& [key, payload] : merged) {
-    records.push_back({static_cast<engine::RecordKind>(key.first), key.second,
-                       std::move(payload)});
+    records.push_back({engine::RecordKind::surface, key, std::move(payload)});
   }
-  // std::map iterates (kind, key)-sorted already — write is deterministic.
+  // std::map iterates key-sorted already — write is deterministic.
   if (engine::write_store_file(out, records) == 0) {
     throw std::runtime_error("cannot write store file " + out);
   }

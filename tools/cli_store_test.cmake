@@ -119,7 +119,7 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "library info failed (rc=${rc}):\n${out}\n${err}")
 endif()
-check_contains("${out}" "format version: 4" "library info")
+check_contains("${out}" "format version: 5" "library info")
 check_contains("${out}" "surface" "library info census")
 
 # --- 7. merge the library with the characterize store -----------------------
@@ -138,13 +138,13 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "info on merged file failed (rc=${rc}):\n${out}\n${err}")
 endif()
-# Both inputs synthesized netlists, yet no file holds a netlist record: the
-# census lists the three saved kinds only.
-check_contains("${out}" "format version: 4 \\(this binary: 4\\)" "merged info")
-foreach(kind aged_library sta_delay surface)
-  check_contains("${out}" "\\| ${kind} " "merged info census")
+# Both inputs synthesized netlists, aged libraries and STA delays, yet no
+# file holds a record of them: the census lists surfaces only.
+check_contains("${out}" "format version: 5 \\(this binary: 5\\)" "merged info")
+check_contains("${out}" "\\| surface " "merged info census")
+foreach(kind netlist aged_library sta_delay)
+  check_lacks("${out}" "\\| ${kind} " "merged info census")
 endforeach()
-check_lacks("${out}" "\\| netlist " "merged info census")
 
 # --- 8. a damaged store degrades to a cold run, not a failure ---------------
 file(WRITE "${store}" "this is not a store file")
