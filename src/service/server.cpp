@@ -1,6 +1,8 @@
 #include "service/server.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -142,6 +144,9 @@ struct Server::Impl {
   std::uint64_t lib_fp = 0;
 
   int listen_fd = -1;
+  /// Self-pipe: stop() writes a byte so the acceptor's poll returns at once
+  /// instead of at its next timeout.
+  int wake_fds[2] = {-1, -1};
   std::atomic<bool> stopping{false};
   std::atomic<bool> started{false};
 
@@ -567,8 +572,10 @@ struct Server::Impl {
   void acceptor_loop() {
     while (!stopping.load()) {
       reap_connections();
-      const int ready = wait_readable(listen_fd, 200);
-      if (ready <= 0) continue;
+      // The timeout only paces reaping; stop() wakes the poll through the
+      // self-pipe.
+      pollfd fds[2] = {{listen_fd, POLLIN, 0}, {wake_fds[0], POLLIN, 0}};
+      if (::poll(fds, 2, 200) <= 0 || (fds[0].revents & POLLIN) == 0) continue;
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
       auto conn = std::make_shared<Connection>(fd);
@@ -654,6 +661,13 @@ Server::~Server() { stop(); }
 bool Server::start(std::string* err) {
   impl_->listen_fd = listen_endpoint(impl_->options.listen, &endpoint_, err);
   if (impl_->listen_fd < 0) return false;
+  if (::pipe(impl_->wake_fds) != 0) {
+    if (err != nullptr) *err = "cannot create the acceptor's wake pipe";
+    close_fd(impl_->listen_fd);
+    impl_->listen_fd = -1;
+    unlink_endpoint(impl_->options.listen);
+    return false;
+  }
   impl_->started.store(true);
   impl_->acceptor = std::thread([this] { impl_->acceptor_loop(); });
   for (int i = 0; i < impl_->options.workers; ++i) {
@@ -671,6 +685,8 @@ void Server::stop() {
   // 1. Close admission: readers shed new requests, the acceptor exits.
   impl_->stopping.store(true);
   impl_->snapshot_cv.notify_all();
+  const char wake = 0;
+  [[maybe_unused]] const auto woken = ::write(impl_->wake_fds[1], &wake, 1);
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
   // 2. Drain: close() lets workers finish every queued job, then exit.
   impl_->queue.close();
@@ -696,6 +712,10 @@ void Server::stop() {
   entries.clear();
   close_fd(impl_->listen_fd);
   impl_->listen_fd = -1;
+  for (int& fd : impl_->wake_fds) {
+    close_fd(fd);
+    fd = -1;
+  }
   unlink_endpoint(impl_->options.listen);
   // 4. Final snapshot: the drained store's warmth survives the restart.
   impl_->save_snapshot();

@@ -1,7 +1,10 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -115,25 +118,37 @@ Sta::Sta(const Netlist& nl, StaOptions options, const Context* ctx)
   tracer_ = ctx != nullptr ? &ctx->tracer() : nullptr;
   metrics_ = &registry;
 
+  // Fresh delays by (cell, load), direct-mapped: a colliding pair evicts the
+  // slot and is looked up again, so no delay depends on the memo's size.
+  struct Memo {
+    CellId cell = kInvalidCell;
+    std::uint64_t load_bits = 0;
+    double rise = 0.0;
+    double fall = 0.0;
+  };
+  std::array<Memo, std::size_t{1} << kBaseDelayMemoBits> memo{};
   base_.rise.reserve(nl.num_gates());
   base_.fall.reserve(nl.num_gates());
   const double slew = options_.primary_input_slew;
   std::vector<char> is_po(nl.num_nets(), 0);
   for (const NetId po : nl.outputs()) is_po[po] = 1;
-  for (std::size_t g = 0; g < nl.num_gates(); ++g) {
-    const Gate& gate = nl.gate(static_cast<GateId>(g));
-    const Cell& cell = nl.lib().cell(gate.cell);
+  for (const Gate& gate : nl.gates()) {
     // Primary outputs additionally drive the next pipeline stage's registers.
     double load = nl.net_load(gate.fanout);
     if (is_po[gate.fanout]) load += options_.primary_output_load;
-    double rise = 0.0;
-    double fall = 0.0;
-    for (const TimingArc& arc : cell.arcs) {
-      rise = std::max(rise, arc.rise_delay.lookup(slew, load));
-      fall = std::max(fall, arc.fall_delay.lookup(slew, load));
+    const auto load_bits = std::bit_cast<std::uint64_t>(load);
+    const std::uint64_t h =
+        (load_bits ^ (std::uint64_t{gate.cell} << 40)) * 0x9E3779B97F4A7C15ULL;
+    Memo& m = memo[static_cast<std::size_t>(h >> (64 - kBaseDelayMemoBits))];
+    if (m.cell != gate.cell || m.load_bits != load_bits) {
+      m = {gate.cell, load_bits, 0.0, 0.0};
+      for (const TimingArc& arc : nl.lib().cell(gate.cell).arcs) {
+        m.rise = std::max(m.rise, arc.rise_delay.lookup(slew, load));
+        m.fall = std::max(m.fall, arc.fall_delay.lookup(slew, load));
+      }
     }
-    base_.rise.push_back(rise);
-    base_.fall.push_back(fall);
+    base_.rise.push_back(m.rise);
+    base_.fall.push_back(m.fall);
   }
 }
 

@@ -55,11 +55,19 @@ struct StaResult {
 
 class Sta {
  public:
+  /// log2 of the constructor's (cell, load) memo size. A component netlist
+  /// holds a few dozen distinct pairs; tests overflow the memo on purpose.
+  static constexpr int kBaseDelayMemoBits = 6;
+
   /// Computes every gate's fresh rise/fall delay once; `nl` must stay
-  /// unchanged for the Sta's lifetime. `ctx` scopes the instrumentation
-  /// sinks (run counters, sta_query log records); with nullptr the counters
-  /// go to the process registry obs::metrics() and no log records are
-  /// written. Timing results never depend on `ctx`.
+  /// unchanged for the Sta's lifetime. At the fixed input slew a gate's
+  /// fresh delays depend only on its cell and its load, so the NLDM lookups
+  /// run once per distinct (cell, load) pair of a direct-mapped memo of
+  /// 2^kBaseDelayMemoBits slots; an evicted pair is looked up again, so the
+  /// delays are bit-identical to a per-gate lookup. `ctx` scopes the
+  /// instrumentation sinks (run counters, sta_query log records); with
+  /// nullptr the counters go to the process registry obs::metrics() and no
+  /// log records are written. Timing results never depend on `ctx`.
   explicit Sta(const Netlist& nl, StaOptions options = {},
                const Context* ctx = nullptr);
 

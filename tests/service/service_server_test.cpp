@@ -171,6 +171,28 @@ TEST(ServeEndToEnd, UnixSocketEndpoint) {
       << "graceful stop must unlink the unix socket";
 }
 
+TEST(ServeEndToEnd, StopWakesTheAcceptorAtOnce) {
+  const std::string sock =
+      (std::filesystem::temp_directory_path() / "aapx_serve_cycle_test.sock")
+          .string();
+  const auto begin = std::chrono::steady_clock::now();
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    Context root;
+    ServerOptions opts;
+    opts.listen = "unix:" + sock;
+    Server server(root, opts);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    server.stop();
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - begin;
+  // An acceptor left to its poll timeout would hold each stop for up to
+  // 0.2 s.
+  EXPECT_LT(elapsed.count(), 1.0) << "20 start/stop cycles";
+  EXPECT_FALSE(std::filesystem::exists(sock));
+}
+
 TEST(ServeEndToEnd, InvalidEndpointIsACleanStartFailure) {
   Context root;
   ServerOptions opts;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "engine/context.hpp"
 #include "obs/metrics.hpp"
@@ -276,6 +278,45 @@ TEST_F(StaTest, GateDelaysBitIdenticalToPerGateFormula) {
         }
       }
     }
+  }
+
+  // Every library cell driving one, two and three readers, the last also a
+  // primary output: more distinct (cell, load) pairs than the constructor's
+  // memo has slots, so pairs collide and evict each other.
+  Netlist wide(lib_);
+  const NetId a = wide.add_input("a");
+  for (CellId c = 0; c < lib_.size(); ++c) {
+    const std::vector<NetId> ins(
+        static_cast<std::size_t>(lib_.cell(c).num_inputs()), a);
+    for (int fanout = 1; fanout <= 3; ++fanout) {
+      const NetId y = wide.add_gate(c, ins);
+      for (int r = 0; r < fanout; ++r) {
+        wide.mark_output(wide.mk(LogicFn::kInv, y), "r");
+      }
+      if (fanout == 3) wide.mark_output(y, "y");
+    }
+  }
+  std::vector<std::pair<CellId, double>> pairs;
+  for (const Gate& gate : wide.gates()) {
+    pairs.emplace_back(gate.cell, wide.net_load(gate.fanout));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  ASSERT_GT(pairs.size(), std::size_t{1} << Sta::kBaseDelayMemoBits);
+  const StressProfile worst =
+      StressProfile::uniform(StressMode::worst, wide.num_gates());
+  for (const StaOptions& o : {StaOptions{}, opt}) {
+    const Sta sta(wide, o);
+    const Sta::GateDelays fresh = sta.gate_delays(nullptr, nullptr);
+    const Sta::GateDelays fresh_ref =
+        reference_gate_delays(wide, o, nullptr, nullptr);
+    EXPECT_EQ(fresh.rise, fresh_ref.rise) << o.primary_output_load;
+    EXPECT_EQ(fresh.fall, fresh_ref.fall) << o.primary_output_load;
+    const Sta::GateDelays aged = sta.gate_delays(&bti_lib, &worst);
+    const Sta::GateDelays aged_ref =
+        reference_gate_delays(wide, o, &bti_lib, &worst);
+    EXPECT_EQ(aged.rise, aged_ref.rise) << o.primary_output_load;
+    EXPECT_EQ(aged.fall, aged_ref.fall) << o.primary_output_load;
   }
 }
 

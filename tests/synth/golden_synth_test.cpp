@@ -12,106 +12,17 @@
 // to the numbering of its gates and nets.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
+#include "netlist_digest.hpp"
 #include "synth/components.hpp"
+#include "synth/dct_unit.hpp"
 #include "synth/passes.hpp"
-#include "util/hash.hpp"
 
 namespace aapx {
 namespace {
-
-void feed_nets(Hasher& h, const std::vector<NetId>& nets) {
-  h.u64(nets.size());
-  for (const NetId n : nets) h.u32(n);
-}
-
-std::vector<std::string> sorted(std::vector<std::string> names) {
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-void feed_structure(Hasher& h, const Netlist& nl) {
-  h.u64(nl.num_nets()).u64(nl.num_gates());
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
-    const Gate& gate = nl.gate(g);
-    const int pins = nl.gate_num_inputs(g);
-    h.u32(gate.cell).i32(pins);
-    for (int p = 0; p < pins; ++p) h.u32(gate.fanin[static_cast<std::size_t>(p)]);
-    h.u32(gate.fanout);
-  }
-  feed_nets(h, nl.inputs());
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) h.str(nl.input_name(i));
-  feed_nets(h, nl.outputs());
-  for (std::size_t i = 0; i < nl.outputs().size(); ++i) h.str(nl.output_name(i));
-  for (const std::string& name : sorted(nl.input_bus_names())) {
-    h.str(name);
-    feed_nets(h, nl.input_bus(name));
-  }
-  for (const std::string& name : sorted(nl.output_bus_names())) {
-    h.str(name);
-    feed_nets(h, nl.output_bus(name));
-  }
-}
-
-bool pins_commute(LogicFn fn, int i, int j) {
-  for (unsigned mask = 0; mask < 8; ++mask) {
-    const unsigned bi = (mask >> i) & 1u;
-    const unsigned bj = (mask >> j) & 1u;
-    const unsigned swapped = (mask & ~((1u << i) | (1u << j))) | (bi << j) |
-                             (bj << i);
-    if (fn_eval(fn, mask) != fn_eval(fn, swapped)) return false;
-  }
-  return true;
-}
-
-/// Digest that ignores gate and net numbering: each net is labelled by what
-/// drives it (a constant, a named PI, or a cell over its fanin labels, with
-/// interchangeable pins sorted), so two netlists that differ only in the
-/// order their gates were emitted agree.
-std::uint64_t renumbering_invariant_digest(const Netlist& nl) {
-  std::vector<std::uint64_t> label(nl.num_nets(), 0);
-  label[nl.const0()] = Hasher{}.str("const0").digest();
-  label[nl.const1()] = Hasher{}.str("const1").digest();
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    label[nl.inputs()[i]] = Hasher{}.str("pi").str(nl.input_name(i)).digest();
-  }
-  std::vector<std::uint64_t> gate_labels;
-  for (const GateId g : nl.topo_order()) {
-    const Gate& gate = nl.gate(g);
-    const int pins = nl.gate_num_inputs(g);
-    const LogicFn fn = nl.lib().cell(gate.cell).fn;
-    std::vector<std::uint64_t> in;
-    for (int p = 0; p < pins; ++p) {
-      in.push_back(label[gate.fanin[static_cast<std::size_t>(p)]]);
-    }
-    if (pins == 3 && pins_commute(fn, 0, 1) && pins_commute(fn, 1, 2)) {
-      std::sort(in.begin(), in.end());
-    } else if (pins >= 2 && pins_commute(fn, 0, 1)) {
-      std::sort(in.begin(), in.begin() + 2);
-    }
-    Hasher h;
-    h.u32(gate.cell);
-    for (const std::uint64_t l : in) h.u64(l);
-    label[gate.fanout] = h.digest();
-    gate_labels.push_back(h.digest());
-  }
-  std::sort(gate_labels.begin(), gate_labels.end());
-  Hasher h;
-  h.u64(nl.num_nets());
-  for (const std::uint64_t l : gate_labels) h.u64(l);
-  for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-    h.str(nl.output_name(i)).u64(label[nl.outputs()[i]]);
-  }
-  for (const std::string& name : sorted(nl.output_bus_names())) {
-    for (const NetId n : nl.output_bus(name)) h.str(name).u64(label[n]);
-  }
-  return h.digest();
-}
 
 struct Golden {
   ComponentKind kind;
@@ -221,6 +132,55 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = group_spec(info.param, 0).name();
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
+    });
+
+// The dedicated IDCT row unit, which optimizes a netlist of
+// constant-coefficient multipliers and adder trees: every truncation
+// 0..data_width-1 of each data width.
+struct IdctGolden {
+  int data_width;
+  std::uint64_t digest;
+};
+
+constexpr IdctGolden kIdctGolden[] = {
+    {8, 0x0f350e0595a03634},
+    {12, 0x14f929df35d4d006},
+    {16, 0x935635c1965e0ecb},
+};
+
+class IdctGoldenSynthTest : public ::testing::TestWithParam<IdctGolden> {
+ protected:
+  CellLibrary lib_ = make_nangate45_like();
+};
+
+TEST_P(IdctGoldenSynthTest, EveryTruncationMatchesItsGoldenStructure) {
+  const IdctGolden& g = GetParam();
+  Hasher h;
+  for (int k = 0; k < g.data_width; ++k) {
+    IdctUnitSpec spec;
+    spec.data_width = g.data_width;
+    spec.truncated_bits = k;
+    const Netlist nl = make_idct_row_unit(lib_, spec);
+    h.i32(k);
+    feed_structure(h, nl);
+
+    const OptimizeResult again = optimize(nl);
+    EXPECT_EQ(again.gates_removed, 0u) << "t" << k;
+    EXPECT_EQ(renumbering_invariant_digest(again.netlist),
+              renumbering_invariant_digest(nl))
+        << "t" << k;
+  }
+  char actual[32];
+  std::snprintf(actual, sizeof actual, "0x%016llx",
+                static_cast<unsigned long long>(h.digest()));
+  EXPECT_EQ(h.digest(), g.digest) << "actual digest " << actual;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DataWidths, IdctGoldenSynthTest, ::testing::ValuesIn(kIdctGolden),
+    [](const ::testing::TestParamInfo<IdctGolden>& info) {
+      return std::string("idct_row_w")
+          .append(std::to_string(info.param.data_width));
     });
 
 }  // namespace
